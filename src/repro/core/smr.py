@@ -71,6 +71,7 @@ class StateMachineReplica(MultiRingProcess):
         self._checkpointer: Optional[ReplicaCheckpointer] = None
         self._recovery: Optional[RecoveryManager] = None
         self._commands_applied = 0
+        self._ops_tracker = None  # service.<name>.ops, resolved on first apply
         self._recovering = False
         # type(message) -> bound handler; same pattern as RingNode.HANDLERS.
         self._service_handlers = {
@@ -149,7 +150,9 @@ class StateMachineReplica(MultiRingProcess):
     def _apply_and_respond(self, group_id: int, command: Command) -> None:
         result = self.apply_command(group_id, command)
         self._commands_applied += 1
-        self.env.metrics.throughput(f"service.{self.name}.ops").record(1.0)
+        if self._ops_tracker is None:  # reset_all() keeps instrument objects
+            self._ops_tracker = self.env.metrics.throughput(f"service.{self.name}.ops")
+        self._ops_tracker.record(1.0)
         if self.respond_to_clients and command.client:
             self.send(
                 command.client,

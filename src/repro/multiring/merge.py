@@ -771,19 +771,23 @@ class DeterministicMerger:
         if payload is SKIP:
             self._skipped += 1
             return
+        on_deliver = self._on_deliver
         if isinstance(payload, PackedValues):
-            # Shared recursive unpacker: every leaf value of the packed
-            # instance (packs of packs included) is delivered under the one
-            # instance that ordered it, skips inside the pack excluded.
-            for packed in _iter_leaf_values(value):
-                if packed.payload is SKIP:
+            # Every leaf is delivered under the one instance that ordered it,
+            # skips excluded; only a pack of packs needs the shared unpacker.
+            for packed in payload.values:
+                inner = packed.payload
+                if inner is SKIP:
                     self._skipped += 1
-                    continue
-                self._delivered += 1
-                self._on_deliver(group, instance, packed)
+                elif isinstance(inner, PackedValues):
+                    for leaf in _iter_leaf_values(packed):
+                        self._emit(group, instance, leaf)
+                else:
+                    self._delivered += 1
+                    on_deliver(group, instance, packed)
             return
         self._delivered += 1
-        self._on_deliver(group, instance, value)
+        on_deliver(group, instance, value)
 
     # ------------------------------------------------------------ inspection
     @property

@@ -129,6 +129,8 @@ class CoordinatorState:
         self.phase1_ready = False
         self._phase1_promises: Dict[str, bool] = {}
         self._pending: Deque[ProposalValue] = deque()
+        #: running ``sum(v.size_bytes for v in _pending)``, kept in lockstep
+        self._pending_bytes = 0
         self._proposed_in_interval = 0
         self._total_proposed = 0
         self._total_skipped = 0
@@ -149,6 +151,7 @@ class CoordinatorState:
     def enqueue(self, value: ProposalValue) -> None:
         """Queue a value for ordering (buffered until Phase 1 completes)."""
         self._pending.append(value)
+        self._pending_bytes += value.size_bytes
 
     def has_pending(self) -> bool:
         """Whether values are waiting to be assigned instances."""
@@ -176,30 +179,31 @@ class CoordinatorState:
         if not self.phase1_ready:
             return []
         assignments: List[Tuple[int, ProposalValue]] = []
+        pending = self._pending
         if not self.batch_policy.enabled:
-            while self._pending:
-                value = self._pending.popleft()
-                assignments.append((self.ledger.allocate(), value))
+            while pending:
+                assignments.append((self.ledger.allocate(), pending.popleft()))
+            self._pending_bytes = 0
         else:
             max_bytes = self.batch_policy.max_bytes
-            while self._pending:
+            # The next greedy group is partial (takes all that is queued yet
+            # stays under ``max_bytes``) exactly when the running total is
+            # below ``max_bytes``: hold it for the delay trigger in O(1).
+            while pending and (force or self._pending_bytes >= max_bytes):
                 group: List[ProposalValue] = []
                 size = 0
-                while self._pending and (
-                    size + self._pending[0].size_bytes <= max_bytes or not group
+                while pending and (
+                    size + pending[0].size_bytes <= max_bytes or not group
                 ):
-                    value = self._pending.popleft()
+                    value = pending.popleft()
                     group.append(value)
                     size += value.size_bytes
-                if not force and not self._pending and size < max_bytes:
-                    # Partial trailing batch: hold it for the delay trigger.
-                    self._pending.extendleft(reversed(group))
-                    break
+                self._pending_bytes -= size
                 if len(group) == 1:
                     packed = group[0]
                 else:
                     packed = ProposalValue(
-                        payload=PackedValues(values=list(group)),
+                        payload=PackedValues(values=group),
                         size_bytes=size,
                         proposer=group[0].proposer,
                         proposal_id=group[0].proposal_id,

@@ -47,6 +47,7 @@ a snapshot of the original for differential tests.
 
 from __future__ import annotations
 
+import gc
 from heapq import heapify, heappop, heappush
 from math import inf
 from typing import Any, Callable, List, Optional, Tuple
@@ -55,6 +56,7 @@ __all__ = [
     "Event",
     "EventHandle",
     "Simulator",
+    "gc_paused",
     "ms",
     "us",
     "SimulationError",
@@ -77,6 +79,41 @@ class SimulationError(RuntimeError):
     Examples include scheduling an event in the past or running a simulator
     that has already been stopped.
     """
+
+
+class gc_paused:
+    """Pause CPython's cyclic collector around a run loop, then restore it.
+
+    A run allocates millions of acyclic objects (heap entries, messages,
+    decision logs) and no reference cycles, so collections only re-traverse
+    a growing live heap.  Exit restores the caller's collector state,
+    exception or not; with the collector already off this is a no-op, so
+    nested runs and callers managing GC themselves are untouched.  Hot-path
+    code must not create cycles: they would outlive the outermost run.
+
+    A finished deployment *is* cyclic (actors ↔ environment), and a caller
+    running point after point may allocate too little in between for the
+    collector's thresholds to fire: every :attr:`BACKLOG` objects that
+    outlived their pause buy one full collection at the next entry, when the
+    previous deployment is usually dropped and the heap still small.
+    """
+
+    __slots__ = ("_was_enabled",)
+    BACKLOG = 100_000
+    _backlog = 0
+
+    def __enter__(self) -> None:
+        self._was_enabled = gc.isenabled()
+        if self._was_enabled:
+            if gc_paused._backlog >= gc_paused.BACKLOG:
+                gc_paused._backlog = 0
+                gc.collect()
+            gc.disable()
+
+    def __exit__(self, *exc_info: Any) -> None:
+        if self._was_enabled:
+            gc_paused._backlog += gc.get_count()[0]
+            gc.enable()
 
 
 class Event:
@@ -343,7 +380,7 @@ class Simulator:
         return False
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Run the event loop.
+        """Run the event loop (cyclic GC paused meanwhile, see :class:`gc_paused`).
 
         Parameters
         ----------
@@ -358,11 +395,12 @@ class Simulator:
         float
             The simulation time when the run stopped.
         """
-        if self._profile is not None:
-            return self._run_profiled(until, max_events)
-        if max_events is None and not self._batch_dispatch:
-            return self._run_default(until)
-        return self._run_general(until, max_events)
+        with gc_paused():
+            if self._profile is not None:
+                return self._run_profiled(until, max_events)
+            if max_events is None and not self._batch_dispatch:
+                return self._run_default(until)
+            return self._run_general(until, max_events)
 
     def _run_default(self, until: Optional[float]) -> float:
         """The common loop: no event cap, no batch dispatch, no profiling.

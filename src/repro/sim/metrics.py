@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from collections import defaultdict
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -335,20 +336,24 @@ class ThroughputTracker:
         self.name = name
         self._clock = clock
         self._bucket = bucket_seconds
-        self._events: List[Tuple[float, float]] = []
+        # Columns, not a tuple per record: a run records once per delivered
+        # command, and every tuple would be one more GC-tracked object.
+        self._times = array("d")
+        self._units: List[float] = []
 
     def record(self, units: float = 1.0) -> None:
         """Record completion of ``units`` units of work at the current time."""
-        self._events.append((self._clock(), units))
+        self._times.append(self._clock())
+        self._units.append(units)
 
     @property
     def total(self) -> float:
         """Total units recorded."""
-        return sum(u for _, u in self._events)
+        return sum(self._units)
 
     def total_between(self, start: float, end: float) -> float:
         """Units recorded in the half-open interval ``[start, end)``."""
-        return sum(u for t, u in self._events if start <= t < end)
+        return sum(u for t, u in zip(self._times, self._units) if start <= t < end)
 
     def rate(self, start: float, end: float) -> float:
         """Average rate (units/second) over ``[start, end)``."""
@@ -366,7 +371,7 @@ class ThroughputTracker:
         if end <= start:
             return []
         buckets: Dict[int, float] = defaultdict(float)
-        for t, u in self._events:
+        for t, u in zip(self._times, self._units):
             if start <= t < end:
                 buckets[int((t - start) // self._bucket)] += u
         n_buckets = int(math.ceil((end - start) / self._bucket))
@@ -377,7 +382,8 @@ class ThroughputTracker:
 
     def reset(self) -> None:
         """Drop all recorded events."""
-        self._events.clear()
+        del self._times[:]
+        self._units.clear()
 
 
 class MetricRegistry:

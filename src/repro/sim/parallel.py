@@ -141,7 +141,7 @@ from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .actor import Environment
-from .kernel import SimulationError
+from .kernel import SimulationError, gc_paused
 from .network import RemoteMessage, encode_wire
 
 __all__ = [
@@ -413,28 +413,29 @@ def _worker_main(conn, specs: Sequence[ShardSpec], wire_codec: bool = True) -> N
     try:
         shard_set = _ShardSet(specs)
         conn.send_bytes(dumps(("ready", shard_set.actor_sites())))
-        while True:
-            command = loads(conn.recv_bytes())
-            op = command[0]
-            if op == "window":
-                # ("window", end) is the empty fast path: no inbound dict on
-                # the wire, none allocated here.
-                inbound = command[2] if len(command) > 2 else _NO_INBOUND
-                outbound, events, horizons, segments = shard_set.run_window(
-                    command[1], inbound
-                )
-                conn.send_bytes(dumps(("out", outbound, events, horizons, segments)))
-            elif op == "routes":
-                shard_set.set_routes(command[1])
-                conn.send_bytes(dumps(("ok",)))
-            elif op == "start":
-                outbound, horizons, segments = shard_set.start()
-                conn.send_bytes(dumps(("out", outbound, {}, horizons, segments)))
-            elif op == "finish":
-                conn.send_bytes(dumps(("result", shard_set.finalize())))
-                return
-            else:  # pragma: no cover - protocol bug
-                raise RuntimeError(f"unknown command {op!r}")
+        with gc_paused():
+            while True:
+                command = loads(conn.recv_bytes())
+                op = command[0]
+                if op == "window":
+                    # ("window", end) is the empty fast path: no inbound dict
+                    # on the wire, none allocated here.
+                    inbound = command[2] if len(command) > 2 else _NO_INBOUND
+                    outbound, events, horizons, segments = shard_set.run_window(
+                        command[1], inbound
+                    )
+                    conn.send_bytes(dumps(("out", outbound, events, horizons, segments)))
+                elif op == "routes":
+                    shard_set.set_routes(command[1])
+                    conn.send_bytes(dumps(("ok",)))
+                elif op == "start":
+                    outbound, horizons, segments = shard_set.start()
+                    conn.send_bytes(dumps(("out", outbound, {}, horizons, segments)))
+                elif op == "finish":
+                    conn.send_bytes(dumps(("result", shard_set.finalize())))
+                    return
+                else:  # pragma: no cover - protocol bug
+                    raise RuntimeError(f"unknown command {op!r}")
     except Exception as exc:  # surface worker crashes with their traceback
         import traceback
 
@@ -608,15 +609,17 @@ def run_sharded(
     workers = max(1, min(int(workers), len(specs)))
 
     start = time.perf_counter()
-    if workers == 1:
-        results, windows, cross, events, stats = _run_inprocess(
-            specs, until, lookahead, horizon, segment_interval, segment_sink
-        )
-    else:
-        results, windows, cross, events, stats = _run_multiprocess(
-            specs, until, lookahead, horizon, workers, mp_context,
-            segment_interval, segment_sink, wire_codec,
-        )
+    # The parent's barrier loop and reactive merge stage are run loops too.
+    with gc_paused():
+        if workers == 1:
+            results, windows, cross, events, stats = _run_inprocess(
+                specs, until, lookahead, horizon, segment_interval, segment_sink
+            )
+        else:
+            results, windows, cross, events, stats = _run_multiprocess(
+                specs, until, lookahead, horizon, workers, mp_context,
+                segment_interval, segment_sink, wire_codec,
+            )
     wall = time.perf_counter() - start
     return ParallelRunResult(
         results=results,

@@ -5,6 +5,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.packing import PackedValues, iter_values
 from repro.multiring.merge import DeterministicMerger, MergeCursor, replay_streams
 from repro.paxos.messages import SKIP, ProposalValue
 
@@ -131,6 +132,47 @@ class TestOfferFastPathEquivalence:
         for g in (0, 1, 2):
             per_ring = [i for gg, i, _ in out if gg == g]
             assert per_ring == sorted(per_ring)
+
+
+class TestPackedFanOut:
+    """A packed instance fans out leaf by leaf, whichever path consumes it."""
+
+    @staticmethod
+    def pack(*values):
+        return value(PackedValues(values=list(values)), size=sum(v.size_bytes for v in values))
+
+    def instances(self):
+        flat = self.pack(value("a"), skip(), value("b"))
+        inner = self.pack(value("d"), skip(), self.pack(value("e")))
+        nested = self.pack(value("c"), inner, value("f"))
+        return [flat, nested, value("g"), skip()]
+
+    def expected(self, group):
+        return [
+            (group, instance, leaf.payload)
+            for instance, packed in enumerate(self.instances())
+            for leaf in iter_values(packed)
+            if leaf.payload is not SKIP
+        ]
+
+    def test_direct_emit_path(self):
+        merger, out = make([0])
+        for instance, packed in enumerate(self.instances()):
+            merger.offer(0, instance, packed)
+        assert out == self.expected(0)
+        assert merger.delivered_count == 7
+        assert merger.skipped_count == 3
+
+    def test_queued_path(self):
+        merger, out = make([0, 1], m=4)
+        for instance, packed in enumerate(self.instances()):
+            merger.offer(1, instance, packed)  # ring 0 has the turn: queued
+        assert out == []
+        for instance in range(4):
+            merger.offer(0, instance, skip())
+        assert out == self.expected(1)
+        assert merger.delivered_count == 7
+        assert merger.skipped_count == 3 + 4
 
 
 class TestMergeCursor:

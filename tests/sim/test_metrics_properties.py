@@ -12,12 +12,18 @@ sample sets:
   the threshold;
 * the sketch preserves count/min/max/mean exactly and p50/p95/p99 to within
   the design bound of ~1% relative error (geometric bucket midpoints at
-  growth 1.02).
+  growth 1.02);
+* the columnar :class:`ThroughputTracker` answers every query with the same
+  value *and type* as a list-of-tuples reference (one ``(time, units)`` tuple
+  per record, summed in record order).
 """
+
+import math
+from collections import defaultdict
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.metrics import LatencyRecorder
+from repro.sim.metrics import LatencyRecorder, ThroughputTracker
 
 #: Positive latencies well clear of the sketch's 1e-9 underflow bucket.
 samples_strategy = st.lists(
@@ -119,3 +125,99 @@ class TestSketchAgreement:
         assert recorder.sketching == (len(samples) > threshold)
         cdf = recorder.cdf(points=10)
         assert cdf[-1][1] == 1.0
+
+
+class _TupleTracker:
+    """Reference tracker: one ``(time, units)`` tuple per record."""
+
+    def __init__(self, clock, bucket_seconds):
+        self._clock = clock
+        self._bucket = bucket_seconds
+        self._events = []
+
+    def record(self, units=1.0):
+        self._events.append((self._clock(), units))
+
+    @property
+    def total(self):
+        return sum(u for _, u in self._events)
+
+    def total_between(self, start, end):
+        return sum(u for t, u in self._events if start <= t < end)
+
+    def rate(self, start, end):
+        if end <= start:
+            return 0.0
+        return self.total_between(start, end) / (end - start)
+
+    def timeline(self, start, end):
+        if end <= start:
+            return []
+        buckets = defaultdict(float)
+        for t, u in self._events:
+            if start <= t < end:
+                buckets[int((t - start) // self._bucket)] += u
+        n_buckets = int(math.ceil((end - start) / self._bucket))
+        return [
+            (start + i * self._bucket, buckets.get(i, 0.0) / self._bucket)
+            for i in range(n_buckets)
+        ]
+
+    def reset(self):
+        self._events.clear()
+
+
+#: ``(time step, units)`` records; units mix ints and floats on purpose —
+#: the tracker must hand back the operand types it was given.
+record_stream = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
+        st.one_of(
+            st.integers(min_value=0, max_value=1 << 40),
+            st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
+        ),
+    ),
+    max_size=120,
+)
+window_bound = st.floats(min_value=-1.0, max_value=30.0, allow_nan=False)
+
+
+def _same(actual, expected):
+    """Equal in value and in type, element-wise for the timeline's pairs."""
+    assert actual == expected
+    assert type(actual) is type(expected)
+    if isinstance(expected, list):
+        for got, want in zip(actual, expected):
+            assert [type(x) for x in got] == [type(x) for x in want]
+
+
+class TestColumnarThroughputTracker:
+    @given(
+        record_stream,
+        window_bound,
+        window_bound,
+        st.sampled_from([0.05, 0.25, 1.0]),
+        st.integers(min_value=0, max_value=120),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_list_of_tuples_reference(self, stream, a, b, bucket, reset_at):
+        now = [0.0]
+        tracker = ThroughputTracker("prop", lambda: now[0], bucket)
+        reference = _TupleTracker(lambda: now[0], bucket)
+        for index, (step, units) in enumerate(stream):
+            if index == reset_at:
+                tracker.reset()
+                reference.reset()
+                _same(tracker.total, reference.total)
+            now[0] += step
+            tracker.record(units)
+            reference.record(units)
+        for start, end in ((a, b), (b, a), (min(a, b), max(a, b) + 1.0)):
+            _same(tracker.total, reference.total)
+            _same(tracker.total_between(start, end), reference.total_between(start, end))
+            _same(tracker.rate(start, end), reference.rate(start, end))
+            _same(tracker.timeline(start, end), reference.timeline(start, end))
+        tracker.reset()
+        reference.reset()
+        _same(tracker.total, reference.total)
+        _same(tracker.timeline(0.0, 1.0), reference.timeline(0.0, 1.0))
