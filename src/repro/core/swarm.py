@@ -324,7 +324,10 @@ class ClientSwarm(Actor):
         self._issued[index] = sequence + 1
         commands, await_groups = self._factory(index, sequence)
         key = sequence * self._n + index
-        op_label = "-".join(sorted({c.op for c in commands})) or "noop"
+        # Only a closed loop reads the label (its per-operation recorders).
+        op_label = ""
+        if self._mode == "closed":
+            op_label = "-".join(sorted({c.op for c in commands})) or "noop"
         now = self.now
         self._outstanding[key] = (set(await_groups), now, op_label)
         if self._addressing == "ports":
@@ -444,7 +447,10 @@ class ClientSwarm(Actor):
         if not isinstance(message, ClientResponse):
             return
         key = message.request_id
-        self._complete(key % self._n, key, message)
+        # Every replica of the group answers; all but the first find the
+        # request already complete.
+        if key in self._outstanding:
+            self._complete(key % self._n, key, message)
 
     def _complete(self, index: int, key: int, message: ClientResponse) -> None:
         entry = self._outstanding.get(key)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 __all__ = ["Partitioner", "HashPartitioner", "RangePartitioner"]
 
@@ -49,11 +49,17 @@ class HashPartitioner(Partitioner):
         if not group_ids:
             raise ValueError("need at least one group")
         self._groups = sorted(set(group_ids))
+        #: key -> group: one md5 per distinct key, not one per request (as
+        #: large as the keyspace asked about)
+        self._group_of: Dict[str, int] = {}
 
     def group_for_key(self, key: str) -> int:
-        digest = hashlib.md5(key.encode()).digest()
-        index = int.from_bytes(digest[:4], "big") % len(self._groups)
-        return self._groups[index]
+        group = self._group_of.get(key)
+        if group is None:
+            digest = hashlib.md5(key.encode()).digest()
+            index = int.from_bytes(digest[:4], "big") % len(self._groups)
+            group = self._group_of[key] = self._groups[index]
+        return group
 
     def groups_for_range(self, start_key: str, end_key: str) -> List[int]:
         # Hash partitioning cannot narrow a range: every partition may hold

@@ -34,6 +34,8 @@ class MRPStoreReplica(StateMachineReplica):
     ) -> None:
         super().__init__(env, name, site, config=config, respond_to_clients=respond_to_clients)
         self.store = KeyValueStore()
+        #: the database as initialised on stable storage before the run
+        self._initial: Dict[str, StoredValue] = {}
 
     # ------------------------------------------------------------ state machine
     def apply_command(self, group_id: int, command: Command) -> Any:
@@ -65,8 +67,21 @@ class MRPStoreReplica(StateMachineReplica):
     def install_state_snapshot(self, state: Dict[str, StoredValue]) -> None:
         self.store.restore(state)
 
+    def load_initial(self, entries: Dict[str, StoredValue]) -> None:
+        """Upsert ``entries`` without ordering them, as the initial database.
+
+        The paper loads the database onto stable storage before a run, so
+        unlike anything applied later these entries survive a crash: they
+        were never multicast, hence neither a checkpoint taken before the
+        crash nor the acceptors' logs could bring them back.
+        """
+        self._initial.update(entries)
+        merged = self.store.snapshot()
+        merged.update(entries)
+        self.store.restore(merged)
+
     def reset_state(self) -> None:
-        self.store.clear()
+        self.store.restore(self._initial)
 
     # --------------------------------------------------------------- inspection
     def entry_count(self) -> int:

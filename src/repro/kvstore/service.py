@@ -29,6 +29,7 @@ from ..net.ring import RingMember
 from .client import MRPStoreCommands, kv_request_factory
 from .partitioning import HashPartitioner, Partitioner
 from .replica import MRPStoreReplica
+from .store import StoredValue
 
 __all__ = ["MRPStoreService"]
 
@@ -186,9 +187,15 @@ class MRPStoreService:
         measurement; loading through the ordering layer would dominate the
         simulation run time without changing the measured behaviour, so the
         preload bypasses ordering (every replica receives the same entries).
+        Being on stable storage before the run, the entries are also what a
+        replica that crashes falls back to (:meth:`MRPStoreReplica.load_initial`).
         """
-        for group in self.groups:
+        images: Dict[int, Dict[str, StoredValue]] = {group: {} for group in self.groups}
+        group_for_key = self.partitioner.group_for_key
+        for key, size in keys_with_sizes.items():
+            image = images.get(group_for_key(key))
+            if image is not None:
+                image[key] = StoredValue(value=None, size_bytes=size)
+        for group, image in images.items():
             for replica in self.replicas[group]:
-                for key, size in keys_with_sizes.items():
-                    if self.partitioner.group_for_key(key) == group:
-                        replica.store.insert(key, None, size)
+                replica.load_initial(image)

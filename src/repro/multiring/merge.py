@@ -709,6 +709,9 @@ class DeterministicMerger:
         }
         self._current_index = 0
         self._consumed_in_round = 0
+        #: one subscription consumed one instance at a time: every offer is
+        #: a whole round, so the round pointer never moves (until `subscribe`)
+        self._sole_stream = len(self._groups) == 1 and messages_per_round == 1
         self._delivered = 0
         self._skipped = 0
 
@@ -731,6 +734,8 @@ class DeterministicMerger:
             else:
                 self._delivered += 1
                 self._on_deliver(group_id, instance, value)
+            if self._sole_stream:
+                return
             self._consumed_in_round += 1
             if self._consumed_in_round >= self._m:
                 self._consumed_in_round = 0
@@ -745,6 +750,7 @@ class DeterministicMerger:
         if group_id not in self._queues:
             self._queues[group_id] = deque()
             self._groups = sorted(self._queues)
+            self._sole_stream = False
             # Restart the round pointer deterministically.
             self._current_index = 0
             self._consumed_in_round = 0

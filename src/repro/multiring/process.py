@@ -252,16 +252,31 @@ class MultiRingProcess(Actor):
         if ring_id is not None:
             node = self._nodes.get(ring_id)
             if node is not None:
-                if isinstance(message, TrimQuery):
-                    self._answer_trim_query(sender, message)
-                    return
                 handler = node._handlers.get(message.__class__)
-                if handler is not None:
-                    self.cpu.charge_message(node._cpu_model, message.size_bytes)
-                    if handler(sender, message):
+                if handler is None:
+                    if isinstance(message, TrimQuery):
+                        self._answer_trim_query(sender, message)
                         return
-                elif node.handle(sender, message):
-                    return
+                    if node.handle(sender, message):
+                        return
+                else:
+                    # CpuAccount.charge_message(model, size) for one message,
+                    # in this frame: priced on arrival (handlers re-size
+                    # messages in place), booked after the handler — the same
+                    # terms in the same order, no handler charges its own host.
+                    model = node._cpu_model
+                    cost = model.per_message + model.per_byte * message.size_bytes
+                    consumed = handler(sender, message)
+                    if not consumed and isinstance(message, TrimQuery):
+                        # The table's entry for TrimQuery is a no-op: this
+                        # layer answers it, and was never charged CPU for it.
+                        self._answer_trim_query(sender, message)
+                        return
+                    cpu = self.cpu
+                    cpu._busy += cost
+                    cpu._window_busy += cost
+                    if consumed:
+                        return
         self.on_service_message(sender, message)
 
     def on_service_message(self, sender: str, message: Any) -> None:

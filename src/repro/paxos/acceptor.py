@@ -17,7 +17,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..sim.actor import Environment
 from ..sim.disk import Disk, StorageMode
-from ..storage.slots import SlotBuffer, SlotFullError
+from ..storage.slots import SlotBuffer
 from ..storage.wal import WriteAheadLog
 from .instance import Accepted, AcceptorInstance, Promise
 from .messages import SKIP, ProposalValue
@@ -53,6 +53,9 @@ class AcceptorState:
         #: instances, Section 4) is represented without materialising
         #: per-instance state.
         self._range_promised = -1
+        #: what every accepted vote at the current ballot returns — one
+        #: shared, read-only object per coordinator reign, not one per hop
+        self._accepted = Accepted(accepted=True, ballot=-1)
 
     # -------------------------------------------------------------- instances
     def _instance(self, instance: int) -> AcceptorInstance:
@@ -101,20 +104,25 @@ class AcceptorState:
         must defer forwarding its Phase 2B until then (this is what puts the
         device on the critical path).  Passing the arguments separately lets
         the per-hop ring path reuse one bound method instead of closing over
-        the message.
+        the message.  The returned object is read-only: accepted votes at one
+        ballot all return the same instance.
         """
         if instance <= self._trimmed_up_to:
             # The instance was already trimmed; it is necessarily decided, so
             # refuse the vote — recovering replicas must use checkpoints.
             return Accepted(accepted=False, ballot=ballot)
-        inst = self._instances.get(instance)
-        if inst is None:
-            # Inlined _instance(): on the hot path nearly every vote touches a
-            # fresh instance, so the lookup above is almost always a miss.
-            inst = AcceptorInstance(instance)
-            inst.promised_ballot = self._range_promised
-            self._instances[instance] = inst
-        result = inst.receive_phase2a(ballot, value)
+        instances = self._instances
+        if instance not in instances and ballot >= self._range_promised:
+            # Every vote of a steady-state ring: a fresh instance, and a
+            # ballot the range promise admits.  The acceptor rule accepts,
+            # so store the voted state as such (same fields as creating the
+            # instance at the range promise and running receive_phase2a).
+            instances[instance] = AcceptorInstance.voted(instance, ballot, value)
+            result = self._accepted
+            if result.ballot != ballot:
+                result = self._accepted = Accepted(accepted=True, ballot=ballot)
+        else:
+            result = self._instance(instance).receive_phase2a(ballot, value)
         if result.accepted and value.payload is not SKIP:
             self.log.append(
                 instance,
@@ -192,13 +200,11 @@ class AcceptorState:
             return
         self._decided[instance] = value
         if value.payload is not SKIP:
-            try:
-                self.slots.put(instance, value, value.size_bytes)
-            except SlotFullError:
-                # The buffer is full: the value stays only in the WAL (or is
-                # lost for in-memory mode).  Retransmission falls back to the
-                # log, mirroring the real system's back-pressure behaviour.
-                pass
+            # A full buffer is the steady state of an untrimmed run, so ask
+            # rather than catch: the value then stays only in the WAL (or is
+            # lost for in-memory mode) and retransmission falls back to the
+            # log, mirroring the real system's back-pressure behaviour.
+            self.slots.offer(instance, value, value.size_bytes)
 
     def is_decided(self, instance: int) -> bool:
         """Whether this acceptor knows the decision of ``instance``."""

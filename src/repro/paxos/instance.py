@@ -60,6 +60,21 @@ class AcceptorInstance:
         self.accepted_ballot = -1
         self.accepted_value: Optional[ProposalValue] = None
 
+    @classmethod
+    def voted(cls, instance: int, ballot: int, value: ProposalValue) -> "AcceptorInstance":
+        """The state :meth:`receive_phase2a` leaves behind when it accepts.
+
+        For callers that already know the vote passes — a first message for
+        the instance with ``ballot`` at or above whatever was promised — so
+        the ring hop builds the state once instead of creating an empty
+        instance, mutating it and allocating an :class:`Accepted` to say so.
+        """
+        self = cls.__new__(cls)
+        self.instance = instance
+        self.promised_ballot = self.accepted_ballot = ballot
+        self.accepted_value = value
+        return self
+
     # ---------------------------------------------------------------- phase 1
     def receive_phase1a(self, ballot: int) -> Promise:
         """Process a prepare request for ``ballot``."""
@@ -95,18 +110,27 @@ class InstanceLedger:
     Tracks the next unused instance number, which instances are decided and
     with what value, and the highest contiguously decided instance (the point
     up to which a learner can deliver in order).
+
+    The three fields are plain attributes: readers pay no property frame, and
+    the one per-message consumer — :class:`~repro.ringpaxos.learner.RingLearner`,
+    which owns its ledger — applies :meth:`observe_instance` / :meth:`decide`'s
+    transitions to them in its own frame.  Everyone else goes through the
+    methods.
     """
 
     def __init__(self) -> None:
-        self._next_instance = 0
-        self._decided: Dict[int, ProposalValue] = {}
-        self._contiguous = -1
+        #: the next instance number that would be allocated
+        self.next_instance = 0
+        #: decided ``instance -> value``
+        self.decided_map: Dict[int, ProposalValue] = {}
+        #: highest instance such that all instances up to it are decided
+        self.highest_contiguous_decided = -1
 
     # ------------------------------------------------------------ allocation
     def allocate(self) -> int:
         """Reserve and return the next instance number."""
-        instance = self._next_instance
-        self._next_instance += 1
+        instance = self.next_instance
+        self.next_instance += 1
         return instance
 
     def allocate_many(self, count: int) -> List[int]:
@@ -115,73 +139,54 @@ class InstanceLedger:
             raise ValueError("count must be non-negative")
         return [self.allocate() for _ in range(count)]
 
-    @property
-    def next_instance(self) -> int:
-        """The next instance number that would be allocated."""
-        return self._next_instance
-
     def observe_instance(self, instance: int) -> None:
         """Make sure future allocations are beyond ``instance``.
 
         Used by acceptors/learners that see instances created by the
         coordinator, and by a new coordinator taking over.
         """
-        if instance >= self._next_instance:
-            self._next_instance = instance + 1
+        if instance >= self.next_instance:
+            self.next_instance = instance + 1
 
     # -------------------------------------------------------------- decisions
     def decide(self, instance: int, value: ProposalValue) -> bool:
         """Record a decision; returns ``False`` if it was already known."""
-        decided = self._decided
+        decided = self.decided_map
         if instance in decided:
             return False
         decided[instance] = value
         # Inlined observe_instance(): decide runs once per learned instance.
-        if instance >= self._next_instance:
-            self._next_instance = instance + 1
-        while (self._contiguous + 1) in decided:
-            self._contiguous += 1
+        if instance >= self.next_instance:
+            self.next_instance = instance + 1
+        while (self.highest_contiguous_decided + 1) in decided:
+            self.highest_contiguous_decided += 1
         return True
 
     def is_decided(self, instance: int) -> bool:
         """Whether a decision is known for ``instance``."""
-        return instance in self._decided
-
-    @property
-    def decided_map(self) -> Dict[int, ProposalValue]:
-        """Read-only view of the decision map for hot-loop consumers.
-
-        Callers must not mutate it; :class:`~repro.ringpaxos.learner.RingLearner`
-        uses it to drain contiguous decisions without a method call per probe.
-        """
-        return self._decided
+        return instance in self.decided_map
 
     def decision(self, instance: int) -> Optional[ProposalValue]:
         """The decided value of ``instance`` (``None`` when unknown)."""
-        return self._decided.get(instance)
-
-    @property
-    def highest_contiguous_decided(self) -> int:
-        """Highest instance such that all instances up to it are decided."""
-        return self._contiguous
+        return self.decided_map.get(instance)
 
     @property
     def decided_count(self) -> int:
         """Number of decided instances currently retained."""
-        return len(self._decided)
+        return len(self.decided_map)
 
     def undecided_below(self, instance: int) -> List[int]:
         """Instance numbers smaller than ``instance`` that lack a decision."""
-        return [i for i in range(0, instance) if i not in self._decided]
+        return [i for i in range(0, instance) if i not in self.decided_map]
 
     def decisions_in_order(self) -> Iterator[Tuple[int, ProposalValue]]:
         """Iterate decided ``(instance, value)`` pairs in instance order."""
-        for instance in sorted(self._decided):
-            yield instance, self._decided[instance]
+        for instance in sorted(self.decided_map):
+            yield instance, self.decided_map[instance]
 
     def forget_up_to(self, instance: int) -> int:
         """Drop retained decisions up to ``instance`` (learner-side trimming)."""
-        to_drop = [i for i in self._decided if i <= instance]
+        to_drop = [i for i in self.decided_map if i <= instance]
         for i in to_drop:
-            del self._decided[i]
+            del self.decided_map[i]
         return len(to_drop)

@@ -59,7 +59,10 @@ class RingLearner:
     def observe_value(self, instance: int, value: ProposalValue) -> None:
         """Remember the value proposed in ``instance`` (from the Phase 2 message)."""
         self._pending_values[instance] = value
-        self._ledger.observe_instance(instance)
+        # InstanceLedger.observe_instance, in this frame (once per hop).
+        ledger = self._ledger
+        if instance >= ledger.next_instance:
+            ledger.next_instance = instance + 1
 
     def observe_decision(self, instance: int, value: Optional[ProposalValue]) -> None:
         """Record that ``instance`` was decided.
@@ -74,8 +77,33 @@ class RingLearner:
             self._ledger.observe_instance(instance)
             self._undeliv.add(instance)
             return
-        if self._ledger.decide(instance, resolved):
-            self._drain()
+        ledger = self._ledger
+        decided = ledger.decided_map
+        if instance != self._next_to_emit or instance in decided or (instance + 1) in decided:
+            # Out of order, duplicate, or with later instances already
+            # waiting behind it: the general decide + drain.
+            if ledger.decide(instance, resolved):
+                self._drain()
+            return
+        # A ring decides in order, so nearly every decision is the one
+        # awaited next with nothing behind it.  Both drains would emit exactly
+        # this instance and then probe for the next, so do
+        # InstanceLedger.decide and that one iteration in this frame: same
+        # transitions in the same order around the callback, which therefore
+        # observes the same ``next_to_emit`` and ledger as it did.
+        decided[instance] = resolved
+        if instance >= ledger.next_instance:
+            ledger.next_instance = instance + 1
+        while (ledger.highest_contiguous_decided + 1) in decided:
+            ledger.highest_contiguous_decided += 1
+        self._emitted += 1
+        if resolved.payload is SKIP:
+            self._skipped += 1
+        self._on_ordered(self.ring_id, instance, resolved)
+        self._pending_values.pop(instance, None)
+        self._next_to_emit = instance + 1
+        if (instance + 1) in decided:
+            self._drain()  # whatever the callback decided re-entrantly
 
     def supply_missing_value(self, instance: int, value: ProposalValue) -> None:
         """Provide the value of an instance whose decision arrived first."""

@@ -205,6 +205,7 @@ class RingNode:
         self._successor = overlay.successor(name)
         self._majority = overlay.majority()
         self._last_acceptor = overlay.last_acceptor_for(overlay.coordinator)
+        self._is_last_acceptor = self._last_acceptor == name
         self._is_coordinator = overlay.coordinator == name
 
     # ------------------------------------------------------------ properties
@@ -273,21 +274,20 @@ class RingNode:
         if not self.is_proposer:
             raise RuntimeError(f"{self.host.name} is not a proposer in ring {self.ring_id}")
         self._proposal_seq += 1
+        host = self.host
         value = ProposalValue(
             payload=payload,
             size_bytes=size_bytes,
-            proposer=self.host.name,
+            proposer=host.name,
             proposal_id=self._proposal_seq,
-            created_at=self.host.now if created_at is None else created_at,
+            created_at=host.env.simulator._now if created_at is None else created_at,
         )
-        if self.is_coordinator:
-            self._coordinator_enqueue(value)
+        if self._is_coordinator:
+            self.coordinator.enqueue(value)
+            self._flush_assignments()
         else:
-            self._forward_towards_coordinator(ValueForward(ring_id=self.ring_id, value=value))
+            host.send(self._successor, ValueForward(ring_id=self.overlay.ring_id, value=value))
         return value
-
-    def _forward_towards_coordinator(self, message: ValueForward) -> None:
-        self.host.send(self._successor, message)
 
     # ------------------------------------------------------------- dispatch
     #: Message class → handler method name.  Every handler has the uniform
@@ -338,17 +338,13 @@ class RingNode:
 
     # ------------------------------------------------------- value forwarding
     def _handle_value_forward(self, sender: str, message: ValueForward) -> bool:
-        if self.is_coordinator:
+        if self._is_coordinator:
             assert message.value is not None
-            self._coordinator_enqueue(message.value)
+            self.coordinator.enqueue(message.value)
+            self._flush_assignments()
         else:
-            self._forward_towards_coordinator(message)
+            self.host.send(self._successor, message)
         return True
-
-    def _coordinator_enqueue(self, value: ProposalValue) -> None:
-        assert self.coordinator is not None
-        self.coordinator.enqueue(value)
-        self._flush_assignments()
 
     def _flush_assignments(self, force: Optional[bool] = None) -> None:
         """Assign instances to pending values and emit their Phase 2 messages.
@@ -392,13 +388,14 @@ class RingNode:
     def _emit_phase2(self, instance: int, value: ProposalValue, span: int) -> None:
         """Vote locally (the coordinator is an acceptor) then send Phase 2."""
         assert self.coordinator is not None
+        name = self.host.name
         message = Phase2Ring(
-            ring_id=self.ring_id,
+            ring_id=self.overlay.ring_id,
             instance=instance,
             ballot=self.coordinator.ballot,
             value=value,
-            votes=(self.host.name,),
-            origin=self.host.name,
+            votes=(name,),
+            origin=name,
             span=span,
         )
         if self.is_learner and self.learner is not None:
@@ -427,10 +424,13 @@ class RingNode:
             )
 
     def _after_own_vote(self, message: Phase2Ring) -> None:
-        if self.host.name == self._last_acceptor and len(message.votes) >= self._majority:
+        if self._is_last_acceptor and len(message.votes) >= self._majority:
             self._decide(message)
         else:
-            self._forward_phase2(message)
+            # _forward_phase2, in this frame (once per voting hop).
+            successor = self._successor
+            if successor != message.origin:
+                self.host.send(successor, message)
 
     # ----------------------------------------------------------------- phase 1
     def _handle_phase1a(self, sender: str, message: Phase1A) -> bool:
@@ -512,35 +512,36 @@ class RingNode:
 
     # ----------------------------------------------------------------- phase 2
     def _handle_phase2(self, sender: str, message: Phase2Ring) -> bool:
-        if self.is_learner and self.learner is not None and message.value is not None:
-            if message.span == 1:
-                # Almost every message covers one instance; skip the range.
-                self.learner.observe_value(message.instance, message.value)
+        value = message.value
+        single = message.span == 1  # almost every message covers one instance
+        if self.is_learner and self.learner is not None and value is not None:
+            if single:
+                self.learner.observe_value(message.instance, value)
             else:
                 for instance in range(message.instance, message.last_instance + 1):
-                    self.learner.observe_value(instance, message.value)
+                    self.learner.observe_value(instance, value)
 
-        if self.is_acceptor and self.acceptor is not None and message.value is not None:
+        if self.is_acceptor and self.acceptor is not None and value is not None:
             # Append the vote in place and keep circulating the *same* object:
             # the previous hop dropped its reference when it forwarded, so
             # nothing aliases the message (the network never duplicates a
             # delivery — faults only drop).  This used to clone one message
             # per hop per instance.
             message.add_vote(self.host.name)
-            if message.span == 1:
+            if single:
                 self.acceptor.receive_phase2(
                     message.instance,
                     message.ballot,
-                    message.value,
-                    on_durable=self._after_own_vote_callback,
-                    on_durable_args=(message,),
+                    value,
+                    self._after_own_vote_callback,
+                    (message,),
                 )
             else:
                 self.acceptor.receive_phase2_range(
                     message.instance,
                     message.last_instance,
                     message.ballot,
-                    message.value,
+                    value,
                     on_durable=self._after_own_vote_callback,
                     on_durable_args=(message,),
                 )
@@ -556,38 +557,52 @@ class RingNode:
     # --------------------------------------------------------------- decision
     def _decide(self, message: Phase2Ring) -> None:
         """Replace a majority-carrying Phase 2 message by a decision."""
-        decision = Decision(
-            ring_id=self.ring_id,
-            instance=message.instance,
-            value=message.value,
-            origin=self.host.name,
-            carries_value=True,
-            span=message.span,
+        name = self.host.name
+        self._handle_decision(
+            name,
+            Decision(
+                ring_id=self.overlay.ring_id,
+                instance=message.instance,
+                value=message.value,
+                origin=name,
+                carries_value=True,
+                span=message.span,
+            ),
         )
-        self._learn_decision(decision)
-        self._forward_decision(decision)
 
     def _handle_decision(self, sender: str, message: Decision) -> bool:
-        self._learn_decision(message)
-        self._forward_decision(message)
+        """Learn the decision, then keep it circulating."""
+        if message.span == 1:
+            # Nearly every decision covers one instance: the body of
+            # _learn_decision's loop, without the call and the range.
+            instance = message.instance
+            value = message.value
+            if value is None and self.acceptor is not None:
+                value = self.acceptor.accepted_value(instance)
+            if self.is_acceptor and self.acceptor is not None and value is not None:
+                self.acceptor.record_decision(instance, value)
+            if self.is_learner and self.learner is not None:
+                self.learner.observe_decision(instance, value)
+            if self._is_coordinator and self.coordinator is not None:
+                ledger = self.coordinator.ledger
+                if instance >= ledger.next_instance:  # never, for its own instances
+                    ledger.observe_instance(instance)
+        else:
+            self._learn_decision(message)
+        successor = self._successor
+        if successor != message.origin:
+            if self._is_coordinator and message.carries_value:
+                # Past the coordinator the value has already circulated with
+                # the Phase 2 message; stop paying for it on the wire.
+                # Stripped in place: every hop before the coordinator already
+                # handled the message, so no live reference sees the old size.
+                message.strip_value()
+            self.host.send(successor, message)
         return True
 
     def _learn_decision(self, message: Decision) -> None:
         acceptor = self.acceptor if self.is_acceptor else None
         learner = self.learner if self.is_learner else None
-        if message.span == 1:
-            # Nearly every decision covers one instance; skip the range loop.
-            instance = message.instance
-            value = message.value
-            if value is None and self.acceptor is not None:
-                value = self.acceptor.accepted_value(instance)
-            if acceptor is not None and value is not None:
-                acceptor.record_decision(instance, value)
-            if learner is not None:
-                learner.observe_decision(instance, value)
-            if self._is_coordinator and self.coordinator is not None:
-                self.coordinator.ledger.observe_instance(instance)
-            return
         last_instance = message.last_instance
         for instance in range(message.instance, last_instance + 1):
             value = message.value
@@ -599,18 +614,6 @@ class RingNode:
                 learner.observe_decision(instance, value)
         if self._is_coordinator and self.coordinator is not None:
             self.coordinator.ledger.observe_instance(last_instance)
-
-    def _forward_decision(self, message: Decision) -> None:
-        successor = self._successor
-        if successor == message.origin:
-            return
-        if self._is_coordinator and message.carries_value:
-            # Past the coordinator the value has already circulated with the
-            # Phase 2 message; stop paying for it on the wire.  Stripped in
-            # place: every hop before the coordinator already handled the
-            # message, so no live reference sees the old wire size.
-            message.strip_value()
-        self.host.send(successor, message)
 
     # ----------------------------------------------------------- rate leveling
     def _rate_level_tick(self) -> None:

@@ -72,7 +72,9 @@ class CpuAccount:
 
         Runs once per protocol message, so the cost formula is inlined here
         rather than going through :meth:`CpuCostModel.cost` + :meth:`charge`
-        (both operands are non-negative by construction).
+        (both operands are non-negative by construction).  The ring hop
+        (``MultiRingProcess.on_message``) repeats these three lines in its own
+        frame for ``count == 1``; keep the two in step.
         """
         cost = model.per_message * count + model.per_byte * size_bytes
         self._busy += cost

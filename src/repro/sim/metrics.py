@@ -282,16 +282,21 @@ class SloTracker:
         self._targets = dict(targets)
         self._prefix = prefix
         self._sketch = sketch
+        #: class -> (latency recorder, requests, violations, target), resolved
+        #: once per class (``reset_all()`` keeps instrument objects)
+        self._classes: Dict[str, Tuple[LatencyRecorder, Counter, Counter, Optional[float]]] = {}
         for cls in self._targets:
-            self._ensure(cls)
+            self._resolve(cls)
 
-    def _ensure(self, cls: str) -> "LatencyRecorder":
-        recorder = self._registry.latency(
-            f"{self._prefix}.{cls}.latency", sketch=self._sketch
+    def _resolve(self, cls: str) -> Tuple["LatencyRecorder", Counter, Counter, Optional[float]]:
+        prefix = f"{self._prefix}.{cls}"
+        entry = self._classes[cls] = (
+            self._registry.latency(f"{prefix}.latency", sketch=self._sketch),
+            self._registry.counter(f"{prefix}.requests"),
+            self._registry.counter(f"{prefix}.violations"),
+            self._targets.get(cls),
         )
-        self._registry.counter(f"{self._prefix}.{cls}.requests")
-        self._registry.counter(f"{self._prefix}.{cls}.violations")
-        return recorder
+        return entry
 
     @property
     def targets(self) -> Dict[str, float]:
@@ -300,11 +305,11 @@ class SloTracker:
 
     def record(self, cls: str, latency_seconds: float) -> None:
         """Record one completed request of class ``cls``."""
-        self._ensure(cls).record(latency_seconds)
-        self._registry.counter(f"{self._prefix}.{cls}.requests").increment()
-        target = self._targets.get(cls)
+        recorder, requests, violations, target = self._classes.get(cls) or self._resolve(cls)
+        recorder.record(latency_seconds)
+        requests.increment()
         if target is not None and latency_seconds > target:
-            self._registry.counter(f"{self._prefix}.{cls}.violations").increment()
+            violations.increment()
 
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Per-class summary: count, p50/p99 (ms), violations and rate."""

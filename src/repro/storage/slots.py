@@ -65,6 +65,29 @@ class SlotBuffer:
         self._slots: "OrderedDict[int, SlotEntry]" = OrderedDict()
 
     # ------------------------------------------------------------------ put
+    def offer(self, instance: int, value: Any, size_bytes: int) -> bool:
+        """Store ``value`` for ``instance`` if a slot is free.
+
+        Returns ``False`` — and stores nothing — when the buffer is full and
+        the instance is not already present.  The per-decision acceptor path
+        asks this way: an untrimmed run is past the bound for most of its
+        length, and a full buffer is its steady state, not an error.
+
+        Raises
+        ------
+        ValueError
+            If the value exceeds the slot size.
+        """
+        if size_bytes > self.slot_size_bytes:
+            raise ValueError(
+                f"value of {size_bytes} bytes exceeds slot size {self.slot_size_bytes}"
+            )
+        slots = self._slots
+        if len(slots) >= self.slot_count and instance not in slots:
+            return False
+        slots[instance] = SlotEntry(instance, value, size_bytes)
+        return True
+
     def put(self, instance: int, value: Any, size_bytes: int) -> None:
         """Store ``value`` for ``instance``.
 
@@ -75,15 +98,10 @@ class SlotBuffer:
         ValueError
             If the value exceeds the slot size.
         """
-        if size_bytes > self.slot_size_bytes:
-            raise ValueError(
-                f"value of {size_bytes} bytes exceeds slot size {self.slot_size_bytes}"
-            )
-        if instance not in self._slots and len(self._slots) >= self.slot_count:
+        if not self.offer(instance, value, size_bytes):
             raise SlotFullError(
                 f"buffer full ({self.slot_count} slots); trim before storing instance {instance}"
             )
-        self._slots[instance] = SlotEntry(instance=instance, value=value, size_bytes=size_bytes)
 
     # ------------------------------------------------------------------ get
     def get(self, instance: int) -> Optional[SlotEntry]:

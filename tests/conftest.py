@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+import textwrap
 from typing import Dict, List, Tuple
 
 import pytest
@@ -9,6 +11,22 @@ import pytest
 from repro.core import AtomicMulticast, MultiRingConfig
 from repro.multiring import MultiRingProcess
 from repro.paxos.messages import ProposalValue
+
+
+def mutate(method, *replacements: Tuple[str, str]):
+    """``method`` recompiled from its source with seeded bugs.
+
+    Each ``(old, new)`` pair must match the source exactly once, so a mutant
+    whose site was edited fails loudly instead of silently testing nothing.
+    Used by the fast-path differentials to show they catch a broken shortcut.
+    """
+    source = textwrap.dedent(inspect.getsource(method))
+    for old, new in replacements:
+        assert source.count(old) == 1, f"mutation site moved in {method.__qualname__}: {old!r}"
+        source = source.replace(old, new)
+    namespace = dict(method.__globals__)
+    exec(source, namespace)
+    return namespace[method.__name__]
 
 
 class RecordingProcess(MultiRingProcess):

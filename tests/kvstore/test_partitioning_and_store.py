@@ -34,6 +34,17 @@ class TestHashPartitioner:
         partitioner = HashPartitioner([5, 9])
         assert partitioner.group_for_key(key) in (5, 9)
 
+    @given(st.lists(st.text(max_size=12), max_size=30))
+    @settings(max_examples=50, deadline=None)
+    def test_memoised_routing_is_the_md5_rule(self, keys):
+        import hashlib
+
+        groups = [3, 5, 9]
+        partitioner = HashPartitioner(groups)
+        for key in keys + keys:  # second pass answers from the memo
+            index = int.from_bytes(hashlib.md5(key.encode()).digest()[:4], "big") % 3
+            assert partitioner.group_for_key(key) == groups[index]
+
 
 class TestRangePartitioner:
     def test_routing_by_split_points(self):

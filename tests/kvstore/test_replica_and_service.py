@@ -125,3 +125,53 @@ class TestServiceDeployment:
         system = AtomicMulticast(seed=1)
         with pytest.raises(ValueError):
             MRPStoreService(system, partition_groups=[])
+
+
+class TestPreloadIsTheInitialDurableImage:
+    """Regression (chaos seed 60): the preload bypasses ordering, so nothing
+    but the replica itself can bring it back after a crash — a replica that
+    crashed before its first checkpoint used to recover an empty database and
+    answer every later update with "no such key" for good."""
+
+    @staticmethod
+    def _build():
+        config = MultiRingConfig(rate_interval=None, checkpoint_interval=None, trim_interval=None)
+        system = AtomicMulticast(seed=13, config=config)
+        service = MRPStoreService(
+            system, partition_groups=[0], acceptors_per_partition=3,
+            replicas_per_partition=2, config=config,
+        )
+        service.preload(preload_keys(40))
+        return system, service
+
+    def test_crash_before_any_checkpoint_then_restart_converges(self):
+        system, service = self._build()
+        client = service.create_client(
+            "load", update_only_workload(random.Random(5), key_count=40, value_bytes=300),
+            concurrency=2, max_requests=300,
+        )
+        victim, survivor = service.replicas[0]
+        system.start()
+        system.run(until=0.3)
+        system.crash_process(victim.name)
+        assert victim.entry_count() == 40  # applied updates are gone, the database is not
+        assert all(entry.size_bytes == 1024 for entry in victim.store.snapshot().values())
+        system.run(until=0.5)
+        system.restart_process(victim.name)
+        system.run(until=4.0)
+        assert client.completed == 300
+        assert victim.checkpoint_store.latest() is None  # recovered by replay alone
+        assert survivor.commands_applied == 300
+        assert victim.store.snapshot() == survivor.store.snapshot()
+        assert any(entry.size_bytes == 300 for entry in victim.store.snapshot().values())
+
+    def test_reset_restores_every_preload_and_nothing_else(self):
+        system, service = self._build()
+        service.preload({"late-a": 7, "late-b": 9})  # a second preload adds to the image
+        (replica, _) = service.replicas[0]
+        replica.apply_command(0, Command(op="insert", args=("applied", None, 5)))
+        replica.apply_command(0, Command(op="delete", args=("late-a",)))
+        replica.reset_state()
+        assert replica.entry_count() == 42 and "applied" not in replica.store
+        assert replica.store.read("late-a").size_bytes == 7
+        assert list(replica.store.keys()) == sorted(replica.store.snapshot())

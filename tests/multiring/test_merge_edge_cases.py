@@ -303,3 +303,96 @@ class TestMergeCursor:
             cursor.feed_segments(segments, watermark=float(barrier))
         assert out == reference
         assert cursor.watermark == float(barrier)
+
+
+class TestSoleStreamPath:
+    """One subscription and M = 1: ``offer`` returns right after the emit.
+
+    Differential against the general path on the same object model — a
+    second merger whose ``_sole_stream`` is switched off runs the round
+    bookkeeping (`_consumed_in_round`, pointer wrap, `_advance`) on every
+    offer, as every merger did before the shortcut.
+    """
+
+    kinds = st.lists(st.sampled_from(["plain", "skip", "packed", "nested"]), max_size=30)
+
+    @staticmethod
+    def _stream(kinds):
+        for i, kind in enumerate(kinds):
+            if kind == "plain":
+                yield value(f"p{i}")
+            elif kind == "skip":
+                yield skip()
+            elif kind == "packed":
+                yield value(PackedValues([value(f"a{i}"), skip(), value(f"b{i}")]))
+            else:
+                yield value(PackedValues([value(PackedValues([value(f"n{i}")])), value(f"m{i}")]))
+
+    @staticmethod
+    def _pair(general_from_start=True):
+        mergers, logs = [], []
+        for _ in range(2):
+            log = []
+            merger = DeterministicMerger([4], on_deliver=lambda g, i, v, log=log, n=len(mergers): log.append(
+                (g, i, v.payload, mergers[n].is_round_boundary(), mergers[n].delivered_count)
+            ))
+            mergers.append(merger)
+            logs.append(log)
+        assert mergers[0]._sole_stream and mergers[1]._sole_stream
+        mergers[1]._sole_stream = not general_from_start
+        return mergers, logs
+
+    @staticmethod
+    def _state(merger):
+        return (
+            merger.delivered_count, merger.skipped_count, merger.current_group,
+            merger.is_round_boundary(), [merger.pending(g) for g in merger.groups],
+        )
+
+    @given(kinds)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_general_path(self, kinds):
+        (sole, general), (sole_log, general_log) = self._pair()
+        for instance, item in enumerate(self._stream(kinds)):
+            sole.offer(4, instance, item)
+            general.offer(4, instance, item)
+            assert self._state(sole) == self._state(general)
+        assert sole_log == general_log
+
+    def _subscribe_mid_stream(self, kinds, at, other):
+        (sole, general), (sole_log, general_log) = self._pair()
+        for instance, item in enumerate(self._stream(kinds)):
+            if instance == at:
+                sole.subscribe(other)
+                general.subscribe(other)
+            for merger in (sole, general):
+                merger.offer(4, instance, item)
+                if instance >= at:
+                    merger.offer(other, instance, value(f"o{instance}"))
+            assert self._state(sole) == self._state(general)
+        assert sole_log == general_log
+
+    @given(kinds, st.integers(0, 30), st.sampled_from([2, 9]))
+    @settings(max_examples=150, deadline=None)
+    def test_subscribe_mid_stream_reverts_for_good(self, kinds, at, other):
+        self._subscribe_mid_stream(kinds, at, other)
+
+    def test_more_than_one_instance_per_round_takes_the_general_path(self):
+        merger, out = make([4], m=2)
+        assert not merger._sole_stream
+        merger.offer(4, 0, value("a"))
+        assert not merger.is_round_boundary()  # half a round consumed
+        merger.offer(4, 1, value("b"))
+        assert merger.is_round_boundary()
+
+    def test_mutant_subscribe_that_keeps_the_shortcut_is_caught(self, monkeypatch):
+        from tests.conftest import mutate
+
+        stream = ["plain", "skip", "plain", "packed"]
+        self._subscribe_mid_stream(stream, 1, 9)
+        monkeypatch.setattr(
+            DeterministicMerger, "subscribe",
+            mutate(DeterministicMerger.subscribe, ("    self._sole_stream = False\n", "")),
+        )
+        with pytest.raises(AssertionError):
+            self._subscribe_mid_stream(stream, 1, 9)

@@ -221,3 +221,98 @@ class TestServiceDispatchDifferential:
         payload = object()
         replica.on_service_message("c1", payload)
         assert seen == [payload]
+
+
+class _ReferenceDispatchProcess(MultiRingProcess):
+    """``on_message`` as it was before the hop fast path: the TrimQuery check
+    first, ``CpuAccount.charge_message`` as a call before the handler."""
+
+    def __init__(self, env, name):
+        super().__init__(env, name)
+        self.delivered = []
+
+    def on_deliver(self, group_id, instance, value):
+        self.delivered.append((group_id, instance, value.payload))
+
+    def on_message(self, sender, message):
+        ring_id = getattr(message, "ring_id", None)
+        if ring_id is not None:
+            node = self._nodes.get(ring_id)
+            if node is not None:
+                if isinstance(message, TrimQuery):
+                    self._answer_trim_query(sender, message)
+                    return
+                handler = node._handlers.get(message.__class__)
+                if handler is not None:
+                    self.cpu.charge_message(node._cpu_model, message.size_bytes)
+                    if handler(sender, message):
+                        return
+                elif node.handle(sender, message):
+                    return
+        self.on_service_message(sender, message)
+
+
+class _ShippedDispatchProcess(_ReferenceDispatchProcess):
+    on_message = MultiRingProcess.on_message
+
+
+class TestProcessDispatchAccounting:
+    """The inlined CPU charge and the off-path TrimQuery answer change nothing."""
+
+    @staticmethod
+    def _run(process_cls, seed=5):
+        from repro.core.config import MultiRingConfig
+
+        config = MultiRingConfig(
+            rate_interval=0.002, max_rate=400.0, checkpoint_interval=None, trim_interval=0.004
+        )
+        system = AtomicMulticast(topology=single_datacenter(), config=config, seed=seed)
+        procs = [process_cls(system.env, f"p{i}") for i in range(4)]
+        system.create_ring(0, [(p.name, "pal") for p in procs[:3]] + [(procs[3].name, "l")])
+        system.start()
+        for burst in range(5):
+            for i, proc in enumerate(procs[:3]):
+                proc.multicast(0, f"c{burst}.{i}", 100 + 40 * i)
+            system.run(until=0.01 * (burst + 1))
+        return system, procs
+
+    def test_cpu_seconds_events_and_deliveries_are_identical(self):
+        shipped_system, shipped = self._run(_ShippedDispatchProcess)
+        reference_system, reference = self._run(_ReferenceDispatchProcess)
+        assert shipped[3].delivered and shipped[0].cpu.busy_seconds > 0.0
+        assert [p.cpu.busy_seconds for p in shipped] == [p.cpu.busy_seconds for p in reference]
+        assert [p.cpu.utilization() for p in shipped] == [p.cpu.utilization() for p in reference]
+        assert [p.delivered for p in shipped] == [p.delivered for p in reference]
+        assert (
+            shipped_system.env.simulator.processed_events
+            == reference_system.env.simulator.processed_events
+        )
+
+    def test_trim_query_is_answered_and_never_charged(self):
+        class TracingTrimQuery(TrimQuery):
+            """A subclass absent from the table: the cold branch answers it."""
+
+        for query_cls in (TrimQuery, TracingTrimQuery):
+            system, procs = self._run(_ShippedDispatchProcess)
+            learner, coordinator = procs[3], system.ring(0).coordinator
+            sent = []
+            learner.send = lambda dest, message: sent.append((dest, message))
+            learner.on_service_message = lambda sender, message: sent.append(("service", message))
+            before = learner.cpu.busy_seconds
+            learner.on_message(coordinator, query_cls(ring_id=0))
+            assert learner.cpu.busy_seconds == before
+            assert [(dest, type(m)) for dest, m in sent] == [(coordinator, TrimReport)]
+
+    def test_unconsumed_ring_message_is_charged_then_reaches_the_service_layer(self):
+        system, procs = self._run(_ShippedDispatchProcess)
+        learner = procs[3]
+        seen = []
+        learner.on_service_message = lambda sender, message: seen.append(message)
+        reply = RetransmitReply(ring_id=0, decided=[], reason="recovery")
+        before = learner.cpu.busy_seconds
+        learner.on_message("p0", reply)
+        model = learner.node(0)._cpu_model
+        assert learner.cpu.busy_seconds == before + (
+            model.per_message * 1 + model.per_byte * reply.size_bytes
+        )
+        assert seen == [reply]

@@ -6,6 +6,7 @@ from repro.sim.metrics import (
     Counter,
     LatencyRecorder,
     MetricRegistry,
+    SloTracker,
     ThroughputTracker,
     summarize_latencies,
 )
@@ -179,6 +180,43 @@ class TestMetricRegistry:
         registry.counter("x")
         registry.latency("y")
         assert registry.names() == ["x", "y"]
+
+
+class TestSloTracker:
+    """`record` resolves a class's instruments once; the registry must read the
+    same as when every sample formatted five names and probed it five times."""
+
+    @staticmethod
+    def _by_name(registry, cls, latency):
+        # SloTracker.record before the instruments were cached per class.
+        registry.latency(f"slo.{cls}.latency").record(latency)
+        registry.counter(f"slo.{cls}.requests").increment()
+        registry.counter(f"slo.{cls}.violations")
+        target = {"gold": 0.020, "bulk": 0.5}.get(cls)
+        if target is not None and latency > target:
+            registry.counter(f"slo.{cls}.violations").increment()
+
+    def test_matches_per_sample_registry_lookups_across_a_reset(self):
+        cached, by_name = MetricRegistry(clock=lambda: 0.0), MetricRegistry(clock=lambda: 0.0)
+        tracker = SloTracker(cached, {"gold": 0.020, "bulk": 0.5})
+        SloTracker(by_name, {"gold": 0.020, "bulk": 0.5})
+        samples = [("gold", 0.019), ("gold", 0.021), ("untargeted", 9.0), ("bulk", 0.6),
+                   ("gold", 0.020), ("untargeted", 0.001)]
+        for round_ in range(2):
+            for cls, latency in samples:
+                tracker.record(cls, latency)
+                self._by_name(by_name, cls, latency)
+            assert cached.names() == by_name.names()
+            for cls in ("gold", "bulk", "untargeted"):
+                for kind in ("requests", "violations"):
+                    name = f"slo.{cls}.{kind}"
+                    assert cached.counter(name).value == by_name.counter(name).value
+                assert (cached.latency(f"slo.{cls}.latency").percentile(50)
+                        == by_name.latency(f"slo.{cls}.latency").percentile(50))
+            assert tracker.summary()["gold"]["violations"] == 1
+            if round_ == 0:  # reset_all keeps instrument objects: the cache stays valid
+                cached.reset_all()
+                by_name.reset_all()
 
 
 def test_summarize_latencies():
