@@ -33,7 +33,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "benchmarks" / "ledger"))
 from ledger_stats import median, quartiles  # noqa: E402
 
-#: The metric a performance claim in this repo is made on.
+#: The metric a performance claim in this repo is usually made on (``--metric``).
 METRIC = "commands_per_host_s"
 
 
@@ -128,12 +128,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=42, help="7 is the held-out seed")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--metric", default=METRIC,
+                        help="end-to-end metric the verdict is about (e.g. peak_rss_mb)")
     parser.add_argument("--record", type=Path, help="write every run's result line here (JSON)")
     args = parser.parse_args(argv)
 
     with open(args.change / "BENCHMARK.json", encoding="utf-8") as handle:
         contract = json.load(handle)
-    entry = next(e for e in contract["end_to_end"] if e["name"] == METRIC)
+    metric = args.metric
+    entry = next(e for e in contract["end_to_end"] if e["name"] == metric)
     seconds = float(contract["run_seconds"])
 
     with tempfile.TemporaryDirectory(prefix="ab-parent-") as scratch:
@@ -144,15 +147,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for name in order:
                 runs[name].append(ledger_run(sides[name], args.workload, args.seed, seconds))
-            p, c = (runs[name][-1]["metrics"][METRIC] for name in ("parent", "change"))
+            p, c = (runs[name][-1]["metrics"][metric] for name in ("parent", "change"))
             print(f"pair {pair + 1:2d} ({order[0]} first): parent {p:.6g}  change {c:.6g}  "
                   f"ratio {c / p:.3f}", flush=True)
 
-    values = {name: [run["metrics"][METRIC] for run in runs[name]] for name in runs}
+    values = {name: [run["metrics"][metric] for run in runs[name]] for name in runs}
     result = verdict(values["parent"], values["change"], entry["better"])
     problems = exact_differences(runs["parent"] + runs["change"], contract)
     unit = entry["unit"]
-    print(f"\n{args.workload} seed {args.seed} {METRIC} [{unit}], {result['pairs']} pairs")
+    print(f"\n{args.workload} seed {args.seed} {metric} [{unit}], {result['pairs']} pairs")
     for name in ("parent", "change"):
         q1, q3 = result[f"{name}_q1_q3"]
         print(f"  {name:6s} median {result[f'{name}_median']:.6g}  quartiles [{q1:.6g}, {q3:.6g}]")

@@ -125,7 +125,6 @@ class MultiRingConfig:
             rate_policy=self.rate_leveler(),
             trim_interval=self.trim_interval,
             gap_repair_interval=self.gap_repair_interval,
-            learner_batch_drain=self.batching_enabled,
         )
 
     def with_(self, **changes) -> "MultiRingConfig":

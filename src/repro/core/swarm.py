@@ -252,8 +252,14 @@ class ClientSwarm(Actor):
         self._online = bytearray([1]) * clients
         #: in-flight logical requests keyed by ``sequence * n + index``
         self._outstanding: Dict[int, Tuple[set, float, str]] = {}
-        #: open mode: shared event-time wheel of (next_fire, client_index)
+        #: open mode: shared event-time wheel of (next_fire, client_index) —
+        #: a heap of the clients that fired at least once, merged with a
+        #: cursor over those that have not: their first fire times are an
+        #: arithmetic sequence, one tuple at a time is enough
         self._wheel: List[Tuple[float, int]] = []
+        self._cold_head: Optional[Tuple[float, int]] = None
+        self._cold_origin = 0.0
+        self._cold_step = 0.0
         self._armed_for: Optional[float] = None
         self._trace: List[Tuple[int, int, str, Tuple, int, float]] = []
 
@@ -302,14 +308,16 @@ class ClientSwarm(Actor):
             # times agree bit-for-bit in the differential.
             interval = 1.0 / (self._arrival.rate_at(now) / self._n)
             if self._stagger:
-                step = interval / self._n
-                self._wheel = [(now + (i + 1) * step, i) for i in range(self._n)]
+                self._cold_origin = now
+                self._cold_step = interval / self._n
             else:
                 # Every client's first request one per-client interval after
                 # start — exactly when n individual OpenLoopClients would
                 # first fire their periodic timers.
-                self._wheel = [(now + interval, i) for i in range(self._n)]
-            heapq.heapify(self._wheel)
+                self._cold_origin = now + interval
+                self._cold_step = 0.0
+            self._wheel = []
+            self._cold_head = self._cold_entry(0)
             self._arm_wheel()
         if self._churn is not None:
             self._schedule_churn()
@@ -362,11 +370,23 @@ class ClientSwarm(Actor):
                 )
 
     # -------------------------------------------------------- event-time wheel
+    def _cold_entry(self, index: int) -> Optional[Tuple[float, int]]:
+        """``(first fire time, index)`` of a client that has not fired yet."""
+        if index >= self._n:
+            return None
+        if self._cold_step:
+            return (self._cold_origin + (index + 1) * self._cold_step, index)
+        return (self._cold_origin, index)
+
     def _arm_wheel(self) -> None:
-        if not self._wheel:
+        cold = self._cold_head
+        if self._wheel and (cold is None or self._wheel[0] < cold):
+            head = self._wheel[0][0]
+        elif cold is not None:
+            head = cold[0]
+        else:
             self._armed_for = None
             return
-        head = self._wheel[0][0]
         if self._armed_for is not None and self._armed_for <= head:
             return  # an armed timer already covers the head
         self._armed_for = head
@@ -386,9 +406,19 @@ class ClientSwarm(Actor):
         self._armed_for = None
         now = self.now
         wheel = self._wheel
+        cold = self._cold_head
         interval = None
-        while wheel and wheel[0][0] <= now:
-            _, index = heapq.heappop(wheel)
+        while True:
+            # Pop order is the heap's: the smaller (time, index) of both heads.
+            if cold is not None and not (wheel and wheel[0] < cold):
+                if cold[0] > now:
+                    break
+                index = cold[1]
+                cold = self._cold_head = self._cold_entry(index + 1)
+            elif wheel and wheel[0][0] <= now:
+                _, index = heapq.heappop(wheel)
+            else:
+                break
             if not self._online[index]:
                 continue  # reconnection re-enters the wheel
             if self._max_requests is not None and self._issued[index] >= self._max_requests:

@@ -712,6 +712,8 @@ class DeterministicMerger:
         #: one subscription consumed one instance at a time: every offer is
         #: a whole round, so the round pointer never moves (until `subscribe`)
         self._sole_stream = len(self._groups) == 1 and messages_per_round == 1
+        #: a packed instance still has leaves to deliver (no round boundary)
+        self._mid_instance = False
         self._delivered = 0
         self._skipped = 0
 
@@ -781,7 +783,13 @@ class DeterministicMerger:
         if isinstance(payload, PackedValues):
             # Every leaf is delivered under the one instance that ordered it,
             # skips excluded; only a pack of packs needs the shared unpacker.
-            for packed in payload.values:
+            # The instance is whole only once its last leaf is out: a replica
+            # polling `is_round_boundary` from a leaf's delivery must not cut
+            # a checkpoint that covers the instance but not all of it.
+            values = payload.values
+            last = values[-1] if values else None
+            self._mid_instance = True
+            for packed in values:
                 inner = packed.payload
                 if inner is SKIP:
                     self._skipped += 1
@@ -789,8 +797,11 @@ class DeterministicMerger:
                     for leaf in _iter_leaf_values(packed):
                         self._emit(group, instance, leaf)
                 else:
+                    if packed is last:
+                        self._mid_instance = False
                     self._delivered += 1
                     on_deliver(group, instance, packed)
+            self._mid_instance = False
             return
         self._delivered += 1
         on_deliver(group, instance, value)
@@ -827,7 +838,11 @@ class DeterministicMerger:
         position after installing a checkpoint is unambiguous (see
         :mod:`repro.recovery.checkpointing`).
         """
-        return self._current_index == 0 and self._consumed_in_round == 0
+        return (
+            self._current_index == 0
+            and self._consumed_in_round == 0
+            and not self._mid_instance
+        )
 
     def fast_forward(self, group_positions: Dict[int, int]) -> None:
         """Reset the merge after a checkpoint install.

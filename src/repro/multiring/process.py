@@ -324,8 +324,6 @@ class MultiRingProcess(Actor):
         for node in self._nodes.values():
             node.recover()
             if node.is_learner:
-                node.learner = type(node.learner)(
-                    node.ring_id, self._ordered_sink(), batch_drain=node.config.learner_batch_drain
-                )
+                node.learner = type(node.learner)(node.ring_id, self._ordered_sink())
         for node in self._nodes.values():
             node.start()

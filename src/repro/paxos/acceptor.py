@@ -4,22 +4,29 @@ An acceptor in Ring Paxos must log its Phase 1B / Phase 2B responses to stable
 storage before replying (Section 5.1) so that it can serve retransmission
 requests from recovering replicas.  :class:`AcceptorState` bundles:
 
-* the per-instance Paxos state (:class:`~repro.paxos.instance.AcceptorInstance`),
+* the per-instance Paxos state — promised ballot, accepted ballot, accepted
+  value — as columns of one :class:`~repro.storage.slab.InstanceSlab`,
 * the write-ahead log charging the configured storage mode,
 * the bounded in-memory slot buffer of decided values used to serve
   retransmissions quickly,
 * trimming, driven by the coordinator's :class:`~repro.paxos.messages.TrimCommand`.
+
+Log, slot buffer and decisions are views of the same slab: a steady-state hop
+appends one entry to each column and sets flags, and trimming deletes one
+prefix.  :class:`~repro.paxos.instance.AcceptorInstance` objects exist only
+while a vote that is not the steady-state case runs the plain acceptor rules.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..sim.actor import Environment
 from ..sim.disk import Disk, StorageMode
+from ..storage.slab import DECIDED, VOTED
 from ..storage.slots import SlotBuffer
 from ..storage.wal import WriteAheadLog
-from .instance import Accepted, AcceptorInstance, Promise
+from .instance import Accepted, AcceptorInstance
 from .messages import SKIP, ProposalValue
 
 __all__ = ["AcceptorState"]
@@ -45,9 +52,8 @@ class AcceptorState:
             env, mode=storage_mode, name=f"{name}.r{ring_id}.wal", disk=disk
         )
         self.slots = SlotBuffer(slot_count=slot_count)
-        self._instances: Dict[int, AcceptorInstance] = {}
-        self._decided: Dict[int, ProposalValue] = {}
-        self._trimmed_up_to = -1
+        #: one slab under the votes, the log and the slots
+        self._slab = self.slots.slab = self.log.slab
         #: ballot promised for every instance not yet individually touched —
         #: this is how Phase 1 pre-execution over a huge window (2^20
         #: instances, Section 4) is represented without materialising
@@ -58,17 +64,24 @@ class AcceptorState:
         self._accepted = Accepted(accepted=True, ballot=-1)
 
     # -------------------------------------------------------------- instances
-    def _instance(self, instance: int) -> AcceptorInstance:
-        if instance not in self._instances:
-            created = AcceptorInstance(instance)
-            created.promised_ballot = self._range_promised
-            self._instances[instance] = created
-        return self._instances[instance]
+    def _vote(self, instance: int, ballot: int, value: ProposalValue) -> Accepted:
+        """Run the plain acceptor rule on the instance's state and store it back."""
+        state = AcceptorInstance(instance)
+        held = self._slab.vote(instance)
+        if held is None:
+            state.promised_ballot = self._range_promised
+        else:
+            state.promised_ballot, state.accepted_ballot, state.accepted_value = held
+        result = state.receive_phase2a(ballot, value)
+        self._slab.set_vote(
+            instance, state.promised_ballot, state.accepted_ballot, state.accepted_value
+        )
+        return result
 
     def promised_ballot(self, instance: int) -> int:
         """Highest ballot promised for ``instance`` (-1 when untouched)."""
-        inst = self._instances.get(instance)
-        return inst.promised_ballot if inst else self._range_promised
+        held = self._slab.vote(instance)
+        return held[0] if held else self._range_promised
 
     # ---------------------------------------------------------------- phase 1
     def receive_phase1a(self, from_instance: int, to_instance: int, ballot: int) -> bool:
@@ -82,11 +95,8 @@ class AcceptorState:
         if ballot <= self._range_promised:
             return False
         self._range_promised = ballot
-        granted = True
-        for instance, state in self._instances.items():
-            if from_instance <= instance <= to_instance:
-                state.receive_phase1a(ballot)
-        return granted
+        self._slab.promise(from_instance, to_instance, ballot)
+        return True
 
     # ---------------------------------------------------------------- phase 2
     def receive_phase2(
@@ -107,23 +117,31 @@ class AcceptorState:
         the message.  The returned object is read-only: accepted votes at one
         ballot all return the same instance.
         """
-        if instance <= self._trimmed_up_to:
-            # The instance was already trimmed; it is necessarily decided, so
-            # refuse the vote — recovering replicas must use checkpoints.
-            return Accepted(accepted=False, ballot=ballot)
-        instances = self._instances
-        if instance not in instances and ballot >= self._range_promised:
-            # Every vote of a steady-state ring: a fresh instance, and a
-            # ballot the range promise admits.  The acceptor rule accepts,
-            # so store the voted state as such (same fields as creating the
-            # instance at the range promise and running receive_phase2a).
-            instances[instance] = AcceptorInstance.voted(instance, ballot, value)
+        slab = self._slab
+        if instance == slab.next and ballot >= self._range_promised:
+            # Every vote of a steady-state ring: the instance right after the
+            # last one held, and a ballot the range promise admits.  The
+            # acceptor rule accepts, so append the voted state as such (same
+            # fields as creating the instance at the range promise and
+            # running receive_phase2a).
+            slab.values.append(value)
+            slab.ballots.append(ballot)
+            slab.flags.append(VOTED)
+            slab.next = instance + 1
             result = self._accepted
             if result.ballot != ballot:
                 result = self._accepted = Accepted(accepted=True, ballot=ballot)
+            logged = value.payload is not SKIP
+            if logged:
+                slab.unlogged = instance  # what the log is handed next
+        elif instance < slab.base:
+            # The instance was already trimmed; it is necessarily decided, so
+            # refuse the vote — recovering replicas must use checkpoints.
+            return Accepted(accepted=False, ballot=ballot)
         else:
-            result = self._instance(instance).receive_phase2a(ballot, value)
-        if result.accepted and value.payload is not SKIP:
+            result = self._vote(instance, ballot, value)
+            logged = result.accepted and value.payload is not SKIP
+        if logged:
             self.log.append(
                 instance,
                 ballot,
@@ -154,13 +172,20 @@ class AcceptorState:
         small record for the whole range.  Returns ``True`` when every
         instance in the range was accepted.
         """
-        all_accepted = True
-        for instance in range(from_instance, to_instance + 1):
-            if instance <= self._trimmed_up_to:
-                all_accepted = False
-                continue
-            result = self._instance(instance).receive_phase2a(ballot, value)
-            all_accepted = all_accepted and result.accepted
+        slab = self._slab
+        all_accepted = from_instance >= slab.base
+        first = max(from_instance, slab.base)
+        span = to_instance + 1 - first
+        if first == slab.next and ballot >= self._range_promised and span > 0:
+            # A fresh range right after the last instance held (every skip
+            # range of a steady ring): the rule accepts each, as above.
+            slab.values.extend([value] * span)
+            slab.ballots.extend([ballot] * span)
+            slab.flags.extend(bytes([VOTED]) * span)
+            slab.next = to_instance + 1
+        else:
+            for instance in range(first, to_instance + 1):
+                all_accepted = self._vote(instance, ballot, value).accepted and all_accepted
         if all_accepted and not value.is_skip():
             self.log.append(
                 instance=to_instance,
@@ -178,8 +203,14 @@ class AcceptorState:
 
     def accepted_value(self, instance: int) -> Optional[ProposalValue]:
         """Value this acceptor voted for in ``instance`` (``None`` if none)."""
-        inst = self._instances.get(instance)
-        return inst.accepted_value if inst else None
+        slab = self._slab
+        index = instance - slab.base
+        if index >= 0:
+            try:
+                return slab.values[index]
+            except IndexError:
+                pass  # past the columns: never voted for
+        return None
 
     def accepted_in_range(self, from_instance: int, to_instance: int) -> List[Tuple[int, int, ProposalValue]]:
         """``(instance, ballot, value)`` triples this acceptor voted for in the range.
@@ -187,18 +218,22 @@ class AcceptorState:
         Reported back in Phase 1B so that a new coordinator learns which
         instances were already used and does not reuse their numbers.
         """
-        return [
-            (i, inst.accepted_ballot, inst.accepted_value)
-            for i, inst in sorted(self._instances.items())
-            if from_instance <= i <= to_instance and inst.has_accepted
-        ]
+        return self._slab.votes_between(from_instance, to_instance)
 
     # --------------------------------------------------------------- decisions
     def record_decision(self, instance: int, value: ProposalValue) -> None:
         """Remember a decided value so it can be retransmitted later."""
-        if instance <= self._trimmed_up_to:
+        slab = self._slab
+        index = instance - slab.base
+        if index < 0:
             return
-        self._decided[instance] = value
+        flags = slab.flags
+        if index < len(flags) and slab.values[index] is value:
+            flags[index] |= DECIDED  # the decision is the vote held: one flag
+            if slab.decisions:
+                slab.decisions.pop(instance, None)
+        else:
+            slab.attach(instance, DECIDED, value, shared=False)
         if value.payload is not SKIP:
             # A full buffer is the steady state of an untrimmed run, so ask
             # rather than catch: the value then stays only in the WAL (or is
@@ -208,7 +243,7 @@ class AcceptorState:
 
     def is_decided(self, instance: int) -> bool:
         """Whether this acceptor knows the decision of ``instance``."""
-        return instance in self._decided
+        return self._slab.has(instance, DECIDED)
 
     def decided_between(self, from_instance: int, to_instance: int) -> List[Tuple[int, ProposalValue]]:
         """Decided ``(instance, value)`` pairs in the closed range requested.
@@ -216,12 +251,7 @@ class AcceptorState:
         Used to serve :class:`~repro.paxos.messages.RetransmitRequest`s from
         recovering replicas; instances already trimmed are not returned.
         """
-        out = []
-        for instance in range(max(from_instance, self._trimmed_up_to + 1), to_instance + 1):
-            value = self._decided.get(instance)
-            if value is not None:
-                out.append((instance, value))
-        return out
+        return self._slab.decided(from_instance, to_instance)
 
     def decided_from(self, from_instance: int) -> List[Tuple[int, ProposalValue]]:
         """Every decided ``(instance, value)`` at or after ``from_instance``.
@@ -230,45 +260,31 @@ class AcceptorState:
         recovering replica that does not know the current highest instance can
         simply ask for "everything newer than my checkpoint".
         """
-        return [
-            (instance, self._decided[instance])
-            for instance in sorted(self._decided)
-            if instance >= from_instance
-        ]
+        return self._slab.decided(from_instance)
 
     @property
     def highest_decided(self) -> int:
         """Highest instance this acceptor saw a decision for (-1 when none)."""
-        return max(self._decided) if self._decided else -1
+        return self._slab.highest(DECIDED)
 
     # ------------------------------------------------------------------- trim
     def trim(self, up_to_instance: int) -> int:
         """Discard state for all instances up to ``up_to_instance``."""
-        if up_to_instance <= self._trimmed_up_to:
+        if up_to_instance < self._slab.base:
             return 0
-        removed = 0
-        removed += self.log.trim(up_to_instance)
-        self.slots.trim(up_to_instance)
-        for container in (self._decided, self._instances):
-            stale = [i for i in container if i <= up_to_instance]
-            for i in stale:
-                del container[i]
-            removed += len(stale)
-        self._trimmed_up_to = up_to_instance
-        return removed
+        return self._slab.trim(up_to_instance)
 
     @property
     def trimmed_up_to(self) -> int:
         """Highest instance removed by trimming (-1 when never trimmed)."""
-        return self._trimmed_up_to
+        return self._slab.base - 1
 
     # ------------------------------------------------------------------ crash
     def crash(self) -> None:
         """Lose volatile state; the WAL keeps whatever its mode guarantees."""
         self.log.crash()
         self.slots.clear()
-        self._instances.clear()
-        self._decided.clear()
+        self._slab.forget_votes_and_decisions()
 
     def recover_from_log(self) -> int:
         """Rebuild accepted-value state from the durable log after a crash.
@@ -280,11 +296,6 @@ class AcceptorState:
         restored = 0
         for instance in self.log.instances():
             record = self.log.get(instance)
-            if record is None:
-                continue
-            inst = self._instance(instance)
-            inst.promised_ballot = record.ballot
-            inst.accepted_ballot = record.ballot
-            inst.accepted_value = record.value
+            self._slab.set_vote(instance, record.ballot, record.ballot, record.value)
             restored += 1
         return restored

@@ -2,9 +2,8 @@
 
 :class:`AcceptorInstance` is the acceptor-side state of one consensus
 instance (promised ballot, accepted ballot, accepted value) with the two
-classic transition rules; :class:`InstanceLedger` tracks the proposer /
-coordinator view of a window of instances — which are open, which are decided
-— and hands out fresh instance numbers.
+classic transition rules; :class:`InstanceLedger` hands out the coordinator's
+fresh instance numbers.
 
 Keeping these rules in plain, simulation-free classes makes the safety
 properties easy to unit- and property-test (see ``tests/paxos``).
@@ -12,8 +11,8 @@ properties easy to unit- and property-test (see ``tests/paxos``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from .messages import ProposalValue
 
@@ -60,21 +59,6 @@ class AcceptorInstance:
         self.accepted_ballot = -1
         self.accepted_value: Optional[ProposalValue] = None
 
-    @classmethod
-    def voted(cls, instance: int, ballot: int, value: ProposalValue) -> "AcceptorInstance":
-        """The state :meth:`receive_phase2a` leaves behind when it accepts.
-
-        For callers that already know the vote passes — a first message for
-        the instance with ``ballot`` at or above whatever was promised — so
-        the ring hop builds the state once instead of creating an empty
-        instance, mutating it and allocating an :class:`Accepted` to say so.
-        """
-        self = cls.__new__(cls)
-        self.instance = instance
-        self.promised_ballot = self.accepted_ballot = ballot
-        self.accepted_value = value
-        return self
-
     # ---------------------------------------------------------------- phase 1
     def receive_phase1a(self, ballot: int) -> Promise:
         """Process a prepare request for ``ballot``."""
@@ -105,28 +89,16 @@ class AcceptorInstance:
 
 
 class InstanceLedger:
-    """Coordinator/learner bookkeeping over a sequence of consensus instances.
+    """The coordinator's instance numbering: hands out fresh instance numbers.
 
-    Tracks the next unused instance number, which instances are decided and
-    with what value, and the highest contiguously decided instance (the point
-    up to which a learner can deliver in order).
-
-    The three fields are plain attributes: readers pay no property frame, and
-    the one per-message consumer — :class:`~repro.ringpaxos.learner.RingLearner`,
-    which owns its ledger — applies :meth:`observe_instance` / :meth:`decide`'s
-    transitions to them in its own frame.  Everyone else goes through the
-    methods.
+    (Which instances are decided is the learner's business:
+    :class:`~repro.ringpaxos.learner.RingLearner` keeps that state itself.)
     """
 
     def __init__(self) -> None:
         #: the next instance number that would be allocated
         self.next_instance = 0
-        #: decided ``instance -> value``
-        self.decided_map: Dict[int, ProposalValue] = {}
-        #: highest instance such that all instances up to it are decided
-        self.highest_contiguous_decided = -1
 
-    # ------------------------------------------------------------ allocation
     def allocate(self) -> int:
         """Reserve and return the next instance number."""
         instance = self.next_instance
@@ -142,51 +114,8 @@ class InstanceLedger:
     def observe_instance(self, instance: int) -> None:
         """Make sure future allocations are beyond ``instance``.
 
-        Used by acceptors/learners that see instances created by the
-        coordinator, and by a new coordinator taking over.
+        Used when the coordinator sees instances it did not create, and by a
+        new coordinator taking over.
         """
         if instance >= self.next_instance:
             self.next_instance = instance + 1
-
-    # -------------------------------------------------------------- decisions
-    def decide(self, instance: int, value: ProposalValue) -> bool:
-        """Record a decision; returns ``False`` if it was already known."""
-        decided = self.decided_map
-        if instance in decided:
-            return False
-        decided[instance] = value
-        # Inlined observe_instance(): decide runs once per learned instance.
-        if instance >= self.next_instance:
-            self.next_instance = instance + 1
-        while (self.highest_contiguous_decided + 1) in decided:
-            self.highest_contiguous_decided += 1
-        return True
-
-    def is_decided(self, instance: int) -> bool:
-        """Whether a decision is known for ``instance``."""
-        return instance in self.decided_map
-
-    def decision(self, instance: int) -> Optional[ProposalValue]:
-        """The decided value of ``instance`` (``None`` when unknown)."""
-        return self.decided_map.get(instance)
-
-    @property
-    def decided_count(self) -> int:
-        """Number of decided instances currently retained."""
-        return len(self.decided_map)
-
-    def undecided_below(self, instance: int) -> List[int]:
-        """Instance numbers smaller than ``instance`` that lack a decision."""
-        return [i for i in range(0, instance) if i not in self.decided_map]
-
-    def decisions_in_order(self) -> Iterator[Tuple[int, ProposalValue]]:
-        """Iterate decided ``(instance, value)`` pairs in instance order."""
-        for instance in sorted(self.decided_map):
-            yield instance, self.decided_map[instance]
-
-    def forget_up_to(self, instance: int) -> int:
-        """Drop retained decisions up to ``instance`` (learner-side trimming)."""
-        to_drop = [i for i in self.decided_map if i <= instance]
-        for i in to_drop:
-            del self.decided_map[i]
-        return len(to_drop)

@@ -87,12 +87,6 @@ class RingNodeConfig:
         instances it is missing — this is how learners catch up after a
         network partition dropped circulating decisions (the chaos harness
         switches it on for every fault scenario).
-    learner_batch_drain:
-        Run the learner's in-order drain in contiguous-run batches (one
-        decided-map probe pass per run instead of per instance).  Delivery
-        order is identical either way; the flag exists so the default path
-        stays byte-for-byte the code the frozen differentials were anchored
-        on.  Enabled by the batching configurations.
     """
 
     storage_mode: StorageMode = StorageMode.IN_MEMORY
@@ -103,7 +97,6 @@ class RingNodeConfig:
     trim_interval: Optional[float] = None
     trim_quorum: Optional[int] = None
     gap_repair_interval: Optional[float] = None
-    learner_batch_drain: bool = False
 
     def __post_init__(self) -> None:
         if self.cpu_model is None:
@@ -147,11 +140,7 @@ class RingNode:
 
         self.learner: Optional[RingLearner] = None
         if self.is_learner:
-            self.learner = RingLearner(
-                overlay.ring_id,
-                on_deliver or (lambda *a: None),
-                batch_drain=self.config.learner_batch_drain,
-            )
+            self.learner = RingLearner(overlay.ring_id, on_deliver or (lambda *a: None))
 
         self.coordinator: Optional[CoordinatorState] = None
         self._trim_reports: Dict[str, int] = {}

@@ -5,14 +5,17 @@ buffers with 15 000 slots of 32 KB each, allocated outside the Java heap so
 garbage collection does not disturb performance (Section 7.1).  The simulated
 equivalent is a bounded, slot-based store keyed by consensus instance: it
 enforces the slot-count and slot-size limits and exposes occupancy so that
-tests can exercise the bound and the trimming interplay.
+tests can exercise the bound and the trimming interplay.  An occupied slot is
+one flag on the :class:`~repro.storage.slab.InstanceSlab` when it holds the
+value the acceptor voted for, a :class:`SlotEntry` of its own otherwise.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional, Tuple
+import sys
+from typing import Any, Iterator, Optional
+
+from .slab import IN_SLOT, InstanceSlab, SlotEntry
 
 __all__ = ["SlotBuffer", "SlotFullError", "SlotEntry"]
 
@@ -23,18 +26,6 @@ class SlotFullError(RuntimeError):
     In the real system the acceptor would block the ring until trimming frees
     slots; protocol code catches this to apply back-pressure.
     """
-
-
-@dataclass(slots=True)
-class SlotEntry:
-    """One stored consensus instance value.
-
-    ``slots=True``: one is allocated per decided instance on the ring path.
-    """
-
-    instance: int
-    value: Any
-    size_bytes: int
 
 
 class SlotBuffer:
@@ -62,7 +53,8 @@ class SlotBuffer:
             raise ValueError("slot_size_bytes must be positive")
         self.slot_count = slot_count
         self.slot_size_bytes = slot_size_bytes
-        self._slots: "OrderedDict[int, SlotEntry]" = OrderedDict()
+        #: the entries' store; an acceptor points this at its log's slab
+        self.slab = InstanceSlab()
 
     # ------------------------------------------------------------------ put
     def offer(self, instance: int, value: Any, size_bytes: int) -> bool:
@@ -82,10 +74,34 @@ class SlotBuffer:
             raise ValueError(
                 f"value of {size_bytes} bytes exceeds slot size {self.slot_size_bytes}"
             )
-        slots = self._slots
-        if len(slots) >= self.slot_count and instance not in slots:
-            return False
-        slots[instance] = SlotEntry(instance, value, size_bytes)
+        slab = self.slab
+        if slab.slots_used >= self.slot_count and (
+            instance > slab.slot_top or not slab.has(instance, IN_SLOT)
+        ):
+            return False  # (no slot is held above slot_top: nothing to look up)
+        index = instance - slab.base
+        flags = slab.flags
+        if (
+            0 <= index < len(flags)
+            and slab.values[index] is value
+            and value is not None
+            and not flags[index] & IN_SLOT
+            and value.size_bytes == size_bytes
+        ):
+            # A decision of a steady ring: the value is the vote the acceptor
+            # already holds, so one flag occupies the slot.
+            flags[index] |= IN_SLOT
+            slab.slots_used += 1
+        else:
+            held = slab.get(instance, IN_SLOT)
+            if held is not None:
+                slab.slot_bytes -= held.size_bytes
+            shared = slab.is_vote(instance, value) and value.size_bytes == size_bytes
+            entry = SlotEntry(instance, value, size_bytes)
+            slab.slots_used += slab.attach(instance, IN_SLOT, entry, shared)
+        slab.slot_bytes += size_bytes
+        if instance > slab.slot_top:
+            slab.slot_top = instance
         return True
 
     def put(self, instance: int, value: Any, size_bytes: int) -> None:
@@ -106,27 +122,27 @@ class SlotBuffer:
     # ------------------------------------------------------------------ get
     def get(self, instance: int) -> Optional[SlotEntry]:
         """Return the entry for ``instance`` or ``None`` if absent."""
-        return self._slots.get(instance)
+        return self.slab.get(instance, IN_SLOT)
 
     def __contains__(self, instance: int) -> bool:
-        return instance in self._slots
+        return self.slab.has(instance, IN_SLOT)
 
     def __len__(self) -> int:
-        return len(self._slots)
+        return self.slab.slots_used
 
     def instances(self) -> Iterator[int]:
-        """Iterate over stored instance numbers in insertion order."""
-        return iter(self._slots.keys())
+        """Iterate over stored instance numbers in instance order."""
+        return iter(self.slab.instances(IN_SLOT))
 
     @property
     def occupancy(self) -> float:
         """Fraction of slots in use."""
-        return len(self._slots) / self.slot_count
+        return self.slab.slots_used / self.slot_count
 
     @property
     def bytes_used(self) -> int:
         """Total bytes of stored values."""
-        return sum(e.size_bytes for e in self._slots.values())
+        return self.slab.slot_bytes
 
     # ----------------------------------------------------------------- trim
     def trim(self, up_to_instance: int) -> int:
@@ -135,11 +151,8 @@ class SlotBuffer:
         Returns the number of entries removed.  This is how the acceptor log
         trimming of Section 5 frees space.
         """
-        to_remove = [i for i in self._slots if i <= up_to_instance]
-        for i in to_remove:
-            del self._slots[i]
-        return len(to_remove)
+        return self.slab.drop(IN_SLOT, up_to_instance)
 
     def clear(self) -> None:
         """Drop every entry (acceptor crash with in-memory storage)."""
-        self._slots.clear()
+        self.slab.drop(IN_SLOT, sys.maxsize)

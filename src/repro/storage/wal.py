@@ -5,8 +5,10 @@ edition of Berkeley DB (Section 7.1), either synchronously (each instance
 written one by one, batching disabled — Section 8.2) or asynchronously
 (buffered, flushed in the background).
 
-:class:`WriteAheadLog` stores per-instance records in memory (the "database")
-and charges the device model for the bytes written.  In synchronous mode the
+:class:`WriteAheadLog` keeps per-instance records on an
+:class:`~repro.storage.slab.InstanceSlab` (the "database": one flag per record
+that logs the vote the slab already holds, a :class:`LogRecord` of its own
+otherwise) and charges the device model for the bytes written.  In synchronous mode the
 caller receives the durability completion time and must not act before it; in
 asynchronous mode records are buffered and a background flush writes them in
 batches, so the caller continues immediately but a crash may lose the tail of
@@ -15,29 +17,18 @@ the buffer — exactly the durability/latency trade-off of Figure 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import sys
+from array import array
+from typing import Any, Callable, List, Optional
 
 from ..sim.actor import Environment
-from ..sim.disk import Disk, DiskProfile, StorageMode, profile_for_mode
+from ..sim.disk import Disk, StorageMode, profile_for_mode
+from .slab import LOGGED, InstanceSlab, LogRecord
 
 __all__ = ["LogRecord", "WriteAheadLog"]
 
 #: Fixed per-record framing written to the device on top of the payload.
 _RECORD_OVERHEAD = 64
-
-
-@dataclass(slots=True)
-class LogRecord:
-    """One durable record: the acceptor's vote for one consensus instance.
-
-    ``slots=True``: one is allocated per logged vote on the ring hot path.
-    """
-
-    instance: int
-    ballot: int
-    value: Any
-    size_bytes: int
 
 
 class WriteAheadLog:
@@ -76,14 +67,16 @@ class WriteAheadLog:
         self.disk: Optional[Disk] = None
         if profile is not None:
             self.disk = disk or Disk(env, profile, name=f"{name}.disk")
-        self._records: Dict[int, LogRecord] = {}
-        self._pending: List[LogRecord] = []
+        #: the records' store; an acceptor shares this one with its slots
+        self.slab = InstanceSlab()
+        #: instances appended since the last flush, and their device bytes
+        self._pending = array("q")
+        self._pending_bytes = 0
         self._flush_interval = flush_interval
         self._flush_scheduled = False
         # Mode flags resolved once: append() runs per vote on the ring path.
         self._memory_mode = mode is StorageMode.IN_MEMORY or self.disk is None
         self._synchronous = mode.synchronous
-        self._durable_up_to_bytes = 0
         self._lost_on_crash = 0
 
     # ------------------------------------------------------------------ write
@@ -105,8 +98,15 @@ class WriteAheadLog:
         durability).  The separate args tuple lets the per-hop ring path pass
         a bound method instead of allocating a closure per vote.
         """
-        record = LogRecord(instance, ballot, value, size_bytes)
-        self._records[instance] = record
+        slab = self.slab
+        if slab.unlogged == instance:
+            # Every append of a steady ring: the acceptor appended this vote
+            # to the columns a moment ago and is logging it — one flag.
+            slab.unlogged = -1
+            slab.flags[-1] |= LOGGED
+        else:
+            shared = slab.is_vote(instance, value, ballot) and value.size_bytes == size_bytes
+            slab.attach(instance, LOGGED, LogRecord(instance, ballot, value, size_bytes), shared)
 
         if self._memory_mode:
             if on_durable is not None:
@@ -123,7 +123,8 @@ class WriteAheadLog:
             )
 
         # Asynchronous mode: buffer and flush in the background.
-        self._pending.append(record)
+        self._pending.append(instance)
+        self._pending_bytes += size_bytes + _RECORD_OVERHEAD
         self._schedule_flush()
         if on_durable is not None:
             self._simulator._post(0.0, on_durable, on_durable_args)
@@ -139,32 +140,29 @@ class WriteAheadLog:
         self._flush_scheduled = False
         if not self._pending or self.disk is None:
             return
-        batch = self._pending
-        self._pending = []
-        total = sum(r.size_bytes + _RECORD_OVERHEAD for r in batch)
+        total = self._pending_bytes
+        del self._pending[:]
+        self._pending_bytes = 0
         self.disk.write(total)
-        self._durable_up_to_bytes += total
-        if self._pending:
-            self._schedule_flush()
 
     # ------------------------------------------------------------------- read
     def get(self, instance: int) -> Optional[LogRecord]:
         """Return the record for ``instance`` (``None`` when absent/trimmed)."""
-        return self._records.get(instance)
+        return self.slab.get(instance, LOGGED)
 
     def __contains__(self, instance: int) -> bool:
-        return instance in self._records
+        return self.slab.has(instance, LOGGED)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.slab.instances(LOGGED))
 
     def instances(self) -> List[int]:
         """Sorted instance numbers currently in the log."""
-        return sorted(self._records)
+        return self.slab.instances(LOGGED)
 
     def highest_instance(self) -> int:
         """Highest instance recorded, or -1 when the log is empty."""
-        return max(self._records) if self._records else -1
+        return self.slab.highest(LOGGED)
 
     # ------------------------------------------------------------------- trim
     def trim(self, up_to_instance: int) -> int:
@@ -173,10 +171,7 @@ class WriteAheadLog:
         Mirrors the coordinator-driven log trimming of Section 5; returns the
         number of records removed.
         """
-        to_remove = [i for i in self._records if i <= up_to_instance]
-        for i in to_remove:
-            del self._records[i]
-        return len(to_remove)
+        return self.slab.drop(LOGGED, up_to_instance)
 
     # ------------------------------------------------------------------ crash
     def crash(self) -> None:
@@ -186,15 +181,16 @@ class WriteAheadLog:
         already flushed; asynchronous logs lose the records still sitting in
         the flush buffer (recorded in :attr:`lost_on_crash`).
         """
+        slab = self.slab
         if self.mode is StorageMode.IN_MEMORY:
-            self._lost_on_crash += len(self._records)
-            self._records.clear()
+            self._lost_on_crash += slab.drop(LOGGED, sys.maxsize)
             return
         if not self.mode.synchronous and self._pending:
-            for record in self._pending:
-                self._records.pop(record.instance, None)
+            for instance in self._pending:
+                slab.detach(instance, LOGGED)
             self._lost_on_crash += len(self._pending)
-            self._pending.clear()
+            del self._pending[:]
+            self._pending_bytes = 0
 
     @property
     def lost_on_crash(self) -> int:

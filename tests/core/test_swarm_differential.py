@@ -13,11 +13,14 @@ issue order, routing, per-command ids and timestamps, and the order in which
 replicas answered (i.e. the service's delivery order).
 """
 
+import heapq
 import random
+
+import pytest
 
 from repro.core import AtomicMulticast, MultiRingConfig
 from repro.core.client import ClosedLoopClient, OpenLoopClient
-from repro.core.swarm import ClientSwarm
+from repro.core.swarm import ChurnSpec, ClientSwarm
 from repro.kvstore import MRPStoreService
 from repro.kvstore.client import MRPStoreCommands, kv_request_factory
 from repro.kvstore.partitioning import HashPartitioner
@@ -160,10 +163,11 @@ def _run_open_actors(seed, k, rate_each, until, jitter=0.05):
     }
 
 
-def _run_open_swarm(seed, k, aggregate_rate, until, jitter=0.05):
+def _run_open_swarm(seed, k, aggregate_rate, until, jitter=0.05, swarm_cls=ClientSwarm,
+                    stagger=False, churn=None):
     system, frontends = _build_service(seed, batching=False, jitter=jitter)
     factories = [_factory_for(seed, i) for i in range(k)]
-    swarm = ClientSwarm(
+    swarm = swarm_cls(
         system.env,
         "swarm",
         frontends,
@@ -171,10 +175,12 @@ def _run_open_swarm(seed, k, aggregate_rate, until, jitter=0.05):
         clients=k,
         mode="open",
         arrival=constant(aggregate_rate),
-        stagger=False,
+        stagger=stagger,
         addressing="ports",
         port_names=[f"cl{i}" for i in range(k)],
+        churn=churn,
         sketch=None,
+        record_trace=True,
     )
     log = _tap_network(system)
     system.start()
@@ -184,6 +190,8 @@ def _run_open_swarm(seed, k, aggregate_rate, until, jitter=0.05):
         "latencies": _latency_state(system),
         "issued": [swarm.per_client_issued(i) for i in range(k)],
         "completed": [swarm.per_client_completed(i) for i in range(k)],
+        "trace": swarm.command_trace,
+        "wheel": len(swarm._wheel),
     }
 
 
@@ -229,6 +237,39 @@ class TestOpenLoopDifferential:
         reference = _run_open_actors(seed=21, k=3, rate_each=240.0 / 3, until=1.2)
         swarm = _run_open_swarm(seed=21, k=3, aggregate_rate=240.0, until=1.2)
         _assert_identical(reference, swarm)
+
+
+class _MaterialisedWheel(ClientSwarm):
+    """The wheel with one ``(time, index)`` tuple per client before the first
+    request: what the cold cursor (``_cold_head``) replaces."""
+
+    def on_start(self):
+        super().on_start()
+        while self._cold_head is not None:
+            heapq.heappush(self._wheel, self._cold_head)
+            self._cold_head = self._cold_entry(self._cold_head[1] + 1)
+
+
+class TestWheelColdCursor:
+    """Unfired clients are a cursor over an arithmetic sequence; pop order is
+    the order of the heap that held one tuple per client."""
+
+    @pytest.mark.parametrize("stagger", [False, True])
+    @pytest.mark.parametrize("churn", [None, ChurnSpec(rate=40.0, downtime=0.05)])
+    def test_cursor_pops_in_heap_order(self, stagger, churn):
+        arguments = dict(seed=23, k=12, aggregate_rate=60.0, until=0.9, stagger=stagger,
+                         churn=churn)
+        cursor = _run_open_swarm(**arguments)
+        heap = _run_open_swarm(swarm_cls=_MaterialisedWheel, **arguments)
+        for field in ("log", "latencies", "issued", "completed", "trace"):
+            assert cursor[field] == heap[field], field
+        assert sum(cursor["issued"]) > 12  # clients fired, re-armed and fired again
+
+    def test_only_clients_that_fired_hold_a_wheel_entry(self):
+        early = _run_open_swarm(seed=23, k=50, aggregate_rate=50.0, until=0.3, stagger=True)
+        assert sum(early["issued"]) == early["wheel"] < 50
+        assert _run_open_swarm(seed=23, k=50, aggregate_rate=50.0, until=0.3, stagger=True,
+                               swarm_cls=_MaterialisedWheel)["wheel"] == 50
 
 
 class TestAddressingModes:

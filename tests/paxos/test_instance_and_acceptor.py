@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.paxos.acceptor import AcceptorState
 from repro.paxos.instance import AcceptorInstance, InstanceLedger
 from repro.paxos.messages import ProposalValue, SKIP
+from repro.ringpaxos.learner import RingLearner
 from repro.sim.actor import Environment
 from repro.sim.disk import StorageMode
 
@@ -71,28 +72,37 @@ class TestInstanceLedger:
         ledger.observe_instance(10)
         assert ledger.allocate() == 11
 
+    # Which instances are decided is the learner's bookkeeping (it kept it in
+    # an InstanceLedger of its own until it stopped storing what it emitted).
     def test_decide_and_contiguity(self):
-        ledger = InstanceLedger()
-        assert ledger.decide(0, value())
-        assert ledger.decide(2, value())
-        assert ledger.highest_contiguous_decided == 0
-        assert ledger.decide(1, value())
-        assert ledger.highest_contiguous_decided == 2
-        assert not ledger.decide(1, value())  # duplicate
+        emitted = []
+        learner = RingLearner(0, lambda ring, instance, v: emitted.append(instance))
+        learner.observe_decision(0, value())
+        learner.observe_decision(2, value())
+        assert learner.highest_contiguous_decided == 0
+        learner.observe_decision(1, value())
+        assert learner.highest_contiguous_decided == 2
+        learner.observe_decision(1, value())  # duplicate
+        assert emitted == [0, 1, 2]
 
     def test_undecided_below(self):
-        ledger = InstanceLedger()
-        ledger.decide(0, value())
-        ledger.decide(3, value())
-        assert ledger.undecided_below(4) == [1, 2]
+        learner = RingLearner(0, lambda *delivery: None)
+        learner.observe_decision(0, value())
+        learner.observe_decision(3, value())
+        assert learner.gaps() == [1, 2]
+        assert [learner.is_decided(i) for i in range(5)] == [True, False, False, True, False]
 
     def test_decisions_in_order_and_forget(self):
-        ledger = InstanceLedger()
+        emitted = []
+        learner = RingLearner(0, lambda ring, instance, v: emitted.append(instance))
         for i in (3, 1, 2):
-            ledger.decide(i, value(str(i).encode()))
-        assert [i for i, _ in ledger.decisions_in_order()] == [1, 2, 3]
-        assert ledger.forget_up_to(2) == 2
-        assert ledger.decided_count == 1
+            learner.observe_decision(i, value(str(i).encode()))
+        assert sorted(learner.decided_map) == [1, 2, 3] and emitted == []
+        learner.fast_forward(2)
+        assert sorted(learner.decided_map) == [3]  # forgotten up to 2 ...
+        assert learner.is_decided(1) and learner.highest_contiguous_decided == 3
+        learner.observe_decision(4, value())
+        assert emitted == [3, 4] and not learner.decided_map  # ... emitted ones dropped
 
     def test_negative_allocation_rejected(self):
         with pytest.raises(ValueError):

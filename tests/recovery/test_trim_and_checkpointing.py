@@ -3,8 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.multiring.merge import DeterministicMerger
+from repro.paxos.messages import SKIP, ProposalValue
 from repro.recovery.checkpointing import ReplicaCheckpointer
 from repro.recovery.trim import compute_trim_point, predicates_hold, trim_quorum_size
+from repro.ringpaxos.coordinator import PackedValues
 from repro.sim.actor import Environment
 from repro.storage.checkpoint import CheckpointStore
 
@@ -141,3 +144,75 @@ class TestReplicaCheckpointer:
         checkpointer.mark_delivered(0, 2)
         checkpointer.request_checkpoint()
         assert len(seen) == 1
+
+
+class TestDeferredCheckpointAndPackedInstances:
+    """A deferred checkpoint is cut between instances, never inside a packed one.
+
+    The replica polls the checkpointer from every *leaf* delivery
+    (``StateMachineReplica.on_deliver``: ``mark_delivered`` +
+    ``maybe_take_deferred``) and the merger's round-boundary predicate still
+    holds while the first instance of a round is being emitted — so a
+    checkpoint used to be cut after the first leaf of a packed instance, with
+    a tuple that covers the whole instance: a replica recovering from it would
+    fast-forward past commands the snapshot never saw.
+    """
+
+    @staticmethod
+    def _replica(groups=(0, 1)):
+        applied = []
+        checkpoints = []
+
+        def on_deliver(group, instance, value):  # what StateMachineReplica.on_deliver does
+            applied.append((group, instance, value.payload))
+            checkpointer.mark_delivered(group, instance)
+            checkpointer.maybe_take_deferred()
+
+        merger = DeterministicMerger(list(groups), messages_per_round=1, on_deliver=on_deliver)
+        checkpointer = ReplicaCheckpointer(
+            store=CheckpointStore(Environment()),
+            snapshot_fn=lambda: (list(applied), 100),
+            group_ids=list(groups),
+            at_round_boundary=merger.is_round_boundary,
+        )
+        checkpointer.on_checkpoint(checkpoints.append)
+        return merger, checkpointer, applied, checkpoints
+
+    @staticmethod
+    def _value(*payloads):
+        values = [ProposalValue(payload=SKIP if p == "skip" else p, size_bytes=8) for p in payloads]
+        if len(values) == 1:
+            return values[0]
+        return ProposalValue(payload=PackedValues(values=values), size_bytes=8 * len(values))
+
+    @staticmethod
+    def _assert_snapshot_is_exactly_the_tuple(checkpoint, everything):
+        covered = checkpoint.checkpoint_id.as_dict()
+        expected = [entry for entry in everything if entry[1] <= covered[entry[0]]]
+        assert sorted(checkpoint.state) == sorted(expected)
+
+    def test_checkpoint_deferred_into_a_packed_instance_covers_all_of_it(self):
+        merger, checkpointer, applied, checkpoints = self._replica()
+        merger.offer(0, 0, self._value("a"))
+        assert not checkpointer.request_checkpoint()        # mid-round: deferred
+        merger.offer(0, 1, self._value("b", "c", "d"))      # waits for ring 1
+        merger.offer(1, 0, self._value("skip"))             # closes the round; emits b c d
+        assert [entry[2] for entry in applied] == ["a", "b", "c", "d"]
+        assert len(checkpoints) == 1
+        assert checkpoints[0].checkpoint_id.as_dict() == {0: 1, 1: -1}
+        self._assert_snapshot_is_exactly_the_tuple(checkpoints[0], applied)
+
+    @pytest.mark.parametrize("pack", [("b", "c", "skip"), ("b", ("c", "d")), ("skip", "b", "c")])
+    def test_packs_ending_in_a_skip_or_a_nested_pack_are_never_cut_inside(self, pack):
+        merger, checkpointer, applied, checkpoints = self._replica()
+        merger.offer(0, 0, self._value("a"))
+        checkpointer.request_checkpoint()
+        leaves = [self._value(*p) if isinstance(p, tuple) else self._value(p) for p in pack]
+        merger.offer(0, 1, ProposalValue(payload=PackedValues(values=leaves), size_bytes=24))
+        merger.offer(1, 0, self._value("skip"))
+        merger.offer(0, 2, self._value("e"))
+        merger.offer(1, 1, self._value("f"))
+        merger.offer(0, 3, self._value("g"))
+        assert checkpoints, "the deferred checkpoint is taken at a later boundary at the latest"
+        for checkpoint in checkpoints:
+            self._assert_snapshot_is_exactly_the_tuple(checkpoint, applied)

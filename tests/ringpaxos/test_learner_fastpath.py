@@ -1,47 +1,32 @@
-"""Differential: the learner's in-order path against the code it shortcuts.
+"""Differential: the learner that keeps only what it has not emitted, against
+the plain-rules model that remembers everything.
 
-``RingLearner.observe_decision`` decides and emits in its own frame when the
-decision is the one awaited next and nothing is queued behind it; everything
-else takes ``InstanceLedger.decide`` + ``_drain`` as before.  The reference
-below is a test-local copy of that older code (``observe_value`` /
-``observe_decision`` exactly as they were before the shortcut, on top of the
-shared ``_drain``).  Hypothesis drives both with the same operation stream —
-permuted decisions, value-less decisions completed later, duplicates,
-``fast_forward``, and callbacks that re-enter the learner — under both
-drains, and every emission, the state each callback observes, and the final
-state must match.
+``RingLearner`` emits the decision awaited next without ever storing it, and
+drops a waiting decision from ``decided_map`` the moment its turn comes:
+``instance <= highest_contiguous_decided`` *is* "decided and delivered".
+``tests/reference/learner.py`` decides, then emits the contiguous prefix, and
+never forgets.  Hypothesis drives both with the same operation stream —
+permuted decisions, value-less decisions completed later, duplicates (of
+waiting, emitted and fast-forwarded instances), ``fast_forward``, and
+callbacks that re-enter the learner — and every emission,
+the state each callback observes, the state after every step and the size of
+``decided_map`` must match.
 
-The last test seeds a bug into the shipped method (emit before decide) and
-checks the differential sees it.
+The mutants seed a bug into the shipped methods (emit before decide; a
+duplicate of an emitted instance emitted again) and check the differential
+sees it.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.paxos.messages import SKIP, ProposalValue
 from repro.ringpaxos.learner import RingLearner
 from tests.conftest import mutate
+from tests.reference.learner import ReferenceLearner
 
 INSTANCES = 10
-
-
-class ReferenceLearner(RingLearner):
-    """The learner before the in-order path: always decide, then drain."""
-
-    def observe_value(self, instance, value):
-        self._pending_values[instance] = value
-        self._ledger.observe_instance(instance)
-
-    def observe_decision(self, instance, value):
-        resolved = value if value is not None else self._pending_values.get(instance)
-        if resolved is None:
-            self._ledger.observe_instance(instance)
-            self._undeliv.add(instance)
-            return
-        if self._ledger.decide(instance, resolved):
-            self._drain()
 
 
 def value_of(instance: int) -> ProposalValue:
@@ -65,18 +50,29 @@ reentries = st.dictionaries(
 )
 
 
-def run(learner_cls, ops, reentry, batch_drain):
-    """Drive one learner; returns the callback log and the final state."""
+def waiting(learner):
+    """Decisions held for later: the shipped map, the model's ``waiting``."""
+    return learner.decided_map if isinstance(learner, RingLearner) else learner.waiting
+
+
+def observe(learner):
+    held = waiting(learner)
+    return (
+        # The point of dropping: nothing emitted (or being emitted) is still held.
+        all(instance >= learner.next_to_emit for instance in held),
+        learner.next_to_emit, learner.emitted_count, learner.skipped_count,
+        learner.highest_decided, learner.highest_contiguous_decided, learner.next_instance,
+        learner.gaps(), [learner.is_decided(i) for i in range(INSTANCES + 1)], sorted(held),
+    )
+
+
+def run(learner_cls, ops, reentry):
+    """Drive one learner; returns the callback log and the state after every step."""
     log = []
     pending = dict(reentry)
 
     def on_ordered(ring_id, instance, value):
-        ledger = learner._ledger
-        log.append((
-            instance, value.proposal_id, learner.next_to_emit, learner.emitted_count,
-            learner.skipped_count, ledger.is_decided(instance),
-            ledger.highest_contiguous_decided, ledger.next_instance,
-        ))
+        log.append((instance, value.proposal_id, observe(learner)))
         action = pending.pop(instance, None)
         if action is not None:
             apply(*action)
@@ -95,67 +91,101 @@ def run(learner_cls, ops, reentry, batch_drain):
         else:
             learner.fast_forward(instance)
 
-    learner = learner_cls(7, on_ordered, batch_drain=batch_drain)
+    learner = learner_cls(7, on_ordered)
+    steps = []
     for op in ops:
         apply(*op)
-    ledger = learner._ledger
-    state = (
-        learner.next_to_emit, learner.emitted_count, learner.skipped_count,
-        learner.highest_decided, learner.gaps(), sorted(learner._pending_values),
-        sorted(learner._undeliv), sorted(ledger.decided_map), ledger.next_instance,
-        ledger.highest_contiguous_decided,
-    )
-    return log, state
+        steps.append(observe(learner))
+    return log, steps
 
 
-@pytest.mark.parametrize("batch_drain", [False, True])
 @given(ops=operations, reentry=reentries)
-# Why the path also requires nothing queued behind the instance: the batch
-# drain snapshots the whole run [0, 1] before the first callback, so a callback
-# that fast-forwards past 1 does not stop 1 from being emitted.
+# A callback that fast-forwards past a decision already waiting: the learner
+# resumes after the fast-forward.
 @example(ops=[("decide", 1), ("decide", 0)], reentry={0: ("forward", 1)})
-@settings(max_examples=300, deadline=None)
-def test_in_order_path_matches_decide_then_drain(batch_drain, ops, reentry):
-    assert run(RingLearner, ops, reentry, batch_drain) == run(
-        ReferenceLearner, ops, reentry, batch_drain
-    )
+@example(ops=[("decide", 2), ("decide", 1), ("decide", 0)], reentry={0: ("forward", 1)})
+# A callback that decides its own instance again, and one that decides the next.
+@example(ops=[("decide", 0)], reentry={0: ("decide", 0)})
+@example(ops=[("decide", 0), ("decide", 1)], reentry={0: ("inject", 1)})
+@settings(max_examples=500, deadline=None)
+def test_in_order_path_matches_decide_then_drain(ops, reentry):
+    assert run(RingLearner, ops, reentry) == run(ReferenceLearner, ops, reentry)
 
 
-@pytest.mark.parametrize("batch_drain", [False, True])
 @given(order=st.permutations(list(range(INSTANCES))), bare=st.sets(st.integers(0, INSTANCES - 1)))
-@settings(max_examples=100, deadline=None)
-def test_permuted_decisions_with_late_values_emit_every_instance_once(batch_drain, order, bare):
+@settings(max_examples=200, deadline=None)
+def test_permuted_decisions_with_late_values_emit_every_instance_once(order, bare):
     ops = [("bare" if i in bare else "decide", i) for i in order] + [("supply", i) for i in bare]
-    log, state = run(RingLearner, ops, {}, batch_drain)
+    log, steps = run(RingLearner, ops, {})
     assert [entry[0] for entry in log] == list(range(INSTANCES))
-    assert (log, state) == run(ReferenceLearner, ops, {}, batch_drain)
+    assert (log, steps) == run(ReferenceLearner, ops, {})
+    assert steps[-1][-1] == []  # everything emitted, nothing kept
 
 
-def test_in_order_stream_never_enters_the_drain(monkeypatch):
-    # The point of the path: a ring's steady state is one frame per decision.
+@given(order=st.permutations(list(range(INSTANCES))))
+@settings(max_examples=200, deadline=None)
+def test_decided_map_never_exceeds_the_out_of_order_window(order):
+    learner = RingLearner(0, lambda ring, instance, value: None)
+    seen = set()
+    for instance in order:
+        learner.observe_decision(instance, value_of(instance))
+        seen.add(instance)
+        out_of_order = {i for i in seen if i >= learner.next_to_emit}
+        assert set(learner.decided_map) == out_of_order
+
+
+def test_in_order_stream_never_enters_the_drain_and_stores_nothing(monkeypatch):
+    # The point of the path: a ring's steady state is one frame per decision
+    # and no entry per instance.
     drains = []
     monkeypatch.setattr(RingLearner, "_drain", lambda self: drains.append(self.next_to_emit))
     emitted = []
-    learner = RingLearner(0, lambda ring, instance, v: emitted.append(instance))
+    held = []
+    learner = RingLearner(0, lambda ring, instance, v: (emitted.append(instance),
+                                                       held.append(len(learner.decided_map))))
     for instance in range(50):
         learner.observe_value(instance, value_of(instance))
         learner.observe_decision(instance, None)
     assert emitted == list(range(50)) and drains == []
+    assert held == [0] * 50 and not learner.decided_map and not learner._pending_values
+    assert learner.is_decided(49) and not learner.is_decided(50)
 
 
 def test_mutant_emit_before_decide_is_caught():
-    # Seeded bug: the in-order path records the decision only after the
-    # callback ran.  The callback's view of the ledger gives it away.
+    # Seeded bug: the in-order path marks the instance decided only after the
+    # callback ran.  The callback's view of the learner gives it away.
     mutated = mutate(
         RingLearner.observe_decision,
-        ("    decided[instance] = resolved\n", ""),
+        ("    self.highest_contiguous_decided = instance\n", ""),
         ("    self._pending_values.pop(instance, None)\n",
-         "    decided[instance] = resolved\n    self._pending_values.pop(instance, None)\n"),
+         "    self.highest_contiguous_decided = instance\n"
+         "    self._pending_values.pop(instance, None)\n"),
     )
 
     class EmitBeforeDecide(RingLearner):
         observe_decision = mutated
 
     ops = [("decide", 0), ("decide", 1)]
-    assert run(RingLearner, ops, {}, False) == run(ReferenceLearner, ops, {}, False)
-    assert run(EmitBeforeDecide, ops, {}, False) != run(ReferenceLearner, ops, {}, False)
+    assert run(RingLearner, ops, {}) == run(ReferenceLearner, ops, {})
+    assert run(EmitBeforeDecide, ops, {}) != run(ReferenceLearner, ops, {})
+
+
+def test_mutant_duplicate_of_an_emitted_instance_emitted_twice_is_caught():
+    # Seeded bug: only waiting decisions count as duplicates.  An emitted
+    # instance is no longer stored, so a repeat of it is taken for a new
+    # decision: delivered again when it is the one awaited (a callback deciding
+    # its own instance), kept for ever otherwise.
+    class ForgetsWhatItEmitted(RingLearner):
+        observe_decision = mutate(
+            RingLearner.observe_decision,
+            ("instance <= self.highest_contiguous_decided or instance in decided",
+             "instance in decided"),
+        )
+
+    ops = [("decide", 0), ("decide", 1), ("decide", 1), ("decide", 0)]
+    assert run(RingLearner, ops, {}) == run(ReferenceLearner, ops, {})
+    assert run(ForgetsWhatItEmitted, ops, {}) != run(ReferenceLearner, ops, {})
+    again = {0: ("decide", 0)}
+    emitted = [entry[0] for entry in run(ForgetsWhatItEmitted, ops[:1], again)[0]]
+    assert emitted == [0, 0]
+    assert [entry[0] for entry in run(RingLearner, ops[:1], again)[0]] == [0]

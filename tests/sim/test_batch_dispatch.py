@@ -20,6 +20,7 @@ from repro.ringpaxos.learner import RingLearner
 from repro.sim.disk import StorageMode
 from repro.sim.kernel import Simulator
 from repro.sim.legacy import LegacyNetwork, LegacySimulator
+from tests.reference.learner import ReferenceLearner
 
 
 def _post_heavy_trace(sim, seed: int, operations: int = 300):
@@ -132,14 +133,11 @@ class TestBatchDispatchStack:
         assert all(len(d) > 0 for d in fast)
 
 
-def _feed_learner(batch_drain: bool, seed: int):
+def _feed_learner(learner_cls, seed: int):
     """Feed a shuffled decision sequence; return the emission order."""
     rng = random.Random(seed)
     emitted = []
-    learner = RingLearner(
-        0, lambda ring, inst, value: emitted.append((inst, value.payload)),
-        batch_drain=batch_drain,
-    )
+    learner = learner_cls(0, lambda ring, inst, value: emitted.append((inst, value.payload)))
     instances = list(range(60))
     rng.shuffle(instances)
     for inst in instances:
@@ -152,12 +150,14 @@ def _feed_learner(batch_drain: bool, seed: int):
 
 
 class TestLearnerBatchDrain:
+    # The learner had two drains (per instance / per contiguous run) behind a
+    # flag; it has one now, held to the plain-rules model.
     @pytest.mark.parametrize("seed", [0, 5, 21])
     def test_emission_order_identical_to_default_drain(self, seed):
-        plain, plain_learner = _feed_learner(False, seed)
-        batched, batched_learner = _feed_learner(True, seed)
-        assert plain == batched
+        plain, plain_learner = _feed_learner(ReferenceLearner, seed)
+        shipped, shipped_learner = _feed_learner(RingLearner, seed)
+        assert plain == shipped
         assert len(plain) == 60
-        assert plain_learner.emitted_count == batched_learner.emitted_count
-        assert plain_learner.skipped_count == batched_learner.skipped_count
-        assert plain_learner.next_to_emit == batched_learner.next_to_emit
+        assert plain_learner.emitted_count == shipped_learner.emitted_count
+        assert plain_learner.skipped_count == shipped_learner.skipped_count
+        assert plain_learner.next_to_emit == shipped_learner.next_to_emit

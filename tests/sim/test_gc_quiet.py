@@ -232,6 +232,34 @@ def test_point_after_point_does_not_pile_up_deployments(monkeypatch):
     assert [ref() is None for ref in deployments[:-1]] == [True, True, True]
 
 
+def test_dropped_deployments_alive_are_bounded_by_the_backlog(monkeypatch):
+    # The backlog counts GC-tracked objects, and since the columnar slab a
+    # deployment has about a quarter of them (no object per acceptor-instance)
+    # — one point no longer buys a collection on its own.  What a
+    # point-after-point loop carries is still bounded: dropped deployments
+    # live until their tracked objects add up to BACKLOG (the real one), which
+    # is about as many bytes as it was before the slab.
+    monkeypatch.setattr(gc_paused, "_backlog", 0)
+    deployments = []
+    start = AtomicMulticast.start
+
+    def watch(self):
+        deployments.append(weakref.ref(self.env))
+        return start(self)
+
+    monkeypatch.setattr(AtomicMulticast, "start", watch)
+    dropped_alive = []
+    per_point = None
+    points = 9
+    for _ in range(points):
+        run_fig3_point(2048, StorageMode.IN_MEMORY, warmup=0.02, duration=0.05)
+        per_point = per_point or gc_paused._backlog
+        dropped_alive.append(sum(ref() is not None for ref in deployments[:-1]))
+    assert 0 < per_point < gc_paused.BACKLOG  # the premise: a point alone is under the bar
+    bound = gc_paused.BACKLOG // per_point + 1
+    assert max(dropped_alive) <= bound < points - 1  # fewer than a loop that never collects
+
+
 def test_the_guard_sees_a_cycle_on_the_hot_path(monkeypatch):
     record = ThroughputTracker.record
 
