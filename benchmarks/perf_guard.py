@@ -1,27 +1,14 @@
 #!/usr/bin/env python
-"""Performance guard: fail when key benchmark numbers regress.
+"""Performance guard: fail when the barrier plane's deterministic numbers regress.
 
-Compares freshly written benchmark files against their committed baselines
-(``git show <ref>:<file>``, default ``HEAD``) and exits non-zero on a
-regression.
-
-``BENCH_kernel.json`` — wall-clock metrics, guarded with a loose 20%
-tolerance floor (shared CI runners are noisy; the guard is meant to catch
-real regressions, not wobble):
-
-* ``micro.speedup`` — fast kernel events/s over the seed-snapshot kernel.
-  A ratio, so it is robust to the absolute speed of the CI machine.
-* ``batched.batched.commands_per_wall_s`` — ordered commands per wall-clock
-  second with the full batching path on.
-
-``BENCH_parallel.json`` — *deterministic* barrier-plane fields.  IPC byte
-counts are fixed by the seed, not the machine, so the ceiling is tight
-(+20% headroom covers intentional protocol growth, nothing else) and the
-invariants are exact:
+Compares a freshly written ``BENCH_parallel.json`` against its committed
+baseline (``git show <ref>:BENCH_parallel.json``, default ``HEAD``) and exits
+non-zero on a regression.  IPC byte counts are fixed by the seed, not the
+machine, so the ceiling is tight (+20% headroom covers intentional protocol
+growth, nothing else) and the invariants are exact:
 
 * ``barrier_overhead.wire_codec.ipc_bytes_per_barrier`` must stay at or
-  below baseline * 1.20 (a *ceiling* — lower is better, unlike the
-  wall-clock floors above);
+  below baseline * 1.20 (a *ceiling* — lower is better);
 * ``barrier_overhead.ipc_bytes_reduction`` must stay >= 0.30 (the compact
   codec's acceptance bar vs legacy pickling);
 * ``barrier_count.adaptive`` must stay strictly below ``barrier_count.fixed``
@@ -32,9 +19,12 @@ invariants are exact:
 Fields missing from the committed baseline are skipped gracefully, so the
 guard works on the PR that introduces them.  Run from the repository root:
 
-    PYTHONPATH=src python benchmarks/bench_kernel.py --smoke
     PYTHONPATH=src python benchmarks/bench_parallel.py --smoke
     python benchmarks/perf_guard.py
+
+Kernel and hot-path speed is not guarded here: its exact guard is
+``tests/golden/exact.json`` + ``tests/bench/test_hot_path_budget.py`` (events
+per pinned run, Python frames), its measurement the ledger benchmark.
 """
 
 from __future__ import annotations
@@ -48,12 +38,6 @@ from typing import Any, Dict, Optional, Tuple
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 
-#: Guarded metrics: (json path, human label).
-GUARDED = (
-    (("micro", "speedup"), "micro kernel speedup (fast vs legacy)"),
-    (("batched", "batched", "commands_per_wall_s"), "batched commands per wall-second"),
-)
-
 #: Ceiling-guarded deterministic metrics of BENCH_parallel.json:
 #: (json path, human label).  Lower is better; current must stay at or below
 #: baseline * (1 + TOLERANCE).
@@ -64,7 +48,7 @@ PARALLEL_CEILINGS = (
     ),
 )
 
-#: Maximum tolerated drop below (floors) / rise above (ceilings) baseline.
+#: Maximum tolerated rise above baseline.
 TOLERANCE = 0.20
 
 #: The codec's acceptance bar: IPC bytes per barrier vs legacy pickling.
@@ -80,7 +64,7 @@ def _dig(payload: Dict[str, Any], path: Tuple[str, ...]) -> Optional[float]:
     return float(node) if isinstance(node, (int, float)) else None
 
 
-def _committed_baseline(ref: str, name: str = "BENCH_kernel.json") -> Optional[Dict[str, Any]]:
+def _committed_baseline(ref: str, name: str) -> Optional[Dict[str, Any]]:
     try:
         out = subprocess.run(
             ["git", "show", f"{ref}:{name}"],
@@ -97,16 +81,11 @@ def _committed_baseline(ref: str, name: str = "BENCH_kernel.json") -> Optional[D
 def _guard_parallel(args: argparse.Namespace) -> bool:
     """Guard BENCH_parallel.json's deterministic fields; True on failure.
 
-    A missing current file only warns (the kernel bench may be guarded on
-    its own), and a baseline without the round-2 fields skips the ceiling —
-    the invariants below still run, because they need no baseline at all.
+    A baseline without the round-2 fields skips the ceiling — the invariants
+    below still run, because they need no baseline at all.
     """
-    try:
-        with open(args.parallel) as fh:
-            current = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"perf-guard: cannot read {args.parallel} ({exc}); skipping parallel guard")
-        return False
+    with open(args.parallel) as fh:
+        current = json.load(fh)
 
     failed = False
     baseline = _committed_baseline(args.baseline, "BENCH_parallel.json")
@@ -163,12 +142,7 @@ def _guard_parallel(args: argparse.Namespace) -> bool:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--baseline", default="HEAD", help="git ref holding the baseline BENCH_kernel.json"
-    )
-    parser.add_argument(
-        "--current",
-        default=os.path.join(REPO_ROOT, "BENCH_kernel.json"),
-        help="path of the freshly written kernel benchmark file",
+        "--baseline", default="HEAD", help="git ref holding the baseline BENCH_parallel.json"
     )
     parser.add_argument(
         "--parallel",
@@ -176,38 +150,11 @@ def main() -> int:
         help="path of the freshly written parallel benchmark file",
     )
     args = parser.parse_args()
-
     try:
-        with open(args.current) as fh:
-            current = json.load(fh)
+        return 1 if _guard_parallel(args) else 0
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"perf-guard: cannot read {args.current}: {exc}")
+        print(f"perf-guard: cannot read {args.parallel}: {exc}")
         return 2
-
-    failed = False
-    baseline = _committed_baseline(args.baseline)
-    if baseline is None:
-        print(f"perf-guard: no committed BENCH_kernel.json at {args.baseline}; skipping")
-    else:
-        for path, label in GUARDED:
-            base = _dig(baseline, path)
-            cur = _dig(current, path)
-            name = ".".join(path)
-            if base is None or cur is None:
-                print(f"perf-guard: {name}: missing on one side (base={base}, current={cur}); skipping")
-                continue
-            floor = base * (1.0 - TOLERANCE)
-            verdict = "ok" if cur >= floor else "REGRESSED"
-            print(
-                f"perf-guard: {label}: current {cur:,.2f} vs baseline {base:,.2f} "
-                f"(floor {floor:,.2f}) -> {verdict}"
-            )
-            if cur < floor:
-                failed = True
-
-    failed = _guard_parallel(args) or failed
-
-    return 1 if failed else 0
 
 
 if __name__ == "__main__":

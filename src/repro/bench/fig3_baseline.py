@@ -11,7 +11,7 @@ latency, coordinator CPU utilisation and the latency CDF for 32 KB requests
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from ..core.amcast import AtomicMulticast
 from ..core.config import MultiRingConfig
@@ -87,35 +87,24 @@ def run_fig3_point(
     batching_enabled: bool = False,
     batch_max_bytes: int = 32 * 1024,
     batch_max_delay: float = 0.0005,
-    kernel_batch_dispatch: Optional[bool] = None,
-    profile: Optional[object] = None,
 ) -> ExperimentResult:
     """Run one (value size, storage mode) point of Figure 3.
 
     The figure's baseline runs with batching off (every value gets its own
     consensus instance).  ``batching_enabled`` switches on coordinator value
     batching (size-or-timeout assembly, Sections 7.2/7.3) — the throughput
-    configuration — and ``kernel_batch_dispatch`` opts into the kernel's
-    same-actor event-run dispatch (defaults to following
-    ``batching_enabled`` so the baseline path stays byte-for-byte anchored).
-    ``profile`` forwards a :class:`repro.sim.profile.SimProfile` to the
-    kernel (default off).
+    configuration.
     """
-    if kernel_batch_dispatch is None:
-        kernel_batch_dispatch = batching_enabled
     config = MultiRingConfig(
         storage_mode=storage_mode,
         batching_enabled=batching_enabled,
         batch_max_bytes=batch_max_bytes,
         batch_max_delay=batch_max_delay,
-        kernel_batch_dispatch=kernel_batch_dispatch,
         rate_interval=None,      # single ring: no merge partner to level against
         checkpoint_interval=None,
         trim_interval=None,
-        network_stats=False,     # counters are never read: take the send fast lane
     )
-    system = AtomicMulticast(topology=single_datacenter(), config=config, seed=seed,
-                             profile=profile)
+    system = AtomicMulticast(topology=single_datacenter(), config=config, seed=seed)
     processes = [
         _SelfProposingLearner(system.env, f"p{i}", ring_id=0, value_size=value_size,
                               threads=threads_per_proposer)

@@ -89,22 +89,9 @@ class AtomicMulticast:
         ``None`` keeps the uninstrumented run loop.
         """
         self.config = config or MultiRingConfig()
-        self.env = Environment(
-            simulator=Simulator(
-                batch_dispatch=self.config.kernel_batch_dispatch,
-                profile=profile,
-            ),
-            seed=seed,
-        )
+        self.env = Environment(simulator=Simulator(profile=profile), seed=seed)
         self.topology = topology or single_datacenter()
         self.network = Network(self.env, self.topology, jitter_fraction=jitter_fraction)
-        if not self.config.network_stats:
-            # Duck-typed: the kernel benchmark injects LegacyNetwork (frozen,
-            # three-argument constructor, always-on stats) through this module
-            # global, so the fast lane is requested only where it exists.
-            disable = getattr(self.network, "disable_stats", None)
-            if disable is not None:
-                disable()
         self.coordination = CoordinationService()
         self._ring_configs: Dict[int, MultiRingConfig] = {}
         self._evicted_members: Dict[str, Dict[int, RingMember]] = {}

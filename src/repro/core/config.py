@@ -80,15 +80,6 @@ class MultiRingConfig:
     #: batch waiting for more values (seconds).  ``0`` disables the hold —
     #: only co-queued values share an instance, as before the delay trigger.
     batch_max_delay: float = 0.0005
-    #: Same-actor event-run batch dispatch in the kernel (see
-    #: :class:`repro.sim.kernel.Simulator`).  Off by default so the frozen
-    #: seed differentials keep anchoring the exact default-path loop.
-    kernel_batch_dispatch: bool = False
-    #: Aggregate network message/byte accounting (``Network.stats``).  On by
-    #: default — the fault differentials pin drop/message counts; benchmarks
-    #: that never read the counters switch it off to take the network's
-    #: no-stats send lane.  Does not change delivery times or order.
-    network_stats: bool = True
     #: How often replicas checkpoint their state (seconds); None disables it.
     checkpoint_interval: Optional[float] = 10.0
     #: How often coordinators run the trim protocol (seconds); None disables it.

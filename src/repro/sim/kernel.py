@@ -22,8 +22,8 @@ Performance notes
 -----------------
 Every simulated message translates into at least one kernel event, so the
 events/second of this module caps the throughput of the whole reproduction
-(see ``benchmarks/bench_kernel.py``).  The hot path therefore avoids the
-conveniences the original implementation used:
+(``sim.kernel.events_per_host_s`` in the ledger benchmark).  The hot path
+therefore avoids the conveniences the original implementation used:
 
 * :class:`Event` is a ``__slots__`` class, not an ``order=True`` dataclass;
   heap entries are ``(time, priority, seq, event)`` tuples so heap sifting
@@ -34,15 +34,19 @@ conveniences the original implementation used:
   delivery, durability callbacks): its heap entries are plain
   ``(time, priority, seq, callback, args)`` tuples with no Event or handle
   at all.
-* The run loop peeks/pops inline with hoisted locals instead of delegating to
-  ``_peek_next`` + ``step`` (which scanned the heap head twice per event).
+* There is one run loop.  It peeks/pops inline with hoisted locals and
+  carries no branch for event caps or profiling; ``run(max_events=...)`` and
+  an installed profile take a short stepped path (``next_event_time`` +
+  ``step``) that executes the same sequence one event at a time.
 * Cancelled events are removed lazily; when more than half the queue is dead
   the heap is compacted in place, so long runs with many cancelled timers do
   not degrade.
 
-Observable semantics (delivery order for a given seed, the public API, error
-behaviour) are identical to the original kernel — ``repro.sim.legacy`` keeps
-a snapshot of the original for differential tests.
+Observable semantics are anchored twice: the firing order of a random
+schedule / cancel / priority program is held to the plain ``heapq`` of
+``tests/reference/kernel.py``, and the delivery logs of whole deployments to
+the exact values committed in ``tests/golden/exact.json`` (a PR that moves a
+golden says which modelled behaviour changed).
 """
 
 from __future__ import annotations
@@ -198,20 +202,9 @@ class Simulator:
     profile:
         Optional :class:`repro.sim.profile.SimProfile` collecting per-callback
         event counts and wall time.  ``None`` (the default) keeps the run loop
-        untouched; with a profile installed the loop routes through an
-        instrumented twin that executes the exact same event sequence while
-        timing each callback.
-    batch_dispatch:
-        Same-actor event-run batching: when the heap head is a run of
-        consecutive fire-and-forget entries (the ``_post`` layout) bound to
-        the same callback and the same first argument — e.g. a burst of
-        network deliveries to one actor — the run is drained in one inner
-        loop, skipping the outer loop's per-event entry-layout and stop
-        checks.  Pops still happen one at a time in heap order and the clock
-        advances per entry, so the executed event sequence is identical to
-        the default loop; the flag exists so the default path stays
-        byte-for-byte the code the frozen ``legacy.py`` differentials and
-        the sharded bit-determinism tests were anchored on.
+        untouched; with a profile installed :meth:`run` steps through the
+        exact same event sequence one :meth:`step` at a time, and ``step``
+        times each callback.
 
     Example
     -------
@@ -231,7 +224,6 @@ class Simulator:
     def __init__(
         self,
         start_time: float = 0.0,
-        batch_dispatch: bool = False,
         profile: Optional[Any] = None,
     ) -> None:
         self._now = float(start_time)
@@ -241,7 +233,6 @@ class Simulator:
         self._running = False
         self._stopped = False
         self._processed = 0
-        self._batch_dispatch = batch_dispatch
         self._profile = profile
 
     @property
@@ -262,7 +253,7 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of events still queued (including cancelled ones)."""
+        """Number of live events still queued (cancelled ones are not counted)."""
         return sum(
             1
             for entry in self._queue
@@ -353,7 +344,8 @@ class Simulator:
         """Execute the next pending event.
 
         Returns ``True`` if an event was executed, ``False`` if the queue is
-        empty (cancelled events are skipped silently).
+        empty (cancelled events are skipped silently).  With a profile
+        installed the callback is timed and attributed to it.
         """
         queue = self._queue
         while queue:
@@ -364,18 +356,19 @@ class Simulator:
                     if self._cancelled:
                         self._cancelled -= 1
                     continue
-                self._now = entry[0]
-                self._processed += 1
                 head.fired = True
-                kwargs = head.kwargs
-                if kwargs is None:
-                    head.callback(*head.args)
-                else:
-                    head.callback(*head.args, **kwargs)
+                callback, args, kwargs = head.callback, head.args, head.kwargs or {}
             else:
-                self._now = entry[0]
-                self._processed += 1
-                head(*entry[4])
+                callback, args, kwargs = head, entry[4], {}
+            self._now = entry[0]
+            self._processed += 1
+            profile = self._profile
+            if profile is None:
+                callback(*args, **kwargs)
+            else:
+                started = profile.clock()
+                callback(*args, **kwargs)
+                profile.record(callback, profile.clock() - started)
             return True
         return False
 
@@ -387,6 +380,8 @@ class Simulator:
         until:
             Stop once the clock would pass this time.  Events at exactly
             ``until`` are executed.  ``None`` means run until the queue drains.
+            A time before :attr:`now` raises :class:`SimulationError`: the
+            clock never moves backwards.
         max_events:
             Safety valve for tests: stop after this many events.
 
@@ -395,21 +390,20 @@ class Simulator:
         float
             The simulation time when the run stopped.
         """
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"cannot run until t={until} which is before now={self._now}"
+            )
         with gc_paused():
-            if self._profile is not None:
-                return self._run_profiled(until, max_events)
-            if max_events is None and not self._batch_dispatch:
+            if max_events is None and self._profile is None:
                 return self._run_default(until)
-            return self._run_general(until, max_events)
+            return self._run_stepped(until, max_events)
 
     def _run_default(self, until: Optional[float]) -> float:
-        """The common loop: no event cap, no batch dispatch, no profiling.
+        """The run loop: no event cap, no profiling, no branch for either.
 
-        Byte-for-byte the general loop minus the per-event ``max_events``
-        counting and batch-dispatch branch; ``until`` is hoisted into a plain
-        float bound (``inf`` when absent) so the per-event check is a single
-        comparison.  The executed event sequence is identical to
-        :meth:`_run_general` for the same inputs.
+        ``until`` is hoisted into a plain float bound (``inf`` when absent) so
+        the per-event check is a single comparison.
         """
         self._running = True
         self._stopped = False
@@ -458,163 +452,29 @@ class Simulator:
             self._running = False
         return self._now
 
-    def _run_general(self, until: Optional[float], max_events: Optional[int]) -> float:
-        """The full loop: event caps and same-actor batch dispatch."""
-        self._running = True
-        self._stopped = False
-        queue = self._queue
-        pop = heappop
-        executed = 0
-        unbounded = max_events is None
-        batching = self._batch_dispatch
-        try:
-            while queue and not self._stopped:
-                entry = queue[0]
-                head = entry[3]
-                # Two heap-entry layouts: (time, prio, seq, Event) from the
-                # public schedulers, (time, prio, seq, callback, args) from
-                # the fire-and-forget _post path.
-                if head.__class__ is Event:
-                    if head.cancelled:
-                        pop(queue)
-                        if self._cancelled:
-                            self._cancelled -= 1
-                        continue
-                    time = entry[0]
-                    if until is not None and time > until:
-                        self._now = until
-                        break
-                    pop(queue)
-                    self._now = time
-                    self._processed += 1
-                    head.fired = True
-                    kwargs = head.kwargs
-                    if kwargs is None:
-                        head.callback(*head.args)
-                    else:
-                        head.callback(*head.args, **kwargs)
-                else:
-                    time = entry[0]
-                    if until is not None and time > until:
-                        self._now = until
-                        break
-                    pop(queue)
-                    self._now = time
-                    self._processed += 1
-                    head(*entry[4])
-                    if batching and unbounded:
-                        # Same-actor event run: drain consecutive plain
-                        # entries sharing this callback and destination
-                        # (args[0], e.g. the network connection of one
-                        # actor) without re-entering the outer loop.  The
-                        # pops happen in the same heap order the outer loop
-                        # would use, so the executed sequence is identical.
-                        target = entry[4][0] if entry[4] else None
-                        while queue and not self._stopped:
-                            nxt = queue[0]
-                            if len(nxt) != 5 or nxt[3] is not head:
-                                break
-                            nargs = nxt[4]
-                            if (nargs[0] if nargs else None) is not target:
-                                break
-                            ntime = nxt[0]
-                            if until is not None and ntime > until:
-                                break
-                            pop(queue)
-                            self._now = ntime
-                            self._processed += 1
-                            head(*nargs)
-                if not unbounded:
-                    executed += 1
-                    if executed >= max_events:
-                        break
-            else:
-                if until is not None and self._now < until and not self._stopped:
-                    self._now = until
-        finally:
-            self._running = False
-        return self._now
+    def _run_stepped(self, until: Optional[float], max_events: Optional[int]) -> float:
+        """:meth:`_run_default` one :meth:`step` at a time, counting the steps.
 
-    def _run_profiled(self, until: Optional[float], max_events: Optional[int]) -> float:
-        """Instrumented twin of the run loop (``profile=`` installed).
-
-        Executes the exact same event sequence as the uninstrumented loops —
-        same pops, same clock, same stop conditions, including the batch
-        dispatch drain — while attributing a wall-time measurement and an
-        event count to every callback.  Lives in its own method so the
-        default loops stay free of per-event timing branches.
+        Taken when an event cap or a profile is set; same events, same clock,
+        same stop conditions as the run loop.
         """
-        profile = self._profile
-        record = profile.record
         self._running = True
         self._stopped = False
-        queue = self._queue
-        pop = heappop
-        timer = profile.clock
         executed = 0
-        unbounded = max_events is None
-        batching = self._batch_dispatch
         try:
-            while queue and not self._stopped:
-                entry = queue[0]
-                head = entry[3]
-                if head.__class__ is Event:
-                    if head.cancelled:
-                        pop(queue)
-                        if self._cancelled:
-                            self._cancelled -= 1
-                        continue
-                    time = entry[0]
-                    if until is not None and time > until:
-                        self._now = until
-                        break
-                    pop(queue)
-                    self._now = time
-                    self._processed += 1
-                    head.fired = True
-                    kwargs = head.kwargs
-                    t0 = timer()
-                    if kwargs is None:
-                        head.callback(*head.args)
-                    else:
-                        head.callback(*head.args, **kwargs)
-                    record(head.callback, timer() - t0)
-                else:
-                    time = entry[0]
-                    if until is not None and time > until:
-                        self._now = until
-                        break
-                    pop(queue)
-                    self._now = time
-                    self._processed += 1
-                    t0 = timer()
-                    head(*entry[4])
-                    record(head, timer() - t0)
-                    if batching and unbounded:
-                        target = entry[4][0] if entry[4] else None
-                        while queue and not self._stopped:
-                            nxt = queue[0]
-                            if len(nxt) != 5 or nxt[3] is not head:
-                                break
-                            nargs = nxt[4]
-                            if (nargs[0] if nargs else None) is not target:
-                                break
-                            ntime = nxt[0]
-                            if until is not None and ntime > until:
-                                break
-                            pop(queue)
-                            self._now = ntime
-                            self._processed += 1
-                            t0 = timer()
-                            head(*nargs)
-                            record(head, timer() - t0)
-                if not unbounded:
-                    executed += 1
-                    if executed >= max_events:
-                        break
-            else:
-                if until is not None and self._now < until and not self._stopped:
+            while not self._stopped:
+                time = self.next_event_time()
+                if time is None:
+                    break
+                if until is not None and time > until:
                     self._now = until
+                    return until
+                self.step()
+                executed += 1
+                if max_events is not None and executed >= max_events:
+                    return self._now
+            if until is not None and self._now < until and not self._stopped:
+                self._now = until
         finally:
             self._running = False
         return self._now

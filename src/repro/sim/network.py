@@ -38,8 +38,10 @@ name and topology resolution:
 * the jitter RNG is only drawn when ``jitter_fraction > 0`` (the stream and
   draw order are unchanged, preserving seeded reproducibility).
 
-``repro.sim.legacy.LegacyNetwork`` keeps the original implementation for
-differential tests and the kernel benchmark.
+Delivery timestamps are part of the repo's contract: the expressions in
+``send`` keep their association, and ``tests/golden/exact.json`` pins the
+delivery logs of whole deployments (order, times, message and drop counts) —
+a PR that moves one says which modelled behaviour changed.
 """
 
 from __future__ import annotations
@@ -310,17 +312,12 @@ class Network:
         self.env = env
         self.topology = topology
         self.stats = MessageStats()
-        #: aggregate stats collection; :meth:`disable_stats` turns it off for
-        #: measurement runs that never read the counters (drops stay counted)
-        self._collect_stats = True
         #: per-network memo of message classes without ``size_bytes``
         self._unsized_types: Set[type] = set()
         self._jitter = jitter_fraction
         self._rng = env.streams.stream("network.jitter")
         self._rng_random = self._rng.random
         self._simulator = env.simulator
-        #: bound once: referenced on every send, stored into the heap entry
-        self._deliver_callback = self._deliver
         #: flat link table: directed (src_site, dst_site) → shared channel
         self._channels: Dict[Tuple[str, str], _Channel] = {}
         #: resolved directed actor pairs
@@ -399,12 +396,9 @@ class Network:
                 size = 128 + self.HEADER_BYTES
         channel = conn.channel
         now = self._simulator._now
-        # The arithmetic below mirrors the seed's _delivery_delay expression
-        # term for term (same operations, same association) so that delivery
-        # timestamps — and therefore event order — stay bit-identical; the
-        # fast lane and the standard lane share it for the same reason (a run
-        # with stats disabled replays the exact event sequence of a run with
-        # stats enabled).
+        # Same operations, same association as the expression the goldens
+        # were taken with: delivery timestamps — and therefore event order —
+        # stay bit-identical (``_send_remote`` repeats it term for term).
         propagation = channel.latency
         transmission = (size * 8.0) / channel.bandwidth
         jitter = 0.0
@@ -423,12 +417,9 @@ class Network:
         if delivery_at < conn.last_delivery_at:
             delivery_at = conn.last_delivery_at
         conn.last_delivery_at = delivery_at
-        if self._collect_stats:
-            # Stats accounting — the fast lane (``disable_stats``) skips it
-            # for measurement runs that never read the counters.
-            stats = self.stats
-            stats.messages += 1
-            stats.bytes += size
+        stats = self.stats
+        stats.messages += 1
+        stats.bytes += size
         # Inlined Simulator._post (one event per message): same entry layout
         # and the same ``now + delay`` arithmetic, one call less per send.
         # The callback is the connection's precomputed delivery closure, so
@@ -473,10 +464,7 @@ class Network:
         """Precompute the delivery closure stored into each heap entry.
 
         One closure per connection: delivery runs without an intermediate
-        dispatch frame or connection-record lookups, and — because closure
-        identity stands in for the connection — the kernel's same-actor batch
-        dispatch groups entries exactly as it did when the shared ``_deliver``
-        callback carried the connection as its first argument.
+        dispatch frame or connection-record lookups.
         """
         stats = self.stats
 
@@ -489,36 +477,6 @@ class Network:
                 stats.dropped += 1
 
         return deliver
-
-    def _deliver(self, conn: _Connection, src: str, message: Any) -> None:
-        actor = conn.dst_actor
-        if not actor.alive:
-            self.stats.record_drop()
-            return
-        # Equivalent to actor.deliver(src, message) minus its (already
-        # performed) aliveness check — one call layer less per delivery.
-        actor.on_message(src, message)
-
-    # ------------------------------------------------------------------ stats
-    def disable_stats(self) -> None:
-        """Stop aggregate message/byte accounting (the send fast lane).
-
-        For measurement runs that never read :attr:`stats`: together with the
-        no-fault guard this removes every branch the send path does not need.
-        Drops (dead destination, partitions) are still counted.  The event
-        trajectory is unaffected — a run with stats disabled delivers the
-        exact same messages at the exact same times.
-        """
-        self._collect_stats = False
-
-    def enable_stats(self) -> None:
-        """Re-enable aggregate message/byte accounting."""
-        self._collect_stats = True
-
-    @property
-    def stats_enabled(self) -> bool:
-        """Whether aggregate message/byte accounting is active."""
-        return self._collect_stats
 
     # ------------------------------------------------------- sharded gateway
     def set_remote_routes(self, actor_sites: Mapping[str, str]) -> None:

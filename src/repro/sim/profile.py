@@ -3,17 +3,15 @@
 Two complementary instruments:
 
 * :class:`SimProfile` — a lightweight collector the kernel drives itself.
-  Install one with ``Simulator(profile=SimProfile())`` and the run loop
-  routes through an instrumented twin (:meth:`Simulator._run_profiled`)
-  that attributes an event count and a wall-time measurement to every
+  Install one with ``Simulator(profile=SimProfile())`` and ``run`` steps
+  through the same event sequence one :meth:`Simulator.step` at a time;
+  ``step`` attributes an event count and a wall-time measurement to every
   callback it executes, keyed by the callback's qualified name.  The
-  default loops carry **zero** profiling branches — the cost is paid only
-  when a profile is installed.
+  default run loop carries **zero** profiling branches — the cost is paid
+  only when a profile is installed.
 * :func:`profile_function` — a cProfile wrapper for whole-run profiling.
   Returns the wrapped call's result together with a JSON-able list of the
-  top-N hot functions (by total time), which is what
-  ``benchmarks/bench_kernel.py --profile`` writes into
-  ``BENCH_kernel.json``.
+  top-N hot functions (by total time).
 
 Both stay out of the way by default: nothing in this module is imported by
 the kernel's hot path, and ``profile=None`` (the default) leaves the run

@@ -12,23 +12,33 @@ call creeping back onto the per-message path (a property, a one-line
 forwarder, a result object built to be thrown away) costs ~17 k frames per
 site here and turns this red on any machine.
 
+The same runs carry the exact perf guard: ``events_processed`` and every
+simulated metric they report are compared, bit for bit, with
+``tests/golden/exact.json`` (``pinned_runs``) — an extra event per command or
+a moved latency turns this red with no new run.
+
 Counts were taken on CPython 3.11.  3.12 inlines comprehensions, which only
 lowers them; an interpreter that counts *more* for the same code would need
 the ceilings re-read, not the code changed.
 
-    PYTHONPATH=src python tests/bench/test_hot_path_budget.py    # prints every count
+    PYTHONPATH=src python -m tests.bench.test_hot_path_budget    # prints every count
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 
 import pytest
 
 from repro.bench.fig3_baseline import run_fig3_point
 from repro.bench.fig4_ycsb import run_fig4_point
+from repro.paxos.acceptor import AcceptorState
 from repro.sim.disk import StorageMode
+from repro.sim.kernel import Simulator
 from repro.workloads.arrival import constant
+from tests import golden
+from tests.conftest import mutate
 
 
 def fig3(**runner_arguments):
@@ -38,7 +48,7 @@ def fig3(**runner_arguments):
 
 
 def kv_global_open():
-    run_fig4_point(
+    return run_fig4_point(
         "mrp-store", "A", warmup=0.02, duration=0.1, seed=42, client_engine="swarm",
         simulated_users=100_000, client_mode="open", arrival=constant(24_000.0),
         slo={"gold": 0.020},
@@ -58,35 +68,83 @@ BUDGETS = {
 }
 
 
-def count_frames(pinned_run) -> int:
-    """Python-level calls made by one pinned run."""
-    calls = 0
+_KERNEL_RUN = Simulator.run.__code__
 
-    def profiler(frame, event, arg):
+
+def measure(pinned_run):
+    """``(Python-level calls, exact simulated values)`` of one pinned run.
+
+    The fig3 runs report ``events_processed`` among their metrics.
+    ``run_fig4_point`` does not (adding the metric moves a golden: a later
+    PR), so for it the kernel is read off the first ``Simulator.run`` frame
+    the profiler sees, which adds no frame to the count; from then on the
+    profiler only counts.
+    """
+    calls = 0
+    kernel = None
+
+    def counting(frame, event, arg):
         nonlocal calls
         if event == "call":
             calls += 1
 
+    def finding_the_kernel(frame, event, arg):
+        nonlocal calls, kernel
+        if event == "call":
+            calls += 1
+            if frame.f_code is _KERNEL_RUN:
+                kernel = frame.f_locals["self"]
+                sys.setprofile(counting)
+
     previous = sys.getprofile()
-    sys.setprofile(profiler)
+    sys.setprofile(finding_the_kernel)
     try:
-        pinned_run()
+        result = pinned_run()
     finally:
         sys.setprofile(previous)
-    return calls
+    exact = {"metrics": golden.exact_metrics(result.metrics)}
+    if "events_processed" not in result.metrics:
+        exact["events_processed"] = kernel.processed_events
+    return calls, exact
+
+
+@functools.cache
+def measured(name):
+    """One run per pinned point, shared by the frame ceiling and the golden check."""
+    return measure(BUDGETS[name][0])
 
 
 @pytest.mark.parametrize("name", sorted(BUDGETS))
 def test_python_frames_per_pinned_run_stay_under_the_ceiling(name):
-    pinned_run, ceiling, measured, _before = BUDGETS[name]
-    calls = count_frames(pinned_run)
+    _run, ceiling, measured_then, _before = BUDGETS[name]
+    calls, _exact = measured(name)
     assert calls <= ceiling, (
-        f"{name}: {calls} Python frames, ceiling {ceiling} (measured {measured} when it was "
-        "set): something put a call back on the per-message path"
+        f"{name}: {calls} Python frames, ceiling {ceiling} (measured {measured_then} when it "
+        "was set): something put a call back on the per-message path"
     )
 
 
+@pytest.mark.parametrize("name", sorted(BUDGETS))
+def test_pinned_runs_reproduce_the_golden_values(name):
+    _calls, exact = measured(name)
+    assert exact == golden.load()["pinned_runs"][name], (
+        f"{name}: a simulated value moved — say which modelled behaviour changed, then "
+        "`python -m tests.golden.repin`"
+    )
+
+
+def test_mutant_extra_event_per_vote_moves_events_processed(monkeypatch):
+    """One more zero-delay post per acceptor vote: same order, more kernel events."""
+    monkeypatch.setattr(AcceptorState, "receive_phase2", mutate(
+        AcceptorState.receive_phase2,
+        ("    return result\n", "    self.env.simulator._post(0.0, int)\n    return result\n"),
+    ))
+    events = BUDGETS["batched"][0]().metrics["events_processed"]
+    pinned = golden.load()["pinned_runs"]["batched"]["metrics"]["events_processed"]
+    assert events > float.fromhex(pinned)
+
+
 if __name__ == "__main__":
-    for name, (pinned_run, ceiling, measured, before) in BUDGETS.items():
-        print(f"{name}: {count_frames(pinned_run)} frames "
-              f"(ceiling {ceiling}, measured {measured}, before {before})")
+    for name, (_run, ceiling, measured_then, before) in BUDGETS.items():
+        print(f"{name}: {measured(name)[0]} frames "
+              f"(ceiling {ceiling}, measured {measured_then}, before {before})")

@@ -19,6 +19,9 @@ sees it.
 
 from __future__ import annotations
 
+import random
+
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.paxos.messages import SKIP, ProposalValue
@@ -189,3 +192,33 @@ def test_mutant_duplicate_of_an_emitted_instance_emitted_twice_is_caught():
     emitted = [entry[0] for entry in run(ForgetsWhatItEmitted, ops[:1], again)[0]]
     assert emitted == [0, 0]
     assert [entry[0] for entry in run(RingLearner, ops[:1], again)[0]] == [0]
+
+
+def _feed_learner(learner_cls, seed: int):
+    """Feed a shuffled decision sequence; return the emission order."""
+    rng = random.Random(seed)
+    emitted = []
+    learner = learner_cls(0, lambda ring, inst, value: emitted.append((inst, value.payload)))
+    instances = list(range(60))
+    rng.shuffle(instances)
+    for inst in instances:
+        payload = SKIP if rng.random() < 0.2 else f"v{inst}"
+        learner.observe_decision(
+            inst, ProposalValue(payload=payload, size_bytes=64, proposer="p0",
+                                proposal_id=inst),
+        )
+    return emitted, learner
+
+
+class TestLearnerBatchDrain:
+    # The learner had two drains (per instance / per contiguous run) behind a
+    # flag; it has one now, held to the plain-rules model.
+    @pytest.mark.parametrize("seed", [0, 5, 21])
+    def test_emission_order_identical_to_default_drain(self, seed):
+        plain, plain_learner = _feed_learner(ReferenceLearner, seed)
+        shipped, shipped_learner = _feed_learner(RingLearner, seed)
+        assert plain == shipped
+        assert len(plain) == 60
+        assert plain_learner.emitted_count == shipped_learner.emitted_count
+        assert plain_learner.skipped_count == shipped_learner.skipped_count
+        assert plain_learner.next_to_emit == shipped_learner.next_to_emit

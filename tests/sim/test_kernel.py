@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.kernel import SimulationError, Simulator, ms, us
+from tests.reference.kernel import ReferenceKernel
 
 
 class TestScheduling:
@@ -80,6 +81,19 @@ class TestRunControl:
         sim.run(until=4.0)
         assert sim.now == 4.0
 
+    @pytest.mark.parametrize("kernel", [Simulator, ReferenceKernel])
+    def test_run_until_a_past_time_is_refused_and_leaves_the_clock(self, kernel):
+        # With an event still queued, the loop's "next event is past the
+        # horizon" branch lands the clock on ``until`` — which must not be
+        # behind it.
+        sim = kernel()
+        sim.schedule(9.0, lambda: None)
+        sim.run(until=6.0)
+        with pytest.raises(SimulationError):
+            sim.run(until=1.0)
+        assert sim.now == 6.0
+        assert sim.run(until=6.0) == 6.0  # the present is not the past
+
     def test_stop_interrupts_the_loop(self):
         sim = Simulator()
         fired = []
@@ -97,6 +111,7 @@ class TestRunControl:
             sim.schedule(i + 1.0, fired.append, i)
         sim.run(max_events=3)
         assert fired == [0, 1, 2]
+        assert sim.now == 3.0  # a capped run stops at its last event, not at a horizon
 
     def test_step_returns_false_when_empty(self):
         sim = Simulator()

@@ -1,54 +1,115 @@
-"""Fast-path kernel tests: seed-differential determinism and compaction.
+"""Fast-path kernel tests: determinism against two anchors, and compaction.
 
-The fast-path rewrite (tuple heap entries, handle-free ``_post`` events, lazy
-cancellation with compaction, connection caches in the network) must be
-observably identical to the seed implementation preserved in
-:mod:`repro.sim.legacy`: same seeds produce the same event orders and the
-same protocol-level delivery sequences.
+The kernel (tuple heap entries, handle-free ``_post`` events, lazy
+cancellation with compaction) fires a seeded random schedule / cancel /
+priority program exactly like the plain-rules ``tests/reference/kernel.py``.
+Whole deployments (kernel + network + protocol stack) reproduce the delivery
+logs — order *and* timestamps — whose digests are committed in
+``tests/golden/exact.json``; a PR that moves one says which modelled
+behaviour changed and re-pins with ``python -m tests.golden.repin``.
 """
 
 import random
 
 import pytest
 
-import repro.core.amcast as amcast
-import repro.sim.actor as actor_mod
 from repro.core import AtomicMulticast, MultiRingConfig
 from repro.multiring import MultiRingProcess
 from repro.sim.disk import StorageMode
 from repro.sim.kernel import Simulator
-from repro.sim.legacy import LegacyNetwork, LegacySimulator
 from repro.sim.network import Network
+from tests import golden
+from tests.conftest import mutate
+from tests.reference.kernel import ReferenceKernel
 
 
-def _random_kernel_trace(sim, seed: int, operations: int = 400):
-    """Drive a seeded random schedule/cancel program; return the firing log."""
+def _random_kernel_trace(sim, seed: int, operations: int = 400, grid: bool = True):
+    """Drive a seeded random schedule/cancel program; return the firing log.
+
+    With ``grid`` the delays sit on a 0.1 s grid, so many events share a
+    timestamp and the priority and ``seq`` tie-breaks decide the order;
+    without it they are continuous, so the heap orders arbitrary floats.
+    """
     rng = random.Random(seed)
     log = []
     handles = []
 
+    def delay_below(top):
+        return rng.randrange(top * 10) / 10 if grid else rng.uniform(0.0, top)
+
     def fire(tag):
-        log.append((round(sim.now, 9), tag))
+        log.append((sim.now, tag))
         if rng.random() < 0.4:
-            handles.append(sim.schedule(rng.uniform(0.0, 2.0), fire, f"{tag}.n"))
+            handles.append(sim.schedule(delay_below(2), fire, f"{tag}.n"))
         if handles and rng.random() < 0.3:
             handles[rng.randrange(len(handles))].cancel()
 
     for i in range(operations):
-        delay = rng.uniform(0.0, 5.0)
+        delay = delay_below(5)
         priority = rng.choice([0, 0, 0, 1])
         handles.append(sim.schedule(delay, fire, str(i), priority=priority))
     sim.run(until=10.0)
     return log
 
 
-class TestSeedDifferentialKernel:
+def _random_float_trace(sim, seed: int):
+    """:func:`_random_kernel_trace` with continuous, all-distinct delays."""
+    return _random_kernel_trace(sim, seed, grid=False)
+
+
+def _post_heavy_trace(sim, seed: int, operations: int = 300):
+    """A workload dominated by ``_post`` entries sharing one callback.
+
+    Mimics the network's delivery pattern — one callback, the destination in
+    the first argument — interleaved with ``schedule`` and ``call_later``
+    events on the same 0.1 s grid, so the two heap-entry layouts meet at
+    equal timestamps.
+    """
+    rng = random.Random(seed)
+    log = []
+    targets = ["conn-a", "conn-b", "conn-c"]
+
+    def deliver(target, tag):
+        log.append(("deliver", sim.now, target, tag))
+        if rng.random() < 0.3:
+            sim._post(rng.randrange(5) / 10, deliver, (rng.choice(targets), f"{tag}.n"))
+
+    def fire(tag):
+        log.append(("fire", sim.now, tag))
+
+    for i in range(operations):
+        roll = rng.random()
+        delay = rng.randrange(20) / 10
+        if roll < 0.7:
+            sim._post(delay, deliver, (rng.choice(targets), str(i)))
+        elif roll < 0.85:
+            sim.schedule(delay, fire, str(i))
+        else:
+            sim.call_later(delay, fire, str(i))
+    sim.run(until=5.0)
+    return log
+
+
+PROGRAMS = [_random_kernel_trace, _random_float_trace, _post_heavy_trace]
+
+
+class TestReferenceKernelDifferential:
+    @pytest.mark.parametrize("program", PROGRAMS)
     @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
-    def test_random_workload_fires_identically_to_seed_kernel(self, seed):
-        fast_log = _random_kernel_trace(Simulator(), seed)
-        legacy_log = _random_kernel_trace(LegacySimulator(), seed)
-        assert fast_log == legacy_log
-        assert len(fast_log) > 0
+    def test_random_workload_fires_like_the_plain_heapq(self, program, seed):
+        shipped, plain = Simulator(), ReferenceKernel()
+        log = program(shipped, seed)
+        assert log == program(plain, seed)
+        assert len(log) > 0
+        assert shipped.now == plain.now
+        assert shipped.processed_events == plain.processed_events
+
+    def test_mutant_without_the_seq_tie_break_is_caught(self, monkeypatch):
+        """Entries of one timestamp then order by their arguments, silently."""
+        monkeypatch.setattr(
+            Simulator, "_post", mutate(Simulator._post, ("delay, 0, seq,", "delay, 0, 0,"))
+        )
+        assert _post_heavy_trace(Simulator(), 7) != _post_heavy_trace(ReferenceKernel(), 7)
 
     def test_post_orders_like_schedule(self):
         """_post entries interleave with schedule/call_later in seq order."""
@@ -86,8 +147,8 @@ class _Recorder(MultiRingProcess):
             self.multicast(0, payload=(self.name, len(self.delivered)), size_bytes=512)
 
 
-def _run_stack(seed: int):
-    """A small self-propelling ring workload; returns per-process deliveries."""
+def _run_stack_system(seed: int, profile=None):
+    """A small self-propelling ring workload, run; returns the system and its processes."""
     config = MultiRingConfig(
         storage_mode=StorageMode.IN_MEMORY,
         batching_enabled=False,
@@ -95,27 +156,37 @@ def _run_stack(seed: int):
         checkpoint_interval=None,
         trim_interval=None,
     )
-    system = AtomicMulticast(config=config, seed=seed)
+    system = AtomicMulticast(config=config, seed=seed, profile=profile)
     processes = [_Recorder(system.env, f"n{i}") for i in range(3)]
     system.create_ring(0, [(p.name, "pal") for p in processes])
     system.start()
     for p in processes:
         p.multicast(0, payload=(p.name, 0), size_bytes=512)
     system.run(until=2.0)
-    return [p.delivered for p in processes]
+    return system, processes
 
 
-class TestSeedDifferentialStack:
-    @pytest.mark.parametrize("seed", [3, 11, 99])
-    def test_delivery_sequences_match_seed_substrate(self, monkeypatch, seed):
-        """Same seed → identical delivery sequence on the pre- and
-        post-refactor substrate (kernel + network swapped via injection)."""
-        fast = _run_stack(seed)
-        monkeypatch.setattr(actor_mod, "Simulator", LegacySimulator)
-        monkeypatch.setattr(amcast, "Network", LegacyNetwork)
-        legacy = _run_stack(seed)
-        assert fast == legacy
-        assert all(len(d) > 0 for d in fast)
+def _run_stack(seed: int):
+    """Per-process delivery logs of :func:`_run_stack_system`."""
+    return [p.delivered for p in _run_stack_system(seed)[1]]
+
+
+STACK_SEEDS = [3, 11, 99]
+#: Seeded bug: back-to-back messages on one link no longer queue behind each other.
+NO_FIFO_OCCUPANCY = ("start = free_at if free_at > now else now", "start = now")
+
+
+class TestGoldenStack:
+    @pytest.mark.parametrize("seed", STACK_SEEDS)
+    def test_delivery_sequences_and_times_match_the_golden(self, seed):
+        """Same seed → the committed delivery sequence, timestamps included."""
+        deliveries = _run_stack(seed)
+        assert golden.digest(deliveries) == golden.load()["stack"][str(seed)]
+        assert all(len(d) > 0 for d in deliveries)
+
+    def test_mutant_without_fifo_occupancy_is_caught(self, monkeypatch):
+        monkeypatch.setattr(Network, "send", mutate(Network.send, NO_FIFO_OCCUPANCY))
+        assert golden.digest(_run_stack(3)) != golden.load()["stack"]["3"]
 
     def test_all_learners_agree(self):
         deliveries = _run_stack(5)
@@ -184,9 +255,9 @@ class TestCancellationCompaction:
 def _run_faulted_stack(seed: int):
     """A two-site ring workload with partitions and isolation active mid-run.
 
-    Exercises the `_has_faults` guard differentially: sends issued while
-    links are cut or a site is isolated must be dropped (and delivery times
-    of everything else unchanged) identically on both substrates.
+    Exercises the `_has_faults` guard: sends issued while links are cut or a
+    site is isolated are dropped before the timing arithmetic, and delivery
+    times of everything else are unchanged.
     """
     from repro.sim.topology import Topology
 
@@ -233,18 +304,23 @@ def _run_faulted_stack(seed: int):
     )
 
 
-class TestSeedDifferentialFaultPath:
-    @pytest.mark.parametrize("seed", [2, 13, 77])
-    def test_partitions_and_isolation_behave_identically_to_seed(self, monkeypatch, seed):
-        """Same seed, faults active → identical deliveries AND drop counts."""
-        fast_deliveries, fast_stats = _run_faulted_stack(seed)
-        monkeypatch.setattr(actor_mod, "Simulator", LegacySimulator)
-        monkeypatch.setattr(amcast, "Network", LegacyNetwork)
-        legacy_deliveries, legacy_stats = _run_faulted_stack(seed)
-        assert fast_deliveries == legacy_deliveries
-        assert fast_stats == legacy_stats
-        assert fast_stats[1] > 0, "the fault window dropped nothing — dead test"
-        assert any(len(d) > 0 for d in fast_deliveries)
+FAULT_SEEDS = [2, 13, 77]
+
+
+def _faulted_stack_exact(seed: int) -> dict:
+    """What the golden file keeps of one faulted run: log digest, message and drop counts."""
+    deliveries, (messages, dropped) = _run_faulted_stack(seed)
+    assert any(len(d) > 0 for d in deliveries)
+    return {"deliveries": golden.digest(deliveries), "messages": messages, "dropped": dropped}
+
+
+class TestGoldenFaultPath:
+    @pytest.mark.parametrize("seed", FAULT_SEEDS)
+    def test_partitions_and_isolation_match_the_golden(self, seed):
+        """Same seed, faults active → the committed deliveries AND message / drop counts."""
+        exact = _faulted_stack_exact(seed)
+        assert exact == golden.load()["faulted_stack"][str(seed)]
+        assert exact["dropped"] > 0, "the fault window dropped nothing — dead test"
 
     def test_fault_flag_tracks_partitions(self):
         from repro.sim.topology import Topology
@@ -266,32 +342,36 @@ class TestSeedDifferentialFaultPath:
         assert not network.has_active_faults
 
 
-class TestNetworkFastPathEquivalence:
-    def test_connection_cache_matches_seed_network_delivery_times(self):
-        """Bit-level: cached-connection sends vs the seed network's lookups."""
-        from repro.net.message import Message
-        from repro.sim.actor import Actor, Environment
-        from repro.sim.topology import ec2_global
+def _run_network_times():
+    """Jittered sends both ways over a WAN link; returns every delivery time, exactly."""
+    from repro.net.message import Message
+    from repro.sim.actor import Actor, Environment
+    from repro.sim.topology import ec2_global
 
-        class Sink(Actor):
-            def __init__(self, env, name, site):
-                super().__init__(env, name, site)
-                self.received = []
+    class Sink(Actor):
+        def __init__(self, env, name, site):
+            super().__init__(env, name, site)
+            self.received = []
 
-            def on_message(self, sender, message):
-                self.received.append((sender, message.payload_bytes, self.now))
+        def on_message(self, sender, message):
+            self.received.append((sender, message.payload_bytes, self.now))
 
-        def run_network(net_cls, sim_cls):
-            env = Environment(simulator=sim_cls(), seed=7)
-            net_cls(env, ec2_global(["us-west-2", "us-east-1"]), jitter_fraction=0.05)
-            a = Sink(env, "a", "us-west-2")
-            b = Sink(env, "b", "us-east-1")
-            for i in range(50):
-                a.send("b", Message(payload_bytes=1000 + i))
-                b.send("a", Message(payload_bytes=10 * i))
-            env.simulator.run()
-            return a.received, b.received
+    env = Environment(seed=7)
+    Network(env, ec2_global(["us-west-2", "us-east-1"]), jitter_fraction=0.05)
+    a = Sink(env, "a", "us-west-2")
+    b = Sink(env, "b", "us-east-1")
+    for i in range(50):
+        a.send("b", Message(payload_bytes=1000 + i))
+        b.send("a", Message(payload_bytes=10 * i))
+    env.simulator.run()
+    return a.received, b.received
 
-        fast = run_network(Network, Simulator)
-        legacy = run_network(LegacyNetwork, LegacySimulator)
-        assert fast == legacy
+
+class TestGoldenNetworkTimes:
+    def test_jittered_delivery_times_match_the_golden(self):
+        """Bit-level: latency + transmission + jitter + FIFO occupancy per send."""
+        assert golden.digest(_run_network_times()) == golden.load()["network_times"]
+
+    def test_mutant_without_fifo_occupancy_is_caught(self, monkeypatch):
+        monkeypatch.setattr(Network, "send", mutate(Network.send, NO_FIFO_OCCUPANCY))
+        assert golden.digest(_run_network_times()) != golden.load()["network_times"]

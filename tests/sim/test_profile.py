@@ -1,12 +1,13 @@
 """The profiling harness: zero-perturbation guarantee and collector semantics.
 
-``Simulator(profile=SimProfile())`` routes the run loop through an
-instrumented twin.  The contract is that the instrumented loop executes the
-*exact same* event sequence as the default loops — same order, same virtual
-timestamps, same processed-event count — while attributing counts and wall
-time per callback.  These tests run identically seeded workloads with and
-without a profile installed (and across ``batch_dispatch`` / ``max_events``
-loop variants) and require byte-identical trajectories, then pin the
+``Simulator(profile=SimProfile())`` makes ``run`` step through the queue one
+``step()`` at a time, and ``step`` times each callback.  The contract is that
+the stepped path executes the *exact same* event sequence as the run loop —
+same order, same virtual timestamps, same processed-event count — while
+attributing counts and wall time per callback.  These tests run identically
+seeded workloads with and without a profile installed (with and without
+``max_events`` / ``until``) and require byte-identical trajectories — a
+profiled ring deployment must deliver the golden sequence — then pin the
 collector's keying, injectable clock, and JSON summary shape.
 """
 
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 from repro.sim.kernel import Simulator
 from repro.sim.profile import SimProfile, profile_function
+from tests import golden
+from tests.sim.test_kernel_fastpath import _run_stack_system
 
 
 def _fan_out_workload(sim: Simulator, log: list) -> None:
@@ -33,8 +36,8 @@ def _fan_out_workload(sim: Simulator, log: list) -> None:
     sim._post(0.0015, post_only)
 
 
-def _run(profile=None, batch_dispatch=False, max_events=None, until=None):
-    sim = Simulator(batch_dispatch=batch_dispatch, profile=profile)
+def _run(profile=None, max_events=None, until=None):
+    sim = Simulator(profile=profile)
     log: list = []
     _fan_out_workload(sim, log)
     end = sim.run(until=until, max_events=max_events)
@@ -51,20 +54,24 @@ class TestZeroPerturbation:
         assert prof_count == base_count
         assert profile.total_events == base_count
 
-    def test_profiled_run_matches_general_loop_variants(self):
-        # max_events and batch_dispatch route the uninstrumented side
-        # through _run_general; the profiled twin must still match both.
+    def test_profiled_run_matches_capped_and_bounded_runs(self):
         for kwargs in (
             {"max_events": 9},
-            {"batch_dispatch": True},
-            {"batch_dispatch": True, "max_events": 9},
             {"until": 0.003},
+            {"until": 0.003, "max_events": 9},
         ):
             baseline, base_end, base_count = _run(**kwargs)
             profiled, prof_end, prof_count = _run(profile=SimProfile(), **kwargs)
             assert profiled == baseline, f"trajectory diverged for {kwargs}"
             assert prof_end == base_end
             assert prof_count == base_count
+
+    def test_profiled_deployment_delivers_the_golden_sequence(self):
+        profile = SimProfile()
+        system, processes = _run_stack_system(3, profile=profile)
+        assert system.env.simulator.profile is profile
+        assert golden.digest([p.delivered for p in processes]) == golden.load()["stack"]["3"]
+        assert sum(profile.events.values()) == system.env.simulator.processed_events > 0
 
     def test_profile_property_exposes_installed_collector(self):
         profile = SimProfile()
