@@ -416,6 +416,8 @@ class ReactiveReplicaHost:
         self._stall = replica.env.metrics.latency(f"reactive.{replica.name}.stall")
         self._stall_windows: List[Tuple[float, float]] = []
         self._stall_open: Optional[float] = None
+        #: the joint watermark of the barrier being ingested (see :meth:`ingest`)
+        self._joint: Optional[float] = None
         self._cursor = MergeCursor(
             group_ids,
             messages_per_round=messages_per_round,
@@ -455,16 +457,18 @@ class ReactiveReplicaHost:
         # barrier already see the closed stall window.
         if watermark is not None:
             self._cursor.feed_segments({}, watermark=watermark, groups=covered)
-            joint = self._cursor.watermark
-            if joint is not None:
-                if joint < watermark:
-                    if self._stall_open is None:
-                        self._stall_open = joint
-                elif self._stall_open is not None:
-                    window = (self._stall_open, joint)
-                    self._stall_windows.append(window)
-                    self._stall.record(window[1] - window[0])
-                    self._stall_open = None
+        # Entries carry no marks, so the joint watermark (a scan over the
+        # rings) is final for every delivery of this barrier.
+        joint = self._joint = self._cursor.watermark
+        if watermark is not None and joint is not None:
+            if joint < watermark:
+                if self._stall_open is None:
+                    self._stall_open = joint
+            elif self._stall_open is not None:
+                window = (self._stall_open, joint)
+                self._stall_windows.append(window)
+                self._stall.record(window[1] - window[0])
+                self._stall_open = None
         applied = len(self._cursor.feed_segments(segments))
         self.barriers_ingested += 1
         self.ingest_seconds += perf_counter() - started
@@ -472,21 +476,27 @@ class ReactiveReplicaHost:
 
     def _apply(self, group_id: int, instance: int, value: ProposalValue) -> None:
         self.replica.on_deliver(group_id, instance, value)
-        watermark = self._cursor.watermark
+        watermark = self._joint
         if watermark is None:
             return
-        # The shared recursive unpacker opens both batching layers (packed
-        # instances and command batches), so each inner command's own
-        # ``created_at`` drives its latency sample even after packing.
-        for command in iter_commands(value.payload):
+        payload = value.payload
+        if payload.__class__ is Command:
+            commands = (payload,)
+        else:
+            # The shared recursive unpacker opens both batching layers
+            # (packed instances and command batches), so each inner command's
+            # own ``created_at`` drives its latency sample even after packing.
+            commands = iter_commands(payload)
+        for command in commands:
             latency = watermark - command.created_at
-            # A stall is an availability incident, not merge latency:
-            # subtract the in-flight interval's overlap with every
-            # closed stall window.
-            for start, end in self._stall_windows:
-                overlap = min(watermark, end) - max(command.created_at, start)
-                if overlap > 0.0:
-                    latency -= overlap
+            if self._stall_windows:
+                # A stall is an availability incident, not merge latency:
+                # subtract the in-flight interval's overlap with every
+                # closed stall window.
+                for start, end in self._stall_windows:
+                    overlap = min(watermark, end) - max(command.created_at, start)
+                    if overlap > 0.0:
+                        latency -= overlap
             self._latency.record(max(0.0, latency))
 
     # ------------------------------------------------------------ inspection

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import (
     Callable,
     Deque,
@@ -53,7 +54,7 @@ from typing import (
 
 from ..paxos.messages import SKIP, ProposalValue
 from ..ringpaxos.coordinator import PackedValues
-from ..sim.network import register_wire_reducer
+from ..sim.network import _wire_build, register_wire_reducer
 
 
 def _iter_leaf_values(value: ProposalValue):
@@ -154,27 +155,26 @@ _SEGMENT_RUN_MIN = 3
 
 def _segment_wire_reduce(segment: "RingSegment"):
     """Pickle reduce hook: ``RingSegment`` → columnar, skip-run-compressed form."""
-    entries = segment.entries
-    count = len(entries)
+    count = len(segment.entries)
     instances: Union[int, Tuple[int, ...]] = 0
+    values: Tuple[ProposalValue, ...] = ()
     if count:
-        first = entries[0][0]
-        if all(inst == first + idx for idx, (inst, _) in enumerate(entries)):
+        instances, values = zip(*segment.entries)
+        first = instances[0]
+        if instances == tuple(range(first, first + count)):
             instances = first
-        else:
-            instances = tuple(inst for inst, _ in entries)
     packed: List[Union[ProposalValue, Tuple[int, ProposalValue]]] = []
     idx = 0
     while idx < count:
-        value = entries[idx][1]
+        value = values[idx]
         end = idx + 1
-        if value.is_skip():
-            while end < count and entries[end][1] == value:
+        if value.payload is SKIP:
+            while end < count and values[end] == value:
                 end += 1
         if end - idx >= _SEGMENT_RUN_MIN:
             packed.append((end - idx, value))
         else:
-            packed.extend(entry[1] for entry in entries[idx:end])
+            packed.extend(values[idx:end])
         idx = end
     return _segment_wire_build, (
         segment.incarnation,
@@ -198,16 +198,14 @@ def _segment_wire_build(
         if type(item) is tuple:
             run, value = item
             values.append(value)
-            for _ in range(run - 1):
-                values.append(
-                    ProposalValue(
-                        value.payload,
-                        value.size_bytes,
-                        value.proposer,
-                        value.proposal_id,
-                        value.created_at,
-                    )
-                )
+            fields = (
+                value.payload,
+                value.size_bytes,
+                value.proposer,
+                value.proposal_id,
+                value.created_at,
+            )
+            values.extend(map(_wire_build, repeat(ProposalValue, run - 1), repeat(fields)))
         else:
             values.append(item)
     if type(instances) is tuple:

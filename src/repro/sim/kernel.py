@@ -230,7 +230,6 @@ class Simulator:
         self._queue: List[_Entry] = []
         self._seq = 0
         self._cancelled = 0
-        self._running = False
         self._stopped = False
         self._processed = 0
         self._profile = profile
@@ -405,51 +404,47 @@ class Simulator:
         ``until`` is hoisted into a plain float bound (``inf`` when absent) so
         the per-event check is a single comparison.
         """
-        self._running = True
         self._stopped = False
         queue = self._queue
         pop = heappop
         limit = inf if until is None else until
-        try:
-            while queue and not self._stopped:
-                entry = queue[0]
-                head = entry[3]
-                # Two heap-entry layouts: (time, prio, seq, Event) from the
-                # public schedulers, (time, prio, seq, callback, args) from
-                # the fire-and-forget _post path.
-                if head.__class__ is Event:
-                    if head.cancelled:
-                        pop(queue)
-                        if self._cancelled:
-                            self._cancelled -= 1
-                        continue
-                    time = entry[0]
-                    if time > limit:
-                        self._now = until
-                        break
+        while queue and not self._stopped:
+            entry = queue[0]
+            head = entry[3]
+            # Two heap-entry layouts: (time, prio, seq, Event) from the
+            # public schedulers, (time, prio, seq, callback, args) from
+            # the fire-and-forget _post path.
+            if head.__class__ is Event:
+                if head.cancelled:
                     pop(queue)
-                    self._now = time
-                    self._processed += 1
-                    head.fired = True
-                    kwargs = head.kwargs
-                    if kwargs is None:
-                        head.callback(*head.args)
-                    else:
-                        head.callback(*head.args, **kwargs)
-                else:
-                    time = entry[0]
-                    if time > limit:
-                        self._now = until
-                        break
-                    pop(queue)
-                    self._now = time
-                    self._processed += 1
-                    head(*entry[4])
-            else:
-                if until is not None and self._now < until and not self._stopped:
+                    if self._cancelled:
+                        self._cancelled -= 1
+                    continue
+                time = entry[0]
+                if time > limit:
                     self._now = until
-        finally:
-            self._running = False
+                    break
+                pop(queue)
+                self._now = time
+                self._processed += 1
+                head.fired = True
+                kwargs = head.kwargs
+                if kwargs is None:
+                    head.callback(*head.args)
+                else:
+                    head.callback(*head.args, **kwargs)
+            else:
+                time = entry[0]
+                if time > limit:
+                    self._now = until
+                    break
+                pop(queue)
+                self._now = time
+                self._processed += 1
+                head(*entry[4])
+        else:
+            if until is not None and self._now < until and not self._stopped:
+                self._now = until
         return self._now
 
     def _run_stepped(self, until: Optional[float], max_events: Optional[int]) -> float:
@@ -458,25 +453,21 @@ class Simulator:
         Taken when an event cap or a profile is set; same events, same clock,
         same stop conditions as the run loop.
         """
-        self._running = True
         self._stopped = False
         executed = 0
-        try:
-            while not self._stopped:
-                time = self.next_event_time()
-                if time is None:
-                    break
-                if until is not None and time > until:
-                    self._now = until
-                    return until
-                self.step()
-                executed += 1
-                if max_events is not None and executed >= max_events:
-                    return self._now
-            if until is not None and self._now < until and not self._stopped:
+        while not self._stopped:
+            time = self.next_event_time()
+            if time is None:
+                break
+            if until is not None and time > until:
                 self._now = until
-        finally:
-            self._running = False
+                return until
+            self.step()
+            executed += 1
+            if max_events is not None and executed >= max_events:
+                return self._now
+        if until is not None and self._now < until and not self._stopped:
+            self._now = until
         return self._now
 
     def stop(self) -> None:

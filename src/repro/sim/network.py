@@ -46,6 +46,7 @@ a PR that moves one says which modelled behaviour changed.
 
 from __future__ import annotations
 
+import copyreg
 import io
 import pickle
 from dataclasses import dataclass, fields as dataclass_fields
@@ -117,18 +118,29 @@ def message_size(message: Any, default: int = 128) -> int:
 # by reference (module + qualname, memoized once per ``dumps``), which keeps
 # the encoding independent of registration order across processes.  Decoding
 # is plain ``pickle.loads``: ``_wire_build`` reconstructs the instance with
-# ``object.__new__`` + ``__setattr__``, deliberately skipping ``__init__`` /
-# ``__post_init__`` (cached derived fields such as ``size_bytes`` are part of
-# the registered field tuple and restored verbatim).
+# ``object.__new__`` + attribute assignment, deliberately skipping
+# ``__init__`` / ``__post_init__`` (cached derived fields such as
+# ``size_bytes`` are part of the registered field tuple and restored verbatim).
+#
+# Both directions run one small function per registered instance and nothing
+# else in Python: the encoder is the C pickler with a per-frame
+# ``dispatch_table`` of per-class reducers, the decoder a per-class builder,
+# each compiled once from the field tuple on first use
+# (:func:`_compile_wire_codec`).  Containers,
+# scalars and objects of unregistered classes never leave the C pickler.
 #
 # Payload interning falls out of the pickle memo: identical *objects* repeated
 # across messages of one window (ring forwarding re-ships the same ``Decision``
 # value to every successor) are encoded once and referenced thereafter,
-# because the whole window is one ``dumps`` call.
-#
-# Objects of unregistered classes pickle exactly as before (the C pickler's
-# ``reducer_override`` hook returns ``NotImplemented`` and the default path
-# takes over), so the codec is transparently safe for arbitrary payloads.
+# because the whole window is one ``dumps`` call.  Beyond that, the reducers
+# intern the ``(cls, values)`` argument tuple of *equal* instances whose fields
+# are all hashable: the second equal instance encodes as a back-reference to
+# the first one's argument tuple (a few bytes) instead of repeating every
+# field.  Rate-leveled skip streams are the extreme case — thousands of
+# distinct-but-equal ``ProposalValue(SKIP, ...)`` records per segment.
+# Decoding still constructs a fresh instance per ``REDUCE``, so object
+# identity on the receiving side is exactly what legacy pickling produced (no
+# aliasing of mutable protocol messages).
 
 #: Registered wire classes → their frozen positional field order.
 _WIRE_FIELDS: Dict[type, Tuple[str, ...]] = {}
@@ -137,6 +149,25 @@ _WIRE_FIELDS: Dict[type, Tuple[str, ...]] = {}
 #: positional-tuple path, so a class may upgrade from :func:`register_wire_type`
 #: to a custom reducer without touching call sites.
 _WIRE_REDUCERS: Dict[type, Any] = {}
+
+
+class _WireCodecs(dict):
+    """Registered wire classes → ``(reducer factory, builder)``, compiled on first use."""
+
+    def __missing__(self, cls: type) -> Tuple[Any, Any]:
+        names = _WIRE_FIELDS.get(cls)
+        if names is None:
+            # The defining module registered the class at import time and the
+            # class arrived by reference, so this only triggers for a class
+            # registered with an explicit field list in some *other* module
+            # that the decoding process has not imported.  Dataclass order is
+            # the documented default, so fall back to it (and memoize).
+            names = _WIRE_FIELDS[cls] = tuple(f.name for f in dataclass_fields(cls))
+        codec = self[cls] = _compile_wire_codec(cls, names)
+        return codec
+
+
+_WIRE_CODECS = _WireCodecs()
 
 
 def register_wire_reducer(cls: type, reduce_fn: Any) -> type:
@@ -166,6 +197,7 @@ def register_wire_type(cls: type, field_names: Optional[Sequence[str]] = None) -
     else:
         names = tuple(field_names)
     _WIRE_FIELDS[cls] = names
+    _WIRE_CODECS.pop(cls, None)
     return cls
 
 
@@ -174,65 +206,73 @@ def wire_fields(cls: type) -> Optional[Tuple[str, ...]]:
     return _WIRE_FIELDS.get(cls)
 
 
+def _compile_wire_codec(cls: type, names: Tuple[str, ...]) -> Tuple[Any, Any]:
+    """``(reducer factory, builder)`` of ``cls``, specialised to its field order.
+
+    ``bind(setdefault)`` returns the reducer one encode installs in its
+    dispatch table (``setdefault`` is that frame's interning dict's);
+    ``build(values)`` is the inverse.  A class that guards ``__setattr__``
+    (frozen dataclasses) is rebuilt through ``object.__setattr__``.
+    """
+    fields = "".join(f"obj.{name}, " for name in names)
+    if cls.__setattr__ is object.__setattr__:
+        assign = f"    {fields}= values\n"
+    else:
+        assign = "".join(
+            f"    set_field(obj, {name!r}, values[{index}])\n"
+            for index, name in enumerate(names)
+        )
+    source = (
+        "def bind(setdefault):\n"
+        "    def reduce(obj):\n"
+        f"        key = (cls, ({fields}))\n"
+        "        try:\n"
+        "            return build_global, setdefault(key, key)\n"
+        "        except TypeError:  # unhashable field (lists, batches): no interning\n"
+        "            return build_global, key\n"
+        "    return reduce\n"
+        "def build(values):\n"
+        "    obj = new(cls)\n"
+        f"{assign}"
+        "    return obj\n"
+    )
+    namespace = {
+        "cls": cls,
+        "new": object.__new__,
+        "set_field": object.__setattr__,
+        "build_global": _wire_build,
+    }
+    exec(source, namespace)
+    return namespace["bind"], namespace["build"]
+
+
 def _wire_build(cls: type, values: Tuple[Any, ...]) -> Any:
     """Rebuild a registered instance from its positional field tuple."""
-    names = _WIRE_FIELDS.get(cls)
-    if names is None:
-        # The defining module registered the class at import time and the
-        # class arrived by reference, so this only triggers for a class
-        # registered with an explicit field list in some *other* module that
-        # the decoding process has not imported.  Dataclass order is the
-        # documented default, so fall back to it (and memoize).
-        names = tuple(f.name for f in dataclass_fields(cls))
-        _WIRE_FIELDS[cls] = names
-    obj = object.__new__(cls)
-    setattr_ = object.__setattr__
-    for name, value in zip(names, values):
-        setattr_(obj, name, value)
-    return obj
+    return _WIRE_CODECS[cls][1](values)
 
 
-class _WirePickler(pickle.Pickler):
-    """Pickler whose reducer hook swaps registered classes to tuple form.
+class _FrameReducers(dict):
+    """One frame's dispatch table; a registered class gets its reducer on first sight."""
 
-    Beyond the identity interning the pickle memo already provides, the
-    reducer interns the ``(cls, values)`` argument tuple of *equal* instances
-    whose fields are all hashable: the second equal instance encodes as a
-    back-reference to the first one's argument tuple (a few bytes) instead of
-    repeating every field.  Rate-leveled skip streams are the extreme case —
-    thousands of distinct-but-equal ``ProposalValue(SKIP, ...)`` records per
-    segment.  Decoding still constructs a fresh instance per ``REDUCE``, so
-    object identity on the receiving side is exactly what legacy pickling
-    produced (no aliasing of mutable protocol messages).
-    """
+    __slots__ = ("intern",)
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self._interned: Dict[Tuple[type, Tuple[Any, ...]], Tuple[Any, ...]] = {}
-
-    def reducer_override(self, obj: Any) -> Any:  # noqa: D102 - pickle hook
-        cls = obj.__class__
-        reduce_fn = _WIRE_REDUCERS.get(cls)
-        if reduce_fn is not None:
-            return reduce_fn(obj)
-        names = _WIRE_FIELDS.get(cls)
-        if names is None:
-            return NotImplemented
-        values = tuple(getattr(obj, name) for name in names)
-        try:
-            key = (cls, values)
-            args = self._interned.get(key)
-            if args is None:
-                self._interned[key] = args = key
-        except TypeError:  # unhashable field (lists, batches): no interning
-            args = (cls, values)
-        return _wire_build, args
+    def __missing__(self, cls: type) -> Any:
+        if cls not in _WIRE_FIELDS:
+            raise KeyError(cls)  # the pickler's default path
+        reducer = self[cls] = _WIRE_CODECS[cls][0](self.intern)
+        return reducer
 
 
 def encode_wire(payload: Any) -> bytes:
     """Encode one barrier window's payload as a compact pickle-5 frame."""
     buffer = io.BytesIO()
-    _WirePickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(payload)
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    # A private dispatch table replaces copyreg's, so start from that one.
+    table = _FrameReducers(copyreg.dispatch_table)
+    table.update(_WIRE_REDUCERS)
+    table.intern = {}.setdefault  # this frame's equal-instance interning
+    pickler.dispatch_table = table
+    pickler.dump(payload)
     return buffer.getvalue()
 
 

@@ -4,9 +4,11 @@ Host time is noise on a shared runner; the number of Python-level ``call``
 events a deterministic run makes is not — it repeats to the digit for a given
 interpreter version.  ``sys.setprofile`` counts them over a short pinned
 Figure 3 point, unbatched (one consensus instance per command: the per-hop
-protocol code) and batched, and over a short ``kv-global-open`` call (the
+protocol code) and batched, over a short ``kv-global-open`` call (the
 ledger's MRP-Store workload: skip ranges, the merge, SMR apply, the swarm
-wheel), and the test holds each to a ceiling a few percent above what the
+wheel) and over a short ``dlog-sharded`` call (the ledger's dLog workload on
+one worker: barrier windows, segment cuts, the parent-hosted reactive merge),
+and the test holds each to a ceiling a few percent above what the
 code measured when the ceiling was set.  A helper
 call creeping back onto the per-message path (a property, a one-line
 forwarder, a result object built to be thrown away) costs ~17 k frames per
@@ -16,6 +18,10 @@ The same runs carry the exact perf guard: ``events_processed`` and every
 simulated metric they report are compared, bit for bit, with
 ``tests/golden/exact.json`` (``pinned_runs``) — an extra event per command or
 a moved latency turns this red with no new run.
+
+The wire codec only runs between processes, so it has its own count: encoding
+a barrier-shaped payload enters Python once per instance of a registered
+class and not at all for a tuple, list or dict.
 
 Counts were taken on CPython 3.11.  3.12 inlines comprehensions, which only
 lowers them; an interpreter that counts *more* for the same code would need
@@ -27,15 +33,21 @@ the ceilings re-read, not the code changed.
 from __future__ import annotations
 
 import functools
+import gc
 import sys
 
 import pytest
 
 from repro.bench.fig3_baseline import run_fig3_point
 from repro.bench.fig4_ycsb import run_fig4_point
+from repro.bench.parallel import run_fig6_sharded
+from repro.core.client import Command
+from repro.multiring.merge import RingSegment
 from repro.paxos.acceptor import AcceptorState
+from repro.paxos.messages import Decision, ProposalValue
 from repro.sim.disk import StorageMode
 from repro.sim.kernel import Simulator
+from repro.sim.network import encode_wire
 from repro.workloads.arrival import constant
 from tests import golden
 from tests.conftest import mutate
@@ -55,8 +67,26 @@ def kv_global_open():
     )
 
 
+#: Host-clock readings among ``run_fig6_sharded``'s metrics; the rest is simulated.
+_HOST_CLOCK = (
+    "wall_clock_s", "shard_wall_clock_s", "merge_stage_s", "merge_overlap_s",
+    "merge_overlap_fraction",
+)
+
+
+def dlog_sharded():
+    result = run_fig6_sharded(
+        2, workers=1, clients_per_ring=8, warmup=0.1, duration=0.5, seed=42,
+        configuration="shared",
+    )
+    for name in _HOST_CLOCK:
+        del result.metrics[name]
+    return result
+
+
 #: ``name -> (pinned run, ceiling, measured, count before the hop fast path)`` — for
-#: ``kv-global-open`` the last column is the count before the columnar slab.
+#: ``kv-global-open`` the last column is the count before the columnar slab, for
+#: ``dlog-sharded`` the count before the per-barrier merge bookkeeping.
 BUDGETS = {
     "unbatched": (
         fig3(threads_per_proposer=10, batching_enabled=False), 1_550_000, 1_497_033, 2_361_179,
@@ -65,6 +95,7 @@ BUDGETS = {
         fig3(threads_per_proposer=40, batching_enabled=True), 685_000, 665_528, 856_055,
     ),
     "kv-global-open": (kv_global_open, 402_000, 390_438, 404_550),
+    "dlog-sharded": (dlog_sharded, 1_090_000, 1_054_240, 1_120_400),
 }
 
 
@@ -142,6 +173,46 @@ def test_mutant_extra_event_per_vote_moves_events_processed(monkeypatch):
     events = BUDGETS["batched"][0]().metrics["events_processed"]
     pinned = golden.load()["pinned_runs"]["batched"]["metrics"]["events_processed"]
     assert events > float.fromhex(pinned)
+
+
+def _barrier_payload(entries):
+    """An ``("out", ...)`` worker reply: cross-shard messages and one segment."""
+    def value(i):
+        return ProposalValue(Command(op="append", args=(i, 1024), command_id=i), 1024, "p", i, 0.5)
+
+    outbound = [(0.25 * i, "a", "b", Decision(ring_id=0, instance=i, value=value(i))) for i in range(entries)]
+    segment = RingSegment(0, 0, [(i, value(i)) for i in range(entries)])
+    return ("out", {1: outbound}, {0: entries}, {0: 1.5}, {0: (1.0, {0: segment})})
+
+
+def _frames_to_encode(payload):
+    calls = 0
+
+    def counting(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    collecting = gc.isenabled()
+    gc.disable()  # a collection would run whatever sits in gc.callbacks (hypothesis's)
+    previous = sys.getprofile()
+    sys.setprofile(counting)
+    try:
+        encode_wire(payload)
+    finally:
+        sys.setprofile(previous)
+        if collecting:
+            gc.enable()
+    return calls
+
+
+def test_encoding_enters_python_once_per_registered_instance():
+    # Per entry: a Decision, two ProposalValues and two Commands — and three
+    # tuples plus one list slot that must cost nothing.  The difference of two
+    # sizes cancels the per-frame set-up (one reducer bound per class).
+    small, large = _barrier_payload(100), _barrier_payload(300)
+    encode_wire(small)  # the first frame of a process compiles the reducers
+    assert _frames_to_encode(large) - _frames_to_encode(small) == 200 * 5
 
 
 if __name__ == "__main__":

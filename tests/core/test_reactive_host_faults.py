@@ -6,16 +6,26 @@ the backlog merges and the state converges to the offline
 ``replay_streams`` anchor.  The stall is an availability incident, not
 merge latency: the per-command accounting must exclude the stall window,
 and the window itself is reported separately.
+
+The joint watermark and the closed stall windows are fixed for the length of
+one ``ingest``; the host resolves them per barrier, not per delivery, and the
+latency samples of a faulted Figure 6 run stay what ``tests/golden/exact.json``
+(``reactive_latency``, recorded at the per-delivery code of commit ``ad314b1``)
+says they are.
 """
+
+from unittest import mock
 
 import pytest
 
+from repro.bench import parallel as bench_parallel
 from repro.core.client import Command
 from repro.core.smr import ReactiveReplicaHost
 from repro.kvstore.replica import MRPStoreReplica
-from repro.multiring.merge import replay_streams
+from repro.multiring.merge import MergeCursor, replay_streams
 from repro.paxos.messages import ProposalValue
 from repro.sim.actor import Environment
+from tests import golden
 
 
 def insert(ring, key, created_at):
@@ -107,3 +117,64 @@ def test_unfaulted_ingest_records_no_stall(host):
     stats = host.latency_stats()
     assert stats["stall_count"] == 0.0
     assert stats["mean_ms"] == pytest.approx(800.0)
+
+
+def test_joint_watermark_is_read_per_barrier_not_per_delivery(host, monkeypatch):
+    reads = []
+    joint = MergeCursor.watermark.fget
+    monkeypatch.setattr(
+        MergeCursor, "watermark", property(lambda cursor: reads.append(1) or joint(cursor))
+    )
+    streams = {
+        ring: [(i, insert(ring, f"k{ring}-{i}", 0.25)) for i in range(50)] for ring in (0, 1)
+    }
+    assert host.ingest(streams, watermark=1.0) == 100
+    assert len(reads) == 1
+    stats = host.latency_stats()
+    assert stats["count"] == 100.0
+    assert stats["mean_ms"] == pytest.approx(750.0)
+
+
+def test_no_stall_window_means_no_overlap_loop(host):
+    class NeverWalked(list):
+        def __iter__(self):
+            raise AssertionError("walked an empty stall-window list")
+
+    host._stall_windows = NeverWalked()
+    host.ingest({0: [(0, insert(0, "a0", 0.2))], 1: [(0, insert(1, "b0", 0.2))]}, watermark=1.0)
+    assert host._latency.count == 2
+
+
+def stalled_fig6_latency():
+    """Exact latency samples of a short shared Figure 6 run with one crash stall.
+
+    Count, sum and a digest of every sample in record order (hence every
+    percentile), floats as ``float.hex`` — what ``repin`` writes and the test
+    below compares.
+    """
+    hosts = []
+
+    class Recorded(ReactiveReplicaHost):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            hosts.append(self)
+
+    with mock.patch.object(bench_parallel, "ReactiveReplicaHost", Recorded):
+        bench_parallel.run_fig6_sharded(
+            2, workers=1, warmup=0.3, duration=1.2, seed=42, configuration="shared",
+            crash_schedule=[(0.7, "dlog-replica0", 0.4)],
+        )
+    (host,) = hosts
+    recorder = host._latency
+    return {
+        "count": recorder.count,
+        "sum": float(recorder._total).hex(),
+        "samples": golden.digest([sample.hex() for sample in recorder._samples]),
+        "stall_windows": [[start.hex(), end.hex()] for start, end in host.stall_windows],
+    }
+
+
+def test_faulted_fig6_latency_samples_reproduce_the_golden_values():
+    exact = stalled_fig6_latency()
+    assert len(exact["stall_windows"]) == 1 and exact["count"] > 0
+    assert exact == golden.load()["reactive_latency"]

@@ -4,7 +4,8 @@
     PYTHONPATH=src python -m tests.golden.repin --check    # compare, name the first drift
 
 The runs are the tests' own (``tests/sim/test_kernel_fastpath.py``,
-``tests/bench/test_hot_path_budget.py``), so a golden and the test that reads
+``tests/bench/test_hot_path_budget.py``,
+``tests/core/test_reactive_host_faults.py``), so a golden and the test that reads
 it cannot drift apart.  Re-pin only in a PR that says which modelled
 behaviour moved.
 """
@@ -16,6 +17,7 @@ import sys
 
 from tests import golden
 from tests.bench import test_hot_path_budget as budget
+from tests.core import test_reactive_host_faults as reactive
 from tests.sim import test_kernel_fastpath as stack
 
 
@@ -25,6 +27,7 @@ def compute() -> dict:
         "faulted_stack": {str(s): stack._faulted_stack_exact(s) for s in stack.FAULT_SEEDS},
         "network_times": golden.digest(stack._run_network_times()),
         "pinned_runs": {name: budget.measured(name)[1] for name in sorted(budget.BUDGETS)},
+        "reactive_latency": reactive.stalled_fig6_latency(),
     }
 
 

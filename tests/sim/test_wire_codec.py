@@ -6,21 +6,34 @@ form, the ``RingSegment`` columnar/run-length form, and arbitrary unregistered
 objects via pickle's default path — while never aliasing distinct mutable
 instances on the receiving side and always preserving the ``SKIP`` sentinel's
 identity.
+
+The shipped codec compiles one reducer and one builder per class; the
+one-hook-per-object codec it replaced lives on in ``tests/reference/wire.py``
+and every frame must equal that one's byte for byte, on generated payloads and
+on every frame real worker processes ship.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
+from dataclasses import dataclass
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.parallel import run_fig6_sharded, run_fig7_sharded
 from repro.core.client import Command
 from repro.multiring.merge import RingSegment
 from repro.net.message import Batch, ClientRequest, Message
 from repro.paxos.messages import SKIP, Decision, ProposalValue
 from repro.ringpaxos.coordinator import PackedValues
-from repro.sim.network import decode_wire, encode_wire, wire_fields
+from repro.sim import network, parallel
+from repro.sim.network import decode_wire, encode_wire, register_wire_type, wire_fields
+from tests.conftest import mutate
+from tests.reference.wire import reference_decode, reference_encode
 
 
 # ---------------------------------------------------------------------------
@@ -108,16 +121,34 @@ def _remote_messages():
     return st.tuples(_floats, _names, _names, message)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.one_of(
-        _segments(),
-        st.lists(_remote_messages(), max_size=4),
-        st.dictionaries(st.integers(0, 7), st.lists(_remote_messages(), max_size=3), max_size=3),
-    )
+_payloads = st.one_of(
+    _segments(),
+    st.lists(_remote_messages(), max_size=4),
+    st.dictionaries(st.integers(0, 7), st.lists(_remote_messages(), max_size=3), max_size=3),
 )
+
+
+def _assert_matches_reference(payload, graph=True):
+    """Same bytes as the reference encoder, same graph as the reference decoder."""
+    frame = encode_wire(payload)
+    assert frame == reference_encode(payload)
+    if graph:
+        assert decode_wire(frame) == reference_decode(frame) == payload
+
+
+@settings(max_examples=150, deadline=None)
+@given(_payloads)
 def test_roundtrip_equals_original(payload):
-    assert decode_wire(encode_wire(payload)) == payload
+    _assert_matches_reference(payload)
+
+
+def test_equal_instances_and_skip_runs_equal_the_reference_codec():
+    skips = [(i, ProposalValue(SKIP, 0, "", 0, 0.0)) for i in range(40)]
+    command = Command(op="append", args=(1,), command_id=7)
+    busy = [(40 + i, ProposalValue(command, 64, "p", i // 2, 0.5)) for i in range(6)]
+    _assert_matches_reference({0: RingSegment(1, 5, skips + busy + skips[:2])})
+    _assert_matches_reference([ProposalValue(Command(op="read", command_id=1), 8, "p", 1, 0.0)
+                               for _ in range(5)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -190,3 +221,88 @@ def test_cached_sizes_survive_positional_rebuild():
     decoded = decode_wire(encode_wire(batch))
     assert decoded.size_bytes == batch.size_bytes
     assert decoded.payload_bytes == batch.payload_bytes
+
+
+@dataclass(frozen=True)
+class _Frozen:
+    left: int
+    right: str
+
+
+def test_a_class_guarding_setattr_is_rebuilt_around_it():
+    register_wire_type(_Frozen)
+    try:
+        _assert_matches_reference([_Frozen(1, "a"), _Frozen(1, "a"), _Frozen(2, "b")])
+    finally:
+        del network._WIRE_FIELDS[_Frozen], network._WIRE_CODECS[_Frozen]
+
+
+# ---------------------------------------------------------------------------
+# Frames of real worker processes: every frame a sharded run ships is checked
+# inside the worker that encodes it (the workers fork from this process).
+# ---------------------------------------------------------------------------
+
+
+def _run_with_checked_frames(monkeypatch, spool: Path, run) -> None:
+    """``run()`` with every frame its two workers ship held to the reference."""
+
+    def checked(payload):
+        # Barrier rounds carry value-comparable dataclasses only; the closing
+        # "result" frame ships identity-compared objects (metric registries).
+        _assert_matches_reference(payload, graph=payload[0] == "out")
+        with open(spool / str(os.getpid()), "ab") as tally:
+            tally.write(b".")
+        return encode_wire(payload)
+
+    monkeypatch.setattr(parallel, "encode_wire", checked)
+    result = run()
+    tallies = [p for p in spool.iterdir() if p.name != str(os.getpid())]
+    assert len(tallies) == 2, "expected frames from two worker processes"
+    frames = sum(p.stat().st_size for p in tallies)
+    assert frames >= 2 * result.metrics["barrier_count"] > 2
+
+
+def test_fig6_shared_worker_frames_equal_the_reference_codec(monkeypatch, tmp_path):
+    _run_with_checked_frames(monkeypatch, tmp_path, lambda: run_fig6_sharded(
+        2, workers=2, clients_per_ring=8, warmup=0.2, duration=0.6, seed=42,
+        configuration="shared"))
+
+
+def test_fig7_shared_worker_frames_equal_the_reference_codec(monkeypatch, tmp_path):
+    _run_with_checked_frames(monkeypatch, tmp_path, lambda: run_fig7_sharded(
+        2, workers=2, warmup=0.3, duration=0.7, seed=42, configuration="shared"))
+
+
+# ---------------------------------------------------------------------------
+# Seeded mutants: the reference differential must catch a broken codec.
+# ---------------------------------------------------------------------------
+
+_SAMPLE = [ProposalValue(Command(op="append", args=(i % 2,), command_id=9), 64, "p", 3, 0.25)
+           for i in range(4)]
+
+
+def _recompiled(monkeypatch, *replacements):
+    monkeypatch.setattr(
+        network, "_compile_wire_codec", mutate(network._compile_wire_codec, *replacements)
+    )
+    monkeypatch.setattr(network, "_WIRE_CODECS", network._WireCodecs())
+
+
+def test_reference_differential_catches_a_builder_swapping_two_fields(monkeypatch):
+    _assert_matches_reference(_SAMPLE)
+    _recompiled(monkeypatch, ("{fields}= values", "{fields}= values[1], values[0], *values[2:]"))
+    frame = encode_wire(_SAMPLE)
+    assert frame == reference_encode(_SAMPLE)  # the encoder is intact
+    assert decode_wire(frame) != reference_decode(frame)
+    with pytest.raises(AssertionError):
+        _assert_matches_reference(_SAMPLE)
+
+
+def test_reference_differential_catches_an_encoder_that_skips_interning(monkeypatch):
+    _assert_matches_reference(_SAMPLE)
+    _recompiled(monkeypatch, ("setdefault(key, key)", "key"))
+    frame = encode_wire(_SAMPLE)
+    assert decode_wire(frame) == _SAMPLE  # still a valid frame, only a longer one
+    assert len(frame) > len(reference_encode(_SAMPLE))
+    with pytest.raises(AssertionError):
+        _assert_matches_reference(_SAMPLE)
