@@ -28,13 +28,35 @@ from ..workloads.log import single_log
 from .reporting import relative_increments
 from .runner import ExperimentResult, MeasurementWindow, measure
 
-__all__ = ["run_fig6", "run_fig6_point", "FIG6_RING_COUNTS"]
+__all__ = ["run_fig6", "run_fig6_point", "fig6_config", "FIG6_RING_COUNTS", "COMMON_RING_ID"]
 
 #: Number of synchronised logs (rings) on the x-axis.
 FIG6_RING_COUNTS = (1, 2, 3, 4, 5)
 
 _APPEND_BYTES = 1024
-_COMMON_RING_ID = 99
+
+#: The ring every learner of the original deployment subscribes to.
+COMMON_RING_ID = 99
+
+
+def fig6_config(batching_enabled: bool = True, faulted: bool = False) -> MultiRingConfig:
+    """The Figure 6 configuration, single-process and sharded alike.
+
+    ``faulted`` enables the learner gap-repair timer: a crash-schedule run
+    (:func:`repro.bench.parallel.run_fig6_sharded`) restarts in-shard
+    learners, and the fresh incarnation must re-fetch the decided prefix from
+    the acceptors before it can re-emit its stream.
+    """
+    return MultiRingConfig(
+        storage_mode=StorageMode.ASYNC_HDD,
+        batching_enabled=batching_enabled,
+        batch_max_bytes=32 * 1024,
+        rate_interval=0.005,
+        max_rate=4000.0,
+        checkpoint_interval=None,
+        trim_interval=None,
+        gap_repair_interval=0.1 if faulted else None,
+    )
 
 
 def run_fig6_point(
@@ -75,15 +97,7 @@ def run_fig6_point(
             configuration=sharded_configuration,
             batching_enabled=batching_enabled,
         )
-    config = MultiRingConfig(
-        storage_mode=StorageMode.ASYNC_HDD,
-        batching_enabled=batching_enabled,
-        batch_max_bytes=32 * 1024,
-        rate_interval=0.005,
-        max_rate=4000.0,
-        checkpoint_interval=None,
-        trim_interval=None,
-    )
+    config = fig6_config(batching_enabled)
     system = AtomicMulticast(topology=single_datacenter(), config=config, seed=seed)
     log_ids = list(range(ring_count))
     service = DLogService(
@@ -91,7 +105,7 @@ def run_fig6_point(
         log_ids=log_ids,
         acceptors_per_log=2,
         replica_count=1,
-        common_ring_id=_COMMON_RING_ID,
+        common_ring_id=COMMON_RING_ID,
         dedicated_disks=True,
         config=config,
     )

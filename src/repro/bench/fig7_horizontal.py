@@ -30,7 +30,10 @@ from ..workloads.kv import preload_keys, update_only_workload
 from .reporting import relative_increments
 from .runner import ExperimentResult, MeasurementWindow, measure
 
-__all__ = ["run_fig7", "run_fig7_point", "FIG7_REGION_COUNTS"]
+__all__ = [
+    "run_fig7", "run_fig7_point", "fig7_config", "FIG7_REGION_COUNTS",
+    "OBSERVED_REGION", "GLOBAL_RING_ID",
+]
 
 #: Number of synchronised partitions (regions) on the x-axis.
 FIG7_REGION_COUNTS = (1, 2, 3, 4)
@@ -38,8 +41,25 @@ FIG7_REGION_COUNTS = (1, 2, 3, 4)
 #: Region the paper measures latency in.
 OBSERVED_REGION = "us-west-2"
 
-_GLOBAL_RING_ID = 50
+#: The ring spanning all regions that every replica subscribes to.
+GLOBAL_RING_ID = 50
+
 _UPDATE_BYTES = 1024
+
+
+def fig7_config(batching_enabled: bool = True, faulted: bool = False) -> MultiRingConfig:
+    """The Figure 7 configuration, single-process and sharded alike.
+
+    ``faulted`` enables the learner gap-repair timer for crash-schedule runs
+    (see :func:`repro.bench.fig6_vertical.fig6_config`).
+    """
+    return global_config(storage_mode=StorageMode.ASYNC_SSD).with_(
+        batching_enabled=batching_enabled,
+        batch_max_bytes=32 * 1024,
+        checkpoint_interval=None,
+        trim_interval=None,
+        gap_repair_interval=0.1 if faulted else None,
+    )
 
 
 def run_fig7_point(
@@ -91,12 +111,7 @@ def run_fig7_point(
             batching_enabled=batching_enabled,
         )
     regions = list(EC2_REGIONS[:region_count])
-    config = global_config(storage_mode=StorageMode.ASYNC_SSD).with_(
-        batching_enabled=batching_enabled,
-        batch_max_bytes=32 * 1024,
-        checkpoint_interval=None,
-        trim_interval=None,
-    )
+    config = fig7_config(batching_enabled)
     system = AtomicMulticast(topology=ec2_global(regions), config=config, seed=seed)
     groups = list(range(region_count))
     service = MRPStoreService(
@@ -105,7 +120,7 @@ def run_fig7_point(
         acceptors_per_partition=3,
         replicas_per_partition=1,
         site_for_partition={g: regions[g] for g in groups},
-        global_ring_id=_GLOBAL_RING_ID,
+        global_ring_id=GLOBAL_RING_ID,
         config=config,
     )
     service.preload(preload_keys(key_count))

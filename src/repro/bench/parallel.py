@@ -38,10 +38,10 @@ learner's in-shard mirrors at scheduled simulated instants, the restarted
 incarnations re-emit their stream prefixes, and the merge stage's
 incarnation-aware dedup reconstructs the same merged state whatever the
 worker count.  ``tests/bench/test_parallel_differential.py`` asserts all of
-this on full per-learner delivery sequences, and
-``benchmarks/bench_parallel.py`` records the wall-clock speedup — with the
-merge/reactive stage accounted separately from the shard stage, plus a
-faulted-run determinism section — in ``BENCH_parallel.json``.
+this on full per-learner delivery sequences; the ledger's ``dlog-sharded-w2``
+workload (``benchmarks/ledger``) measures the shared Figure 6 point on two
+workers, with the merge/reactive stage (``sim.parallel.merge_stage_s``)
+accounted separately from the shard stage (``sim.parallel.shard_wall_s``).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.amcast import AtomicMulticast
 from ..core.client import ClosedLoopClient, OpenLoopClient
-from ..core.config import MultiRingConfig, global_config
+from ..core.config import MultiRingConfig
 from ..core.swarm import ChurnSpec, PORT_ADDRESSING_LIMIT
 from ..core.smr import ProposerFrontend, ReactiveReplicaHost
 from ..multiring.merge import (
@@ -64,10 +64,11 @@ from ..multiring.process import MultiRingProcess
 from ..net.ring import RingMember
 from ..paxos.messages import SKIP
 from ..sim.actor import Environment
-from ..sim.disk import StorageMode
 from ..sim.parallel import ParallelRunResult, ShardSpec, run_sharded
 from ..sim.topology import EC2_REGIONS, ec2_global, single_datacenter
 from ..workloads.arrival import ArrivalCurve, constant
+from .fig6_vertical import COMMON_RING_ID, fig6_config
+from .fig7_horizontal import GLOBAL_RING_ID, OBSERVED_REGION, fig7_config
 from .runner import ExperimentResult, MeasurementWindow, ShardedMeasurement
 
 __all__ = ["run_fig6_sharded", "run_fig7_sharded"]
@@ -75,11 +76,6 @@ __all__ = ["run_fig6_sharded", "run_fig7_sharded"]
 #: Default barrier cadence (simulated seconds) at which shared-configuration
 #: shards ship decision-stream segments to the reactive merge stage.
 DEFAULT_SEGMENT_INTERVAL = 0.25
-
-#: Ring ids of the original (shared-learner) deployments, mirrored from the
-#: single-process figure runners.
-FIG6_COMMON_RING_ID = 99
-FIG7_GLOBAL_RING_ID = 50
 
 
 def _stable_payload_key(payload: Any) -> Any:
@@ -124,16 +120,13 @@ def _delivery_digest(recorder) -> Dict[str, List[tuple]]:
 # merge stage
 # ---------------------------------------------------------------------------
 
-#: Flattened per-ring streams: ring id → ordered ``(instance, value)`` pairs,
-#: skips included (pre-merge).
-RingStreams = Dict[int, List[Tuple[int, Any]]]
-
 #: Ring output accumulated in the parent from the shards' streamed segments:
 #: ring id → incarnation-tagged :class:`~repro.multiring.merge.RingSegment`
 #: runs in arrival order.  A crashed-and-restarted in-shard learner re-emits
 #: its ring's prefix under a bumped incarnation;
 #: :func:`~repro.multiring.merge.effective_streams` flattens the runs into
-#: the deduped :data:`RingStreams` the offline replay consumes.
+#: the deduped per-ring ``(instance, value)`` streams (skips included) the
+#: offline replay consumes.
 RingHistory = Dict[int, List[RingSegment]]
 
 
@@ -146,56 +139,33 @@ def _stream_digest(history: RingHistory) -> Dict[int, List[tuple]]:
 
 
 def _attach_delivery_digest(harness: ShardedMeasurement, replicas) -> None:
-    """Trace the replicas' deliveries and digest them into ``finalize()``.
-
-    The digest must be computed in-worker *after* the run, so the recorder
-    is wrapped into ``finalize`` rather than stored in ``harness.extra``.
-    """
+    """Trace the replicas' deliveries and digest them into ``finalize()``."""
     from ..chaos.trace import TraceRecorder
 
     recorder = TraceRecorder()
     for replica in replicas:
         recorder.attach(replica)
-    original_finalize = harness.finalize
-
-    def finalize() -> Dict[str, Any]:
-        result = original_finalize()
-        result["deliveries"] = _delivery_digest(recorder)
-        return result
-
-    harness.finalize = finalize  # type: ignore[method-assign]
+    harness.extra.append(lambda: {"deliveries": _delivery_digest(recorder)})
 
 
 def _attach_swarm_stats(harness: ShardedMeasurement, swarm, trace: bool) -> None:
     """Ship a shard's swarm accounting (and optional command trace) home.
 
-    Wrapped into ``finalize`` so the counters are read in-worker *after* the
-    run; the trace tuples are already picklable.
+    The trace tuples are already picklable.
     """
-    original_finalize = harness.finalize
 
-    def finalize() -> Dict[str, Any]:
-        result = original_finalize()
-        result["swarm_users"] = swarm.clients
-        result["swarm_issued"] = swarm.issued
-        result["swarm_completed"] = swarm.completed
-        result["swarm_addressing"] = swarm.addressing
+    def stats() -> Dict[str, Any]:
+        result = {
+            "swarm_users": swarm.clients,
+            "swarm_issued": swarm.issued,
+            "swarm_completed": swarm.completed,
+            "swarm_addressing": swarm.addressing,
+        }
         if trace:
             result["swarm_trace"] = swarm.command_trace
         return result
 
-    harness.finalize = finalize  # type: ignore[method-assign]
-
-
-def _merge_stage(
-    streams: RingStreams, messages_per_round: int
-) -> List[Tuple[int, int, Any]]:
-    """Replay recorded streams into the shared learner's delivery digest."""
-    merged = replay_streams(streams, messages_per_round=messages_per_round)
-    return [
-        (group, instance, _stable_payload_key(value.payload))
-        for group, instance, value in merged
-    ]
+    harness.extra.append(stats)
 
 
 def _delivery_digest_from(merged: Sequence[Tuple[int, int, Any]]) -> List[tuple]:
@@ -220,9 +190,14 @@ class _ReactiveMergeStage:
     def __init__(
         self,
         hosts: Dict[str, ReactiveReplicaHost],
+        observed: str,
+        messages_per_round: int,
         collect_streams: bool,
     ) -> None:
         self.hosts = hosts
+        #: the replica whose client-visible latency the result reports
+        self.observed = observed
+        self.messages_per_round = messages_per_round
         self.streams: RingHistory = {}
         self._collect = collect_streams
         self.seconds = 0.0
@@ -286,7 +261,7 @@ class _ReactiveMergeStage:
             for name, host in self.hosts.items()
         }
 
-    def offline_digests(self, messages_per_round: int) -> Dict[str, List[tuple]]:
+    def offline_digests(self) -> Dict[str, List[tuple]]:
         """Offline ``replay_streams`` digests over the accumulated history.
 
         The differential anchor: must be bit-identical to
@@ -298,34 +273,32 @@ class _ReactiveMergeStage:
         """
         flat = effective_streams(self.streams)
         return {
-            name: _merge_stage(
-                {ring: flat.get(ring, []) for ring in host.groups},
-                messages_per_round=messages_per_round,
+            name: _delivery_digest_from(
+                replay_streams(
+                    {ring: flat.get(ring, []) for ring in host.groups},
+                    messages_per_round=self.messages_per_round,
+                )
             )
             for name, host in self.hosts.items()
         }
 
-    def annotate(
-        self,
-        result: ExperimentResult,
-        observed: str,
-        run: Optional[ParallelRunResult] = None,
-    ) -> None:
+    def annotate(self, result: ExperimentResult, run: ParallelRunResult) -> None:
         """Record the reactive stage's metrics on an experiment result.
 
         ``shard_wall_clock_s`` keeps its historical meaning — wall clock minus
         *total* merge-stage time — so the figure is comparable across rounds.
         How much of the merge stage actually ran concurrently with the next
         window (and therefore never extended the wall clock) is reported
-        separately as ``merge_overlap_s`` / ``merge_overlap_fraction``.
+        separately as ``merge_overlap_s`` / ``merge_overlap_fraction``.  A
+        stage that collected the streams (``record_deliveries``) also reports
+        the three digests the differentials compare.
         """
-        stats = self.hosts[observed].latency_stats()
-        if run is not None:
-            overlap = min(run.merge_overlap_s, self.seconds)
-            result.metrics["merge_overlap_s"] = overlap
-            result.metrics["merge_overlap_fraction"] = (
-                overlap / self.seconds if self.seconds > 0.0 else 0.0
-            )
+        stats = self.hosts[self.observed].latency_stats()
+        overlap = min(run.merge_overlap_s, self.seconds)
+        result.metrics["merge_overlap_s"] = overlap
+        result.metrics["merge_overlap_fraction"] = (
+            overlap / self.seconds if self.seconds > 0.0 else 0.0
+        )
         result.metrics["merge_stage_s"] = self.seconds
         result.metrics["shard_wall_clock_s"] = (
             result.metrics["wall_clock_s"] - self.seconds
@@ -338,6 +311,10 @@ class _ReactiveMergeStage:
         result.metrics["reactive_commands_applied"] = float(
             sum(host.commands_applied for host in self.hosts.values())
         )
+        if self._collect:
+            result.series["ring_streams"] = _stream_digest(self.streams)
+            result.series["merged_deliveries"] = self.delivery_digests()
+            result.series["merged_deliveries_offline"] = self.offline_digests()
 
 
 def _schedule_crashes(system: AtomicMulticast, schedule: Any) -> None:
@@ -363,26 +340,6 @@ def _schedule_crashes(system: AtomicMulticast, schedule: Any) -> None:
 # Figure 6 (vertical scalability) — one shard per ring+disk
 # ---------------------------------------------------------------------------
 
-def _fig6_config(faulted: bool = False, batching: bool = True) -> MultiRingConfig:
-    """The Figure 6 configuration, mirrored from ``run_fig6_point``.
-
-    ``faulted`` enables the learner gap-repair timer: a crash-schedule run
-    restarts in-shard learners, and the fresh incarnation must re-fetch the
-    decided prefix from the acceptors before it can re-emit its stream.
-    ``batching`` mirrors ``run_fig6_point``'s ``batching_enabled``.
-    """
-    return MultiRingConfig(
-        storage_mode=StorageMode.ASYNC_HDD,
-        batching_enabled=batching,
-        batch_max_bytes=32 * 1024,
-        rate_interval=0.005,
-        max_rate=4000.0,
-        checkpoint_interval=None,
-        trim_interval=None,
-        gap_repair_interval=0.1 if faulted else None,
-    )
-
-
 def _build_fig6_shard(payload: Dict[str, Any]) -> ShardedMeasurement:
     """Build one Figure 6 log-ring shard with its own replica.
 
@@ -399,10 +356,7 @@ def _build_fig6_shard(payload: Dict[str, Any]) -> ShardedMeasurement:
     from ..dlog.service import DLogService
     from ..workloads.log import single_log
 
-    config = _fig6_config(
-        faulted=bool(payload.get("crash_schedule")),
-        batching=payload.get("batching", True),
-    )
+    config = payload["config"]
     system = AtomicMulticast(
         topology=single_datacenter(), config=config, seed=payload["seed"]
     )
@@ -449,53 +403,46 @@ def _build_fig6_shard(payload: Dict[str, Any]) -> ShardedMeasurement:
     return harness
 
 
-def _build_fig6_common_shard(payload: Dict[str, Any]) -> ShardedMeasurement:
-    """Build the shared configuration's common-ring shard.
+def _build_idle_ring_shard(payload: Dict[str, Any]) -> ShardedMeasurement:
+    """Build the shared configuration's traffic-less ring shard.
 
-    The common ring of the original Figure 6 deployment carries no client
-    traffic — it exists so every learner shares one ring — so its shard is
-    just the ring's proposer/acceptor front ends plus a recording learner
-    standing in for the shared learner's subscription.  Its rate-leveled skip
-    stream is exactly what the merge stage needs to advance the round-robin
-    past the idle ring.
+    Figure 6's common ring and Figure 7's global ring carry no client traffic
+    — they exist so every learner shares one ring — so the shard is just the
+    ring's proposer/acceptor front ends (``payload["idle_ring"]`` names them
+    and their sites: two on the local cluster for Figure 6, one dedicated
+    node per region for Figure 7 — the ``dedicated_global_acceptors`` shape
+    of :class:`repro.kvstore.service.MRPStoreService`, which is what makes
+    that deployment share learners only) plus one recording learner standing
+    in for the shared learners' subscription.  Its rate-leveled skip stream
+    is exactly what the merge stage needs to advance each round-robin past
+    the idle ring.
     """
-    config = _fig6_config(
-        faulted=bool(payload.get("crash_schedule")),
-        batching=payload.get("batching", True),
-    )
+    idle = payload["idle_ring"]
+    config = payload["config"]
     system = AtomicMulticast(
-        topology=single_datacenter(), config=config, seed=payload["seed"]
+        topology=idle["topology"], config=config, seed=payload["seed"]
     )
-    site = system.topology.sites()[0].name
     frontends = [
-        ProposerFrontend(system.env, f"dlogc-node{i}", site=site, config=config)
-        for i in range(2)
+        ProposerFrontend(system.env, name, site=site, config=config)
+        for name, site in idle["frontends"]
     ]
     learner = MultiRingProcess(
-        system.env, "dlog-replica0", site=site,
+        system.env, idle["learner"], site=idle["frontends"][0][1],
         messages_per_round=config.messages_per_round,
     )
     members: List[RingMember] = [
         RingMember(name=f.name, proposer=True, acceptor=True, learner=False)
         for f in frontends
     ] + [RingMember(name=learner.name, proposer=False, acceptor=False, learner=True)]
-    system.create_ring(FIG6_COMMON_RING_ID, members, config=config)
+    system.create_ring(idle["ring_id"], members, config=config)
     _schedule_crashes(system, payload.get("crash_schedule"))
 
     harness = ShardedMeasurement(
         system,
         MeasurementWindow(warmup=payload["warmup"], duration=payload["duration"]),
     )
-    if payload.get("stream_segments"):
-        harness.stream_segments(learner.record_ring_segments())
+    harness.stream_segments(learner.record_ring_segments())
     return harness
-
-
-def _build_fig6_shared_shard(payload: Dict[str, Any]) -> ShardedMeasurement:
-    """Dispatch builder for the shared configuration's two shard kinds."""
-    if payload.get("common_ring"):
-        return _build_fig6_common_shard(payload)
-    return _build_fig6_shard(payload)
 
 
 def _fig6_reactive_stage(
@@ -515,11 +462,13 @@ def _fig6_reactive_stage(
     )
     host = ReactiveReplicaHost(
         replica,
-        list(range(ring_count)) + [FIG6_COMMON_RING_ID],
+        list(range(ring_count)) + [COMMON_RING_ID],
         messages_per_round=config.messages_per_round,
         retain_history=collect_streams,
     )
-    return _ReactiveMergeStage({replica.name: host}, collect_streams)
+    return _ReactiveMergeStage(
+        {replica.name: host}, replica.name, config.messages_per_round, collect_streams
+    )
 
 
 def run_fig6_sharded(
@@ -535,7 +484,6 @@ def run_fig6_sharded(
     segment_interval: float = DEFAULT_SEGMENT_INTERVAL,
     crash_schedule: Optional[Sequence[Tuple[float, str, float]]] = None,
     batching_enabled: bool = True,
-    wire_codec: bool = True,
 ) -> ExperimentResult:
     """Figure 6 point with one shard per ring, spread over ``workers`` cores.
 
@@ -581,7 +529,9 @@ def run_fig6_sharded(
     shared = configuration == "shared"
     if crash_schedule and not shared:
         raise ValueError("crash_schedule requires configuration='shared'")
+    config = fig6_config(batching_enabled, faulted=bool(crash_schedule))
     payload_base = {
+        "config": config,
         "clients_per_ring": clients_per_ring,
         "warmup": warmup,
         "duration": duration,
@@ -590,48 +540,39 @@ def run_fig6_sharded(
         "record_deliveries": record_deliveries,
         "stream_segments": shared,
         "crash_schedule": [tuple(point) for point in crash_schedule or ()] or None,
-        "batching": batching_enabled,
     }
     specs = [
         ShardSpec(
             shard_id=ring,
-            build=_build_fig6_shared_shard if shared else _build_fig6_shard,
+            build=_build_fig6_shard,
             payload={**payload_base, "log_ids": [ring]},
             # Load ∝ the shard's driven actors: ring members plus its
             # closed-loop clients (the traffic-less common ring keeps the
-            # default weight 1.0 below).
+            # default weight 1.0).
             weight=2.0 + clients_per_ring,
         )
         for ring in range(ring_count)
     ]
-    config = _fig6_config(faulted=bool(crash_schedule), batching=batching_enabled)
+    shared_shape = None
     if shared:
-        specs.append(
-            ShardSpec(
-                shard_id=ring_count,
-                build=_build_fig6_shared_shard,
-                payload={**payload_base, "common_ring": True},
-            )
+        topology = single_datacenter()
+        site = topology.sites()[0].name
+        shared_shape = (
+            {
+                "ring_id": COMMON_RING_ID,
+                "topology": topology,
+                "frontends": [(f"dlogc-node{i}", site) for i in range(2)],
+                "learner": "dlog-replica0",
+            },
+            _fig6_reactive_stage(ring_count, config, collect_streams=record_deliveries),
         )
-        stage = _fig6_reactive_stage(
-            ring_count, config, collect_streams=record_deliveries
-        )
-        run = run_sharded(
-            specs,
-            workers=workers,
-            until=warmup + duration,
-            segment_interval=segment_interval,
-            segment_sink=stage.sink,
-            wire_codec=wire_codec,
-        )
-    else:
-        run = run_sharded(specs, workers=workers, wire_codec=wire_codec)
-    result = _collect(
-        "fig6-sharded" if configuration == "independent" else "fig6-sharded-shared",
-        run,
+    return _run_point(
+        "fig6-sharded",
+        specs,
+        payload_base,
         params={
             "rings": ring_count,
-            "workers": run.workers,
+            "workers": workers,
             "configuration": configuration,
             "faulted": bool(crash_schedule),
         },
@@ -639,36 +580,14 @@ def run_fig6_sharded(
             ring: [f"fig6.ring{ring}.throughput.rate"] for ring in range(ring_count)
         },
         latency_key=(0, "fig6.ring0.latency.mean_ms"),
+        shared_shape=shared_shape,
+        segment_interval=segment_interval,
     )
-    if shared:
-        stage.annotate(result, observed="dlog-replica0", run=run)
-        if record_deliveries:
-            result.series["ring_streams"] = _stream_digest(stage.streams)
-            result.series["merged_deliveries"] = stage.delivery_digests()
-            result.series["merged_deliveries_offline"] = stage.offline_digests(
-                config.messages_per_round
-            )
-    return result
 
 
 # ---------------------------------------------------------------------------
 # Figure 7 (horizontal scalability) — one shard per region
 # ---------------------------------------------------------------------------
-
-def _fig7_config(faulted: bool = False, batching: bool = True) -> MultiRingConfig:
-    """The Figure 7 configuration, mirrored from ``run_fig7_point``.
-
-    ``faulted`` enables the learner gap-repair timer (see
-    :func:`_fig6_config`); ``batching`` mirrors ``batching_enabled``.
-    """
-    return global_config(storage_mode=StorageMode.ASYNC_SSD).with_(
-        batching_enabled=batching,
-        batch_max_bytes=32 * 1024,
-        checkpoint_interval=None,
-        trim_interval=None,
-        gap_repair_interval=0.1 if faulted else None,
-    )
-
 
 def _build_fig7_shard(payload: Dict[str, Any]) -> ShardedMeasurement:
     """Build one Figure 7 shard: one region's partition ring plus its client.
@@ -690,10 +609,7 @@ def _build_fig7_shard(payload: Dict[str, Any]) -> ShardedMeasurement:
 
     region = payload["region"]
     group = payload["group"]
-    config = _fig7_config(
-        faulted=bool(payload.get("crash_schedule")),
-        batching=payload.get("batching", True),
-    )
+    config = payload["config"]
     system = AtomicMulticast(
         topology=ec2_global([region]), config=config, seed=payload["seed"]
     )
@@ -803,61 +719,11 @@ def _build_fig7_shard(payload: Dict[str, Any]) -> ShardedMeasurement:
     return harness
 
 
-def _build_fig7_global_shard(payload: Dict[str, Any]) -> ShardedMeasurement:
-    """Build the shared configuration's global-ring shard.
-
-    The global ring of the original Figure 7 deployment spans every region;
-    its shard hosts one dedicated proposer/acceptor per region (the
-    ``dedicated_global_acceptors`` shape of
-    :class:`repro.kvstore.service.MRPStoreService`, which is what makes the
-    deployment share learners only) plus one recording learner standing in
-    for the replicas' global subscription.  Clients never address the global
-    group, so the recorded stream is the ring's rate-leveled skips — exactly
-    what the merge stage needs to advance each replica's round-robin.
-    """
-    regions = list(payload["regions"])
-    config = _fig7_config(
-        faulted=bool(payload.get("crash_schedule")),
-        batching=payload.get("batching", True),
-    )
-    system = AtomicMulticast(
-        topology=ec2_global(regions), config=config, seed=payload["seed"]
-    )
-    frontends = [
-        ProposerFrontend(system.env, f"kvg-node{g}", site=region, config=config)
-        for g, region in enumerate(regions)
-    ]
-    learner = MultiRingProcess(
-        system.env, "kvg-learner", site=regions[0],
-        messages_per_round=config.messages_per_round,
-    )
-    members: List[RingMember] = [
-        RingMember(name=f.name, proposer=True, acceptor=True, learner=False)
-        for f in frontends
-    ] + [RingMember(name=learner.name, proposer=False, acceptor=False, learner=True)]
-    system.create_ring(FIG7_GLOBAL_RING_ID, members, config=config)
-    _schedule_crashes(system, payload.get("crash_schedule"))
-
-    harness = ShardedMeasurement(
-        system,
-        MeasurementWindow(warmup=payload["warmup"], duration=payload["duration"]),
-    )
-    if payload.get("stream_segments"):
-        harness.stream_segments(learner.record_ring_segments())
-    return harness
-
-
-def _build_fig7_shared_shard(payload: Dict[str, Any]) -> ShardedMeasurement:
-    """Dispatch builder for the shared configuration's two shard kinds."""
-    if payload.get("global_ring"):
-        return _build_fig7_global_shard(payload)
-    return _build_fig7_shard(payload)
-
-
 def _fig7_reactive_stage(
     region_count: int,
     config: MultiRingConfig,
     key_count: int,
+    observed: int,
     collect_streams: bool,
 ) -> _ReactiveMergeStage:
     """The parent-hosted reactive MRP-Store replicas of the shared shape.
@@ -881,11 +747,13 @@ def _fig7_reactive_stage(
             replica.store.insert(key, None, size)
         hosts[replica.name] = ReactiveReplicaHost(
             replica,
-            [group, FIG7_GLOBAL_RING_ID],
+            [group, GLOBAL_RING_ID],
             messages_per_round=config.messages_per_round,
             retain_history=collect_streams,
         )
-    return _ReactiveMergeStage(hosts, collect_streams)
+    return _ReactiveMergeStage(
+        hosts, f"kv{observed}-replica0", config.messages_per_round, collect_streams
+    )
 
 
 def run_fig7_sharded(
@@ -908,7 +776,6 @@ def run_fig7_sharded(
     churn: Optional[ChurnSpec] = None,
     stagger: bool = False,
     record_swarm_trace: bool = False,
-    wire_codec: bool = True,
 ) -> ExperimentResult:
     """Figure 7 point with one shard per region, spread over ``workers`` cores.
 
@@ -961,7 +828,9 @@ def run_fig7_sharded(
     if client_engine == "swarm" and not users_per_region:
         raise ValueError("client_engine='swarm' requires users_per_region")
     regions = list(EC2_REGIONS[:region_count])
+    config = fig7_config(batching_enabled, faulted=bool(crash_schedule))
     payload_base = {
+        "config": config,
         "key_count": key_count,
         "warmup": warmup,
         "duration": duration,
@@ -971,7 +840,6 @@ def run_fig7_sharded(
         "record_deliveries": record_deliveries,
         "stream_segments": shared,
         "crash_schedule": [tuple(point) for point in crash_schedule or ()] or None,
-        "batching": batching_enabled,
         "client_engine": client_engine,
         "users": users_per_region,
         "arrival": arrival,
@@ -982,43 +850,36 @@ def run_fig7_sharded(
     specs = [
         ShardSpec(
             shard_id=group,
-            build=_build_fig7_shared_shard if shared else _build_fig7_shard,
+            build=_build_fig7_shard,
             payload={**payload_base, "region": region, "group": group},
             # Load ∝ the region's driven clients (the traffic-less global
-            # ring keeps the default weight 1.0 below).
+            # ring keeps the default weight 1.0).
             weight=2.0 + (users_per_region or 1),
         )
         for group, region in enumerate(regions)
     ]
-    config = _fig7_config(faulted=bool(crash_schedule), batching=batching_enabled)
+    observed = regions.index(OBSERVED_REGION) if OBSERVED_REGION in regions else 0
+    shared_shape = None
     if shared:
-        specs.append(
-            ShardSpec(
-                shard_id=region_count,
-                build=_build_fig7_shared_shard,
-                payload={**payload_base, "global_ring": True, "regions": regions},
-            )
+        shared_shape = (
+            {
+                "ring_id": GLOBAL_RING_ID,
+                "topology": ec2_global(regions),
+                "frontends": [(f"kvg-node{g}", region) for g, region in enumerate(regions)],
+                "learner": "kvg-learner",
+            },
+            _fig7_reactive_stage(
+                region_count, config, key_count, observed,
+                collect_streams=record_deliveries,
+            ),
         )
-        stage = _fig7_reactive_stage(
-            region_count, config, key_count, collect_streams=record_deliveries
-        )
-        run = run_sharded(
-            specs,
-            workers=workers,
-            until=warmup + duration,
-            segment_interval=segment_interval,
-            segment_sink=stage.sink,
-            wire_codec=wire_codec,
-        )
-    else:
-        run = run_sharded(specs, workers=workers, wire_codec=wire_codec)
-    observed = 0 if "us-west-2" not in regions else regions.index("us-west-2")
-    result = _collect(
-        "fig7-sharded" if configuration == "independent" else "fig7-sharded-shared",
-        run,
+    return _run_point(
+        "fig7-sharded",
+        specs,
+        payload_base,
         params={
             "regions": region_count,
-            "workers": run.workers,
+            "workers": workers,
             "configuration": configuration,
             "faulted": bool(crash_schedule),
             "client_engine": client_engine,
@@ -1029,35 +890,60 @@ def run_fig7_sharded(
             for group, region in enumerate(regions)
         },
         latency_key=(observed, f"fig7.{regions[observed]}.latency.mean_ms"),
+        shared_shape=shared_shape,
+        segment_interval=segment_interval,
     )
-    swarm_traces = {
-        shard_id: shard["swarm_trace"]
-        for shard_id, shard in run.results.items()
-        if isinstance(shard, dict) and "swarm_trace" in shard
-    }
-    if swarm_traces:
-        result.series["swarm_traces"] = swarm_traces
-    swarm_completed = sum(
-        shard.get("swarm_completed", 0)
-        for shard in run.results.values()
-        if isinstance(shard, dict)
-    )
-    if client_engine == "swarm":
-        result.metrics["swarm_completed"] = float(swarm_completed)
-    if shared:
-        stage.annotate(result, observed=f"kv{observed}-replica0", run=run)
-        if record_deliveries:
-            result.series["ring_streams"] = _stream_digest(stage.streams)
-            result.series["merged_deliveries"] = stage.delivery_digests()
-            result.series["merged_deliveries_offline"] = stage.offline_digests(
-                config.messages_per_round
+
+
+# ---------------------------------------------------------------------------
+# Shared driver and result assembly
+# ---------------------------------------------------------------------------
+
+def _run_point(
+    name: str,
+    specs: List[ShardSpec],
+    payload_base: Dict[str, Any],
+    params: Dict[str, Any],
+    rate_keys: Dict[int, List[str]],
+    latency_key: Tuple[int, str],
+    shared_shape: Optional[Tuple[Dict[str, Any], _ReactiveMergeStage]],
+    segment_interval: float,
+) -> ExperimentResult:
+    """Run one figure point's shards and assemble its result.
+
+    ``shared_shape`` is ``None`` for the independent configuration (one
+    window, no barriers).  For the shared configuration it is the idle ring's
+    description (see :func:`_build_idle_ring_shard`) plus the reactive merge
+    stage: the idle ring joins as the last shard, the run executes in
+    ``segment_interval`` windows streaming every barrier's segments into the
+    stage, and the stage annotates the result.  ``params["workers"]`` arrives
+    as the requested count and leaves as the count the engine used.
+    """
+    if shared_shape is None:
+        run = run_sharded(specs, workers=params["workers"])
+    else:
+        idle_ring, stage = shared_shape
+        specs.append(
+            ShardSpec(
+                shard_id=len(specs),
+                build=_build_idle_ring_shard,
+                payload={**payload_base, "idle_ring": idle_ring},
             )
+        )
+        run = run_sharded(
+            specs,
+            workers=params["workers"],
+            until=payload_base["warmup"] + payload_base["duration"],
+            segment_interval=segment_interval,
+            segment_sink=stage.sink,
+        )
+        name += "-shared"
+    params["workers"] = run.workers
+    result = _collect(name, run, params, rate_keys, latency_key)
+    if shared_shape is not None:
+        stage.annotate(result, run)
     return result
 
-
-# ---------------------------------------------------------------------------
-# Shared result assembly
-# ---------------------------------------------------------------------------
 
 def _collect(
     name: str,
@@ -1076,7 +962,7 @@ def _collect(
     deliveries = {
         shard_id: result["deliveries"]
         for shard_id, result in run.results.items()
-        if isinstance(result, dict) and "deliveries" in result
+        if "deliveries" in result
     }
     result = ExperimentResult(
         name=name,
@@ -1096,4 +982,18 @@ def _collect(
     )
     if deliveries:
         result.series["deliveries"] = deliveries
+    swarm_traces = {
+        shard_id: shard["swarm_trace"]
+        for shard_id, shard in run.results.items()
+        if "swarm_trace" in shard
+    }
+    if swarm_traces:
+        result.series["swarm_traces"] = swarm_traces
+    swarm_completed = [
+        shard["swarm_completed"]
+        for shard in run.results.values()
+        if "swarm_completed" in shard
+    ]
+    if swarm_completed:
+        result.metrics["swarm_completed"] = float(sum(swarm_completed))
     return result

@@ -19,7 +19,7 @@ available for reproduction runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.amcast import AtomicMulticast
 from ..multiring.merge import RingSegmentBuffer
@@ -176,7 +176,9 @@ class ShardedMeasurement(ShardHarness):
     honestly instead of over-promising freshness.
 
     ``extra`` lets a builder attach additional picklable results (delivery
-    digests for the differential tests, event counts, ...).
+    digests for the differential tests, swarm accounting, ...): each entry is
+    called inside the worker *after* the run and its dictionary joins
+    ``finalize()``'s.
     """
 
     def __init__(
@@ -194,7 +196,7 @@ class ShardedMeasurement(ShardHarness):
         self.latency_metrics = list(latency_metrics)
         self.slo_classes = list(slo_classes)
         self.results: Dict[str, Any] = {}
-        self.extra: Dict[str, Any] = {}
+        self.extra: List[Callable[[], Dict[str, Any]]] = []
         self.segments: Optional["RingSegmentBuffer"] = None
         self._measure_start: Optional[float] = None
 
@@ -252,5 +254,6 @@ class ShardedMeasurement(ShardHarness):
     def finalize(self) -> Dict[str, Any]:
         payload = dict(self.results)
         payload["events"] = self.env.simulator.processed_events
-        payload.update(self.extra)
+        for extra in self.extra:
+            payload.update(extra())
         return payload

@@ -17,20 +17,18 @@ Correctness argument
   from the earliest event that could send anything*.
   :meth:`Network.inject_remote` raises on a violation instead of reordering
   history.
-* **Fixed horizons** (``horizon="fixed"``) step every shard by exactly one
-  lookahead per barrier — the textbook protocol, one barrier per window
-  whether or not anyone has work.
-* **Adaptive event horizons** (``horizon="adaptive"``, the default) exchange
-  each shard's :meth:`~repro.sim.kernel.Simulator.next_event_time` (plus its
-  gateway outbox frontier) at every barrier.  The next window then ends at
-  ``min(next local event anywhere, next in-flight cross-shard arrival) +
-  lookahead``: nothing can execute — and therefore nothing can *send* —
-  before that minimum ``T``, so any message generated inside the window is
-  due at ``>= T + lookahead``, i.e. at or after the next barrier.  Idle and
-  bursty phases are skipped in one hop instead of being ground through
-  window by window; the event schedule itself is untouched, so delivery
-  order is bit-identical to the fixed protocol (and barrier counts are the
-  only observable difference — ``ParallelRunResult.windows`` records them).
+* **Adaptive event horizons**: every barrier exchanges each shard's
+  :meth:`~repro.sim.kernel.Simulator.next_event_time` (plus its gateway
+  outbox frontier).  The next window then ends at ``min(next local event
+  anywhere, next in-flight cross-shard arrival) + lookahead``: nothing can
+  execute — and therefore nothing can *send* — before that minimum ``T``, so
+  any message generated inside the window is due at ``>= T + lookahead``,
+  i.e. at or after the next barrier.  Idle and bursty phases are skipped in
+  one hop where the textbook protocol (one barrier per lookahead, work or
+  not) would grind through ``ceil(until / lookahead)`` windows; where a
+  window ends never changes which events run or when, so delivery order is
+  that of the merged single-simulator run and the barrier count
+  (``ParallelRunResult.windows``) is the only thing the placement moves.
 * Within a shard, event order is exactly the single-process order: the same
   kernel, the same named RNG streams (streams are derived per name from the
   experiment seed, so a shard draws the same sequences it would draw in a
@@ -41,7 +39,7 @@ Correctness argument
   break among simultaneous events — does not depend on the worker count.
 
 Consequently ``run_sharded(specs, workers=k)`` produces bit-identical
-per-shard results for every ``k`` and either horizon mode; ``workers=1``
+per-shard results for every ``k``; ``workers=1``
 executes the same windowed schedule sequentially in-process and is the
 reference "single-process engine" the differential tests compare against.
 For deployments with **no** cross-shard traffic the result is additionally
@@ -85,9 +83,7 @@ off the critical path without ever touching the event schedule:
   window broadcast to a worker with no inbound messages is the bare
   two-tuple ``("window", end)`` — no per-shard dict is allocated or shipped.
   ``ParallelRunResult.ipc_bytes``/``ipc_messages`` count both directions as
-  framed on the pipes; ``wire_codec=False`` falls back to default-protocol
-  pickling of the identical payloads (the codec differential test's
-  baseline).
+  framed on the pipes.
 * **Overlapped merge stage** — barrier segments are double-buffered: the
   parent broadcasts window ``N+1`` *before* feeding window ``N``'s segments
   to ``segment_sink``, so reactive ingest runs while the workers execute.
@@ -98,8 +94,8 @@ off the critical path without ever touching the event schedule:
   sink time wherever it runs; ``merge_overlap_s`` is the (conservatively
   credited) portion spent while at least one worker was still executing,
   i.e. ingest time that no longer extends the wall clock.
-* **Horizon-aware skips** — in adaptive mode with a lookahead and no
-  streaming sink, a worker whose every shard reported a horizon strictly
+* **Horizon-aware skips** — with a lookahead and no streaming sink, a
+  worker whose every shard reported a horizon strictly
   beyond the window end and that has no inbound messages is not woken at
   all: an empty window is a pure no-op (the kernel executes nothing, sends
   nothing, cuts nothing), and ``run_window`` is monotonic, so the worker's
@@ -291,8 +287,6 @@ class ParallelRunResult:
     events: Dict[int, int] = field(default_factory=dict)
     #: worker processes actually used (1 = in-process reference engine)
     workers: int = 1
-    #: barrier protocol used ("adaptive" or "fixed"; windowed runs only)
-    horizon: str = "adaptive"
     #: bytes framed onto the worker pipes, both directions (0 in-process)
     ipc_bytes: int = 0
     #: frames exchanged with the workers, both directions (0 in-process)
@@ -400,22 +394,18 @@ class _ShardSet:
 _NO_INBOUND: Dict[int, List[RemoteMessage]] = {}
 
 
-def _worker_main(conn, specs: Sequence[ShardSpec], wire_codec: bool = True) -> None:
+def _worker_main(conn, specs: Sequence[ShardSpec]) -> None:
     """Entry point of one worker process: build shards, serve barrier rounds.
 
-    Frames every reply as one explicit byte blob (``send_bytes``) so the
-    parent can count IPC volume exactly; the payload encoding is the compact
-    wire codec (default) or plain default-protocol pickling (the codec
-    differential's legacy baseline).
+    Frames every reply as one explicit ``encode_wire`` byte blob
+    (``send_bytes``) so the parent can count IPC volume exactly.
     """
-    dumps = encode_wire if wire_codec else pickle.dumps
-    loads = pickle.loads
     try:
         shard_set = _ShardSet(specs)
-        conn.send_bytes(dumps(("ready", shard_set.actor_sites())))
+        conn.send_bytes(encode_wire(("ready", shard_set.actor_sites())))
         with gc_paused():
             while True:
-                command = loads(conn.recv_bytes())
+                command = pickle.loads(conn.recv_bytes())
                 op = command[0]
                 if op == "window":
                     # ("window", end) is the empty fast path: no inbound dict
@@ -424,15 +414,15 @@ def _worker_main(conn, specs: Sequence[ShardSpec], wire_codec: bool = True) -> N
                     outbound, events, horizons, segments = shard_set.run_window(
                         command[1], inbound
                     )
-                    conn.send_bytes(dumps(("out", outbound, events, horizons, segments)))
+                    conn.send_bytes(encode_wire(("out", outbound, events, horizons, segments)))
                 elif op == "routes":
                     shard_set.set_routes(command[1])
-                    conn.send_bytes(dumps(("ok",)))
+                    conn.send_bytes(encode_wire(("ok",)))
                 elif op == "start":
                     outbound, horizons, segments = shard_set.start()
-                    conn.send_bytes(dumps(("out", outbound, {}, horizons, segments)))
+                    conn.send_bytes(encode_wire(("out", outbound, {}, horizons, segments)))
                 elif op == "finish":
-                    conn.send_bytes(dumps(("result", shard_set.finalize())))
+                    conn.send_bytes(encode_wire(("result", shard_set.finalize())))
                     return
                 else:  # pragma: no cover - protocol bug
                     raise RuntimeError(f"unknown command {op!r}")
@@ -515,10 +505,8 @@ def run_sharded(
     workers: int = 1,
     lookahead: Optional[float] = None,
     mp_context: Optional[str] = None,
-    horizon: str = "adaptive",
     segment_interval: Optional[float] = None,
     segment_sink: Optional[Callable[[Dict[int, Any]], None]] = None,
-    wire_codec: bool = True,
 ) -> ParallelRunResult:
     """Execute shards under conservative barrier synchronisation.
 
@@ -540,18 +528,13 @@ def run_sharded(
         Safe window length in simulated seconds — must not exceed the minimum
         cross-shard message latency (see
         :func:`repro.multiring.sharding.plan_shards`, which computes it from
-        the topology).  ``None`` means the shards exchange no messages and
-        run in a single window.
+        the topology).  Every barrier advances to the global event horizon,
+        ``min(next local event, next cross-shard arrival) + lookahead``, so
+        idle stretches cost one barrier.  ``None`` means the shards exchange
+        no messages and run in a single window.
     mp_context:
         ``multiprocessing`` start method; defaults to ``fork`` when
         available.
-    horizon:
-        Barrier protocol for windowed runs.  ``"adaptive"`` (default)
-        advances every barrier to the global event horizon —
-        ``min(next local event, next cross-shard arrival) + lookahead`` —
-        skipping idle stretches in one hop; ``"fixed"`` steps by exactly one
-        lookahead per barrier (the textbook protocol).  Both execute the
-        identical event schedule; only the barrier count differs.
     segment_interval:
         Streaming cadence in simulated seconds for shard sets that exchange
         **no** cross-shard messages: barriers are run purely so shards can
@@ -570,12 +553,6 @@ def run_sharded(
         worker-count-independent sequence.  The sink for one barrier's
         segments runs *while* the workers execute the next window (the
         overlapped merge stage); the segment application order is untouched.
-    wire_codec:
-        Encode barrier traffic with the compact wire codec
-        (:func:`repro.sim.network.encode_wire`, the default) or with plain
-        default-protocol pickling.  Both encodings carry identical payloads
-        — ``False`` exists as the measured baseline of the codec
-        differential tests and benchmarks.
 
     Returns
     -------
@@ -589,8 +566,6 @@ def run_sharded(
     ids = [spec.shard_id for spec in specs]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate shard ids: {sorted(ids)}")
-    if horizon not in ("adaptive", "fixed"):
-        raise ValueError(f"horizon must be 'adaptive' or 'fixed', not {horizon!r}")
     if lookahead is not None:
         if lookahead <= 0:
             raise ValueError("lookahead must be positive")
@@ -613,12 +588,12 @@ def run_sharded(
     with gc_paused():
         if workers == 1:
             results, windows, cross, events, stats = _run_inprocess(
-                specs, until, lookahead, horizon, segment_interval, segment_sink
+                specs, until, lookahead, segment_interval, segment_sink
             )
         else:
             results, windows, cross, events, stats = _run_multiprocess(
-                specs, until, lookahead, horizon, workers, mp_context,
-                segment_interval, segment_sink, wire_codec,
+                specs, until, lookahead, workers, mp_context,
+                segment_interval, segment_sink,
             )
     wall = time.perf_counter() - start
     return ParallelRunResult(
@@ -628,7 +603,6 @@ def run_sharded(
         cross_messages=cross,
         events=events,
         workers=workers,
-        horizon=horizon,
         **stats,
     )
 
@@ -683,7 +657,6 @@ def _execute_rounds(
     owner: Dict[str, int],
     until: Optional[float],
     lookahead: Optional[float],
-    horizon: str,
     segment_interval: Optional[float] = None,
     segment_sink: Optional[Callable[[Dict[int, Any]], None]] = None,
 ) -> Tuple[int, int, Dict[int, int], float]:
@@ -750,18 +723,15 @@ def _execute_rounds(
 
     now = 0.0  # every shard's kernel starts at t=0 and lands exactly on `now`
     while now < until:
-        if horizon == "fixed":
-            end = min(now + pitch, until)
+        frontier = _min_horizon(horizons, inbound)
+        if frontier is None:
+            # Nothing pending anywhere: land every clock on the horizon.
+            end = until
         else:
-            frontier = _min_horizon(horizons, inbound)
-            if frontier is None:
-                # Nothing pending anywhere: land every clock on the horizon.
-                end = until
-            else:
-                # Nothing can execute — and therefore nothing can send —
-                # before `frontier`, so a window reaching frontier+lookahead
-                # is exactly as safe as a fixed window of one lookahead.
-                end = min(max(frontier, now) + pitch, until)
+            # Nothing can execute — and therefore nothing can send — before
+            # `frontier`, so a window reaching frontier+lookahead is exactly
+            # as safe as one of a single lookahead starting at `now`.
+            end = min(max(frontier, now) + pitch, until)
         outbound, events, horizons, segments = transport.window(
             end, inbound, ship, final=end >= until
         )
@@ -795,13 +765,13 @@ class _InProcessTransport:
         return self._shards.run_window(end, inbound)
 
 
-def _run_inprocess(specs, until, lookahead, horizon, segment_interval, segment_sink):
+def _run_inprocess(specs, until, lookahead, segment_interval, segment_sink):
     shard_set = _ShardSet(specs)
     sites = shard_set.actor_sites()
     owner, routes = _build_routing(sites, require_unique=lookahead is not None)
     shard_set.set_routes(routes)
     windows, cross, events, merge_s = _execute_rounds(
-        _InProcessTransport(shard_set), owner, until, lookahead, horizon,
+        _InProcessTransport(shard_set), owner, until, lookahead,
         segment_interval, segment_sink,
     )
     stats = {"merge_stage_s": merge_s}
@@ -834,17 +804,17 @@ def _assign_shards(
 class _PipeTransport:
     """Round executor broadcasting barrier rounds to worker processes.
 
-    * frames every command/reply as one explicit byte blob per worker per
-      round (compact wire codec by default), counting ``ipc_bytes`` and
-      ``ipc_messages`` in both directions;
+    * frames every command/reply as one explicit ``encode_wire`` byte blob
+      per worker per round, counting ``ipc_bytes`` and ``ipc_messages`` in
+      both directions;
     * broadcasts a window *before* running the staged merge sink, so
       reactive ingest overlaps worker execution (``overlap_s`` credits sink
       time only when at least one worker had not replied when the sink
       finished — a conservative measure);
     * skips workers whose cached horizons lie strictly beyond the window end
-      when they have no inbound traffic (adaptive windows, no streaming
-      sink, non-final window only — see the module docstring for the safety
-      argument);
+      when they have no inbound traffic (lookahead-driven windows, no
+      streaming sink, non-final window only — see the module docstring for
+      the safety argument);
     * absorbs replies in arrival order via ``connection.wait`` — a pipe that
       hits EOF mid-round surfaces as an immediate error naming the dead
       worker and its shards instead of blocking the round.
@@ -854,12 +824,10 @@ class _PipeTransport:
         self,
         pipes: Sequence[Any],
         procs: Sequence[Any],
-        wire_codec: bool,
         allow_skip: bool,
     ) -> None:
         self._pipes = list(pipes)
         self._procs = list(procs)
-        self._dumps = encode_wire if wire_codec else pickle.dumps
         self._allow_skip = allow_skip
         #: shard id → worker index, and its inverse (bound after the ready
         #: handshake, once the parent knows which shards each worker built)
@@ -885,7 +853,7 @@ class _PipeTransport:
         self._events = {sid: 0 for sid in shard_worker}
 
     def send(self, widx: int, payload: Any) -> None:
-        frame = self._dumps(payload)
+        frame = encode_wire(payload)
         try:
             self._pipes[widx].send_bytes(frame)
         except (BrokenPipeError, OSError) as exc:
@@ -1005,8 +973,7 @@ class _PipeTransport:
 
 
 def _run_multiprocess(
-    specs, until, lookahead, horizon, workers, mp_context,
-    segment_interval, segment_sink, wire_codec,
+    specs, until, lookahead, workers, mp_context, segment_interval, segment_sink,
 ):
     if mp_context is None:
         methods = multiprocessing.get_all_start_methods()
@@ -1015,14 +982,11 @@ def _run_multiprocess(
 
     assignment = _assign_shards(specs, workers)
 
-    # Horizon-aware skips need adaptive planning and a lookahead (fixed mode
-    # must run every window everywhere; segment-interval-only runs have no
-    # horizon exchange), and no streaming sink — a skipped worker ships no
+    # Horizon-aware skips need a lookahead (segment-interval-only runs have
+    # no horizon exchange) and no streaming sink — a skipped worker ships no
     # segment cut, but a sink consumer relies on every barrier's coverage
     # for its joint watermark.
-    allow_skip = (
-        horizon == "adaptive" and lookahead is not None and segment_sink is None
-    )
+    allow_skip = lookahead is not None and segment_sink is None
 
     pipes = []
     procs = []
@@ -1030,7 +994,7 @@ def _run_multiprocess(
         for worker_specs in assignment:
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
-                target=_worker_main, args=(child_conn, worker_specs, wire_codec)
+                target=_worker_main, args=(child_conn, worker_specs)
             )
             proc.daemon = True
             proc.start()
@@ -1038,7 +1002,7 @@ def _run_multiprocess(
             pipes.append(parent_conn)
             procs.append(proc)
 
-        transport = _PipeTransport(pipes, procs, wire_codec, allow_skip)
+        transport = _PipeTransport(pipes, procs, allow_skip)
 
         sites: Dict[int, Dict[str, str]] = {}
         shard_worker: Dict[int, int] = {}
@@ -1057,8 +1021,7 @@ def _run_multiprocess(
             transport.recv(widx)
 
         windows, cross, events, merge_s = _execute_rounds(
-            transport, owner, until, lookahead, horizon,
-            segment_interval, segment_sink,
+            transport, owner, until, lookahead, segment_interval, segment_sink,
         )
 
         results: Dict[int, Any] = {}

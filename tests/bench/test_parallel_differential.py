@@ -359,26 +359,3 @@ def test_fig7_flash_crowd_swarm_trace_deterministic():
         early = sum(1 for t in times if t < midpoint)
         late = sum(1 for t in times if t >= midpoint)
         assert late > early
-
-
-def test_fig6_wire_codec_differential():
-    """The compact wire codec is invisible to results and visible to the wire.
-
-    The shared-learner deployment ships real protocol payloads (segments of
-    ``ProposalValue``/``PackedValues``/``Command``) across the worker pipes
-    every barrier: the reactively merged delivery sequence, the per-ring
-    streams and every measured rate must be byte-identical with the codec on
-    and off, while the codec run frames strictly fewer IPC bytes.
-    """
-    kwargs = dict(
-        warmup=0.2, duration=0.6, record_deliveries=True, configuration="shared"
-    )
-    codec = run_fig6_sharded(2, workers=2, wire_codec=True, **kwargs)
-    legacy = run_fig6_sharded(2, workers=2, wire_codec=False, **kwargs)
-    assert codec.series["merged_deliveries"] == legacy.series["merged_deliveries"]
-    assert codec.series["ring_streams"] == legacy.series["ring_streams"]
-    assert codec.series["deliveries"] == legacy.series["deliveries"]
-    assert codec.metrics["aggregate_ops"] == legacy.metrics["aggregate_ops"]
-    assert codec.metrics["events_total"] == legacy.metrics["events_total"]
-    assert codec.metrics["barrier_count"] == legacy.metrics["barrier_count"]
-    assert 0 < codec.metrics["ipc_bytes"] < legacy.metrics["ipc_bytes"]

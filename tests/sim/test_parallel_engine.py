@@ -8,6 +8,8 @@ module level so the specs survive the ``multiprocessing`` boundary.
 
 from __future__ import annotations
 
+from math import ceil
+
 import pytest
 
 from repro.sim import Actor, Environment, Network, ShardHarness, ShardSpec, Topology, run_sharded
@@ -136,36 +138,20 @@ def test_sharded_matches_merged_single_simulator():
     assert run.cross_messages == ROUNDS + 1
 
 
-def test_fixed_horizon_grinds_through_every_window():
-    """The textbook protocol barriers once per lookahead, work or not."""
-    reference = run_merged_pingpong(ROUNDS)
-    run = run_sharded(
-        specs(), until=HORIZON, workers=1, lookahead=LINK_LATENCY, horizon="fixed"
-    )
-    assert run.results[0] == reference[0]
-    assert run.results[1] == reference[1]
-    assert run.windows >= int(HORIZON / LINK_LATENCY)
-
-
 def test_adaptive_horizon_cuts_barriers_not_results():
     """Event-horizon windows skip idle stretches; the schedule is untouched.
 
-    The ping-pong goes quiet after ~0.6s of a 2.0s horizon: the adaptive
-    protocol barriers roughly once per message plus one final hop to the
-    horizon, while the fixed protocol grinds through every lookahead window.
+    The ping-pong goes quiet after ~0.3s of a 2.0s horizon: the engine
+    barriers once per message plus one final hop to the horizon, where a
+    barrier per lookahead — the textbook protocol — is by definition
+    ``ceil(HORIZON / LINK_LATENCY)`` of them.
     """
-    fixed = run_sharded(
-        specs(), until=HORIZON, workers=1, lookahead=LINK_LATENCY, horizon="fixed"
-    )
-    adaptive = run_sharded(
-        specs(), until=HORIZON, workers=1, lookahead=LINK_LATENCY, horizon="adaptive"
-    )
-    assert adaptive.results == fixed.results
-    assert adaptive.events == fixed.events
-    assert adaptive.cross_messages == fixed.cross_messages
-    assert adaptive.windows < fixed.windows
-    assert adaptive.horizon == "adaptive"
-    assert fixed.horizon == "fixed"
+    reference = run_merged_pingpong(ROUNDS)
+    run = run_sharded(specs(), until=HORIZON, workers=1, lookahead=LINK_LATENCY)
+    assert run.results == reference
+    assert run.cross_messages == ROUNDS + 1
+    assert run.windows == ROUNDS + 2  # one per message, one hop to the horizon
+    assert run.windows < ceil(HORIZON / LINK_LATENCY)
 
 
 def test_workers_do_not_change_results():
@@ -177,12 +163,6 @@ def test_workers_do_not_change_results():
     assert parallel.cross_messages == sequential.cross_messages
     assert parallel.events == sequential.events
     assert parallel.windows == sequential.windows
-
-
-def test_invalid_horizon_mode_rejected():
-    with pytest.raises(ValueError, match="horizon"):
-        run_sharded(specs(), until=HORIZON, workers=1,
-                    lookahead=LINK_LATENCY, horizon="eager")
 
 
 def test_start_time_sends_cross_the_barrier():
@@ -355,17 +335,15 @@ def test_cross_shard_message_due_exactly_at_barrier_timestamp():
     Sent at t=3/256: transmission 1/256 + propagation 4/256 puts the delivery
     at t=8/256 = 2 lookaheads — bit-equal to the second barrier timestamp.
     The engine must deliver it in the window *after* that barrier at its
-    exact computed time, identically for every worker count and horizon
-    mode, and identically to the merged single-simulator run.
+    exact computed time, identically for every worker count and identically
+    to the merged single-simulator run.
     """
     send = [3 / 256]
     reference = run_exact_merged(send, [])
     assert reference[1] == [(8 / 256, 3 / 256)]  # exactly the 2nd barrier
-    for horizon in ("fixed", "adaptive"):
-        for workers in (1, 2):
-            run = run_exact_sharded(send, [], workers=workers, horizon=horizon)
-            assert run.results[0] == reference[0], (horizon, workers)
-            assert run.results[1] == reference[1], (horizon, workers)
+    for workers in (1, 2):
+        run = run_exact_sharded(send, [], workers=workers)
+        assert run.results == reference, workers
 
 
 def test_send_event_exactly_at_barrier_with_minimum_lookahead():
@@ -375,19 +353,15 @@ def test_send_event_exactly_at_barrier_with_minimum_lookahead():
     window even one event longer would violate).  Senders fire exactly at
     t = k*L — the barrier instants themselves — from both sides; every
     delivery must still happen at its exact merged-run time with no
-    lookahead violation, for both horizon modes and worker counts.
+    lookahead violation, for both worker counts.
     """
     times_a = [0.0, EXACT_LATENCY, 2 * EXACT_LATENCY]
     times_b = [EXACT_LATENCY, 3 * EXACT_LATENCY]
     reference = run_exact_merged(times_a, times_b)
     assert reference[0] and reference[1]
-    for horizon in ("fixed", "adaptive"):
-        for workers in (1, 2):
-            run = run_exact_sharded(
-                times_a, times_b, workers=workers, horizon=horizon
-            )
-            assert run.results[0] == reference[0], (horizon, workers)
-            assert run.results[1] == reference[1], (horizon, workers)
+    for workers in (1, 2):
+        run = run_exact_sharded(times_a, times_b, workers=workers)
+        assert run.results == reference, workers
 
 
 def test_inject_remote_boundary_is_inclusive():
@@ -497,44 +471,53 @@ class BurstHarness(ShardHarness):
         return self.actor.received
 
 
-def build_burst_shard(index):
+def burst_topology() -> Topology:
     topo = Topology(local_latency=0.00005, local_bandwidth_bps=10e9)
     topo.add_site("s0")
     topo.add_site("s1")
     topo.set_link("s0", "s1", one_way_latency=BURST_LATENCY, bandwidth_bps=1e9)
+    return topo
+
+
+def build_burst_shard(index):
     env = Environment(seed=13)
-    Network(env, topo, jitter_fraction=0.0)
+    Network(env, burst_topology(), jitter_fraction=0.0)
     actor = BurstActor(env, f"burst{index}", f"s{index}", f"burst{1 - index}")
     return BurstHarness(env, actor)
 
 
-def test_adaptive_beats_fixed_on_bursty_topology():
-    """Regression: adaptive horizons need strictly fewer barriers when bursts
-    are separated by idle stretches far longer than the lookahead.
+def run_merged_burst():
+    env = Environment(seed=13)
+    Network(env, burst_topology(), jitter_fraction=0.0)
+    actors = [BurstActor(env, f"burst{i}", f"s{i}", f"burst{1 - i}") for i in range(2)]
+    for actor in actors:
+        actor.on_start()
+    env.run(until=BURST_UNTIL)
+    return {i: actor.received for i, actor in enumerate(actors)}
 
-    This is the shape ``benchmarks/bench_parallel.py`` records in
-    ``BENCH_parallel.json``; asserting it here keeps the property in tier 1
-    instead of only in a benchmark artifact.
+
+def test_adaptive_beats_fixed_on_bursty_topology():
+    """Regression: event horizons hop an idle stretch far longer than the
+    lookahead in one barrier, and every delivery lands where the merged
+    single-simulator run puts it.
+
+    A barrier per lookahead — the textbook protocol — is by definition
+    ``ceil(BURST_UNTIL / BURST_LATENCY)`` of them, work or not.
     """
-    runs = {}
-    for horizon in ("fixed", "adaptive"):
-        runs[horizon] = run_sharded(
-            [ShardSpec(i, build_burst_shard, i) for i in range(2)],
-            until=BURST_UNTIL,
-            workers=1,
-            lookahead=BURST_LATENCY,
-            horizon=horizon,
-        )
-    assert runs["adaptive"].results == runs["fixed"].results
-    assert all(
-        len(received) == BURST_COUNT * BURST_SIZE
-        for received in runs["fixed"].results.values()
+    reference = run_merged_burst()
+    assert all(len(received) == BURST_COUNT * BURST_SIZE for received in reference.values())
+    run = run_sharded(
+        [ShardSpec(i, build_burst_shard, i) for i in range(2)],
+        until=BURST_UNTIL,
+        workers=1,
+        lookahead=BURST_LATENCY,
     )
-    # The fixed protocol grinds through every lookahead window of every idle
-    # stretch; the adaptive protocol hops each stretch in one barrier.
-    assert runs["fixed"].barrier_count >= int(BURST_UNTIL / BURST_LATENCY)
-    assert runs["adaptive"].barrier_count < runs["fixed"].barrier_count
-    assert runs["adaptive"].barrier_count <= BURST_COUNT * (BURST_SIZE + 2) + 2
+    assert run.results == reference
+    # Per burst: one window in which both sides send, one in which both
+    # receive; then the hop to the horizon.
+    assert run.barrier_count == 2 * BURST_COUNT + 1
+    assert run.barrier_count <= BURST_COUNT * (BURST_SIZE + 2) + 2
+    assert run.barrier_count < ceil(BURST_UNTIL / BURST_LATENCY)
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +626,7 @@ def test_cross_traffic_under_segment_windows_still_raises():
 
 # ---------------------------------------------------------------------------
 # Barrier-plane round 2: weighted placement, failure identity, skip windows,
-# and the wire codec differential
+# and the wire differential
 # ---------------------------------------------------------------------------
 
 from repro.sim.parallel import _assign_shards  # noqa: E402
@@ -739,12 +722,8 @@ class OneWayReceiver(Actor):
 
 
 def build_oneway_shard(index):
-    topo = Topology(local_latency=0.00005, local_bandwidth_bps=10e9)
-    topo.add_site("s0")
-    topo.add_site("s1")
-    topo.set_link("s0", "s1", one_way_latency=BURST_LATENCY, bandwidth_bps=1e9)
     env = Environment(seed=13)
-    Network(env, topo, jitter_fraction=0.0)
+    Network(env, burst_topology(), jitter_fraction=0.0)
     if index == 0:
         actor = BurstActor(env, "burst0", "s0", "sink1")
         return BurstHarness(env, actor)
@@ -763,7 +742,6 @@ def test_one_way_bursts_skip_idle_receiver_windows():
             until=BURST_UNTIL,
             workers=workers,
             lookahead=BURST_LATENCY,
-            horizon="adaptive",
         )
     assert runs[1].results == runs[2].results
     assert runs[1].windows == runs[2].windows
@@ -775,17 +753,11 @@ def test_one_way_bursts_skip_idle_receiver_windows():
 
 
 def test_wire_codec_engine_differential():
-    """Delivery order is bit-identical with the codec on and off."""
+    """Delivery order is bit-identical with no wire at all and over the codec."""
     baseline = run_sharded(specs(), until=HORIZON, workers=1, lookahead=LINK_LATENCY)
-    codec = run_sharded(
-        specs(), until=HORIZON, workers=2, lookahead=LINK_LATENCY, wire_codec=True
-    )
-    legacy = run_sharded(
-        specs(), until=HORIZON, workers=2, lookahead=LINK_LATENCY, wire_codec=False
-    )
-    assert codec.results == legacy.results == baseline.results
-    assert codec.windows == legacy.windows == baseline.windows
+    codec = run_sharded(specs(), until=HORIZON, workers=2, lookahead=LINK_LATENCY)
+    assert codec.results == baseline.results
+    assert codec.windows == baseline.windows
     # IPC accounting: real for pipe transports, zero for the in-process one.
-    assert codec.ipc_bytes > 0 and legacy.ipc_bytes > 0
-    assert codec.ipc_messages > 0
+    assert codec.ipc_bytes > 0 and codec.ipc_messages > 0
     assert baseline.ipc_bytes == 0 and baseline.ipc_messages == 0

@@ -32,6 +32,7 @@ from repro.paxos.messages import SKIP, Decision, ProposalValue
 from repro.ringpaxos.coordinator import PackedValues
 from repro.sim import network, parallel
 from repro.sim.network import decode_wire, encode_wire, register_wire_type, wire_fields
+from tests import golden
 from tests.conftest import mutate
 from tests.reference.wire import reference_decode, reference_encode
 
@@ -243,29 +244,60 @@ def test_a_class_guarding_setattr_is_rebuilt_around_it():
 # ---------------------------------------------------------------------------
 
 
-def _run_with_checked_frames(monkeypatch, spool: Path, run) -> None:
-    """``run()`` with every frame its two workers ship held to the reference."""
+#: A frame must cost at most this share of its plain default-protocol pickle.
+MAX_CODEC_SHARE = 0.70
+
+
+def _run_with_checked_frames(monkeypatch, spool: Path, run):
+    """``run()`` with every frame of the run held to the reference codec.
+
+    Each process (the parent and its two workers) tallies, per frame it
+    encodes, the frame's size and the size plain pickling would have shipped.
+    """
 
     def checked(payload):
         # Barrier rounds carry value-comparable dataclasses only; the closing
         # "result" frame ships identity-compared objects (metric registries).
         _assert_matches_reference(payload, graph=payload[0] == "out")
-        with open(spool / str(os.getpid()), "ab") as tally:
-            tally.write(b".")
-        return encode_wire(payload)
+        frame = encode_wire(payload)
+        with open(spool / str(os.getpid()), "a") as tally:
+            tally.write(f"{len(frame)} {len(pickle.dumps(payload))}\n")
+        return frame
 
     monkeypatch.setattr(parallel, "encode_wire", checked)
     result = run()
-    tallies = [p for p in spool.iterdir() if p.name != str(os.getpid())]
-    assert len(tallies) == 2, "expected frames from two worker processes"
-    frames = sum(p.stat().st_size for p in tallies)
-    assert frames >= 2 * result.metrics["barrier_count"] > 2
+    tallies = {
+        p.name: [tuple(map(int, line.split())) for line in p.read_text().splitlines()]
+        for p in spool.iterdir()
+    }
+    workers = [frames for pid, frames in tallies.items() if pid != str(os.getpid())]
+    assert len(workers) == 2, "expected frames from two worker processes"
+    assert sum(map(len, workers)) >= 2 * result.metrics["barrier_count"] > 2
+    # The tallies are the run's whole IPC accounting, both directions.
+    frames = [frame for process in tallies.values() for frame in process]
+    codec = sum(size for size, _ in frames)
+    plain = sum(size for _, size in frames)
+    assert len(frames) == result.metrics["ipc_messages"]
+    assert codec == result.metrics["ipc_bytes"]
+    assert codec <= MAX_CODEC_SHARE * plain, (codec, plain)
+    return result
+
+
+def fig6_shared_point():
+    return run_fig6_sharded(
+        2, workers=2, clients_per_ring=8, warmup=0.2, duration=0.6, seed=42,
+        configuration="shared")
+
+
+def wire_counts(result) -> dict:
+    """What the barrier plane shipped in one run, as ``exact.json`` pins it."""
+    return {name: int(result.metrics[name])
+            for name in ("barrier_count", "ipc_bytes", "ipc_messages")}
 
 
 def test_fig6_shared_worker_frames_equal_the_reference_codec(monkeypatch, tmp_path):
-    _run_with_checked_frames(monkeypatch, tmp_path, lambda: run_fig6_sharded(
-        2, workers=2, clients_per_ring=8, warmup=0.2, duration=0.6, seed=42,
-        configuration="shared"))
+    result = _run_with_checked_frames(monkeypatch, tmp_path, fig6_shared_point)
+    assert wire_counts(result) == golden.load()["wire_fig6_shared"]
 
 
 def test_fig7_shared_worker_frames_equal_the_reference_codec(monkeypatch, tmp_path):
