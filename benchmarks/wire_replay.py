@@ -36,8 +36,8 @@ from typing import Any, Callable, Dict, List
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT))  # tests.reference
 
-from repro.bench import parallel as bench_parallel  # noqa: E402
 from repro.bench.parallel import run_fig6_sharded  # noqa: E402
+from repro.core.smr import ReactiveMergeStage  # noqa: E402
 from repro.sim import parallel  # noqa: E402
 from repro.sim.network import decode_wire, encode_wire  # noqa: E402
 from tests.reference.wire import reference_decode, reference_encode  # noqa: E402
@@ -95,17 +95,17 @@ def cpu_split(seed: int, duration: float) -> Dict[str, float]:
                 out.write(f"{process_time() - started}\n")
             return frame
 
-        sink = bench_parallel._ReactiveMergeStage.sink
+        sink = ReactiveMergeStage.sink
         shim = types.SimpleNamespace(**vars(pickle))
         shim.loads = clocked("decode", pickle.loads)
         parallel.encode_wire, parallel.pickle = tap, shim
-        bench_parallel._ReactiveMergeStage.sink = clocked("merge_stage", sink)
+        ReactiveMergeStage.sink = clocked("merge_stage", sink)
         before = os.times()
         try:
             ledger_call(seed, duration)
         finally:
             parallel.encode_wire, parallel.pickle = encode_wire, pickle
-            bench_parallel._ReactiveMergeStage.sink = sink
+            ReactiveMergeStage.sink = sink
         after = os.times()
         parent = str(os.getpid())
         encode = sum(float(line) for p in Path(spool).iterdir() if p.name != parent

@@ -14,10 +14,11 @@ This example shows the **reactive merge stage** doing exactly that:
 * at every barrier each shard ships the decision-stream segments its ring
   decided since the last barrier (skips included, with a watermark);
 * a **real** :class:`~repro.kvstore.replica.MRPStoreReplica` hosted in the
-  parent process — driven by :class:`~repro.core.smr.ReactiveReplicaHost` —
-  applies the merged round-robin deliveries barrier by barrier, so this
-  script can read merged cross-partition state *while the shards run*,
-  with client-visible freshness accounting.
+  parent process — driven by :class:`~repro.core.smr.ReactiveReplicaHost`,
+  which :class:`~repro.core.smr.ReactiveMergeStage` feeds — applies the
+  merged round-robin deliveries barrier by barrier, so this script can read
+  merged cross-partition state *while the shards run*, with client-visible
+  freshness accounting.
 
 The reactively applied order is bit-identical to the offline
 ``replay_streams`` of the same streams and to any other worker count.
@@ -40,10 +41,15 @@ import sys
 # the package lives in <repo>/src.
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.core import AtomicMulticast, MultiRingConfig, ReactiveReplicaHost
+from repro.core import (
+    AtomicMulticast,
+    MultiRingConfig,
+    ReactiveMergeStage,
+    ReactiveReplicaHost,
+)
 from repro.core.client import Command
 from repro.kvstore.replica import MRPStoreReplica
-from repro.multiring import RingSegmentBuffer, replay_streams
+from repro.multiring import RingSegmentBuffer
 from repro.sim import Environment, ShardSpec, run_sharded
 from repro.sim.topology import single_datacenter
 from repro.bench.runner import MeasurementWindow, ShardedMeasurement
@@ -132,24 +138,14 @@ def main() -> int:
         merged_replica, group_ids=list(range(PARTITIONS)),
         messages_per_round=config.messages_per_round,
     )
-
-    streams = {}  # parent-side accumulation, for the offline-replay anchor
+    # The merge stage combines every barrier's shard payloads (minimum
+    # watermark, covered rings) and feeds the host; it also keeps the
+    # streams for the offline-replay anchor.
+    stage = ReactiveMergeStage([host], collect_streams=True)
     progress = []
 
     def sink(segments_by_shard):
-        watermark = None
-        barrier_segments = {}
-        for shard_id in sorted(segments_by_shard):
-            shard_watermark, rings = segments_by_shard[shard_id]
-            watermark = shard_watermark if watermark is None else min(watermark, shard_watermark)
-            for ring, segment in rings.items():
-                # One shard per ring: each incarnation-tagged RingSegment
-                # arrives exactly once.  No crashes here, so the whole-run
-                # stream is just the concatenated entries.
-                barrier_segments[ring] = segment
-                streams.setdefault(ring, []).extend(segment.entries)
-        host.ingest(barrier_segments, watermark=watermark,
-                    covered=sorted(barrier_segments))
+        stage.sink(segments_by_shard)
         # Merged state is live: a client could be answered right here.
         progress.append((host.watermark, host.commands_applied,
                          merged_replica.entry_count()))
@@ -190,7 +186,7 @@ def main() -> int:
           f"p95 {stats['p95_ms']:.1f} ms over {int(stats['count'])} commands")
 
     # The streaming merge is anchored to the offline replay: bit-identical.
-    offline = replay_streams(streams, messages_per_round=config.messages_per_round)
+    offline = stage.offline_deliveries()[merged_replica.name]
     reactive_matches_offline = host.deliveries == offline
     both_partitions_present = all(count > 0 for count in per_partition)
     print(f"reactive merge matches offline replay: {reactive_matches_offline}")

@@ -46,20 +46,14 @@ accounted separately from the shard stage (``sim.parallel.shard_wall_s``).
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.amcast import AtomicMulticast
 from ..core.client import ClosedLoopClient, OpenLoopClient
 from ..core.config import MultiRingConfig
 from ..core.swarm import ChurnSpec, PORT_ADDRESSING_LIMIT
-from ..core.smr import ProposerFrontend, ReactiveReplicaHost
-from ..multiring.merge import (
-    RingSegment,
-    RingSegmentBuffer,
-    effective_streams,
-    replay_streams,
-)
+from ..core.smr import ProposerFrontend, ReactiveMergeStage, ReactiveReplicaHost
+from ..multiring.merge import RingSegmentBuffer, effective_streams
 from ..multiring.process import MultiRingProcess
 from ..net.ring import RingMember
 from ..paxos.messages import SKIP
@@ -115,29 +109,6 @@ def _delivery_digest(recorder) -> Dict[str, List[tuple]]:
     }
 
 
-# ---------------------------------------------------------------------------
-# Shared-learner (original-configuration) plumbing: segment taps + reactive
-# merge stage
-# ---------------------------------------------------------------------------
-
-#: Ring output accumulated in the parent from the shards' streamed segments:
-#: ring id → incarnation-tagged :class:`~repro.multiring.merge.RingSegment`
-#: runs in arrival order.  A crashed-and-restarted in-shard learner re-emits
-#: its ring's prefix under a bumped incarnation;
-#: :func:`~repro.multiring.merge.effective_streams` flattens the runs into
-#: the deduped per-ring ``(instance, value)`` streams (skips included) the
-#: offline replay consumes.
-RingHistory = Dict[int, List[RingSegment]]
-
-
-def _stream_digest(history: RingHistory) -> Dict[int, List[tuple]]:
-    """Per-ring deduped stream digests (stable payload keys, skips marked)."""
-    return {
-        ring: [(instance, _stable_payload_key(value.payload)) for instance, value in stream]
-        for ring, stream in effective_streams(history).items()
-    }
-
-
 def _attach_delivery_digest(harness: ShardedMeasurement, replicas) -> None:
     """Trace the replicas' deliveries and digest them into ``finalize()``."""
     from ..chaos.trace import TraceRecorder
@@ -168,6 +139,11 @@ def _attach_swarm_stats(harness: ShardedMeasurement, swarm, trace: bool) -> None
     harness.extra.append(stats)
 
 
+# ---------------------------------------------------------------------------
+# Shared-learner (original-configuration) reporting: the reactive merge
+# stage itself is :class:`repro.core.smr.ReactiveMergeStage`
+# ---------------------------------------------------------------------------
+
 def _delivery_digest_from(merged: Sequence[Tuple[int, int, Any]]) -> List[tuple]:
     """Digest raw merged ``(group, instance, value)`` triples."""
     return [
@@ -176,145 +152,53 @@ def _delivery_digest_from(merged: Sequence[Tuple[int, int, Any]]) -> List[tuple]
     ]
 
 
-class _ReactiveMergeStage:
-    """Parent-side streaming merge: hosts reactive replicas, ingests barriers.
+def _annotate(
+    result: ExperimentResult,
+    run: ParallelRunResult,
+    stage: ReactiveMergeStage,
+    observed: str,
+) -> None:
+    """Record the reactive stage's metrics on an experiment result.
 
-    The ``segment_sink`` of a shared-configuration run: at every barrier the
-    engine hands over ``{shard_id: (watermark, segments)}``; the stage
-    combines the shards' disjoint rings, advances the joint watermark, and
-    feeds every hosted :class:`~repro.core.smr.ReactiveReplicaHost` the rings
-    it subscribes to.  Its wall clock is accounted separately from the
-    shards' (``merge_stage_s``) so speedup claims state what they include.
+    ``observed`` names the host whose client-visible latency is reported.
+    ``shard_wall_clock_s`` keeps its historical meaning — wall clock minus
+    *total* merge-stage time — so the figure is comparable across rounds.
+    How much of the merge stage actually ran concurrently with the next
+    window (and therefore never extended the wall clock) is reported
+    separately as ``merge_overlap_s`` / ``merge_overlap_fraction``.  A stage
+    that collected the streams (``record_deliveries``) also reports the three
+    digests the differentials compare: the per-ring deduped streams, the
+    live merged deliveries and their offline replay.
     """
-
-    def __init__(
-        self,
-        hosts: Dict[str, ReactiveReplicaHost],
-        observed: str,
-        messages_per_round: int,
-        collect_streams: bool,
-    ) -> None:
-        self.hosts = hosts
-        #: the replica whose client-visible latency the result reports
-        self.observed = observed
-        self.messages_per_round = messages_per_round
-        self.streams: RingHistory = {}
-        self._collect = collect_streams
-        self.seconds = 0.0
-        self.barriers_fed = 0
-
-    def sink(self, segments_by_shard: Dict[int, Any]) -> None:
-        started = time.perf_counter()
-        watermark: Optional[float] = None
-        merged_segments: Dict[int, RingSegment] = {}
-        for shard_id in sorted(segments_by_shard):
-            shard_watermark, rings = segments_by_shard[shard_id]
-            if watermark is None or shard_watermark < watermark:
-                watermark = shard_watermark
-            for ring, segment in rings.items():
-                # Rings are disjoint across shards: each ring's segment
-                # arrives from exactly one shard per barrier.  A ring whose
-                # in-shard learner is down is absent from its shard's cut, so
-                # it drops out of ``covered`` and the hosts' joint watermark
-                # stalls honestly until the learner restarts.
-                merged_segments[ring] = segment
-                if self._collect:
-                    self._record(ring, segment)
-        covered = sorted(merged_segments)
-        for name in sorted(self.hosts):
-            host = self.hosts[name]
-            subscribed = set(host.groups)
-            host.ingest(
-                {r: s for r, s in merged_segments.items() if r in subscribed},
-                watermark=watermark,
-                covered=[r for r in covered if r in subscribed],
-            )
-        self.barriers_fed += 1
-        self.seconds += time.perf_counter() - started
-
-    def _record(self, ring: int, segment: RingSegment) -> None:
-        """Accumulate a barrier's segment into the per-ring incarnation runs.
-
-        Segments of one incarnation are contiguous (the buffer's resume
-        position advances by exactly the entries cut), so they coalesce into
-        a single run; a bumped incarnation opens a new run whose re-emitted
-        prefix ``effective_streams`` dedups at replay time.
-        """
-        runs = self.streams.setdefault(ring, [])
-        last = runs[-1] if runs else None
-        if last is not None and last.incarnation == segment.incarnation:
-            last.entries.extend(segment.entries)
-        else:
-            runs.append(
-                RingSegment(
-                    incarnation=segment.incarnation,
-                    start=segment.start,
-                    entries=list(segment.entries),
-                )
-            )
-
-    # ------------------------------------------------------------- reporting
-    def delivery_digests(self) -> Dict[str, List[tuple]]:
-        """Per-replica digests of the reactively applied merge output."""
-        return {
+    stats = stage.hosts[observed].latency_stats()
+    overlap = min(run.merge_overlap_s, stage.seconds)
+    result.metrics["merge_overlap_s"] = overlap
+    result.metrics["merge_overlap_fraction"] = (
+        overlap / stage.seconds if stage.seconds > 0.0 else 0.0
+    )
+    result.metrics["merge_stage_s"] = stage.seconds
+    result.metrics["shard_wall_clock_s"] = result.metrics["wall_clock_s"] - stage.seconds
+    result.metrics["reactive_latency_mean_ms"] = stats["mean_ms"]
+    result.metrics["reactive_latency_p95_ms"] = stats["p95_ms"]
+    result.metrics["reactive_latency_count"] = stats["count"]
+    result.metrics["reactive_stall_count"] = stats["stall_count"]
+    result.metrics["reactive_stalled_ms"] = stats["stalled_ms"]
+    result.metrics["reactive_commands_applied"] = float(
+        sum(host.commands_applied for host in stage.hosts.values())
+    )
+    if stage.collect_streams:
+        result.series["ring_streams"] = {
+            ring: [(instance, _stable_payload_key(value.payload)) for instance, value in stream]
+            for ring, stream in effective_streams(stage.streams).items()
+        }
+        result.series["merged_deliveries"] = {
             name: _delivery_digest_from(host.deliveries)
-            for name, host in self.hosts.items()
+            for name, host in stage.hosts.items()
         }
-
-    def offline_digests(self) -> Dict[str, List[tuple]]:
-        """Offline ``replay_streams`` digests over the accumulated history.
-
-        The differential anchor: must be bit-identical to
-        :meth:`delivery_digests` (streaming and offline merges agree).  The
-        incarnation runs are flattened through
-        :func:`~repro.multiring.merge.effective_streams` first, so a crashed
-        producer's re-emitted prefixes dedup exactly as the streaming cursor
-        deduped them barrier by barrier.
-        """
-        flat = effective_streams(self.streams)
-        return {
-            name: _delivery_digest_from(
-                replay_streams(
-                    {ring: flat.get(ring, []) for ring in host.groups},
-                    messages_per_round=self.messages_per_round,
-                )
-            )
-            for name, host in self.hosts.items()
+        result.series["merged_deliveries_offline"] = {
+            name: _delivery_digest_from(merged)
+            for name, merged in stage.offline_deliveries().items()
         }
-
-    def annotate(self, result: ExperimentResult, run: ParallelRunResult) -> None:
-        """Record the reactive stage's metrics on an experiment result.
-
-        ``shard_wall_clock_s`` keeps its historical meaning — wall clock minus
-        *total* merge-stage time — so the figure is comparable across rounds.
-        How much of the merge stage actually ran concurrently with the next
-        window (and therefore never extended the wall clock) is reported
-        separately as ``merge_overlap_s`` / ``merge_overlap_fraction``.  A
-        stage that collected the streams (``record_deliveries``) also reports
-        the three digests the differentials compare.
-        """
-        stats = self.hosts[self.observed].latency_stats()
-        overlap = min(run.merge_overlap_s, self.seconds)
-        result.metrics["merge_overlap_s"] = overlap
-        result.metrics["merge_overlap_fraction"] = (
-            overlap / self.seconds if self.seconds > 0.0 else 0.0
-        )
-        result.metrics["merge_stage_s"] = self.seconds
-        result.metrics["shard_wall_clock_s"] = (
-            result.metrics["wall_clock_s"] - self.seconds
-        )
-        result.metrics["reactive_latency_mean_ms"] = stats["mean_ms"]
-        result.metrics["reactive_latency_p95_ms"] = stats["p95_ms"]
-        result.metrics["reactive_latency_count"] = stats["count"]
-        result.metrics["reactive_stall_count"] = stats["stall_count"]
-        result.metrics["reactive_stalled_ms"] = stats["stalled_ms"]
-        result.metrics["reactive_commands_applied"] = float(
-            sum(host.commands_applied for host in self.hosts.values())
-        )
-        if self._collect:
-            result.series["ring_streams"] = _stream_digest(self.streams)
-            result.series["merged_deliveries"] = self.delivery_digests()
-            result.series["merged_deliveries_offline"] = self.offline_digests()
 
 
 def _schedule_crashes(system: AtomicMulticast, schedule: Any) -> None:
@@ -447,7 +331,7 @@ def _build_idle_ring_shard(payload: Dict[str, Any]) -> ShardedMeasurement:
 
 def _fig6_reactive_stage(
     ring_count: int, config: MultiRingConfig, collect_streams: bool
-) -> _ReactiveMergeStage:
+) -> ReactiveMergeStage:
     """The parent-hosted reactive dLog replica of the shared configuration.
 
     The deployment's single shared learner subscribes to every log ring plus
@@ -466,9 +350,7 @@ def _fig6_reactive_stage(
         messages_per_round=config.messages_per_round,
         retain_history=collect_streams,
     )
-    return _ReactiveMergeStage(
-        {replica.name: host}, replica.name, config.messages_per_round, collect_streams
-    )
+    return ReactiveMergeStage([host], collect_streams)
 
 
 def run_fig6_sharded(
@@ -565,6 +447,7 @@ def run_fig6_sharded(
                 "learner": "dlog-replica0",
             },
             _fig6_reactive_stage(ring_count, config, collect_streams=record_deliveries),
+            "dlog-replica0",
         )
     return _run_point(
         "fig6-sharded",
@@ -723,9 +606,8 @@ def _fig7_reactive_stage(
     region_count: int,
     config: MultiRingConfig,
     key_count: int,
-    observed: int,
     collect_streams: bool,
-) -> _ReactiveMergeStage:
+) -> ReactiveMergeStage:
     """The parent-hosted reactive MRP-Store replicas of the shared shape.
 
     One real :class:`~repro.kvstore.replica.MRPStoreReplica` per region, each
@@ -738,22 +620,20 @@ def _fig7_reactive_stage(
 
     env = Environment()
     dataset = preload_keys(key_count)
-    hosts: Dict[str, ReactiveReplicaHost] = {}
+    hosts: List[ReactiveReplicaHost] = []
     for group in range(region_count):
         replica = MRPStoreReplica(
             env, f"kv{group}-replica0", config=config, respond_to_clients=False
         )
         for key, size in dataset.items():
             replica.store.insert(key, None, size)
-        hosts[replica.name] = ReactiveReplicaHost(
+        hosts.append(ReactiveReplicaHost(
             replica,
             [group, GLOBAL_RING_ID],
             messages_per_round=config.messages_per_round,
             retain_history=collect_streams,
-        )
-    return _ReactiveMergeStage(
-        hosts, f"kv{observed}-replica0", config.messages_per_round, collect_streams
-    )
+        ))
+    return ReactiveMergeStage(hosts, collect_streams)
 
 
 def run_fig7_sharded(
@@ -869,9 +749,9 @@ def run_fig7_sharded(
                 "learner": "kvg-learner",
             },
             _fig7_reactive_stage(
-                region_count, config, key_count, observed,
-                collect_streams=record_deliveries,
+                region_count, config, key_count, collect_streams=record_deliveries
             ),
+            f"kv{observed}-replica0",
         )
     return _run_point(
         "fig7-sharded",
@@ -906,23 +786,26 @@ def _run_point(
     params: Dict[str, Any],
     rate_keys: Dict[int, List[str]],
     latency_key: Tuple[int, str],
-    shared_shape: Optional[Tuple[Dict[str, Any], _ReactiveMergeStage]],
+    shared_shape: Optional[Tuple[Dict[str, Any], ReactiveMergeStage, str]],
     segment_interval: float,
 ) -> ExperimentResult:
-    """Run one figure point's shards and assemble its result.
+    """Run one figure point's shards until ``warmup + duration``; assemble its result.
 
     ``shared_shape`` is ``None`` for the independent configuration (one
     window, no barriers).  For the shared configuration it is the idle ring's
-    description (see :func:`_build_idle_ring_shard`) plus the reactive merge
-    stage: the idle ring joins as the last shard, the run executes in
+    description (see :func:`_build_idle_ring_shard`), the reactive merge
+    stage and the name of the host whose latency the result reports: the
+    idle ring joins as the last shard, the run executes in
     ``segment_interval`` windows streaming every barrier's segments into the
-    stage, and the stage annotates the result.  ``params["workers"]`` arrives
-    as the requested count and leaves as the count the engine used.
+    stage, and :func:`_annotate` adds the stage's metrics.
+    ``params["workers"]`` arrives as the requested count and leaves as the
+    count the engine used.
     """
+    until = payload_base["warmup"] + payload_base["duration"]
     if shared_shape is None:
-        run = run_sharded(specs, workers=params["workers"])
+        run = run_sharded(specs, workers=params["workers"], until=until)
     else:
-        idle_ring, stage = shared_shape
+        idle_ring, stage, observed = shared_shape
         specs.append(
             ShardSpec(
                 shard_id=len(specs),
@@ -933,7 +816,7 @@ def _run_point(
         run = run_sharded(
             specs,
             workers=params["workers"],
-            until=payload_base["warmup"] + payload_base["duration"],
+            until=until,
             segment_interval=segment_interval,
             segment_sink=stage.sink,
         )
@@ -941,7 +824,7 @@ def _run_point(
     params["workers"] = run.workers
     result = _collect(name, run, params, rate_keys, latency_key)
     if shared_shape is not None:
-        stage.annotate(result, run)
+        _annotate(result, run, stage, observed)
     return result
 
 

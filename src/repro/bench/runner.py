@@ -19,10 +19,9 @@ available for reproduction runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from ..core.amcast import AtomicMulticast
-from ..multiring.merge import RingSegmentBuffer
 from ..sim.metrics import LatencyRecorder, ThroughputTracker
 from ..sim.parallel import ShardHarness
 
@@ -151,19 +150,12 @@ class ShardedMeasurement(ShardHarness):
 
     Used by the parallel figure runners (:mod:`repro.bench.parallel`): the
     shard builder constructs its sub-deployment inside the worker process and
-    wraps it in this harness.  The standard warm-up/measure script runs in
-    two modes, depending on how the engine windows the run:
-
-    * **single window** (``run_sharded`` without lookahead or segment
-      interval): ``run_window(None)`` executes the whole script in one call,
-      exactly as :func:`measure` would;
-    * **windowed streaming** (``run_sharded(..., until=...,
-      segment_interval=...)``): the script is executed incrementally across
-      barrier windows — the instruments reset when the clock first reaches
-      the warm-up boundary, and the metric dictionary is gathered when the
-      final window lands on the measurement end.  The event schedule is
-      identical either way (windows do not reorder a shard's events), so the
-      two modes measure bit-identical runs.
+    wraps it in this harness, and the engine runs it with
+    ``until=window.end``.  The warm-up reset and the metric collection are
+    phase callbacks (:meth:`~repro.sim.parallel.ShardHarness.at`): they fire
+    when a window reaches the warm-up boundary and the measurement end —
+    exactly where :func:`measure`'s ``run(until=...)`` calls return — so one
+    window and many streaming barrier windows measure bit-identical runs.
 
     A builder that installs a segment buffer via :meth:`stream_segments`
     turns the harness into a streaming-merge producer: every barrier ships
@@ -197,59 +189,26 @@ class ShardedMeasurement(ShardHarness):
         self.slo_classes = list(slo_classes)
         self.results: Dict[str, Any] = {}
         self.extra: List[Callable[[], Dict[str, Any]]] = []
-        self.segments: Optional["RingSegmentBuffer"] = None
-        self._measure_start: Optional[float] = None
-
-    def stream_segments(self, buffer: "RingSegmentBuffer") -> None:
-        """Ship ``buffer``'s decision-stream segments at every barrier."""
-        self.segments = buffer
+        self._measure_start = 0.0
+        self.at(window.warmup, self._reset_instruments)
+        self.at(window.end, self._collect)
 
     def start(self) -> None:
         self.system.start()
 
-    def run_window(self, end: Optional[float]) -> None:
-        if end is None:
-            # Single window: the whole warm-up/measure script in one call.
-            if self.results:
-                raise RuntimeError(
-                    "ShardedMeasurement re-entered its single-window script "
-                    "(pass until=/segment_interval= for windowed execution)"
-                )
-            # start() already ran the deployment's start hooks; measure()'s
-            # own system.start() is idempotent for a started deployment.
-            self.results = measure(
-                self.system,
-                self.window,
-                throughput_metrics=self.throughput_metrics,
-                latency_metrics=self.latency_metrics,
-                slo_classes=self.slo_classes,
-            )
-            return
-        # Windowed streaming execution: advance incrementally, resetting the
-        # instruments exactly at the warm-up boundary.
-        sim = self.env.simulator
-        if self._measure_start is None:
-            if end < self.window.warmup:
-                sim.run_window(end)
-                return
-            sim.run_window(self.window.warmup)
-            self.env.metrics.reset_all()
-            self._measure_start = self.env.now
-        sim.run_window(end)
-        if end >= self.window.end and not self.results:
-            self.results = collect_window_metrics(
-                self.system,
-                self._measure_start,
-                self.env.now,
-                throughput_metrics=self.throughput_metrics,
-                latency_metrics=self.latency_metrics,
-                slo_classes=self.slo_classes,
-            )
+    def _reset_instruments(self) -> None:
+        self.env.metrics.reset_all()
+        self._measure_start = self.env.now
 
-    def drain_segments(self) -> Optional[Any]:
-        if self.segments is None:
-            return None
-        return (self.env.now, self.segments.cut())
+    def _collect(self) -> None:
+        self.results = collect_window_metrics(
+            self.system,
+            self._measure_start,
+            self.env.now,
+            throughput_metrics=self.throughput_metrics,
+            latency_metrics=self.latency_metrics,
+            slo_classes=self.slo_classes,
+        )
 
     def finalize(self) -> Dict[str, Any]:
         payload = dict(self.results)

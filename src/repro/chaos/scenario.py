@@ -16,6 +16,10 @@ seed.  The runner executes the scenario in three phases:
    (and service state) and the runner dumps a repro artifact if anything is
    violated.
 
+The epilogue and the retry pass are phase callbacks of one harness
+(:class:`_ChaosRun`), so a scenario executes the same events in this process
+and as a shard of the sharded engine (``--workers``).
+
 Replay a failing scenario::
 
     PYTHONPATH=src python -m repro.chaos --seed <SEED>
@@ -27,19 +31,12 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.amcast import AtomicMulticast
 from ..core.client import Command
 from ..core.config import MultiRingConfig
-from ..core.packing import iter_payloads
-from ..multiring.merge import (
-    MergeCursor,
-    MergeDivergenceError,
-    RingSegment,
-    effective_streams,
-    replay_streams,
-)
+from ..core.smr import ReactiveMergeStage, ReactiveReplicaHost
 from ..multiring.process import MultiRingProcess
 from ..multiring.sharding import ring_components
 from ..net.message import ClientRequest, ClientResponse
@@ -69,6 +66,11 @@ __all__ = [
 SETTLE = 0.3
 QUIESCE_HEAL = 1.2
 QUIESCE_FINAL = 2.0
+
+#: Barrier cadence of sharded execution (simulated seconds): finer than the
+#: shortest crash the generator draws (0.15 s), so a crashed shared learner's
+#: rings are seen uncovered at the merge stage before they restart.
+SEGMENT_INTERVAL = 0.05
 
 #: Fault knobs the generator draws from.
 _CRASH_DURATION = (0.2, 0.8)
@@ -439,15 +441,18 @@ def run_scenario(
     ``workers > 1`` opts eligible scenarios into sharded execution: an
     atomic-multicast scenario whose rings form at least two components
     disjoint in their proposers/acceptors — zero cross-ring traffic — splits
-    into per-component sub-scenarios executed in worker processes (see
-    :func:`shardable_components`).  Learner-only subscribers may span
-    components: they are mirrored into every shard hosting one of their
-    rings, and a merge stage replays the recorded per-ring streams into
-    their cross-component delivery digest (see :func:`_run_amcast_sharded`).
-    The verdict is identical either way; the oracle runs per shard, and
-    cross-shard acyclicity through a shared learner is exactly what the
-    deterministic merge replay pins down.  Ineligible scenarios fall back to
-    single-process execution (``stats["sharded"] = False``).
+    into per-component sub-scenarios executed as shards of
+    :func:`~repro.sim.parallel.run_sharded` (see
+    :func:`shardable_components`).  A learner-only subscriber may span
+    components: it is mirrored into every shard hosting one of its rings,
+    the mirrors stream their per-ring decision segments at every barrier,
+    and the parent's :class:`~repro.core.smr.ReactiveMergeStage` merges
+    them into its cross-component delivery order (see
+    :func:`_run_amcast_sharded`).  The verdict is identical either way; the
+    oracle runs per shard, and cross-shard acyclicity through a shared
+    learner is exactly what the deterministic merge pins down.  Ineligible
+    scenarios fall back to single-process execution
+    (``stats["sharded"] = False``).
     """
     spec = generate_spec(seed)
     family = spec["family"]
@@ -464,12 +469,8 @@ def run_scenario(
         stats_note = {"sharded": False}
     else:
         stats_note = {}
-    if family == "amcast":
-        violations, stats, recorder = _run_amcast(spec)
-    elif family == "kvstore":
-        violations, stats, recorder = _run_kvstore(spec)
-    else:
-        violations, stats, recorder = _run_dlog(spec)
+    build = {"amcast": _build_amcast, "kvstore": _build_kvstore, "dlog": _build_dlog}[family]
+    violations, stats, recorder = build(spec).run_to_end()
     stats.update(stats_note)
     result = ScenarioResult(seed=seed, family=family, violations=violations, stats=stats)
     if violations:
@@ -519,36 +520,85 @@ def _build_topology(
     return topo
 
 
-def _run_epilogue(system, schedule: FaultSchedule, active_end: float) -> Tuple[float, float]:
-    """Heal everything and let the system quiesce; returns the phase bounds."""
-    system.run(until=active_end)
-    system.network.heal_all()
-    for actor in system.env.actors():
-        if not actor.alive:
-            system.restart_process(actor.name)
-    for disk in system.env.disks():
-        disk.clear_slowdown()
-    heal_end = active_end + QUIESCE_HEAL
-    system.run(until=heal_end)
-    return heal_end, heal_end + QUIESCE_FINAL
+def _active_end(spec: Dict[str, Any], schedule: FaultSchedule) -> float:
+    """End of the active phase: the workload horizon or the last fault, settled."""
+    return max(spec["horizon"], schedule.end_time) + SETTLE
 
 
-def _run_amcast(
-    spec: Dict[str, Any],
-    active_end: Optional[float] = None,
-    stream_sink: Optional[Dict[str, Dict[int, List]]] = None,
-) -> Tuple[List[Violation], Dict[str, Any], TraceRecorder]:
-    """Execute one amcast (sub-)spec start to finish.
+Verdict = Tuple[List[Violation], Dict[str, Any], TraceRecorder]
 
-    ``active_end`` overrides the end of the active phase; sharded execution
-    passes the *full* scenario's phase boundary into every sub-spec so all
-    shards run the same simulated timeline.  When the sub-spec names
-    ``merge_learners`` (learners shared with other shards), their per-ring
-    decision streams are recorded into ``stream_sink`` for the parent's
-    merge stage — segmented by incarnation
-    (:meth:`~repro.multiring.process.MultiRingProcess.record_ring_history`),
-    so a learner that crashed and re-emitted stream prefixes still merges
-    correctly at the parent.
+
+class _ChaosRun(ShardHarness):
+    """One chaos deployment with its phase script, in-process or as a shard.
+
+    The healing epilogue (every partition healed, every crashed process
+    restarted, every disk spike cleared) fires at ``active_end`` and the
+    optional ``retry`` pass at ``active_end + QUIESCE_HEAL``, both as phase
+    callbacks (:meth:`~repro.sim.parallel.ShardHarness.at`); the run ends
+    :data:`QUIESCE_FINAL` later.  :meth:`run_to_end` drives the script in
+    one call, the sharded engine window by window — the same events either
+    way.  ``verdict()`` checks the family's invariants afterwards.
+    """
+
+    def __init__(
+        self,
+        system: AtomicMulticast,
+        active_end: float,
+        verdict: Callable[[], Verdict],
+        retry: Optional[Callable[[], None]] = None,
+    ) -> None:
+        super().__init__(system.env)
+        self.system = system
+        self.verdict = verdict
+        heal_end = active_end + QUIESCE_HEAL
+        self.final_end = heal_end + QUIESCE_FINAL
+        self.at(active_end, self._heal)
+        if retry is not None:
+            self.at(heal_end, retry)
+
+    def start(self) -> None:
+        self.system.start()
+
+    def _heal(self) -> None:
+        system = self.system
+        system.network.heal_all()
+        for actor in system.env.actors():
+            if not actor.alive:
+                system.restart_process(actor.name)
+        for disk in system.env.disks():
+            disk.clear_slowdown()
+
+    def run_to_end(self) -> Verdict:
+        """Run the whole scenario in this process and return its verdict."""
+        self.start()
+        self.run_window(self.final_end)
+        return self.verdict()
+
+    def finalize(self) -> Dict[str, Any]:
+        violations, stats, recorder = self.verdict()
+        return {
+            "violations": [(v.prop, v.detail) for v in violations],
+            "stats": stats,
+            "tails": _trace_tails(recorder),
+            "digests": {
+                name: [
+                    (record.group, record.instance, record.payload)
+                    for record in trace.records
+                ]
+                for name, trace in recorder.traces.items()
+            },
+            "crashed": sorted(recorder.crashed_ever),
+        }
+
+
+def _build_amcast(spec: Dict[str, Any]) -> _ChaosRun:
+    """Build one amcast (sub-)spec: deployment, workload, faults, phases.
+
+    A sub-spec of sharded execution carries the *full* scenario's
+    ``active_end``, so every shard runs the same simulated timeline, and
+    names the ``merge_learners`` it shares with other shards: their per-ring
+    decision streams are tapped into a segment buffer the shard ships at
+    every barrier (:meth:`~repro.multiring.process.MultiRingProcess.record_ring_segments`).
     """
     rng = random.Random(spec["seed"] ^ 0x70B0)
     topology = _build_topology(
@@ -570,11 +620,10 @@ def _run_amcast(
     for process in processes.values():
         if process.subscribed_groups():
             recorder.attach(process)
-    if stream_sink is not None:
-        for name in spec.get("merge_learners", ()):
-            process = processes.get(name)
-            if process is not None:
-                process.record_ring_history(into=stream_sink.setdefault(name, {}))
+    buffer = None
+    if spec.get("merge_learners"):
+        (name,) = spec["merge_learners"]  # sharded execution merges one learner
+        buffer = processes[name].record_ring_segments()
 
     schedule = FaultSchedule.from_dicts(spec["schedule"])
     schedule.apply(system)
@@ -591,30 +640,36 @@ def _run_amcast(
     for entry in spec["messages"]:
         sim.call_later(entry["at"], send, entry)
 
-    system.start()
-    if active_end is None:
-        active_end = max(spec["horizon"], schedule.end_time) + SETTLE
-    heal_end, final_end = _run_epilogue(system, schedule, active_end)
-
-    # Retry what was genuinely lost (a real client's timeout + resubmit).
     retries = 0
-    for record in recorder.undelivered():
-        sender = processes[record.sender]
-        if sender.alive and record.group in sender.ring_ids():
-            recorder.record_retry(record.payload)
-            sender.multicast(record.group, payload=record.payload, size_bytes=64)
-            retries += 1
-    system.run(until=final_end)
 
-    violations = check_delivery_properties(recorder, check_validity=True)
-    stats = {
-        "sent": len(recorder.sent),
-        "retries": retries,
-        "deliveries": recorder.delivery_counts(),
-        "faults": len(schedule.executed),
-        "dropped_messages": system.network.stats.dropped,
-    }
-    return violations, stats, recorder
+    def retry() -> None:
+        """Re-submit what was genuinely lost (a real client's timeout)."""
+        nonlocal retries
+        for record in recorder.undelivered():
+            sender = processes[record.sender]
+            if sender.alive and record.group in sender.ring_ids():
+                recorder.record_retry(record.payload)
+                sender.multicast(record.group, payload=record.payload, size_bytes=64)
+                retries += 1
+
+    def verdict() -> Verdict:
+        violations = check_delivery_properties(recorder, check_validity=True)
+        stats = {
+            "sent": len(recorder.sent),
+            "retries": retries,
+            "deliveries": recorder.delivery_counts(),
+            "faults": len(schedule.executed),
+            "dropped_messages": system.network.stats.dropped,
+        }
+        return violations, stats, recorder
+
+    active_end = spec.get("active_end")
+    if active_end is None:
+        active_end = _active_end(spec, schedule)
+    run = _ChaosRun(system, active_end, verdict, retry)
+    if buffer is not None:
+        run.stream_segments(buffer)
+    return run
 
 
 # --------------------------------------------------------------------------
@@ -628,10 +683,10 @@ def shardable_components(spec: Dict[str, Any]) -> Optional[List[List[int]]]:
     that are disjoint in their *traffic-generating* members — proposers and
     acceptors.  Learner-only subscribers may span components: they consume
     ring outputs but generate no ring traffic, so each shard hosts its own
-    mirror of the learner and a deterministic merge stage
-    (:func:`repro.multiring.merge.replay_streams`) reconstructs the learner's
-    cross-component delivery order from the shards' recorded per-ring
-    streams (see :func:`shared_merge_learners`).
+    mirror of the learner and the parent's merge stage rebuilds the
+    learner's cross-component delivery order from the per-ring decision
+    segments the mirrors stream at every barrier (see
+    :func:`shared_merge_learners`).
 
     The fault schedule must contain no site-level faults: partitions and
     isolations act on sites, which may host processes of several components,
@@ -666,9 +721,10 @@ def shared_merge_learners(
 ) -> List[str]:
     """Learner-only processes whose subscriptions span several components.
 
-    These are the processes the merge stage reconstructs: each shard records
-    their per-ring streams, and the parent replays the deterministic merge
-    over the union (sorted names; empty for process-disjoint scenarios).
+    These are the processes the merge stage reconstructs: each shard streams
+    their per-ring decision segments, and the parent merges the union
+    (sorted names; empty for process-disjoint scenarios).  The generator
+    draws at most one.
     """
     learner_rings: Dict[str, set] = {}
     for rid, members in spec["rings"].items():
@@ -728,266 +784,79 @@ def _ring_key(spec: Dict[str, Any], ring_id: int):
     return ring_id if ring_id in spec["rings"] else str(ring_id)
 
 
-class _AmcastShard(ShardHarness):
-    """One chaos sub-scenario executed inside a worker process.
-
-    Chaos shards exchange no messages, so the whole phased scenario script
-    (active phase, healing epilogue, retries, oracle) runs in the single
-    window the engine hands over; the environment passed to the engine is a
-    placeholder that never executes an event.
-    """
-
-    def __init__(self, subspec: Dict[str, Any]) -> None:
-        super().__init__(Environment())
-        self._subspec = subspec
-        self._outcome: Optional[Tuple[List[Violation], Dict[str, Any], TraceRecorder]] = None
-        self._streams: Dict[str, Dict[int, List]] = {}
-
-    def run_window(self, end: Optional[float]) -> None:
-        self._outcome = _run_amcast(
-            self._subspec,
-            active_end=self._subspec["active_end"],
-            stream_sink=self._streams,
-        )
-
-    def finalize(self) -> Dict[str, Any]:
-        violations, stats, recorder = self._outcome
-        return {
-            "violations": [(v.prop, v.detail) for v in violations],
-            "stats": stats,
-            "tails": _trace_tails(recorder),
-            "digests": {
-                name: [
-                    (record.group, record.instance, record.payload)
-                    for record in trace.records
-                ]
-                for name, trace in recorder.traces.items()
-            },
-            # Per-ring streams of learners shared with other shards (raw
-            # ProposalValues, skips included), segmented by the learner's
-            # incarnation, for the parent's merge stage.
-            "streams": self._streams,
-            "crashed": sorted(recorder.crashed_ever),
-        }
-
-
-def _build_amcast_shard(subspec: Dict[str, Any]) -> _AmcastShard:
-    return _AmcastShard(subspec)
-
-
-def _expected_ring_order(stream: List[Tuple[int, Any]]) -> List[Any]:
-    """The application payloads a ring's recorded stream delivers, in order.
-
-    Mirrors the merger's emit rules: skips deliver nothing, coordinator
-    batches unpack in place.
-    """
-    expected: List[Any] = []
-    for _instance, value in stream:
-        # Shared recursive unpacker: skips deliver nothing, packed values
-        # (packs of packs included) unpack to their leaf payloads in order.
-        expected.extend(iter_payloads(value.payload))
-    return expected
-
-
-def _reactive_merge_check(
-    name: str,
-    history: Dict[int, List[RingSegment]],
-    messages_per_round: int,
-) -> Tuple[List[Tuple[int, int, Any]], List[Violation], Dict[str, Any]]:
-    """Validate a shared learner's merge through the *reactive* subsystem.
-
-    Instead of trusting an offline digest, the recorded per-ring streams —
-    segmented by the producing learner's incarnation — are chunked into
-    decision-stream segments (varying sizes, incarnation/resume tags and
-    watermarks: the exact shape shards ship at barriers) and fed through a
-    streaming :class:`~repro.multiring.merge.MergeCursor` driving a real
-    MRP-Store replica: every merged delivery inserts its payload as a key,
-    exactly as a reactive shared-learner service would make it readable.
-    This holds for *every* shared-learner draw, fault-touched or not: a
-    learner that crashed mid-run re-emits stream prefixes under its next
-    incarnation, and the cursor's incarnation-aware dedup must absorb them.
-    Four invariants are checked against that live state:
-
-    * **read-your-writes** — every payload delivered by a barrier is
-      readable from the store immediately after that barrier's ingest;
-    * **kvstore convergence** — the final store holds exactly the distinct
-      delivered payloads (nothing lost, nothing invented);
-    * **merge-stream agreement** — the streaming delivery order is
-      bit-identical to the offline :func:`replay_streams` of the deduped
-      :func:`effective_streams`, and each delivered ring prefix appears in
-      recorded-stream order (a ring's undelivered tail may legitimately stay
-      pending when the streams end unevenly at the horizon cut);
-    * **no divergence** — a re-emitted ``(ring, instance)`` deciding a
-      *different* value than the original emission is consensus breakage;
-      the cursor surfaces it as
-      :class:`~repro.multiring.merge.MergeDivergenceError` and the oracle
-      turns it into a hard violation.
-
-    Returns ``(digest, violations, stats)`` where ``digest`` is the familiar
-    ``(group, instance, payload)`` sequence (what the determinism tests
-    compare across worker counts).
-    """
-    from ..kvstore.replica import MRPStoreReplica
-
-    env = Environment()
-    replica = MRPStoreReplica(env, f"{name}-reactive", respond_to_clients=False)
-    merged: List[Tuple[int, int, Any]] = []
-
-    def apply(group: int, instance: int, value: Any) -> None:
-        payload = value.payload
-        replica.apply_command(
-            group,
-            Command(
-                op="insert",
-                args=(repr(payload), None, 64),
-                group_id=group,
-                size_bytes=64,
-            ),
-        )
-        merged.append((group, instance, payload))
-
-    groups = sorted(history)
-    cursor = MergeCursor(groups, messages_per_round=messages_per_round,
-                         on_deliver=apply, retain_history=False)
-    violations: List[Violation] = []
-    #: Per-ring feed position: (incarnation-run index, offset into its entries).
-    positions: Dict[int, Tuple[int, int]] = {group: (0, 0) for group in groups}
-
-    def exhausted(group: int) -> bool:
-        run, offset = positions[group]
-        runs = history[group]
-        while run < len(runs) and offset >= len(runs[run].entries):
-            run, offset = run + 1, 0
-        positions[group] = (run, offset)
-        return run >= len(runs)
-
-    barrier = 0
-    while not all(exhausted(group) for group in groups):
-        barrier += 1
-        chunk = 1 + (barrier % 4)  # vary segment sizes: exercise incrementality
-        segments: Dict[int, RingSegment] = {}
-        for group in groups:
-            if exhausted(group):
-                continue
-            run_index, offset = positions[group]
-            run = history[group][run_index]
-            entries = run.entries[offset:offset + chunk]
-            segments[group] = RingSegment(
-                incarnation=run.incarnation, start=offset, entries=entries
-            )
-            positions[group] = (run_index, offset + len(entries))
-        before = len(merged)
-        try:
-            cursor.feed_segments(segments, watermark=float(barrier))
-        except MergeDivergenceError as exc:
-            violations.append(Violation("merge-stream-divergence", f"{name}: {exc}"))
-            break
-        for group, instance, payload in merged[before:]:
-            entry = replica.store.read(repr(payload))
-            if entry is None:
-                violations.append(Violation(
-                    "reactive-read-your-writes",
-                    f"{name}: payload {payload!r} (ring {group}, instance "
-                    f"{instance}) was applied at barrier {barrier} but is not "
-                    "readable from the reactive store",
-                ))
-
-    distinct = {repr(payload) for _, _, payload in merged}
-    if replica.entry_count() != len(distinct):
-        violations.append(Violation(
-            "reactive-store-convergence",
-            f"{name}: reactive store holds {replica.entry_count()} entries, "
-            f"expected {len(distinct)} distinct delivered payloads",
-        ))
-    try:
-        streams = effective_streams(history)
-    except MergeDivergenceError as exc:
-        violations.append(Violation("merge-stream-divergence", f"{name}: {exc}"))
-        streams = None
-    if streams is not None:
-        offline = [
-            (group, instance, value.payload)
-            for group, instance, value in replay_streams(
-                streams, messages_per_round=messages_per_round
-            )
-        ]
-        if merged != offline:
-            violations.append(Violation(
-                "merge-stream-divergence",
-                f"{name}: streaming merge delivered {len(merged)} entries, "
-                f"offline replay {len(offline)}; sequences diverge",
-            ))
-        for group in groups:
-            observed = [payload for g, _, payload in merged if g == group]
-            expected = _expected_ring_order(streams[group])
-            # Prefix comparison: the round-robin legitimately leaves a ring's
-            # tail pending when the streams end unevenly at the horizon cut
-            # (the offline replay leaves it pending too, which the divergence
-            # check above pins down) — only *reordering* within what was
-            # delivered is a violation.
-            if observed != expected[:len(observed)]:
-                violations.append(Violation(
-                    "reactive-merge-order",
-                    f"{name}: ring {group} payloads left the merge out of "
-                    "recorded-stream order",
-                ))
-    stats = {
-        "barriers": barrier,
-        "applied": len(merged),
-        "store_entries": replica.entry_count(),
-        "deduped": cursor.duplicates_dropped,
-        "incarnations": {
-            group: history[group][-1].incarnation if history[group] else 0
-            for group in groups
-        },
-    }
-    return merged, violations, stats
-
-
 def _run_amcast_sharded(
     spec: Dict[str, Any],
     components: List[List[int]],
     workers: int,
 ) -> Tuple[List[Violation], Dict[str, Any], Dict[str, Any], Dict[str, Any]]:
-    """Run one sub-scenario per ring component under the parallel engine.
+    """Run one sub-scenario per ring component as a shard of the parallel engine.
 
     Returns merged ``(violations, stats, trace_tails, delivery_digests)``;
     the digests (full per-learner delivery sequences) are what the
     determinism tests compare across worker counts.
 
-    Learners shared across components are mirrored into every shard that
-    hosts one of their rings; their per-shard partial digests are keyed
-    ``name@shard<id>``, and the *reactive* merge stage streams the shards'
-    recorded per-ring streams — segmented by incarnation — through a
-    :class:`~repro.multiring.merge.MergeCursor` into a live MRP-Store state
-    machine, validating read-your-writes and store convergence against that
-    merged state (see :func:`_reactive_merge_check`) and recording the
-    learner's cross-component delivery digest under its plain name — exactly
-    the round-robin order its single-process merger produces from those
-    streams.  This holds for *every* shared-learner draw: a learner crashed,
-    restarted or reconfigured mid-run re-emits stream prefixes, and the
-    cursor's incarnation-aware dedup absorbs them (a re-emission deciding a
-    different value is a hard ``merge-stream-divergence`` violation).
+    Every shard runs to the scenario's final phase boundary in
+    :data:`SEGMENT_INTERVAL` barrier windows.  A learner shared across
+    components (the generator draws at most one) is mirrored into every
+    shard that hosts one of its rings; its per-shard partial digests are
+    keyed ``name@shard<id>``, and each mirror ships its per-ring decision
+    segments at every barrier — through the wire codec, with real crash and
+    restart marks — into a parent-side
+    :class:`~repro.core.smr.ReactiveMergeStage` driving a live replica.  The
+    learner's cross-component delivery digest is recorded under its plain
+    name, and :func:`_merge_violations` checks it.
     """
     schedule = FaultSchedule.from_dicts(spec["schedule"])
-    active_end = max(spec["horizon"], schedule.end_time) + SETTLE
+    active_end = _active_end(spec, schedule)
     merge_learners = shared_merge_learners(spec, components)
+    if len(merge_learners) > 1:
+        raise ValueError(
+            f"sharded execution merges one shared learner, the spec has {merge_learners}"
+        )
     specs = [
         ShardSpec(
             shard_id=index,
-            build=_build_amcast_shard,
+            build=_build_amcast,
             payload=_split_amcast_spec(spec, component, active_end, merge_learners),
             # Balance workers by component size (rings per shard).
             weight=float(len(component)),
         )
         for index, component in enumerate(components)
     ]
-    run = run_sharded(specs, workers=workers)
+    stage = sink = None
+    failures: List[str] = []
+    learner = merge_learners[0] if merge_learners else None
+    if learner is not None:
+        from ..kvstore.replica import MRPStoreReplica
+
+        groups = sorted(
+            int(rid) for rid, members in spec["rings"].items()
+            if any(member == learner and "l" in roles for member, roles in members)
+        )
+        replica = MRPStoreReplica(Environment(), f"{learner}-reactive", respond_to_clients=False)
+        host = ReactiveReplicaHost(replica, groups, spec.get("messages_per_round", 1))
+        stage = ReactiveMergeStage([host], collect_streams=True)
+
+        def sink(segments_by_shard: Dict[int, Any]) -> None:
+            # The first malformed barrier ends the stage: what it merged so
+            # far is still checked, nothing after it is fed.
+            if not failures:
+                try:
+                    stage.sink(segments_by_shard)
+                except ValueError as exc:
+                    failures.append(f"{learner}: {exc}")
+
+    run = run_sharded(
+        specs,
+        workers=workers,
+        until=active_end + QUIESCE_HEAL + QUIESCE_FINAL,
+        segment_interval=SEGMENT_INTERVAL,
+        segment_sink=sink,
+    )
 
     violations: List[Violation] = []
     tails: Dict[str, Any] = {}
     digests: Dict[str, Any] = {}
-    streams_by_name: Dict[str, Dict[int, List]] = {}
     crashed: set = set()
     shared = set(merge_learners)
     stats: Dict[str, Any] = {
@@ -1004,8 +873,6 @@ def _run_amcast_sharded(
             tails[f"{name}@shard{shard_id}" if name in shared else name] = tail
         for name, digest in shard["digests"].items():
             digests[f"{name}@shard{shard_id}" if name in shared else name] = digest
-        for name, ring_streams in shard["streams"].items():
-            streams_by_name.setdefault(name, {}).update(ring_streams)
         crashed.update(shard["crashed"])
         shard_stats = shard["stats"]
         for key in ("sent", "retries", "dropped_messages"):
@@ -1013,26 +880,6 @@ def _run_amcast_sharded(
         for name, count in shard_stats["deliveries"].items():
             key = f"{name}@shard{shard_id}" if name in shared else name
             stats["deliveries"][key] = count
-
-    # Merge stage: reconstruct each shared learner's cross-component delivery
-    # order through the *reactive* subsystem — the recorded incarnation-
-    # segmented streams are chunked into barrier segments, streamed through a
-    # merge cursor into a live MRP-Store state machine, and read-your-writes
-    # / store-convergence / stream-agreement are validated against that
-    # merged state (see :func:`_reactive_merge_check`).  Fault-touched
-    # learners get no special treatment: their re-emitted stream prefixes
-    # are exactly what the incarnation-aware dedup exists for.
-    messages_per_round = spec.get("messages_per_round", 1)
-    reactive_stats: Dict[str, Any] = {}
-    for name in merge_learners:
-        history = streams_by_name.get(name)
-        if history:
-            merged, merge_violations, merge_stats = _reactive_merge_check(
-                name, history, messages_per_round
-            )
-            digests[name] = merged
-            violations.extend(merge_violations)
-            reactive_stats[name] = merge_stats
     # Broadcast faults (disk spikes) execute in every shard's sub-schedule;
     # summing the per-shard counts would multiply them by the shard count.
     # The scenario's fault count is the full schedule's, exactly as in the
@@ -1043,13 +890,78 @@ def _run_amcast_sharded(
         "shards": [list(component) for component in components],
         "wall_clock_s": round(run.wall_clock, 4),
     }
-    if merge_learners:
+    if stage is not None:
+        (host,) = stage.hosts.values()
+        in_shard = [
+            digest for key, digest in digests.items() if key.startswith(f"{learner}@shard")
+        ]
+        digests[learner] = [
+            (group, instance, value.payload) for group, instance, value in host.deliveries
+        ]
+        violations.extend(_merge_violations(learner, stage, failures, in_shard))
         stats["sharded"]["merge_learners"] = merge_learners
-        if reactive_stats:
-            stats["sharded"]["reactive_merge"] = reactive_stats
+        stats["sharded"]["reactive_merge"] = {learner: {
+            "barriers": host.barriers_ingested,
+            "applied": host.commands_applied,
+            "stalls": len(host.stall_windows),
+        }}
     if crashed:
         stats["sharded"]["crashed"] = sorted(crashed)
     return violations, stats, tails, digests
+
+
+def _merge_violations(
+    name: str,
+    stage: ReactiveMergeStage,
+    failures: List[str],
+    in_shard: List[List[Tuple[int, int, Any]]],
+) -> List[Violation]:
+    """The shared learner's merge-stage invariants.
+
+    * **merge-stream-divergence** — the stage rejected a barrier (a
+      re-emitted instance deciding a different value, an entry out of its
+      ring's order, a segment out of place), or the live merged order
+      differs from the offline replay of the streamed segments;
+    * **reactive-merge-order** — each ring's merged payloads must be a
+      prefix of what the learner's in-shard mirror delivered from that ring
+      (``in_shard``: the mirrors' ``(group, instance, payload)`` traces,
+      re-deliveries after a restart counted once) — the round-robin may
+      leave a ring's tail pending, never reorder it;
+    * **reactive-store-convergence** — the hosted replica applied exactly
+      one command per merged delivery.
+    """
+    (host,) = stage.hosts.values()
+    merged = [(group, instance, value.payload) for group, instance, value in host.deliveries]
+    violations = [Violation("merge-stream-divergence", detail) for detail in failures]
+    if not failures:
+        offline = stage.offline_deliveries()[host.replica.name]
+        if merged != [(group, instance, value.payload) for group, instance, value in offline]:
+            violations.append(Violation(
+                "merge-stream-divergence",
+                f"{name}: streaming merge delivered {len(merged)} entries, "
+                f"offline replay {len(offline)}; sequences diverge",
+            ))
+    for group in host.groups:
+        delivered: Dict[Tuple[int, Any], None] = {}
+        for trace in in_shard:
+            for g, instance, payload in trace:
+                if g == group:
+                    delivered.setdefault((instance, payload))
+        expected = [payload for _, payload in delivered]
+        observed = [payload for g, _, payload in merged if g == group]
+        if observed != expected[:len(observed)]:
+            violations.append(Violation(
+                "reactive-merge-order",
+                f"{name}: ring {group} payloads left the merge out of the "
+                "order its in-shard learner delivered them",
+            ))
+    if host.commands_applied != len(merged):
+        violations.append(Violation(
+            "reactive-store-convergence",
+            f"{name}: reactive replica applied {host.commands_applied} commands, "
+            f"expected {len(merged)} merged deliveries",
+        ))
+    return violations
 
 
 class _RywClient(Actor):
@@ -1129,7 +1041,7 @@ class _RywClient(Actor):
         self._issue()
 
 
-def _run_kvstore(spec: Dict[str, Any]) -> Tuple[List[Violation], Dict[str, Any], TraceRecorder]:
+def _build_kvstore(spec: Dict[str, Any]) -> _ChaosRun:
     from ..kvstore.service import MRPStoreService
 
     config = _chaos_config(spec, checkpoint_interval=0.5)
@@ -1203,41 +1115,39 @@ def _run_kvstore(spec: Dict[str, Any]) -> Tuple[List[Violation], Dict[str, Any],
 
     schedule = FaultSchedule.from_dicts(spec["schedule"])
     schedule.apply(system)
-    system.start()
 
-    active_end = max(spec["horizon"], schedule.end_time) + SETTLE
-    _, final_end = _run_epilogue(system, schedule, active_end)
-    system.run(until=final_end)
-
-    # Service-level invariants only: commands lack a hashable cross-replica
-    # identity, so the ordering oracle does not run for this family — a
-    # divergence in delivery order surfaces as store divergence or a stale
-    # read instead.
-    violations: List[Violation] = []
-    for client in clients:
-        violations.extend(client.violations)
-    violations.extend(
-        check_store_convergence({g: service.replicas[g] for g in groups})
-    )
-    stats = {
-        "completed": {c.name: c.completed for c in clients},
-        "faults": len(schedule.executed),
-        "deliveries": recorder.delivery_counts(),
-    }
-    if swarm is not None:
-        metrics = system.env.metrics
-        stats["swarm"] = {
-            "users": swarm.clients,
-            "issued": swarm.issued,
-            "completed": swarm.completed,
-            "online": swarm.online,
-            "disconnects": int(metrics.counter("chaos.swarm.churn.disconnects").value),
-            "reconnects": int(metrics.counter("chaos.swarm.churn.reconnects").value),
+    def verdict() -> Verdict:
+        # Service-level invariants only: commands lack a hashable
+        # cross-replica identity, so the ordering oracle does not run for
+        # this family — a divergence in delivery order surfaces as store
+        # divergence or a stale read instead.
+        violations: List[Violation] = []
+        for client in clients:
+            violations.extend(client.violations)
+        violations.extend(
+            check_store_convergence({g: service.replicas[g] for g in groups})
+        )
+        stats = {
+            "completed": {c.name: c.completed for c in clients},
+            "faults": len(schedule.executed),
+            "deliveries": recorder.delivery_counts(),
         }
-    return violations, stats, recorder
+        if swarm is not None:
+            metrics = system.env.metrics
+            stats["swarm"] = {
+                "users": swarm.clients,
+                "issued": swarm.issued,
+                "completed": swarm.completed,
+                "online": swarm.online,
+                "disconnects": int(metrics.counter("chaos.swarm.churn.disconnects").value),
+                "reconnects": int(metrics.counter("chaos.swarm.churn.reconnects").value),
+            }
+        return violations, stats, recorder
+
+    return _ChaosRun(system, _active_end(spec, schedule), verdict)
 
 
-def _run_dlog(spec: Dict[str, Any]) -> Tuple[List[Violation], Dict[str, Any], TraceRecorder]:
+def _build_dlog(spec: Dict[str, Any]) -> _ChaosRun:
     from ..dlog.service import DLogService
 
     config = _chaos_config(spec, checkpoint_interval=0.5)
@@ -1264,19 +1174,17 @@ def _run_dlog(spec: Dict[str, Any]) -> Tuple[List[Violation], Dict[str, Any], Tr
 
     schedule = FaultSchedule.from_dicts(spec["schedule"])
     schedule.apply(system)
-    system.start()
 
-    active_end = max(spec["horizon"], schedule.end_time) + SETTLE
-    _, final_end = _run_epilogue(system, schedule, active_end)
-    system.run(until=final_end)
+    def verdict() -> Verdict:
+        violations = check_log_convergence(service.replicas, log_ids)
+        stats = {
+            "completed": client.completed,
+            "faults": len(schedule.executed),
+            "deliveries": recorder.delivery_counts(),
+        }
+        return violations, stats, recorder
 
-    violations = check_log_convergence(service.replicas, log_ids)
-    stats = {
-        "completed": client.completed,
-        "faults": len(schedule.executed),
-        "deliveries": recorder.delivery_counts(),
-    }
-    return violations, stats, recorder
+    return _ChaosRun(system, _active_end(spec, schedule), verdict)
 
 
 # --------------------------------------------------------------------------
@@ -1346,10 +1254,11 @@ violations, per-learner trace tails) with the replay command inside.
 --workers N opts eligible scenarios into sharded execution: an
 atomic-multicast scenario whose rings form two or more components disjoint
 in their proposers/acceptors runs one component per shard — including
-shared-learner draws, where a learner-only subscriber spans every ring and
-a merge stage replays the shards' recorded per-ring streams into its
-cross-component delivery order.  The invariant verdict is identical to the
-single-process run.  Scenarios with site-level faults or rings entangled by
+shared-learner draws, where a learner-only subscriber spans every ring: its
+mirrors stream per-ring decision segments at every barrier into a
+parent-side merge stage that rebuilds its cross-component delivery order,
+checked against the offline replay and the mirrors' own delivery traces.
+The invariant verdict is identical to the single-process run.  Scenarios with site-level faults or rings entangled by
 traffic-generating processes fall back to one process.
 
 Environment: CHAOS_ARTIFACT_DIR overrides the artifact directory.

@@ -4,7 +4,7 @@ from .amcast import AtomicMulticast, parse_roles
 from .client import ClosedLoopClient, Command, CommandBatch, CommandBatcher, OpenLoopClient
 from .config import MultiRingConfig, global_config, local_config
 from .packing import PackedValues, iter_commands, iter_payloads, iter_values
-from .smr import ProposerFrontend, ReactiveReplicaHost, StateMachineReplica
+from .smr import ProposerFrontend, ReactiveMergeStage, ReactiveReplicaHost, StateMachineReplica
 from .swarm import ChurnSpec, ClientSwarm, shared_factory
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "iter_payloads",
     "iter_values",
     "ProposerFrontend",
+    "ReactiveMergeStage",
     "ReactiveReplicaHost",
     "StateMachineReplica",
     "ChurnSpec",

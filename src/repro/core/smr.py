@@ -23,13 +23,15 @@ group.
 streaming merge stage: it hosts a *real* replica in the parent process and
 applies merged cross-ring deliveries to it barrier by barrier, so clients can
 read merged shared-learner state — with latency accounting — while the shards
-are still running.
+are still running.  :class:`ReactiveMergeStage` is the engine's
+``segment_sink`` that combines every barrier's shard payloads and feeds the
+hosts.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..net.message import ClientRequest, ClientResponse
 from ..paxos.messages import CheckpointReply, CheckpointRequest, ProposalValue, RetransmitReply
@@ -38,13 +40,18 @@ from ..recovery.recover import RecoveryManager, RecoveryPhase
 from ..sim.actor import Environment
 from ..sim.disk import SSD_PROFILE
 from ..storage.checkpoint import CheckpointId, CheckpointStore
-from ..multiring.merge import MergeCursor
+from ..multiring.merge import MergeCursor, RingSegment, effective_streams, replay_streams
 from ..multiring.process import MultiRingProcess
 from .client import Command, CommandBatch
 from .config import MultiRingConfig
 from .packing import PackedValues, iter_commands, iter_payloads
 
-__all__ = ["StateMachineReplica", "ProposerFrontend", "ReactiveReplicaHost"]
+__all__ = [
+    "StateMachineReplica",
+    "ProposerFrontend",
+    "ReactiveReplicaHost",
+    "ReactiveMergeStage",
+]
 
 
 class StateMachineReplica(MultiRingProcess):
@@ -412,6 +419,8 @@ class ReactiveReplicaHost:
         retain_history: bool = True,
     ) -> None:
         self.replica = replica
+        #: the merge parameter ``M`` (an offline replay must use the same)
+        self.messages_per_round = messages_per_round
         self._latency = replica.env.metrics.latency(f"reactive.{replica.name}.latency")
         self._stall = replica.env.metrics.latency(f"reactive.{replica.name}.stall")
         self._stall_windows: List[Tuple[float, float]] = []
@@ -552,4 +561,77 @@ class ReactiveReplicaHost:
             "p99_ms": recorder.percentile(99) * 1e3,
             "stall_count": float(len(self._stall_windows)),
             "stalled_ms": sum(e - s for s, e in self._stall_windows) * 1e3,
+        }
+
+
+class ReactiveMergeStage:
+    """The parent-side merge stage of a shared-learner sharded run.
+
+    :meth:`sink` is the ``segment_sink`` of
+    :func:`~repro.sim.parallel.run_sharded`.  At every barrier it combines
+    the shards' ``(watermark, segments)`` payloads — the minimum watermark
+    and the union of their disjoint rings, where a ring whose in-shard
+    learner is down is absent and so stays uncovered — and hands every
+    :class:`ReactiveReplicaHost` the rings it subscribes to.  With
+    ``collect_streams`` it also keeps each ring's incarnation runs
+    (:attr:`streams`), from which :meth:`offline_deliveries` replays the
+    offline anchor the hosts' live deliveries must equal.
+    """
+
+    def __init__(
+        self, hosts: Sequence[ReactiveReplicaHost], collect_streams: bool = False
+    ) -> None:
+        self.hosts = {host.replica.name: host for host in hosts}
+        self.collect_streams = collect_streams
+        #: ring id → incarnation-tagged runs, in arrival order
+        self.streams: Dict[int, List[RingSegment]] = {}
+        #: wall-clock seconds spent inside :meth:`sink`
+        self.seconds = 0.0
+
+    def sink(self, segments_by_shard: Dict[int, Any]) -> None:
+        """Ingest one barrier's ``{shard_id: (watermark, segments)}``."""
+        started = perf_counter()
+        watermark: Optional[float] = None
+        merged: Dict[int, RingSegment] = {}
+        for shard_id in sorted(segments_by_shard):
+            shard_watermark, rings = segments_by_shard[shard_id]
+            if watermark is None or shard_watermark < watermark:
+                watermark = shard_watermark
+            merged.update(rings)
+            if self.collect_streams:
+                for ring, segment in rings.items():
+                    self._record(ring, segment)
+        covered = sorted(merged)
+        for name in sorted(self.hosts):
+            host = self.hosts[name]
+            subscribed = set(host.groups)
+            host.ingest(
+                {ring: segment for ring, segment in merged.items() if ring in subscribed},
+                watermark=watermark,
+                covered=[ring for ring in covered if ring in subscribed],
+            )
+        self.seconds += perf_counter() - started
+
+    def _record(self, ring: int, segment: RingSegment) -> None:
+        """Coalesce a segment into its ring's current incarnation run.
+
+        Segments of one incarnation are contiguous (the producer's resume
+        position advances by exactly the entries cut); a bumped incarnation
+        opens a new run, whose re-emitted prefix ``effective_streams`` dedups.
+        """
+        runs = self.streams.setdefault(ring, [])
+        if runs and runs[-1].incarnation == segment.incarnation:
+            runs[-1].entries.extend(segment.entries)
+        else:
+            runs.append(RingSegment(segment.incarnation, segment.start, list(segment.entries)))
+
+    def offline_deliveries(self) -> Dict[str, List[Tuple[int, int, ProposalValue]]]:
+        """Per-host offline replay of :attr:`streams` (needs ``collect_streams``)."""
+        flat = effective_streams(self.streams)
+        return {
+            name: replay_streams(
+                {ring: flat.get(ring, []) for ring in host.groups},
+                messages_per_round=host.messages_per_round,
+            )
+            for name, host in self.hosts.items()
         }

@@ -229,15 +229,16 @@ def effective_streams(
     """Collapse incarnation-segmented recordings into deduped whole streams.
 
     ``history`` maps each ring to its recorded incarnation runs in
-    chronological order (see
-    :meth:`repro.multiring.process.MultiRingProcess.record_ring_history`).
+    chronological order (see :attr:`repro.core.smr.ReactiveMergeStage.streams`).
     Restarted learners re-emit stream prefixes; this helper drops the
     duplicates — verifying each one decided the same value as the original
     emission, raising :class:`MergeDivergenceError` otherwise — and returns
     the plain per-ring streams :func:`replay_streams` consumes.  It is the
     offline anchor builder for runs with crashes: feeding any chunking of
     ``history`` through a :class:`MergeCursor` must match
-    ``replay_streams(effective_streams(history))`` exactly.
+    ``replay_streams(effective_streams(history))`` exactly.  An entry that
+    breaks its ring's contiguous stream raises ``ValueError`` (see
+    :meth:`MergeCursor.feed`).
     """
     streams: Dict[int, List[Tuple[int, ProposalValue]]] = {}
     for ring_id in sorted(history):
@@ -248,18 +249,30 @@ def effective_streams(
             for instance, value in segment.entries:
                 if instance <= high:
                     original = seen.get(instance)
-                    if original is not None and original.payload != value.payload:
+                    if original is None:
+                        raise _out_of_order(ring_id, instance, high)
+                    if original.payload != value.payload:
                         raise MergeDivergenceError(
                             f"ring {ring_id} instance {instance} re-emitted a "
                             f"different value ({original.payload!r} vs "
                             f"{value.payload!r})"
                         )
                     continue
+                if instance != high + 1:
+                    raise _out_of_order(ring_id, instance, high)
                 out.append((instance, value))
                 seen[instance] = value
                 high = instance
         streams[ring_id] = out
     return streams
+
+
+def _out_of_order(ring_id: int, instance: int, high: int) -> ValueError:
+    """The error for an entry that is neither the next instance nor a duplicate."""
+    return ValueError(
+        f"ring {ring_id} instance {instance} is out of order: expected instance "
+        f"{high + 1} (a reordered or lost segment entry)"
+    )
 
 
 def replay_streams(
@@ -489,7 +502,11 @@ class MergeCursor:
         already merged — a payload mismatch raises
         :class:`MergeDivergenceError`), and ``start`` is verified against the
         entries consumed so far in that incarnation so a segment lost in
-        transport surfaces as an error instead of a silent gap.
+        transport surfaces as an error instead of a silent gap.  Within the
+        entries, each one must be the ring's next instance or re-emit one
+        already merged: an entry that skips ahead, or one below the ring's
+        high mark that was never merged (a reordered segment), raises
+        ``ValueError`` naming the ring, the instance and the expected one.
         """
         if group_id not in self._watermarks:
             raise KeyError(f"not subscribed to group {group_id}")
@@ -528,7 +545,9 @@ class MergeCursor:
                 # Re-emitted prefix of a restarted producer: drop it, but
                 # only after checking it decided the very same value.
                 original = seen.get(instance)
-                if original is not None and original.payload != value.payload:
+                if original is None:
+                    raise _out_of_order(group_id, instance, high)
+                if original.payload != value.payload:
                     raise MergeDivergenceError(
                         f"ring {group_id} instance {instance} re-emitted a "
                         f"different value ({original.payload!r} vs "
@@ -536,6 +555,8 @@ class MergeCursor:
                     )
                 self._duplicates += 1
                 continue
+            if instance != high + 1:
+                raise _out_of_order(group_id, instance, high)
             seen[instance] = value
             high = instance
             offer(group_id, instance, value)

@@ -12,14 +12,14 @@ experiments, the MRP-Store replica, the dLog replica — override
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..net.ring import RingOverlay
 from ..paxos.messages import ProposalValue, TrimQuery, TrimReport
 from ..ringpaxos.node import RingNode, RingNodeConfig
 from ..sim.actor import Actor, Environment
 from ..sim.disk import Disk
-from .merge import DeterministicMerger, RingSegment, RingSegmentBuffer
+from .merge import DeterministicMerger, RingSegmentBuffer
 
 __all__ = ["MultiRingProcess"]
 
@@ -139,88 +139,27 @@ class MultiRingProcess(Actor):
         return self._nodes[group_id].propose(payload, size_bytes)
 
     # -------------------------------------------------------------- delivery
-    def tap_ring_streams(
-        self, sink: Callable[[int, int, ProposalValue], None]
-    ) -> None:
-        """Observe every per-ring ordered instance *before* the merge.
-
-        ``sink(ring_id, instance, value)`` fires for each instance a ring
-        learner emits, skips included — exactly the stream the merge stage
-        consumes.  This is the streaming tap of sharded execution: pointed at
-        a :class:`~repro.multiring.merge.RingSegmentBuffer` (see
-        :meth:`record_ring_segments`) it emits the decision-stream segments
-        shipped through barriers to a parent-side
-        :class:`~repro.multiring.merge.MergeCursor`; the tap survives
-        crash/restart (restarted learners keep feeding it).
-        """
-        self._ring_tap = sink
-        self._rewire_ordered_sinks()
-
     def record_ring_segments(
-        self, into: Optional["RingSegmentBuffer"] = None
-    ) -> "RingSegmentBuffer":
-        """Install the segment-emitting streaming tap.
+        self, into: Optional[RingSegmentBuffer] = None
+    ) -> RingSegmentBuffer:
+        """Install the streaming tap of sharded execution.
 
-        Returns a :class:`~repro.multiring.merge.RingSegmentBuffer` that
-        accumulates this process's per-ring ordered instances (skips
-        included); ``buffer.cut()`` at every barrier yields the decision-
-        stream segments recorded since the last cut, ready to ship to a
-        parent-side merge cursor.  ``into`` lets several processes share one
-        buffer (their rings must be disjoint).
+        Every per-ring instance a ring learner emits — skips included, before
+        the merge — is appended to the returned
+        :class:`~repro.multiring.merge.RingSegmentBuffer`; ``buffer.cut()``
+        at every barrier yields the decision-stream segments recorded since
+        the last cut, ready to ship to a parent-side merge cursor.  The tap
+        survives crash/restart: the buffer marks this process's rings down
+        and restarted, and the restarted learners keep feeding it.  ``into``
+        lets several processes share one buffer (their rings must be
+        disjoint).
         """
         buffer = RingSegmentBuffer() if into is None else into
         buffer.subscribe(self.subscribed_groups())
         self._segment_buffers.append(buffer)
-        self.tap_ring_streams(buffer.append)
+        self._ring_tap = buffer.append
+        self._rewire_ordered_sinks()
         return buffer
-
-    def record_ring_streams(
-        self, into: Optional[Dict[int, List[Tuple[int, ProposalValue]]]] = None
-    ) -> Dict[int, List[Tuple[int, ProposalValue]]]:
-        """Install a tap that records the whole-run per-ring streams.
-
-        Returns the mapping ``ring_id → [(instance, value), ...]`` (skips
-        included) that :func:`repro.multiring.merge.replay_streams` consumes;
-        it fills in as the simulation runs.  ``into`` lets several processes
-        share one sink.  The offline counterpart of
-        :meth:`record_ring_segments` — use it when the merge happens after
-        the run rather than barrier by barrier.
-        """
-        streams = {} if into is None else into
-
-        def sink(ring_id: int, instance: int, value: ProposalValue) -> None:
-            streams.setdefault(ring_id, []).append((instance, value))
-
-        self.tap_ring_streams(sink)
-        return streams
-
-    def record_ring_history(
-        self, into: Optional[Dict[int, List[RingSegment]]] = None
-    ) -> Dict[int, List[RingSegment]]:
-        """Install a tap recording whole-run streams segmented by incarnation.
-
-        Returns ``ring_id → [RingSegment, ...]``: one run per incarnation the
-        ring produced under, in chronological order.  A restarted learner
-        re-emits its ring's stream from instance 0 — with the plain
-        :meth:`record_ring_streams` recording that prefix would duplicate
-        into the stream and corrupt any offline replay; here each
-        incarnation's emission is kept separate so
-        :func:`repro.multiring.merge.effective_streams` can dedup it (and a
-        :class:`~repro.multiring.merge.MergeCursor` can be fed the runs
-        chunk by chunk, exactly as the streaming pipeline would).  ``into``
-        lets several processes share one sink (their rings must be
-        disjoint).
-        """
-        history = {} if into is None else into
-
-        def sink(ring_id: int, instance: int, value: ProposalValue) -> None:
-            runs = history.setdefault(ring_id, [])
-            if not runs or runs[-1].incarnation != self.incarnation:
-                runs.append(RingSegment(incarnation=self.incarnation))
-            runs[-1].entries.append((instance, value))
-
-        self.tap_ring_streams(sink)
-        return history
 
     def _on_ring_ordered(self, ring_id: int, instance: int, value: ProposalValue) -> None:
         """Ordered per-ring output from a ring learner, fed to the merger."""

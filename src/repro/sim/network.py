@@ -320,11 +320,9 @@ class _Channel:
 class _Connection:
     """Resolved state of one directed actor pair, built on first send."""
 
-    __slots__ = ("dst_actor", "src_site", "dst_site", "channel", "last_delivery_at",
-                 "deliver")
+    __slots__ = ("src_site", "dst_site", "channel", "last_delivery_at", "deliver")
 
-    def __init__(self, dst_actor: Any, src_site: str, dst_site: str, channel: _Channel) -> None:
-        self.dst_actor = dst_actor
+    def __init__(self, src_site: str, dst_site: str, channel: _Channel) -> None:
         self.src_site = src_site
         self.dst_site = dst_site
         self.channel = channel
@@ -495,7 +493,7 @@ class Network:
                 self.topology.bandwidth(src_site, dst_site),
             )
             self._channels[(src_site, dst_site)] = channel
-        conn = _Connection(dst_actor, src_site, dst_site, channel)
+        conn = _Connection(src_site, dst_site, channel)
         conn.deliver = self._make_deliver(dst_actor)
         self._connections[(src, dst)] = conn
         return conn
@@ -589,7 +587,7 @@ class Network:
                 self.topology.bandwidth(src_site, dst_site),
             )
             self._channels[(src_site, dst_site)] = channel
-        conn = _Connection(None, src_site, dst_site, channel)
+        conn = _Connection(src_site, dst_site, channel)
         self._remote_connections[(src, dst)] = conn
         return conn
 

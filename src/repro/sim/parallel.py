@@ -101,9 +101,10 @@ off the critical path without ever touching the event schedule:
   nothing, cuts nothing), and ``run_window`` is monotonic, so the worker's
   next real window catches it up identically.  The worker owning the global
   event frontier always has ``horizon <= end`` and therefore always runs
-  (no livelock), and the final window (``end == until``) is never skipped,
-  so harness scripts keyed on reaching the horizon still complete.  Skips
-  are counted in ``worker_windows_skipped``.
+  (no livelock), the final window (``end == until``) is never skipped, and
+  a pending phase callback (:meth:`ShardHarness.at`) counts towards a
+  shard's horizon, so no worker is skipped past one.  Skips are counted in
+  ``worker_windows_skipped``.
 * **Out-of-order collection** — replies are absorbed as workers finish
   (``multiprocessing.connection.wait``) instead of in fixed pipe order, so
   decoding early finishers overlaps the stragglers and a worker that dies
@@ -151,15 +152,37 @@ __all__ = [
 class ShardHarness:
     """One shard's deployment, as driven by the parallel engine.
 
-    The default implementation wraps an :class:`~repro.sim.actor.Environment`
-    and simply runs its kernel window by window.  Subclasses override
-    :meth:`run_window` when a shard embeds its own measurement or scenario
-    script (warm-up/measure phases, chaos epilogues) and :meth:`finalize` to
-    return a picklable per-shard result to the parent process.
+    Wraps an :class:`~repro.sim.actor.Environment` and runs its kernel window
+    by window.  A shard embeds its own script (a measurement's warm-up reset,
+    a chaos scenario's healing epilogue) as **phase callbacks** registered
+    with :meth:`at`, which fire wherever the windows happen to fall; a
+    builder that installs a segment buffer with :meth:`stream_segments`
+    makes the shard a streaming-merge producer.  Subclasses override
+    :meth:`start` and :meth:`finalize` (a picklable per-shard result for the
+    parent process).
     """
 
     def __init__(self, env: Environment) -> None:
         self.env = env
+        #: pending ``(time, callback)`` phases, in firing order
+        self._phases: List[Tuple[float, Callable[[], None]]] = []
+        #: segment buffer cut at every barrier (see :meth:`stream_segments`)
+        self.segments: Optional[Any] = None
+
+    def at(self, time: float, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` once every event up to ``time`` has executed.
+
+        The callback fires inside whichever window first reaches ``time`` —
+        exactly where a ``run(until=time)`` call would have returned — so a
+        shard's script runs the same events however the engine places its
+        barriers.  Callbacks due at the same time fire in registration order.
+        """
+        self._phases.append((time, callback))
+        self._phases.sort(key=lambda phase: phase[0])
+
+    def stream_segments(self, buffer: Any) -> None:
+        """Ship ``buffer.cut()`` at every barrier (see :meth:`drain_segments`)."""
+        self.segments = buffer
 
     # ------------------------------------------------------------- inventory
     def actor_sites(self) -> Dict[str, str]:
@@ -184,26 +207,37 @@ class ShardHarness:
     def run_window(self, end: Optional[float]) -> None:
         """Advance the shard to ``end`` (``None``: run the queue dry).
 
-        Called once per window; with no lookahead configured it is called
-        exactly once, and a subclass may run an arbitrary multi-phase script
-        here (``end`` is then the overall horizon, possibly ``None``).
+        Called once per window (once in all with neither a lookahead nor a
+        segment interval).  Phases due by ``end`` fire on the way, each
+        right after the kernel has executed every event up to its time.
         """
+        simulator = self.env.simulator
+        phases = self._phases
+        while phases and (end is None or phases[0][0] <= end):
+            time, callback = phases.pop(0)
+            simulator.run_window(time)
+            callback()
         if end is None:
             self.env.run()
         else:
-            self.env.simulator.run_window(end)
+            simulator.run_window(end)
 
     def next_event_time(self) -> Optional[float]:
         """This shard's event horizon, reported at every barrier.
 
         The earliest pending work anywhere in the shard: the kernel's next
-        live event, or — for custom harnesses that have not drained their
-        gateway outbox yet — the earliest queued cross-shard delivery (the
-        outbox frontier).  ``None`` means the shard is fully drained.  The
-        adaptive barrier protocol takes the minimum over all shards (and all
-        in-flight cross-shard messages) to place the next window.
+        live event, the next phase callback, or — for custom harnesses that
+        have not drained their gateway outbox yet — the earliest queued
+        cross-shard delivery (the outbox frontier).  ``None`` means the shard
+        is fully drained.  The adaptive barrier protocol takes the minimum
+        over all shards (and all in-flight cross-shard messages) to place the
+        next window.
         """
         horizon = self.env.simulator.next_event_time()
+        if self._phases:
+            phase = self._phases[0][0]
+            if horizon is None or phase < horizon:
+                horizon = phase
         network = self.env.network
         if network is not None:
             frontier = network.outbox_frontier
@@ -217,10 +251,10 @@ class ShardHarness:
         return network.drain_outbox() if network is not None else []
 
     def drain_segments(self) -> Optional[Any]:
-        """Streaming payload to ship through this barrier (override).
+        """Streaming payload to ship through this barrier.
 
-        Called at every barrier, right after the window ran.  Harnesses
-        feeding a parent-side streaming merge return ``(watermark,
+        Called at every barrier, right after the window ran.  A shard with a
+        segment buffer (:meth:`stream_segments`) returns ``(watermark,
         segments)`` — the shard's simulated time (everything at or before it
         has executed, so the shard's streams are complete up to it) plus the
         per-ring decision-stream segments recorded since the last barrier
@@ -229,10 +263,12 @@ class ShardHarness:
         learner is crashed are *omitted* — absence means "not covered up to
         this watermark", so the consumer's joint watermark stalls honestly;
         after a restart the bumped incarnation tells the consumer to expect
-        a re-emitted prefix and dedup it.  The payload must be picklable;
-        ``None`` (the default) ships nothing.
+        a re-emitted prefix and dedup it.  Without a buffer it returns
+        ``None`` and ships nothing.
         """
-        return None
+        if self.segments is None:
+            return None
+        return (self.env.now, self.segments.cut())
 
     def inject(self, records: Sequence[RemoteMessage]) -> None:
         """Deliver messages handed over at the barrier into this shard."""

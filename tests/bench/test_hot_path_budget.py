@@ -95,7 +95,7 @@ BUDGETS = {
         fig3(threads_per_proposer=40, batching_enabled=True), 685_000, 665_528, 856_055,
     ),
     "kv-global-open": (kv_global_open, 402_000, 390_438, 404_550),
-    "dlog-sharded": (dlog_sharded, 1_090_000, 1_054_240, 1_120_400),
+    "dlog-sharded": (dlog_sharded, 1_090_000, 1_054_260, 1_120_400),
 }
 
 

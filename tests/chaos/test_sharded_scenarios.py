@@ -20,6 +20,8 @@ from repro.chaos.scenario import (
     shardable_components,
     shared_merge_learners,
 )
+from repro.multiring import merge
+from tests.conftest import mutate
 
 #: Scanned once; the generator guarantees a fraction of disjoint multi-ring
 #: scenarios, so this range always yields a handful (seed 36 is the first).
@@ -204,6 +206,28 @@ def test_smoke_matrix_shared_learner_verdicts_match_single_process():
             (v.prop, v.detail) for v in sharded.violations
         ]
         assert sharded.stats["sharded"]["merge_learners"]
+
+
+def test_reordered_wire_segments_are_a_named_violation(monkeypatch, tmp_path):
+    """Prover: a wire decoder that swaps two adjacent entries fails the oracle.
+
+    ``_segment_wire_build`` rebuilds every segment a worker ships to the
+    merge stage; the mutant swaps the first two entries of each.  While the
+    sharded oracle replayed re-chunked whole-run histories instead of the
+    shipped segments, and the cursor dropped a displaced instance as a
+    duplicate, this mutant passed 4/4 shared-learner seeds (36, 39, 76, 83)
+    at two workers.  Now it must surface as a named violation, not a
+    traceback.
+    """
+    seed = _eligible_seeds(1, require_merge_learners=True)[0]
+    monkeypatch.setattr(merge, "_segment_wire_build", mutate(
+        merge._segment_wire_build,
+        ("    return RingSegment(", "    entries[:2] = entries[1::-1]\n    return RingSegment("),
+    ))
+    result = run_scenario(seed, artifacts_dir=str(tmp_path), workers=2)
+    assert not result.ok
+    assert {v.prop for v in result.violations} == {"merge-stream-divergence"}
+    assert "out of order" in result.violations[0].detail
 
 
 def test_run_scenario_falls_back_for_ineligible_scenarios():

@@ -4,8 +4,9 @@ watermark hygiene.
 A crashed-and-restarted producer re-emits its ring's stream prefix under a
 bumped incarnation; the cursor must dedup the prefix (verifying every
 re-emitted instance decided the same value), reject stale or duplicated
-barrier watermarks loudly, and validate resume positions so a segment lost
-in transport is an error rather than a silent gap.  The
+barrier watermarks loudly, and validate resume positions and the instance
+order inside a segment so a lost or reordered entry is an error rather than
+a silent gap or a dropped "duplicate".  The
 :class:`RingSegmentBuffer` is the producer half: its crash boundary must
 drop the uncut tail (the restart re-emits it) and keep down rings out of
 cuts so consumers stall honestly.
@@ -256,3 +257,34 @@ class TestEffectiveStreams:
                         )
                         offset += len(piece)
             assert cursor.merged == anchor
+
+
+#: ``name -> (instances of one ring's stream, offending instance, expected)``:
+#: two adjacent entries swapped, an entry skipping ahead, and an entry below
+#: the ring's high mark that was never merged.
+OUT_OF_ORDER = {
+    "swapped": ([0, 2, 1], 2, 1),
+    "skips-ahead": ([0, 1, 3], 3, 2),
+    "never-merged": ([0, 1, -1], -1, 2),
+}
+
+
+def _message(case):
+    _instances, instance, expected = OUT_OF_ORDER[case]
+    return f"ring 5 instance {instance} is out of order: expected instance {expected}"
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_ORDER))
+def test_cursor_feed_rejects_an_entry_out_of_ring_order(case):
+    instances = OUT_OF_ORDER[case][0]
+    cursor = MergeCursor([5])
+    with pytest.raises(ValueError, match=_message(case)):
+        cursor.feed(5, [(i, value(f"i{i}")) for i in instances], incarnation=0, start=0)
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_ORDER))
+def test_effective_streams_rejects_an_entry_out_of_ring_order(case):
+    instances = OUT_OF_ORDER[case][0]
+    history = {5: [RingSegment(incarnation=0, entries=[(i, value(f"i{i}")) for i in instances])]}
+    with pytest.raises(ValueError, match=_message(case)):
+        effective_streams(history)

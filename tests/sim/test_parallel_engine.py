@@ -607,6 +607,40 @@ def test_segment_stream_is_worker_count_invariant():
     assert barriers1 == barriers2
 
 
+class PhasedHarness(CountingHarness):
+    """Counting shard whose script notes the clock and tick count at two phases."""
+
+    def __init__(self, env, actor):
+        super().__init__(env, actor)
+        self.notes = []
+        for time in (0.0135, 0.06):
+            self.at(time, self._note)
+
+    def _note(self):
+        self.notes.append((self.env.now, len(self.actor.fired)))
+
+    def finalize(self):
+        return self.notes
+
+
+def build_phased_shard(payload):
+    harness = build_counting_shard(payload)
+    return PhasedHarness(harness.env, harness.actor)
+
+
+@pytest.mark.parametrize("workers, interval", [(1, None), (1, 0.01), (2, 0.01)])
+def test_phase_callbacks_fire_where_run_until_returns(workers, interval):
+    """A phase sees exactly the events up to its time, however windows fall."""
+    run = run_sharded(
+        [ShardSpec(i, build_phased_shard, i) for i in range(2)],
+        until=0.06,
+        workers=workers,
+        segment_interval=interval,
+    )
+    # 50 ticks 1 ms apart: 13 have fired by t=0.0135, all 50 by t=0.06.
+    assert run.results == {0: [(0.0135, 13), (0.06, 50)], 1: [(0.0135, 13), (0.06, 50)]}
+
+
 def test_segment_interval_requires_horizon():
     with pytest.raises(ValueError, match="segment"):
         run_sharded(
