@@ -1,4 +1,9 @@
-"""Smoke tests of the benchmark harness (tiny versions of every figure)."""
+"""Smoke tests of the benchmark harness (tiny versions of every figure).
+
+``FIGURE_POINTS`` are short single-process points of Figures 5–8 whose
+metrics and series are pinned exactly in ``tests/golden/exact.json``
+(``figure_points``); ``python -m tests.golden.repin`` reads them from here.
+"""
 
 import pytest
 
@@ -16,6 +21,36 @@ from repro.bench import (
     run_fig8,
 )
 from repro.sim.disk import StorageMode
+from tests import golden
+
+#: ``name -> run`` of the pinned single-process figure points.
+FIGURE_POINTS = {
+    "fig5-dlog": lambda: run_fig5_point("dlog", 8, warmup=0.1, duration=0.3),
+    "fig6-2rings": lambda: run_fig6_point(2, clients_per_ring=4, warmup=0.1, duration=0.3),
+    "fig7-2regions": lambda: run_fig7_point(2, key_count=200, warmup=0.2, duration=0.5),
+    "fig8": lambda: run_fig8(time_scale=0.01, load_ops_per_s=500, key_count=200),
+}
+
+
+def exact_point(name):
+    """Every metric (``float.hex``) and a digest of every series of one point."""
+    result = FIGURE_POINTS[name]()
+    return {
+        "metrics": golden.exact_metrics(result.metrics),
+        "series": {key: golden.digest(series) for key, series in sorted(result.series.items())},
+    }
+
+
+def figure_points():
+    return {name: exact_point(name) for name in sorted(FIGURE_POINTS)}
+
+
+@pytest.mark.parametrize("name", sorted(FIGURE_POINTS))
+def test_figure_point_reproduces_the_golden_values(name):
+    assert exact_point(name) == golden.load()["figure_points"][name], (
+        f"{name}: a simulated value moved — say which modelled behaviour changed, then "
+        "`python -m tests.golden.repin`"
+    )
 
 
 class TestReporting:

@@ -5,8 +5,8 @@
 
 The runs are the tests' own (``tests/sim/test_kernel_fastpath.py``,
 ``tests/bench/test_hot_path_budget.py``,
-``tests/core/test_reactive_host_faults.py``, ``tests/sim/test_wire_codec.py``),
-so a golden and the test that reads
+``tests/core/test_reactive_host_faults.py``, ``tests/sim/test_wire_codec.py``,
+``tests/bench/test_figure_runners.py``), so a golden and the test that reads
 it cannot drift apart.  Re-pin only in a PR that says which modelled
 behaviour moved.
 """
@@ -17,6 +17,7 @@ import json
 import sys
 
 from tests import golden
+from tests.bench import test_figure_runners as figures
 from tests.bench import test_hot_path_budget as budget
 from tests.core import test_reactive_host_faults as reactive
 from tests.sim import test_kernel_fastpath as stack
@@ -31,6 +32,7 @@ def compute() -> dict:
         "pinned_runs": {name: budget.measured(name)[1] for name in sorted(budget.BUDGETS)},
         "reactive_latency": reactive.stalled_fig6_latency(),
         "wire_fig6_shared": wire.wire_counts(wire.fig6_shared_point()),
+        "figure_points": figures.figure_points(),
     }
 
 
