@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import print_results, relative_increments, run_fig6_point
+from repro.bench import print_results, relative_increments, run_fig6_point, run_fig6_sharded
 
 _RESULTS = []
 
@@ -51,13 +51,13 @@ def test_fig6_point_sharded(benchmark, rings: int, windows, workers, configurati
     warmup, duration = windows
 
     def run():
-        return run_fig6_point(
+        return run_fig6_sharded(
             rings,
+            workers=workers,
             clients_per_ring=_CLIENTS_PER_RING,
             warmup=warmup,
             duration=duration,
-            workers=workers,
-            sharded_configuration=configuration,
+            configuration=configuration,
         )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)

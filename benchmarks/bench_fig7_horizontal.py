@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import print_results, relative_increments, run_fig7_point
+from repro.bench import print_results, relative_increments, run_fig7_point, run_fig7_sharded
 
 _RESULTS = []
 
 _REGION_COUNTS = (1, 2, 3, 4)
-_CLIENTS_PER_REGION = 12
 
 
 @pytest.mark.parametrize("regions", _REGION_COUNTS)
@@ -27,12 +26,7 @@ def test_fig7_point(benchmark, regions: int, windows):
     duration = max(duration, 3.0)
 
     def run():
-        return run_fig7_point(
-            regions,
-            clients_per_region=_CLIENTS_PER_REGION,
-            warmup=warmup,
-            duration=duration,
-        )
+        return run_fig7_point(regions, warmup=warmup, duration=duration)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     _RESULTS.append(result)
@@ -58,13 +52,12 @@ def test_fig7_point_sharded(benchmark, regions: int, windows, workers, configura
     duration = max(duration, 3.0)
 
     def run():
-        return run_fig7_point(
+        return run_fig7_sharded(
             regions,
-            clients_per_region=_CLIENTS_PER_REGION,
+            workers=workers,
             warmup=warmup,
             duration=duration,
-            workers=workers,
-            sharded_configuration=configuration,
+            configuration=configuration,
         )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)

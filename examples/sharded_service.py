@@ -52,7 +52,7 @@ from repro.kvstore.replica import MRPStoreReplica
 from repro.multiring import RingSegmentBuffer
 from repro.sim import Environment, ShardSpec, run_sharded
 from repro.sim.topology import single_datacenter
-from repro.bench.runner import MeasurementWindow, ShardedMeasurement
+from repro.bench.runner import Measurement, MeasurementWindow
 
 PARTITIONS = 2
 INSERTS_PER_PARTITION = 30
@@ -72,7 +72,7 @@ def _config() -> MultiRingConfig:
     )
 
 
-def build_partition_shard(group: int) -> ShardedMeasurement:
+def build_partition_shard(group: int) -> Measurement:
     """One shard: a complete MRP-Store partition ring plus its client.
 
     Runs inside the worker process.  The shard's in-ring replica stands in
@@ -111,7 +111,7 @@ def build_partition_shard(group: int) -> ShardedMeasurement:
         metric_prefix=f"partition{group}",
     )
 
-    harness = ShardedMeasurement(
+    harness = Measurement(
         system, MeasurementWindow(warmup=0.1, duration=HORIZON - 0.1)
     )
     buffer = RingSegmentBuffer()

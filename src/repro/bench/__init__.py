@@ -8,7 +8,7 @@ from .fig7_horizontal import FIG7_REGION_COUNTS, run_fig7, run_fig7_point
 from .fig8_recovery import FIG8_EVENTS, RecoveryTimeline, run_fig8
 from .parallel import run_fig6_sharded, run_fig7_sharded
 from .reporting import format_results, format_table, print_results, relative_increments
-from .runner import ExperimentResult, MeasurementWindow, ShardedMeasurement, measure
+from .runner import ExperimentResult, Measurement, MeasurementWindow
 
 __all__ = [
     "FIG3_STORAGE_MODES",
@@ -37,9 +37,8 @@ __all__ = [
     "print_results",
     "relative_increments",
     "ExperimentResult",
+    "Measurement",
     "MeasurementWindow",
-    "ShardedMeasurement",
-    "measure",
     "run_fig6_sharded",
     "run_fig7_sharded",
 ]

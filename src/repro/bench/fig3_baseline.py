@@ -11,7 +11,7 @@ latency, coordinator CPU utilisation and the latency CDF for 32 KB requests
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 from ..core.amcast import AtomicMulticast
 from ..core.config import MultiRingConfig
@@ -19,7 +19,7 @@ from ..multiring.process import MultiRingProcess
 from ..paxos.messages import ProposalValue
 from ..sim.disk import StorageMode
 from ..sim.topology import single_datacenter
-from .runner import ExperimentResult, MeasurementWindow
+from .runner import ExperimentResult, Measurement, MeasurementWindow
 
 __all__ = ["run_fig3", "run_fig3_point", "FIG3_VALUE_SIZES", "FIG3_STORAGE_MODES"]
 
@@ -112,23 +112,23 @@ def run_fig3_point(
     ]
     system.create_ring(0, [(p.name, "pal") for p in processes])
 
-    window = MeasurementWindow(warmup=warmup, duration=duration)
-    system.start()
-    system.run(until=window.warmup)
-    system.env.metrics.reset_all()
+    harness = Measurement(
+        system,
+        MeasurementWindow(warmup=warmup, duration=duration),
+        throughput_metrics=["fig3.delivered_bytes"],
+        latency_metrics=["fig3.latency"],
+    )
+    # The coordinator's CPU window starts with the measurement window.
     coordinator = system.env.actor(system.ring(0).coordinator)
-    coordinator.cpu.reset_window()
-    start = system.env.now
-    system.run(until=window.end)
-    end = system.env.now
+    harness.at(warmup, coordinator.cpu.reset_window)
+    harness.run_to_end(harness.window.end)
+    results = harness.results
 
-    delivered_bytes = system.env.metrics.throughput("fig3.delivered_bytes")
-    latency = system.env.metrics.latency("fig3.latency")
     # Deliveries happen at three learners; each value is counted once per
     # learner, so divide by the learner count for per-value rates.  All
     # values share one size, so the operation rate is the byte rate / size.
     learners = 3
-    byte_rate = delivered_bytes.rate(start, end)
+    byte_rate = results["fig3.delivered_bytes.rate"]
     throughput_mbps = byte_rate * 8.0 / 1e6 / learners
     ops_per_second = byte_rate / value_size / learners
 
@@ -142,15 +142,15 @@ def run_fig3_point(
         metrics={
             "throughput_mbps": throughput_mbps,
             "ops_per_s": ops_per_second,
-            "latency_mean_ms": latency.mean() * 1e3,
-            "latency_p95_ms": latency.percentile(95) * 1e3,
+            "latency_mean_ms": results["fig3.latency.mean_ms"],
+            "latency_p95_ms": results["fig3.latency.p95_ms"],
             "coordinator_cpu_pct": coordinator.cpu.utilization_percent(),
             # Kernel-side cost of the run: batching packs many values into one
             # consensus instance, so the events-per-ordered-command ratio is
             # the quantity the kernel benchmark tracks.
             "events_processed": float(system.env.simulator.processed_events),
         },
-        series={"latency_cdf": latency.cdf(points=50)},
+        series={"latency_cdf": results["fig3.latency.cdf"]},
     )
 
 

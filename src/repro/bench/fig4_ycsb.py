@@ -17,7 +17,7 @@ the workload-E exception where range scans erase the eventual store's edge.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..baselines.eventual import EventualStoreService
 from ..baselines.singleserver import SingleServerStore
@@ -32,7 +32,7 @@ from ..sim.disk import StorageMode
 from ..sim.topology import single_datacenter
 from ..workloads.arrival import ArrivalCurve, constant
 from ..workloads.ycsb import YCSB_WORKLOADS, YCSBWorkload, ycsb_keyspace
-from .runner import ExperimentResult, MeasurementWindow, measure
+from .runner import ExperimentResult, Measurement, MeasurementWindow
 
 __all__ = ["run_fig4", "run_fig4_point", "FIG4_SYSTEMS", "FIG4_WORKLOADS"]
 
@@ -156,14 +156,15 @@ def run_fig4_point(
             metric_prefix="ycsb",
         )
 
-    window = MeasurementWindow(warmup=warmup, duration=duration)
-    results = measure(
+    harness = Measurement(
         system,
-        window,
+        MeasurementWindow(warmup=warmup, duration=duration),
         throughput_metrics=["ycsb.throughput"],
         latency_metrics=["ycsb.latency"],
         slo_classes=sorted(slo) if slo else (),
     )
+    harness.run_to_end(harness.window.end)
+    results = harness.results
 
     metrics = {
         "throughput_ops": results["ycsb.throughput.rate"],

@@ -13,7 +13,7 @@ sequencer log's latency is dominated by its batching window.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import List, Sequence
 
 from ..baselines.seqlog import SequencerLogService
 from ..core.amcast import AtomicMulticast
@@ -24,7 +24,7 @@ from ..dlog.service import DLogService
 from ..sim.disk import StorageMode
 from ..sim.topology import single_datacenter
 from ..workloads.log import round_robin_logs
-from .runner import ExperimentResult, MeasurementWindow, measure
+from .runner import ExperimentResult, Measurement, MeasurementWindow
 
 __all__ = ["run_fig5", "run_fig5_point", "FIG5_SYSTEMS", "FIG5_CLIENT_THREADS"]
 
@@ -92,13 +92,14 @@ def run_fig5_point(
         metric_prefix="fig5",
     )
 
-    window = MeasurementWindow(warmup=warmup, duration=duration)
-    results = measure(
+    harness = Measurement(
         system,
-        window,
+        MeasurementWindow(warmup=warmup, duration=duration),
         throughput_metrics=["fig5.throughput"],
         latency_metrics=["fig5.latency"],
     )
+    harness.run_to_end(harness.window.end)
+    results = harness.results
     return ExperimentResult(
         name="fig5",
         params={"system": system_name, "threads": client_threads},

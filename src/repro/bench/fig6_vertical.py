@@ -15,20 +15,23 @@ roughly flat.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from ..core.amcast import AtomicMulticast
 from ..core.client import ClosedLoopClient
 from ..core.config import MultiRingConfig
-from ..dlog.client import DLogCommands, append_request_factory
+from ..dlog.client import append_request_factory
 from ..dlog.service import DLogService
 from ..sim.disk import StorageMode
 from ..sim.topology import single_datacenter
 from ..workloads.log import single_log
 from .reporting import relative_increments
-from .runner import ExperimentResult, MeasurementWindow, measure
+from .runner import ExperimentResult, Measurement, MeasurementWindow
 
-__all__ = ["run_fig6", "run_fig6_point", "fig6_config", "FIG6_RING_COUNTS", "COMMON_RING_ID"]
+__all__ = [
+    "run_fig6", "run_fig6_point", "build_fig6_shard", "fig6_config", "FIG6_RING_COUNTS",
+    "COMMON_RING_ID",
+]
 
 #: Number of synchronised logs (rings) on the x-axis.
 FIG6_RING_COUNTS = (1, 2, 3, 4, 5)
@@ -59,92 +62,102 @@ def fig6_config(batching_enabled: bool = True, faulted: bool = False) -> MultiRi
     )
 
 
+def build_fig6_shard(payload: Dict[str, Any]) -> Measurement:
+    """Build a Figure 6 deployment: every ring of it, or one shard's rings.
+
+    The one builder of the figure's deployment.  ``payload["log_ids"]`` are
+    the log rings it hosts, each with its own dedicated disk and closed-loop
+    client (``clients_per_ring`` outstanding appends of ``append_bytes``),
+    and one dLog replica subscribes to all of them plus, when
+    ``payload["common_ring_id"]`` is set, the common ring of the original
+    deployment.  :func:`run_fig6_point` builds all rings with the common ring
+    and runs the result in-process; :func:`repro.bench.parallel.run_fig6_sharded`
+    ships one ring per payload to its workers (no common ring: in the
+    independent configuration the shard's replica *is* the deployment's
+    learner, in the shared one it stands in for the shared learner's
+    per-ring half and streams its segments, see
+    :meth:`~repro.bench.runner.Measurement.shard_options`).
+    """
+    config = payload["config"]
+    system = AtomicMulticast(
+        topology=single_datacenter(), config=config, seed=payload["seed"]
+    )
+    log_ids = list(payload["log_ids"])
+    service = DLogService(
+        system,
+        log_ids=log_ids,
+        acceptors_per_log=2,
+        replica_count=1,
+        common_ring_id=payload["common_ring_id"],
+        dedicated_disks=True,
+        config=config,
+    )
+    for log_id in log_ids:
+        factory = append_request_factory(
+            service.commands,
+            log_chooser=single_log(log_id),
+            append_bytes=payload["append_bytes"],
+        )
+        ClosedLoopClient(
+            system.env,
+            f"fig6-client{log_id}",
+            frontends_by_group=service.frontend_map(),
+            request_factory=factory,
+            concurrency=payload["clients_per_ring"],
+            metric_prefix=f"fig6.ring{log_id}",
+        )
+
+    metric_names = [f"fig6.ring{log_id}" for log_id in log_ids]
+    harness = Measurement(
+        system,
+        MeasurementWindow(warmup=payload["warmup"], duration=payload["duration"]),
+        throughput_metrics=[f"{m}.throughput" for m in metric_names],
+        latency_metrics=[f"{m}.latency" for m in metric_names],
+    )
+    return harness.shard_options(payload, service.replicas)
+
+
 def run_fig6_point(
     ring_count: int,
     clients_per_ring: int = 16,
     warmup: float = 1.0,
     duration: float = 8.0,
     seed: int = 42,
-    workers: Optional[int] = None,
-    sharded_configuration: str = "independent",
     batching_enabled: bool = True,
 ) -> ExperimentResult:
-    """Run one ring-count point of Figure 6.
+    """Run one ring-count point of Figure 6 on one event loop.
 
-    ``workers`` switches to the sharded engine spread over that many cores
-    (see :func:`repro.bench.parallel.run_fig6_sharded`).
-    ``sharded_configuration`` selects the sharded deployment shape:
-    ``"independent"`` gives every shard its own replica (one ring per shard),
-    ``"shared"`` runs the figure's *original* shape — shared learner, common
-    ring — one ring per shard with a parent-side merge stage.  ``workers=None``
-    (default) runs the original deployment on one event loop.
-    ``batching_enabled`` controls coordinator value batching; the figure runs
-    with it on (the paper's prototype batches to 32 KB), turning it off gives
-    the unbatched reference point for the same deployment.
+    The original deployment: ``ring_count`` log rings plus the common ring,
+    one learner subscribed to all of them.  (On several cores:
+    :func:`repro.bench.parallel.run_fig6_sharded`.)  ``batching_enabled``
+    controls coordinator value batching; the figure runs with it on (the
+    paper's prototype batches to 32 KB), turning it off gives the unbatched
+    reference point for the same deployment.
     """
     if ring_count < 1:
         raise ValueError("ring_count must be >= 1")
-    if workers is not None:
-        from .parallel import run_fig6_sharded
+    harness = build_fig6_shard({
+        "config": fig6_config(batching_enabled),
+        "seed": seed,
+        "log_ids": list(range(ring_count)),
+        "common_ring_id": COMMON_RING_ID,
+        "clients_per_ring": clients_per_ring,
+        "append_bytes": _APPEND_BYTES,
+        "warmup": warmup,
+        "duration": duration,
+    })
+    harness.run_to_end(harness.window.end)
+    results = harness.results
 
-        return run_fig6_sharded(
-            ring_count,
-            workers=workers,
-            clients_per_ring=clients_per_ring,
-            warmup=warmup,
-            duration=duration,
-            seed=seed,
-            configuration=sharded_configuration,
-            batching_enabled=batching_enabled,
-        )
-    config = fig6_config(batching_enabled)
-    system = AtomicMulticast(topology=single_datacenter(), config=config, seed=seed)
-    log_ids = list(range(ring_count))
-    service = DLogService(
-        system,
-        log_ids=log_ids,
-        acceptors_per_log=2,
-        replica_count=1,
-        common_ring_id=COMMON_RING_ID,
-        dedicated_disks=True,
-        config=config,
-    )
-    commands = DLogCommands()
-    clients = []
-    for log_id in log_ids:
-        factory = append_request_factory(
-            commands, log_chooser=single_log(log_id), append_bytes=_APPEND_BYTES
-        )
-        clients.append(
-            ClosedLoopClient(
-                system.env,
-                f"fig6-client{log_id}",
-                frontends_by_group=service.frontend_map(),
-                request_factory=factory,
-                concurrency=clients_per_ring,
-                metric_prefix=f"fig6.ring{log_id}",
-            )
-        )
-
-    window = MeasurementWindow(warmup=warmup, duration=duration)
-    metric_names = [f"fig6.ring{log_id}" for log_id in log_ids]
-    results = measure(
-        system,
-        window,
-        throughput_metrics=[f"{m}.throughput" for m in metric_names],
-        latency_metrics=[f"{m}.latency" for m in metric_names],
-    )
-
+    metric_names = [f"fig6.ring{log_id}" for log_id in range(ring_count)]
     per_ring = [results[f"{m}.throughput.rate"] for m in metric_names]
-    aggregate = sum(per_ring)
-    disk1_latency_mean = results[f"{metric_names[0]}.latency.mean_ms"]
     return ExperimentResult(
         name="fig6",
         params={"rings": ring_count},
         metrics={
-            "aggregate_ops": aggregate,
-            "per_ring_ops": per_ring[0] if per_ring else 0.0,
-            "latency_disk1_mean_ms": disk1_latency_mean,
+            "aggregate_ops": sum(per_ring),
+            "per_ring_ops": per_ring[0],
+            "latency_disk1_mean_ms": results[f"{metric_names[0]}.latency.mean_ms"],
             "latency_disk1_p95_ms": results[f"{metric_names[0]}.latency.p95_ms"],
         },
         series={"latency_cdf_disk1": results[f"{metric_names[0]}.latency.cdf"]},

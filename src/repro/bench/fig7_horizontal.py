@@ -18,20 +18,24 @@ latency in the observed region stays roughly constant.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.amcast import AtomicMulticast
+from ..core.client import OpenLoopClient
 from ..core.config import MultiRingConfig, global_config
-from ..kvstore.service import MRPStoreService
+from ..core.swarm import PORT_ADDRESSING_LIMIT, ClientSwarm
+from ..kvstore.client import MRPStoreCommands, kv_request_factory
 from ..kvstore.partitioning import HashPartitioner
+from ..kvstore.service import MRPStoreService
 from ..sim.disk import StorageMode
 from ..sim.topology import EC2_REGIONS, ec2_global
+from ..workloads.arrival import constant
 from ..workloads.kv import preload_keys, update_only_workload
 from .reporting import relative_increments
-from .runner import ExperimentResult, MeasurementWindow, measure
+from .runner import ExperimentResult, Measurement, MeasurementWindow
 
 __all__ = [
-    "run_fig7", "run_fig7_point", "fig7_config", "FIG7_REGION_COUNTS",
+    "run_fig7", "run_fig7_point", "build_fig7_shard", "fig7_config", "FIG7_REGION_COUNTS",
     "OBSERVED_REGION", "GLOBAL_RING_ID",
 ]
 
@@ -62,101 +66,195 @@ def fig7_config(batching_enabled: bool = True, faulted: bool = False) -> MultiRi
     )
 
 
+def _region_clients(
+    system: AtomicMulticast,
+    service: MRPStoreService,
+    payload: Dict[str, Any],
+    group: int,
+    region: str,
+) -> Optional[ClientSwarm]:
+    """One region's workload driver; returns its swarm, if it is one.
+
+    Clients only ever touch their local partition (Section 8.4.2): every
+    command goes through a single-group partitioner pinned to the region's
+    group, so it is routed to the local ring.
+    """
+    commands = MRPStoreCommands(HashPartitioner([group]))
+    frontends = service.frontend_map(preferred_site=region)
+    users = payload.get("users") or 1
+
+    def factory_for(i: int):
+        # Per-user workload stream: identical (engine-independent) seeds, so
+        # the swarm engine's flyweight client ``i`` draws the exact request
+        # sequence the individual actor ``fig7-client-{region}-{i}`` draws.
+        workload = update_only_workload(
+            random.Random((payload["seed"] + group) * 100_003 + i),
+            key_count=payload["key_count"],
+            value_bytes=payload["update_bytes"],
+            key_prefix=f"r{group}-key",
+        )
+        return kv_request_factory(commands, workload)
+
+    if payload.get("client_engine", "actors") == "swarm":
+        factories = [factory_for(i) for i in range(users)]
+        return ClientSwarm(
+            system.env,
+            f"fig7-swarm-{region}",
+            frontends_by_group=frontends,
+            request_factory=lambda index, sequence: factories[index](sequence),
+            clients=users,
+            mode="open",
+            arrival=payload.get("arrival") or constant(payload["offered_rate"]),
+            stagger=payload.get("stagger", False),
+            site=region,
+            metric_prefix=f"fig7.{region}",
+            addressing="auto",
+            port_names=(
+                [f"fig7-client-{region}-{i}" for i in range(users)]
+                if users <= PORT_ADDRESSING_LIMIT
+                else None
+            ),
+            churn=payload.get("churn"),
+            sketch=payload.get("sketch", "auto"),
+            record_trace=bool(payload.get("record_swarm_trace")),
+        )
+    if users > 1:
+        # Actors engine at swarm scale: the differential reference — one
+        # OpenLoopClient per user, each carrying 1/users of the offered rate,
+        # named exactly like the swarm's ports.
+        for i in range(users):
+            OpenLoopClient(
+                system.env,
+                f"fig7-client-{region}-{i}",
+                frontends_by_group=frontends,
+                request_factory=factory_for(i),
+                rate_per_second=payload["offered_rate"] / users,
+                site=region,
+                metric_prefix=f"fig7.{region}",
+            )
+        return None
+    # The original single-client deployment (its own seed arithmetic).
+    workload = update_only_workload(
+        random.Random(payload["seed"] + group),
+        key_count=payload["key_count"],
+        value_bytes=payload["update_bytes"],
+        key_prefix=f"r{group}-key",
+    )
+    OpenLoopClient(
+        system.env,
+        f"fig7-client-{region}",
+        frontends_by_group=frontends,
+        request_factory=kv_request_factory(commands, workload),
+        rate_per_second=payload["offered_rate"],
+        site=region,
+        metric_prefix=f"fig7.{region}",
+    )
+    return None
+
+
+def build_fig7_shard(payload: Dict[str, Any]) -> Measurement:
+    """Build a Figure 7 deployment: every region of it, or one shard's regions.
+
+    The one builder of the figure's deployment.  ``payload["placement"]`` is
+    a ``[(group, region)]`` list: each region hosts its partition ring (three
+    proposers/acceptors, one replica) and its clients, and with
+    ``payload["global_ring_id"]`` set every replica also subscribes to the
+    global ring spanning the placed regions.  :func:`run_fig7_point` places
+    every region with the global ring and runs the result in-process;
+    :func:`repro.bench.parallel.run_fig7_sharded` ships one region per payload
+    to its workers (no global ring: in the shared configuration the region's
+    replica stands in for the original replica's partition-ring half and
+    streams its segments, see
+    :meth:`~repro.bench.runner.Measurement.shard_options`).
+
+    ``client_engine`` / ``users`` select each region's workload driver (see
+    :func:`repro.bench.parallel.run_fig7_sharded`); a swarm's completed
+    count, and its command trace with ``record_swarm_trace``, join the
+    harness's ``finalize()`` result.
+    """
+    placement = payload["placement"]
+    regions = [region for _, region in placement]
+    config = payload["config"]
+    system = AtomicMulticast(
+        topology=ec2_global(regions), config=config, seed=payload["seed"]
+    )
+    service = MRPStoreService(
+        system,
+        partition_groups=[group for group, _ in placement],
+        acceptors_per_partition=3,
+        replicas_per_partition=1,
+        site_for_partition=dict(placement),
+        global_ring_id=payload["global_ring_id"],
+        config=config,
+    )
+    service.preload(preload_keys(payload["key_count"]))
+    swarms = []
+    for group, region in placement:
+        swarm = _region_clients(system, service, payload, group, region)
+        if swarm is not None:
+            swarms.append(swarm)
+    harness = Measurement(
+        system,
+        MeasurementWindow(warmup=payload["warmup"], duration=payload["duration"]),
+        throughput_metrics=[f"fig7.{region}.throughput" for region in regions],
+        latency_metrics=[f"fig7.{region}.latency" for region in regions],
+    )
+    if swarms:
+        trace = bool(payload.get("record_swarm_trace"))
+
+        def swarm_stats() -> Dict[str, Any]:
+            stats: Dict[str, Any] = {
+                "swarm_completed": sum(swarm.completed for swarm in swarms)
+            }
+            if trace:
+                stats["swarm_trace"] = [
+                    entry for swarm in swarms for entry in swarm.command_trace
+                ]
+            return stats
+
+        harness.extra.append(swarm_stats)
+    return harness.shard_options(payload, service.all_replicas())
+
+
 def run_fig7_point(
     region_count: int,
-    clients_per_region: int = 24,
     key_count: int = 2000,
     warmup: float = 2.0,
     duration: float = 10.0,
     seed: int = 42,
     offered_rate_per_region: float = 400.0,
-    workers: Optional[int] = None,
-    sharded_configuration: str = "independent",
     batching_enabled: bool = True,
 ) -> ExperimentResult:
-    """Run one region-count point of Figure 7.
+    """Run one region-count point of Figure 7 on one event loop.
 
-    Clients are open-loop at ``offered_rate_per_region``: the paper's
-    scalability argument is that "the local throughput of a region is not
-    influenced by other regions", so the reproduction offers the same load per
-    region and checks that every region absorbs it regardless of how many
-    other regions participate.  ``clients_per_region`` is kept for API
-    compatibility and bounds the number of outstanding requests implicitly
-    through the offered rate.
-
-    ``workers`` switches to the sharded engine spread over that many cores
-    (see :func:`repro.bench.parallel.run_fig7_sharded`);
-    ``sharded_configuration="shared"`` keeps the figure's *original* shape —
-    partition rings plus the global ring all replicas subscribe to — with the
-    global ring in its own shard and a parent-side merge stage, while
-    ``"independent"`` drops the global ring.  ``workers=None`` runs the
-    original globally ordered deployment on one event loop.
-    ``batching_enabled`` controls coordinator value batching (on by default,
-    as in the prototype); off gives the unbatched reference point.
+    The original globally ordered deployment: every region's partition ring
+    plus the global ring all replicas subscribe to.  (On several cores:
+    :func:`repro.bench.parallel.run_fig7_sharded`.)  Clients are open-loop at
+    ``offered_rate_per_region``: the paper's scalability argument is that
+    "the local throughput of a region is not influenced by other regions",
+    so the reproduction offers the same load per region and checks that
+    every region absorbs it regardless of how many other regions
+    participate.  ``batching_enabled`` controls coordinator value batching
+    (on by default, as in the prototype); off gives the unbatched reference
+    point.
     """
     if not 1 <= region_count <= len(EC2_REGIONS):
         raise ValueError(f"region_count must be within 1..{len(EC2_REGIONS)}")
-    if workers is not None:
-        from .parallel import run_fig7_sharded
-
-        return run_fig7_sharded(
-            region_count,
-            workers=workers,
-            key_count=key_count,
-            warmup=warmup,
-            duration=duration,
-            seed=seed,
-            offered_rate_per_region=offered_rate_per_region,
-            configuration=sharded_configuration,
-            batching_enabled=batching_enabled,
-        )
     regions = list(EC2_REGIONS[:region_count])
-    config = fig7_config(batching_enabled)
-    system = AtomicMulticast(topology=ec2_global(regions), config=config, seed=seed)
-    groups = list(range(region_count))
-    service = MRPStoreService(
-        system,
-        partition_groups=groups,
-        acceptors_per_partition=3,
-        replicas_per_partition=1,
-        site_for_partition={g: regions[g] for g in groups},
-        global_ring_id=GLOBAL_RING_ID,
-        config=config,
-    )
-    service.preload(preload_keys(key_count))
+    harness = build_fig7_shard({
+        "config": fig7_config(batching_enabled),
+        "seed": seed,
+        "placement": list(enumerate(regions)),
+        "global_ring_id": GLOBAL_RING_ID,
+        "key_count": key_count,
+        "offered_rate": offered_rate_per_region,
+        "update_bytes": _UPDATE_BYTES,
+        "warmup": warmup,
+        "duration": duration,
+    })
+    harness.run_to_end(harness.window.end)
+    results = harness.results
 
-    # Clients only touch their local partition (Section 8.4.2): each client
-    # uses a single-group partitioner pinned to its region's group, so every
-    # command it issues is routed to the local ring.
-    from ..core.client import OpenLoopClient
-    from ..kvstore.client import MRPStoreCommands, kv_request_factory
-
-    clients = []
-    for g, region in enumerate(regions):
-        rng = random.Random(seed + g)
-        workload = update_only_workload(
-            rng, key_count=key_count, value_bytes=_UPDATE_BYTES, key_prefix=f"r{g}-key"
-        )
-        local_commands = MRPStoreCommands(HashPartitioner([g]))
-        factory = kv_request_factory(local_commands, workload)
-        client = OpenLoopClient(
-            system.env,
-            f"fig7-client-{region}",
-            frontends_by_group=service.frontend_map(preferred_site=region),
-            request_factory=factory,
-            rate_per_second=offered_rate_per_region,
-            site=region,
-            metric_prefix=f"fig7.{region}",
-        )
-        clients.append(client)
-
-    window = MeasurementWindow(warmup=warmup, duration=duration)
-    results = measure(
-        system,
-        window,
-        throughput_metrics=[f"fig7.{r}.throughput" for r in regions],
-        latency_metrics=[f"fig7.{r}.latency" for r in regions],
-    )
     per_region = {r: results[f"fig7.{r}.throughput.rate"] for r in regions}
     observed = OBSERVED_REGION if OBSERVED_REGION in regions else regions[0]
     return ExperimentResult(
@@ -174,16 +272,13 @@ def run_fig7_point(
 
 def run_fig7(
     region_counts: Sequence[int] = FIG7_REGION_COUNTS,
-    clients_per_region: int = 24,
     warmup: float = 2.0,
     duration: float = 10.0,
     seed: int = 42,
 ) -> List[ExperimentResult]:
     """Run the full Figure 7 sweep and annotate relative increments."""
     results = [
-        run_fig7_point(
-            count, clients_per_region=clients_per_region, warmup=warmup, duration=duration, seed=seed
-        )
+        run_fig7_point(count, warmup=warmup, duration=duration, seed=seed)
         for count in region_counts
     ]
     increments = relative_increments([r.metrics["aggregate_ops"] for r in results])

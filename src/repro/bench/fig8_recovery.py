@@ -23,14 +23,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from ..core.amcast import AtomicMulticast
 from ..core.client import OpenLoopClient
 from ..core.config import MultiRingConfig
-from ..kvstore.client import MRPStoreCommands, kv_request_factory
+from ..kvstore.client import kv_request_factory
 from ..kvstore.service import MRPStoreService
 from ..sim.disk import StorageMode
+from ..sim.parallel import ShardHarness
 from ..sim.topology import single_datacenter
 from ..workloads.kv import preload_keys, update_only_workload
 from .runner import ExperimentResult
@@ -118,28 +119,33 @@ def run_fig8(
     victim = service.replicas[0][-1]
     events: List[Tuple[float, int]] = []
 
+    def crash() -> None:
+        system.crash_process(victim.name)
+        events.append((system.env.now, 1))
+        # Checkpoints/trims happen on their periodic timers; record their
+        # approximate positions for the timeline annotation.
+        next_checkpoint = checkpoint_interval
+        while next_checkpoint < duration:
+            if next_checkpoint > crash_at:
+                events.append((next_checkpoint, 2))
+            next_checkpoint += checkpoint_interval
+        next_trim = trim_interval
+        while next_trim < duration:
+            events.append((next_trim, 3))
+            next_trim += trim_interval
+
+    def restart() -> None:
+        system.restart_process(victim.name)
+        events.append((system.env.now, 4))
+        events.append((system.env.now, 5))
+
+    # The crash and the restart are phases, not kernel events: each runs
+    # once every event up to its time has executed.
+    harness = ShardHarness(system.env)
+    harness.at(crash_at, crash)
+    harness.at(restart_at, restart)
     system.start()
-    system.run(until=crash_at)
-    system.crash_process(victim.name)
-    events.append((system.env.now, 1))
-
-    # Checkpoints/trims happen on their periodic timers; record their
-    # approximate positions for the timeline annotation.
-    next_checkpoint = checkpoint_interval
-    while next_checkpoint < duration:
-        if next_checkpoint > crash_at:
-            events.append((next_checkpoint, 2))
-        next_checkpoint += checkpoint_interval
-    next_trim = trim_interval
-    while next_trim < duration:
-        events.append((next_trim, 3))
-        next_trim += trim_interval
-
-    system.run(until=restart_at)
-    system.restart_process(victim.name)
-    events.append((system.env.now, 4))
-    events.append((system.env.now, 5))
-    system.run(until=duration)
+    harness.run_to_end(duration)
 
     throughput = system.env.metrics.throughput("fig8.throughput")
     latency = system.env.metrics.latency("fig8.latency")

@@ -3,7 +3,12 @@
 The single-process figure runners execute every ring on one event loop; the
 runners here re-measure vertical (Figure 6) and horizontal (Figure 7)
 scalability with the deployment's rings partitioned across real cores via
-:func:`repro.sim.parallel.run_sharded`.  Two configurations per figure:
+:func:`repro.sim.parallel.run_sharded`.  Every shard of a figure's own
+deployment is built by the figure's builder
+(:func:`~repro.bench.fig6_vertical.build_fig6_shard` /
+:func:`~repro.bench.fig7_horizontal.build_fig7_shard`, the same one the
+single-process runner runs in-process) for that shard's ring or region.  Two
+configurations per figure:
 
 * ``configuration="independent"`` — each shard hosts complete rings:
   acceptors, its own replica/learner, its own clients; no process
@@ -49,21 +54,25 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.amcast import AtomicMulticast
-from ..core.client import ClosedLoopClient, OpenLoopClient
 from ..core.config import MultiRingConfig
-from ..core.swarm import ChurnSpec, PORT_ADDRESSING_LIMIT
+from ..core.swarm import ChurnSpec
 from ..core.smr import ProposerFrontend, ReactiveMergeStage, ReactiveReplicaHost
-from ..multiring.merge import RingSegmentBuffer, effective_streams
+from ..multiring.merge import effective_streams
 from ..multiring.process import MultiRingProcess
 from ..net.ring import RingMember
-from ..paxos.messages import SKIP
 from ..sim.actor import Environment
 from ..sim.parallel import ParallelRunResult, ShardSpec, run_sharded
 from ..sim.topology import EC2_REGIONS, ec2_global, single_datacenter
-from ..workloads.arrival import ArrivalCurve, constant
-from .fig6_vertical import COMMON_RING_ID, fig6_config
-from .fig7_horizontal import GLOBAL_RING_ID, OBSERVED_REGION, fig7_config
-from .runner import ExperimentResult, MeasurementWindow, ShardedMeasurement
+from ..workloads.arrival import ArrivalCurve
+from .fig6_vertical import COMMON_RING_ID, build_fig6_shard, fig6_config
+from .fig7_horizontal import GLOBAL_RING_ID, OBSERVED_REGION, build_fig7_shard, fig7_config
+from .runner import (
+    ExperimentResult,
+    Measurement,
+    MeasurementWindow,
+    schedule_crashes,
+    stable_payload_key,
+)
 
 __all__ = ["run_fig6_sharded", "run_fig7_sharded"]
 
@@ -72,82 +81,17 @@ __all__ = ["run_fig6_sharded", "run_fig7_sharded"]
 DEFAULT_SEGMENT_INTERVAL = 0.25
 
 
-def _stable_payload_key(payload: Any) -> Any:
-    """A payload identity stable across engine configurations.
-
-    ``Command.command_id`` is drawn from a process-global counter whose value
-    depends on how shards interleave in one process, so raw ``repr`` strings
-    are not comparable between a ``workers=1`` and a ``workers=k`` run.  The
-    semantic identity — who issued what operation with which arguments at
-    what time — is.
-    """
-    from ..core.client import Command, CommandBatch
-    from ..core.packing import PackedValues, iter_payloads
-
-    if isinstance(payload, Command):
-        return (payload.op, payload.args, payload.group_id, payload.client,
-                payload.created_at)
-    if isinstance(payload, CommandBatch):
-        return tuple(_stable_payload_key(command) for command in payload)
-    if payload is SKIP:
-        return "<SKIP>"
-    if isinstance(payload, PackedValues):
-        # Shared recursive unpacker: the identity of a packed instance is
-        # the ordered identities of its leaf payloads.
-        return tuple(_stable_payload_key(leaf) for leaf in iter_payloads(payload))
-    return repr(payload)
-
-
-def _delivery_digest(recorder) -> Dict[str, List[tuple]]:
-    """Per-learner delivery sequences in a picklable, comparable form."""
-    return {
-        name: [
-            (record.group, record.instance, _stable_payload_key(record.payload))
-            for record in trace.records
-        ]
-        for name, trace in recorder.traces.items()
-    }
-
-
-def _attach_delivery_digest(harness: ShardedMeasurement, replicas) -> None:
-    """Trace the replicas' deliveries and digest them into ``finalize()``."""
-    from ..chaos.trace import TraceRecorder
-
-    recorder = TraceRecorder()
-    for replica in replicas:
-        recorder.attach(replica)
-    harness.extra.append(lambda: {"deliveries": _delivery_digest(recorder)})
-
-
-def _attach_swarm_stats(harness: ShardedMeasurement, swarm, trace: bool) -> None:
-    """Ship a shard's swarm accounting (and optional command trace) home.
-
-    The trace tuples are already picklable.
-    """
-
-    def stats() -> Dict[str, Any]:
-        result = {
-            "swarm_users": swarm.clients,
-            "swarm_issued": swarm.issued,
-            "swarm_completed": swarm.completed,
-            "swarm_addressing": swarm.addressing,
-        }
-        if trace:
-            result["swarm_trace"] = swarm.command_trace
-        return result
-
-    harness.extra.append(stats)
-
-
 # ---------------------------------------------------------------------------
-# Shared-learner (original-configuration) reporting: the reactive merge
-# stage itself is :class:`repro.core.smr.ReactiveMergeStage`
+# Shared-learner (original-configuration) shards and reporting: the reactive
+# merge stage itself is :class:`repro.core.smr.ReactiveMergeStage`, the
+# figures' own deployments are built by ``build_fig6_shard`` /
+# ``build_fig7_shard``
 # ---------------------------------------------------------------------------
 
 def _delivery_digest_from(merged: Sequence[Tuple[int, int, Any]]) -> List[tuple]:
     """Digest raw merged ``(group, instance, value)`` triples."""
     return [
-        (group, instance, _stable_payload_key(value.payload))
+        (group, instance, stable_payload_key(value.payload))
         for group, instance, value in merged
     ]
 
@@ -188,7 +132,7 @@ def _annotate(
     )
     if stage.collect_streams:
         result.series["ring_streams"] = {
-            ring: [(instance, _stable_payload_key(value.payload)) for instance, value in stream]
+            ring: [(instance, stable_payload_key(value.payload)) for instance, value in stream]
             for ring, stream in effective_streams(stage.streams).items()
         }
         result.series["merged_deliveries"] = {
@@ -201,93 +145,7 @@ def _annotate(
         }
 
 
-def _schedule_crashes(system: AtomicMulticast, schedule: Any) -> None:
-    """Install a fixed ``(at, process, down_for)`` crash plan inside a shard.
-
-    Only names that exist in this shard are touched.  The shared learner is
-    mirrored into every shard under one name, so a single schedule entry
-    crashes the whole logical process across shards at the same simulated
-    instant — deterministically, whatever the worker count.  The crashed
-    mirror's segment buffer marks its rings down (they vanish from the
-    barrier cuts until restart), and the restarted incarnation's gap repair
-    re-emits the decided prefix for the parent-side cursor to dedup.
-    """
-    sim = system.env.simulator
-    for at, name, down_for in schedule or ():
-        if not system.env.has_actor(name):
-            continue
-        sim.call_later(float(at), system.crash_process, name)
-        sim.call_later(float(at) + float(down_for), system.restart_process, name)
-
-
-# ---------------------------------------------------------------------------
-# Figure 6 (vertical scalability) — one shard per ring+disk
-# ---------------------------------------------------------------------------
-
-def _build_fig6_shard(payload: Dict[str, Any]) -> ShardedMeasurement:
-    """Build one Figure 6 log-ring shard with its own replica.
-
-    Runs inside the worker process.  Mirrors
-    :func:`repro.bench.fig6_vertical.run_fig6_point` for the shard's rings.
-    In the independent-rings configuration the shard's replica *is* the
-    deployment's learner; in the shared configuration it stands in for the
-    shared learner's per-ring half, and ``stream_segments`` additionally taps
-    the ring's ordered decision stream (skips included) into a segment
-    buffer cut and shipped at every barrier for the parent-side reactive
-    merge stage.
-    """
-    from ..dlog.client import append_request_factory
-    from ..dlog.service import DLogService
-    from ..workloads.log import single_log
-
-    config = payload["config"]
-    system = AtomicMulticast(
-        topology=single_datacenter(), config=config, seed=payload["seed"]
-    )
-    log_ids = list(payload["log_ids"])
-    service = DLogService(
-        system,
-        log_ids=log_ids,
-        acceptors_per_log=2,
-        replica_count=1,
-        common_ring_id=None,
-        dedicated_disks=True,
-        config=config,
-    )
-    for log_id in log_ids:
-        factory = append_request_factory(
-            service.commands,
-            log_chooser=single_log(log_id),
-            append_bytes=payload["append_bytes"],
-        )
-        ClosedLoopClient(
-            system.env,
-            f"fig6-client{log_id}",
-            frontends_by_group=service.frontend_map(),
-            request_factory=factory,
-            concurrency=payload["clients_per_ring"],
-            metric_prefix=f"fig6.ring{log_id}",
-        )
-
-    _schedule_crashes(system, payload.get("crash_schedule"))
-    metric_names = [f"fig6.ring{log_id}" for log_id in log_ids]
-    harness = ShardedMeasurement(
-        system,
-        MeasurementWindow(warmup=payload["warmup"], duration=payload["duration"]),
-        throughput_metrics=[f"{m}.throughput" for m in metric_names],
-        latency_metrics=[f"{m}.latency" for m in metric_names],
-    )
-    if payload.get("record_deliveries"):
-        _attach_delivery_digest(harness, service.replicas)
-    if payload.get("stream_segments"):
-        buffer = RingSegmentBuffer()
-        for replica in service.replicas:
-            replica.record_ring_segments(into=buffer)
-        harness.stream_segments(buffer)
-    return harness
-
-
-def _build_idle_ring_shard(payload: Dict[str, Any]) -> ShardedMeasurement:
+def _build_idle_ring_shard(payload: Dict[str, Any]) -> Measurement:
     """Build the shared configuration's traffic-less ring shard.
 
     Figure 6's common ring and Figure 7's global ring carry no client traffic
@@ -319,15 +177,19 @@ def _build_idle_ring_shard(payload: Dict[str, Any]) -> ShardedMeasurement:
         for f in frontends
     ] + [RingMember(name=learner.name, proposer=False, acceptor=False, learner=True)]
     system.create_ring(idle["ring_id"], members, config=config)
-    _schedule_crashes(system, payload.get("crash_schedule"))
+    schedule_crashes(system, payload.get("crash_schedule"))
 
-    harness = ShardedMeasurement(
+    harness = Measurement(
         system,
         MeasurementWindow(warmup=payload["warmup"], duration=payload["duration"]),
     )
     harness.stream_segments(learner.record_ring_segments())
     return harness
 
+
+# ---------------------------------------------------------------------------
+# Figure 6 (vertical scalability) — one shard per ring+disk
+# ---------------------------------------------------------------------------
 
 def _fig6_reactive_stage(
     ring_count: int, config: MultiRingConfig, collect_streams: bool
@@ -426,8 +288,8 @@ def run_fig6_sharded(
     specs = [
         ShardSpec(
             shard_id=ring,
-            build=_build_fig6_shard,
-            payload={**payload_base, "log_ids": [ring]},
+            build=build_fig6_shard,
+            payload={**payload_base, "log_ids": [ring], "common_ring_id": None},
             # Load ∝ the shard's driven actors: ring members plus its
             # closed-loop clients (the traffic-less common ring keeps the
             # default weight 1.0).
@@ -471,136 +333,6 @@ def run_fig6_sharded(
 # ---------------------------------------------------------------------------
 # Figure 7 (horizontal scalability) — one shard per region
 # ---------------------------------------------------------------------------
-
-def _build_fig7_shard(payload: Dict[str, Any]) -> ShardedMeasurement:
-    """Build one Figure 7 shard: one region's partition ring plus its client.
-
-    Mirrors :func:`repro.bench.fig7_horizontal.run_fig7_point` for one
-    region: clients only ever touch their local partition, which is the
-    property the figure measures.  In the shared configuration the region's
-    replica stands in for the original replica's partition-ring half, and
-    ``stream_segments`` taps the ring's ordered decision stream (skips
-    included) into a segment buffer shipped at every barrier for the
-    parent-side reactive merge stage.
-    """
-    import random as _random
-
-    from ..kvstore.client import MRPStoreCommands, kv_request_factory
-    from ..kvstore.partitioning import HashPartitioner
-    from ..kvstore.service import MRPStoreService
-    from ..workloads.kv import preload_keys, update_only_workload
-
-    region = payload["region"]
-    group = payload["group"]
-    config = payload["config"]
-    system = AtomicMulticast(
-        topology=ec2_global([region]), config=config, seed=payload["seed"]
-    )
-    service = MRPStoreService(
-        system,
-        partition_groups=[group],
-        acceptors_per_partition=3,
-        replicas_per_partition=1,
-        site_for_partition={group: region},
-        global_ring_id=None,
-        config=config,
-    )
-    service.preload(preload_keys(payload["key_count"]))
-
-    commands = MRPStoreCommands(HashPartitioner([group]))
-    frontends = service.frontend_map(preferred_site=region)
-    engine = payload.get("client_engine", "actors")
-    users = payload.get("users") or 1
-
-    def factory_for(i: int):
-        # Per-user workload stream: identical (engine-independent) seeds, so
-        # the swarm engine's flyweight client ``i`` draws the exact request
-        # sequence the individual actor ``fig7-client-{region}-{i}`` draws.
-        workload = update_only_workload(
-            _random.Random((payload["seed"] + group) * 100_003 + i),
-            key_count=payload["key_count"],
-            value_bytes=payload["update_bytes"],
-            key_prefix=f"r{group}-key",
-        )
-        return kv_request_factory(commands, workload)
-
-    swarm = None
-    if engine == "swarm":
-        from ..core.swarm import ClientSwarm
-
-        factories = [factory_for(i) for i in range(users)]
-        swarm = ClientSwarm(
-            system.env,
-            f"fig7-swarm-{region}",
-            frontends_by_group=frontends,
-            request_factory=lambda index, sequence: factories[index](sequence),
-            clients=users,
-            mode="open",
-            arrival=payload.get("arrival") or constant(payload["offered_rate"]),
-            stagger=payload.get("stagger", False),
-            site=region,
-            metric_prefix=f"fig7.{region}",
-            addressing="auto",
-            port_names=(
-                [f"fig7-client-{region}-{i}" for i in range(users)]
-                if users <= PORT_ADDRESSING_LIMIT
-                else None
-            ),
-            churn=payload.get("churn"),
-            sketch=payload.get("sketch", "auto"),
-            record_trace=bool(payload.get("record_swarm_trace")),
-        )
-    elif users > 1:
-        # Actors engine at swarm scale: the differential reference — one
-        # OpenLoopClient per user, each carrying 1/users of the offered rate,
-        # named exactly like the swarm's ports.
-        for i in range(users):
-            OpenLoopClient(
-                system.env,
-                f"fig7-client-{region}-{i}",
-                frontends_by_group=frontends,
-                request_factory=factory_for(i),
-                rate_per_second=payload["offered_rate"] / users,
-                site=region,
-                metric_prefix=f"fig7.{region}",
-            )
-    else:
-        # The original single-client deployment (legacy seed arithmetic —
-        # existing runs stay byte-identical).
-        rng = _random.Random(payload["seed"] + group)
-        workload = update_only_workload(
-            rng,
-            key_count=payload["key_count"],
-            value_bytes=payload["update_bytes"],
-            key_prefix=f"r{group}-key",
-        )
-        OpenLoopClient(
-            system.env,
-            f"fig7-client-{region}",
-            frontends_by_group=frontends,
-            request_factory=kv_request_factory(commands, workload),
-            rate_per_second=payload["offered_rate"],
-            site=region,
-            metric_prefix=f"fig7.{region}",
-        )
-    _schedule_crashes(system, payload.get("crash_schedule"))
-    harness = ShardedMeasurement(
-        system,
-        MeasurementWindow(warmup=payload["warmup"], duration=payload["duration"]),
-        throughput_metrics=[f"fig7.{region}.throughput"],
-        latency_metrics=[f"fig7.{region}.latency"],
-    )
-    if swarm is not None:
-        _attach_swarm_stats(harness, swarm, bool(payload.get("record_swarm_trace")))
-    if payload.get("record_deliveries"):
-        _attach_delivery_digest(harness, service.all_replicas())
-    if payload.get("stream_segments"):
-        buffer = RingSegmentBuffer()
-        for replica in service.all_replicas():
-            replica.record_ring_segments(into=buffer)
-        harness.stream_segments(buffer)
-    return harness
-
 
 def _fig7_reactive_stage(
     region_count: int,
@@ -730,8 +462,10 @@ def run_fig7_sharded(
     specs = [
         ShardSpec(
             shard_id=group,
-            build=_build_fig7_shard,
-            payload={**payload_base, "region": region, "group": group},
+            build=build_fig7_shard,
+            payload={
+                **payload_base, "placement": [(group, region)], "global_ring_id": None,
+            },
             # Load ∝ the region's driven clients (the traffic-less global
             # ring keeps the default weight 1.0).
             weight=2.0 + (users_per_region or 1),

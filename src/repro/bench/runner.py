@@ -5,11 +5,16 @@ The paper runs each experiment "for a duration of at least 100 seconds"
 for the recovery experiment, a per-second timeline.  The helpers here
 standardise that measurement discipline for the simulated reproduction:
 
-* :func:`measure` runs a deployment through a warm-up window, resets the
-  instruments, runs the measurement window and gathers the standard metrics;
+* :class:`Measurement` is the one measurement script: a deployment run
+  through a warm-up window, its instruments reset, the measurement window
+  run and the standard metrics gathered — all as phase callbacks of a
+  :class:`~repro.sim.parallel.ShardHarness`, so the same script runs
+  in-process (:meth:`~repro.sim.parallel.ShardHarness.run_to_end`) and as
+  one shard of :func:`~repro.sim.parallel.run_sharded`;
 * :class:`ExperimentResult` is the uniform result record every figure module
   returns, with the parameters, the scalar metrics and any per-time or
-  per-point series;
+  per-point series.
+
 The figure modules accept a ``scale`` parameter so the pytest benchmarks can
 run shortened versions of the experiments (the paper's 100-second runs are
 impractical inside a unit-test budget) while keeping the full-length defaults
@@ -22,15 +27,16 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from ..core.amcast import AtomicMulticast
-from ..sim.metrics import LatencyRecorder, ThroughputTracker
+from ..multiring.merge import RingSegmentBuffer
+from ..paxos.messages import SKIP
 from ..sim.parallel import ShardHarness
 
 __all__ = [
     "ExperimentResult",
-    "collect_window_metrics",
-    "measure",
+    "Measurement",
     "MeasurementWindow",
-    "ShardedMeasurement",
+    "schedule_crashes",
+    "stable_payload_key",
 ]
 
 
@@ -67,100 +73,68 @@ class MeasurementWindow:
         return self.warmup + self.duration
 
 
-def measure(
-    system: AtomicMulticast,
-    window: MeasurementWindow,
-    throughput_metrics: Sequence[str] = (),
-    latency_metrics: Sequence[str] = (),
-    timeline_metrics: Sequence[str] = (),
-    slo_classes: Sequence[str] = (),
-) -> Dict[str, Any]:
-    """Run ``system`` through a warm-up and a measurement window.
+def stable_payload_key(payload: Any) -> Any:
+    """A payload identity stable across engine configurations.
 
-    Returns a dictionary with, for every requested throughput metric, the
-    average rate over the window (``<name>.rate``); for every latency metric
-    the mean/percentiles in milliseconds; for every timeline metric the
-    per-second series relative to the start of the measurement window; and
-    for every SLO class its percentile/violation accounting.
+    ``Command.command_id`` is drawn from a process-global counter whose value
+    depends on how shards interleave in one process, so raw ``repr`` strings
+    are not comparable between a ``workers=1`` and a ``workers=k`` run.  The
+    semantic identity — who issued what operation with which arguments at
+    what time — is.
     """
-    system.start()
-    system.run(until=window.warmup)
-    system.env.metrics.reset_all()
-    start = system.env.now
-    system.run(until=window.end)
-    end = system.env.now
-    return collect_window_metrics(
-        system,
-        start,
-        end,
-        throughput_metrics,
-        latency_metrics,
-        timeline_metrics,
-        slo_classes,
-    )
+    from ..core.client import Command, CommandBatch
+    from ..core.packing import PackedValues, iter_payloads
+
+    if isinstance(payload, Command):
+        return (payload.op, payload.args, payload.group_id, payload.client,
+                payload.created_at)
+    if isinstance(payload, CommandBatch):
+        return tuple(stable_payload_key(command) for command in payload)
+    if payload is SKIP:
+        return "<SKIP>"
+    if isinstance(payload, PackedValues):
+        # Shared recursive unpacker: the identity of a packed instance is
+        # the ordered identities of its leaf payloads.
+        return tuple(stable_payload_key(leaf) for leaf in iter_payloads(payload))
+    return repr(payload)
 
 
-def collect_window_metrics(
-    system: AtomicMulticast,
-    start: float,
-    end: float,
-    throughput_metrics: Sequence[str] = (),
-    latency_metrics: Sequence[str] = (),
-    timeline_metrics: Sequence[str] = (),
-    slo_classes: Sequence[str] = (),
-) -> Dict[str, Any]:
-    """Gather the standard metric dictionary over an already-run window."""
-    results: Dict[str, Any] = {"window": (start, end)}
-    for name in throughput_metrics:
-        tracker = system.env.metrics.throughput(name)
-        results[f"{name}.rate"] = tracker.rate(start, end)
-        results[f"{name}.total"] = tracker.total_between(start, end)
-    for name in latency_metrics:
-        recorder = system.env.metrics.latency(name)
-        results[f"{name}.mean_ms"] = recorder.mean() * 1e3
-        results[f"{name}.p50_ms"] = recorder.percentile(50) * 1e3
-        results[f"{name}.p95_ms"] = recorder.percentile(95) * 1e3
-        results[f"{name}.p99_ms"] = recorder.percentile(99) * 1e3
-        results[f"{name}.count"] = recorder.count
-        results[f"{name}.cdf"] = recorder.cdf(points=50)
-    for name in timeline_metrics:
-        tracker = system.env.metrics.throughput(name)
-        results[f"{name}.timeline"] = [
-            (t - start, rate) for t, rate in tracker.timeline(start, end)
-        ]
-    # Per-class SLO accounting recorded by a client swarm (see
-    # repro.sim.metrics.SloTracker for the instrument names).
-    registry = system.env.metrics
-    for cls in slo_classes:
-        recorder = registry.latency(f"slo.{cls}.latency")
-        requests = registry.counter(f"slo.{cls}.requests").value
-        violations = registry.counter(f"slo.{cls}.violations").value
-        results[f"slo.{cls}.p50_ms"] = recorder.percentile(50) * 1e3
-        results[f"slo.{cls}.p99_ms"] = recorder.percentile(99) * 1e3
-        results[f"slo.{cls}.requests"] = requests
-        results[f"slo.{cls}.violations"] = violations
-        results[f"slo.{cls}.violation_fraction"] = (
-            violations / requests if requests else 0.0
-        )
-    return results
+def schedule_crashes(system: AtomicMulticast, schedule: Any) -> None:
+    """Install a fixed ``(at, process, down_for)`` crash plan inside a shard.
+
+    Only names that exist in this shard are touched.  The shared learner is
+    mirrored into every shard under one name, so a single schedule entry
+    crashes the whole logical process across shards at the same simulated
+    instant — deterministically, whatever the worker count.  The crashed
+    mirror's segment buffer marks its rings down (they vanish from the
+    barrier cuts until restart), and the restarted incarnation's gap repair
+    re-emits the decided prefix for the parent-side cursor to dedup.
+    """
+    sim = system.env.simulator
+    for at, name, down_for in schedule or ():
+        if not system.env.has_actor(name):
+            continue
+        sim.call_later(float(at), system.crash_process, name)
+        sim.call_later(float(at) + float(down_for), system.restart_process, name)
 
 
-class ShardedMeasurement(ShardHarness):
-    """One shard of a sharded experiment, measured like :func:`measure`.
+class Measurement(ShardHarness):
+    """A deployment measured through a warm-up and a measurement window.
 
-    Used by the parallel figure runners (:mod:`repro.bench.parallel`): the
-    shard builder constructs its sub-deployment inside the worker process and
-    wraps it in this harness, and the engine runs it with
-    ``until=window.end``.  The warm-up reset and the metric collection are
-    phase callbacks (:meth:`~repro.sim.parallel.ShardHarness.at`): they fire
-    when a window reaches the warm-up boundary and the measurement end —
-    exactly where :func:`measure`'s ``run(until=...)`` calls return — so one
-    window and many streaming barrier windows measure bit-identical runs.
+    The warm-up reset and the metric collection are phase callbacks
+    (:meth:`~repro.sim.parallel.ShardHarness.at`) at ``window.warmup`` and
+    ``window.end``; a runner adds its own (a CPU-window reset, a crash) with
+    further :meth:`at` calls.  ``run_to_end(window.end)`` runs the script in
+    this process; :func:`~repro.sim.parallel.run_sharded` runs the same
+    script window by window, and phases fire exactly where a
+    ``run(until=...)`` call would have returned, so both measure
+    bit-identical runs.  After the run, :attr:`results` holds the metric
+    dictionary (see :meth:`collect_window_metrics`).
 
-    A builder that installs a segment buffer via :meth:`stream_segments`
-    turns the harness into a streaming-merge producer: every barrier ships
-    ``(shard time, segments cut since the last barrier)`` to the parent,
-    where the segments are incarnation-tagged
+    A sharded figure builder may additionally make the harness a
+    streaming-merge producer (:meth:`shard_options`): every barrier then
+    ships ``(shard time, segments cut since the last barrier)`` to the
+    parent, where the segments are incarnation-tagged
     :class:`~repro.multiring.merge.RingSegment` values — crash/restart of
     the in-shard learner bumps the incarnation and the parent-side cursor
     dedups the re-emitted stream prefix.  Rings whose learner is down are
@@ -169,8 +143,7 @@ class ShardedMeasurement(ShardHarness):
 
     ``extra`` lets a builder attach additional picklable results (delivery
     digests for the differential tests, swarm accounting, ...): each entry is
-    called inside the worker *after* the run and its dictionary joins
-    ``finalize()``'s.
+    called *after* the run and its dictionary joins ``finalize()``'s.
     """
 
     def __init__(
@@ -201,14 +174,78 @@ class ShardedMeasurement(ShardHarness):
         self._measure_start = self.env.now
 
     def _collect(self) -> None:
-        self.results = collect_window_metrics(
-            self.system,
-            self._measure_start,
-            self.env.now,
-            throughput_metrics=self.throughput_metrics,
-            latency_metrics=self.latency_metrics,
-            slo_classes=self.slo_classes,
-        )
+        self.results = self.collect_window_metrics(self._measure_start, self.env.now)
+
+    def collect_window_metrics(self, start: float, end: float) -> Dict[str, Any]:
+        """The standard metric dictionary over the window ``[start, end]``.
+
+        For every throughput metric the average rate and the total over the
+        window (``<name>.rate`` / ``.total``); for every latency metric the
+        mean and percentiles in milliseconds, the count and a 50-point CDF;
+        for every SLO class its percentile/violation accounting.
+        """
+        registry = self.env.metrics
+        results: Dict[str, Any] = {"window": (start, end)}
+        for name in self.throughput_metrics:
+            # One pass over the samples; the rate is ThroughputTracker.rate's
+            # arithmetic on the same total.
+            total = registry.throughput(name).total_between(start, end)
+            results[f"{name}.rate"] = total / (end - start) if end > start else 0.0
+            results[f"{name}.total"] = total
+        for name in self.latency_metrics:
+            recorder = registry.latency(name)
+            p50, p95, p99 = recorder.percentiles(50, 95, 99)
+            results[f"{name}.mean_ms"] = recorder.mean() * 1e3
+            results[f"{name}.p50_ms"] = p50 * 1e3
+            results[f"{name}.p95_ms"] = p95 * 1e3
+            results[f"{name}.p99_ms"] = p99 * 1e3
+            results[f"{name}.count"] = recorder.count
+            results[f"{name}.cdf"] = recorder.cdf(points=50)
+        # Per-class SLO accounting recorded by a client swarm (see
+        # repro.sim.metrics.SloTracker for the instrument names).
+        for cls in self.slo_classes:
+            p50, p99 = registry.latency(f"slo.{cls}.latency").percentiles(50, 99)
+            requests = registry.counter(f"slo.{cls}.requests").value
+            violations = registry.counter(f"slo.{cls}.violations").value
+            results[f"slo.{cls}.p50_ms"] = p50 * 1e3
+            results[f"slo.{cls}.p99_ms"] = p99 * 1e3
+            results[f"slo.{cls}.requests"] = requests
+            results[f"slo.{cls}.violations"] = violations
+            results[f"slo.{cls}.violation_fraction"] = (
+                violations / requests if requests else 0.0
+            )
+        return results
+
+    def shard_options(self, payload: Dict[str, Any], replicas: Sequence[Any]) -> "Measurement":
+        """Apply a figure payload's optional parts to this deployment.
+
+        ``crash_schedule`` installs a fixed crash plan
+        (:func:`schedule_crashes`); ``record_deliveries`` traces ``replicas``'
+        deliveries into ``finalize()``'s ``deliveries`` entry (per learner,
+        :func:`stable_payload_key` identities); ``stream_segments`` taps
+        their per-ring decision streams (skips included) into one segment
+        buffer shipped at every barrier.
+        """
+        schedule_crashes(self.system, payload.get("crash_schedule"))
+        if payload.get("record_deliveries"):
+            from ..chaos.trace import TraceRecorder
+
+            recorder = TraceRecorder()
+            for replica in replicas:
+                recorder.attach(replica)
+            self.extra.append(lambda: {"deliveries": {
+                name: [
+                    (record.group, record.instance, stable_payload_key(record.payload))
+                    for record in trace.records
+                ]
+                for name, trace in recorder.traces.items()
+            }})
+        if payload.get("stream_segments"):
+            buffer = RingSegmentBuffer()
+            for replica in replicas:
+                replica.record_ring_segments(into=buffer)
+            self.stream_segments(buffer)
+        return self
 
     def finalize(self) -> Dict[str, Any]:
         payload = dict(self.results)

@@ -470,7 +470,9 @@ def run_scenario(
     else:
         stats_note = {}
     build = {"amcast": _build_amcast, "kvstore": _build_kvstore, "dlog": _build_dlog}[family]
-    violations, stats, recorder = build(spec).run_to_end()
+    run = build(spec)
+    run.run_to_end(run.final_end)
+    violations, stats, recorder = run.verdict()
     stats.update(stats_note)
     result = ScenarioResult(seed=seed, family=family, violations=violations, stats=stats)
     if violations:
@@ -535,9 +537,10 @@ class _ChaosRun(ShardHarness):
     restarted, every disk spike cleared) fires at ``active_end`` and the
     optional ``retry`` pass at ``active_end + QUIESCE_HEAL``, both as phase
     callbacks (:meth:`~repro.sim.parallel.ShardHarness.at`); the run ends
-    :data:`QUIESCE_FINAL` later.  :meth:`run_to_end` drives the script in
-    one call, the sharded engine window by window — the same events either
-    way.  ``verdict()`` checks the family's invariants afterwards.
+    :data:`QUIESCE_FINAL` later (``final_end``).  ``run_to_end(final_end)``
+    drives the script in one call, the sharded engine window by window — the
+    same events either way.  ``verdict()`` checks the family's invariants
+    afterwards.
     """
 
     def __init__(
@@ -567,12 +570,6 @@ class _ChaosRun(ShardHarness):
                 system.restart_process(actor.name)
         for disk in system.env.disks():
             disk.clear_slowdown()
-
-    def run_to_end(self) -> Verdict:
-        """Run the whole scenario in this process and return its verdict."""
-        self.start()
-        self.run_window(self.final_end)
-        return self.verdict()
 
     def finalize(self) -> Dict[str, Any]:
         violations, stats, recorder = self.verdict()

@@ -185,13 +185,24 @@ class LatencyRecorder:
 
     def percentile(self, pct: float) -> float:
         """Latency at percentile ``pct`` (0-100), nearest-rank method."""
+        return self.percentiles(pct)[0]
+
+    def percentiles(self, *pcts: float) -> List[float]:
+        """Latencies at each percentile of ``pcts``, sorting the samples once."""
         if self._count == 0:
-            return 0.0
-        if not 0 <= pct <= 100:
+            return [0.0] * len(pcts)
+        if not all(0 <= pct <= 100 for pct in pcts):
             raise ValueError("percentile must be within [0, 100]")
-        rank = max(0, min(self._count - 1, math.ceil(pct / 100.0 * self._count) - 1))
+        ranks = [
+            max(0, min(self._count - 1, math.ceil(pct / 100.0 * self._count) - 1))
+            for pct in pcts
+        ]
         if self._buckets is None:
-            return sorted(self._samples)[rank]
+            ordered = sorted(self._samples)
+            return [ordered[rank] for rank in ranks]
+        return [self._sketch_percentile(pct, rank) for pct, rank in zip(pcts, ranks)]
+
+    def _sketch_percentile(self, pct: float, rank: int) -> float:
         if pct == 0:
             return self._min
         if pct == 100:

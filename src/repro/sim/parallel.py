@@ -219,8 +219,20 @@ class ShardHarness:
             callback()
         if end is None:
             self.env.run()
-        else:
+        elif simulator.now < end or simulator.next_event_time() == end:
+            # Skipped when a phase at ``end`` left nothing to run: an idle
+            # run entry would still pay a full GC pass (see ``gc_paused``)
+            # over the live deployment.
             simulator.run_window(end)
+
+    def run_to_end(self, until: float) -> None:
+        """Run this harness alone, in this process: :meth:`start`, then one window.
+
+        The in-process executor: the same phase script, and therefore the
+        same events, as :func:`run_sharded` executing it window by window.
+        """
+        self.start()
+        self.run_window(until)
 
     def next_event_time(self) -> Optional[float]:
         """This shard's event horizon, reported at every barrier.
@@ -430,12 +442,20 @@ class _ShardSet:
 _NO_INBOUND: Dict[int, List[RemoteMessage]] = {}
 
 
-def _worker_main(conn, specs: Sequence[ShardSpec]) -> None:
+def _worker_main(conn, specs: Sequence[ShardSpec], parent_ends: Sequence[Any]) -> None:
     """Entry point of one worker process: build shards, serve barrier rounds.
 
     Frames every reply as one explicit ``encode_wire`` byte blob
     (``send_bytes``) so the parent can count IPC volume exactly.
+
+    ``parent_ends`` are the parent's ends of this worker's pipe and of every
+    pipe created before it, which a forked worker inherits.  They are closed
+    first: a worker holding them open would keep its own (and its siblings')
+    pipe from reaching EOF when the parent closes its copy, so a surviving
+    worker would never notice the parent giving up on the run.
     """
+    for end in parent_ends:
+        end.close()
     try:
         shard_set = _ShardSet(specs)
         conn.send_bytes(encode_wire(("ready", shard_set.actor_sites())))
@@ -1030,7 +1050,7 @@ def _run_multiprocess(
         for worker_specs in assignment:
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
-                target=_worker_main, args=(child_conn, worker_specs)
+                target=_worker_main, args=(child_conn, worker_specs, pipes + [parent_conn])
             )
             proc.daemon = True
             proc.start()

@@ -117,7 +117,7 @@ class TestFigureRunnersSmoke:
         assert result.metrics["aggregate_ops"] > 0
 
     def test_fig7_runner(self):
-        result = run_fig7_point(1, clients_per_region=4, key_count=200, warmup=0.5, duration=1.5)
+        result = run_fig7_point(1, key_count=200, warmup=0.5, duration=1.5)
         assert result.metrics["aggregate_ops"] > 0
 
     def test_fig8_runner(self):

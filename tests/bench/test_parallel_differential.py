@@ -86,9 +86,6 @@ class _RingShard(ShardHarness):
     def start(self):
         self.system.start()
 
-    def run_window(self, end):
-        self.system.run(until=HORIZON)
-
     def finalize(self):
         return {p.name: p.delivered for p in self.processes}
 
@@ -104,10 +101,9 @@ def _run_merged():
     system = AtomicMulticast(
         topology=_two_site_topology(), config=_config(), seed=42, jitter_fraction=0.0
     )
-    processes = _build_ring(system, 0) + _build_ring(system, 1)
-    system.start()
-    system.run(until=HORIZON)
-    return {p.name: p.delivered for p in processes}
+    merged = _RingShard(system, _build_ring(system, 0) + _build_ring(system, 1))
+    merged.run_to_end(HORIZON)
+    return merged.finalize()
 
 
 def test_sharded_matches_merged_single_simulator():
@@ -115,7 +111,7 @@ def test_sharded_matches_merged_single_simulator():
     reference = _run_merged()
     assert any(reference.values()), "merged run delivered nothing"
     run = run_sharded(
-        [ShardSpec(r, _build_ring_shard, r) for r in range(2)], workers=1
+        [ShardSpec(r, _build_ring_shard, r) for r in range(2)], until=HORIZON, workers=1
     )
     sharded = {**run.results[0], **run.results[1]}
     assert sharded == reference
@@ -128,7 +124,7 @@ def test_sharded_workers_match_merged_single_simulator():
     """The multiprocessing path agrees with the merged reference too."""
     reference = _run_merged()
     run = run_sharded(
-        [ShardSpec(r, _build_ring_shard, r) for r in range(2)], workers=2
+        [ShardSpec(r, _build_ring_shard, r) for r in range(2)], until=HORIZON, workers=2
     )
     assert {**run.results[0], **run.results[1]} == reference
 

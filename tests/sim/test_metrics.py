@@ -52,6 +52,7 @@ class TestLatencyRecorder:
         assert recorder.percentile(50) == pytest.approx(0.050)
         assert recorder.percentile(95) == pytest.approx(0.095)
         assert recorder.percentile(100) == pytest.approx(0.100)
+        assert recorder.percentiles(95, 50, 100) == pytest.approx([0.095, 0.050, 0.100])
 
     def test_percentile_bounds_checked(self):
         recorder = LatencyRecorder("lat")

@@ -8,6 +8,7 @@ module level so the specs survive the ``multiprocessing`` boundary.
 
 from __future__ import annotations
 
+import time
 from math import ceil
 
 import pytest
@@ -735,11 +736,15 @@ def build_dying_shard(payload):
 
 def test_dead_worker_surfaces_with_identity():
     """A worker that dies mid-window raises immediately, naming the worker
-    and its shards — instead of wedging the parent on a pipe read forever."""
+    and its shards — instead of wedging the parent on a pipe read forever —
+    and the surviving worker sees its pipe close, so tear-down is prompt too
+    (no waiting out the join timeout)."""
+    began = time.perf_counter()
     with pytest.raises(RuntimeError, match=r"died mid-run") as excinfo:
         run_sharded(
             [ShardSpec(i, build_dying_shard, i) for i in range(2)], workers=2
         )
+    assert time.perf_counter() - began < 5.0
     message = str(excinfo.value)
     assert "shards" in message and "exit code" in message
 
