@@ -40,7 +40,7 @@ from repro.bench.parallel import run_fig6_sharded  # noqa: E402
 from repro.core.smr import ReactiveMergeStage  # noqa: E402
 from repro.sim import parallel  # noqa: E402
 from repro.sim.network import decode_wire, encode_wire  # noqa: E402
-from tests.reference.wire import reference_decode, reference_encode  # noqa: E402
+from tests.reference.wire import plain_pickle, reference_decode, reference_encode  # noqa: E402
 
 
 def ledger_call(seed: int, duration: float) -> Any:
@@ -53,8 +53,10 @@ def capture(seed: int, duration: float) -> List[Any]:
     """The payloads the busiest worker encoded during one sharded fig6 run."""
     with tempfile.TemporaryDirectory() as spool:
         def tap(payload: Any) -> bytes:
+            # Spooled uncompressed: a segment's own pickle form would mint
+            # fresh skip values on reload, unsharing what the run shared.
             with open(os.path.join(spool, str(os.getpid())), "ab") as out:
-                pickle.dump(payload, out)
+                out.write(plain_pickle(payload))
             return encode_wire(payload)
 
         parallel.encode_wire = tap  # workers fork from this process
@@ -161,13 +163,13 @@ def main() -> int:
     times: Dict[str, float] = {
         "encode_reference_s": fastest(reference_encode, payloads, args.repeats),
         "encode_s": fastest(encode_wire, payloads, args.repeats),
-        "encode_plain_pickle_s": fastest(pickle.dumps, payloads, args.repeats),
+        "encode_plain_pickle_s": fastest(plain_pickle, payloads, args.repeats),
         "decode_reference_s": fastest(reference_decode, frames, args.repeats),
         "decode_s": fastest(decode_wire, frames, args.repeats),
     }
     gc.enable()
     print(f"frames {len(frames)}  bytes {sum(map(len, frames))}  "
-          f"plain-pickle bytes {sum(len(pickle.dumps(p)) for p in payloads)}")
+          f"plain-pickle bytes {sum(len(plain_pickle(p)) for p in payloads)}")
     for name, seconds in times.items():
         print(f"{name:24s} {seconds:.4f}")
     print(f"encode ratio {times['encode_s'] / times['encode_reference_s']:.2f}  "

@@ -25,7 +25,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from ..net.message import ClientRequest, ClientResponse, Message
 from ..sim.actor import Actor, Environment
-from ..sim.network import register_wire_type
 
 __all__ = [
     "Command",
@@ -88,12 +87,6 @@ class CommandBatch:
 
     def __iter__(self):
         return iter(self.commands)
-
-
-# Commands ride inside cross-shard requests and decision streams: ship both
-# in positional tuple form (see :func:`repro.sim.network.register_wire_type`).
-register_wire_type(Command)
-register_wire_type(CommandBatch)
 
 
 class CommandBatcher:

@@ -54,7 +54,7 @@ from typing import (
 
 from ..paxos.messages import SKIP, ProposalValue
 from ..ringpaxos.coordinator import PackedValues
-from ..sim.network import _wire_build, register_wire_reducer
+from ..sim.network import _wire_build
 
 
 def _iter_leaf_values(value: ProposalValue):
@@ -137,52 +137,52 @@ class RingSegment:
     start: int = 0
     entries: List[Tuple[int, ProposalValue]] = field(default_factory=list)
 
+    def __reduce__(self):
+        """Pickle form: columnar and skip-run-compressed (see below)."""
+        count = len(self.entries)
+        instances: Union[int, Tuple[int, ...]] = 0
+        values: Tuple[ProposalValue, ...] = ()
+        if count:
+            instances, values = zip(*self.entries)
+            first = instances[0]
+            if instances == tuple(range(first, first + count)):
+                instances = first
+        packed: List[Union[ProposalValue, Tuple[int, ProposalValue]]] = []
+        idx = 0
+        while idx < count:
+            value = values[idx]
+            end = idx + 1
+            if value.payload is SKIP:
+                while end < count and values[end] == value:
+                    end += 1
+            if end - idx >= _SEGMENT_RUN_MIN:
+                packed.append((end - idx, value))
+            else:
+                packed.extend(values[idx:end])
+            idx = end
+        return _segment_wire_build, (
+            self.incarnation,
+            self.start,
+            instances,
+            count,
+            tuple(packed),
+        )
+
 
 # Segments are the bulk of barrier traffic in streaming-merge runs, and their
 # entry lists are extremely regular: instances are consecutive (learners record
 # every instance in order) and rate-leveled skips arrive in bursts of
-# field-identical ``ProposalValue(SKIP, ...)`` records.  The wire form exploits
-# both: it splits ``entries`` into an instance column (a single start instance
-# when consecutive, the common case) and a value column, and run-length
-# encodes equal skip runs.  Decoding expands runs into *fresh* ``ProposalValue``
-# instances, so receivers see the same no-aliasing object graph legacy
-# pickling produced.
+# field-identical ``ProposalValue(SKIP, ...)`` records.  The pickle form
+# (``RingSegment.__reduce__``, which the barrier codec leaves to pickle)
+# exploits both: it splits ``entries`` into an instance column (a single start
+# instance when consecutive, the common case) and a value column, and
+# run-length encodes equal skip runs.  Decoding expands runs into *fresh*
+# ``ProposalValue`` instances, so receivers see the same no-aliasing object
+# graph generic pickling produced.
 
 #: Shortest equal-skip run worth a ``(count, value)`` marker.  Below this the
 #: per-run tuple overhead exceeds the interned-skip back-reference it replaces.
 _SEGMENT_RUN_MIN = 3
-
-
-def _segment_wire_reduce(segment: "RingSegment"):
-    """Pickle reduce hook: ``RingSegment`` → columnar, skip-run-compressed form."""
-    count = len(segment.entries)
-    instances: Union[int, Tuple[int, ...]] = 0
-    values: Tuple[ProposalValue, ...] = ()
-    if count:
-        instances, values = zip(*segment.entries)
-        first = instances[0]
-        if instances == tuple(range(first, first + count)):
-            instances = first
-    packed: List[Union[ProposalValue, Tuple[int, ProposalValue]]] = []
-    idx = 0
-    while idx < count:
-        value = values[idx]
-        end = idx + 1
-        if value.payload is SKIP:
-            while end < count and values[end] == value:
-                end += 1
-        if end - idx >= _SEGMENT_RUN_MIN:
-            packed.append((end - idx, value))
-        else:
-            packed.extend(values[idx:end])
-        idx = end
-    return _segment_wire_build, (
-        segment.incarnation,
-        segment.start,
-        instances,
-        count,
-        tuple(packed),
-    )
 
 
 def _segment_wire_build(
@@ -213,9 +213,6 @@ def _segment_wire_build(
     else:
         entries = list(zip(range(instances, instances + count), values))
     return RingSegment(incarnation=incarnation, start=start, entries=entries)
-
-
-register_wire_reducer(RingSegment, _segment_wire_reduce)
 
 
 #: What ``feed_segments`` accepts per ring: a tagged segment or a bare

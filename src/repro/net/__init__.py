@@ -1,10 +1,9 @@
 """Networking primitives: message base types and the ring overlay."""
 
-from .message import Batch, ClientRequest, ClientResponse, Message, next_message_id
+from .message import ClientRequest, ClientResponse, Message, next_message_id
 from .ring import RingMember, RingOverlay
 
 __all__ = [
-    "Batch",
     "ClientRequest",
     "ClientResponse",
     "Message",

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
 from ..net.message import Message
-from ..sim.network import register_wire_type
 
 __all__ = [
     "ProposalValue",
@@ -164,25 +163,6 @@ class Phase2Ring(Message):
         """
         self.votes += (acceptor,)
 
-    def with_vote(self, acceptor: str) -> "Phase2Ring":
-        """A copy of the message with ``acceptor``'s vote appended.
-
-        The hot path mutates in place via :meth:`add_vote`; this copying
-        variant remains for callers that must not alias the original (and as
-        the oracle the message-plane differential tests pin against).
-        """
-        clone = Phase2Ring.__new__(Phase2Ring)
-        clone.payload_bytes = self.payload_bytes
-        clone.size_bytes = self.size_bytes
-        clone.ring_id = self.ring_id
-        clone.instance = self.instance
-        clone.ballot = self.ballot
-        clone.value = self.value
-        clone.votes = self.votes + (acceptor,)
-        clone.origin = self.origin
-        clone.span = self.span
-        return clone
-
 
 @dataclass(slots=True)
 class Decision(Message):
@@ -224,17 +204,6 @@ class Decision(Message):
         self.carries_value = False
         self.payload_bytes = 0
         self.size_bytes = self.OVERHEAD_BYTES
-
-    def without_value(self) -> "Decision":
-        """A copy that no longer carries the value (small wire footprint)."""
-        return Decision(
-            ring_id=self.ring_id,
-            instance=self.instance,
-            value=self.value,
-            origin=self.origin,
-            carries_value=False,
-            span=self.span,
-        )
 
 
 @dataclass(slots=True)
@@ -322,22 +291,3 @@ class CheckpointReply(Message):
         if self.includes_state:
             self.payload_bytes = self.state_size_bytes
         self.size_bytes = self.payload_bytes + self.OVERHEAD_BYTES
-
-
-# Cross-shard wire registration (see :func:`repro.sim.network.register_wire_type`).
-# ``_Skip`` is deliberately *not* registered: its ``__reduce__`` pickles by
-# reference so ``payload is SKIP`` identity survives the process boundary —
-# positional rebuild would mint a second sentinel instance.
-register_wire_type(ProposalValue)
-register_wire_type(ValueForward)
-register_wire_type(Phase1A)
-register_wire_type(Phase1B)
-register_wire_type(Phase2Ring)
-register_wire_type(Decision)
-register_wire_type(RetransmitRequest)
-register_wire_type(RetransmitReply)
-register_wire_type(TrimQuery)
-register_wire_type(TrimReport)
-register_wire_type(TrimCommand)
-register_wire_type(CheckpointRequest)
-register_wire_type(CheckpointReply)

@@ -29,7 +29,6 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..paxos.instance import InstanceLedger
 from ..paxos.messages import SKIP, ProposalValue
-from ..sim.network import register_wire_type
 
 __all__ = ["CoordinatorState", "InstanceBatchPolicy", "PackedValues"]
 
@@ -62,11 +61,6 @@ class PackedValues:
     def created_ats(self) -> Tuple[float, ...]:
         """Submission time of every packed value, in pack order."""
         return tuple(v.created_at for v in self.values)
-
-
-# Packed instances travel inside cross-shard decision streams: ship them in
-# positional tuple form (see :func:`repro.sim.network.register_wire_type`).
-register_wire_type(PackedValues)
 
 
 @dataclass

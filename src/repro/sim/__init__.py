@@ -35,7 +35,7 @@ from .cpu import CpuAccount, CpuCostModel
 from .disk import Disk, DiskProfile, HDD_PROFILE, SSD_PROFILE, StorageMode, profile_for_mode
 from .kernel import Event, EventHandle, SimulationError, Simulator, ms, us
 from .metrics import Counter, LatencyRecorder, MetricRegistry, ThroughputTracker, summarize_latencies
-from .network import MessageStats, Network, message_size
+from .network import MessageStats, Network
 from .profile import SimProfile, profile_function
 from .random import LatestGenerator, SeededStreams, UniformIntGenerator, ZipfianGenerator
 from .topology import EC2_REGIONS, Site, Topology, ec2_global, single_datacenter
@@ -65,7 +65,6 @@ __all__ = [
     "summarize_latencies",
     "MessageStats",
     "Network",
-    "message_size",
     "ParallelRunResult",
     "ShardHarness",
     "ShardSpec",

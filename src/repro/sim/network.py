@@ -15,14 +15,19 @@ Fault injection: links can be cut (``partition``) and healed, and whole sites
 can be isolated, supporting the recovery experiment (Figure 8) and the
 failure-injection tests.
 
+Wire size: a message's size is its ``size_bytes`` (see
+:mod:`repro.net.message`), charged with ``HEADER_BYTES`` on top.  There is no
+default: an object without ``size_bytes`` raises ``AttributeError`` naming its
+class, before it moves a channel, the jitter stream or the stats.
+
 Sharded execution: a network can act as a *gateway* for actors that live in
 another shard of a parallel run (see :mod:`repro.sim.parallel`).  Remote
-actors are declared with :meth:`Network.set_remote_routes`; sends addressed to
-them go through the exact same latency/occupancy arithmetic as local sends but
-land in a drainable outbox instead of the local event heap.  The parallel
-engine drains outboxes at window barriers and injects them into the owning
-shard with :meth:`Network.inject_remote`, preserving the computed delivery
-timestamps.
+actors are declared with :meth:`Network.set_remote_routes`; a send addressed
+to one resolves to a gateway connection and goes through the very same
+``send`` arithmetic as a local one, but lands in a drainable outbox instead of
+the local event heap.  The parallel engine drains outboxes at window barriers
+and injects them into the owning shard with :meth:`Network.inject_remote`,
+preserving the computed delivery timestamps.
 
 Performance notes
 -----------------
@@ -61,10 +66,6 @@ __all__ = [
     "Network",
     "MessageStats",
     "RemoteMessage",
-    "message_size",
-    "register_wire_type",
-    "register_wire_reducer",
-    "wire_fields",
     "encode_wire",
     "decode_wire",
 ]
@@ -76,31 +77,6 @@ __all__ = [
 RemoteMessage = Tuple[float, str, str, Any]
 
 
-#: Memo of message classes known not to define ``size_bytes``: the first
-#: lookup pays the AttributeError, every later send of the same class takes a
-#: set-membership test instead of re-raising per send.
-_UNSIZED_TYPES: Set[type] = set()
-
-
-def message_size(message: Any, default: int = 128) -> int:
-    """Best-effort size (bytes) of a protocol message.
-
-    Protocol messages define ``size_bytes`` (see :mod:`repro.net.message`);
-    anything else falls back to ``default`` which approximates a small control
-    message with TCP/IP overhead.  The fallback is memoized by message class
-    so non-``Message`` payloads do not pay exception handling on every send
-    (a class whose *instances* carry ``size_bytes`` inconsistently is treated
-    as unsized from the first miss on).
-    """
-    if message.__class__ in _UNSIZED_TYPES:
-        return default
-    try:
-        return int(message.size_bytes)
-    except AttributeError:
-        _UNSIZED_TYPES.add(message.__class__)
-        return default
-
-
 # --------------------------------------------------------------- wire codec
 #
 # Cross-shard traffic (see :mod:`repro.sim.parallel`) is pickled once per
@@ -108,26 +84,31 @@ def message_size(message: Any, default: int = 128) -> int:
 # wasteful: every slotted dataclass instance ships its class-resolution
 # machinery *and* a per-instance state dict (``{'field': value, ...}``) whose
 # key strings repeat for every message in the window.  The wire codec strips
-# that down to a positional tuple per instance:
+# that down to a positional tuple per dataclass instance:
 #
 #     (_wire_build, (cls, (value0, value1, ...)))
 #
-# Classes opt in with :func:`register_wire_type` (typically right below their
-# definition); the field order is frozen at registration, so both sides of a
-# pipe agree on the tuple layout by construction — the class itself travels
-# by reference (module + qualname, memoized once per ``dumps``), which keeps
-# the encoding independent of registration order across processes.  Decoding
-# is plain ``pickle.loads``: ``_wire_build`` reconstructs the instance with
+# The layout is the class's own declaration: values travel in
+# ``dataclasses.fields`` order, so both sides of a pipe agree on it by
+# construction and nothing is registered — the class itself travels by
+# reference (module + qualname, memoized once per ``dumps``).  Decoding is
+# plain ``pickle.loads``: ``_wire_build`` reconstructs the instance with
 # ``object.__new__`` + attribute assignment, deliberately skipping
 # ``__init__`` / ``__post_init__`` (cached derived fields such as
-# ``size_bytes`` are part of the registered field tuple and restored verbatim).
+# ``size_bytes`` are ``init=False`` fields and restored verbatim).
 #
-# Both directions run one small function per registered instance and nothing
+# Two kinds of class keep pickle's default path, which calls their
+# ``__reduce__``: a dataclass that defines its own (``RingSegment``'s columnar
+# form), and a plain subclass of a dataclass (its instance attributes are not
+# fields).  Everything that is not a dataclass takes that path too — ``SKIP``
+# pickles by reference there, keeping its identity.
+#
+# Both directions run one small function per dataclass instance and nothing
 # else in Python: the encoder is the C pickler with a per-frame
 # ``dispatch_table`` of per-class reducers, the decoder a per-class builder,
-# each compiled once from the field tuple on first use
-# (:func:`_compile_wire_codec`).  Containers,
-# scalars and objects of unregistered classes never leave the C pickler.
+# each compiled once from the field order on first use
+# (:func:`_compile_wire_codec`).  Containers and scalars never leave the C
+# pickler.
 #
 # Payload interning falls out of the pickle memo: identical *objects* repeated
 # across messages of one window (ring forwarding re-ships the same ``Decision``
@@ -142,78 +123,26 @@ def message_size(message: Any, default: int = 128) -> int:
 # identity on the receiving side is exactly what legacy pickling produced (no
 # aliasing of mutable protocol messages).
 
-#: Registered wire classes → their frozen positional field order.
-_WIRE_FIELDS: Dict[type, Tuple[str, ...]] = {}
-
-#: Classes with a bespoke wire form → their reduce hook.  Checked before the
-#: positional-tuple path, so a class may upgrade from :func:`register_wire_type`
-#: to a custom reducer without touching call sites.
-_WIRE_REDUCERS: Dict[type, Any] = {}
-
-
 class _WireCodecs(dict):
-    """Registered wire classes → ``(reducer factory, builder)``, compiled on first use."""
+    """Dataclasses → ``(reducer factory, builder)``, compiled on first use."""
 
     def __missing__(self, cls: type) -> Tuple[Any, Any]:
-        names = _WIRE_FIELDS.get(cls)
-        if names is None:
-            # The defining module registered the class at import time and the
-            # class arrived by reference, so this only triggers for a class
-            # registered with an explicit field list in some *other* module
-            # that the decoding process has not imported.  Dataclass order is
-            # the documented default, so fall back to it (and memoize).
-            names = _WIRE_FIELDS[cls] = tuple(f.name for f in dataclass_fields(cls))
-        codec = self[cls] = _compile_wire_codec(cls, names)
+        codec = self[cls] = _compile_wire_codec(cls)
         return codec
 
 
 _WIRE_CODECS = _WireCodecs()
 
 
-def register_wire_reducer(cls: type, reduce_fn: Any) -> type:
-    """Register a bespoke wire reduction for ``cls``.
-
-    ``reduce_fn(obj)`` must return a pickle-style ``(callable, args)`` pair
-    whose callable is an importable module-level function (it travels by
-    reference).  Use this when a class benefits from structure-aware encoding
-    beyond the generic positional tuple — e.g. run-length compression of
-    repetitive collections.  Decoding stays plain ``pickle.loads``.
-    """
-    _WIRE_REDUCERS[cls] = reduce_fn
-    return cls
-
-
-def register_wire_type(cls: type, field_names: Optional[Sequence[str]] = None) -> type:
-    """Register ``cls`` for compact positional encoding on the shard wire.
-
-    ``field_names`` defaults to the dataclass field order (including
-    ``init=False`` fields such as cached sizes).  Returns ``cls`` so it can be
-    used as a decorator.  Classes with custom ``__reduce__`` semantics (e.g.
-    singleton sentinels) must *not* be registered — positional rebuild would
-    break their identity contract.
-    """
-    if field_names is None:
-        names = tuple(f.name for f in dataclass_fields(cls))
-    else:
-        names = tuple(field_names)
-    _WIRE_FIELDS[cls] = names
-    _WIRE_CODECS.pop(cls, None)
-    return cls
-
-
-def wire_fields(cls: type) -> Optional[Tuple[str, ...]]:
-    """The registered positional field order of ``cls`` (``None`` if unregistered)."""
-    return _WIRE_FIELDS.get(cls)
-
-
-def _compile_wire_codec(cls: type, names: Tuple[str, ...]) -> Tuple[Any, Any]:
-    """``(reducer factory, builder)`` of ``cls``, specialised to its field order.
+def _compile_wire_codec(cls: type) -> Tuple[Any, Any]:
+    """``(reducer factory, builder)`` of dataclass ``cls``, specialised to its fields.
 
     ``bind(setdefault)`` returns the reducer one encode installs in its
     dispatch table (``setdefault`` is that frame's interning dict's);
     ``build(values)`` is the inverse.  A class that guards ``__setattr__``
     (frozen dataclasses) is rebuilt through ``object.__setattr__``.
     """
+    names = [f.name for f in dataclass_fields(cls)]
     fields = "".join(f"obj.{name}, " for name in names)
     if cls.__setattr__ is object.__setattr__:
         assign = f"    {fields}= values\n"
@@ -247,17 +176,19 @@ def _compile_wire_codec(cls: type, names: Tuple[str, ...]) -> Tuple[Any, Any]:
 
 
 def _wire_build(cls: type, values: Tuple[Any, ...]) -> Any:
-    """Rebuild a registered instance from its positional field tuple."""
+    """Rebuild a dataclass instance from its positional field tuple."""
     return _WIRE_CODECS[cls][1](values)
 
 
 class _FrameReducers(dict):
-    """One frame's dispatch table; a registered class gets its reducer on first sight."""
+    """One frame's dispatch table; a dataclass gets its reducer on first sight."""
 
     __slots__ = ("intern",)
 
     def __missing__(self, cls: type) -> Any:
-        if cls not in _WIRE_FIELDS:
+        # Only a class declared a dataclass itself, with no ``__reduce__`` of
+        # its own, ships positionally.
+        if "__dataclass_fields__" not in cls.__dict__ or cls.__reduce__ is not object.__reduce__:
             raise KeyError(cls)  # the pickler's default path
         reducer = self[cls] = _WIRE_CODECS[cls][0](self.intern)
         return reducer
@@ -269,7 +200,6 @@ def encode_wire(payload: Any) -> bytes:
     pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
     # A private dispatch table replaces copyreg's, so start from that one.
     table = _FrameReducers(copyreg.dispatch_table)
-    table.update(_WIRE_REDUCERS)
     table.intern = {}.setdefault  # this frame's equal-instance interning
     pickler.dispatch_table = table
     pickler.dump(payload)
@@ -288,11 +218,6 @@ class MessageStats:
     messages: int = 0
     bytes: int = 0
     dropped: int = 0
-
-    def record(self, size: int) -> None:
-        """Record a successfully queued message of ``size`` bytes."""
-        self.messages += 1
-        self.bytes += size
 
     def record_drop(self) -> None:
         """Record a message dropped by a partition or dead destination."""
@@ -350,15 +275,13 @@ class Network:
         self.env = env
         self.topology = topology
         self.stats = MessageStats()
-        #: per-network memo of message classes without ``size_bytes``
-        self._unsized_types: Set[type] = set()
         self._jitter = jitter_fraction
         self._rng = env.streams.stream("network.jitter")
         self._rng_random = self._rng.random
         self._simulator = env.simulator
         #: flat link table: directed (src_site, dst_site) → shared channel
         self._channels: Dict[Tuple[str, str], _Channel] = {}
-        #: resolved directed actor pairs
+        #: resolved directed actor pairs, gateway connections included
         self._connections: Dict[Tuple[str, str], _Connection] = {}
         #: severed directed site pairs
         self._cut_links: Set[Tuple[str, str]] = set()
@@ -367,10 +290,9 @@ class Network:
         #: fast-path guard: True while any partition/isolation is active
         self._has_faults = False
         #: sharded execution (inert unless set_remote_routes is called):
-        #: actors living in other shards, their resolved connections, and the
-        #: outbox drained by the parallel engine at window barriers
+        #: actors living in other shards, and the outbox drained by the
+        #: parallel engine at window barriers
         self._remote_sites: Dict[str, str] = {}
-        self._remote_connections: Dict[Tuple[str, str], _Connection] = {}
         self._outbox: List[RemoteMessage] = []
         self._precompute_channels()
         env.network = self
@@ -398,21 +320,14 @@ class Network:
 
         Messages to unknown or crashed destinations are counted as drops —
         like TCP connections to a dead host, the sender finds out through the
-        protocol's own timeouts, not through the transport.
+        protocol's own timeouts, not through the transport.  A destination
+        declared in another shard gets the same arithmetic; only the hand-off
+        differs (the gateway outbox instead of the local event heap).
         """
         conn = self._connections.get((src, dst))
         if conn is None:
             conn = self._resolve(src, dst)
             if conn is None:
-                # Not a local actor.  In a sharded run the destination may
-                # live in another shard: route through the gateway outbox.
-                if self._remote_sites:
-                    rconn = self._remote_connections.get((src, dst))
-                    if rconn is None and dst in self._remote_sites:
-                        rconn = self._resolve_remote(src, dst)
-                    if rconn is not None:
-                        self._send_remote(rconn, src, dst, message)
-                        return
                 self.stats.record_drop()
                 return
         # Fault filtering, skipped entirely while no partition/isolation is
@@ -421,22 +336,14 @@ class Network:
         if self._has_faults and self._blocked(conn.src_site, conn.dst_site):
             self.stats.record_drop()
             return
-        # Wire size: protocol messages carry a cached ``size_bytes`` slot; the
-        # default for anything else is memoized by class so the AttributeError
-        # is paid once per type, not once per send.
-        if message.__class__ in self._unsized_types:
-            size = 128 + self.HEADER_BYTES
-        else:
-            try:
-                size = message.size_bytes + self.HEADER_BYTES
-            except AttributeError:
-                self._unsized_types.add(message.__class__)
-                size = 128 + self.HEADER_BYTES
+        # An unsized message raises AttributeError here, naming its class,
+        # before anything below moves.
+        size = message.size_bytes + self.HEADER_BYTES
         channel = conn.channel
         now = self._simulator._now
         # Same operations, same association as the expression the goldens
         # were taken with: delivery timestamps — and therefore event order —
-        # stay bit-identical (``_send_remote`` repeats it term for term).
+        # stay bit-identical.
         propagation = channel.latency
         transmission = (size * 8.0) / channel.bandwidth
         jitter = 0.0
@@ -458,6 +365,12 @@ class Network:
         stats = self.stats
         stats.messages += 1
         stats.bytes += size
+        deliver = conn.deliver
+        if deliver is None:
+            # Gateway connection: the owning shard schedules the hand-off at
+            # exactly this time when the barrier injects it.
+            self._outbox.append((delivery_at, src, dst, message))
+            return
         # Inlined Simulator._post (one event per message): same entry layout
         # and the same ``now + delay`` arithmetic, one call less per send.
         # The callback is the connection's precomputed delivery closure, so
@@ -467,22 +380,28 @@ class Network:
         sim._seq = seq + 1
         heappush(
             sim._queue,
-            (now + (delivery_at - now), 0, seq, conn.deliver, (src, message)),
+            (now + (delivery_at - now), 0, seq, deliver, (src, message)),
         )
 
     def _resolve(self, src: str, dst: str) -> Optional[_Connection]:
         """Build the connection record for a directed actor pair.
 
-        Returns ``None`` when the destination is unknown (the caller records
-        the drop).  An unknown *source* raises ``KeyError`` as it always did —
-        actors only send under their own registered name.
+        A destination that is not a local actor but is declared in another
+        shard (:meth:`set_remote_routes`) gets a gateway connection, whose
+        ``deliver`` is ``None``.  Returns ``None`` when the destination is
+        unknown (the caller records the drop).  An unknown *source* raises
+        ``KeyError`` as it always did — actors only send under their own
+        registered name.
         """
         env = self.env
         dst_actor = env.get_actor(dst)
-        if dst_actor is None:
-            return None
+        if dst_actor is not None:
+            dst_site = dst_actor.site
+        else:
+            dst_site = self._remote_sites.get(dst)
+            if dst_site is None:
+                return None
         src_site = env.actor(src).site
-        dst_site = dst_actor.site
         channel = self._channels.get((src_site, dst_site))
         if channel is None:
             # Site pair not in the precomputed table (e.g. a site added after
@@ -494,7 +413,8 @@ class Network:
             )
             self._channels[(src_site, dst_site)] = channel
         conn = _Connection(src_site, dst_site, channel)
-        conn.deliver = self._make_deliver(dst_actor)
+        if dst_actor is not None:
+            conn.deliver = self._make_deliver(dst_actor)
         self._connections[(src, dst)] = conn
         return conn
 
@@ -523,8 +443,7 @@ class Network:
         ``actor_sites`` maps each remote actor name to the site hosting it.
         Sends addressed to those actors are queued in the gateway outbox with
         their computed delivery time instead of being counted as drops.  The
-        mapping is additive; declaring no routes keeps the gateway inert (and
-        the send hot path unchanged).
+        mapping is additive; declaring no routes keeps the gateway inert.
         """
         for name, site in actor_sites.items():
             self._remote_sites[name] = site
@@ -573,56 +492,6 @@ class Network:
                     f"t={delivery_at:.9f} but the barrier ran at t={now:.9f}"
                 )
             sim._post(delay, self._deliver_remote, (src, dst, message))
-
-    def _resolve_remote(self, src: str, dst: str) -> Optional[_Connection]:
-        """Build (and cache) the gateway connection for a remote destination."""
-        dst_site = self._remote_sites.get(dst)
-        if dst_site is None:
-            return None
-        src_site = self.env.actor(src).site
-        channel = self._channels.get((src_site, dst_site))
-        if channel is None:
-            channel = _Channel(
-                self.topology.latency(src_site, dst_site),
-                self.topology.bandwidth(src_site, dst_site),
-            )
-            self._channels[(src_site, dst_site)] = channel
-        conn = _Connection(src_site, dst_site, channel)
-        self._remote_connections[(src, dst)] = conn
-        return conn
-
-    def _send_remote(self, conn: _Connection, src: str, dst: str, message: Any) -> None:
-        """Queue a message for another shard using the local timing model.
-
-        Term-for-term the same arithmetic as the local send path (propagation,
-        transmission, jitter, FIFO channel occupancy, per-pair ordering), so a
-        sharded run computes the same delivery timestamps the merged
-        single-simulator run would.
-        """
-        if self._has_faults and self._blocked(conn.src_site, conn.dst_site):
-            self.stats.record_drop()
-            return
-        size = getattr(message, "size_bytes", 128) + self.HEADER_BYTES
-        channel = conn.channel
-        now = self._simulator._now
-        propagation = channel.latency
-        transmission = (size * 8.0) / channel.bandwidth
-        jitter = 0.0
-        if self._jitter > 0:
-            jitter = propagation * self._jitter * self._rng_random()
-        free_at = channel.free_at
-        start = free_at if free_at > now else now
-        finish = start + transmission
-        channel.free_at = finish
-        delay = (finish - now) + propagation + jitter
-        delivery_at = now + delay
-        if delivery_at < conn.last_delivery_at:
-            delivery_at = conn.last_delivery_at
-        conn.last_delivery_at = delivery_at
-        stats = self.stats
-        stats.messages += 1
-        stats.bytes += size
-        self._outbox.append((delivery_at, src, dst, message))
 
     def _deliver_remote(self, src: str, dst: str, message: Any) -> None:
         actor = self.env.get_actor(dst)

@@ -78,8 +78,8 @@ off the critical path without ever touching the event schedule:
 
 * **Compact wire framing** — each worker's barrier traffic is one
   ``encode_wire`` frame per round (:func:`repro.sim.network.encode_wire`:
-  highest-protocol pickle with registered protocol dataclasses in positional
-  tuple form and window-level payload interning via the pickle memo).  A
+  highest-protocol pickle with dataclasses in positional tuple form and
+  window-level payload interning via the pickle memo).  A
   window broadcast to a worker with no inbound messages is the bare
   two-tuple ``("window", end)`` — no per-shard dict is allocated or shipped.
   ``ParallelRunResult.ipc_bytes``/``ipc_messages`` count both directions as

@@ -1,93 +1,31 @@
-"""Message-plane regressions: cached sizes and the network's size fallback.
+"""The network's size contract: a message's wire size is its ``size_bytes``.
 
-``Batch.size_bytes`` used to be a property re-summing its members on every
-access (O(n) per network send); it is now cached at construction and
-maintained incrementally by ``append``.  The tests here pin the definition
-(framing overhead + sum of member wire sizes) and — the part that matters —
-that the simulated network charges *identical* transmission time for a batch
-and for a plain message of the same recomputed wire size.
-
-The second half covers the per-send fallback for payloads without a
-``size_bytes`` attribute: charged the default size, memoized by class so the
-``AttributeError`` is paid once per type rather than once per send.
+``Network.send`` charges ``size_bytes + HEADER_BYTES`` and has no default
+size.  An object without ``size_bytes`` raises ``AttributeError`` naming its
+class — on the local path and on the gateway path alike — and leaves the
+stats, the channel's occupancy and the jitter stream exactly as they were, so
+the sends after it are charged as if it had never been tried.
 """
 
 from __future__ import annotations
 
-from repro.net.message import Batch, ClientRequest, Message
+import pytest
+
+from repro.net.message import Message
 from repro.sim.actor import Actor, Environment
-from repro.sim.network import Network, message_size
-from repro.sim.topology import single_datacenter
+from repro.sim.network import MessageStats, Network
+from repro.sim.topology import Topology
 
 
 class _Recorder(Actor):
     """Sink recording ``(delivery_time, message)`` pairs."""
 
-    def __init__(self, env, name, site="dc1"):
+    def __init__(self, env, name, site):
         super().__init__(env, name, site)
         self.received = []
 
     def on_message(self, sender, message):
         self.received.append((self.env.simulator.now, message))
-
-
-def _pair(seed=0):
-    env = Environment(seed=seed)
-    sender = _Recorder(env, "a")
-    receiver = _Recorder(env, "b")
-    network = Network(env, single_datacenter())
-    return env, network, sender, receiver
-
-
-def _recomputed_wire_size(message: Message) -> int:
-    """The pre-caching definition of a message's wire size."""
-    if isinstance(message, Batch):
-        return Message.OVERHEAD_BYTES + sum(
-            _recomputed_wire_size(m) for m in message.messages
-        )
-    return message.payload_bytes + type(message).OVERHEAD_BYTES
-
-
-class TestBatchSizeCaching:
-    def test_cached_size_matches_recomputed_definition(self):
-        batch = Batch(messages=[ClientRequest(payload_bytes=100), Message(payload_bytes=7)])
-        assert batch.size_bytes == _recomputed_wire_size(batch)
-
-    def test_append_maintains_the_cache(self):
-        batch = Batch()
-        for size in (0, 1, 512, 32_768):
-            batch.append(ClientRequest(payload_bytes=size))
-            assert batch.size_bytes == _recomputed_wire_size(batch)
-            assert batch.payload_bytes == batch.size_bytes - Message.OVERHEAD_BYTES
-
-    def test_network_charges_identical_transmission_time(self):
-        # A batch and a plain message of the same recomputed wire size must
-        # produce byte-identical delivery timestamps: transmission time is
-        # charged from the cached size, and the cache must equal the old
-        # re-summed definition.
-        batch = Batch(messages=[ClientRequest(payload_bytes=900), Message(payload_bytes=31)])
-        env_a, net_a, _, recv_a = _pair(seed=1)
-        net_a.send("a", "b", batch)
-        env_a.simulator.run()
-
-        equivalent = Message(payload_bytes=_recomputed_wire_size(batch) - Message.OVERHEAD_BYTES)
-        assert equivalent.size_bytes == batch.size_bytes
-        env_b, net_b, _, recv_b = _pair(seed=1)
-        net_b.send("a", "b", equivalent)
-        env_b.simulator.run()
-
-        assert len(recv_a.received) == len(recv_b.received) == 1
-        assert recv_a.received[0][0] == recv_b.received[0][0]
-
-    def test_mutating_members_after_construction_does_not_resum(self):
-        # The cache is intentionally not invalidated by out-of-band member
-        # mutation: the hot path relies on construction + append being the
-        # only writers.
-        inner = ClientRequest(payload_bytes=10)
-        batch = Batch(messages=[inner])
-        cached = batch.size_bytes
-        inner.payload_bytes = 9999
-        assert batch.size_bytes == cached
 
 
 class _Unsized:
@@ -98,46 +36,59 @@ class _SelfSized:
     size_bytes = 500
 
 
-class TestDefaultSizeFallback:
-    def test_message_size_default_and_memo(self):
-        from repro.sim import network as network_mod
+def _network():
+    """Sender ``a`` at s0; local receiver ``b`` and remote ``r`` at s1; jitter on."""
+    topology = Topology()
+    topology.add_site("s0")
+    topology.add_site("s1")
+    topology.set_link("s0", "s1", one_way_latency=0.01, bandwidth_bps=1e6)
+    env = Environment(seed=4)
+    network = Network(env, topology, jitter_fraction=0.05)
+    _Recorder(env, "a", "s0")
+    receiver = _Recorder(env, "b", "s1")
+    network.set_remote_routes({"r": "s1"})
+    return env, network, receiver
 
-        network_mod._UNSIZED_TYPES.discard(_Unsized)
-        assert message_size(_Unsized()) == 128
-        assert _Unsized in network_mod._UNSIZED_TYPES
-        # Second call takes the memoized path (same answer, no exception).
-        assert message_size(_Unsized()) == 128
-        assert message_size(_Unsized(), default=64) == 64
 
-    def test_message_size_prefers_declared_size(self):
-        assert message_size(_SelfSized()) == 500
-        assert message_size(Message(payload_bytes=100)) == 148
+def _outcome(env, network, receiver):
+    """What the network did: gateway records, local deliveries, stats, occupancy."""
+    outbox = network.drain_outbox()
+    free_at = network._channels[("s0", "s1")].free_at
+    env.run()
+    return outbox, receiver.received, network.stats, free_at
 
-    def test_network_charges_default_size_for_unsized_payload(self):
-        # An unsized payload is charged exactly like a message whose wire
-        # size equals the 128-byte default.
-        env_a, net_a, _, recv_a = _pair(seed=2)
-        net_a.send("a", "b", _Unsized())
-        env_a.simulator.run()
 
-        stand_in = Message(payload_bytes=128 - Message.OVERHEAD_BYTES)
-        assert stand_in.size_bytes == 128
-        env_b, net_b, _, recv_b = _pair(seed=2)
-        net_b.send("a", "b", stand_in)
-        env_b.simulator.run()
+@pytest.mark.parametrize("dst", ["b", "r"], ids=["local", "gateway"])
+def test_unsized_send_raises_and_moves_nothing(dst):
+    env, network, receiver = _network()
+    with pytest.raises(AttributeError, match="'_Unsized' object has no attribute 'size_bytes'"):
+        network.send("a", dst, _Unsized())
+    assert network.stats == MessageStats()
+    assert network._channels[("s0", "s1")].free_at == 0.0
 
-        assert len(recv_a.received) == len(recv_b.received) == 1
-        assert recv_a.received[0][0] == recv_b.received[0][0]
-        # The miss was memoized per network instance.
-        assert _Unsized in net_a._unsized_types
+    # The next send is charged exactly as in a network that never saw the
+    # unsized one: same occupancy, same jitter draw, same delivery time.
+    sized = Message(payload_bytes=100)
+    network.send("a", dst, sized)
+    twin_env, twin_network, twin_receiver = _network()
+    twin_network.send("a", dst, sized)
+    assert _outcome(env, network, receiver) == _outcome(twin_env, twin_network, twin_receiver)
 
-    def test_network_memoized_path_repeats_the_same_charge(self):
-        env, net, _, recv = _pair(seed=3)
-        net.send("a", "b", _Unsized())
-        env.simulator.run()
-        first = recv.received[0][0]
-        net.send("a", "b", _Unsized())
-        env.simulator.run()
-        assert len(recv.received) == 2
-        # Same charge both times; the second send took the memoized branch.
-        assert recv.received[1][0] >= first
+
+@pytest.mark.parametrize("dst", ["b", "r"], ids=["local", "gateway"])
+def test_blocked_unsized_send_is_a_drop(dst):
+    # The fault check comes first: a send the partition swallows never
+    # reaches the size.
+    _env, network, _receiver = _network()
+    network.partition("s0", "s1")
+    network.send("a", dst, _Unsized())
+    assert network.stats == MessageStats(dropped=1)
+
+
+@pytest.mark.parametrize("dst", ["b", "r"], ids=["local", "gateway"])
+def test_declared_size_is_charged_with_the_header(dst):
+    _env, network, _receiver = _network()
+    network.send("a", dst, _SelfSized())
+    network.send("a", dst, Message(payload_bytes=100))
+    expected = (500 + Network.HEADER_BYTES) + (100 + Message.OVERHEAD_BYTES + Network.HEADER_BYTES)
+    assert network.stats == MessageStats(messages=2, bytes=expected)

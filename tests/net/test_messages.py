@@ -1,6 +1,6 @@
-"""Tests of message size accounting and batches."""
+"""Tests of message size accounting."""
 
-from repro.net.message import Batch, ClientRequest, ClientResponse, Message, next_message_id
+from repro.net.message import ClientRequest, ClientResponse, Message, next_message_id
 from repro.paxos.messages import Decision, Phase2Ring, ProposalValue, RetransmitReply, SKIP
 
 
@@ -19,20 +19,6 @@ class TestMessageSizes:
         assert next_message_id() != next_message_id()
 
 
-class TestBatch:
-    def test_batch_size_accumulates_members(self):
-        batch = Batch(messages=[Message(payload_bytes=100), Message(payload_bytes=200)])
-        assert len(batch) == 2
-        assert batch.payload_bytes == sum(m.size_bytes for m in batch)
-
-    def test_append_updates_size(self):
-        batch = Batch()
-        before = batch.size_bytes
-        batch.append(Message(payload_bytes=500))
-        assert batch.size_bytes > before
-        assert len(batch) == 1
-
-
 class TestPaxosMessageSizes:
     def test_phase2_carries_value_payload(self):
         value = ProposalValue(payload=b"x", size_bytes=4096)
@@ -45,20 +31,14 @@ class TestPaxosMessageSizes:
         assert message.payload_bytes == 0
         assert message.last_instance == 10
 
-    def test_with_vote_preserves_fields_and_appends(self):
-        value = ProposalValue(payload=b"x", size_bytes=10)
-        message = Phase2Ring(ring_id=3, instance=7, ballot=2, value=value, votes=("a",), origin="a", span=1)
-        voted = message.with_vote("b")
-        assert voted.votes == ("a", "b")
-        assert voted.instance == 7 and voted.ring_id == 3 and voted.origin == "a"
-
     def test_decision_value_charged_only_when_carried(self):
         value = ProposalValue(payload=b"x", size_bytes=2048)
         carried = Decision(ring_id=0, instance=1, value=value, carries_value=True)
-        bare = carried.without_value()
         assert carried.payload_bytes == 2048
-        assert bare.payload_bytes == 0
-        assert bare.value is value  # value object retained for local learning
+        carried.strip_value()
+        assert carried.payload_bytes == 0
+        assert carried.size_bytes == Decision.OVERHEAD_BYTES
+        assert carried.value is value  # value object retained for local learning
 
     def test_retransmit_reply_size_sums_values(self):
         values = [(i, ProposalValue(payload=b"x", size_bytes=100)) for i in range(5)]

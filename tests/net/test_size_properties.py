@@ -1,12 +1,9 @@
 """Property tests: cached wire sizes equal their recomputed definitions.
 
-``size_bytes`` is cached at construction everywhere on the message plane
-(and maintained incrementally by ``Batch.append``); these properties pin the
-cache to the recomputed definition for arbitrary nested shapes:
+``size_bytes`` is cached at construction everywhere on the message plane;
+these properties pin the cache to the recomputed definition:
 
-* a ``Batch`` — possibly containing batches — always reports framing
-  overhead plus the sum of its members' wire sizes, however it was built
-  (constructor, appends, or a mix);
+* a client message always reports its payload plus its framing overhead;
 * a ``ProposalValue`` wrapping ``PackedValues`` built the way the
   coordinator packs instances always reports the sum of its leaf values'
   sizes, packs-of-packs included.
@@ -17,7 +14,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.core.packing import iter_values
-from repro.net.message import Batch, ClientRequest, ClientResponse, Message
+from repro.net.message import ClientRequest, ClientResponse, Message
 from repro.paxos.messages import ProposalValue
 from repro.ringpaxos.coordinator import PackedValues
 
@@ -30,35 +27,11 @@ leaf_messages = st.one_of(
     payload_sizes.map(lambda n: ClientResponse(payload_bytes=n, request_id=1)),
 )
 
-#: Batches of batches, up to three levels deep.
-nested_batches = st.recursive(
-    leaf_messages,
-    lambda children: st.lists(children, max_size=5).map(lambda ms: Batch(messages=ms)),
-    max_leaves=25,
-)
 
-
-def recomputed_size(message: Message) -> int:
-    """The pre-caching definition: framing + recursive member sum."""
-    if isinstance(message, Batch):
-        return Message.OVERHEAD_BYTES + sum(recomputed_size(m) for m in message.messages)
-    return message.payload_bytes + type(message).OVERHEAD_BYTES
-
-
-@given(message=nested_batches)
+@given(message=leaf_messages)
 @settings(max_examples=200)
 def test_cached_size_equals_recomputed_definition(message):
-    assert message.size_bytes == recomputed_size(message)
-
-
-@given(members=st.lists(nested_batches, max_size=6), extra=st.lists(leaf_messages, max_size=4))
-@settings(max_examples=200)
-def test_append_keeps_cache_equal_to_definition(members, extra):
-    batch = Batch(messages=list(members))
-    assert batch.size_bytes == recomputed_size(batch)
-    for message in extra:
-        batch.append(message)
-        assert batch.size_bytes == recomputed_size(batch)
+    assert message.size_bytes == message.payload_bytes + type(message).OVERHEAD_BYTES
 
 
 # --------------------------------------------------------------- PackedValues

@@ -1,19 +1,26 @@
 """The wire codec as it shipped until PR 23: one Python hook per object.
 
-Encoding is a ``pickle.Pickler`` subclass whose ``reducer_override`` looks
-every non-builtin object up in the registries; decoding rebuilds a registered
-instance with a ``zip`` + ``object.__setattr__`` loop and a skip run with one
-dataclass ``__init__`` per skip.  ``repro.sim.network.encode_wire`` must
-produce the very same bytes, and ``pickle.loads`` of a frame the very same
-object graph, as this pair does.
+Encoding is a ``pickle.Pickler`` subclass whose ``reducer_override`` applies
+the wire rule to every non-builtin object: a class declared a dataclass
+itself, with no ``__reduce__`` of its own, ships its ``dataclasses.fields``
+positionally; anything else takes pickle's default path.  Decoding rebuilds
+a dataclass instance with a ``zip`` + ``object.__setattr__`` loop and a skip
+run with one dataclass ``__init__`` per skip.
+``repro.sim.network.encode_wire`` must produce the very same bytes, and
+``pickle.loads`` of a frame the very same object graph, as this pair does.
 
 The frames name their builders by import path, so the reference encoder
 emits the shipped ``_wire_build`` / ``_segment_wire_build`` globals and the
 reference decoder maps those two names back to the loops below.
+
+:func:`plain_pickle` is the yardstick both codecs' compression is measured
+against: generic pickling, with no segment compression.
 """
 
 from __future__ import annotations
 
+import copyreg
+import dataclasses
 import io
 import pickle
 
@@ -23,6 +30,13 @@ from repro.paxos.messages import ProposalValue
 from repro.sim import network
 
 _SEGMENT_RUN_MIN = 3
+
+
+def _positional_fields(cls):
+    """The field names ``cls`` ships positionally, or ``None`` for pickle's default."""
+    if "__dataclass_fields__" not in vars(cls) or cls.__reduce__ is not object.__reduce__:
+        return None
+    return [f.name for f in dataclasses.fields(cls)]
 
 
 def _segment_reduce(segment):
@@ -58,7 +72,7 @@ def _segment_reduce(segment):
 
 
 class ReferencePickler(pickle.Pickler):
-    """Registered classes to ``(_wire_build, (cls, values))``, equal ones interned."""
+    """Dataclasses to ``(_wire_build, (cls, values))``, equal ones interned."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -68,7 +82,7 @@ class ReferencePickler(pickle.Pickler):
         cls = obj.__class__
         if cls is RingSegment:
             return _segment_reduce(obj)
-        names = network.wire_fields(cls)
+        names = _positional_fields(cls)
         if names is None:
             return NotImplemented
         values = tuple(getattr(obj, name) for name in names)
@@ -90,7 +104,7 @@ def reference_encode(payload):
 
 def _wire_build(cls, values):
     obj = object.__new__(cls)
-    for name, value in zip(network.wire_fields(cls), values):
+    for name, value in zip(_positional_fields(cls), values):
         object.__setattr__(obj, name, value)
     return obj
 
@@ -133,3 +147,19 @@ class ReferenceUnpickler(pickle.Unpickler):
 
 def reference_decode(frame):
     return ReferenceUnpickler(io.BytesIO(frame)).load()
+
+
+def _generic_segment_reduce(segment):
+    """``RingSegment`` by its three fields, the way pickle reduces any slotted dataclass."""
+    state = {"incarnation": segment.incarnation, "start": segment.start,
+             "entries": segment.entries}
+    return copyreg.__newobj__, (RingSegment,), (None, state)
+
+
+def plain_pickle(payload):
+    """``pickle.dumps(payload)`` as if ``RingSegment`` had no ``__reduce__`` of its own."""
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer)
+    pickler.dispatch_table = {**copyreg.dispatch_table, RingSegment: _generic_segment_reduce}
+    pickler.dump(payload)
+    return buffer.getvalue()

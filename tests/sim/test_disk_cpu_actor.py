@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net.message import Message
 from repro.sim.actor import Actor, Environment
 from repro.sim.cpu import CpuAccount, CpuCostModel
 from repro.sim.disk import (
@@ -146,7 +147,7 @@ class TestActor:
         ticks = []
         b.set_periodic_timer(0.5, lambda: ticks.append(1))
         b.crash()
-        a.send("b", "hello")
+        a.send("b", Message())
         env.run(until=3.0)
         assert b.got == []
         assert ticks == []
@@ -157,9 +158,10 @@ class TestActor:
         b = Echo(env, "b")
         b.crash()
         b.restart()
-        a.send("b", "hello")
+        hello = Message()
+        a.send("b", hello)
         env.run()
-        assert b.got == ["hello"]
+        assert b.got == [hello]
 
     def test_rng_streams_are_stable_per_actor(self):
         env = self._env()
@@ -175,6 +177,6 @@ class TestActor:
         a = Echo(env, "a")
         b = Echo(env, "b")
         a.crash()
-        a.send("b", "msg")
+        a.send("b", Message())
         env.run()
         assert b.got == []

@@ -4,7 +4,7 @@ import pytest
 
 from repro.net.message import Message
 from repro.sim.actor import Actor, Environment
-from repro.sim.network import Network, message_size
+from repro.sim.network import Network
 from repro.sim.topology import EC2_REGIONS, Topology, ec2_global, single_datacenter
 
 
@@ -74,10 +74,19 @@ class TestTopology:
 
 class TestMessageSize:
     def test_message_declares_size(self):
-        assert message_size(Message(payload_bytes=100)) == 148
+        env = make_env()
+        a = Sink(env, "a")
+        Sink(env, "b")
+        a.send("b", Message(payload_bytes=100))
+        assert env.network.stats.bytes == 148 + Network.HEADER_BYTES
 
-    def test_unknown_object_uses_default(self):
-        assert message_size(object(), default=99) == 99
+    def test_unsized_object_is_refused(self):
+        env = make_env()
+        a = Sink(env, "a")
+        Sink(env, "b")
+        with pytest.raises(AttributeError, match="'object' object has no attribute 'size_bytes'"):
+            a.send("b", object())
+        assert env.network.stats.messages == 0
 
 
 class TestNetworkDelivery:

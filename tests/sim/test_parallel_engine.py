@@ -9,12 +9,22 @@ module level so the specs survive the ``multiprocessing`` boundary.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 from math import ceil
 
 import pytest
 
+from repro.net.message import Message
 from repro.sim import Actor, Environment, Network, ShardHarness, ShardSpec, Topology, run_sharded
 from repro.sim.kernel import SimulationError, Simulator
+
+
+@dataclass(slots=True)
+class Probe(Message):
+    """Every test message here: charged as 128 wire bytes, carrying a small ``body``."""
+
+    payload_bytes: int = 128 - Message.OVERHEAD_BYTES
+    body: dict = field(default_factory=dict)
 
 
 LINK_LATENCY = 0.010
@@ -41,12 +51,12 @@ class Pinger(Actor):
 
     def on_start(self):
         if self.name.endswith("0"):
-            self.send(self.peer, {"n": 0, "size_bytes": 256})
+            self.send(self.peer, Probe(body={"n": 0}))
 
     def on_message(self, sender, message):
-        self.log.append((round(self.now, 9), message["n"]))
-        if message["n"] < self.rounds:
-            self.send(sender, {"n": message["n"] + 1, "size_bytes": 256})
+        self.log.append((round(self.now, 9), message.body["n"]))
+        if message.body["n"] < self.rounds:
+            self.send(sender, Probe(body={"n": message.body["n"] + 1}))
 
 
 class PingerHarness(ShardHarness):
@@ -238,7 +248,7 @@ def test_gateway_send_to_undeclared_actor_still_drops():
     network = Network(env, two_site_topology(), jitter_fraction=0.0)
     actor = Pinger(env, "p0", "s0", "nobody", 1)
     network.set_remote_routes({"p1": "s1"})
-    actor.send("nobody", {"n": 0, "size_bytes": 64})
+    actor.send("nobody", Probe(body={"n": 0}))
     assert network.stats.dropped == 1
     assert network.drain_outbox() == []
 
@@ -250,8 +260,8 @@ def test_gateway_send_to_undeclared_actor_still_drops():
 # ---------------------------------------------------------------------------
 
 EXACT_LATENCY = 1 / 64            # lookahead == the (only) link latency
-EXACT_TX = 1 / 256                # (128 default + 66 header) bytes * 8 / bw
-EXACT_BANDWIDTH = 194 * 8 * 256   # makes one default-size message transmit in 2^-8 s
+EXACT_TX = 1 / 256                # (128-byte probe + 66 header) bytes * 8 / bw
+EXACT_BANDWIDTH = 194 * 8 * 256   # makes one probe transmit in 2^-8 s
 EXACT_UNTIL = 16 / 64
 
 
@@ -279,10 +289,10 @@ class ScheduledSender(Actor):
             self.env.simulator.schedule_at(at, self._fire, at)
 
     def _fire(self, at):
-        self.send(self.peer, {"sent_at": at, "size_bytes": 64})
+        self.send(self.peer, Probe(body={"sent_at": at}))
 
     def on_message(self, sender, message):
-        self.log.append((self.now, message["sent_at"]))
+        self.log.append((self.now, message.body["sent_at"]))
 
 
 class SenderHarness(ShardHarness):
@@ -371,12 +381,12 @@ def test_inject_remote_boundary_is_inclusive():
     network = Network(env, exact_topology(), jitter_fraction=0.0)
     receiver = ScheduledSender(env, "x1", "s1", "x0", [])
     env.simulator.run_window(0.5)
-    network.inject_remote([(0.5, "x0", "x1", {"sent_at": 0.25, "size_bytes": 64})])
+    network.inject_remote([(0.5, "x0", "x1", Probe(body={"sent_at": 0.25}))])
     env.run()
     assert receiver.log == [(0.5, 0.25)]
     with pytest.raises(SimulationError, match="lookahead violation"):
         network.inject_remote(
-            [(0.4999, "x0", "x1", {"sent_at": 0.25, "size_bytes": 64})]
+            [(0.4999, "x0", "x1", Probe(body={"sent_at": 0.25}))]
         )
 
 
@@ -387,8 +397,8 @@ def test_outbox_frontier_reports_earliest_departure():
     sender = ScheduledSender(env, "x0", "s0", "x1", [])
     network.set_remote_routes({"x1": "s1"})
     assert network.outbox_frontier is None
-    sender.send("x1", {"sent_at": 0.0, "size_bytes": 64})
-    sender.send("x1", {"sent_at": 0.0, "size_bytes": 64})
+    sender.send("x1", Probe(body={"sent_at": 0.0}))
+    sender.send("x1", Probe(body={"sent_at": 0.0}))
     first = network.outbox_frontier
     assert first == EXACT_TX + EXACT_LATENCY
     records = network.drain_outbox()
@@ -454,10 +464,10 @@ class BurstActor(Actor):
                 )
 
     def _fire(self, burst, index):
-        self.send(self.peer, {"burst": burst, "index": index, "size_bytes": 64})
+        self.send(self.peer, Probe(body={"burst": burst, "index": index}))
 
     def on_message(self, sender, message):
-        self.received.append((round(self.now, 9), message["burst"], message["index"]))
+        self.received.append((round(self.now, 9), message.body["burst"], message.body["index"]))
 
 
 class BurstHarness(ShardHarness):
@@ -757,7 +767,7 @@ class OneWayReceiver(Actor):
         self.received = []
 
     def on_message(self, sender, message):
-        self.received.append((round(self.now, 9), message["burst"], message["index"]))
+        self.received.append((round(self.now, 9), message.body["burst"], message.body["index"]))
 
 
 def build_oneway_shard(index):

@@ -1,11 +1,12 @@
 """Tests of the compact cross-shard wire codec (`repro.sim.network`).
 
 The codec's contract: ``decode_wire(encode_wire(x)) == x`` for every payload
-the barrier plane ships — registered protocol dataclasses in positional tuple
-form, the ``RingSegment`` columnar/run-length form, and arbitrary unregistered
-objects via pickle's default path — while never aliasing distinct mutable
-instances on the receiving side and always preserving the ``SKIP`` sentinel's
-identity.
+the barrier plane ships — dataclasses in positional tuple form, the
+``RingSegment`` columnar/run-length form of its own ``__reduce__``, and every
+other object via pickle's default path — while never aliasing distinct
+mutable instances on the receiving side and always preserving the ``SKIP``
+sentinel's identity.  Nothing registers: the dataclass declaration is the
+layout.
 
 The shipped codec compiles one reducer and one builder per class; the
 one-hook-per-object codec it replaced lives on in ``tests/reference/wire.py``
@@ -25,16 +26,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.parallel import run_fig6_sharded, run_fig7_sharded
-from repro.core.client import Command
+from repro.core.client import Command, CommandBatch
 from repro.multiring.merge import RingSegment
-from repro.net.message import Batch, ClientRequest, Message
-from repro.paxos.messages import SKIP, Decision, ProposalValue
+from repro.net.message import ClientRequest, Message
+from repro.paxos.messages import SKIP, Decision, ProposalValue, RetransmitReply
 from repro.ringpaxos.coordinator import PackedValues
 from repro.sim import network, parallel
-from repro.sim.network import decode_wire, encode_wire, register_wire_type, wire_fields
+from repro.sim.network import decode_wire, encode_wire
 from tests import golden
 from tests.conftest import mutate
-from tests.reference.wire import reference_decode, reference_encode
+from tests.reference.wire import plain_pickle, reference_decode, reference_encode
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +117,9 @@ def _segments():
 def _remote_messages():
     message = st.one_of(
         _proposal_values(),
-        st.builds(Batch, messages=st.lists(st.builds(ClientRequest), max_size=3)),
+        st.builds(ClientRequest, client=_names),
+        st.builds(RetransmitReply, ring_id=_ints,
+                  decided=st.lists(st.tuples(_ints, _proposal_values()), max_size=3)),
         st.builds(Decision, ring_id=_ints, instance=_ints, value=_proposal_values()),
     )
     return st.tuples(_floats, _names, _names, message)
@@ -195,7 +198,7 @@ def test_segment_consecutive_instances_compress():
     dense = RingSegment(
         entries=[(i, ProposalValue(SKIP, 0, "", 0, 0.0)) for i in range(1000)]
     )
-    assert len(encode_wire(dense)) < len(pickle.dumps(dense)) / 10
+    assert len(encode_wire(dense)) < len(plain_pickle(dense)) / 10
     # Non-consecutive numbering still round-trips exactly.
     sparse = RingSegment(
         entries=[(i * 3 + 1, ProposalValue(SKIP, 0, "", 0, 0.0)) for i in range(10)]
@@ -203,25 +206,92 @@ def test_segment_consecutive_instances_compress():
     assert decode_wire(encode_wire(sparse)) == sparse
 
 
-def test_unregistered_payloads_pass_through():
+def test_non_dataclass_payloads_pass_through():
     payload = {"arbitrary": [1, 2.5, ("nested", None)], "set": frozenset({1, 2})}
     assert decode_wire(encode_wire(payload)) == payload
 
 
-def test_protocol_classes_are_registered():
-    for cls in (Message, Batch, ClientRequest, Command, ProposalValue, Decision, PackedValues):
-        names = wire_fields(cls)
-        assert names, f"{cls.__name__} is not wire-registered"
-        # The frozen field order must cover cached derived fields too, so
-        # positional rebuild restores them without re-running __post_init__.
-        assert all(isinstance(name, str) for name in names)
+def _protocol_messages():
+    """Every ``Message`` subclass ``repro`` declares a dataclass, ``Message`` included."""
+    found, pending = [], [Message]
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.__subclasses__())
+        if cls.__module__.startswith("repro.") and "__dataclass_fields__" in vars(cls):
+            found.append(cls)
+    return found
+
+
+def test_protocol_classes_ship_positionally_with_their_sizes():
+    messages = _protocol_messages()
+    assert {Message, ClientRequest, Decision, RetransmitReply} <= set(messages)
+    value = ProposalValue(Command(op="append", args=(1,), command_id=3), 96, "p", 4, 0.5)
+    samples = [cls(payload_bytes=100) for cls in messages] + [
+        value,
+        Command(op="scan", args=(0, 9), size_bytes=80, command_id=5),
+        CommandBatch(group_id=1, commands=[Command(op="read", command_id=6)]),
+        # PackedValues is sized by the ProposalValue carrying it.
+        ProposalValue(PackedValues(values=[value, value]), 2 * 96, "coord", 0),
+    ]
+    for sample in samples:
+        frame = encode_wire(sample)
+        assert b"_wire_build" in frame, type(sample).__name__
+        decoded = decode_wire(frame)
+        assert type(decoded) is type(sample) and decoded == sample
+        # ``size_bytes`` is a cached field (or a property over fields), so it
+        # survives a rebuild that never runs ``__post_init__``.
+        assert decoded.size_bytes == sample.size_bytes, type(sample).__name__
 
 
 def test_cached_sizes_survive_positional_rebuild():
-    batch = Batch(messages=[ClientRequest(client="c0"), ClientRequest(client="c1")])
-    decoded = decode_wire(encode_wire(batch))
-    assert decoded.size_bytes == batch.size_bytes
-    assert decoded.payload_bytes == batch.payload_bytes
+    decided = [(i, ProposalValue(Command(op="read", command_id=i), 64, "p", i)) for i in range(3)]
+    reply = RetransmitReply(ring_id=1, decided=decided)
+    decoded = decode_wire(encode_wire(reply))
+    assert decoded.size_bytes == reply.size_bytes
+    assert decoded.payload_bytes == reply.payload_bytes == 3 * 64
+
+
+@dataclass
+class _Point:
+    x: int
+    label: str = ""
+
+
+class _LabelledPoint(_Point):
+    """A plain subclass: its instance attributes are not dataclass fields."""
+
+    def __init__(self, x, note):
+        super().__init__(x)
+        self.note = note
+
+
+@dataclass
+class _SelfReduced:
+    x: int
+
+    def __reduce__(self):
+        return _SelfReduced, (self.x,)
+
+
+def test_a_test_local_dataclass_ships_positionally_without_registration():
+    payload = [_Point(1, "a"), _Point(1, "a"), _Point(2)]
+    assert b"_wire_build" in encode_wire(payload)
+    _assert_matches_reference(payload)
+
+
+def test_a_plain_subclass_of_a_dataclass_keeps_its_attributes():
+    point = _LabelledPoint(3, "kept")
+    decoded = decode_wire(encode_wire(point))
+    assert (decoded.x, decoded.note) == (3, "kept")
+    assert encode_wire(point) == pickle.dumps(point, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def test_a_dataclass_with_its_own_reduce_keeps_it():
+    # (An empty segment: the values of a full one would ship positionally.)
+    for obj in (_SelfReduced(4), RingSegment(1, 5)):
+        frame = encode_wire(obj)
+        assert frame == pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        assert decode_wire(frame) == obj
 
 
 @dataclass(frozen=True)
@@ -231,11 +301,7 @@ class _Frozen:
 
 
 def test_a_class_guarding_setattr_is_rebuilt_around_it():
-    register_wire_type(_Frozen)
-    try:
-        _assert_matches_reference([_Frozen(1, "a"), _Frozen(1, "a"), _Frozen(2, "b")])
-    finally:
-        del network._WIRE_FIELDS[_Frozen], network._WIRE_CODECS[_Frozen]
+    _assert_matches_reference([_Frozen(1, "a"), _Frozen(1, "a"), _Frozen(2, "b")])
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +327,7 @@ def _run_with_checked_frames(monkeypatch, spool: Path, run):
         _assert_matches_reference(payload, graph=payload[0] == "out")
         frame = encode_wire(payload)
         with open(spool / str(os.getpid()), "a") as tally:
-            tally.write(f"{len(frame)} {len(pickle.dumps(payload))}\n")
+            tally.write(f"{len(frame)} {len(plain_pickle(payload))}\n")
         return frame
 
     monkeypatch.setattr(parallel, "encode_wire", checked)
