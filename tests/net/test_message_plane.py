@@ -85,6 +85,65 @@ def test_blocked_unsized_send_is_a_drop(dst):
     assert network.stats == MessageStats(dropped=1)
 
 
+def test_unsized_send_to_an_unknown_destination_is_a_drop():
+    # An unresolvable destination is dropped before the size is read.
+    _env, network, _receiver = _network()
+    network.send("a", "nobody", _Unsized())
+    assert network.stats == MessageStats(dropped=1)
+    assert ("a", "nobody") not in network._connections
+
+
+def test_gateway_connection_is_cached_without_a_deliver():
+    _env, network, _receiver = _network()
+    network.send("a", "r", Message(payload_bytes=10))
+    network.send("a", "b", Message(payload_bytes=10))
+    gateway = network._connections[("a", "r")]
+    local = network._connections[("a", "b")]
+    assert gateway.deliver is None and callable(local.deliver)
+    # Both resolve to the one s0 -> s1 channel.
+    assert gateway.channel is local.channel is network._channels[("s0", "s1")]
+    network.send("a", "r", Message(payload_bytes=10))
+    assert network._connections[("a", "r")] is gateway
+    assert [dst for _, _, dst, _ in network.drain_outbox()] == ["r", "r"]
+
+
+def test_gateway_and_local_sends_are_timed_alike():
+    # The same sends, once to the local receiver and once through the
+    # gateway: the outbox records the very times the heap delivers at.
+    sends = [Message(payload_bytes=size) for size in (100, 900, 40)]
+    env, network, receiver = _network()
+    for message in sends:
+        network.send("a", "b", message)
+    env.run()
+    _twin_env, gateway, _twin_receiver = _network()
+    for message in sends:
+        gateway.send("a", "r", message)
+    outbox = gateway.drain_outbox()
+    assert [(at, message) for at, _, _, message in outbox] == receiver.received
+    assert gateway.stats == network.stats
+
+
+def test_gateway_sends_occupy_the_shared_channel():
+    # Interleaving a gateway send between two local ones charges the channel
+    # exactly as three local sends would: the gateway record gets the second
+    # delivery time.  (1 kB messages: transmission outlasts any jitter, so
+    # per-connection FIFO never clamps.)
+    sends = [Message(payload_bytes=1000) for _ in range(3)]
+    all_local_env, all_local, all_local_receiver = _network()
+    for message in sends:
+        all_local.send("a", "b", message)
+    all_local_env.run()
+    env, network, receiver = _network()
+    for message, dst in zip(sends, ["b", "r", "b"]):
+        network.send("a", dst, message)
+    assert network._channels[("s0", "s1")].free_at == all_local._channels[("s0", "s1")].free_at
+    outbox = network.drain_outbox()
+    env.run()
+    times = [at for at, _ in all_local_receiver.received]
+    assert [at for at, _, _, _ in outbox] == times[1:2]
+    assert [at for at, _ in receiver.received] == [times[0], times[2]]
+
+
 @pytest.mark.parametrize("dst", ["b", "r"], ids=["local", "gateway"])
 def test_declared_size_is_charged_with_the_header(dst):
     _env, network, _receiver = _network()

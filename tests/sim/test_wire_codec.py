@@ -279,6 +279,26 @@ def test_a_test_local_dataclass_ships_positionally_without_registration():
     _assert_matches_reference(payload)
 
 
+@dataclass
+class _Counted:
+    n: int
+
+
+def test_a_dataclass_codec_is_compiled_once(monkeypatch):
+    compiled, compile_codec = [], network._compile_wire_codec
+
+    def counting(cls):
+        compiled.append(cls)
+        return compile_codec(cls)
+
+    monkeypatch.setattr(network, "_WIRE_CODECS", network._WireCodecs())
+    monkeypatch.setattr(network, "_compile_wire_codec", counting)
+    for _ in range(3):
+        frame = encode_wire([_Counted(1), _Counted(2)])
+        assert decode_wire(frame) == [_Counted(1), _Counted(2)]
+    assert compiled == [_Counted]
+
+
 def test_a_plain_subclass_of_a_dataclass_keeps_its_attributes():
     point = _LabelledPoint(3, "kept")
     decoded = decode_wire(encode_wire(point))
