@@ -228,8 +228,11 @@ def run_fig7_point(
     """Run one region-count point of Figure 7 on one event loop.
 
     The original globally ordered deployment: every region's partition ring
-    plus the global ring all replicas subscribe to.  (On several cores:
-    :func:`repro.bench.parallel.run_fig7_sharded`.)  Clients are open-loop at
+    plus the global ring all replicas subscribe to, whose acceptors are the
+    partitions' ``kv<g>-node0``.  (On several cores,
+    :func:`repro.bench.parallel.run_fig7_sharded` gives the global ring
+    dedicated acceptors instead, because these shared ones tie every ring
+    into one shard.)  Clients are open-loop at
     ``offered_rate_per_region``: the paper's scalability argument is that
     "the local throughput of a region is not influenced by other regions",
     so the reproduction offers the same load per region and checks that

@@ -15,13 +15,21 @@ configurations per figure:
   participates in rings of two shards.  This isolates the paper's scaling
   claim (rings do not interfere) but is *not* the deployment the figures
   measured.
-* ``configuration="shared"`` — the figures' **original** shape: Figure 6's
-  learner subscribes to every log ring plus a common ring, Figure 7's
-  replicas subscribe to their partition ring plus a global ring.  The rings
-  share *learners only*, so each ring still runs in its own shard.  The
-  shared learner itself is **reactive**: the run executes in barrier windows
-  (``segment_interval``), every shard ships the decision-stream segments it
-  recorded since the last barrier (skips included, with its watermark), and
+* ``configuration="shared"`` — Figure 6's learner subscribes to every log
+  ring plus a common ring, Figure 7's replicas to their partition ring plus
+  a global ring.  The rings share *learners only*, so each ring still runs
+  in its own shard.  For Figure 6 that is the single-process deployment
+  (both build the common ring from ``dlogc-node0/1`` plus
+  ``dlog-replica0``).  For Figure 7 it is not: here the global ring runs on
+  dedicated per-region acceptors ``kvg-node<g>``, whereas
+  :func:`~repro.bench.fig7_horizontal.run_fig7_point` (through
+  :class:`~repro.kvstore.service.MRPStoreService`) reuses each partition's
+  ``kv<g>-node0``, which couples the partition rings and the global ring by
+  traffic so that they cannot be split.  The two runners measure different
+  deployments.  The shared learner itself is **reactive**: the run executes
+  in barrier windows (``segment_interval``), every shard ships the
+  decision-stream segments it recorded since the last barrier (skips
+  included, with its watermark), and
   a parent-hosted :class:`~repro.core.smr.ReactiveReplicaHost` — a *real*
   MRP-Store/dLog replica driven by a streaming
   :class:`~repro.multiring.merge.MergeCursor` — applies merged deliveries
@@ -82,7 +90,7 @@ DEFAULT_SEGMENT_INTERVAL = 0.25
 
 
 # ---------------------------------------------------------------------------
-# Shared-learner (original-configuration) shards and reporting: the reactive
+# Shared-learner (shared-configuration) shards and reporting: the reactive
 # merge stage itself is :class:`repro.core.smr.ReactiveMergeStage`, the
 # figures' own deployments are built by ``build_fig6_shard`` /
 # ``build_fig7_shard``
@@ -151,11 +159,12 @@ def _build_idle_ring_shard(payload: Dict[str, Any]) -> Measurement:
     Figure 6's common ring and Figure 7's global ring carry no client traffic
     — they exist so every learner shares one ring — so the shard is just the
     ring's proposer/acceptor front ends (``payload["idle_ring"]`` names them
-    and their sites: two on the local cluster for Figure 6, one dedicated
-    node per region for Figure 7 — the ``dedicated_global_acceptors`` shape
-    of :class:`repro.kvstore.service.MRPStoreService`, which is what makes
-    that deployment share learners only) plus one recording learner standing
-    in for the shared learners' subscription.  Its rate-leveled skip stream
+    and their sites: ``dlogc-node0/1`` on the local cluster for Figure 6, as
+    in the single-process deployment; one dedicated ``kvg-node<g>`` per region
+    for Figure 7, where the single-process deployment reuses each partition's
+    ``kv<g>-node0`` instead — dedicated acceptors are what make the sharded
+    deployment share learners only) plus one recording learner standing in
+    for the shared learners' subscription.  Its rate-leveled skip stream
     is exactly what the merge stage needs to advance each round-robin past
     the idle ring.
     """
@@ -406,13 +415,18 @@ def run_fig7_sharded(
     shard id) — the flash-crowd determinism differential compares these
     across runs and worker counts.
 
-    ``configuration="shared"`` runs the figure's *original* shape — every
-    region's partition ring plus the global ring all replicas subscribe to —
-    with the global ring in its own shard and a parent-hosted **reactive**
-    merge stage: one real MRP-Store replica per region applies its merged
-    round-robin order (partition ring + global ring) barrier by barrier as
-    the shards stream their decision-stream segments, with client-visible
-    latency accounting (``reactive_latency_*``, ``merge_stage_s``).  With
+    ``configuration="shared"`` runs every region's partition ring plus a
+    global ring all replicas subscribe to, with the global ring on dedicated
+    per-region acceptors ``kvg-node<g>`` in its own shard.  That is not
+    :func:`~repro.bench.fig7_horizontal.run_fig7_point`'s deployment: there
+    each partition's ``kv<g>-node0`` is also a global-ring acceptor, which
+    couples every ring by traffic into one unsplittable component.  Shared
+    learners are all the rings have in common here, so they shard, with a
+    parent-hosted **reactive** merge stage: one real MRP-Store replica per
+    region applies its merged round-robin order (partition ring + global
+    ring) barrier by barrier as the shards stream their decision-stream
+    segments, with client-visible latency accounting (``reactive_latency_*``,
+    ``merge_stage_s``).  With
     ``record_deliveries=True`` the reactively applied merge output is
     reported under ``series['merged_deliveries']`` (keyed by replica name),
     alongside the bit-identical offline replay

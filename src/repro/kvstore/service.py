@@ -46,8 +46,6 @@ class MRPStoreService:
         replicas_per_partition: int = 2,
         site_for_partition: Optional[Dict[int, str]] = None,
         global_ring_id: Optional[int] = None,
-        global_ring_config: Optional[MultiRingConfig] = None,
-        dedicated_global_acceptors: bool = False,
         config: Optional[MultiRingConfig] = None,
     ) -> None:
         if not partition_groups:
@@ -60,19 +58,12 @@ class MRPStoreService:
         self.commands = MRPStoreCommands(self.partitioner)
         self.frontends: Dict[int, List[ProposerFrontend]] = {}
         self.replicas: Dict[int, List[MRPStoreReplica]] = {}
-        #: proposer/acceptor processes owned by the global ring itself (only
-        #: populated with ``dedicated_global_acceptors=True``)
-        self.global_frontends: List[ProposerFrontend] = []
         self._sites = site_for_partition or {}
 
         for group in self.groups:
             self._build_partition(group, acceptors_per_partition, replicas_per_partition)
         if global_ring_id is not None:
-            self._build_global_ring(
-                global_ring_id,
-                global_ring_config or self.config,
-                dedicated=dedicated_global_acceptors,
-            )
+            self._build_global_ring(global_ring_id)
 
         system.coordination.put("kvstore/partition-map", self.partitioner)
 
@@ -100,36 +91,22 @@ class MRPStoreService:
         self.frontends[group] = frontends
         self.replicas[group] = partition_replicas
 
-    def _build_global_ring(
-        self, ring_id: int, config: MultiRingConfig, dedicated: bool = False
-    ) -> None:
+    def _build_global_ring(self, ring_id: int) -> None:
         # Ring order matters for latency in a geo-distributed deployment: the
         # circulation should visit each region once, with that region's
         # acceptor and replicas adjacent, instead of criss-crossing the WAN.
         members: List[RingMember] = []
         for group in self.groups:
-            if dedicated:
-                # The global ring runs on its own proposer/acceptor processes
-                # (one per region).  The partition rings and the global ring
-                # then share *learners only* — the shape the shard planner
-                # (`plan_shards(shared_learners=...)`) can split across
-                # workers with a parent-side merge stage.
-                site = self._sites.get(group, "dc1")
-                if not self.system.topology.has_site(site):
-                    site = self.system.topology.sites()[0].name
-                frontend = ProposerFrontend(
-                    self.system.env, f"kvg-node{group}", site=site, config=config
-                )
-                self.global_frontends.append(frontend)
-            else:
-                # One front-end per partition also acts as proposer/acceptor
-                # of the global ring, so cross-partition commands can be
-                # ordered globally.
-                frontend = self.frontends[group][0]
+            # Each partition's first front-end (`kv<g>-node0`) also acts as
+            # proposer/acceptor of the global ring, so cross-partition
+            # commands can be ordered globally.  That couples the partition
+            # rings and the global ring by traffic, not only by learners: the
+            # whole service is one ring component and runs in one shard.
+            frontend = self.frontends[group][0]
             members.append(RingMember(name=frontend.name, proposer=True, acceptor=True, learner=False))
             for replica in self.replicas[group]:
                 members.append(RingMember(name=replica.name, proposer=False, acceptor=False, learner=True))
-        self.system.create_ring(ring_id, members, config=config)
+        self.system.create_ring(ring_id, members, config=self.config)
 
     # -------------------------------------------------------------- accessors
     def all_replicas(self) -> List[MRPStoreReplica]:

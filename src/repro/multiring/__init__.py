@@ -1,14 +1,11 @@
 """Multi-Ring Paxos: atomic multicast from coordinated Ring Paxos instances."""
 
-from .group import GroupSubscriptions, MulticastGroup
 from .merge import DeterministicMerger, MergeCursor, RingSegmentBuffer, replay_streams
 from .process import MultiRingProcess
 from .ratelevel import GLOBAL_RATE_LEVELER, LOCAL_RATE_LEVELER, RateLeveler
-from .sharding import ShardPlan, conservative_lookahead, plan_shards, ring_components
+from .sharding import ring_components
 
 __all__ = [
-    "GroupSubscriptions",
-    "MulticastGroup",
     "DeterministicMerger",
     "MergeCursor",
     "RingSegmentBuffer",
@@ -17,8 +14,5 @@ __all__ = [
     "GLOBAL_RATE_LEVELER",
     "LOCAL_RATE_LEVELER",
     "RateLeveler",
-    "ShardPlan",
-    "conservative_lookahead",
-    "plan_shards",
     "ring_components",
 ]

@@ -1,53 +1,34 @@
-"""Shard planning: partition a multi-ring deployment across workers.
+"""Ring components: the unit of sharded execution.
 
 Multi-Ring Paxos scales by adding independent rings (Section 6 of the paper);
 the parallel engine (:mod:`repro.sim.parallel`) exploits exactly that
 independence to spread a simulated deployment over real cores.  The unit of
 sharding is a **ring component**: the set of rings transitively connected by
-a shared process.  A process that learns from (or proposes to) two rings ties
-those rings together — its deterministic merger consumes both streams, so
-they must execute in the same shard (*shard-aware subscription*).
+a shared process.  A process that proposes to or accepts in two rings ties
+those rings together — it generates traffic in both — so they must execute
+in the same shard.
 
-:func:`plan_shards` groups rings into components, balances components over
-the requested worker count and derives the conservative **lookahead** (the
-window length of the barrier synchronisation) as the minimum network latency
-between sites hosting different shards.  Deployments whose shards never talk
-to each other get ``lookahead = None`` — a single window, the embarrassingly
-parallel case.
-
-Shared-learner deployments
---------------------------
-A process that is a **learner only** does not have to couple the rings it
-subscribes to: its deterministic merge is a pure function of the per-ring
-decision streams (:func:`repro.multiring.merge.replay_streams`), so the rings
-can run in separate shards that record their streams and a **merge stage** in
-the parent reconstructs the learner's delivery order afterwards.  Passing
-``shared_learners`` to :func:`plan_shards` opts those processes out of the
-component computation; the resulting plan lists them in
-:attr:`ShardPlan.merge_learners` together with the groups whose streams the
-merge stage must replay.  Coordinators and acceptors can never be shared this
-way — they *generate* ring traffic, so a shared one genuinely couples the
-rings.
+A process that is a **learner only** need not couple the rings it subscribes
+to: its deterministic merge is a pure function of the per-ring decision
+streams, so a caller that leaves such learners out of ``ring_members`` gets
+components that a parent-side merge stage can reunite.  The chaos planner
+(:func:`repro.chaos.scenario.shardable_components`) does exactly that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping
 
-from ..sim.topology import Topology
-from .group import GroupSubscriptions
-
-__all__ = ["ShardPlan", "ring_components", "conservative_lookahead", "plan_shards"]
+__all__ = ["ring_components"]
 
 
 def ring_components(ring_members: Mapping[int, Iterable[str]]) -> List[List[int]]:
     """Partition rings into components connected by shared processes.
 
-    ``ring_members`` maps each ring id to the names of its member processes
-    (any role — a shared learner couples rings just as much as a shared
-    proposer).  Returns components as sorted lists of ring ids, ordered by
-    their smallest ring id, so the partition is deterministic.
+    ``ring_members`` maps each ring id to the names of the member processes
+    that couple it (every name counts, whatever its role).  Returns
+    components as sorted lists of ring ids, ordered by their smallest ring
+    id, so the partition is deterministic.
 
     >>> ring_components({0: ["a", "b"], 1: ["c"], 2: ["b", "d"]})
     [[0, 2], [1]]
@@ -75,224 +56,3 @@ def ring_components(ring_members: Mapping[int, Iterable[str]]) -> List[List[int]
     for ring in sorted(ring_members):
         components.setdefault(find(ring), []).append(ring)
     return [components[root] for root in sorted(components)]
-
-
-def _sites_by_shard(
-    actor_sites: Mapping[str, str],
-    actor_shard: Mapping[str, int],
-) -> Dict[int, set]:
-    """Sites hosting each shard's actors (shared by planning and lookahead)."""
-    sites_of_shard: Dict[int, set] = {}
-    for name, shard in actor_shard.items():
-        site = actor_sites.get(name)
-        if site is not None:
-            sites_of_shard.setdefault(shard, set()).add(site)
-    return sites_of_shard
-
-
-def conservative_lookahead(
-    topology: Topology,
-    actor_sites: Mapping[str, str],
-    actor_shard: Mapping[str, int],
-) -> Optional[float]:
-    """Minimum latency between sites hosting actors of different shards.
-
-    This is the safe window length for barrier synchronisation: a message
-    sent inside a window cannot be due before the next one starts.  Returns
-    ``None`` when no two shards share a defined link (including the
-    degenerate single-shard case) — the shards cannot exchange messages, so
-    windows are unnecessary.
-
-    Two shards hosting actors on the *same* site would force a lookahead of
-    the intra-site latency (typically tens of microseconds — windows so small
-    that parallelism cannot pay); that is reported as a plan error by
-    :func:`plan_shards` rather than silently accepted here.
-    """
-    sites_of_shard = _sites_by_shard(actor_sites, actor_shard)
-    minimum: Optional[float] = None
-    shard_ids = sorted(sites_of_shard)
-    for i, a in enumerate(shard_ids):
-        for b in shard_ids[i + 1:]:
-            for site_a in sites_of_shard[a]:
-                for site_b in sites_of_shard[b]:
-                    try:
-                        latency = min(
-                            topology.latency(site_a, site_b),
-                            topology.latency(site_b, site_a),
-                        )
-                    except KeyError:
-                        continue
-                    if minimum is None or latency < minimum:
-                        minimum = latency
-    return minimum
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """Assignment of ring components to shards plus the derived lookahead."""
-
-    #: ring ids per shard, indexed by shard id
-    shards: Tuple[Tuple[int, ...], ...]
-    #: every member process mapped to its shard
-    actor_shard: Mapping[str, int]
-    #: barrier window length; ``None`` = no cross-shard links, single window
-    lookahead: Optional[float]
-    #: learner-only processes whose subscriptions span several shards, mapped
-    #: to the (sorted) groups a merge stage must replay for them; empty when
-    #: the plan needs no merge stage
-    merge_learners: Mapping[str, Tuple[int, ...]] = field(default_factory=dict)
-
-    @property
-    def shard_count(self) -> int:
-        """Number of shards in the plan."""
-        return len(self.shards)
-
-    def shard_of_ring(self, ring_id: int) -> int:
-        """The shard executing ``ring_id``."""
-        for shard, rings in enumerate(self.shards):
-            if ring_id in rings:
-                return shard
-        raise KeyError(f"ring {ring_id} is not in the plan")
-
-    def rings_of_shard(self, shard_id: int) -> List[int]:
-        """Ring ids assigned to ``shard_id`` (sorted)."""
-        return list(self.shards[shard_id])
-
-
-def plan_shards(
-    ring_members: Mapping[int, Iterable[str]],
-    workers: int,
-    actor_sites: Optional[Mapping[str, str]] = None,
-    topology: Optional[Topology] = None,
-    subscriptions: Optional[GroupSubscriptions] = None,
-    shared_learners: Optional[Iterable[str]] = None,
-) -> ShardPlan:
-    """Build a deterministic shard plan for a multi-ring deployment.
-
-    Parameters
-    ----------
-    ring_members:
-        Ring id → member process names (all roles).
-    workers:
-        Desired shard count; clamped to the number of independent ring
-        components (a component can never be split — its rings share
-        processes).
-    actor_sites, topology:
-        When both are given the plan's ``lookahead`` is derived from the
-        topology (minimum cross-shard link latency); shards that would share
-        a site are rejected, because the resulting intra-site lookahead is
-        too small for windowed execution to be worthwhile.  When omitted the
-        deployment is assumed to exchange no cross-shard messages
-        (``lookahead = None``).
-    subscriptions:
-        Optional learner subscriptions to validate against: every learner's
-        subscribed groups must land in one shard (they do by construction of
-        the components when ``ring_members`` includes learners; passing the
-        subscriptions catches callers that did not).  Subscriptions held by
-        ``shared_learners`` are exempt — the merge stage reconstructs them.
-    shared_learners:
-        Learner-*only* processes allowed to span shards.  They are excluded
-        from the component computation, so rings coupled solely by a shared
-        learner land in separate shards; the plan lists each such learner in
-        :attr:`ShardPlan.merge_learners` with the groups whose recorded
-        streams the merge stage must replay
-        (:func:`repro.multiring.merge.replay_streams`).
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    ring_members = {ring: list(members) for ring, members in ring_members.items()}
-    shared: FrozenSet[str] = frozenset(shared_learners or ())
-    coupling_members = {
-        ring: [name for name in members if name not in shared]
-        for ring, members in ring_members.items()
-    }
-    components = ring_components(coupling_members)
-    shard_count = min(workers, len(components))
-
-    # Greedy balance: biggest components first, always onto the lightest
-    # shard (ties to the lowest shard id).  Candidates are ordered by
-    # (-weight, canonical component name) — the full sorted ring-id tuple —
-    # so the plan is a pure function of the input and can never depend on
-    # set/dict iteration order.
-    weights = {
-        tuple(comp): sum(len(ring_members[ring]) for ring in comp)
-        for comp in components
-    }
-    order = sorted(
-        (tuple(comp) for comp in components),
-        key=lambda comp: (-weights[comp], comp),
-    )
-    loads = [0] * shard_count
-    shards: List[List[int]] = [[] for _ in range(shard_count)]
-    for comp in order:
-        target = min(range(shard_count), key=lambda s: (loads[s], s))
-        shards[target].extend(comp)
-        loads[target] += weights[comp]
-    shard_tuples = tuple(tuple(sorted(rings)) for rings in shards)
-
-    actor_shard: Dict[str, int] = {}
-    for shard_id, rings in enumerate(shard_tuples):
-        for ring in rings:
-            for name in ring_members[ring]:
-                if name not in shared:
-                    actor_shard[name] = shard_id
-
-    ring_shard = {
-        ring: shard_id
-        for shard_id, rings in enumerate(shard_tuples)
-        for ring in rings
-    }
-    merge_learners: Dict[str, Tuple[int, ...]] = {}
-    for name in sorted(shared):
-        groups = sorted(
-            ring for ring, members in ring_members.items() if name in members
-        )
-        owners = {ring_shard[ring] for ring in groups if ring in ring_shard}
-        if len(owners) > 1:
-            merge_learners[name] = tuple(groups)
-        elif owners:
-            # All of this learner's rings landed in one shard after all: it
-            # can simply live there, no merge stage needed.
-            actor_shard[name] = owners.pop()
-
-    if subscriptions is not None:
-        effective = subscriptions
-        if shared:
-            effective = GroupSubscriptions()
-            for process in subscriptions.processes():
-                if process in shared:
-                    continue
-                for group in subscriptions.groups_of(process):
-                    effective.subscribe(process, group)
-        for component in effective.co_subscription_components():
-            owners = {
-                ring_shard[group] for group in component if group in ring_shard
-            }
-            if len(owners) > 1:
-                raise ValueError(
-                    f"groups {component} are merged by a common subscriber but "
-                    f"the plan spreads them over shards {sorted(owners)}; "
-                    "co-subscribed groups must be co-located (or the subscriber "
-                    "declared in shared_learners for merge-stage execution)"
-                )
-
-    lookahead: Optional[float] = None
-    if actor_sites is not None and topology is not None and shard_count > 1:
-        sites_of_shard = _sites_by_shard(actor_sites, actor_shard)
-        seen: Dict[str, int] = {}
-        for shard, sites in sorted(sites_of_shard.items()):
-            for site in sites:
-                if site in seen and seen[site] != shard:
-                    raise ValueError(
-                        f"site {site!r} hosts actors of shards {seen[site]} and "
-                        f"{shard}; co-located shards cannot run under windowed "
-                        "synchronisation (lookahead would be the intra-site latency)"
-                    )
-                seen[site] = shard
-        lookahead = conservative_lookahead(topology, actor_sites, actor_shard)
-    return ShardPlan(
-        shards=shard_tuples,
-        actor_shard=actor_shard,
-        lookahead=lookahead,
-        merge_learners=merge_learners,
-    )

@@ -68,8 +68,11 @@ incarnation's re-emitted prefix is deduped by the cursor.  Shard sets that
 exchange no messages can still request barriers purely as a streaming
 cadence with ``segment_interval=`` — any interval is safe because no
 cross-shard message exists to be late, and the event schedule is untouched
-(windowed execution runs the exact same events as a single window).  See
-:mod:`repro.multiring.sharding` and :mod:`repro.bench.parallel`.
+(windowed execution runs the exact same events as a single window).  The
+callers plan their own shards: the chaos planner splits a scenario into
+:func:`~repro.multiring.sharding.ring_components`
+(:func:`repro.chaos.scenario.shardable_components`), and
+:mod:`repro.bench.parallel` puts one ring or region per shard.
 
 Barrier-plane mechanics (round 2)
 ---------------------------------
@@ -306,11 +309,11 @@ class ShardSpec:
     :class:`ShardHarness`.  The builder must be a module-level callable so the
     spec can cross the ``multiprocessing`` boundary.
 
-    ``weight`` is the shard's expected relative load (e.g. its actor or
-    client count, see :func:`repro.multiring.sharding.plan_shards`): the
-    engine balances shards over workers by weight, heaviest first, so one
-    heavyweight shard does not share a worker with others while a peer
-    worker sits near idle.
+    ``weight`` is the shard's expected relative load (e.g. its ring count, as
+    the chaos planner sets it, or its driven clients, as the sharded figure
+    runners do): the engine balances shards over workers by weight, heaviest
+    first, so one heavyweight shard does not share a worker with others while
+    a peer worker sits near idle.
     """
 
     shard_id: int
@@ -560,7 +563,6 @@ def run_sharded(
     until: Optional[float] = None,
     workers: int = 1,
     lookahead: Optional[float] = None,
-    mp_context: Optional[str] = None,
     segment_interval: Optional[float] = None,
     segment_sink: Optional[Callable[[Dict[int, Any]], None]] = None,
 ) -> ParallelRunResult:
@@ -582,15 +584,12 @@ def run_sharded(
         Clamped to the shard count.
     lookahead:
         Safe window length in simulated seconds — must not exceed the minimum
-        cross-shard message latency (see
-        :func:`repro.multiring.sharding.plan_shards`, which computes it from
-        the topology).  Every barrier advances to the global event horizon,
-        ``min(next local event, next cross-shard arrival) + lookahead``, so
-        idle stretches cost one barrier.  ``None`` means the shards exchange
-        no messages and run in a single window.
-    mp_context:
-        ``multiprocessing`` start method; defaults to ``fork`` when
-        available.
+        latency of any link between sites hosting different shards (the
+        caller knows its topology; shards sharing a site would force the
+        intra-site latency).  Every barrier advances to the global event
+        horizon, ``min(next local event, next cross-shard arrival) +
+        lookahead``, so idle stretches cost one barrier.  ``None`` means the
+        shards exchange no messages and run in a single window.
     segment_interval:
         Streaming cadence in simulated seconds for shard sets that exchange
         **no** cross-shard messages: barriers are run purely so shards can
@@ -648,8 +647,7 @@ def run_sharded(
             )
         else:
             results, windows, cross, events, stats = _run_multiprocess(
-                specs, until, lookahead, workers, mp_context,
-                segment_interval, segment_sink,
+                specs, until, lookahead, workers, segment_interval, segment_sink,
             )
     wall = time.perf_counter() - start
     return ParallelRunResult(
@@ -1028,13 +1026,9 @@ class _PipeTransport:
         return outbound, dict(self._events), dict(self._horizons), segments
 
 
-def _run_multiprocess(
-    specs, until, lookahead, workers, mp_context, segment_interval, segment_sink,
-):
-    if mp_context is None:
-        methods = multiprocessing.get_all_start_methods()
-        mp_context = "fork" if "fork" in methods else methods[0]
-    ctx = multiprocessing.get_context(mp_context)
+def _run_multiprocess(specs, until, lookahead, workers, segment_interval, segment_sink):
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
 
     assignment = _assign_shards(specs, workers)
 

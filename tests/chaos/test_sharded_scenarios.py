@@ -11,10 +11,13 @@ its stats.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.chaos.scenario import (
     _run_amcast_sharded,
+    _split_amcast_spec,
     generate_spec,
     run_scenario,
     shardable_components,
@@ -22,6 +25,154 @@ from repro.chaos.scenario import (
 )
 from repro.multiring import merge
 from tests.conftest import mutate
+
+
+# ---------------------------------------------------------------------------
+# The planner on hand-written specs
+# ---------------------------------------------------------------------------
+
+def _spec(rings, schedule=(), messages=(), family="amcast"):
+    """A minimal amcast spec: what the planner and the splitter read."""
+    names = sorted({name for members in rings.values() for name, _ in members})
+    return {
+        "family": family,
+        "seed": 5,
+        "sites": ["s0", "s1"],
+        "processes": {name: "s0" for name in names},
+        "rings": rings,
+        "messages": list(messages),
+        "schedule": list(schedule),
+    }
+
+
+def _event(at, action, **params):
+    return {"at": at, "action": action, "params": params}
+
+
+def _message(at, sender, group):
+    return {"at": at, "sender": sender, "group": group, "payload": f"{sender}@{at}", "size": 64}
+
+
+def test_a_pal_member_of_two_rings_fuses_them():
+    spec = _spec({
+        0: [["a", "pal"], ["b", "pal"]],
+        1: [["b", "pal"], ["c", "pal"]],
+        2: [["d", "pal"]],
+    })
+    assert shardable_components(spec) == [[0, 1], [2]]
+
+
+def test_a_learner_only_process_spanning_components_is_a_merge_learner():
+    spec = _spec({
+        0: [["a0", "pal"], ["a1", "pal"], ["shared", "l"]],
+        1: [["b0", "pal"], ["b1", "pal"], ["shared", "l"]],
+        99: [["c0", "pal"], ["shared", "l"]],
+    })
+    components = shardable_components(spec)
+    assert components == [[0], [1], [99]]
+    assert shared_merge_learners(spec, components) == ["shared"]
+
+
+def test_a_learner_whose_rings_share_an_acceptor_is_not_a_merge_learner():
+    spec = _spec({
+        0: [["a", "pa"], ["x", "pal"], ["shared", "l"]],
+        1: [["a", "pa"], ["y", "pal"], ["shared", "l"]],
+        2: [["z", "pal"]],
+    })
+    components = shardable_components(spec)
+    assert components == [[0, 1], [2]]
+    assert shared_merge_learners(spec, components) == []
+
+
+_DISJOINT = {0: [["a", "pal"], ["b", "pal"]], 1: [["c", "pal"], ["d", "pal"]]}
+
+
+@pytest.mark.parametrize("event", [
+    _event(0.2, "partition", site_a="s0", site_b="s1"),
+    _event(0.4, "heal", site_a="s0", site_b="s1"),
+    _event(0.2, "isolate", site="s1"),
+    _event(0.4, "rejoin", site="s1"),
+], ids=lambda event: event["action"])
+def test_a_site_fault_disqualifies(event):
+    assert shardable_components(_spec(_DISJOINT)) == [[0], [1]]
+    assert shardable_components(_spec(_DISJOINT, schedule=[event])) is None
+
+
+def test_a_non_amcast_family_or_a_single_component_does_not_shard():
+    assert shardable_components(_spec(_DISJOINT, family="kvstore")) is None
+    fused = {0: [["a", "pal"], ["b", "pal"]], 1: [["b", "pal"], ["c", "pal"]]}
+    assert shardable_components(_spec(fused)) is None
+    assert shardable_components(_spec({0: [["a", "pal"]]})) is None
+
+
+def _routing_spec():
+    """Two rings coupled by learner ``s`` only, with one fault of each kind."""
+    return _spec(
+        {
+            0: [["a0", "pal"], ["a1", "pal"], ["s", "l"]],
+            1: [["b0", "pal"], ["b1", "pal"], ["s", "l"]],
+        },
+        schedule=[
+            _event(0.1, "crash", process="a0"),
+            _event(0.2, "restart", process="a0"),
+            _event(0.3, "crash", process="s"),
+            _event(0.4, "restart", process="s"),
+            _event(0.5, "remove_from_ring", ring_id=1, process="b1"),
+            _event(0.6, "add_to_ring", ring_id=1, process="b1", roles="pal"),
+            _event(0.7, "disk_spike", factor=5.0, match="s."),
+            _event(0.8, "disk_restore", match="s."),
+        ],
+        messages=[_message(0.1, "a0", 0), _message(0.2, "b0", 1), _message(0.3, "a1", 0)],
+    )
+
+
+def test_stringified_ring_keys_plan_and_split_identically():
+    """Artifacts store the spec as JSON, which turns ring ids into strings."""
+    spec = _routing_spec()
+    artifact = json.loads(json.dumps(spec))
+    assert set(artifact["rings"]) == {"0", "1"}
+    components = shardable_components(spec)
+    assert shardable_components(artifact) == components == [[0], [1]]
+    assert shared_merge_learners(artifact, components) == ["s"]
+    for component in components:
+        assert _split_amcast_spec(artifact, component, 3.5, ["s"]) == _split_amcast_spec(
+            spec, component, 3.5, ["s"]
+        )
+
+
+def test_split_routes_faults_and_messages_to_their_component():
+    spec = _routing_spec()
+    first, second = (_split_amcast_spec(spec, [ring], 3.5, ["s"]) for ring in (0, 1))
+
+    # Crash/restart follow the victim; the shared learner's go to both.
+    # Reconfiguration follows the ring id; disk spikes go everywhere.
+    assert [e["at"] for e in first["schedule"]] == [0.1, 0.2, 0.3, 0.4, 0.7, 0.8]
+    assert [e["at"] for e in second["schedule"]] == [0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
+    assert [m["group"] for m in first["messages"]] == [0, 0]
+    assert [m["group"] for m in second["messages"]] == [1]
+
+    assert first["rings"] == {0: spec["rings"][0]}
+    assert sorted(first["processes"]) == ["a0", "a1", "s"]
+    assert sorted(second["processes"]) == ["b0", "b1", "s"]
+    for sub in (first, second):
+        # Every shard runs to the whole scenario's end, not its own.
+        assert sub["active_end"] == 3.5
+        assert sub["merge_learners"] == ["s"]
+
+
+def test_split_keeps_merge_learners_to_the_component_hosting_them():
+    spec = _spec({
+        0: [["a", "pal"], ["s", "l"]],
+        1: [["b", "pal"], ["s", "l"]],
+        2: [["c", "pal"]],
+    })
+    assert _split_amcast_spec(spec, [0], 1.0, ["s"])["merge_learners"] == ["s"]
+    assert _split_amcast_spec(spec, [2], 1.0, ["s"])["merge_learners"] == []
+
+
+# ---------------------------------------------------------------------------
+# Generated seeds
+# ---------------------------------------------------------------------------
 
 #: Scanned once; the generator guarantees a fraction of disjoint multi-ring
 #: scenarios, so this range always yields a handful (seed 36 is the first).

@@ -127,6 +127,55 @@ class TestServiceDeployment:
             MRPStoreService(system, partition_groups=[])
 
 
+class TestPartitionPeers:
+    """Section 5.2: a recovering replica installs checkpoints only from the
+    replicas subscribed to exactly its groups — the peer list recovery uses
+    when nobody passes one (`StateMachineReplica._default_partition_peers`)."""
+
+    @staticmethod
+    def fig4_store():
+        # Figure 4's globally ordered MRP-Store, built and never run:
+        # partitions 0 and 1, two replicas each, global ring 9.
+        config = MultiRingConfig(checkpoint_interval=None, trim_interval=None)
+        system = AtomicMulticast(seed=1, config=config)
+        service = MRPStoreService(
+            system,
+            partition_groups=[0, 1],
+            replicas_per_partition=2,
+            global_ring_id=9,
+            config=config,
+        )
+        return system, service
+
+    def test_peers_are_the_partition_not_every_learner_of_a_shared_ring(self):
+        system, service = self.fig4_store()
+        replica = service.replicas[0][0]
+        assert replica.subscribed_groups() == [0, 9]
+        # kv1-* learn from ring 9 too, but their partition is {1, 9}.
+        assert service.replicas[1][0].subscribed_groups() == [1, 9]
+        assert replica._default_partition_peers() == ["kv0-replica1"]
+        assert service.replicas[1][1]._default_partition_peers() == ["kv1-replica0"]
+
+    def test_learner_of_a_subset_of_the_groups_is_not_a_peer(self):
+        system, service = self.fig4_store()
+        observer = MRPStoreReplica(system.env, "kv0-observer", config=service.config)
+        system.add_to_ring(0, ("kv0-observer", "l"))
+        assert observer.subscribed_groups() == [0]
+        assert service.replicas[0][0]._default_partition_peers() == ["kv0-replica1"]
+        assert observer._default_partition_peers() == []
+
+    def test_peers_are_sorted_and_exclude_the_replica_itself(self):
+        system, service = self.fig4_store()
+        # A late joiner with the partition's exact subscriptions is a peer; it
+        # comes last in ring order but first by name.
+        backup = MRPStoreReplica(system.env, "kv0-backup", config=service.config)
+        system.add_to_ring(0, ("kv0-backup", "l"))
+        system.add_to_ring(9, ("kv0-backup", "l"))
+        assert service.replicas[0][0]._default_partition_peers() == ["kv0-backup", "kv0-replica1"]
+        assert service.replicas[0][1]._default_partition_peers() == ["kv0-backup", "kv0-replica0"]
+        assert backup._default_partition_peers() == ["kv0-replica0", "kv0-replica1"]
+
+
 class TestPreloadIsTheInitialDurableImage:
     """Regression (chaos seed 60): the preload bypasses ordering, so nothing
     but the replica itself can bring it back after a crash — a replica that

@@ -1,9 +1,8 @@
-"""Tests of the deterministic merge, group subscriptions and rate leveling."""
+"""Tests of the deterministic merge and rate leveling."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.multiring.group import GroupSubscriptions, MulticastGroup
 from repro.multiring.merge import DeterministicMerger, replay_streams
 from repro.multiring.ratelevel import GLOBAL_RATE_LEVELER, LOCAL_RATE_LEVELER, RateLeveler
 from repro.paxos.messages import ProposalValue, SKIP
@@ -184,46 +183,6 @@ class TestReplayStreams:
         streams = {0: [(0, value("a0")), (1, value("a1"))], 1: [(0, value("b0"))]}
         replayed = [(g, v.payload) for g, _, v in replay_streams(streams)]
         assert replayed == [(0, "a0"), (1, "b0"), (0, "a1")]
-
-
-class TestGroupSubscriptions:
-    def test_subscribe_and_query(self):
-        subs = GroupSubscriptions()
-        subs.subscribe("r1", 0)
-        subs.subscribe("r1", 1)
-        subs.subscribe("r2", 0)
-        assert subs.groups_of("r1") == [0, 1]
-        assert subs.subscribers_of(0) == ["r1", "r2"]
-        assert subs.partition_of("r1") == frozenset({0, 1})
-
-    def test_partition_peers_require_identical_subscriptions(self):
-        subs = GroupSubscriptions()
-        for name in ("a", "b"):
-            subs.subscribe(name, 0)
-            subs.subscribe(name, 1)
-        subs.subscribe("c", 0)
-        assert subs.partition_peers("a") == ["b"]
-        assert subs.partition_peers("c") == []
-
-    def test_partitions_map(self):
-        subs = GroupSubscriptions()
-        subs.subscribe("a", 0)
-        subs.subscribe("b", 0)
-        subs.subscribe("c", 1)
-        partitions = subs.partitions()
-        assert partitions[frozenset({0})] == ["a", "b"]
-        assert partitions[frozenset({1})] == ["c"]
-
-    def test_unsubscribe(self):
-        subs = GroupSubscriptions()
-        subs.subscribe("a", 0)
-        subs.unsubscribe("a", 0)
-        assert subs.groups_of("a") == []
-        assert subs.processes() == []
-
-    def test_multicast_group_validation(self):
-        with pytest.raises(ValueError):
-            MulticastGroup(group_id=-1, ring_id=0)
 
 
 class TestRateLeveler:

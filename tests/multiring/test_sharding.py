@@ -1,26 +1,13 @@
-"""Tests of the shard planner (`repro.multiring.sharding`)."""
+"""Tests of ring components (`repro.multiring.sharding`).
+
+The planner that uses them, `repro.chaos.scenario.shardable_components`, is
+tested in `tests/chaos/test_sharded_scenarios.py`.
+"""
 
 from __future__ import annotations
 
-import pytest
+from repro.multiring import ring_components
 
-from repro.multiring import GroupSubscriptions, conservative_lookahead, plan_shards, ring_components
-from repro.sim.topology import Topology
-
-
-def wan_topology():
-    topo = Topology(local_latency=0.0001, local_bandwidth_bps=10e9)
-    for name in ("a", "b", "c"):
-        topo.add_site(name)
-    topo.set_link("a", "b", one_way_latency=0.010)
-    topo.set_link("b", "c", one_way_latency=0.030)
-    topo.set_link("a", "c", one_way_latency=0.020)
-    return topo
-
-
-# ---------------------------------------------------------------------------
-# Components
-# ---------------------------------------------------------------------------
 
 def test_disjoint_rings_are_separate_components():
     assert ring_components({0: ["a", "b"], 1: ["c", "d"], 2: ["e"]}) == [[0], [1], [2]]
@@ -41,201 +28,9 @@ def test_components_are_deterministic():
     assert ring_components(rings) == ring_components(dict(reversed(list(rings.items()))))
 
 
-def test_co_subscription_components():
-    subs = GroupSubscriptions()
-    subs.subscribe("p1", 0)
-    subs.subscribe("p1", 1)  # p1 merges rings 0 and 1
-    subs.subscribe("p2", 2)
-    subs.subscribe("p3", 3)
-    subs.subscribe("p3", 2)  # p3 merges rings 2 and 3
-    assert subs.co_subscription_components() == [[0, 1], [2, 3]]
+def test_no_rings_no_components():
+    assert ring_components({}) == []
 
 
-# ---------------------------------------------------------------------------
-# Planning
-# ---------------------------------------------------------------------------
-
-def test_plan_balances_components_over_workers():
-    rings = {0: ["a", "b", "c"], 1: ["d", "e", "f"], 2: ["g", "h"], 3: ["i"]}
-    plan = plan_shards(rings, workers=2)
-    assert plan.shard_count == 2
-    # Every ring lands somewhere, exactly once.
-    placed = sorted(r for shard in plan.shards for r in shard)
-    assert placed == [0, 1, 2, 3]
-    # Greedy balance: the two 3-member components split across shards.
-    assert plan.shard_of_ring(0) != plan.shard_of_ring(1)
-    # Every actor maps to the shard of its ring.
-    assert plan.actor_shard["a"] == plan.shard_of_ring(0)
-    assert plan.actor_shard["i"] == plan.shard_of_ring(3)
-
-
-def test_plan_never_splits_a_component():
-    rings = {0: ["a", "b"], 1: ["b", "c"], 2: ["d"]}
-    plan = plan_shards(rings, workers=4)
-    assert plan.shard_count == 2  # only two independent components exist
-    assert plan.shard_of_ring(0) == plan.shard_of_ring(1)
-
-
-def test_plan_is_deterministic():
-    rings = {i: [f"p{i}a", f"p{i}b"] for i in range(6)}
-    plans = [plan_shards(rings, workers=3) for _ in range(3)]
-    assert plans[0].shards == plans[1].shards == plans[2].shards
-
-
-def test_greedy_tie_break_is_canonical():
-    """Equal-weight components are placed by canonical name, not dict order.
-
-    Regression: every insertion order of ``ring_members`` must yield the same
-    plan, and ties must resolve by the components' sorted ring-id tuples —
-    never by set/dict iteration order.
-    """
-    items = [
-        (5, ["e1", "e2"]),
-        (1, ["a1", "a2"]),
-        (7, ["g1", "g2"]),
-        (3, ["c1", "c2"]),
-    ]
-    reference = plan_shards(dict(items), workers=2)
-    for variant in (dict(reversed(items)), dict(sorted(items)), dict(items[2:] + items[:2])):
-        assert plan_shards(variant, workers=2).shards == reference.shards
-    # Explicit expectation: ascending canonical order 1, 3, 5, 7 alternates
-    # onto the lightest shard (ties to the lowest shard id).
-    assert reference.shards == ((1, 5), (3, 7))
-
-
-# ---------------------------------------------------------------------------
-# Shared-learner (merge-stage) planning
-# ---------------------------------------------------------------------------
-
-def test_shared_learner_splits_components_and_records_merge():
-    """A learner-only process shared by every ring no longer couples them."""
-    rings = {
-        0: ["a0", "a1", "shared"],
-        1: ["b0", "b1", "shared"],
-        99: ["c0", "shared"],
-    }
-    # Without the declaration the shared subscriber fuses everything.
-    assert plan_shards(rings, workers=3).shard_count == 1
-    plan = plan_shards(rings, workers=3, shared_learners=["shared"])
-    assert plan.shard_count == 3
-    assert plan.merge_learners == {"shared": (0, 1, 99)}
-    assert "shared" not in plan.actor_shard
-    assert plan.actor_shard["a0"] != plan.actor_shard["b0"]
-
-
-def test_shared_learner_subscriptions_exempt_from_co_location():
-    subs = GroupSubscriptions()
-    subs.subscribe("shared", 0)
-    subs.subscribe("shared", 1)
-    plan = plan_shards(
-        {0: ["a", "shared"], 1: ["b", "shared"]},
-        workers=2,
-        subscriptions=subs,
-        shared_learners=["shared"],
-    )
-    assert plan.shard_count == 2
-    assert plan.merge_learners == {"shared": (0, 1)}
-    # A *second*, undeclared cross-shard subscriber still rejects the plan.
-    subs.subscribe("observer", 0)
-    subs.subscribe("observer", 1)
-    with pytest.raises(ValueError, match="co-subscribed"):
-        plan_shards(
-            {0: ["a", "shared"], 1: ["b", "shared"]},
-            workers=2,
-            subscriptions=subs,
-            shared_learners=["shared"],
-        )
-
-
-def test_mrpstore_dedicated_global_ring_shares_learners_only():
-    """The fig7 original deployment becomes plannable with dedicated global
-    acceptors: partition rings and the global ring then share replicas
-    (learners) only, so `shared_learners` splits them with a merge stage."""
-    from repro.core import AtomicMulticast
-    from repro.core.config import global_config
-    from repro.kvstore.service import MRPStoreService
-    from repro.sim.topology import EC2_REGIONS, ec2_global
-
-    regions = list(EC2_REGIONS[:2])
-    config = global_config()
-    system = AtomicMulticast(topology=ec2_global(regions), config=config, seed=1)
-    service = MRPStoreService(
-        system,
-        partition_groups=[0, 1],
-        acceptors_per_partition=3,
-        replicas_per_partition=1,
-        site_for_partition={0: regions[0], 1: regions[1]},
-        global_ring_id=50,
-        dedicated_global_acceptors=True,
-        config=config,
-    )
-    assert [f.name for f in service.global_frontends] == ["kvg-node0", "kvg-node1"]
-    replicas = [r.name for r in service.all_replicas()]
-    ring_members = {
-        group: [f.name for f in service.frontends[group]]
-        + [r.name for r in service.replicas[group]]
-        for group in (0, 1)
-    }
-    ring_members[50] = [f.name for f in service.global_frontends] + replicas
-    # Without the merge-stage declaration the global ring fuses everything.
-    assert plan_shards(ring_members, workers=3).shard_count == 1
-    plan = plan_shards(ring_members, workers=3, shared_learners=replicas)
-    assert plan.shard_count == 3
-    assert plan.merge_learners == {
-        "kv0-replica0": (0, 50),
-        "kv1-replica0": (1, 50),
-    }
-
-
-def test_shared_learner_whose_rings_co_locate_needs_no_merge():
-    # Rings 0 and 1 share acceptor "a": one component, so the learner simply
-    # lives in that shard and the plan records no merge stage.
-    plan = plan_shards(
-        {0: ["a", "x", "shared"], 1: ["a", "y", "shared"], 2: ["z"]},
-        workers=2,
-        shared_learners=["shared"],
-    )
-    assert plan.merge_learners == {}
-    assert plan.actor_shard["shared"] == plan.shard_of_ring(0) == plan.shard_of_ring(1)
-
-
-def test_lookahead_from_topology():
-    topo = wan_topology()
-    rings = {0: ["pa"], 1: ["pb"], 2: ["pc"]}
-    sites = {"pa": "a", "pb": "b", "pc": "c"}
-    plan = plan_shards(rings, workers=3, actor_sites=sites, topology=topo)
-    assert plan.lookahead == pytest.approx(0.010)  # the a<->b link is tightest
-
-
-def test_lookahead_none_without_topology():
-    plan = plan_shards({0: ["a"], 1: ["b"]}, workers=2)
-    assert plan.lookahead is None
-
-
-def test_colocated_shards_rejected_for_windowed_execution():
-    topo = wan_topology()
-    rings = {0: ["pa"], 1: ["pb"]}
-    sites = {"pa": "a", "pb": "a"}  # both shards on site "a"
-    with pytest.raises(ValueError, match="co-located"):
-        plan_shards(rings, workers=2, actor_sites=sites, topology=topo)
-
-
-def test_cross_shard_subscription_rejected():
-    subs = GroupSubscriptions()
-    subs.subscribe("observer", 0)
-    subs.subscribe("observer", 1)
-    # The ring membership alone makes 0 and 1 disjoint, but the subscription
-    # table says some learner merges both: the plan must refuse.
-    with pytest.raises(ValueError, match="co-subscribed groups must be co-located"):
-        plan_shards({0: ["a"], 1: ["b"]}, workers=2, subscriptions=subs)
-
-
-def test_conservative_lookahead_ignores_same_shard_pairs():
-    topo = wan_topology()
-    lookahead = conservative_lookahead(
-        topo,
-        actor_sites={"p1": "a", "p2": "b", "p3": "c"},
-        actor_shard={"p1": 0, "p2": 0, "p3": 1},
-    )
-    # Only shard 0 (a, b) vs shard 1 (c) pairs count: min(b-c, a-c) = 0.020.
-    assert lookahead == pytest.approx(0.020)
+def test_single_ring_is_one_component():
+    assert ring_components({4: ["a", "b"]}) == [[4]]
