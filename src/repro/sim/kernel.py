@@ -498,8 +498,8 @@ class Simulator:
         """Execute every event with ``time <= end`` and land the clock on ``end``.
 
         The building block of conservative parallel execution (see
-        :mod:`repro.sim.parallel`): a shard repeatedly runs one lookahead
-        window, then exchanges cross-shard messages at the barrier.  Unlike a
+        :mod:`repro.sim.parallel`): a shard repeatedly runs one window, then
+        ships its decision-stream segments at the barrier.  Unlike a
         bare ``run(until=end)`` call, ``run_window`` enforces that windows are
         monotonic (``end`` must not be in the past) and guarantees the clock
         is exactly ``end`` afterwards, so every shard arrives at the barrier

@@ -20,14 +20,12 @@ Wire size: a message's size is its ``size_bytes`` (see
 default: an object without ``size_bytes`` raises ``AttributeError`` naming its
 class, before it moves a channel, the jitter stream or the stats.
 
-Sharded execution: a network can act as a *gateway* for actors that live in
-another shard of a parallel run (see :mod:`repro.sim.parallel`).  Remote
-actors are declared with :meth:`Network.set_remote_routes`; a send addressed
-to one resolves to a gateway connection and goes through the very same
-``send`` arithmetic as a local one, but lands in a drainable outbox instead of
-the local event heap.  The parallel engine drains outboxes at window barriers
-and injects them into the owning shard with :meth:`Network.inject_remote`,
-preserving the computed delivery timestamps.
+Sharded execution: the shards of a parallel run (see
+:mod:`repro.sim.parallel`) exchange no messages.  The engine tells each
+shard's network which actor names only other shards host
+(:meth:`Network.refuse`); a send to one of them raises ``SimulationError``
+naming both actors, before it moves anything.  A send to a name that no shard
+hosts stays a counted drop.
 
 Performance notes
 -----------------
@@ -56,7 +54,7 @@ import io
 import pickle
 from dataclasses import dataclass, fields as dataclass_fields
 from heapq import heappush
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Optional, Set, Tuple
 
 from .actor import Environment
 from .kernel import SimulationError
@@ -65,22 +63,15 @@ from .topology import Topology
 __all__ = [
     "Network",
     "MessageStats",
-    "RemoteMessage",
     "encode_wire",
     "decode_wire",
 ]
 
-#: One cross-shard message as it travels through a gateway outbox:
-#: ``(delivery_time, src_actor, dst_actor, message)``.  The delivery time is
-#: computed on the sending side with the full latency/occupancy model, so the
-#: receiving shard only has to schedule the hand-off at that exact timestamp.
-RemoteMessage = Tuple[float, str, str, Any]
-
 
 # --------------------------------------------------------------- wire codec
 #
-# Cross-shard traffic (see :mod:`repro.sim.parallel`) is pickled once per
-# worker per barrier round.  Generic pickling of the protocol dataclasses is
+# Barrier traffic (see :mod:`repro.sim.parallel`) is pickled once per worker
+# per barrier round.  Generic pickling of the protocol dataclasses is
 # wasteful: every slotted dataclass instance ships its class-resolution
 # machinery *and* a per-instance state dict (``{'field': value, ...}``) whose
 # key strings repeat for every message in the window.  The wire codec strips
@@ -247,17 +238,15 @@ class _Connection:
 
     __slots__ = ("src_site", "dst_site", "channel", "last_delivery_at", "deliver")
 
-    def __init__(self, src_site: str, dst_site: str, channel: _Channel) -> None:
+    def __init__(self, src_site: str, dst_site: str, channel: _Channel, deliver: Any) -> None:
         self.src_site = src_site
         self.dst_site = dst_site
         self.channel = channel
         #: last scheduled delivery time on this connection, enforcing TCP-like
         #: FIFO order even in the presence of jitter
         self.last_delivery_at = 0.0
-        #: precomputed delivery closure stored into each heap entry (set by
-        #: the owning network right after construction); ``None`` for gateway
-        #: connections, whose messages leave through the outbox instead
-        self.deliver = None
+        #: precomputed delivery closure stored into each heap entry
+        self.deliver = deliver
 
 
 class Network:
@@ -281,7 +270,7 @@ class Network:
         self._simulator = env.simulator
         #: flat link table: directed (src_site, dst_site) → shared channel
         self._channels: Dict[Tuple[str, str], _Channel] = {}
-        #: resolved directed actor pairs, gateway connections included
+        #: resolved directed actor pairs
         self._connections: Dict[Tuple[str, str], _Connection] = {}
         #: severed directed site pairs
         self._cut_links: Set[Tuple[str, str]] = set()
@@ -289,11 +278,8 @@ class Network:
         self._isolated_sites: Set[str] = set()
         #: fast-path guard: True while any partition/isolation is active
         self._has_faults = False
-        #: sharded execution (inert unless set_remote_routes is called):
-        #: actors living in other shards, and the outbox drained by the
-        #: parallel engine at window barriers
-        self._remote_sites: Dict[str, str] = {}
-        self._outbox: List[RemoteMessage] = []
+        #: names only other shards of a sharded run host (see :meth:`refuse`)
+        self._refused: Set[str] = set()
         self._precompute_channels()
         env.network = self
         env.topology = topology
@@ -321,8 +307,7 @@ class Network:
         Messages to unknown or crashed destinations are counted as drops —
         like TCP connections to a dead host, the sender finds out through the
         protocol's own timeouts, not through the transport.  A destination
-        declared in another shard gets the same arithmetic; only the hand-off
-        differs (the gateway outbox instead of the local event heap).
+        that only another shard hosts (:meth:`refuse`) raises instead.
         """
         conn = self._connections.get((src, dst))
         if conn is None:
@@ -365,12 +350,6 @@ class Network:
         stats = self.stats
         stats.messages += 1
         stats.bytes += size
-        deliver = conn.deliver
-        if deliver is None:
-            # Gateway connection: the owning shard schedules the hand-off at
-            # exactly this time when the barrier injects it.
-            self._outbox.append((delivery_at, src, dst, message))
-            return
         # Inlined Simulator._post (one event per message): same entry layout
         # and the same ``now + delay`` arithmetic, one call less per send.
         # The callback is the connection's precomputed delivery closure, so
@@ -380,27 +359,28 @@ class Network:
         sim._seq = seq + 1
         heappush(
             sim._queue,
-            (now + (delivery_at - now), 0, seq, deliver, (src, message)),
+            (now + (delivery_at - now), 0, seq, conn.deliver, (src, message)),
         )
 
     def _resolve(self, src: str, dst: str) -> Optional[_Connection]:
         """Build the connection record for a directed actor pair.
 
-        A destination that is not a local actor but is declared in another
-        shard (:meth:`set_remote_routes`) gets a gateway connection, whose
-        ``deliver`` is ``None``.  Returns ``None`` when the destination is
-        unknown (the caller records the drop).  An unknown *source* raises
+        Returns ``None`` when the destination is unknown (the caller records
+        the drop), and raises ``SimulationError`` when it is a name only
+        another shard hosts (:meth:`refuse`).  An unknown *source* raises
         ``KeyError`` as it always did — actors only send under their own
         registered name.
         """
         env = self.env
         dst_actor = env.get_actor(dst)
-        if dst_actor is not None:
-            dst_site = dst_actor.site
-        else:
-            dst_site = self._remote_sites.get(dst)
-            if dst_site is None:
-                return None
+        if dst_actor is None:
+            if dst in self._refused:
+                raise SimulationError(
+                    f"{src!r} sent to {dst!r}, which only another shard hosts; "
+                    "the shards of a sharded run exchange no messages"
+                )
+            return None
+        dst_site = dst_actor.site
         src_site = env.actor(src).site
         channel = self._channels.get((src_site, dst_site))
         if channel is None:
@@ -412,9 +392,7 @@ class Network:
                 self.topology.bandwidth(src_site, dst_site),
             )
             self._channels[(src_site, dst_site)] = channel
-        conn = _Connection(src_site, dst_site, channel)
-        if dst_actor is not None:
-            conn.deliver = self._make_deliver(dst_actor)
+        conn = _Connection(src_site, dst_site, channel, self._make_deliver(dst_actor))
         self._connections[(src, dst)] = conn
         return conn
 
@@ -436,69 +414,15 @@ class Network:
 
         return deliver
 
-    # ------------------------------------------------------- sharded gateway
-    def set_remote_routes(self, actor_sites: Mapping[str, str]) -> None:
-        """Declare actors living in other shards of a parallel run.
+    # ------------------------------------------------------- sharded execution
+    def refuse(self, names: Iterable[str]) -> None:
+        """Make a send to any of ``names`` raise instead of dropping.
 
-        ``actor_sites`` maps each remote actor name to the site hosting it.
-        Sends addressed to those actors are queued in the gateway outbox with
-        their computed delivery time instead of being counted as drops.  The
-        mapping is additive; declaring no routes keeps the gateway inert.
+        The parallel engine passes the actor names that only other shards
+        host: shards exchange no messages, so such a send is a planning error,
+        never a silent drop.  A name this network hosts itself is unaffected.
         """
-        for name, site in actor_sites.items():
-            self._remote_sites[name] = site
-
-    @property
-    def remote_routes(self) -> Dict[str, str]:
-        """Currently declared remote actors (copy)."""
-        return dict(self._remote_sites)
-
-    def drain_outbox(self) -> List[RemoteMessage]:
-        """Take every queued cross-shard message (in send order)."""
-        out = self._outbox
-        self._outbox = []
-        return out
-
-    @property
-    def outbox_frontier(self) -> Optional[float]:
-        """Earliest delivery time queued in the gateway outbox (``None`` if empty).
-
-        Reported to the parallel engine at barriers as part of the event
-        horizon: a shard that still holds undrained outbound messages must not
-        let the adaptive window planner skip past their delivery times (the
-        engine's own stepping drains the outbox before reporting, so this is
-        only load-bearing for custom harness orderings).
-        """
-        out = self._outbox
-        if not out:
-            return None
-        return min(record[0] for record in out)
-
-    def inject_remote(self, records: Sequence[RemoteMessage]) -> None:
-        """Schedule cross-shard messages handed over at a window barrier.
-
-        Every record's delivery time must be at or after the current clock —
-        the conservative lookahead guarantees this; a violation means the
-        window length exceeded the minimum cross-shard latency and is raised
-        loudly rather than silently reordering history.
-        """
-        sim = self._simulator
-        now = sim._now
-        for delivery_at, src, dst, message in records:
-            delay = delivery_at - now
-            if delay < 0:
-                raise SimulationError(
-                    f"lookahead violation: message {src}->{dst} was due at "
-                    f"t={delivery_at:.9f} but the barrier ran at t={now:.9f}"
-                )
-            sim._post(delay, self._deliver_remote, (src, dst, message))
-
-    def _deliver_remote(self, src: str, dst: str, message: Any) -> None:
-        actor = self.env.get_actor(dst)
-        if actor is None or not actor.alive:
-            self.stats.record_drop()
-            return
-        actor.on_message(src, message)
+        self._refused.update(names)
 
     # ----------------------------------------------------------------- model
     def _blocked(self, src_site: str, dst_site: str) -> bool:

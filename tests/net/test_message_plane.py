@@ -1,10 +1,13 @@
-"""The network's size contract: a message's wire size is its ``size_bytes``.
+"""The network's send contract: size, refusal and the delivery-time arithmetic.
 
 ``Network.send`` charges ``size_bytes + HEADER_BYTES`` and has no default
 size.  An object without ``size_bytes`` raises ``AttributeError`` naming its
-class — on the local path and on the gateway path alike — and leaves the
-stats, the channel's occupancy and the jitter stream exactly as they were, so
-the sends after it are charged as if it had never been tried.
+class and leaves the stats, the channel's occupancy and the jitter stream
+exactly as they were, so the sends after it are charged as if it had never
+been tried.  A destination that only another shard hosts (``Network.refuse``)
+raises ``SimulationError`` naming both actors, before the fault check and the
+size read, and moves nothing either.  The delivery time keeps the float
+association the goldens were taken with.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import pytest
 
 from repro.net.message import Message
 from repro.sim.actor import Actor, Environment
+from repro.sim.kernel import SimulationError
 from repro.sim.network import MessageStats, Network
 from repro.sim.topology import Topology
 
@@ -37,7 +41,7 @@ class _SelfSized:
 
 
 def _network():
-    """Sender ``a`` at s0; local receiver ``b`` and remote ``r`` at s1; jitter on."""
+    """Sender ``a`` at s0, receiver ``b`` at s1, ``r`` refused; jitter on."""
     topology = Topology()
     topology.add_site("s0")
     topology.add_site("s1")
@@ -46,42 +50,41 @@ def _network():
     network = Network(env, topology, jitter_fraction=0.05)
     _Recorder(env, "a", "s0")
     receiver = _Recorder(env, "b", "s1")
-    network.set_remote_routes({"r": "s1"})
+    network.refuse({"r"})
     return env, network, receiver
 
 
 def _outcome(env, network, receiver):
-    """What the network did: gateway records, local deliveries, stats, occupancy."""
-    outbox = network.drain_outbox()
+    """What the network did: deliveries, stats, occupancy."""
     free_at = network._channels[("s0", "s1")].free_at
     env.run()
-    return outbox, receiver.received, network.stats, free_at
+    return receiver.received, network.stats, free_at
 
 
-@pytest.mark.parametrize("dst", ["b", "r"], ids=["local", "gateway"])
-def test_unsized_send_raises_and_moves_nothing(dst):
-    env, network, receiver = _network()
-    with pytest.raises(AttributeError, match="'_Unsized' object has no attribute 'size_bytes'"):
-        network.send("a", dst, _Unsized())
+def _assert_untouched(env, network, receiver):
+    """Nothing moved: the next send is charged exactly as in a fresh network."""
     assert network.stats == MessageStats()
     assert network._channels[("s0", "s1")].free_at == 0.0
-
-    # The next send is charged exactly as in a network that never saw the
-    # unsized one: same occupancy, same jitter draw, same delivery time.
     sized = Message(payload_bytes=100)
-    network.send("a", dst, sized)
+    network.send("a", "b", sized)
     twin_env, twin_network, twin_receiver = _network()
-    twin_network.send("a", dst, sized)
+    twin_network.send("a", "b", sized)
     assert _outcome(env, network, receiver) == _outcome(twin_env, twin_network, twin_receiver)
 
 
-@pytest.mark.parametrize("dst", ["b", "r"], ids=["local", "gateway"])
-def test_blocked_unsized_send_is_a_drop(dst):
+def test_unsized_send_raises_and_moves_nothing():
+    env, network, receiver = _network()
+    with pytest.raises(AttributeError, match="'_Unsized' object has no attribute 'size_bytes'"):
+        network.send("a", "b", _Unsized())
+    _assert_untouched(env, network, receiver)
+
+
+def test_blocked_unsized_send_is_a_drop():
     # The fault check comes first: a send the partition swallows never
     # reaches the size.
     _env, network, _receiver = _network()
     network.partition("s0", "s1")
-    network.send("a", dst, _Unsized())
+    network.send("a", "b", _Unsized())
     assert network.stats == MessageStats(dropped=1)
 
 
@@ -93,61 +96,47 @@ def test_unsized_send_to_an_unknown_destination_is_a_drop():
     assert ("a", "nobody") not in network._connections
 
 
-def test_gateway_connection_is_cached_without_a_deliver():
+def test_declared_size_is_charged_with_the_header():
     _env, network, _receiver = _network()
-    network.send("a", "r", Message(payload_bytes=10))
-    network.send("a", "b", Message(payload_bytes=10))
-    gateway = network._connections[("a", "r")]
-    local = network._connections[("a", "b")]
-    assert gateway.deliver is None and callable(local.deliver)
-    # Both resolve to the one s0 -> s1 channel.
-    assert gateway.channel is local.channel is network._channels[("s0", "s1")]
-    network.send("a", "r", Message(payload_bytes=10))
-    assert network._connections[("a", "r")] is gateway
-    assert [dst for _, _, dst, _ in network.drain_outbox()] == ["r", "r"]
-
-
-def test_gateway_and_local_sends_are_timed_alike():
-    # The same sends, once to the local receiver and once through the
-    # gateway: the outbox records the very times the heap delivers at.
-    sends = [Message(payload_bytes=size) for size in (100, 900, 40)]
-    env, network, receiver = _network()
-    for message in sends:
-        network.send("a", "b", message)
-    env.run()
-    _twin_env, gateway, _twin_receiver = _network()
-    for message in sends:
-        gateway.send("a", "r", message)
-    outbox = gateway.drain_outbox()
-    assert [(at, message) for at, _, _, message in outbox] == receiver.received
-    assert gateway.stats == network.stats
-
-
-def test_gateway_sends_occupy_the_shared_channel():
-    # Interleaving a gateway send between two local ones charges the channel
-    # exactly as three local sends would: the gateway record gets the second
-    # delivery time.  (1 kB messages: transmission outlasts any jitter, so
-    # per-connection FIFO never clamps.)
-    sends = [Message(payload_bytes=1000) for _ in range(3)]
-    all_local_env, all_local, all_local_receiver = _network()
-    for message in sends:
-        all_local.send("a", "b", message)
-    all_local_env.run()
-    env, network, receiver = _network()
-    for message, dst in zip(sends, ["b", "r", "b"]):
-        network.send("a", dst, message)
-    assert network._channels[("s0", "s1")].free_at == all_local._channels[("s0", "s1")].free_at
-    outbox = network.drain_outbox()
-    env.run()
-    times = [at for at, _ in all_local_receiver.received]
-    assert [at for at, _, _, _ in outbox] == times[1:2]
-    assert [at for at, _ in receiver.received] == [times[0], times[2]]
-
-
-@pytest.mark.parametrize("dst", ["b", "r"], ids=["local", "gateway"])
-def test_declared_size_is_charged_with_the_header(dst):
-    _env, network, _receiver = _network()
-    network.send("a", dst, _SelfSized())
-    network.send("a", dst, Message(payload_bytes=100))
+    network.send("a", "b", _SelfSized())
+    network.send("a", "b", Message(payload_bytes=100))
     expected = (500 + Network.HEADER_BYTES) + (100 + Message.OVERHEAD_BYTES + Network.HEADER_BYTES)
     assert network.stats == MessageStats(messages=2, bytes=expected)
+
+
+@pytest.mark.parametrize("case", ["sized", "unsized", "partitioned"])
+def test_a_refused_destination_raises_before_anything_moves(case):
+    """The raise names both actors and precedes the fault check and the size read."""
+    env, network, receiver = _network()
+    message = _Unsized() if case == "unsized" else Message(payload_bytes=100)
+    if case == "partitioned":
+        network.partition("s0", "s1")
+    for _ in range(2):  # never cached: every attempt raises
+        with pytest.raises(SimulationError, match="'a' sent to 'r', which only another shard hosts"):
+            network.send("a", "r", message)
+    assert ("a", "r") not in network._connections
+    network.heal_all()
+    _assert_untouched(env, network, receiver)
+
+
+def test_refuse_leaves_hosted_and_unknown_names_alone():
+    env, network, receiver = _network()
+    network.refuse({"b"})  # hosted here: still delivered
+    network.send("a", "b", Message(payload_bytes=100))
+    network.send("a", "nobody", Message(payload_bytes=100))
+    env.run()
+    assert len(receiver.received) == 1
+    assert network.stats.messages == 1 and network.stats.dropped == 1
+
+
+def test_delivery_time_keeps_the_float_association():
+    """``now + ((finish - now) + propagation + jitter)``, scheduled at
+    ``now + (delivery_at - now)``: at this clock ``finish + propagation +
+    jitter`` and ``now + (transmission + propagation + jitter)`` each land an
+    ulp away, so a reassociation of the delay turns this red."""
+    env, network, receiver = _network()
+    env.simulator.run_window(4.4)
+    network.send("a", "b", Message(payload_bytes=100))
+    env.run()
+    ((delivered, _),) = receiver.received
+    assert delivered.hex() == "0x1.1a5de90d008b0p+2"

@@ -1,9 +1,11 @@
-"""Unit tests of the conservative parallel engine (`repro.sim.parallel`).
+"""Unit tests of the parallel engine (`repro.sim.parallel`).
 
-The load-bearing property: a sharded run is bit-identical for every worker
-count, and — for deployments with deterministic latencies — bit-identical to
-running the merged deployment on one shared simulator.  Builders live at
-module level so the specs survive the ``multiprocessing`` boundary.
+The load-bearing properties: shards exchange no messages — a send to an
+actor that only another shard hosts raises, naming both actors — and a
+sharded run is bit-identical for every worker count and, with deterministic
+latencies, to running the merged deployment on one shared simulator.
+Builders live at module level so the specs survive the ``multiprocessing``
+boundary.
 """
 
 from __future__ import annotations
@@ -29,28 +31,37 @@ class Probe(Message):
 
 LINK_LATENCY = 0.010
 ROUNDS = 30
-HORIZON = 2.0
+HORIZON = 0.5
+SHARDS = 2
 
 
-def two_site_topology() -> Topology:
+def shard_topology() -> Topology:
+    """Sites ``a<i>`` and ``b<i>`` per shard, linked within a shard only.
+
+    Channels are per directed site pair, so shards that share no site share
+    no channel occupancy: the merged run times every message as its shard
+    does.
+    """
     topo = Topology(local_latency=0.00005, local_bandwidth_bps=10e9)
-    topo.add_site("s0")
-    topo.add_site("s1")
-    topo.set_link("s0", "s1", one_way_latency=LINK_LATENCY, bandwidth_bps=1e9)
+    for index in range(SHARDS):
+        topo.add_site(f"a{index}")
+        topo.add_site(f"b{index}")
+        topo.set_link(f"a{index}", f"b{index}", one_way_latency=LINK_LATENCY, bandwidth_bps=1e9)
     return topo
 
 
 class Pinger(Actor):
     """Bounces a counter to a peer; logs (time, value) on every receipt."""
 
-    def __init__(self, env, name, site, peer, rounds):
+    def __init__(self, env, name, site, peer, rounds, opens):
         super().__init__(env, name, site)
         self.peer = peer
         self.rounds = rounds
+        self.opens = opens
         self.log = []
 
     def on_start(self):
-        if self.name.endswith("0"):
+        if self.opens:
             self.send(self.peer, Probe(body={"n": 0}))
 
     def on_message(self, sender, message):
@@ -59,35 +70,56 @@ class Pinger(Actor):
             self.send(sender, Probe(body={"n": message.body["n"] + 1}))
 
 
-class PingerHarness(ShardHarness):
-    def __init__(self, env, actor):
+def add_pingers(env, index):
+    """Shard ``index``'s ping-pong pair, ``p<i>a`` at ``a<i>`` and ``p<i>b`` at ``b<i>``."""
+    return [
+        Pinger(env, f"p{index}a", f"a{index}", f"p{index}b", ROUNDS, opens=True),
+        Pinger(env, f"p{index}b", f"b{index}", f"p{index}a", ROUNDS, opens=False),
+    ]
+
+
+class ActorsHarness(ShardHarness):
+    """Starts its actors; reports their logs and the network's drop count."""
+
+    def __init__(self, env, actors):
         super().__init__(env)
-        self.actor = actor
+        self.actors = actors
 
     def start(self):
-        self.actor.on_start()
+        for actor in self.actors:
+            actor.on_start()
 
     def finalize(self):
-        return self.actor.log
+        return {
+            "logs": {actor.name: actor.log for actor in self.actors},
+            "dropped": self.env.network.stats.dropped,
+        }
 
 
-def build_pinger_shard(payload):
-    index, rounds = payload
+def build_pinger_shard(index):
     env = Environment(seed=7)
-    Network(env, two_site_topology(), jitter_fraction=0.0)
-    actor = Pinger(env, f"p{index}", f"s{index}", f"p{1 - index}", rounds)
-    return PingerHarness(env, actor)
+    Network(env, shard_topology(), jitter_fraction=0.0)
+    return ActorsHarness(env, add_pingers(env, index))
 
 
-def run_merged_pingpong(rounds):
+def pinger_specs():
+    return [ShardSpec(i, build_pinger_shard, i) for i in range(SHARDS)]
+
+
+def run_merged_pingpong(until):
+    """Every shard's actors on one shared simulator: the merged reference."""
     env = Environment(seed=7)
-    Network(env, two_site_topology(), jitter_fraction=0.0)
-    a = Pinger(env, "p0", "s0", "p1", rounds)
-    b = Pinger(env, "p1", "s1", "p0", rounds)
-    a.on_start()
-    b.on_start()
-    env.run(until=HORIZON)
-    return {0: a.log, 1: b.log}
+    network = Network(env, shard_topology(), jitter_fraction=0.0)
+    pairs = [add_pingers(env, index) for index in range(SHARDS)]
+    for pair in pairs:
+        for actor in pair:
+            actor.on_start()
+    env.run(until=until)
+    results = {
+        index: {"logs": {actor.name: actor.log for actor in pair}, "dropped": 0}
+        for index, pair in enumerate(pairs)
+    }
+    return results, env.simulator.processed_events, network.stats.dropped
 
 
 class CountingActor(Actor):
@@ -133,66 +165,26 @@ def build_counting_shard(payload):
 
 
 # ---------------------------------------------------------------------------
-# Windowed cross-shard execution
+# Independent shards equal the merged single-simulator run
 # ---------------------------------------------------------------------------
 
-def specs():
-    return [ShardSpec(i, build_pinger_shard, (i, ROUNDS)) for i in range(2)]
-
-
-def test_sharded_matches_merged_single_simulator():
-    """Windowed shards reproduce the merged run's exact times and values."""
-    reference = run_merged_pingpong(ROUNDS)
-    run = run_sharded(specs(), until=HORIZON, workers=1, lookahead=LINK_LATENCY)
-    assert run.results[0] == reference[0]
-    assert run.results[1] == reference[1]
-    assert run.cross_messages == ROUNDS + 1
-
-
-def test_adaptive_horizon_cuts_barriers_not_results():
-    """Event-horizon windows skip idle stretches; the schedule is untouched.
-
-    The ping-pong goes quiet after ~0.3s of a 2.0s horizon: the engine
-    barriers once per message plus one final hop to the horizon, where a
-    barrier per lookahead — the textbook protocol — is by definition
-    ``ceil(HORIZON / LINK_LATENCY)`` of them.
-    """
-    reference = run_merged_pingpong(ROUNDS)
-    run = run_sharded(specs(), until=HORIZON, workers=1, lookahead=LINK_LATENCY)
+@pytest.mark.parametrize("interval", [None, 0.01])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_independent_shards_equal_the_merged_run(workers, interval):
+    """Every delivery lands where one shared simulator puts it, windowed or not."""
+    reference, merged_events, merged_dropped = run_merged_pingpong(HORIZON)
+    assert merged_dropped == 0
+    for result in reference.values():  # the whole ping-pong, in every shard
+        assert sum(map(len, result["logs"].values())) == ROUNDS + 1
+    run = run_sharded(pinger_specs(), until=HORIZON, workers=workers, segment_interval=interval)
+    assert run.workers == workers
     assert run.results == reference
-    assert run.cross_messages == ROUNDS + 1
-    assert run.windows == ROUNDS + 2  # one per message, one hop to the horizon
-    assert run.windows < ceil(HORIZON / LINK_LATENCY)
+    assert run.total_events == merged_events
+    if interval is None:
+        assert run.windows == 1
+    else:
+        assert 1 < run.windows < ceil(HORIZON / interval)
 
-
-def test_workers_do_not_change_results():
-    """Multiprocessing execution is bit-identical to the in-process engine."""
-    sequential = run_sharded(specs(), until=HORIZON, workers=1, lookahead=LINK_LATENCY)
-    parallel = run_sharded(specs(), until=HORIZON, workers=2, lookahead=LINK_LATENCY)
-    assert parallel.workers == 2
-    assert parallel.results == sequential.results
-    assert parallel.cross_messages == sequential.cross_messages
-    assert parallel.events == sequential.events
-    assert parallel.windows == sequential.windows
-
-
-def test_start_time_sends_cross_the_barrier():
-    """The t=0 send from ``on_start`` reaches the other shard."""
-    run = run_sharded(specs(), until=HORIZON, workers=1, lookahead=LINK_LATENCY)
-    # p1 received the opening message (n=0) even though it was sent before
-    # the first window ran.
-    assert run.results[1][0][1] == 0
-
-
-def test_lookahead_violation_raises():
-    """A window longer than the minimum latency is rejected, not reordered."""
-    with pytest.raises(SimulationError, match="lookahead violation"):
-        run_sharded(specs(), until=HORIZON, workers=1, lookahead=5 * LINK_LATENCY)
-
-
-# ---------------------------------------------------------------------------
-# Embarrassingly parallel execution (no lookahead)
-# ---------------------------------------------------------------------------
 
 def test_independent_shards_single_window():
     seq = run_sharded(
@@ -207,6 +199,85 @@ def test_independent_shards_single_window():
 
 
 # ---------------------------------------------------------------------------
+# Refusal: a send to an actor only another shard hosts raises at the send
+# ---------------------------------------------------------------------------
+
+class Talker(Actor):
+    """Sends one probe per plan ``(dst, at)`` (``at=None``: from ``on_start``)."""
+
+    def __init__(self, env, name, plans):
+        super().__init__(env, name, "a0")
+        self.plans = plans
+        self.log = []
+
+    def on_start(self):
+        for dst, at in self.plans:
+            if at is None:
+                self._send(dst)
+            else:
+                self.env.simulator.schedule_at(at, self._send, dst)
+
+    def _send(self, dst):
+        self.send(dst, Probe(body={"from": self.name}))
+
+    def on_message(self, sender, message):
+        self.log.append((round(self.now, 9), sender))
+
+
+def build_talk_shard(payload):
+    """``payload`` maps each hosted actor name to its send plans."""
+    env = Environment(seed=3)
+    Network(env, shard_topology(), jitter_fraction=0.0)
+    return ActorsHarness(env, [Talker(env, name, plans) for name, plans in payload.items()])
+
+
+def talk_specs(*payloads):
+    return [ShardSpec(i, build_talk_shard, payload) for i, payload in enumerate(payloads)]
+
+
+@pytest.mark.parametrize("send_at", [None, 0.12], ids=["on_start", "mid_run"])
+@pytest.mark.parametrize("interval", [None, 0.05])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_send_to_an_actor_only_another_shard_hosts_raises(workers, interval, send_at):
+    specs = talk_specs({"x0": [("x1", send_at)]}, {"x1": []})
+    refused = "'x0' sent to 'x1', which only another shard hosts"
+    if workers == 1:
+        with pytest.raises(SimulationError, match=refused):
+            run_sharded(specs, until=0.2, workers=1, segment_interval=interval)
+    else:
+        # The worker's failure carries the SimulationError and its text.
+        with pytest.raises(RuntimeError, match="shard worker failed") as excinfo:
+            run_sharded(specs, until=0.2, workers=2, segment_interval=interval)
+        assert f"SimulationError: {refused}" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_send_to_a_name_no_shard_hosts_is_a_drop(workers):
+    run = run_sharded(
+        talk_specs({"x0": [("nobody", None), ("nobody", 0.12)]}, {"x1": []}),
+        until=0.2, workers=workers, segment_interval=0.05,
+    )
+    assert run.results[0]["dropped"] == 2
+    assert run.results[1]["dropped"] == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_mirrored_name_is_local_to_each_shard(workers):
+    """A name several shards host (a shared learner's mirrors) is never refused:
+    each shard's sends reach its own copy."""
+    run = run_sharded(
+        talk_specs(
+            {"x0": [("mirror", None)], "mirror": []},
+            {"x1": [("mirror", 0.12)], "mirror": []},
+        ),
+        until=0.2, workers=workers, segment_interval=0.05,
+    )
+    assert run.results[0]["logs"]["mirror"] == [(5.0155e-05, "x0")]
+    assert run.results[1]["logs"]["mirror"] == [(0.120050155, "x1")]
+    assert run.results[0]["dropped"] == run.results[1]["dropped"] == 0
+
+
+# ---------------------------------------------------------------------------
 # Validation and plumbing
 # ---------------------------------------------------------------------------
 
@@ -214,17 +285,6 @@ def test_duplicate_shard_ids_rejected():
     with pytest.raises(ValueError, match="duplicate shard ids"):
         run_sharded([ShardSpec(0, build_counting_shard, 0),
                      ShardSpec(0, build_counting_shard, 1)])
-
-
-def test_lookahead_requires_horizon():
-    with pytest.raises(ValueError, match="horizon"):
-        run_sharded(specs(), workers=1, lookahead=LINK_LATENCY)
-
-
-def test_cross_traffic_without_lookahead_raises():
-    """Shards that talk need windows; a single-window run must not lose mail."""
-    with pytest.raises(SimulationError, match="no\\s+lookahead"):
-        run_sharded(specs(), until=HORIZON, workers=1)
 
 
 def test_worker_count_clamped_to_shards():
@@ -241,169 +301,6 @@ def test_worker_exception_surfaces():
 
 def _build_broken_shard(payload):
     raise RuntimeError(f"builder exploded for shard {payload}")
-
-
-def test_gateway_send_to_undeclared_actor_still_drops():
-    env = Environment(seed=1)
-    network = Network(env, two_site_topology(), jitter_fraction=0.0)
-    actor = Pinger(env, "p0", "s0", "nobody", 1)
-    network.set_remote_routes({"p1": "s1"})
-    actor.send("nobody", Probe(body={"n": 0}))
-    assert network.stats.dropped == 1
-    assert network.drain_outbox() == []
-
-
-# ---------------------------------------------------------------------------
-# Window-boundary edges (binary-exact timing: every quantity is a multiple of
-# 2^-8 seconds, so sums and the delivery arithmetic are exact — equality with
-# barrier timestamps is meaningful, not a rounding accident)
-# ---------------------------------------------------------------------------
-
-EXACT_LATENCY = 1 / 64            # lookahead == the (only) link latency
-EXACT_TX = 1 / 256                # (128-byte probe + 66 header) bytes * 8 / bw
-EXACT_BANDWIDTH = 194 * 8 * 256   # makes one probe transmit in 2^-8 s
-EXACT_UNTIL = 16 / 64
-
-
-def exact_topology() -> Topology:
-    topo = Topology(local_latency=1 / 1024, local_bandwidth_bps=10e9)
-    topo.add_site("s0")
-    topo.add_site("s1")
-    topo.set_link(
-        "s0", "s1", one_way_latency=EXACT_LATENCY, bandwidth_bps=EXACT_BANDWIDTH
-    )
-    return topo
-
-
-class ScheduledSender(Actor):
-    """Sends one fixed-size message to a remote peer at each scheduled time."""
-
-    def __init__(self, env, name, site, peer, send_times):
-        super().__init__(env, name, site)
-        self.peer = peer
-        self.send_times = list(send_times)
-        self.log = []
-
-    def on_start(self):
-        for at in self.send_times:
-            self.env.simulator.schedule_at(at, self._fire, at)
-
-    def _fire(self, at):
-        self.send(self.peer, Probe(body={"sent_at": at}))
-
-    def on_message(self, sender, message):
-        self.log.append((self.now, message.body["sent_at"]))
-
-
-class SenderHarness(ShardHarness):
-    def __init__(self, env, actor):
-        super().__init__(env)
-        self.actor = actor
-
-    def start(self):
-        self.actor.on_start()
-
-    def finalize(self):
-        return self.actor.log
-
-
-def build_exact_shard(payload):
-    index, send_times = payload
-    env = Environment(seed=11)
-    Network(env, exact_topology(), jitter_fraction=0.0)
-    actor = ScheduledSender(
-        env, f"x{index}", f"s{index}", f"x{1 - index}", send_times
-    )
-    return SenderHarness(env, actor)
-
-
-def run_exact_merged(times_a, times_b):
-    env = Environment(seed=11)
-    Network(env, exact_topology(), jitter_fraction=0.0)
-    a = ScheduledSender(env, "x0", "s0", "x1", times_a)
-    b = ScheduledSender(env, "x1", "s1", "x0", times_b)
-    a.on_start()
-    b.on_start()
-    env.run(until=EXACT_UNTIL)
-    return {0: a.log, 1: b.log}
-
-
-def run_exact_sharded(times_a, times_b, **kwargs):
-    return run_sharded(
-        [
-            ShardSpec(0, build_exact_shard, (0, times_a)),
-            ShardSpec(1, build_exact_shard, (1, times_b)),
-        ],
-        until=EXACT_UNTIL,
-        lookahead=EXACT_LATENCY,
-        **kwargs,
-    )
-
-
-def test_cross_shard_message_due_exactly_at_barrier_timestamp():
-    """A delivery landing exactly on a barrier is delivered once, on time.
-
-    Sent at t=3/256: transmission 1/256 + propagation 4/256 puts the delivery
-    at t=8/256 = 2 lookaheads — bit-equal to the second barrier timestamp.
-    The engine must deliver it in the window *after* that barrier at its
-    exact computed time, identically for every worker count and identically
-    to the merged single-simulator run.
-    """
-    send = [3 / 256]
-    reference = run_exact_merged(send, [])
-    assert reference[1] == [(8 / 256, 3 / 256)]  # exactly the 2nd barrier
-    for workers in (1, 2):
-        run = run_exact_sharded(send, [], workers=workers)
-        assert run.results == reference, workers
-
-
-def test_send_event_exactly_at_barrier_with_minimum_lookahead():
-    """Events firing exactly on barrier timestamps stay safe at L == latency.
-
-    The lookahead equals the minimum link latency (the off-by-one regime: any
-    window even one event longer would violate).  Senders fire exactly at
-    t = k*L — the barrier instants themselves — from both sides; every
-    delivery must still happen at its exact merged-run time with no
-    lookahead violation, for both worker counts.
-    """
-    times_a = [0.0, EXACT_LATENCY, 2 * EXACT_LATENCY]
-    times_b = [EXACT_LATENCY, 3 * EXACT_LATENCY]
-    reference = run_exact_merged(times_a, times_b)
-    assert reference[0] and reference[1]
-    for workers in (1, 2):
-        run = run_exact_sharded(times_a, times_b, workers=workers)
-        assert run.results == reference, workers
-
-
-def test_inject_remote_boundary_is_inclusive():
-    """A record due exactly `now` injects fine; strictly earlier raises."""
-    env = Environment(seed=3)
-    network = Network(env, exact_topology(), jitter_fraction=0.0)
-    receiver = ScheduledSender(env, "x1", "s1", "x0", [])
-    env.simulator.run_window(0.5)
-    network.inject_remote([(0.5, "x0", "x1", Probe(body={"sent_at": 0.25}))])
-    env.run()
-    assert receiver.log == [(0.5, 0.25)]
-    with pytest.raises(SimulationError, match="lookahead violation"):
-        network.inject_remote(
-            [(0.4999, "x0", "x1", Probe(body={"sent_at": 0.25}))]
-        )
-
-
-def test_outbox_frontier_reports_earliest_departure():
-    """The gateway frontier is the earliest undrained outbound delivery."""
-    env = Environment(seed=5)
-    network = Network(env, exact_topology(), jitter_fraction=0.0)
-    sender = ScheduledSender(env, "x0", "s0", "x1", [])
-    network.set_remote_routes({"x1": "s1"})
-    assert network.outbox_frontier is None
-    sender.send("x1", Probe(body={"sent_at": 0.0}))
-    sender.send("x1", Probe(body={"sent_at": 0.0}))
-    first = network.outbox_frontier
-    assert first == EXACT_TX + EXACT_LATENCY
-    records = network.drain_outbox()
-    assert [r[0] for r in records][0] == first
-    assert network.outbox_frontier is None
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +333,11 @@ def test_next_event_time_skips_cancelled():
 
 
 # ---------------------------------------------------------------------------
-# Bursty barrier-count regression (adaptive event horizons earn their keep)
+# Bursty barrier count (event-horizon placement earns its keep)
 # ---------------------------------------------------------------------------
 
-BURST_LATENCY = 0.010
-BURST_GAP = 0.4          # idle stretches 40x the lookahead
+BURST_INTERVAL = 0.010
+BURST_GAP = 0.4          # idle stretches 40x the interval
 BURST_COUNT = 3
 BURST_SIZE = 5
 BURST_SPACING = 0.001
@@ -448,14 +345,17 @@ BURST_UNTIL = BURST_COUNT * BURST_GAP + 0.1
 
 
 class BurstActor(Actor):
-    """Fires short cross-shard bursts separated by long idle stretches."""
+    """Fires short bursts at its in-shard peer, separated by long idle stretches."""
 
-    def __init__(self, env, name, site, peer):
+    def __init__(self, env, name, site, peer, fires):
         super().__init__(env, name, site)
         self.peer = peer
-        self.received = []
+        self.fires = fires
+        self.log = []
 
     def on_start(self):
+        if not self.fires:
+            return
         for burst in range(BURST_COUNT):
             for index in range(BURST_SIZE):
                 self.env.simulator.schedule_at(
@@ -467,68 +367,35 @@ class BurstActor(Actor):
         self.send(self.peer, Probe(body={"burst": burst, "index": index}))
 
     def on_message(self, sender, message):
-        self.received.append((round(self.now, 9), message.body["burst"], message.body["index"]))
-
-
-class BurstHarness(ShardHarness):
-    def __init__(self, env, actor):
-        super().__init__(env)
-        self.actor = actor
-
-    def start(self):
-        self.actor.on_start()
-
-    def finalize(self):
-        return self.actor.received
-
-
-def burst_topology() -> Topology:
-    topo = Topology(local_latency=0.00005, local_bandwidth_bps=10e9)
-    topo.add_site("s0")
-    topo.add_site("s1")
-    topo.set_link("s0", "s1", one_way_latency=BURST_LATENCY, bandwidth_bps=1e9)
-    return topo
+        self.log.append((round(self.now, 9), message.body["burst"], message.body["index"]))
 
 
 def build_burst_shard(index):
     env = Environment(seed=13)
-    Network(env, burst_topology(), jitter_fraction=0.0)
-    actor = BurstActor(env, f"burst{index}", f"s{index}", f"burst{1 - index}")
-    return BurstHarness(env, actor)
+    Network(env, shard_topology(), jitter_fraction=0.0)
+    return ActorsHarness(env, [
+        BurstActor(env, f"burst{index}", f"a{index}", f"sink{index}", fires=True),
+        BurstActor(env, f"sink{index}", f"b{index}", None, fires=False),
+    ])
 
 
-def run_merged_burst():
-    env = Environment(seed=13)
-    Network(env, burst_topology(), jitter_fraction=0.0)
-    actors = [BurstActor(env, f"burst{i}", f"s{i}", f"burst{1 - i}") for i in range(2)]
-    for actor in actors:
-        actor.on_start()
-    env.run(until=BURST_UNTIL)
-    return {i: actor.received for i, actor in enumerate(actors)}
-
-
-def test_adaptive_beats_fixed_on_bursty_topology():
-    """Regression: event horizons hop an idle stretch far longer than the
-    lookahead in one barrier, and every delivery lands where the merged
-    single-simulator run puts it.
-
-    A barrier per lookahead — the textbook protocol — is by definition
-    ``ceil(BURST_UNTIL / BURST_LATENCY)`` of them, work or not.
-    """
-    reference = run_merged_burst()
-    assert all(len(received) == BURST_COUNT * BURST_SIZE for received in reference.values())
+@pytest.mark.parametrize("workers", [1, 2])
+def test_local_bursts_hop_idle_stretches_in_one_barrier(workers):
+    """Event-horizon windows hop an idle stretch far longer than the interval
+    in one barrier.  A barrier per interval, work or not, is by definition
+    ``ceil(BURST_UNTIL / BURST_INTERVAL)`` of them."""
     run = run_sharded(
-        [ShardSpec(i, build_burst_shard, i) for i in range(2)],
+        [ShardSpec(i, build_burst_shard, i) for i in range(SHARDS)],
         until=BURST_UNTIL,
-        workers=1,
-        lookahead=BURST_LATENCY,
+        workers=workers,
+        segment_interval=BURST_INTERVAL,
     )
-    assert run.results == reference
-    # Per burst: one window in which both sides send, one in which both
-    # receive; then the hop to the horizon.
-    assert run.barrier_count == 2 * BURST_COUNT + 1
-    assert run.barrier_count <= BURST_COUNT * (BURST_SIZE + 2) + 2
-    assert run.barrier_count < ceil(BURST_UNTIL / BURST_LATENCY)
+    for index in range(SHARDS):
+        assert len(run.results[index]["logs"][f"sink{index}"]) == BURST_COUNT * BURST_SIZE
+    # Per burst: one window in which the sends run, one in which the
+    # deliveries land; then the hop to the horizon.
+    assert run.windows == 2 * BURST_COUNT + 1
+    assert run.windows < ceil(BURST_UNTIL / BURST_INTERVAL)
 
 
 # ---------------------------------------------------------------------------
@@ -609,13 +476,43 @@ def test_segments_ship_at_every_barrier_and_cover_the_run():
             assert all(tick <= watermark for tick in segments.get(sid, []))
 
 
-def test_segment_stream_is_worker_count_invariant():
-    """The sink sees the identical barrier sequence for every worker count."""
-    run1, barriers1 = _collect_segments(workers=1)
-    run2, barriers2 = _collect_segments(workers=2)
-    assert run1.results == run2.results
-    assert run1.windows == run2.windows
-    assert barriers1 == barriers2
+def test_wire_codec_engine_differential():
+    """Segment shards are bit-identical with no wire at all and over the codec,
+    and the sink sees the identical barrier sequence."""
+    baseline, barriers1 = _collect_segments(workers=1)
+    codec, barriers2 = _collect_segments(workers=2)
+    assert codec.results == baseline.results
+    assert codec.events == baseline.events
+    assert codec.windows == baseline.windows
+    assert barriers2 == barriers1
+    # IPC accounting: real for pipe transports, zero for the in-process one.
+    assert codec.ipc_bytes > 0 and codec.ipc_messages > 0
+    assert baseline.ipc_bytes == 0 and baseline.ipc_messages == 0
+
+
+class SinkFailure(ValueError):
+    """The sink's own exception type."""
+
+
+def _failing_sink(segments_by_shard):
+    raise SinkFailure("sink rejected a barrier")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_raising_segment_sink_surfaces_its_own_exception(workers):
+    """The sink's exception object reaches the caller unwrapped, promptly."""
+    began = time.perf_counter()
+    with pytest.raises(SinkFailure) as excinfo:
+        run_sharded(
+            [ShardSpec(i, build_segment_shard, i) for i in range(2)],
+            until=0.05,
+            workers=workers,
+            segment_interval=0.01,
+            segment_sink=_failing_sink,
+        )
+    assert time.perf_counter() - began < 5.0
+    assert type(excinfo.value) is SinkFailure
+    assert str(excinfo.value) == "sink rejected a barrier"
 
 
 class PhasedHarness(CountingHarness):
@@ -661,17 +558,8 @@ def test_segment_interval_requires_horizon():
         )
 
 
-def test_cross_traffic_under_segment_windows_still_raises():
-    """Segment barriers give no delivery guarantee: talking shards need a
-    lookahead, and the engine refuses to lose their mail silently."""
-    with pytest.raises(SimulationError, match="lookahead"):
-        run_sharded(
-            specs(), until=HORIZON, workers=1, segment_interval=0.05
-        )
-
 # ---------------------------------------------------------------------------
-# Barrier-plane round 2: weighted placement, failure identity, skip windows,
-# and the wire differential
+# Weighted placement and failure identity
 # ---------------------------------------------------------------------------
 
 from repro.sim.parallel import _assign_shards  # noqa: E402
@@ -757,56 +645,3 @@ def test_dead_worker_surfaces_with_identity():
     assert time.perf_counter() - began < 5.0
     message = str(excinfo.value)
     assert "shards" in message and "exit code" in message
-
-
-class OneWayReceiver(Actor):
-    """Passive sink: logs receipts, never schedules or sends anything."""
-
-    def __init__(self, env, name, site):
-        super().__init__(env, name, site)
-        self.received = []
-
-    def on_message(self, sender, message):
-        self.received.append((round(self.now, 9), message.body["burst"], message.body["index"]))
-
-
-def build_oneway_shard(index):
-    env = Environment(seed=13)
-    Network(env, burst_topology(), jitter_fraction=0.0)
-    if index == 0:
-        actor = BurstActor(env, "burst0", "s0", "sink1")
-        return BurstHarness(env, actor)
-    actor = OneWayReceiver(env, "sink1", "s1")
-    return BurstHarness(env, actor)
-
-
-def test_one_way_bursts_skip_idle_receiver_windows():
-    """Horizon-aware scheduling: the idle receiver's worker is skipped —
-    no wake, no reply — for windows where it has no inbound and no local
-    events, without changing a single delivery."""
-    runs = {}
-    for workers in (1, 2):
-        runs[workers] = run_sharded(
-            [ShardSpec(i, build_oneway_shard, i) for i in range(2)],
-            until=BURST_UNTIL,
-            workers=workers,
-            lookahead=BURST_LATENCY,
-        )
-    assert runs[1].results == runs[2].results
-    assert runs[1].windows == runs[2].windows
-    assert len(runs[1].results[1]) == BURST_COUNT * BURST_SIZE
-    # The in-process reference engine never skips; the pipe transport must
-    # have skipped the receiver during the sender-only stretches.
-    assert runs[1].worker_windows_skipped == 0
-    assert runs[2].worker_windows_skipped > 0
-
-
-def test_wire_codec_engine_differential():
-    """Delivery order is bit-identical with no wire at all and over the codec."""
-    baseline = run_sharded(specs(), until=HORIZON, workers=1, lookahead=LINK_LATENCY)
-    codec = run_sharded(specs(), until=HORIZON, workers=2, lookahead=LINK_LATENCY)
-    assert codec.results == baseline.results
-    assert codec.windows == baseline.windows
-    # IPC accounting: real for pipe transports, zero for the in-process one.
-    assert codec.ipc_bytes > 0 and codec.ipc_messages > 0
-    assert baseline.ipc_bytes == 0 and baseline.ipc_messages == 0

@@ -41,7 +41,7 @@ from tests.reference.wire import plain_pickle, reference_decode, reference_encod
 # ---------------------------------------------------------------------------
 # Hypothesis strategies building the nested payload shapes barrier traffic
 # actually carries: Command leaves wrapped in ProposalValue / PackedValues,
-# rides inside RingSegments and RemoteMessage tuples.
+# rides inside RingSegments and the per-shard dicts of barrier replies.
 # ---------------------------------------------------------------------------
 
 _names = st.text(alphabet="abcdefgh0123", max_size=8)
