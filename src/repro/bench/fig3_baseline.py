@@ -50,6 +50,9 @@ class _SelfProposingLearner(MultiRingProcess):
         self._value_size = value_size
         self._threads = threads
         self._outstanding: Dict[int, float] = {}
+        # The payload is opaque (its size travels in ``size_bytes``), so every
+        # proposal of this process carries the same tuple.
+        self._payload = ("dummy", name)
         # Instruments are resolved once; registry lookups by name were a
         # measurable slice of the per-delivery cost (reset_all() keeps the
         # instrument objects, so cached references stay valid).  Every value
@@ -66,7 +69,7 @@ class _SelfProposingLearner(MultiRingProcess):
     def _propose_next(self) -> None:
         if not self.alive:
             return
-        value = self.multicast(self._ring_id, payload=("dummy", self.name), size_bytes=self._value_size)
+        value = self.multicast(self._ring_id, payload=self._payload, size_bytes=self._value_size)
         self._outstanding[value.proposal_id] = value.created_at
 
     def on_deliver(self, group_id: int, instance: int, value: ProposalValue) -> None:

@@ -47,10 +47,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Violation:
-    """One invariant violation found by the oracle."""
+    """One invariant violation found by the oracle.
+
+    ``payloads`` are the delivered messages the detail names (none for the
+    service-level checks); a repro artifact keeps every trace record of them.
+    """
 
     prop: str
     detail: str
+    payloads: Tuple[Hashable, ...] = ()
 
     def __str__(self) -> str:  # pragma: no cover - display helper
         return f"[{self.prop}] {self.detail}"
@@ -67,6 +72,7 @@ def _integrity(recorder: TraceRecorder, violations: List[Violation]) -> None:
                     violations.append(Violation(
                         "integrity",
                         f"{name} (incarnation {incarnation}) delivered {payload!r} twice",
+                        (payload,),
                     ))
                 seen.add(payload)
                 origin = sent.get(payload)
@@ -74,6 +80,7 @@ def _integrity(recorder: TraceRecorder, violations: List[Violation]) -> None:
                     violations.append(Violation(
                         "integrity",
                         f"{name} delivered {payload!r} which was never multicast",
+                        (payload,),
                     ))
                     continue
                 if origin.group != record.group:
@@ -81,12 +88,14 @@ def _integrity(recorder: TraceRecorder, violations: List[Violation]) -> None:
                         "integrity",
                         f"{name} delivered {payload!r} in group {record.group}, "
                         f"but it was multicast to group {origin.group}",
+                        (payload,),
                     ))
                 if record.group not in trace.groups:
                     violations.append(Violation(
                         "integrity",
                         f"{name} delivered {payload!r} from group {record.group} "
                         f"it does not subscribe to",
+                        (payload,),
                     ))
 
 
@@ -114,6 +123,7 @@ def _agreement_and_validity(
                     "validity",
                     f"{payload!r} (multicast to group {group} by {origin.sender}, "
                     f"retries={origin.retries}) was never delivered by any learner",
+                    (payload,),
                 ))
             continue
         if not delivered_somewhere:
@@ -127,6 +137,7 @@ def _agreement_and_validity(
                     "agreement",
                     f"{payload!r} (group {group}) was delivered by some learner "
                     f"but not by correct subscriber {name}",
+                    (payload,),
                 ))
 
 
@@ -160,12 +171,14 @@ def _acyclic_order(recorder: TraceRecorder, violations: List[Violation]) -> None
                 queue.append(succ)
     if visited != len(nodes):
         cyclic = sorted(
-            (repr(node) for node in nodes if indegree[node] > 0), key=str
+            ((repr(node), node) for node in nodes if indegree[node] > 0),
+            key=lambda named: named[0],
         )[:8]
         violations.append(Violation(
             "acyclic-order",
             "the cross-learner 'delivered before' relation has a cycle "
-            f"involving {', '.join(cyclic)}",
+            f"involving {', '.join(text for text, _node in cyclic)}",
+            tuple(node for _text, node in cyclic),
         ))
 
 

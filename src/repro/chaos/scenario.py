@@ -477,7 +477,7 @@ def run_scenario(
     result = ScenarioResult(seed=seed, family=family, violations=violations, stats=stats)
     if violations:
         result.artifact_path = _dump_artifact(
-            spec, result, _trace_tails(recorder), artifacts_dir
+            spec, result, _trace_tails(recorder, violations), artifacts_dir
         )
     return result
 
@@ -574,9 +574,9 @@ class _ChaosRun(ShardHarness):
     def finalize(self) -> Dict[str, Any]:
         violations, stats, recorder = self.verdict()
         return {
-            "violations": [(v.prop, v.detail) for v in violations],
+            "violations": [(v.prop, v.detail, v.payloads) for v in violations],
             "stats": stats,
-            "tails": _trace_tails(recorder),
+            "tails": _trace_tails(recorder, violations),
             "digests": {
                 name: [
                     (record.group, record.instance, record.payload)
@@ -865,7 +865,7 @@ def _run_amcast_sharded(
     }
     for shard_id in sorted(run.results):
         shard = run.results[shard_id]
-        violations.extend(Violation(prop, detail) for prop, detail in shard["violations"])
+        violations.extend(Violation(*violation) for violation in shard["violations"])
         for name, tail in shard["tails"].items():
             tails[f"{name}@shard{shard_id}" if name in shared else name] = tail
         for name, digest in shard["digests"].items():
@@ -1188,10 +1188,17 @@ def _build_dlog(spec: Dict[str, Any]) -> _ChaosRun:
 # Repro artifacts
 # --------------------------------------------------------------------------
 
-def _trace_tails(recorder: TraceRecorder) -> Dict[str, Any]:
-    """The last deliveries of every traced learner, as plain dicts."""
-    return {
-        name: [
+def _trace_tails(recorder: TraceRecorder, violations: Sequence[Violation]) -> Dict[str, Any]:
+    """Every traced learner's last deliveries, as plain dicts.
+
+    A delivery of a payload some violation names is kept however early it
+    came: the last 50 alone can hide the one that matters.
+    """
+    named = {payload for violation in violations for payload in violation.payloads}
+    tails = {}
+    for name, trace in recorder.traces.items():
+        earlier = [record for record in trace.records[:-50] if record.payload in named]
+        tails[name] = [
             {
                 "time": record.time,
                 "incarnation": record.incarnation,
@@ -1199,10 +1206,9 @@ def _trace_tails(recorder: TraceRecorder) -> Dict[str, Any]:
                 "instance": record.instance,
                 "payload": repr(record.payload),
             }
-            for record in trace.tail(50)
+            for record in earlier + trace.tail(50)
         ]
-        for name, trace in recorder.traces.items()
-    }
+    return tails
 
 
 def _dump_artifact(

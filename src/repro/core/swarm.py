@@ -9,9 +9,10 @@ Python objects, timers and metric recorders.  :class:`ClientSwarm` simulates
 
 * per-client state lives in flat arrays (issued/completed counts, online
   flags) plus one dict of in-flight logical requests;
-* open-loop pacing runs on a shared event-time wheel — a heap of
-  ``(next_fire_time, client_index)`` pairs drained by a single kernel timer,
-  so ``n`` clients cost one outstanding simulator event, not ``n``;
+* open-loop pacing runs on a shared event-time wheel of
+  ``(next_fire_time, client_index)`` keys drained by a single kernel timer,
+  so ``n`` clients cost one outstanding simulator event, not ``n`` — and,
+  at a steady rate, two array slots each rather than a heap tuple;
 * the offered load follows an :class:`~repro.workloads.arrival.ArrivalCurve`
   (constant, diurnal ramp, flash crowd);
 * connection churn (clients going away and coming back) and per-class SLO
@@ -252,11 +253,18 @@ class ClientSwarm(Actor):
         self._online = bytearray([1]) * clients
         #: in-flight logical requests keyed by ``sequence * n + index``
         self._outstanding: Dict[int, Tuple[set, float, str]] = {}
-        #: open mode: shared event-time wheel of (next_fire, client_index) —
-        #: a heap of the clients that fired at least once, merged with a
-        #: cursor over those that have not: their first fire times are an
-        #: arithmetic sequence, one tuple at a time is enough
-        self._wheel: List[Tuple[float, int]] = []
+        #: open mode: shared event-time wheel of (next_fire, client_index),
+        #: merged from three sorted sources.  A cursor over the clients that
+        #: have not fired yet (their first fire times are an arithmetic
+        #: sequence, one tuple at a time is enough); a FIFO of re-arms in two
+        #: columns, taking every fired client's re-arm not below the last one
+        #: it took (at a steady rate all of them: the clock only moves
+        #: forward); and a heap for the rest (after the rate went up) and for
+        #: reconnects
+        self._heap: List[Tuple[float, int]] = []
+        self._fifo_times = array("d")
+        self._fifo_indices = array("q")
+        self._fifo_head = 0
         self._cold_head: Optional[Tuple[float, int]] = None
         self._cold_origin = 0.0
         self._cold_step = 0.0
@@ -316,7 +324,6 @@ class ClientSwarm(Actor):
                 # first fire their periodic timers.
                 self._cold_origin = now + interval
                 self._cold_step = 0.0
-            self._wheel = []
             self._cold_head = self._cold_entry(0)
             self._arm_wheel()
         if self._churn is not None:
@@ -370,6 +377,21 @@ class ClientSwarm(Actor):
                 )
 
     # -------------------------------------------------------- event-time wheel
+    @property
+    def _wheel(self) -> List[Tuple[float, int]]:
+        """Every pending re-arm as one heap (moves the FIFO into the heap).
+
+        For inspection: the merge pops the same order from any split of the
+        re-arms between the FIFO and the heap.
+        """
+        heap = self._heap
+        times, indices = self._fifo_times, self._fifo_indices
+        for position in range(self._fifo_head, len(times)):
+            heapq.heappush(heap, (times[position], indices[position]))
+        del times[:], indices[:]
+        self._fifo_head = 0
+        return heap
+
     def _cold_entry(self, index: int) -> Optional[Tuple[float, int]]:
         """``(first fire time, index)`` of a client that has not fired yet."""
         if index >= self._n:
@@ -379,12 +401,19 @@ class ClientSwarm(Actor):
         return (self._cold_origin, index)
 
     def _arm_wheel(self) -> None:
+        """Arm the timer for the earliest entry of the three sources."""
+        head = self._heap[0][0] if self._heap else None
         cold = self._cold_head
-        if self._wheel and (cold is None or self._wheel[0] < cold):
-            head = self._wheel[0][0]
-        elif cold is not None:
+        if cold is not None and (head is None or cold[0] < head):
             head = cold[0]
-        else:
+        times = self._fifo_times
+        if self._fifo_head < len(times) and (head is None or times[self._fifo_head] < head):
+            head = times[self._fifo_head]
+        self._arm_at(head)
+
+    def _arm_at(self, head: Optional[float]) -> None:
+        """Arm the wheel's one kernel timer for ``head`` (``None``: nothing pending)."""
+        if head is None:
             self._armed_for = None
             return
         if self._armed_for is not None and self._armed_for <= head:
@@ -405,20 +434,40 @@ class ClientSwarm(Actor):
             return
         self._armed_for = None
         now = self.now
-        wheel = self._wheel
+        wheel = self._heap
         cold = self._cold_head
+        times = self._fifo_times
+        indices = self._fifo_indices
+        head = self._fifo_head
+        tail = len(times)
+        # The FIFO's head key and its last appended key (None when empty).
+        fifo = last = None
+        if head < tail:
+            fifo = (times[head], indices[head])
+            last = (times[-1], indices[-1])
         interval = None
         while True:
-            # Pop order is the heap's: the smaller (time, index) of both heads.
-            if cold is not None and not (wheel and wheel[0] < cold):
-                if cold[0] > now:
-                    break
-                index = cold[1]
-                cold = self._cold_head = self._cold_entry(index + 1)
-            elif wheel and wheel[0][0] <= now:
-                _, index = heapq.heappop(wheel)
-            else:
+            # Pop order is one heap's over all three sources: the smallest
+            # (time, index) of their heads (equal keys are the same client at
+            # the same time, so which of them pops first makes no difference).
+            key = fifo
+            source = 1
+            if wheel and (key is None or wheel[0] < key):
+                key = wheel[0]
+                source = 2
+            if cold is not None and (key is None or cold < key):
+                key = cold
+                source = 3
+            if key is None or key[0] > now:
                 break
+            index = key[1]
+            if source == 1:
+                head += 1
+                fifo = (times[head], indices[head]) if head < tail else None
+            elif source == 2:
+                heapq.heappop(wheel)
+            else:
+                cold = self._cold_head = self._cold_entry(index + 1)
             if not self._online[index]:
                 continue  # reconnection re-enters the wheel
             if self._max_requests is not None and self._issued[index] >= self._max_requests:
@@ -426,8 +475,23 @@ class ClientSwarm(Actor):
             self._issue(index)
             if interval is None:
                 interval = 1.0 / (self._arrival.rate_at(now) / self._n)
-            heapq.heappush(wheel, (now + interval, index))
-        self._arm_wheel()
+            entry = (now + interval, index)
+            if fifo is None or entry >= last:
+                times.append(entry[0])
+                indices.append(index)
+                tail += 1
+                last = entry
+                if fifo is None:
+                    fifo = entry
+            else:
+                heapq.heappush(wheel, entry)
+        if head * 2 > tail:
+            del times[:head]
+            del indices[:head]
+            head = 0
+        self._fifo_head = head
+        # The loop stopped at the smallest pending key: the next fire.
+        self._arm_at(None if key is None else key[0])
 
     # ------------------------------------------------------------------ churn
     def _schedule_churn(self) -> None:
@@ -464,7 +528,7 @@ class ClientSwarm(Actor):
                 self._issue(index)
         else:
             interval = 1.0 / (self._arrival.rate_at(self.now) / self._n)
-            heapq.heappush(self._wheel, (self.now + interval, index))
+            heapq.heappush(self._heap, (self.now + interval, index))
             self._arm_wheel()
 
     # ---------------------------------------------------------- response side

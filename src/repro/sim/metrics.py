@@ -30,7 +30,9 @@ import bisect
 import math
 from array import array
 from collections import defaultdict
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain, compress, repeat
+from operator import and_, le, lt
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -48,6 +50,10 @@ _SKETCH_GROWTH = 1.02
 _LOG_GROWTH = math.log(_SKETCH_GROWTH)
 # Samples below this magnitude (one nanosecond) share the underflow bucket.
 _SKETCH_FLOOR = 1e-9
+
+# What ``ThroughputTracker`` holds as its last sample's units when it has none:
+# no ``record`` argument is this object, so the next record starts a sample.
+_NO_SAMPLE = object()
 
 
 class Counter:
@@ -346,30 +352,52 @@ class ThroughputTracker:
     ``record(units)`` is called when work completes; totals per fixed-size
     bucket provide the throughput timeline of Figure 8, and window totals
     provide the steady-state throughput of the other figures.
+
+    Storage is one sample per simulated instant, not one per record: a record
+    at the same clock reading as the last sample, passing the very object that
+    sample holds, bumps the sample's repeat count (a packed instance delivers
+    every value in one instant, and every call site passes a shared constant).
+    Queries replay each sample ``count`` times in record order, so every sum
+    is the one a flat list of records would give, bit for bit.
     """
 
     def __init__(self, name: str, clock: Callable[[], float], bucket_seconds: float = 1.0) -> None:
         self.name = name
         self._clock = clock
         self._bucket = bucket_seconds
-        # Columns, not a tuple per record: a run records once per delivered
-        # command, and every tuple would be one more GC-tracked object.
+        # Columns, not a tuple per record: every tuple would be one more
+        # GC-tracked object.  A repeat count past 255 starts a new sample.
         self._times = array("d")
         self._units: List[float] = []
+        self._counts = array("B")
+        self._last_units: object = _NO_SAMPLE
+        self._last_time = 0.0
 
     def record(self, units: float = 1.0) -> None:
         """Record completion of ``units`` units of work at the current time."""
-        self._times.append(self._clock())
+        now = self._clock()
+        if units is self._last_units and now == self._last_time:
+            counts = self._counts
+            count = counts[-1]
+            if count != 255:
+                counts[-1] = count + 1
+                return
+        self._times.append(now)
         self._units.append(units)
+        self._counts.append(1)
+        self._last_units = units
+        self._last_time = now
 
     @property
     def total(self) -> float:
         """Total units recorded."""
-        return sum(self._units)
+        return sum(_replayed(self._units, self._counts))
 
     def total_between(self, start: float, end: float) -> float:
         """Units recorded in the half-open interval ``[start, end)``."""
-        return sum(u for t, u in zip(self._times, self._units) if start <= t < end)
+        times = self._times
+        inside = list(map(and_, map(le, repeat(start), times), map(lt, times, repeat(end))))
+        return sum(_replayed(compress(self._units, inside), compress(self._counts, inside)))
 
     def rate(self, start: float, end: float) -> float:
         """Average rate (units/second) over ``[start, end)``."""
@@ -387,9 +415,11 @@ class ThroughputTracker:
         if end <= start:
             return []
         buckets: Dict[int, float] = defaultdict(float)
-        for t, u in zip(self._times, self._units):
+        for t, u, k in zip(self._times, self._units, self._counts):
             if start <= t < end:
-                buckets[int((t - start) // self._bucket)] += u
+                bucket = int((t - start) // self._bucket)
+                for _ in range(k):
+                    buckets[bucket] += u
         n_buckets = int(math.ceil((end - start) / self._bucket))
         return [
             (start + i * self._bucket, buckets.get(i, 0.0) / self._bucket)
@@ -400,6 +430,13 @@ class ThroughputTracker:
         """Drop all recorded events."""
         del self._times[:]
         self._units.clear()
+        del self._counts[:]
+        self._last_units = _NO_SAMPLE
+
+
+def _replayed(units: Iterable[float], counts: Iterable[int]) -> Iterator[float]:
+    """Each sample's units, ``count`` times over, in record order."""
+    return chain.from_iterable(map(repeat, units, counts))
 
 
 class MetricRegistry:

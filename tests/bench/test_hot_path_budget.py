@@ -89,13 +89,13 @@ def dlog_sharded():
 #: ``dlog-sharded`` the count before the per-barrier merge bookkeeping.
 BUDGETS = {
     "unbatched": (
-        fig3(threads_per_proposer=10, batching_enabled=False), 1_550_000, 1_497_061, 2_361_179,
+        fig3(threads_per_proposer=10, batching_enabled=False), 1_505_000, 1_454_274, 2_361_179,
     ),
     "batched": (
-        fig3(threads_per_proposer=40, batching_enabled=True), 685_000, 665_556, 856_055,
+        fig3(threads_per_proposer=40, batching_enabled=True), 640_000, 618_410, 856_055,
     ),
-    "kv-global-open": (kv_global_open, 400_000, 388_056, 404_550),
-    "dlog-sharded": (dlog_sharded, 1_080_000, 1_043_145, 1_120_400),
+    "kv-global-open": (kv_global_open, 398_000, 385_658, 404_550),
+    "dlog-sharded": (dlog_sharded, 1_068_000, 1_031_964, 1_120_400),
 }
 
 

@@ -1,6 +1,7 @@
 """Unit tests of the invariant oracle on hand-built traces."""
 
 from repro.chaos.oracle import check_delivery_properties
+from repro.chaos.scenario import _trace_tails
 from repro.chaos.trace import DeliveryRecord, ProcessTrace, TraceRecorder
 
 
@@ -147,3 +148,34 @@ class TestAcyclicOrder:
         deliver(recorder, "b", "z", group=0)
         deliver(recorder, "c", "y", group=1)
         assert check_delivery_properties(recorder) == []
+
+
+class TestArtifactTails:
+    """A repro artifact keeps every delivery of the payloads a violation names."""
+
+    def test_an_early_delivery_named_by_a_violation_survives_the_tail_cut(self):
+        recorder = make_recorder({"a": {0}, "b": {0}})
+        for i in range(80):
+            payload = f"m{i}"
+            recorder.record_sent(payload, "a", 0, 0.0)
+            deliver(recorder, "a", payload, instance=i)
+            if i != 3:
+                deliver(recorder, "b", payload, instance=i)
+        violations = check_delivery_properties(recorder)
+        assert [(v.prop, v.payloads) for v in violations] == [("agreement", ("m3",))]
+        tails = _trace_tails(recorder, violations)
+        assert [entry["instance"] for entry in tails["a"]] == [3] + list(range(30, 80))
+        assert len(tails["b"]) == 50  # b never delivered m3: its tail alone
+        assert _trace_tails(recorder, [])["a"] == tails["a"][1:]
+
+    def test_a_cycle_names_its_payloads(self):
+        recorder = make_recorder({"a": {0}, "b": {0}})
+        for payload in ("x", "y"):
+            recorder.record_sent(payload, "a", 0, 0.0)
+        deliver(recorder, "a", "x")
+        deliver(recorder, "a", "y")
+        deliver(recorder, "b", "y")
+        deliver(recorder, "b", "x")
+        (violation,) = check_delivery_properties(recorder)
+        assert violation.prop == "acyclic-order"
+        assert violation.payloads == ("x", "y")  # the ones the detail names, in its order

@@ -249,14 +249,19 @@ def test_dropped_deployments_alive_are_bounded_by_the_backlog(monkeypatch):
 
     monkeypatch.setattr(AtomicMulticast, "start", watch)
     dropped_alive = []
-    per_point = None
-    points = 9
-    for _ in range(points):
+
+    def point():
         run_fig3_point(2048, StorageMode.IN_MEMORY, warmup=0.02, duration=0.05)
-        per_point = per_point or gc_paused._backlog
         dropped_alive.append(sum(ref() is not None for ref in deployments[:-1]))
+
+    point()
+    per_point = gc_paused._backlog
     assert 0 < per_point < gc_paused.BACKLOG  # the premise: a point alone is under the bar
     bound = gc_paused.BACKLOG // per_point + 1
+    # Enough points that a loop which never collected would pass the bound.
+    points = bound + 3
+    for _ in range(points - 1):
+        point()
     assert max(dropped_alive) <= bound < points - 1  # fewer than a loop that never collects
 
 

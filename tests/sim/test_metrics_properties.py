@@ -14,16 +14,18 @@ sample sets:
   the design bound of ~1% relative error (geometric bucket midpoints at
   growth 1.02);
 * the columnar :class:`ThroughputTracker` answers every query with the same
-  value *and type* as a list-of-tuples reference (one ``(time, units)`` tuple
-  per record, summed in record order).
+  value *and type* as the list-of-tuples reference of
+  ``tests/reference/metrics.py`` (one ``(time, units)`` tuple per record,
+  summed in record order) — on hypothesis' streams, and on the run-length
+  cases hypothesis rarely draws: long runs of one units object at one
+  instant, sums that depend on their order, a reset inside a run, and equal
+  units of different types.
 """
-
-import math
-from collections import defaultdict
 
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.metrics import LatencyRecorder, ThroughputTracker
+from tests.reference.metrics import TupleTracker
 
 #: Positive latencies well clear of the sketch's 1e-9 underflow bucket.
 samples_strategy = st.lists(
@@ -127,46 +129,6 @@ class TestSketchAgreement:
         assert cdf[-1][1] == 1.0
 
 
-class _TupleTracker:
-    """Reference tracker: one ``(time, units)`` tuple per record."""
-
-    def __init__(self, clock, bucket_seconds):
-        self._clock = clock
-        self._bucket = bucket_seconds
-        self._events = []
-
-    def record(self, units=1.0):
-        self._events.append((self._clock(), units))
-
-    @property
-    def total(self):
-        return sum(u for _, u in self._events)
-
-    def total_between(self, start, end):
-        return sum(u for t, u in self._events if start <= t < end)
-
-    def rate(self, start, end):
-        if end <= start:
-            return 0.0
-        return self.total_between(start, end) / (end - start)
-
-    def timeline(self, start, end):
-        if end <= start:
-            return []
-        buckets = defaultdict(float)
-        for t, u in self._events:
-            if start <= t < end:
-                buckets[int((t - start) // self._bucket)] += u
-        n_buckets = int(math.ceil((end - start) / self._bucket))
-        return [
-            (start + i * self._bucket, buckets.get(i, 0.0) / self._bucket)
-            for i in range(n_buckets)
-        ]
-
-    def reset(self):
-        self._events.clear()
-
-
 #: ``(time step, units)`` records; units mix ints and floats on purpose —
 #: the tracker must hand back the operand types it was given.
 record_stream = st.lists(
@@ -203,7 +165,7 @@ class TestColumnarThroughputTracker:
     def test_matches_list_of_tuples_reference(self, stream, a, b, bucket, reset_at):
         now = [0.0]
         tracker = ThroughputTracker("prop", lambda: now[0], bucket)
-        reference = _TupleTracker(lambda: now[0], bucket)
+        reference = TupleTracker(lambda: now[0], bucket)
         for index, (step, units) in enumerate(stream):
             if index == reset_at:
                 tracker.reset()
@@ -221,3 +183,70 @@ class TestColumnarThroughputTracker:
         reference.reset()
         _same(tracker.total, reference.total)
         _same(tracker.timeline(0.0, 1.0), reference.timeline(0.0, 1.0))
+
+
+def _replay(records, bucket=0.25):
+    """Feed ``(time, units)`` records — or ``"reset"`` — to both trackers."""
+    now = [0.0]
+    tracker = ThroughputTracker("case", lambda: now[0], bucket)
+    reference = TupleTracker(lambda: now[0], bucket)
+    for record in records:
+        if record == "reset":
+            tracker.reset()
+            reference.reset()
+            continue
+        now[0], units = record
+        tracker.record(units)
+        reference.record(units)
+    return tracker, reference
+
+
+def _answers_alike(tracker, reference, start=0.0, end=2.0):
+    _same(tracker.total, reference.total)
+    _same(tracker.total_between(start, end), reference.total_between(start, end))
+    _same(tracker.rate(start, end), reference.rate(start, end))
+    _same(tracker.timeline(start, end), reference.timeline(start, end))
+
+
+class TestRunLengthCases:
+    def test_one_units_object_at_one_instant_is_one_sample(self):
+        size = 2048
+        tracker, reference = _replay([(0.5, size)] * 40 + [(0.75, size)] * 3)
+        _answers_alike(tracker, reference)
+        assert len(tracker._times) == 2
+
+    def test_a_run_is_summed_in_record_order_not_pre_summed(self):
+        big, one = 1e16, 1.0
+        tracker, reference = _replay([(0.5, big), (0.5, one), (0.5, one)])
+        _answers_alike(tracker, reference)
+        assert tracker.total == 1e16  # 1e16 + 1.0 rounds back to 1e16, twice
+        tracker, reference = _replay([(0.5, one), (0.5, one), (0.5, big)])
+        _answers_alike(tracker, reference)
+        assert tracker.total == 1.0000000000000002e16
+
+    def test_a_run_longer_than_a_count_holds_starts_a_new_sample(self):
+        tracker, reference = _replay([(0.5, 1.0)] * 600 + [(1.5, 1.0)] * 256)
+        _answers_alike(tracker, reference)
+        assert tracker.total == 856.0
+        assert list(tracker._counts) == [255, 255, 90, 255, 1]
+
+    def test_a_reset_ends_the_run(self):
+        tracker, reference = _replay([(0.5, 1.0), (0.5, 1.0), "reset", (0.5, 1.0), (0.5, 1.0)])
+        _answers_alike(tracker, reference)
+        assert tracker.total == 2.0
+        tracker, reference = _replay([(0.5, 3), "reset", (0.5, 3)])
+        _answers_alike(tracker, reference)
+
+    def test_equal_units_of_different_types_are_different_samples(self):
+        tracker, reference = _replay([(0.5, 1), (0.5, 1.0), (0.5, 1), (0.5, True)])
+        _answers_alike(tracker, reference)
+        tracker, reference = _replay([(0.5, 1)] * 3)
+        _same(tracker.total, reference.total)  # an int run stays an int
+        assert type(tracker.total) is int
+
+    def test_equal_units_objects_that_are_not_the_same_object_are_kept_apart(self):
+        first, second = float("0.1"), float("0.1")
+        assert first is not second
+        tracker, reference = _replay([(0.5, first), (0.5, second), (0.5, second)])
+        _answers_alike(tracker, reference)
+        assert list(tracker._counts) == [1, 2]
