@@ -13,14 +13,12 @@ Cassandra's implementation details:
   are the request/response network hops and per-operation CPU.
 
 Because nothing is ordered, concurrent writes may be applied in different
-orders at different replicas; :meth:`EventualStoreReplica.divergence_from`
-exposes that, and the tests use it to demonstrate the consistency gap that
-motivates the paper.
+orders at different replicas — the consistency gap that motivates the paper.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.client import Command
 from ..kvstore.partitioning import HashPartitioner, Partitioner
@@ -50,18 +48,17 @@ class EventualStoreReplica(Actor):
         self.store = KeyValueStore()
         self.peers: List[str] = []
         self._cpu_model = cpu_model or CpuCostModel(per_message=6e-6, per_byte=2e-9)
-        self._applied_writes: List[Tuple[str, int]] = []
 
     # -------------------------------------------------------------- messages
     def on_message(self, sender: str, message: Any) -> None:
         if isinstance(message, ReplicateWrite):
-            self._apply(message.command, record_order=True)
+            self._apply(message.command)
             return
         if not isinstance(message, ClientRequest):
             return
         command: Command = message.command
         self.cpu.charge_message(self._cpu_model, command.size_bytes)
-        result = self._apply(command, record_order=True)
+        result = self._apply(command)
         self.send(
             message.client,
             ClientResponse(
@@ -71,11 +68,11 @@ class EventualStoreReplica(Actor):
                 replica=self.name,
             ),
         )
-        if command.op in ("update", "insert", "delete"):
+        if command.op in ("update", "insert"):
             for peer in self.peers:
                 self.send(peer, ReplicateWrite(payload_bytes=command.size_bytes, command=command))
 
-    def _apply(self, command: Command, record_order: bool = False) -> Any:
+    def _apply(self, command: Command) -> Any:
         op = command.op
         if op == "read":
             entry = self.store.read(command.args[0])
@@ -85,28 +82,12 @@ class EventualStoreReplica(Actor):
             return {"count": len(self.store.scan(start_key, end_key, limit))}
         if op in ("update", "insert"):
             key, value, size = command.args
-            if record_order:
-                self._applied_writes.append((key, command.command_id))
             if op == "update":
                 self.store.update(key, value, size)
             else:
                 self.store.insert(key, value, size)
             return {"ok": True}
-        if op == "delete":
-            if record_order:
-                self._applied_writes.append((command.args[0], command.command_id))
-            return {"deleted": self.store.delete(command.args[0])}
         raise ValueError(f"unknown operation: {op}")
-
-    # ------------------------------------------------------------ consistency
-    def write_order(self, key: str) -> List[int]:
-        """Order in which writes to ``key`` were applied at this replica."""
-        return [cid for k, cid in self._applied_writes if k == key]
-
-    def divergence_from(self, other: "EventualStoreReplica") -> int:
-        """Number of keys whose write order differs between two replicas."""
-        keys = {k for k, _ in self._applied_writes} | {k for k, _ in other._applied_writes}
-        return sum(1 for k in keys if self.write_order(k) != other.write_order(k))
 
 
 class EventualStoreService:
@@ -138,10 +119,6 @@ class EventualStoreService:
     def frontend_map(self) -> Dict[int, str]:
         """Coordinator replica each group's requests are sent to."""
         return {group: self.replicas[group][0].name for group in self.groups}
-
-    def all_replicas(self) -> List[EventualStoreReplica]:
-        """Every replica of every partition."""
-        return [r for group in self.groups for r in self.replicas[group]]
 
     def preload(self, keys_with_sizes: Dict[str, int]) -> None:
         """Load initial data into every replica of the owning partition."""

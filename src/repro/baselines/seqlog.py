@@ -102,7 +102,6 @@ class SequencerLogLeader(Actor):
         self._flush_timer = None
         self._inflight: Dict[int, Dict[str, Any]] = {}
         self._cpu_model = CpuCostModel()
-        self._appends = 0
 
     # -------------------------------------------------------------- messages
     def on_start(self) -> None:
@@ -153,7 +152,6 @@ class SequencerLogLeader(Actor):
             return
         del self._inflight[ack.batch_id]
         for command in entry["commands"]:
-            self._appends += 1
             if command.client:
                 self.send(
                     command.client,
@@ -164,11 +162,6 @@ class SequencerLogLeader(Actor):
                         replica=self.name,
                     ),
                 )
-
-    @property
-    def appends_acknowledged(self) -> int:
-        """Appends acknowledged to clients so far."""
-        return self._appends
 
 
 class SequencerLogService:

@@ -17,7 +17,7 @@ relationship rather than MySQL's absolute performance.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..core.client import Command
 from ..kvstore.store import KeyValueStore
@@ -52,7 +52,6 @@ class SingleServerStore(Actor):
         self._disk = Disk(env, disk_profile, name=f"{name}.disk")
         self._busy_until = 0.0
         self._cpu_model = CpuCostModel(per_message=5e-6, per_byte=1.5e-9)
-        self._operations = 0
 
     # -------------------------------------------------------------- messages
     def on_message(self, sender: str, message: Any) -> None:
@@ -75,9 +74,8 @@ class SingleServerStore(Actor):
 
     def _complete(self, command: Command) -> None:
         result = self._apply(command)
-        if command.op in ("update", "insert", "delete") and self._durable_writes:
+        if command.op in ("update", "insert") and self._durable_writes:
             self._disk.write(command.size_bytes)
-        self._operations += 1
         if command.client:
             self.send(
                 command.client,
@@ -103,15 +101,7 @@ class SingleServerStore(Actor):
         if op == "insert":
             key, value, size = command.args
             return {"inserted": self.store.insert(key, value, size)}
-        if op == "delete":
-            return {"deleted": self.store.delete(command.args[0])}
         raise ValueError(f"unknown operation: {op}")
-
-    # ------------------------------------------------------------ inspection
-    @property
-    def operations(self) -> int:
-        """Operations executed so far."""
-        return self._operations
 
     def preload(self, keys_with_sizes: Dict[str, int]) -> None:
         """Load initial data directly into the store."""

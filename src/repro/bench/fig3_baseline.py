@@ -11,7 +11,7 @@ latency, coordinator CPU utilisation and the latency CDF for 32 KB requests
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict
 
 from ..core.amcast import AtomicMulticast
 from ..core.config import MultiRingConfig
@@ -21,7 +21,7 @@ from ..sim.disk import StorageMode
 from ..sim.topology import single_datacenter
 from .runner import ExperimentResult, Measurement, MeasurementWindow
 
-__all__ = ["run_fig3", "run_fig3_point", "FIG3_VALUE_SIZES", "FIG3_STORAGE_MODES"]
+__all__ = ["run_fig3_point", "FIG3_VALUE_SIZES", "FIG3_STORAGE_MODES"]
 
 #: Request sizes of the x-axis (bytes).
 FIG3_VALUE_SIZES = (512, 2048, 8192, 32768)
@@ -155,22 +155,3 @@ def run_fig3_point(
         },
         series={"latency_cdf": results["fig3.latency.cdf"]},
     )
-
-
-def run_fig3(
-    value_sizes: Sequence[int] = FIG3_VALUE_SIZES,
-    storage_modes: Sequence[StorageMode] = FIG3_STORAGE_MODES,
-    warmup: float = 1.0,
-    duration: float = 8.0,
-    seed: int = 42,
-    batching_enabled: bool = False,
-) -> List[ExperimentResult]:
-    """Run the full Figure 3 sweep (all sizes × all storage modes)."""
-    results = []
-    for mode in storage_modes:
-        for size in value_sizes:
-            results.append(
-                run_fig3_point(size, mode, warmup=warmup, duration=duration, seed=seed,
-                               batching_enabled=batching_enabled)
-            )
-    return results

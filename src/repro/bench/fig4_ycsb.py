@@ -17,7 +17,7 @@ the workload-E exception where range scans erase the eventual store's edge.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from ..baselines.eventual import EventualStoreService
 from ..baselines.singleserver import SingleServerStore
@@ -34,7 +34,7 @@ from ..workloads.arrival import ArrivalCurve, constant
 from ..workloads.ycsb import YCSB_WORKLOADS, YCSBWorkload, ycsb_keyspace
 from .runner import ExperimentResult, Measurement, MeasurementWindow
 
-__all__ = ["run_fig4", "run_fig4_point", "FIG4_SYSTEMS", "FIG4_WORKLOADS"]
+__all__ = ["run_fig4_point", "FIG4_SYSTEMS", "FIG4_WORKLOADS"]
 
 #: The four systems compared in the figure.
 FIG4_SYSTEMS = ("cassandra", "mrp-store-indep", "mrp-store", "mysql")
@@ -193,30 +193,3 @@ def run_fig4_point(
         params["users"] = simulated_users or client_threads
         params["mode"] = client_mode
     return ExperimentResult(name="fig4", params=params, metrics=metrics)
-
-
-def run_fig4(
-    systems: Sequence[str] = FIG4_SYSTEMS,
-    workloads: Sequence[str] = FIG4_WORKLOADS,
-    client_threads: int = 100,
-    record_count: int = 5000,
-    warmup: float = 1.0,
-    duration: float = 8.0,
-    seed: int = 42,
-) -> List[ExperimentResult]:
-    """Run the full Figure 4 grid (systems × workloads)."""
-    results = []
-    for workload in workloads:
-        for system_name in systems:
-            results.append(
-                run_fig4_point(
-                    system_name,
-                    workload,
-                    client_threads=client_threads,
-                    record_count=record_count,
-                    warmup=warmup,
-                    duration=duration,
-                    seed=seed,
-                )
-            )
-    return results

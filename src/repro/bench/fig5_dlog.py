@@ -13,7 +13,6 @@ sequencer log's latency is dominated by its batching window.
 
 from __future__ import annotations
 
-from typing import List, Sequence
 
 from ..baselines.seqlog import SequencerLogService
 from ..core.amcast import AtomicMulticast
@@ -26,12 +25,10 @@ from ..sim.topology import single_datacenter
 from ..workloads.log import round_robin_logs
 from .runner import ExperimentResult, Measurement, MeasurementWindow
 
-__all__ = ["run_fig5", "run_fig5_point", "FIG5_SYSTEMS", "FIG5_CLIENT_THREADS"]
+__all__ = ["run_fig5_point", "FIG5_SYSTEMS"]
 
 FIG5_SYSTEMS = ("dlog", "bookkeeper")
 
-#: Client thread counts of the x-axis (the paper sweeps 1..200).
-FIG5_CLIENT_THREADS = (1, 25, 50, 100, 200)
 
 _APPEND_BYTES = 1024
 _DLOG_LOGS = (0, 1)
@@ -109,20 +106,3 @@ def run_fig5_point(
             "latency_p95_ms": results["fig5.latency.p95_ms"],
         },
     )
-
-
-def run_fig5(
-    systems: Sequence[str] = FIG5_SYSTEMS,
-    client_threads: Sequence[int] = FIG5_CLIENT_THREADS,
-    warmup: float = 1.0,
-    duration: float = 8.0,
-    seed: int = 42,
-) -> List[ExperimentResult]:
-    """Run the full Figure 5 sweep (both systems × all thread counts)."""
-    results = []
-    for system_name in systems:
-        for threads in client_threads:
-            results.append(
-                run_fig5_point(system_name, threads, warmup=warmup, duration=duration, seed=seed)
-            )
-    return results

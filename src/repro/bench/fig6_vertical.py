@@ -15,7 +15,7 @@ roughly flat.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict
 
 from ..core.amcast import AtomicMulticast
 from ..core.client import ClosedLoopClient
@@ -25,16 +25,13 @@ from ..dlog.service import DLogService
 from ..sim.disk import StorageMode
 from ..sim.topology import single_datacenter
 from ..workloads.log import single_log
-from .reporting import relative_increments
 from .runner import ExperimentResult, Measurement, MeasurementWindow
 
 __all__ = [
-    "run_fig6", "run_fig6_point", "build_fig6_shard", "fig6_config", "FIG6_RING_COUNTS",
+    "run_fig6_point", "build_fig6_shard", "fig6_config",
     "COMMON_RING_ID",
 ]
 
-#: Number of synchronised logs (rings) on the x-axis.
-FIG6_RING_COUNTS = (1, 2, 3, 4, 5)
 
 _APPEND_BYTES = 1024
 
@@ -162,21 +159,3 @@ def run_fig6_point(
         },
         series={"latency_cdf_disk1": results[f"{metric_names[0]}.latency.cdf"]},
     )
-
-
-def run_fig6(
-    ring_counts: Sequence[int] = FIG6_RING_COUNTS,
-    clients_per_ring: int = 16,
-    warmup: float = 1.0,
-    duration: float = 8.0,
-    seed: int = 42,
-) -> List[ExperimentResult]:
-    """Run the full Figure 6 sweep and annotate relative increments."""
-    results = [
-        run_fig6_point(k, clients_per_ring=clients_per_ring, warmup=warmup, duration=duration, seed=seed)
-        for k in ring_counts
-    ]
-    increments = relative_increments([r.metrics["aggregate_ops"] for r in results])
-    for result, increment in zip(results, increments):
-        result.metrics["relative_increment_pct"] = increment
-    return results

@@ -18,7 +18,7 @@ latency in the observed region stays roughly constant.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from ..core.amcast import AtomicMulticast
 from ..core.client import OpenLoopClient
@@ -31,16 +31,13 @@ from ..sim.disk import StorageMode
 from ..sim.topology import EC2_REGIONS, ec2_global
 from ..workloads.arrival import constant
 from ..workloads.kv import preload_keys, update_only_workload
-from .reporting import relative_increments
 from .runner import ExperimentResult, Measurement, MeasurementWindow
 
 __all__ = [
-    "run_fig7", "run_fig7_point", "build_fig7_shard", "fig7_config", "FIG7_REGION_COUNTS",
+    "run_fig7_point", "build_fig7_shard", "fig7_config",
     "OBSERVED_REGION", "GLOBAL_RING_ID",
 ]
 
-#: Number of synchronised partitions (regions) on the x-axis.
-FIG7_REGION_COUNTS = (1, 2, 3, 4)
 
 #: Region the paper measures latency in.
 OBSERVED_REGION = "us-west-2"
@@ -271,20 +268,3 @@ def run_fig7_point(
         },
         series={"latency_cdf_observed": results[f"fig7.{observed}.latency.cdf"]},
     )
-
-
-def run_fig7(
-    region_counts: Sequence[int] = FIG7_REGION_COUNTS,
-    warmup: float = 2.0,
-    duration: float = 10.0,
-    seed: int = 42,
-) -> List[ExperimentResult]:
-    """Run the full Figure 7 sweep and annotate relative increments."""
-    results = [
-        run_fig7_point(count, warmup=warmup, duration=duration, seed=seed)
-        for count in region_counts
-    ]
-    increments = relative_increments([r.metrics["aggregate_ops"] for r in results])
-    for result, increment in zip(results, increments):
-        result.metrics["relative_increment_pct"] = increment
-    return results

@@ -56,11 +56,6 @@ class RecoveryTimeline:
     latency_ms: List[Tuple[float, float]] = field(default_factory=list)
     events: List[Tuple[float, int]] = field(default_factory=list)
 
-    def throughput_between(self, start: float, end: float) -> float:
-        """Average throughput over a slice of the timeline."""
-        values = [rate for t, rate in self.throughput if start <= t < end]
-        return sum(values) / len(values) if values else 0.0
-
 
 def run_fig8(
     duration: float = 300.0,

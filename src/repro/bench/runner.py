@@ -49,16 +49,6 @@ class ExperimentResult:
     metrics: Dict[str, float] = field(default_factory=dict)
     series: Dict[str, List[Tuple[float, float]]] = field(default_factory=dict)
 
-    def metric(self, key: str, default: float = 0.0) -> float:
-        """A scalar metric with a default."""
-        return self.metrics.get(key, default)
-
-    def describe(self) -> str:
-        """One-line human readable summary."""
-        params = ", ".join(f"{k}={v}" for k, v in self.params.items())
-        metrics = ", ".join(f"{k}={v:.3g}" for k, v in self.metrics.items())
-        return f"{self.name} [{params}] {metrics}"
-
 
 @dataclass
 class MeasurementWindow:
@@ -82,14 +72,12 @@ def stable_payload_key(payload: Any) -> Any:
     semantic identity — who issued what operation with which arguments at
     what time — is.
     """
-    from ..core.client import Command, CommandBatch
+    from ..core.client import Command
     from ..core.packing import PackedValues, iter_payloads
 
     if isinstance(payload, Command):
         return (payload.op, payload.args, payload.group_id, payload.client,
                 payload.created_at)
-    if isinstance(payload, CommandBatch):
-        return tuple(stable_payload_key(command) for command in payload)
     if payload is SKIP:
         return "<SKIP>"
     if isinstance(payload, PackedValues):

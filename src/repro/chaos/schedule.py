@@ -20,8 +20,6 @@ Supported actions
     Cut / restore the links between two sites.
 ``isolate`` / ``rejoin``
     Drop / restore all traffic of one site.
-``heal_all``
-    Remove every partition and isolation at once.
 ``disk_spike`` / ``disk_restore``
     Multiply / reset the write latency of every disk whose name contains
     ``match`` (empty string matches every device).
@@ -92,10 +90,6 @@ def _rejoin(system, site: str) -> None:
     system.network.rejoin_site(site)
 
 
-def _heal_all(system) -> None:
-    system.network.heal_all()
-
-
 def _disk_spike(system, factor: float, match: str = "") -> None:
     for disk in system.env.disks():
         if match in disk.name:
@@ -131,7 +125,6 @@ _ACTIONS: Dict[str, Callable[..., None]] = {
     "heal": _heal,
     "isolate": _isolate,
     "rejoin": _rejoin,
-    "heal_all": _heal_all,
     "disk_spike": _disk_spike,
     "disk_restore": _disk_restore,
     "remove_from_ring": _remove_from_ring,
@@ -211,12 +204,6 @@ class FaultSchedule:
     def end_time(self) -> float:
         """Time of the last event (0.0 for an empty schedule)."""
         return self.events[-1].at if self.events else 0.0
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
 
     # -------------------------------------------------------- serialisation
     def to_dicts(self) -> List[Dict[str, Any]]:

@@ -147,10 +147,6 @@ class TraceRecorder:
         """Traced processes that never crashed during the run."""
         return {name for name in self.traces if name not in self.crashed_ever}
 
-    def subscriptions(self) -> Dict[str, Set[int]]:
-        """Map of traced process name to its subscribed groups."""
-        return {name: set(trace.groups) for name, trace in self.traces.items()}
-
     def delivery_counts(self) -> Dict[str, int]:
         """Per-process total delivery counts (all incarnations)."""
         return {name: len(trace.records) for name, trace in self.traces.items()}

@@ -1,29 +1,22 @@
 """Coordination service (Zookeeper substitute).
 
-The paper delegates ring configuration, coordinator election and the storage
-of the partitioning schema to Zookeeper (Sections 4 and 7).  None of these sit
-on the ordering critical path, so this reproduction provides a small
-in-simulation registry with the same responsibilities:
+The paper delegates ring configuration to Zookeeper (Sections 4 and 7).  It
+does not sit on the ordering critical path, so this reproduction keeps a
+small in-simulation **ring registry**: which rings exist, their member lists,
+coordinator and epoch.  :class:`~repro.core.amcast.AtomicMulticast` writes a
+new overlay on every reconfiguration (crash → evict, restart → re-admit) and
+every process reads its ring's overlay from here.
 
-* **ring registry** — which rings exist, their member lists and their elected
-  coordinator; coordinator re-election when the current one is reported down;
-* **partition map** — MRP-Store's hash/range partitioning schema, readable by
-  every client;
-* **ephemeral membership** — processes register themselves and can be marked
-  failed, triggering watches;
-* **watches** — callbacks fired when a value changes, used by replicas to
-  learn about configuration changes.
-
-The registry is implemented as a plain object (not an actor): in the real
-system every process holds a Zookeeper session and reads are served locally
-from the client cache, so modelling a remote round trip would misrepresent
-the original system's behaviour.
+The registry is a plain object (not an actor): in the real system every
+process holds a Zookeeper session and reads are served locally from the
+client cache, so modelling a remote round trip would misrepresent the
+original system's behaviour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..net.ring import RingMember, RingOverlay
 
@@ -47,15 +40,11 @@ class RingConfig:
 
 
 class CoordinationService:
-    """Registry of rings, partition maps and liveness used by all processes."""
+    """Registry of the rings every process reads its overlay from."""
 
     def __init__(self) -> None:
         self._rings: Dict[int, RingConfig] = {}
-        self._data: Dict[str, Any] = {}
-        self._alive: Dict[str, bool] = {}
-        self._watches: Dict[str, List[Callable[[str, Any], None]]] = {}
 
-    # ----------------------------------------------------------------- rings
     def register_ring(self, overlay: RingOverlay) -> None:
         """Store a ring's membership and coordinator."""
         self._rings[overlay.ring_id] = RingConfig(
@@ -64,7 +53,6 @@ class CoordinationService:
             coordinator=overlay.coordinator,
             epoch=overlay.epoch,
         )
-        self._notify(f"ring/{overlay.ring_id}", overlay)
 
     def ring(self, ring_id: int) -> RingOverlay:
         """Return the current overlay of ``ring_id``."""
@@ -75,69 +63,3 @@ class CoordinationService:
     def ring_ids(self) -> List[int]:
         """All registered ring ids, sorted (deterministic merge order)."""
         return sorted(self._rings)
-
-    def coordinator_of(self, ring_id: int) -> str:
-        """Name of the current coordinator of ``ring_id``."""
-        return self.ring(ring_id).coordinator
-
-    def elect_coordinator(self, ring_id: int, failed: Optional[str] = None) -> str:
-        """Elect a new coordinator for ``ring_id``.
-
-        The first live acceptor (in ring order) that is not the ``failed``
-        process becomes coordinator; mirrors Zookeeper-based leader election.
-        """
-        config = self._rings[ring_id]
-        overlay = config.overlay()
-        candidates = [
-            a for a in overlay.acceptors
-            if a != failed and self._alive.get(a, True)
-        ]
-        if not candidates:
-            raise RuntimeError(f"no live acceptor available to coordinate ring {ring_id}")
-        config.coordinator = candidates[0]
-        config.epoch += 1
-        self._notify(f"ring/{ring_id}", config.overlay())
-        return config.coordinator
-
-    # ------------------------------------------------------------- liveness
-    def register_process(self, name: str) -> None:
-        """Mark a process as live (ephemeral node creation)."""
-        self._alive[name] = True
-        self._notify(f"process/{name}", True)
-
-    def report_failure(self, name: str) -> None:
-        """Mark a process as failed (ephemeral node expiry)."""
-        self._alive[name] = False
-        self._notify(f"process/{name}", False)
-
-    def is_alive(self, name: str) -> bool:
-        """Whether the process is currently believed alive."""
-        return self._alive.get(name, False)
-
-    # ------------------------------------------------------------------ data
-    def put(self, path: str, value: Any) -> None:
-        """Store arbitrary configuration data (e.g. the partition map)."""
-        self._data[path] = value
-        self._notify(path, value)
-
-    def get(self, path: str, default: Any = None) -> Any:
-        """Read configuration data."""
-        return self._data.get(path, default)
-
-    def exists(self, path: str) -> bool:
-        """Whether a data path exists."""
-        return path in self._data
-
-    def delete(self, path: str) -> None:
-        """Remove a data path (no-op when absent)."""
-        self._data.pop(path, None)
-        self._notify(path, None)
-
-    # --------------------------------------------------------------- watches
-    def watch(self, path: str, callback: Callable[[str, Any], None]) -> None:
-        """Invoke ``callback(path, new_value)`` whenever ``path`` changes."""
-        self._watches.setdefault(path, []).append(callback)
-
-    def _notify(self, path: str, value: Any) -> None:
-        for callback in self._watches.get(path, []):
-            callback(path, value)

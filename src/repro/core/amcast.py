@@ -29,14 +29,13 @@ Example
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..coord.registry import CoordinationService
 from ..multiring.process import MultiRingProcess
 from ..net.ring import RingMember, RingOverlay
 from ..sim.actor import Actor, Environment
 from ..sim.disk import Disk
-from ..sim.kernel import Simulator
 from ..sim.network import Network
 from ..sim.topology import Topology, single_datacenter
 from .config import MultiRingConfig
@@ -77,19 +76,16 @@ class AtomicMulticast:
         config: Optional[MultiRingConfig] = None,
         seed: int = 0,
         jitter_fraction: float = 0.05,
-        profile: Optional[object] = None,
     ) -> None:
         """Build an empty deployment.
 
         ``jitter_fraction`` is forwarded to the :class:`Network`; sharded
         differential tests set it to ``0`` because jitter draws come from one
         shared stream whose order a merged run and a sharded run interleave
-        differently.  ``profile`` installs a
-        :class:`repro.sim.profile.SimProfile` on the kernel; the default
-        ``None`` keeps the uninstrumented run loop.
+        differently.
         """
         self.config = config or MultiRingConfig()
-        self.env = Environment(simulator=Simulator(profile=profile), seed=seed)
+        self.env = Environment(seed=seed)
         self.topology = topology or single_datacenter()
         self.network = Network(self.env, self.topology, jitter_fraction=jitter_fraction)
         self.coordination = CoordinationService()
@@ -141,7 +137,6 @@ class AtomicMulticast:
         self.coordination.register_ring(overlay)
         for member in ring_members:
             process = self.env.actor(member.name)
-            self.coordination.register_process(member.name)
             if isinstance(process, MultiRingProcess):
                 disk = disks.get(member.name) if disks else None
                 process.join_ring(overlay, config=ring_config.ring_node_config(), disk=disk)
@@ -150,10 +145,6 @@ class AtomicMulticast:
     def ring(self, ring_id: int) -> RingOverlay:
         """Current overlay of ``ring_id`` as stored in the coordination service."""
         return self.coordination.ring(ring_id)
-
-    def ring_config(self, ring_id: int) -> MultiRingConfig:
-        """Configuration a ring was created with."""
-        return self._ring_configs[ring_id]
 
     # ---------------------------------------------------------------- running
     def start(self) -> None:
@@ -188,7 +179,6 @@ class AtomicMulticast:
             coordinator = live_acceptors[0]
         overlay = RingOverlay(ring_id, remaining, coordinator=coordinator, epoch=current.epoch + 1)
         self.coordination.register_ring(overlay)
-        self.coordination.report_failure(name)
         self._install_overlay(overlay)
         return overlay
 
@@ -210,7 +200,6 @@ class AtomicMulticast:
             ring_id, members, coordinator=current.coordinator, epoch=current.epoch + 1
         )
         self.coordination.register_ring(overlay)
-        self.coordination.register_process(new_member.name)
         self._install_overlay(overlay)
         process = self.env.actor(new_member.name)
         if isinstance(process, MultiRingProcess) and ring_id not in process.ring_ids():
@@ -230,7 +219,7 @@ class AtomicMulticast:
 
     # ------------------------------------------------------- fault injection
     def crash_process(self, name: str, reconfigure_rings: bool = True) -> None:
-        """Crash a process and report the failure to the coordination service.
+        """Crash a process.
 
         By default the failed process is also removed from every ring it was
         a member of — that is what Zookeeper's ephemeral-node expiry does in
@@ -239,7 +228,6 @@ class AtomicMulticast:
         :meth:`restart_process` can re-admit the process with the same roles.
         """
         self.env.actor(name).crash()
-        self.coordination.report_failure(name)
         if not reconfigure_rings:
             return
         for ring_id in self.coordination.ring_ids():
@@ -261,7 +249,6 @@ class AtomicMulticast:
         so the restarted process immediately receives the live stream while
         its recovery protocol fills the gap.
         """
-        self.coordination.register_process(name)
         for ring_id, member in self._evicted_members.pop(name, {}).items():
             self.add_to_ring(ring_id, member)
         self.env.actor(name).restart()

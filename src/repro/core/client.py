@@ -4,15 +4,14 @@ The services of the paper share a client structure (Sections 7.2-7.3):
 
 * a client addresses the proposer of the ring responsible for the data it
   touches;
-* small commands going to the same partition may be *batched* into packets of
-  up to 32 KB before being submitted;
+* small commands going to the same partition are *batched* into packets of
+  up to 32 KB by the ring's coordinator (:mod:`repro.ringpaxos.coordinator`);
 * replicas execute delivered commands and answer the client directly (UDP in
   the prototype); for single-partition commands the client waits for the
   first response, for multi-partition commands (scans, multi-appends) it
   waits for at least one response from every partition involved.
 
 :class:`Command` is the unit of work ordered by atomic multicast.
-:class:`CommandBatch` is what a client batcher produces.
 :class:`ClosedLoopClient` drives a fixed number of outstanding requests (the
 paper's "client threads") and records per-command latency and throughput.
 """
@@ -21,15 +20,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from ..net.message import ClientRequest, ClientResponse, Message
+from ..net.message import ClientRequest, ClientResponse
 from ..sim.actor import Actor, Environment
 
 __all__ = [
     "Command",
-    "CommandBatch",
-    "CommandBatcher",
     "ClosedLoopClient",
     "OpenLoopClient",
     "RequestFactory",
@@ -70,74 +67,13 @@ class Command:
     response_size: int = 32
 
 
-@dataclass
 class CommandBatch:
-    """Several commands for the same group packed into one request."""
+    """Never built: coordinator batching is the one batching layer.
 
-    group_id: int = 0
-    commands: List[Command] = field(default_factory=list)
-
-    @property
-    def size_bytes(self) -> int:
-        """Total payload of the batch."""
-        return sum(c.size_bytes for c in self.commands)
-
-    def __len__(self) -> int:
-        return len(self.commands)
-
-    def __iter__(self):
-        return iter(self.commands)
-
-
-class CommandBatcher:
-    """Groups commands per partition up to a byte budget (32 KB by default)."""
-
-    def __init__(self, max_bytes: int = 32 * 1024) -> None:
-        if max_bytes <= 0:
-            raise ValueError("max_bytes must be positive")
-        self.max_bytes = max_bytes
-        self._pending: Dict[int, List[Command]] = {}
-        #: running byte total per group — kept in lockstep with ``_pending``
-        #: so :meth:`add` is O(1) instead of re-summing the queue every time
-        self._pending_bytes: Dict[int, int] = {}
-
-    def add(self, command: Command) -> Optional[CommandBatch]:
-        """Queue a command; returns a full batch when the budget is reached."""
-        group_id = command.group_id
-        queue = self._pending.setdefault(group_id, [])
-        queue.append(command)
-        total = self._pending_bytes.get(group_id, 0) + command.size_bytes
-        self._pending_bytes[group_id] = total
-        if total >= self.max_bytes:
-            return self.flush_group(group_id)
-        return None
-
-    def flush_group(self, group_id: int) -> Optional[CommandBatch]:
-        """Emit whatever is pending for ``group_id`` (``None`` when empty)."""
-        queue = self._pending.pop(group_id, [])
-        self._pending_bytes.pop(group_id, None)
-        if not queue:
-            return None
-        return CommandBatch(group_id=group_id, commands=queue)
-
-    def flush_all(self) -> List[CommandBatch]:
-        """Emit every non-empty pending batch."""
-        batches = [
-            CommandBatch(group_id=g, commands=cmds)
-            for g, cmds in self._pending.items()
-            if cmds
-        ]
-        self._pending.clear()
-        self._pending_bytes.clear()
-        return batches
-
-    def pending_count(self, group_id: int) -> int:
-        """Commands currently queued for ``group_id``."""
-        return len(self._pending.get(group_id, []))
-
-    def pending_bytes(self, group_id: int) -> int:
-        """Bytes currently queued for ``group_id``."""
-        return self._pending_bytes.get(group_id, 0)
+    The name stays importable because ``benchmarks/ledger/ledger_workloads.py``
+    still tests decided payloads against it; it goes with the next change to
+    the ledger.
+    """
 
 
 #: Builds the next command for a closed-loop client; receives the sequence
@@ -254,20 +190,11 @@ class ClosedLoopClient(Actor):
         self._issue_next()
 
     # ------------------------------------------------------------ inspection
-    @property
-    def issued(self) -> int:
-        """Logical requests issued so far."""
-        return self._issued
 
     @property
     def completed(self) -> int:
         """Logical requests completed so far."""
         return self._completed
-
-    @property
-    def outstanding(self) -> int:
-        """Logical requests currently awaiting responses."""
-        return len(self._outstanding)
 
 
 class OpenLoopClient(Actor):

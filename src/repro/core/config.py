@@ -10,9 +10,9 @@
 * client/coordinator batching;
 * checkpoint and trim periods used by the recovery protocol.
 
-Two presets mirror Section 8.2: :func:`local_config` (within a datacenter:
-``M=1``, ``Δ=5 ms``, ``λ=9000``) and :func:`global_config` (across
-datacenters: ``M=1``, ``Δ=20 ms``, ``λ=2000``).
+The defaults are Section 8.2's setting within a datacenter (``M=1``,
+``Δ=5 ms``, ``λ=9000``); :func:`global_config` is its setting across
+datacenters (``M=1``, ``Δ=20 ms``, ``λ=2000``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from ..ringpaxos.node import RingNodeConfig
 from ..sim.cpu import CpuCostModel
 from ..sim.disk import StorageMode
 
-__all__ = ["MultiRingConfig", "local_config", "global_config"]
+__all__ = ["MultiRingConfig", "global_config"]
 
 #: Maximum client batch size (Sections 7.2 and 7.3).
 CLIENT_BATCH_BYTES = 32 * 1024
@@ -51,11 +51,11 @@ class MultiRingConfig:
                                       messages per second
     ========  ======================  =========================================
 
-    Presets: :func:`local_config` (intra-datacenter: M=1, Δ=5 ms, λ=9000) and
-    :func:`global_config` (cross-datacenter: M=1, Δ=20 ms, λ=2000), both from
-    Section 8.2.  Use :meth:`with_` to derive variants::
+    The defaults are Section 8.2's intra-datacenter setting (M=1, Δ=5 ms,
+    λ=9000); :func:`global_config` is its cross-datacenter one (M=1,
+    Δ=20 ms, λ=2000).  Use :meth:`with_` to derive variants::
 
-        config = local_config().with_(batching_enabled=True)
+        config = MultiRingConfig().with_(batching_enabled=True)
 
     The remaining fields control acceptor storage (Figure 3's five modes),
     coordinator batching (Sections 7.2/7.3), the recovery machinery
@@ -121,16 +121,6 @@ class MultiRingConfig:
     def with_(self, **changes) -> "MultiRingConfig":
         """A copy of the configuration with the given fields replaced."""
         return replace(self, **changes)
-
-
-def local_config(storage_mode: StorageMode = StorageMode.IN_MEMORY) -> MultiRingConfig:
-    """The paper's intra-datacenter configuration (M=1, Δ=5 ms, λ=9000)."""
-    return MultiRingConfig(
-        messages_per_round=1,
-        rate_interval=0.005,
-        max_rate=9000.0,
-        storage_mode=storage_mode,
-    )
 
 
 def global_config(storage_mode: StorageMode = StorageMode.ASYNC_SSD) -> MultiRingConfig:

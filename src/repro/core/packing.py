@@ -1,14 +1,10 @@
 """Recursive unpacking of batched payloads.
 
-Two batching layers can wrap the commands a replica ultimately executes:
-
-* **client batching** — a :class:`~repro.core.client.CommandBatch` groups
-  several :class:`~repro.core.client.Command` objects addressed to one
-  partition into a single multicast value (Sections 7.2/7.3);
-* **coordinator instance batching** — a
-  :class:`~repro.ringpaxos.coordinator.PackedValues` payload groups several
-  proposed values (each possibly a command batch) into one consensus
-  instance.
+One batching layer wraps the commands a replica ultimately executes:
+coordinator instance batching (Sections 7.2/7.3).  A
+:class:`~repro.ringpaxos.coordinator.PackedValues` payload groups several
+proposed values — each a :class:`~repro.core.client.Command` or an opaque
+benchmark payload — into one consensus instance.
 
 Every consumer that looks inside a decided value — the merger's emit path,
 the SMR apply path, the chaos oracle's expected-order digests and the
@@ -25,18 +21,17 @@ skips.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Tuple
+from typing import Any, Iterator
 
 from ..paxos.messages import SKIP, ProposalValue
 from ..ringpaxos.coordinator import PackedValues
-from .client import Command, CommandBatch
+from .client import Command
 
 __all__ = [
     "PackedValues",
     "iter_values",
     "iter_payloads",
     "iter_commands",
-    "packed_proposal_ids",
 ]
 
 
@@ -62,9 +57,7 @@ def iter_payloads(payload: Any) -> Iterator[Any]:
 
     Mirrors the merger's emit rules: a skip delivers nothing, a packed
     payload delivers each constituent payload in pack order (recursively),
-    anything else delivers itself.  Command batches are *not* opened here —
-    a batch is one application payload; use :func:`iter_commands` for the
-    command level.
+    anything else delivers itself.
     """
     if payload is SKIP:
         return
@@ -78,22 +71,10 @@ def iter_payloads(payload: Any) -> Iterator[Any]:
 def iter_commands(payload: Any) -> Iterator[Command]:
     """Every :class:`Command` inside ``payload``, in delivery order.
 
-    Opens both batching layers — ``PackedValues`` recursively (via
-    :func:`iter_payloads`) and ``CommandBatch`` — and drops anything that is
-    not a command (skips, opaque benchmark payloads).
+    Opens ``PackedValues`` recursively (via :func:`iter_payloads`) and drops
+    anything that is not a command (skips, opaque benchmark payloads).
     """
     for leaf in iter_payloads(payload):
-        if isinstance(leaf, CommandBatch):
-            yield from leaf.commands
-        elif isinstance(leaf, Command):
+        if isinstance(leaf, Command):
             yield leaf
 
-
-def packed_proposal_ids(value: ProposalValue) -> List[Tuple[str, int]]:
-    """The ``(proposer, proposal_id)`` pairs a decided value answers.
-
-    For a plain value this is its own single pair; for a packed value it is
-    the pair of every constituent, in pack order — the identities acks and
-    retries must be matched against.
-    """
-    return [(leaf.proposer, leaf.proposal_id) for leaf in iter_values(value)]

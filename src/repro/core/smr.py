@@ -42,7 +42,7 @@ from ..sim.disk import SSD_PROFILE
 from ..storage.checkpoint import CheckpointId, CheckpointStore
 from ..multiring.merge import MergeCursor, RingSegment, effective_streams, replay_streams
 from ..multiring.process import MultiRingProcess
-from .client import Command, CommandBatch
+from .client import Command
 from .config import MultiRingConfig
 from .packing import PackedValues, iter_commands, iter_payloads
 
@@ -129,10 +129,7 @@ class StateMachineReplica(MultiRingProcess):
     # -------------------------------------------------------------- delivery
     def on_deliver(self, group_id: int, instance: int, value: ProposalValue) -> None:
         payload = value.payload
-        if isinstance(payload, CommandBatch):
-            for command in payload:
-                self._apply_and_respond(group_id, command)
-        elif isinstance(payload, Command):
+        if isinstance(payload, Command):
             self._apply_and_respond(group_id, payload)
         elif isinstance(payload, PackedValues):
             # A coordinator-packed instance.  The merger normally unpacks
@@ -140,10 +137,7 @@ class StateMachineReplica(MultiRingProcess):
             # retransmission injection, tests driving a replica directly —
             # must not silently count a whole pack as one opaque command.
             for leaf in iter_payloads(payload):
-                if isinstance(leaf, CommandBatch):
-                    for command in leaf:
-                        self._apply_and_respond(group_id, command)
-                elif isinstance(leaf, Command):
+                if isinstance(leaf, Command):
                     self._apply_and_respond(group_id, leaf)
                 else:
                     self._commands_applied += 1
@@ -327,8 +321,8 @@ class ProposerFrontend(MultiRingProcess):
     """A proposer-only process that turns client requests into multicasts.
 
     Clients of MRP-Store and dLog connect to proposers (Thrift in the
-    prototype); the proposer multicasts the command — or the 32 KB batch of
-    commands — to the ring of the partition it addresses.
+    prototype); the proposer multicasts the command to the ring of the
+    partition it addresses, whose coordinator packs values into instances.
     """
 
     def __init__(
@@ -341,22 +335,15 @@ class ProposerFrontend(MultiRingProcess):
         config = config or MultiRingConfig()
         super().__init__(env, name, site, messages_per_round=config.messages_per_round)
         self.config = config
-        self._forwarded = 0
 
     def on_service_message(self, sender: str, message: Any) -> None:
         if not isinstance(message, ClientRequest):
             return
         command = message.command
-        if isinstance(command, (Command, CommandBatch)):
+        if isinstance(command, Command):
             group_id = command.group_id
             size = command.size_bytes
             self.multicast(group_id, command, size)
-            self._forwarded += 1
-
-    @property
-    def forwarded(self) -> int:
-        """Client requests forwarded into the ordering layer."""
-        return self._forwarded
 
 
 class ReactiveReplicaHost:
@@ -528,11 +515,6 @@ class ReactiveReplicaHost:
         return self._cursor.merged
 
     @property
-    def delivered_count(self) -> int:
-        """Merged deliveries applied so far (skips excluded)."""
-        return self._cursor.delivered_count
-
-    @property
     def commands_applied(self) -> int:
         """Commands the hosted replica executed."""
         return self.replica.commands_applied
@@ -541,11 +523,6 @@ class ReactiveReplicaHost:
     def stall_windows(self) -> List[Tuple[float, float]]:
         """Closed ``(start, end)`` watermark-stall windows, in order."""
         return list(self._stall_windows)
-
-    @property
-    def stalled(self) -> bool:
-        """Whether the joint watermark is currently stalled behind a barrier."""
-        return self._stall_open is not None
 
     def latency_stats(self) -> Dict[str, float]:
         """Client-visible merge latency summary, in milliseconds.

@@ -14,7 +14,7 @@ Python objects, timers and metric recorders.  :class:`ClientSwarm` simulates
   so ``n`` clients cost one outstanding simulator event, not ``n`` — and,
   at a steady rate, two array slots each rather than a heap tuple;
 * the offered load follows an :class:`~repro.workloads.arrival.ArrivalCurve`
-  (constant, diurnal ramp, flash crowd);
+  (constant or flash crowd);
 * connection churn (clients going away and coming back) and per-class SLO
   accounting (:class:`~repro.sim.metrics.SloTracker`) are built in.
 
@@ -132,10 +132,6 @@ class _SwarmPort:
 
     def on_message(self, sender: str, message: Any) -> None:
         self._swarm._on_port_message(self._index, sender, message)
-
-    def deliver(self, sender: str, message: Any) -> None:
-        if self.alive:
-            self.on_message(sender, message)
 
 
 class ClientSwarm(Actor):
@@ -599,24 +595,6 @@ class ClientSwarm(Actor):
         return sum(self._online)
 
     @property
-    def addressing(self) -> str:
-        """The addressing mode in effect (``"ports"`` or ``"shared"``)."""
-        return self._addressing
-
-    @property
-    def slo_tracker(self) -> Optional[SloTracker]:
-        """The per-class SLO tracker, when SLO targets were configured."""
-        return self._slo
-
-    @property
     def command_trace(self) -> List[Tuple[int, int, str, Tuple, int, float]]:
         """Issued-command trace (requires ``record_trace=True``)."""
         return list(self._trace)
-
-    def per_client_issued(self, index: int) -> int:
-        """Requests issued by one flyweight client."""
-        return self._issued[index]
-
-    def per_client_completed(self, index: int) -> int:
-        """Requests completed by one flyweight client."""
-        return self._completed[index]

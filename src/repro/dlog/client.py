@@ -44,16 +44,6 @@ class DLogCommands:
             for log_id in sorted(set(log_ids))
         ]
 
-    def read(self, log_id: int, position: int) -> Command:
-        """``read(l, p)`` — return the value at ``position`` in log ``l``."""
-        return Command(
-            op="read",
-            args=(position,),
-            group_id=log_id,
-            size_bytes=_COMMAND_OVERHEAD,
-            response_size=1024,
-        )
-
     def trim(self, log_id: int, position: int) -> Command:
         """``trim(l, p)`` — trim log ``l`` up to ``position``."""
         return Command(

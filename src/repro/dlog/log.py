@@ -14,8 +14,8 @@ payloads in memory.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 __all__ = ["LogEntry", "LogSegment", "SharedLog"]
 
@@ -54,7 +54,6 @@ class SharedLog:
         self._cache_size = 0
         self._trimmed_up_to = -1
         self._segments: List[LogSegment] = []
-        self._total_appended_bytes = 0
 
     # ---------------------------------------------------------------- append
     def append(self, size_bytes: int, payload: object = None) -> int:
@@ -66,7 +65,6 @@ class SharedLog:
         entry = LogEntry(position=position, size_bytes=size_bytes, payload=payload)
         self._cache[position] = entry
         self._cache_size += size_bytes
-        self._total_appended_bytes += size_bytes
         self._evict_if_needed()
         return position
 
@@ -74,18 +72,6 @@ class SharedLog:
         while self._cache_size > self.cache_bytes and self._cache:
             _, evicted = self._cache.popitem(last=False)
             self._cache_size -= evicted.size_bytes
-
-    # ------------------------------------------------------------------ read
-    def read(self, position: int) -> Optional[LogEntry]:
-        """Return the record at ``position`` if it is still in the cache.
-
-        Positions already trimmed or evicted return ``None`` (the prototype
-        would fetch them from the on-disk file; the simulation only needs to
-        distinguish hit from miss).
-        """
-        if position <= self._trimmed_up_to:
-            return None
-        return self._cache.get(position)
 
     # ------------------------------------------------------------------ trim
     def trim(self, position: int) -> LogSegment:
@@ -129,11 +115,6 @@ class SharedLog:
         """On-disk segments created by trims, oldest first."""
         return list(self._segments)
 
-    @property
-    def total_appended_bytes(self) -> int:
-        """Total bytes ever appended to this log."""
-        return self._total_appended_bytes
-
     # ------------------------------------------------------------- snapshots
     def snapshot(self) -> Dict:
         """A copy of the log state for checkpointing."""
@@ -152,12 +133,3 @@ class SharedLog:
         self._cache = OrderedDict(sorted(snapshot["cache"].items()))
         self._cache_size = sum(e.size_bytes for e in self._cache.values())
         self._segments = list(snapshot["segments"])
-
-    def clear(self) -> None:
-        """Drop the in-memory state (replica crash)."""
-        self._cache.clear()
-        self._cache_size = 0
-        self._next_position = 0
-        self._trimmed_up_to = -1
-        self._segments.clear()
-        self._total_appended_bytes = 0

@@ -1,26 +1,23 @@
-"""dLog replica: executes append / multi-append / read / trim commands.
+"""dLog replica: executes append / multi-append / trim commands.
 
 A dLog replica implements the learner interface of Multi-Ring Paxos
 (Section 7.3): each log is backed by one multicast group/ring, and a replica
-hosts the logs of every ring it subscribes to.  ``append``, ``read`` and
-``trim`` commands arrive through the ring of the log they address;
-``multi-append`` commands are multicast to every log involved and the replica
-executes the append for the log of the group that delivered the command —
-atomicity across logs follows from the deterministic merge order.
-
-Replicas can be configured to persist appended data synchronously or
-asynchronously to a local device, mirroring the dLog server's disk modes.
+hosts the logs of every ring it subscribes to.  ``append`` and ``trim``
+commands arrive through the ring of the log they address; ``multi-append``
+commands are multicast to every log involved and the replica executes the
+append for the log of the group that delivered the command — atomicity
+across logs follows from the deterministic merge order.  (No workload issues
+Table 2's ``read``, so it is not modelled.)
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..core.client import Command
 from ..core.config import MultiRingConfig
 from ..core.smr import StateMachineReplica
 from ..sim.actor import Environment
-from ..sim.disk import Disk, DiskProfile, HDD_PROFILE
 from .log import SharedLog
 
 __all__ = ["DLogReplica"]
@@ -36,14 +33,8 @@ class DLogReplica(StateMachineReplica):
         site: str = "dc1",
         config: Optional[MultiRingConfig] = None,
         respond_to_clients: bool = True,
-        persist_appends: bool = False,
-        disk_profile: DiskProfile = HDD_PROFILE,
-        disks_by_group: Optional[Dict[int, Disk]] = None,
     ) -> None:
         super().__init__(env, name, site, config=config, respond_to_clients=respond_to_clients)
-        self.persist_appends = persist_appends
-        self._disk_profile = disk_profile
-        self._disks: Dict[int, Disk] = dict(disks_by_group or {})
         self.logs: Dict[int, SharedLog] = {}
 
     # ---------------------------------------------------------------- helpers
@@ -53,13 +44,6 @@ class DLogReplica(StateMachineReplica):
             self.logs[group_id] = SharedLog(group_id)
         return self.logs[group_id]
 
-    def _disk_for(self, group_id: int) -> Disk:
-        if group_id not in self._disks:
-            self._disks[group_id] = Disk(
-                self.env, self._disk_profile, name=f"{self.name}.log{group_id}.disk"
-            )
-        return self._disks[group_id]
-
     # ------------------------------------------------------------ state machine
     def apply_command(self, group_id: int, command: Command) -> Any:
         """Execute one Table 2 operation."""
@@ -68,18 +52,7 @@ class DLogReplica(StateMachineReplica):
         if op in ("append", "multi-append"):
             size = command.args[0] if command.args else command.size_bytes
             position = log.append(size_bytes=size)
-            if self.persist_appends:
-                self._disk_for(group_id).write(size)
             return {"log": group_id, "position": position}
-        if op == "read":
-            position = command.args[0]
-            entry = log.read(position)
-            return {
-                "log": group_id,
-                "position": position,
-                "found": entry is not None,
-                "size": entry.size_bytes if entry else 0,
-            }
         if op == "trim":
             position = command.args[0]
             segment = log.trim(position)
@@ -101,8 +74,3 @@ class DLogReplica(StateMachineReplica):
 
     def reset_state(self) -> None:
         self.logs = {}
-
-    # --------------------------------------------------------------- inspection
-    def total_appends(self) -> int:
-        """Total records appended across all hosted logs."""
-        return sum(log.next_position for log in self.logs.values())

@@ -10,10 +10,10 @@ log is pinned to its own disk.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..core.amcast import AtomicMulticast
-from ..core.client import ClosedLoopClient, Command
+from ..core.client import ClosedLoopClient
 from ..core.config import MultiRingConfig
 from ..core.smr import ProposerFrontend
 from ..net.ring import RingMember

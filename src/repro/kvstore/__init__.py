@@ -1,7 +1,7 @@
 """MRP-Store: a partitioned, replicated, sequentially consistent key-value store."""
 
 from .client import MRPStoreCommands, kv_request_factory
-from .partitioning import HashPartitioner, Partitioner, RangePartitioner
+from .partitioning import HashPartitioner, Partitioner
 from .replica import MRPStoreReplica
 from .service import MRPStoreService
 from .store import KeyValueStore, StoredValue
@@ -11,7 +11,6 @@ __all__ = [
     "kv_request_factory",
     "HashPartitioner",
     "Partitioner",
-    "RangePartitioner",
     "MRPStoreReplica",
     "MRPStoreService",
     "KeyValueStore",

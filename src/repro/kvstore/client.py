@@ -1,10 +1,10 @@
 """Client-side command builders for MRP-Store.
 
-The store is accessed through the five operations of Table 1: ``read``,
-``scan``, ``update``, ``insert`` and ``delete``.  Single-key commands are
-multicast to the group owning the key; ``scan`` commands are multicast to
-every group that may hold keys of the interval — all groups under hash
-partitioning, the covering groups under range partitioning (Section 6.1).
+The workloads access the store through four operations of Table 1:
+``read``, ``scan``, ``update`` and ``insert`` (no workload deletes).
+Single-key commands are multicast to the group owning the key; ``scan``
+commands are multicast to every group that may hold keys of the interval —
+all groups under hash partitioning (Section 6.1).
 
 :class:`MRPStoreCommands` turns operations into :class:`~repro.core.client.Command`
 objects with the correct group routing and size accounting;
@@ -14,7 +14,7 @@ factory consumed by :class:`~repro.core.client.ClosedLoopClient`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..core.client import Command
 from .partitioning import Partitioner
@@ -58,15 +58,6 @@ class MRPStoreCommands:
             args=(key, value, value_size),
             group_id=self.partitioner.group_for_key(key),
             size_bytes=_COMMAND_OVERHEAD + len(key) + value_size,
-        )
-
-    def delete(self, key: str) -> Command:
-        """``delete(k)`` — delete entry ``k`` from the database."""
-        return Command(
-            op="delete",
-            args=(key,),
-            group_id=self.partitioner.group_for_key(key),
-            size_bytes=_COMMAND_OVERHEAD + len(key),
         )
 
     # ------------------------------------------------------------------ scan
@@ -117,9 +108,6 @@ def kv_request_factory(
             return [command], [command.group_id]
         if op == "insert":
             command = commands.insert(key, value_size)
-            return [command], [command.group_id]
-        if op == "delete":
-            command = commands.delete(key)
             return [command], [command.group_id]
         if op == "read-modify-write":
             # YCSB workload F: the client reads then writes the same key; the

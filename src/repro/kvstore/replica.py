@@ -10,7 +10,7 @@ multi-partition operations (Section 6.1).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..core.client import Command
 from ..core.config import MultiRingConfig
@@ -55,9 +55,6 @@ class MRPStoreReplica(StateMachineReplica):
         if op == "insert":
             key, value, size = command.args
             return {"inserted": self.store.insert(key, value, size)}
-        if op == "delete":
-            (key,) = command.args[:1]
-            return {"deleted": self.store.delete(key)}
         raise ValueError(f"unknown MRP-Store operation: {op}")
 
     # --------------------------------------------------------------- snapshots

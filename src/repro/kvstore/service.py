@@ -8,8 +8,8 @@ Wires a complete MRP-Store service on top of an
 * optionally a *global ring* that every replica also subscribes to, which is
   the paper's globally ordered configuration; without it partitions run
   "independent rings" (the cheaper configuration of Figure 4);
-* the partition map published in the coordination service;
-* helpers to build closed-loop clients against the service.
+* :meth:`MRPStoreService.frontend_map`, the proposer each partition's
+  clients address.
 
 The same builder covers the YCSB comparison (Figure 4, three partitions in
 one datacenter), the horizontal-scalability experiment (Figure 7, one
@@ -19,14 +19,13 @@ partition per EC2 region plus a global ring) and the recovery experiment
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..core.amcast import AtomicMulticast
-from ..core.client import ClosedLoopClient, Command
 from ..core.config import MultiRingConfig
 from ..core.smr import ProposerFrontend
 from ..net.ring import RingMember
-from .client import MRPStoreCommands, kv_request_factory
+from .client import MRPStoreCommands
 from .partitioning import HashPartitioner, Partitioner
 from .replica import MRPStoreReplica
 from .store import StoredValue
@@ -64,8 +63,6 @@ class MRPStoreService:
             self._build_partition(group, acceptors_per_partition, replicas_per_partition)
         if global_ring_id is not None:
             self._build_global_ring(global_ring_id)
-
-        system.coordination.put("kvstore/partition-map", self.partitioner)
 
     # ----------------------------------------------------------------- build
     def _build_partition(self, group: int, acceptors: int, replicas: int) -> None:
@@ -130,31 +127,6 @@ class MRPStoreService:
                         break
             mapping[group] = chosen.name
         return mapping
-
-    # ---------------------------------------------------------------- clients
-    def create_client(
-        self,
-        name: str,
-        workload: Callable[[int], Tuple[str, str, int, Optional[str]]],
-        concurrency: int = 1,
-        site: str = "dc1",
-        metric_prefix: Optional[str] = None,
-        max_requests: Optional[int] = None,
-    ) -> ClosedLoopClient:
-        """Build a closed-loop client driving this store with ``workload``."""
-        if not self.system.topology.has_site(site):
-            site = self.system.topology.sites()[0].name
-        factory = kv_request_factory(self.commands, workload)
-        return ClosedLoopClient(
-            self.system.env,
-            name,
-            frontends_by_group=self.frontend_map(preferred_site=site),
-            request_factory=factory,
-            concurrency=concurrency,
-            site=site,
-            metric_prefix=metric_prefix or name,
-            max_requests=max_requests,
-        )
 
     # ------------------------------------------------------------------ data
     def preload(self, keys_with_sizes: Dict[str, int]) -> None:

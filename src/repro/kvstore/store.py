@@ -2,8 +2,9 @@
 
 Every replica of a partition keeps its database entries in an in-memory
 ordered structure (the prototype uses an in-memory tree — Section 7.2).
-:class:`KeyValueStore` provides the five operations of Table 1 plus the size
-accounting the checkpointer needs.  Values are stored as opaque byte counts
+:class:`KeyValueStore` provides the Table 1 operations the workloads issue
+(``read``, ``scan``, ``update``, ``insert``) plus the size accounting the
+checkpointer needs.  Values are stored as opaque byte counts
 rather than real byte arrays so that multi-gigabyte datasets remain cheap to
 simulate while wire/disk accounting stays faithful.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["KeyValueStore", "StoredValue"]
 
@@ -67,27 +68,9 @@ class KeyValueStore:
         self._data[key] = StoredValue(value=value, size_bytes=size_bytes)
         return True
 
-    def delete(self, key: str) -> bool:
-        """Remove an entry; returns ``False`` when the key is absent."""
-        entry = self._data.pop(key, None)
-        if entry is None:
-            return False
-        index = bisect.bisect_left(self._sorted_keys, key)
-        if index < len(self._sorted_keys) and self._sorted_keys[index] == key:
-            del self._sorted_keys[index]
-        self._bytes -= entry.size_bytes
-        return True
-
     # ------------------------------------------------------------ inspection
     def __len__(self) -> int:
         return len(self._data)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._data
-
-    def keys(self) -> Iterator[str]:
-        """Keys in ascending order."""
-        return iter(self._sorted_keys)
 
     @property
     def size_bytes(self) -> int:
@@ -104,9 +87,3 @@ class KeyValueStore:
         self._data = dict(snapshot)
         self._sorted_keys = sorted(self._data)
         self._bytes = sum(v.size_bytes for v in self._data.values())
-
-    def clear(self) -> None:
-        """Drop everything (crash of an in-memory replica)."""
-        self._data.clear()
-        self._sorted_keys.clear()
-        self._bytes = 0

@@ -408,13 +408,6 @@ class RingSegmentBuffer:
         # adds to _known), but drop any leftovers defensively.
         return segments
 
-    def incarnation(self, ring_id: int) -> int:
-        """The ring's current incarnation (0 until its first restart)."""
-        return self._incarnations.get(ring_id, 0)
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
 
 class MergeCursor:
     """Incremental round-robin merge over per-ring decision-stream segments.
@@ -650,42 +643,10 @@ class MergeCursor:
                 minimum = mark
         return minimum
 
-    def ring_watermark(self, group_id: int) -> Optional[float]:
-        """One ring's completion time (``None`` until it first reports)."""
-        return self._watermarks[group_id]
-
-    @property
-    def last_barrier(self) -> Optional[float]:
-        """The last barrier watermark accepted by :meth:`feed_segments`."""
-        return self._last_barrier
-
-    def incarnation(self, group_id: int) -> int:
-        """The ring's current producer incarnation (0 until a restart)."""
-        return self._incarnations[group_id]
-
-    @property
-    def duplicates_dropped(self) -> int:
-        """Re-emitted entries deduped so far (restart re-emissions)."""
-        return self._duplicates
-
     @property
     def groups(self) -> List[int]:
         """Subscribed group ids in merge order."""
         return sorted(self._watermarks)
-
-    @property
-    def delivered_count(self) -> int:
-        """Application messages delivered so far (skips excluded)."""
-        return self._merger.delivered_count
-
-    @property
-    def skipped_count(self) -> int:
-        """Skip instances consumed so far."""
-        return self._merger.skipped_count
-
-    def pending(self, group_id: int) -> int:
-        """Instances queued for ``group_id`` not yet consumed by the merge."""
-        return self._merger.pending(group_id)
 
 
 class DeterministicMerger:
@@ -827,25 +788,6 @@ class DeterministicMerger:
     def delivered_count(self) -> int:
         """Application messages delivered so far (skips excluded)."""
         return self._delivered
-
-    @property
-    def skipped_count(self) -> int:
-        """Skip instances consumed so far."""
-        return self._skipped
-
-    @property
-    def groups(self) -> List[int]:
-        """Subscribed group ids in merge order."""
-        return list(self._groups)
-
-    @property
-    def current_group(self) -> int:
-        """The group the merge is currently consuming from."""
-        return self._groups[self._current_index]
-
-    def pending(self, group_id: int) -> int:
-        """Instances queued for ``group_id`` not yet consumed by the merge."""
-        return len(self._queues[group_id])
 
     def is_round_boundary(self) -> bool:
         """Whether the merge sits exactly at the start of a round.

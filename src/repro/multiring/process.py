@@ -211,9 +211,7 @@ class MultiRingProcess(Actor):
                         # layer answers it, and was never charged CPU for it.
                         self._answer_trim_query(sender, message)
                         return
-                    cpu = self.cpu
-                    cpu._busy += cost
-                    cpu._window_busy += cost
+                    self.cpu._window_busy += cost
                     if consumed:
                         return
         self.on_service_message(sender, message)

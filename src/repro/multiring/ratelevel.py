@@ -14,7 +14,7 @@ The paper's configurations (Section 8.2):
 * across datacenters:  ``M = 1``, ``Δ = 20 ms``, ``λ = 2000`` messages/s.
 
 :class:`RateLeveler` is the pure policy object; the ring coordinator queries
-``expected_per_interval`` at each Δ tick and tops up with skips.
+``skips_needed`` at each Δ tick and tops up with skips.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ tested in isolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 __all__ = ["RingMember", "RingOverlay"]
 
@@ -89,10 +89,8 @@ class RingOverlay:
         n = len(names)
         self._index: Dict[str, int] = {name: i for i, name in enumerate(names)}
         self._succ: Dict[str, str] = {name: names[(i + 1) % n] for i, name in enumerate(names)}
-        self._pred: Dict[str, str] = {name: names[(i - 1) % n] for i, name in enumerate(names)}
         self._acceptors: List[str] = acceptors
         self._learners: List[str] = [m.name for m in members if m.learner]
-        self._proposers: List[str] = [m.name for m in members if m.proposer]
         self._majority: int = len(acceptors) // 2 + 1
         self._last_acceptor_cache: Dict[str, str] = {}
 
@@ -103,11 +101,6 @@ class RingOverlay:
         return list(self._members)
 
     @property
-    def member_names(self) -> List[str]:
-        """Member names in ring order."""
-        return list(self._order)
-
-    @property
     def acceptors(self) -> List[str]:
         """Acceptor names in ring order."""
         return list(self._acceptors)
@@ -116,16 +109,6 @@ class RingOverlay:
     def learners(self) -> List[str]:
         """Learner names in ring order."""
         return list(self._learners)
-
-    @property
-    def proposers(self) -> List[str]:
-        """Proposer names in ring order."""
-        return list(self._proposers)
-
-    @property
-    def size(self) -> int:
-        """Number of processes in the ring."""
-        return len(self._members)
 
     def member(self, name: str) -> RingMember:
         """Look up a member by name."""
@@ -138,14 +121,6 @@ class RingOverlay:
     def successor(self, name: str) -> str:
         """The next process after ``name`` on the ring."""
         return self._succ[name]
-
-    def predecessor(self, name: str) -> str:
-        """The process before ``name`` on the ring."""
-        return self._pred[name]
-
-    def distance(self, src: str, dst: str) -> int:
-        """Number of hops travelling from ``src`` to ``dst`` along the ring."""
-        return (self._index[dst] - self._index[src]) % len(self._order)
 
     def walk_from(self, start: str) -> List[str]:
         """Members visited walking one full turn starting after ``start``."""
@@ -177,11 +152,3 @@ class RingOverlay:
                 last = name
         self._last_acceptor_cache[start] = last
         return last
-
-    # ------------------------------------------------------------- mutation
-    def with_coordinator(self, name: str) -> "RingOverlay":
-        """Return a copy of the overlay with a different coordinator (next epoch)."""
-        return RingOverlay(self.ring_id, self._members, coordinator=name, epoch=self.epoch + 1)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"RingOverlay(id={self.ring_id}, members={self._order}, coord={self.coordinator})"

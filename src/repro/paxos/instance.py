@@ -12,7 +12,7 @@ properties easy to unit- and property-test (see ``tests/paxos``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from .messages import ProposalValue
 
@@ -104,12 +104,6 @@ class InstanceLedger:
         instance = self.next_instance
         self.next_instance += 1
         return instance
-
-    def allocate_many(self, count: int) -> List[int]:
-        """Reserve ``count`` consecutive instance numbers."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        return [self.allocate() for _ in range(count)]
 
     def observe_instance(self, instance: int) -> None:
         """Make sure future allocations are beyond ``instance``.

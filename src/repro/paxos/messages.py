@@ -41,9 +41,6 @@ class _Skip:
 
     __slots__ = ()
 
-    def __repr__(self) -> str:
-        return "<SKIP>"
-
     def __reduce__(self):
         # Skips are compared by identity (``payload is SKIP``) throughout the
         # ordering layer; pickling by reference keeps that true for recorded

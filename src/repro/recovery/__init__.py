@@ -2,13 +2,12 @@
 
 from .checkpointing import ReplicaCheckpointer
 from .recover import RecoveryManager, RecoveryPhase
-from .trim import compute_trim_point, predicates_hold, trim_quorum_size
+from .trim import compute_trim_point, trim_quorum_size
 
 __all__ = [
     "ReplicaCheckpointer",
     "RecoveryManager",
     "RecoveryPhase",
     "compute_trim_point",
-    "predicates_hold",
     "trim_quorum_size",
 ]

@@ -61,7 +61,6 @@ class ReplicaCheckpointer:
         self._delivered: Dict[int, int] = {g: -1 for g in self._groups}
         self._pending_request = False
         self._checkpoints_taken = 0
-        self._on_checkpoint: List[Callable[[Checkpoint], None]] = []
 
     # -------------------------------------------------------------- tracking
     def mark_delivered(self, group_id: int, instance: int) -> None:
@@ -70,10 +69,6 @@ class ReplicaCheckpointer:
             raise KeyError(f"unknown group {group_id}")
         if instance > self._delivered[group_id]:
             self._delivered[group_id] = instance
-
-    def delivered_positions(self) -> Dict[int, int]:
-        """Current highest applied instance per group."""
-        return dict(self._delivered)
 
     # ----------------------------------------------------------- checkpointing
     def request_checkpoint(self) -> bool:
@@ -100,19 +95,9 @@ class ReplicaCheckpointer:
         state, size = self._snapshot_fn()
         checkpoint = self.store.save(checkpoint_id, state, size)
         self._checkpoints_taken += 1
-        for callback in self._on_checkpoint:
-            callback(checkpoint)
         return checkpoint
 
-    def on_checkpoint(self, callback: Callable[[Checkpoint], None]) -> None:
-        """Register a callback fired after every completed checkpoint."""
-        self._on_checkpoint.append(callback)
-
     # ---------------------------------------------------------------- queries
-    def latest(self) -> Optional[Checkpoint]:
-        """Most recent checkpoint (``None`` when none was ever taken)."""
-        return self.store.latest()
-
     def safe_instance(self, group_id: int) -> int:
         """Highest instance of ``group_id`` covered by a durable checkpoint.
 
@@ -124,18 +109,7 @@ class ReplicaCheckpointer:
             return -1
         return latest.checkpoint_id.instance_for(group_id)
 
-    def install(self, checkpoint: Checkpoint) -> None:
-        """Adopt a remote checkpoint's positions (state install happens in the replica)."""
-        for group, instance in checkpoint.checkpoint_id.as_dict().items():
-            if group in self._delivered and instance > self._delivered[group]:
-                self._delivered[group] = instance
-
     @property
     def checkpoints_taken(self) -> int:
         """Number of checkpoints taken by this replica since it started."""
         return self._checkpoints_taken
-
-    @property
-    def groups(self) -> List[int]:
-        """Groups covered by this checkpointer."""
-        return list(self._groups)

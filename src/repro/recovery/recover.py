@@ -33,7 +33,7 @@ from ..paxos.messages import (
     RetransmitRequest,
 )
 from ..sim.actor import Actor
-from ..storage.checkpoint import Checkpoint, CheckpointId
+from ..storage.checkpoint import CheckpointId
 
 __all__ = ["RecoveryManager", "RecoveryPhase"]
 
@@ -100,15 +100,11 @@ class RecoveryManager:
         self._quorum = recovery_quorum or max(1, min(majority, len(self._peers)))
         self.phase = RecoveryPhase.IDLE
         self._id_replies: Dict[str, Optional[CheckpointId]] = {}
-        self._chosen_peer: Optional[str] = None
         self._pending_groups: set = set()
-        self._started_at: Optional[float] = None
-        self._finished_at: Optional[float] = None
 
     # ------------------------------------------------------------------ start
     def start(self) -> None:
         """Begin recovery by polling partition peers for their checkpoints."""
-        self._started_at = self.host.now
         self._id_replies.clear()
         self.phase = RecoveryPhase.COLLECTING_IDS
         if not self._peers:
@@ -151,7 +147,6 @@ class RecoveryManager:
             # No peer has a checkpoint: everything must come from the acceptors.
             self._begin_retransmission(from_positions={g: -1 for g in self._groups})
             return
-        self._chosen_peer = best_peer
         self.phase = RecoveryPhase.FETCHING_STATE
         self.host.send(best_peer, CheckpointRequest(requester=self.host.name, include_state=True))
 
@@ -200,18 +195,4 @@ class RecoveryManager:
 
     def _finish(self) -> None:
         self.phase = RecoveryPhase.DONE
-        self._finished_at = self.host.now
         self._on_complete()
-
-    # ------------------------------------------------------------ inspection
-    @property
-    def duration(self) -> Optional[float]:
-        """Wall-clock (simulated) duration of the last recovery, if finished."""
-        if self._started_at is None or self._finished_at is None:
-            return None
-        return self._finished_at - self._started_at
-
-    @property
-    def chosen_peer(self) -> Optional[str]:
-        """Peer whose checkpoint was installed (``None`` if none was)."""
-        return self._chosen_peer

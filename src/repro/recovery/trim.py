@@ -14,22 +14,25 @@ recovery quorum ``Q_R`` intersects ``Q_T``, a recovering replica that picks
 the most recent checkpoint available in ``Q_R`` is guaranteed the acceptors
 still hold every instance the checkpoint is missing (Predicates 3-5).
 
-The message exchange lives in :class:`repro.ringpaxos.node.RingNode`; this
-module holds the pure quorum computation so it can be property-tested against
-the predicates directly.
+The message exchange lives in :class:`repro.ringpaxos.node.RingNode`, which
+calls this module's pure quorum computation on every report, so the unit and
+property tests of these two functions test the live rule.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
-__all__ = ["compute_trim_point", "trim_quorum_size", "predicates_hold"]
+__all__ = ["compute_trim_point", "trim_quorum_size"]
 
 
 def trim_quorum_size(replica_count: int) -> int:
-    """Default trim quorum: a majority of the group's replicas."""
-    if replica_count <= 0:
-        raise ValueError("replica_count must be positive")
+    """Default trim quorum: a majority of the group's replicas.
+
+    A ring whose learners were all evicted still needs one report.
+    """
+    if replica_count < 0:
+        raise ValueError("replica_count must not be negative")
     return replica_count // 2 + 1
 
 
@@ -51,25 +54,3 @@ def compute_trim_point(reports: Mapping[str, int], quorum: int) -> Optional[int]
     if trim_point < 0:
         return None
     return trim_point
-
-
-def predicates_hold(
-    trim_quorum: Mapping[str, int],
-    recovery_quorum: Mapping[str, int],
-) -> bool:
-    """Check Predicate 5 (``K_T <= K_R``) for one group given the two quorums.
-
-    ``trim_quorum`` maps replica name to the ``k[x]_p`` it reported when the
-    coordinator trimmed; ``recovery_quorum`` maps replica name to the
-    checkpointed instance it offered to the recovering replica.  When the two
-    quorums intersect, the trim point (min over ``Q_T``) cannot exceed the best
-    checkpoint available in ``Q_R`` (max over ``Q_R``) — which is exactly what
-    guarantees the recovering replica can fetch everything newer than its
-    chosen checkpoint from the acceptors.
-    """
-    if not trim_quorum or not recovery_quorum:
-        return True
-    if not set(trim_quorum) & set(recovery_quorum):
-        # The guarantee only holds for intersecting quorums.
-        raise ValueError("trim and recovery quorums do not intersect")
-    return min(trim_quorum.values()) <= max(recovery_quorum.values())

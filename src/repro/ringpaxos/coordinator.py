@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..paxos.instance import InstanceLedger
 from ..paxos.messages import SKIP, ProposalValue
@@ -45,22 +45,6 @@ class PackedValues:
     """
 
     values: List[ProposalValue] = field(default_factory=list)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def proposal_ids(self) -> Tuple[Tuple[str, int], ...]:
-        """``(proposer, proposal_id)`` of every packed value, in pack order."""
-        return tuple((v.proposer, v.proposal_id) for v in self.values)
-
-    @property
-    def created_ats(self) -> Tuple[float, ...]:
-        """Submission time of every packed value, in pack order."""
-        return tuple(v.created_at for v in self.values)
 
 
 @dataclass
@@ -101,8 +85,9 @@ class CoordinatorState:
     batch_policy:
         Instance batching configuration.
     rate_policy:
-        Optional rate-leveling policy object exposing ``expected_per_interval``
-        (instances per Δ) — wired in by the Multi-Ring layer.
+        Optional :class:`~repro.multiring.ratelevel.RateLeveler` — its
+        ``skips_needed`` tops each Δ up with skips; wired in by the Multi-Ring
+        layer.
     """
 
     #: Number of instances for which Phase 1 is pre-executed in one go.
@@ -126,8 +111,6 @@ class CoordinatorState:
         #: running ``sum(v.size_bytes for v in _pending)``, kept in lockstep
         self._pending_bytes = 0
         self._proposed_in_interval = 0
-        self._total_proposed = 0
-        self._total_skipped = 0
 
     # ----------------------------------------------------------------- phase 1
     def phase1_window(self) -> Tuple[int, int]:
@@ -161,8 +144,8 @@ class CoordinatorState:
         value intact inside :class:`PackedValues` — all ``(proposer,
         proposal_id, created_at)`` triples survive (the wrapping value's own
         header fields mirror the first constituent, but consumers must use
-        :attr:`PackedValues.proposal_ids` / the shared unpacker, never the
-        wrapper's header, to match acks).
+        the shared unpacker (:func:`repro.core.packing.iter_values`), never
+        the wrapper's header, to match acks).
 
         ``force=False`` implements the hold side of size-or-timeout assembly:
         only batches that already fill ``max_bytes`` are emitted, and a
@@ -205,7 +188,6 @@ class CoordinatorState:
                     )
                 assignments.append((self.ledger.allocate(), packed))
         self._proposed_in_interval += len(assignments)
-        self._total_proposed += len(assignments)
         return assignments
 
     # ----------------------------------------------------------- rate leveling
@@ -219,8 +201,7 @@ class CoordinatorState:
         if self.rate_policy is None:
             self._proposed_in_interval = 0
             return 0
-        expected = self.rate_policy.expected_per_interval
-        skips = max(0, int(round(expected)) - self._proposed_in_interval)
+        skips = self.rate_policy.skips_needed(self._proposed_in_interval)
         self._proposed_in_interval = 0
         return skips
 
@@ -235,26 +216,9 @@ class CoordinatorState:
         last = first
         for _ in range(count - 1):
             last = self.ledger.allocate()
-        self._total_skipped += count
         return first, last
 
     @staticmethod
     def skip_value() -> ProposalValue:
         """The null value proposed in skipped instances."""
         return ProposalValue(payload=SKIP, size_bytes=0, proposer="", proposal_id=0)
-
-    # ------------------------------------------------------------- statistics
-    @property
-    def total_proposed(self) -> int:
-        """Total non-skip instances this coordinator proposed."""
-        return self._total_proposed
-
-    @property
-    def total_skipped(self) -> int:
-        """Total skip instances this coordinator proposed."""
-        return self._total_skipped
-
-    @property
-    def pending_count(self) -> int:
-        """Values queued but not yet assigned to an instance."""
-        return len(self._pending)

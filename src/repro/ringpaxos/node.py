@@ -28,7 +28,7 @@ used by recovery (Section 5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..net.ring import RingOverlay
 from ..paxos.acceptor import AcceptorState
@@ -45,15 +45,16 @@ from ..paxos.messages import (
     TrimReport,
     ValueForward,
 )
-
-#: ``RetransmitRequest.reason`` used by the learner-side gap repair; replies
-#: with this reason are consumed by the ring node, not the recovery manager.
-GAP_REPAIR = "gap-repair"
+from ..recovery.trim import compute_trim_point, trim_quorum_size
 from ..sim.actor import Actor
 from ..sim.cpu import CpuCostModel
 from ..sim.disk import Disk, StorageMode
 from .coordinator import CoordinatorState, InstanceBatchPolicy
 from .learner import RingLearner
+
+#: ``RetransmitRequest.reason`` used by the learner-side gap repair; replies
+#: with this reason are consumed by the ring node, not the recovery manager.
+GAP_REPAIR = "gap-repair"
 
 __all__ = ["RingNode", "RingNodeConfig"]
 
@@ -73,8 +74,8 @@ class RingNodeConfig:
     rate_interval:
         The Δ interval of rate leveling; ``None`` disables skip proposals.
     rate_policy:
-        Object exposing ``expected_per_interval`` (instances per Δ), usually a
-        :class:`repro.multiring.ratelevel.RateLeveler`.
+        A :class:`repro.multiring.ratelevel.RateLeveler` (its
+        ``skips_needed`` decides each Δ's skips).
     trim_interval:
         Period of the coordinator's trim protocol; ``None`` disables trimming.
     trim_quorum:
@@ -207,11 +208,6 @@ class RingNode:
     def is_coordinator(self) -> bool:
         """Whether this process currently coordinates the ring."""
         return self._is_coordinator
-
-    @property
-    def last_acceptor(self) -> str:
-        """The acceptor that converts Phase 2 messages into decisions."""
-        return self._last_acceptor
 
     # ----------------------------------------------------------------- start
     def start(self) -> None:
@@ -630,11 +626,9 @@ class RingNode:
         if not self.is_coordinator:
             return True
         self._trim_reports[message.replica] = message.safe_instance
-        quorum = self.config.trim_quorum or (len(self.overlay.learners) // 2 + 1)
-        if len(self._trim_reports) < quorum:
-            return True
-        safe = min(self._trim_reports.values())
-        if safe < 0:
+        quorum = self.config.trim_quorum or trim_quorum_size(len(self.overlay.learners))
+        safe = compute_trim_point(self._trim_reports, quorum)
+        if safe is None:
             return True
         for acceptor in self.overlay.acceptors:
             if acceptor == self.host.name and self.acceptor is not None:

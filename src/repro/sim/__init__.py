@@ -33,11 +33,10 @@ from .actor import Actor, Environment, Timer
 from .parallel import ParallelRunResult, ShardHarness, ShardSpec, run_sharded
 from .cpu import CpuAccount, CpuCostModel
 from .disk import Disk, DiskProfile, HDD_PROFILE, SSD_PROFILE, StorageMode, profile_for_mode
-from .kernel import Event, EventHandle, SimulationError, Simulator, ms, us
-from .metrics import Counter, LatencyRecorder, MetricRegistry, ThroughputTracker, summarize_latencies
+from .kernel import Event, EventHandle, SimulationError, Simulator
+from .metrics import Counter, LatencyRecorder, MetricRegistry, ThroughputTracker
 from .network import MessageStats, Network
-from .profile import SimProfile, profile_function
-from .random import LatestGenerator, SeededStreams, UniformIntGenerator, ZipfianGenerator
+from .random import LatestGenerator, SeededStreams, ZipfianGenerator
 from .topology import EC2_REGIONS, Site, Topology, ec2_global, single_datacenter
 
 __all__ = [
@@ -56,13 +55,10 @@ __all__ = [
     "EventHandle",
     "SimulationError",
     "Simulator",
-    "ms",
-    "us",
     "Counter",
     "LatencyRecorder",
     "MetricRegistry",
     "ThroughputTracker",
-    "summarize_latencies",
     "MessageStats",
     "Network",
     "ParallelRunResult",
@@ -71,7 +67,6 @@ __all__ = [
     "run_sharded",
     "LatestGenerator",
     "SeededStreams",
-    "UniformIntGenerator",
     "ZipfianGenerator",
     "EC2_REGIONS",
     "Site",

@@ -131,11 +131,6 @@ class Timer:
         if self._handle is not None:
             self._handle.cancel()
 
-    @property
-    def active(self) -> bool:
-        """Whether the timer is armed and not cancelled."""
-        return not self._cancelled and self._handle is not None
-
     def _schedule(self) -> None:
         self._handle = self._simulator.call_later(self._interval, self._fire)
 
@@ -165,7 +160,7 @@ class Actor:
         self.name = name
         self.site = site
         self.alive = True
-        self.cpu = CpuAccount(name, clock=lambda: env.simulator.now)
+        self.cpu = CpuAccount(clock=lambda: env.simulator.now)
         self._timers: List[Timer] = []
         #: cached bound ``Network.send`` (resolved lazily: the network is
         #: usually attached to the environment after actors are constructed)
@@ -248,7 +243,3 @@ class Actor:
     def rng(self, purpose: str = "default"):
         """A seeded random stream private to this actor and purpose."""
         return self.env.streams.stream(f"{self.name}:{purpose}")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        status = "up" if self.alive else "down"
-        return f"<{type(self).__name__} {self.name}@{self.site} {status}>"

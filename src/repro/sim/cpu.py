@@ -40,44 +40,24 @@ class CpuCostModel:
     per_byte: float = 2.5e-9
     cores: int = 2
 
-    def cost(self, message_count: int, byte_count: int) -> float:
-        """CPU seconds consumed by ``message_count`` messages of ``byte_count`` bytes total."""
-        return self.per_message * message_count + self.per_byte * byte_count
-
 
 class CpuAccount:
     """Accumulates CPU busy time for one actor."""
 
-    def __init__(self, owner: str, clock: Callable[[], float]) -> None:
-        self._owner = owner
+    def __init__(self, clock: Callable[[], float]) -> None:
         self._clock = clock
-        self._busy = 0.0
         self._window_start = 0.0
         self._window_busy = 0.0
-
-    @property
-    def busy_seconds(self) -> float:
-        """Total CPU seconds charged since the account was created."""
-        return self._busy
-
-    def charge(self, seconds: float) -> None:
-        """Charge ``seconds`` of CPU time."""
-        if seconds < 0:
-            raise ValueError("cannot charge negative CPU time")
-        self._busy += seconds
-        self._window_busy += seconds
 
     def charge_message(self, model: CpuCostModel, size_bytes: int, count: int = 1) -> None:
         """Charge the cost of processing ``count`` messages totalling ``size_bytes``.
 
-        Runs once per protocol message, so the cost formula is inlined here
-        rather than going through :meth:`CpuCostModel.cost` + :meth:`charge`
-        (both operands are non-negative by construction).  The ring hop
-        (``MultiRingProcess.on_message``) repeats these three lines in its own
-        frame for ``count == 1``; keep the two in step.
+        Runs once per protocol message; both operands are non-negative by
+        construction.  The ring hop (``MultiRingProcess.on_message``) repeats
+        these two lines in its own frame for ``count == 1``; keep the two in
+        step.
         """
         cost = model.per_message * count + model.per_byte * size_bytes
-        self._busy += cost
         self._window_busy += cost
 
     def reset_window(self) -> None:
@@ -98,6 +78,3 @@ class CpuAccount:
     def utilization_percent(self) -> float:
         """Utilisation over the current window expressed in percent."""
         return self.utilization() * 100.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"CpuAccount({self._owner}, busy={self._busy:.6f}s)"

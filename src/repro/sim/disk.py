@@ -137,10 +137,6 @@ class Disk:
         return self._writes
 
     # -------------------------------------------------------- fault injection
-    @property
-    def slowdown(self) -> float:
-        """Current latency-spike multiplier (1.0 when the device is healthy)."""
-        return self._slowdown
 
     def set_slowdown(self, factor: float) -> None:
         """Make every subsequent write take ``factor`` times longer.
@@ -157,13 +153,6 @@ class Disk:
     def clear_slowdown(self) -> None:
         """End a latency spike (back to the profile's nominal timings)."""
         self._slowdown = 1.0
-
-    def utilization(self, start: float, end: float) -> float:
-        """Rough device busy fraction over an interval (based on queue state)."""
-        if end <= start:
-            return 0.0
-        busy_until = min(self._free_at, end)
-        return max(0.0, busy_until - start) / (end - start)
 
     # ------------------------------------------------------------------ write
     def write(
@@ -195,7 +184,3 @@ class Disk:
         if on_complete is not None:
             self.env.simulator._post(finish - now, on_complete, on_complete_args)
         return finish
-
-    def queue_delay(self) -> float:
-        """Seconds a write issued now would wait before starting."""
-        return max(0.0, self._free_at - self.env.simulator.now)

@@ -14,9 +14,7 @@ Design notes
   reproducible from its seed.
 * The kernel knows nothing about networks, disks or protocols; those are
   layered on top (see :mod:`repro.sim.network` and :mod:`repro.sim.disk`).
-* Time is a ``float`` in **seconds**.  Helpers for milliseconds/microseconds
-  are provided because protocol parameters in the paper are expressed in
-  milliseconds (e.g. ``Δ = 5 ms``).
+* Time is a ``float`` in **seconds**.
 
 Performance notes
 -----------------
@@ -35,9 +33,9 @@ therefore avoids the conveniences the original implementation used:
   ``(time, priority, seq, callback, args)`` tuples with no Event or handle
   at all.
 * There is one run loop.  It peeks/pops inline with hoisted locals and
-  carries no branch for event caps or profiling; ``run(max_events=...)`` and
-  an installed profile take a short stepped path (``next_event_time`` +
-  ``step``) that executes the same sequence one event at a time.
+  carries no branch for event caps; ``run(max_events=...)`` takes a short
+  stepped path (``next_event_time`` + ``step``) that executes the same
+  sequence one event at a time.
 * Cancelled events are removed lazily; when more than half the queue is dead
   the heap is compacted in place, so long runs with many cancelled timers do
   not degrade.
@@ -61,27 +59,15 @@ __all__ = [
     "EventHandle",
     "Simulator",
     "gc_paused",
-    "ms",
-    "us",
     "SimulationError",
 ]
-
-
-def ms(value: float) -> float:
-    """Convert milliseconds to simulation seconds."""
-    return value / 1_000.0
-
-
-def us(value: float) -> float:
-    """Convert microseconds to simulation seconds."""
-    return value / 1_000_000.0
 
 
 class SimulationError(RuntimeError):
     """Raised when the simulation is used incorrectly.
 
     Examples include scheduling an event in the past or running a simulator
-    that has already been stopped.
+    backwards.
     """
 
 
@@ -149,9 +135,6 @@ class Event:
         self.cancelled = False
         self.fired = False
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (other.time, other.priority, other.seq)
-
 
 #: Heap entry type: ``(time, priority, seq, event)``.
 _Entry = Tuple[float, int, int, Event]
@@ -165,16 +148,6 @@ class EventHandle:
     def __init__(self, event: Event, sim: "Simulator") -> None:
         self._event = event
         self._sim = sim
-
-    @property
-    def time(self) -> float:
-        """Scheduled firing time of the underlying event."""
-        return self._event.time
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether the event has been cancelled."""
-        return self._event.cancelled
 
     def cancel(self) -> None:
         """Prevent the event from firing.
@@ -199,12 +172,6 @@ class Simulator:
     ----------
     start_time:
         Initial value of the simulation clock (seconds).
-    profile:
-        Optional :class:`repro.sim.profile.SimProfile` collecting per-callback
-        event counts and wall time.  ``None`` (the default) keeps the run loop
-        untouched; with a profile installed :meth:`run` steps through the
-        exact same event sequence one :meth:`step` at a time, and ``step``
-        times each callback.
 
     Example
     -------
@@ -221,23 +188,12 @@ class Simulator:
     #: Minimum number of cancellations before a compaction is considered.
     COMPACT_MIN_CANCELLED = 64
 
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        profile: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         self._queue: List[_Entry] = []
         self._seq = 0
         self._cancelled = 0
-        self._stopped = False
         self._processed = 0
-        self._profile = profile
-
-    @property
-    def profile(self) -> Optional[Any]:
-        """The installed :class:`~repro.sim.profile.SimProfile` (or ``None``)."""
-        return self._profile
 
     # ------------------------------------------------------------------ time
     @property
@@ -249,15 +205,6 @@ class Simulator:
     def processed_events(self) -> int:
         """Number of events executed so far (useful in tests and stats)."""
         return self._processed
-
-    @property
-    def pending_events(self) -> int:
-        """Number of live events still queued (cancelled ones are not counted)."""
-        return sum(
-            1
-            for entry in self._queue
-            if entry[3].__class__ is not Event or not entry[3].cancelled
-        )
 
     # ------------------------------------------------------------- scheduling
     def _post(self, delay: float, callback: Callable[..., None], args: tuple = ()) -> None:
@@ -323,28 +270,12 @@ class Simulator:
         heappush(self._queue, (time, priority, seq, event))
         return EventHandle(event, self)
 
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        *args: Any,
-        priority: int = 0,
-        **kwargs: Any,
-    ) -> EventHandle:
-        """Schedule ``callback`` at an absolute simulation time."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time} which is before now={self._now}"
-            )
-        return self.schedule(time - self._now, callback, *args, priority=priority, **kwargs)
-
     # ---------------------------------------------------------------- running
     def step(self) -> bool:
         """Execute the next pending event.
 
         Returns ``True`` if an event was executed, ``False`` if the queue is
-        empty (cancelled events are skipped silently).  With a profile
-        installed the callback is timed and attributed to it.
+        empty (cancelled events are skipped silently).
         """
         queue = self._queue
         while queue:
@@ -361,13 +292,7 @@ class Simulator:
                 callback, args, kwargs = head, entry[4], {}
             self._now = entry[0]
             self._processed += 1
-            profile = self._profile
-            if profile is None:
-                callback(*args, **kwargs)
-            else:
-                started = profile.clock()
-                callback(*args, **kwargs)
-                profile.record(callback, profile.clock() - started)
+            callback(*args, **kwargs)
             return True
         return False
 
@@ -394,21 +319,20 @@ class Simulator:
                 f"cannot run until t={until} which is before now={self._now}"
             )
         with gc_paused():
-            if max_events is None and self._profile is None:
+            if max_events is None:
                 return self._run_default(until)
             return self._run_stepped(until, max_events)
 
     def _run_default(self, until: Optional[float]) -> float:
-        """The run loop: no event cap, no profiling, no branch for either.
+        """The run loop: no event cap, no branch for one.
 
         ``until`` is hoisted into a plain float bound (``inf`` when absent) so
         the per-event check is a single comparison.
         """
-        self._stopped = False
         queue = self._queue
         pop = heappop
         limit = inf if until is None else until
-        while queue and not self._stopped:
+        while queue:
             entry = queue[0]
             head = entry[3]
             # Two heap-entry layouts: (time, prio, seq, Event) from the
@@ -443,19 +367,18 @@ class Simulator:
                 self._processed += 1
                 head(*entry[4])
         else:
-            if until is not None and self._now < until and not self._stopped:
+            if until is not None and self._now < until:
                 self._now = until
         return self._now
 
     def _run_stepped(self, until: Optional[float], max_events: Optional[int]) -> float:
         """:meth:`_run_default` one :meth:`step` at a time, counting the steps.
 
-        Taken when an event cap or a profile is set; same events, same clock,
+        Taken when an event cap is set; same events, same clock,
         same stop conditions as the run loop.
         """
-        self._stopped = False
         executed = 0
-        while not self._stopped:
+        while True:
             time = self.next_event_time()
             if time is None:
                 break
@@ -466,13 +389,9 @@ class Simulator:
             executed += 1
             if max_events is not None and executed >= max_events:
                 return self._now
-        if until is not None and self._now < until and not self._stopped:
+        if until is not None and self._now < until:
             self._now = until
         return self._now
-
-    def stop(self) -> None:
-        """Stop the run loop after the current event finishes."""
-        self._stopped = True
 
     # ----------------------------------------------------------- time windows
     def next_event_time(self) -> Optional[float]:
@@ -513,8 +432,7 @@ class Simulator:
             )
         before = self._processed
         self.run(until=end)
-        if not self._stopped:
-            self._now = end
+        self._now = end
         return self._processed - before
 
     # ----------------------------------------------------------- compaction
@@ -548,22 +466,3 @@ class Simulator:
             queue[:] = live
             heapify(queue)
         self._cancelled = 0
-
-    # ------------------------------------------------------------------ misc
-    def drain(self, horizon: float) -> None:
-        """Advance the clock to ``horizon`` discarding every queued event.
-
-        Used by experiments to end a measurement window abruptly, mimicking
-        the paper's fixed-duration runs.
-        """
-        if horizon < self._now:
-            raise SimulationError("cannot drain to a time in the past")
-        self._queue.clear()
-        self._cancelled = 0
-        self._now = horizon
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"Simulator(now={self._now:.6f}, pending={self.pending_events}, "
-            f"processed={self._processed})"
-        )

@@ -32,7 +32,7 @@ from array import array
 from collections import defaultdict
 from itertools import chain, compress, repeat
 from operator import and_, le, lt
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = [
     "Counter",
@@ -40,7 +40,6 @@ __all__ = [
     "SloTracker",
     "ThroughputTracker",
     "MetricRegistry",
-    "summarize_latencies",
 ]
 
 # Geometric bucket growth for the sketch mode.  Quantiles are reported at
@@ -140,45 +139,11 @@ class LatencyRecorder:
         self._buckets = buckets
         self._samples = []
 
-    def set_sketch(self, threshold: Optional[int]) -> None:
-        """Adjust the sketch threshold; folds immediately if already past it."""
-        self._sketch_threshold = threshold
-        if (
-            threshold is not None
-            and self._buckets is None
-            and len(self._samples) > threshold
-        ):
-            self._fold_into_sketch()
-
-    @property
-    def sketching(self) -> bool:
-        """Whether the recorder has switched to the bucket histogram."""
-        return self._buckets is not None
-
-    @property
-    def sketch_threshold(self) -> Optional[int]:
-        """The configured sample-count threshold (``None`` = always exact)."""
-        return self._sketch_threshold
-
     # --------------------------------------------------------------- queries
     @property
     def count(self) -> int:
         """Number of samples recorded."""
         return self._count
-
-    @property
-    def samples(self) -> List[float]:
-        """A copy of the raw samples (seconds).
-
-        In sketch mode the raw values are gone; this returns the bucket
-        representatives, repeated per count — same length, ≤ 1 % off each.
-        """
-        if self._buckets is None:
-            return list(self._samples)
-        out: List[float] = []
-        for idx in sorted(self._buckets):
-            out.extend([self._clamped(self._bucket_value(idx))] * self._buckets[idx])
-        return out
 
     def _clamped(self, value: float) -> float:
         return min(self._max, max(self._min, value))
@@ -249,20 +214,6 @@ class LatencyRecorder:
             )
         return result
 
-    def fraction_below(self, threshold_seconds: float) -> float:
-        """Fraction of samples strictly below ``threshold_seconds``."""
-        if self._count == 0:
-            return 0.0
-        if self._buckets is None:
-            ordered = sorted(self._samples)
-            return bisect.bisect_left(ordered, threshold_seconds) / len(ordered)
-        below = sum(
-            c
-            for idx, c in self._buckets.items()
-            if self._clamped(self._bucket_value(idx)) < threshold_seconds
-        )
-        return below / self._count
-
     def mean_ms(self) -> float:
         """Mean latency in milliseconds."""
         return self.mean() * 1_000.0
@@ -315,11 +266,6 @@ class SloTracker:
         )
         return entry
 
-    @property
-    def targets(self) -> Dict[str, float]:
-        """The configured per-class objectives (seconds)."""
-        return dict(self._targets)
-
     def record(self, cls: str, latency_seconds: float) -> None:
         """Record one completed request of class ``cls``."""
         recorder, requests, violations, target = self._classes.get(cls) or self._resolve(cls)
@@ -327,23 +273,6 @@ class SloTracker:
         requests.increment()
         if target is not None and latency_seconds > target:
             violations.increment()
-
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-class summary: count, p50/p99 (ms), violations and rate."""
-        out: Dict[str, Dict[str, float]] = {}
-        for cls in sorted(self._targets):
-            recorder = self._registry.latency(f"{self._prefix}.{cls}.latency")
-            requests = self._registry.counter(f"{self._prefix}.{cls}.requests").value
-            violations = self._registry.counter(f"{self._prefix}.{cls}.violations").value
-            out[cls] = {
-                "target_ms": self._targets[cls] * 1e3,
-                "requests": requests,
-                "violations": violations,
-                "violation_fraction": (violations / requests) if requests else 0.0,
-                "p50_ms": recorder.percentile(50) * 1e3,
-                "p99_ms": recorder.percentile(99) * 1e3,
-            }
-        return out
 
 
 class ThroughputTracker:
@@ -387,11 +316,6 @@ class ThroughputTracker:
         self._counts.append(1)
         self._last_units = units
         self._last_time = now
-
-    @property
-    def total(self) -> float:
-        """Total units recorded."""
-        return sum(_replayed(self._units, self._counts))
 
     def total_between(self, start: float, end: float) -> float:
         """Units recorded in the half-open interval ``[start, end)``."""
@@ -457,13 +381,10 @@ class MetricRegistry:
     def latency(self, name: str, sketch: Optional[int] = None) -> LatencyRecorder:
         """Get or create the latency recorder ``name``.
 
-        ``sketch`` only applies on first creation, or when enabling the
-        sketch on an existing exact recorder (never silently *disables* one).
+        ``sketch`` only applies on first creation.
         """
         if name not in self._latencies:
             self._latencies[name] = LatencyRecorder(name, sketch=sketch)
-        elif sketch is not None and self._latencies[name].sketch_threshold is None:
-            self._latencies[name].set_sketch(sketch)
         return self._latencies[name]
 
     def throughput(self, name: str, bucket_seconds: float = 1.0) -> ThroughputTracker:
@@ -481,29 +402,3 @@ class MetricRegistry:
         for t in self._throughputs.values():
             t.reset()
 
-    def names(self) -> List[str]:
-        """All registered instrument names."""
-        return sorted(
-            set(self._counters) | set(self._latencies) | set(self._throughputs)
-        )
-
-
-def summarize_latencies(
-    samples: Sequence[float], sketch: Optional[int] = None
-) -> Dict[str, float]:
-    """Convenience summary (mean/p50/p95/p99 in milliseconds) of raw samples.
-
-    Pass ``sketch=N`` to bound memory on huge sample streams: above ``N``
-    samples the summary is computed from the log-bucket sketch (≤ 1 %
-    relative quantile error); at or below it the result is exact.
-    """
-    recorder = LatencyRecorder("summary", sketch=sketch)
-    for s in samples:
-        recorder.record(s)
-    return {
-        "count": recorder.count,
-        "mean_ms": recorder.mean() * 1e3,
-        "p50_ms": recorder.percentile(50) * 1e3,
-        "p95_ms": recorder.percentile(95) * 1e3,
-        "p99_ms": recorder.percentile(99) * 1e3,
-    }

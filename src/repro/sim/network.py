@@ -433,22 +433,6 @@ class Network:
     def _update_fault_flag(self) -> None:
         self._has_faults = bool(self._cut_links or self._isolated_sites)
 
-    # ------------------------------------------------------------ inspection
-    @property
-    def cut_links(self) -> Set[Tuple[str, str]]:
-        """Currently severed directed site pairs (copy)."""
-        return set(self._cut_links)
-
-    @property
-    def isolated_sites(self) -> Set[str]:
-        """Currently isolated sites (copy)."""
-        return set(self._isolated_sites)
-
-    @property
-    def has_active_faults(self) -> bool:
-        """Whether any partition or isolation is currently in force."""
-        return self._has_faults
-
     # -------------------------------------------------------- fault injection
     def partition(self, site_a: str, site_b: str, bidirectional: bool = True) -> None:
         """Cut the link between two sites."""

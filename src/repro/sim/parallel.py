@@ -292,13 +292,6 @@ class ParallelRunResult:
         """Events executed across every shard."""
         return sum(self.events.values())
 
-    @property
-    def merge_overlap_fraction(self) -> float:
-        """Fraction of merge-stage time hidden behind worker execution."""
-        if self.merge_stage_s <= 0.0:
-            return 0.0
-        return self.merge_overlap_s / self.merge_stage_s
-
 
 # ---------------------------------------------------------------------------
 # Worker-side execution (shared by the in-process and subprocess paths)

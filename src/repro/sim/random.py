@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterable, List, Sequence, TypeVar
+from typing import Dict, Sequence, TypeVar
 
-__all__ = ["SeededStreams", "ZipfianGenerator", "LatestGenerator", "UniformIntGenerator"]
+__all__ = ["SeededStreams", "ZipfianGenerator", "LatestGenerator"]
 
 T = TypeVar("T")
 
@@ -31,37 +31,12 @@ class SeededStreams:
         self._seed = int(seed)
         self._streams: Dict[str, random.Random] = {}
 
-    @property
-    def seed(self) -> int:
-        """The experiment-level seed this factory was created with."""
-        return self._seed
-
     def stream(self, name: str) -> random.Random:
         """Return (creating on first use) the stream for ``name``."""
         if name not in self._streams:
             digest = hashlib.sha256(f"{self._seed}:{name}".encode()).hexdigest()
             self._streams[name] = random.Random(int(digest[:16], 16))
         return self._streams[name]
-
-    def spawn(self, name: str) -> "SeededStreams":
-        """Derive a child factory, e.g. one per simulated site."""
-        digest = hashlib.sha256(f"{self._seed}:spawn:{name}".encode()).hexdigest()
-        return SeededStreams(int(digest[:16], 16))
-
-
-class UniformIntGenerator:
-    """Uniform integer key generator over ``[lo, hi]`` inclusive."""
-
-    def __init__(self, lo: int, hi: int, rng: random.Random) -> None:
-        if hi < lo:
-            raise ValueError("hi must be >= lo")
-        self._lo = lo
-        self._hi = hi
-        self._rng = rng
-
-    def next(self) -> int:
-        """Draw the next key."""
-        return self._rng.randint(self._lo, self._hi)
 
 
 class ZipfianGenerator:

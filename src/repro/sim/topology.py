@@ -17,7 +17,7 @@ to the US west coast).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["Site", "Topology", "single_datacenter", "ec2_global", "EC2_REGIONS"]
@@ -71,10 +71,6 @@ class Topology:
         self._sites[name] = site
         return site
 
-    def site(self, name: str) -> Site:
-        """Look up a site by name."""
-        return self._sites[name]
-
     def sites(self) -> List[Site]:
         """All sites in insertion order."""
         return list(self._sites.values())
@@ -115,22 +111,6 @@ class Topology:
         if a == b:
             return self.local_bandwidth_bps
         return self._bandwidth.get((a, b), 1e9)
-
-    def rtt(self, a: str, b: str) -> float:
-        """Round-trip time in seconds between two sites."""
-        return self.latency(a, b) + self.latency(b, a)
-
-    def regions(self) -> List[str]:
-        """Distinct region labels in site-insertion order."""
-        seen: List[str] = []
-        for site in self._sites.values():
-            if site.region not in seen:
-                seen.append(site.region)
-        return seen
-
-    def sites_in_region(self, region: str) -> List[Site]:
-        """All sites belonging to ``region``."""
-        return [s for s in self._sites.values() if s.region == region]
 
 
 def single_datacenter(

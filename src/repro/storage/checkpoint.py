@@ -10,7 +10,7 @@ writing them (the paper writes checkpoints synchronously — Section 7.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..sim.actor import Environment
@@ -38,44 +38,9 @@ class CheckpointId:
         """The identifier as a plain ``{group_id: instance}`` dict."""
         return dict(self.entries)
 
-    def groups(self) -> List[int]:
-        """Group ids covered by this checkpoint, sorted."""
-        return [g for g, _ in self.entries]
-
     def instance_for(self, group_id: int) -> int:
         """Highest instance of ``group_id`` reflected in the checkpoint (-1 if absent)."""
         return self.as_dict().get(group_id, -1)
-
-    # ------------------------------------------------------------ comparisons
-    def same_groups(self, other: "CheckpointId") -> bool:
-        """Whether both checkpoints cover the same set of groups (same partition)."""
-        return self.groups() == other.groups()
-
-    def dominates(self, other: "CheckpointId") -> bool:
-        """Component-wise ``>=`` over a common group set (``k_q <= K_R`` in the paper).
-
-        Only meaningful between checkpoints of the same partition; comparing
-        across partitions raises ``ValueError`` because the paper explicitly
-        forbids recovering from a different partition's checkpoint.
-        """
-        if not self.same_groups(other):
-            raise ValueError("checkpoints from different partitions are not comparable")
-        mine, theirs = self.as_dict(), other.as_dict()
-        return all(mine[g] >= theirs[g] for g in mine)
-
-    def satisfies_round_robin_order(self) -> bool:
-        """Predicate 1 of the paper: ``x < y  =>  k[x] >= k[y]``.
-
-        Because learners deliver groups in round-robin order of group id, any
-        state a replica checkpoints must have consumed at least as many
-        instances from lower-numbered groups as from higher-numbered ones.
-        """
-        instances = [i for _, i in self.entries]
-        return all(instances[idx] >= instances[idx + 1] for idx in range(len(instances) - 1))
-
-    def __str__(self) -> str:
-        inner = ", ".join(f"g{g}:{i}" for g, i in self.entries)
-        return f"<{inner}>"
 
 
 @dataclass
@@ -148,10 +113,3 @@ class CheckpointStore:
     def latest(self) -> Optional[Checkpoint]:
         """Most recent checkpoint, or ``None`` when none was ever taken."""
         return self._checkpoints[-1] if self._checkpoints else None
-
-    def all(self) -> List[Checkpoint]:
-        """Retained checkpoints, oldest first."""
-        return list(self._checkpoints)
-
-    def __len__(self) -> int:
-        return len(self._checkpoints)

@@ -1,8 +1,8 @@
 """Workload generators: YCSB A-F, key-value streams, appends and arrival curves."""
 
-from .arrival import ArrivalCurve, constant, diurnal, flash_crowd
-from .kv import preload_keys, read_mostly_workload, update_only_workload, uniform_key
-from .log import AppendWorkloadSpec, round_robin_logs, single_log
+from .arrival import ArrivalCurve, constant, flash_crowd
+from .kv import preload_keys, update_only_workload, uniform_key
+from .log import round_robin_logs, single_log
 from .ycsb import (
     RECORD_BYTES,
     YCSB_WORKLOADS,
@@ -15,13 +15,10 @@ from .ycsb import (
 __all__ = [
     "ArrivalCurve",
     "constant",
-    "diurnal",
     "flash_crowd",
     "preload_keys",
-    "read_mostly_workload",
     "update_only_workload",
     "uniform_key",
-    "AppendWorkloadSpec",
     "round_robin_logs",
     "single_log",
     "RECORD_BYTES",

@@ -3,13 +3,11 @@
 An :class:`ArrivalCurve` maps simulation time to an *aggregate* offered load
 in requests per second.  The client swarm samples it whenever it reschedules
 a flyweight client, so the same spec drives anything from a steady fig7-style
-offered load to a diurnal ramp or a flash crowd.
+offered load to a flash crowd.
 
-Three shapes cover the experiments:
+Two shapes cover the experiments:
 
 * ``constant`` — fixed rate, the classic open-loop benchmark.
-* ``diurnal`` — sinusoidal ramp between a trough and a peak over a period,
-  modelling a day/night cycle compressed into simulated seconds.
 * ``flash`` — a baseline rate with a multiplicative spike: linear ramp up
   at ``at``, hold, then linear decay back to baseline (the flash crowd of
   the chaos scenarios).
@@ -21,11 +19,9 @@ hidden randomness — determinism lives entirely in the seeded streams.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Tuple
 
-__all__ = ["ArrivalCurve", "constant", "diurnal", "flash_crowd"]
+__all__ = ["ArrivalCurve", "constant", "flash_crowd"]
 
 # Curves never return a rate below this, so interarrival times stay finite.
 _MIN_RATE = 1e-9
@@ -40,10 +36,8 @@ class ArrivalCurve:
     """
 
     kind: str = "constant"
-    rate: float = 100.0        # constant: the rate; diurnal/flash: baseline
-    peak: float = 0.0          # diurnal/flash: rate at the top of the curve
-    period: float = 60.0       # diurnal: seconds per full cycle
-    phase: float = 0.0         # diurnal: cycle offset in seconds
+    rate: float = 100.0        # constant: the rate; flash: baseline
+    peak: float = 0.0          # flash: rate at the top of the curve
     at: float = 0.0            # flash: spike start time
     ramp: float = 1.0          # flash: seconds to climb baseline -> peak
     hold: float = 1.0          # flash: seconds at peak
@@ -53,12 +47,6 @@ class ArrivalCurve:
         """Aggregate offered load (requests/second) at time ``t``."""
         if self.kind == "constant":
             rate = self.rate
-        elif self.kind == "diurnal":
-            mid = (self.rate + self.peak) / 2.0
-            amplitude = (self.peak - self.rate) / 2.0
-            rate = mid + amplitude * math.sin(
-                2.0 * math.pi * (t - self.phase) / self.period
-            )
         elif self.kind == "flash":
             rate = self._flash_rate(t)
         else:
@@ -77,25 +65,10 @@ class ArrivalCurve:
         frac = (dt - self.ramp - self.hold) / self.decay if self.decay > 0 else 1.0
         return self.peak + (self.rate - self.peak) * frac
 
-    def span(self) -> Tuple[float, float]:
-        """(min, max) rate the curve can produce — for sizing benchmarks."""
-        if self.kind == "constant":
-            return (self.rate, self.rate)
-        if self.kind == "diurnal":
-            lo, hi = sorted((self.rate, self.peak))
-            return (max(_MIN_RATE, lo), max(_MIN_RATE, hi))
-        lo, hi = sorted((self.rate, self.peak))
-        return (max(_MIN_RATE, lo), max(_MIN_RATE, hi))
-
 
 def constant(rate: float) -> ArrivalCurve:
     """A fixed offered load of ``rate`` requests/second."""
     return ArrivalCurve(kind="constant", rate=rate)
-
-
-def diurnal(base: float, peak: float, period: float, phase: float = 0.0) -> ArrivalCurve:
-    """A sinusoidal day/night ramp between ``base`` and ``peak``."""
-    return ArrivalCurve(kind="diurnal", rate=base, peak=peak, period=period, phase=phase)
 
 
 def flash_crowd(

@@ -14,9 +14,9 @@ sequence number to ``(op, key, value_size, end_key)``.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-__all__ = ["update_only_workload", "read_mostly_workload", "uniform_key"]
+__all__ = ["update_only_workload", "uniform_key"]
 
 Operation = Tuple[str, str, int, Optional[str]]
 
@@ -40,26 +40,6 @@ def update_only_workload(
 
     def workload(sequence: int) -> Operation:
         return ("update", uniform_key(rng, key_count, key_prefix), value_bytes, None)
-
-    return workload
-
-
-def read_mostly_workload(
-    rng: random.Random,
-    key_count: int = 100_000,
-    value_bytes: int = 1024,
-    update_fraction: float = 0.1,
-    key_prefix: str = "key",
-) -> Callable[[int], Operation]:
-    """A read-mostly workload used by the examples and ablation benches."""
-    if not 0.0 <= update_fraction <= 1.0:
-        raise ValueError("update_fraction must be within [0, 1]")
-
-    def workload(sequence: int) -> Operation:
-        key = uniform_key(rng, key_count, key_prefix)
-        if rng.random() < update_fraction:
-            return ("update", key, value_bytes, None)
-        return ("read", key, 0, None)
 
     return workload
 

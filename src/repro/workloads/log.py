@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import random
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Sequence
 
-from ..core.client import Command
-
-__all__ = ["round_robin_logs", "single_log", "AppendWorkloadSpec"]
+__all__ = ["round_robin_logs", "single_log"]
 
 
 def single_log(log_id: int) -> Callable[[int], int]:
@@ -30,31 +27,3 @@ def round_robin_logs(log_ids: Sequence[int]) -> Callable[[int], int]:
 
     return chooser
 
-
-class AppendWorkloadSpec:
-    """Parameters of an append workload.
-
-    Attributes
-    ----------
-    append_bytes:
-        Size of each appended record (1 KB in the paper).
-    client_threads:
-        Outstanding appends per client (the x-axis of Figure 5).
-    multi_append_every:
-        Every N-th request becomes a multi-append across all logs; ``None``
-        keeps the workload pure single-log appends as in the paper.
-    """
-
-    def __init__(
-        self,
-        append_bytes: int = 1024,
-        client_threads: int = 1,
-        multi_append_every: Optional[int] = None,
-    ) -> None:
-        if append_bytes <= 0:
-            raise ValueError("append_bytes must be positive")
-        if client_threads < 1:
-            raise ValueError("client_threads must be >= 1")
-        self.append_bytes = append_bytes
-        self.client_threads = client_threads
-        self.multi_append_every = multi_append_every

@@ -23,10 +23,10 @@ random stream, so experiments are reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
-from ..sim.random import LatestGenerator, UniformIntGenerator, ZipfianGenerator, weighted_choice
+from ..sim.random import LatestGenerator, ZipfianGenerator, weighted_choice
 
 __all__ = ["YCSB_WORKLOADS", "YCSBWorkload", "WorkloadSpec", "ycsb_keyspace"]
 
@@ -40,6 +40,10 @@ RECORD_BYTES = 1000
 MAX_SCAN_LENGTH = 100
 
 
+#: The request distributions the generators implement.
+DISTRIBUTIONS = ("zipfian", "latest")
+
+
 @dataclass(frozen=True)
 class WorkloadSpec:
     """Declarative description of one YCSB workload."""
@@ -51,6 +55,10 @@ class WorkloadSpec:
     scan: float = 0.0
     read_modify_write: float = 0.0
     distribution: str = "zipfian"
+
+    def __post_init__(self) -> None:
+        if self.distribution not in DISTRIBUTIONS:
+            raise ValueError(f"unknown request distribution: {self.distribution!r}")
 
     def mix(self) -> List[Tuple[str, float]]:
         """The non-zero (operation, weight) pairs."""
@@ -121,23 +129,14 @@ class YCSBWorkload:
         if spec.distribution == "latest":
             self._latest = LatestGenerator(record_count, rng)
             self._zipf = None
-            self._uniform = None
-        elif spec.distribution == "uniform":
-            self._latest = None
-            self._zipf = None
-            self._uniform = UniformIntGenerator(0, record_count - 1, rng)
         else:
             self._latest = None
             self._zipf = ZipfianGenerator(record_count, rng)
-            self._uniform = None
-        self._issued: Dict[str, int] = {op: 0 for op, _ in self._mix}
 
     # ------------------------------------------------------------------ keys
     def _next_key_index(self) -> int:
         if self._latest is not None:
             return min(self._latest.next(), self._insert_count - 1)
-        if self._uniform is not None:
-            return self._uniform.next()
         assert self._zipf is not None
         return min(self._zipf.next(), self._insert_count - 1)
 
@@ -145,7 +144,6 @@ class YCSBWorkload:
     def next_operation(self, sequence: int = 0) -> Operation:
         """Generate the next operation (deterministic given the stream state)."""
         op = weighted_choice(self._rng, self._mix)
-        self._issued[op] = self._issued.get(op, 0) + 1
         if op == "insert":
             key = ycsb_key(self._insert_count)
             self._insert_count += 1
@@ -168,13 +166,3 @@ class YCSBWorkload:
 
     def __call__(self, sequence: int) -> Operation:
         return self.next_operation(sequence)
-
-    # ------------------------------------------------------------ inspection
-    def issued_counts(self) -> Dict[str, int]:
-        """How many operations of each type were generated so far."""
-        return dict(self._issued)
-
-    @property
-    def record_count(self) -> int:
-        """Current number of records (grows with inserts)."""
-        return self._insert_count

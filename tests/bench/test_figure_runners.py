@@ -12,6 +12,7 @@ from repro.bench import (
     MeasurementWindow,
     format_results,
     format_table,
+    print_results,
     relative_increments,
     run_fig3_point,
     run_fig4_point,
@@ -20,6 +21,10 @@ from repro.bench import (
     run_fig7_point,
     run_fig8,
 )
+from repro.bench.runner import stable_payload_key
+from repro.core.client import Command
+from repro.core.packing import PackedValues
+from repro.paxos.messages import SKIP, ProposalValue
 from repro.sim.disk import StorageMode
 from tests import golden
 
@@ -76,15 +81,43 @@ class TestReporting:
         assert increments[2] == pytest.approx(90.0)
         assert relative_increments([]) == []
 
-    def test_experiment_result_helpers(self):
-        result = ExperimentResult(name="x", params={"a": 1}, metrics={"m": 3.0})
-        assert result.metric("m") == 3.0
-        assert result.metric("missing", default=7.0) == 7.0
-        assert "a=1" in result.describe()
-
     def test_measurement_window(self):
         window = MeasurementWindow(warmup=1.0, duration=2.0)
         assert window.end == 3.0
+
+    def test_print_results_prints_the_formatted_table(self, capsys):
+        results = [ExperimentResult(name="t", params={"p": 1}, metrics={"m": 2.0})]
+        print_results(results, ["p"], ["m"], title="demo")
+        assert capsys.readouterr().out == "\n" + format_results(results, ["p"], ["m"], title="demo") + "\n"
+
+
+class TestStablePayloadKey:
+    """Delivery identities compared between ``workers=1`` and ``workers=k`` runs."""
+
+    def test_a_command_is_keyed_by_what_it_does_not_by_its_id(self):
+        first = Command(op="read", args=("k",), group_id=2, client="c0", created_at=0.5)
+        second = Command(op="read", args=("k",), group_id=2, client="c0", created_at=0.5)
+        assert first.command_id != second.command_id
+        assert stable_payload_key(first) == stable_payload_key(second) \
+            == ("read", ("k",), 2, "c0", 0.5)
+        later = Command(op="read", args=("k",), group_id=2, client="c0", created_at=0.6)
+        assert stable_payload_key(later) != stable_payload_key(first)
+
+    def test_a_skip_has_one_key(self):
+        assert stable_payload_key(SKIP) == "<SKIP>"
+
+    def test_a_pack_is_keyed_by_its_leaves_in_order(self):
+        a = Command(op="insert", args=("a",), client="c0")
+        b = Command(op="insert", args=("b",), client="c1")
+
+        def value(payload):
+            return ProposalValue(payload=payload, size_bytes=8, proposer="p", proposal_id=1)
+
+        packed = PackedValues(values=[value(a), value(SKIP), value(PackedValues(values=[value(b)]))])
+        assert stable_payload_key(packed) == (stable_payload_key(a), stable_payload_key(b))
+
+    def test_any_other_payload_is_keyed_by_its_repr(self):
+        assert stable_payload_key(("g0", 3)) == "('g0', 3)"
 
 
 @pytest.mark.slow

@@ -18,11 +18,18 @@ Two comparisons, from strongest to broadest:
 
 from __future__ import annotations
 
+import pytest
+
 from repro.bench.parallel import run_fig6_sharded, run_fig7_sharded
 from repro.core import AtomicMulticast, ChurnSpec, MultiRingConfig
 from repro.multiring import MultiRingProcess
 from repro.sim import ShardHarness, ShardSpec, Topology, run_sharded
 from repro.workloads.arrival import flash_crowd
+
+# The multi-second figure-6 comparisons are slow-marked: CI's docs job runs them
+# in its own step ("Reactive differential determinism", ``-m slow``); the
+# sub-second ring and figure-7 cases stay in tier 1, so each test runs once per
+# CI run.
 
 RING_PROCESSES = 3
 MESSAGES_PER_RING = 12
@@ -129,6 +136,7 @@ def test_sharded_workers_match_merged_single_simulator():
     assert {**run.results[0], **run.results[1]} == reference
 
 
+@pytest.mark.slow
 def test_fig6_sharded_seed_differential():
     """Figure 6 sharded point: workers=2 == the single-process engine.
 
@@ -147,6 +155,7 @@ def test_fig6_sharded_seed_differential():
     assert all(sequences["dlog-replica0"] for sequences in deliveries.values())
 
 
+@pytest.mark.slow
 def test_fig6_original_configuration_sharded_differential():
     """Figure 6's *original* deployment (shared learner + common ring) shards.
 
@@ -202,6 +211,7 @@ def test_fig6_original_configuration_sharded_differential():
     )
 
 
+@pytest.mark.slow
 def test_fig6_faulted_crash_schedule_differential():
     """A fixed crash schedule leaves the faulted run bit-identical.
 

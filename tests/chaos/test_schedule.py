@@ -31,7 +31,7 @@ class TestDslBasics:
 
     def test_events_sorted_by_time(self):
         schedule = FaultSchedule().crash(2.0, "x").restart(3.0, "x").partition(1.0, "a", "b")
-        assert [e.action for e in schedule] == ["partition", "crash", "restart"]
+        assert [e.action for e in schedule.events] == ["partition", "crash", "restart"]
         assert schedule.end_time == 3.0
 
     def test_round_trips_through_dicts(self):
@@ -45,7 +45,7 @@ class TestDslBasics:
         )
         rebuilt = FaultSchedule.from_dicts(schedule.to_dicts())
         assert rebuilt.to_dicts() == schedule.to_dicts()
-        assert len(rebuilt) == 5
+        assert len(rebuilt.events) == 5
 
 
 class TestExecution:
@@ -76,10 +76,10 @@ class TestExecution:
         schedule.apply(system)
         system.start()
         system.run(until=0.4)
-        assert system.network.has_active_faults
-        assert ("a", "b") in system.network.cut_links
+        assert system.network._has_faults
+        assert ("a", "b") in system.network._cut_links
         system.run(until=0.8)
-        assert not system.network.has_active_faults
+        assert not system.network._has_faults
 
     def test_isolation_toggles_site_faults(self):
         system, _ = two_site_system()
@@ -87,9 +87,9 @@ class TestExecution:
         schedule.apply(system)
         system.start()
         system.run(until=0.3)
-        assert "b" in system.network.isolated_sites
+        assert "b" in system.network._isolated_sites
         system.run(until=0.6)
-        assert not system.network.isolated_sites
+        assert not system.network._isolated_sites
 
     def test_disk_spike_targets_matching_devices(self):
         system, _ = two_site_system()
@@ -103,10 +103,10 @@ class TestExecution:
         schedule.apply(system)
         system.start()
         system.run(until=0.2)
-        assert fast.slowdown == 8.0
-        assert other.slowdown == 1.0
+        assert fast._slowdown == 8.0
+        assert other._slowdown == 1.0
         system.run(until=0.6)
-        assert fast.slowdown == 1.0
+        assert fast._slowdown == 1.0
 
     def test_disk_spike_slows_writes_down(self):
         system, _ = two_site_system()
@@ -115,9 +115,10 @@ class TestExecution:
         spiked_disk = Disk(system.env, SSD_PROFILE, name="d2")
         spiked_disk.set_slowdown(10.0)
         t0 = system.env.now
-        assert spiked_disk.write(1024) - t0 == pytest.approx(10 * healthy)
+        spiked_done = spiked_disk.write(1024)
+        assert spiked_done - t0 == pytest.approx(10 * healthy)
         spiked_disk.clear_slowdown()
-        assert spiked_disk.slowdown == 1.0
+        assert spiked_disk.write(1024) - spiked_done == pytest.approx(healthy)
 
     def test_invalid_slowdown_rejected(self):
         system, _ = two_site_system()

@@ -29,6 +29,29 @@ def mutate(method, *replacements: Tuple[str, str]):
     return namespace[method.__name__]
 
 
+def store_client(service, name, workload, concurrency=1, max_requests=None, site=None):
+    """A closed-loop client driving an MRP-Store ``service`` with ``workload``.
+
+    ``workload(sequence)`` returns ``(op, key, value_size, end_key)``; the
+    client sits at ``site`` (default: the first site) and addresses that
+    site's frontends.
+    """
+    from repro.core.client import ClosedLoopClient
+    from repro.kvstore.client import kv_request_factory
+
+    site = site or service.system.topology.sites()[0].name
+    return ClosedLoopClient(
+        service.system.env,
+        name,
+        frontends_by_group=service.frontend_map(preferred_site=site),
+        request_factory=kv_request_factory(service.commands, workload),
+        concurrency=concurrency,
+        site=site,
+        metric_prefix=name,
+        max_requests=max_requests,
+    )
+
+
 class RecordingProcess(MultiRingProcess):
     """A process that records everything it delivers (for assertions)."""
 

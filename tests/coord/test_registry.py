@@ -1,4 +1,4 @@
-"""Tests of the coordination service (Zookeeper substitute)."""
+"""Tests of the coordination service (Zookeeper substitute): the ring registry."""
 
 import pytest
 
@@ -6,9 +6,9 @@ from repro.coord.registry import CoordinationService
 from repro.net.ring import RingMember, RingOverlay
 
 
-def overlay(ring_id=0, names=("a", "b", "c"), coordinator=None):
+def overlay(ring_id=0, names=("a", "b", "c"), coordinator=None, epoch=0):
     members = [RingMember(name=n, proposer=True, acceptor=True, learner=True) for n in names]
-    return RingOverlay(ring_id, members, coordinator=coordinator)
+    return RingOverlay(ring_id, members, coordinator=coordinator, epoch=epoch)
 
 
 class TestRingRegistry:
@@ -16,9 +16,9 @@ class TestRingRegistry:
         coord = CoordinationService()
         coord.register_ring(overlay())
         fetched = coord.ring(0)
-        assert fetched.member_names == ["a", "b", "c"]
+        assert [m.name for m in fetched.members] == ["a", "b", "c"]
+        assert fetched.coordinator == "a"
         assert coord.ring_ids() == [0]
-        assert coord.coordinator_of(0) == "a"
 
     def test_unknown_ring_raises(self):
         with pytest.raises(KeyError):
@@ -30,59 +30,10 @@ class TestRingRegistry:
         coord.register_ring(overlay(ring_id=1))
         assert coord.ring_ids() == [1, 5]
 
-    def test_elect_coordinator_skips_failed_process(self):
+    def test_reregistering_replaces_the_overlay(self):
         coord = CoordinationService()
         coord.register_ring(overlay())
-        for name in ("a", "b", "c"):
-            coord.register_process(name)
-        coord.report_failure("a")
-        new = coord.elect_coordinator(0, failed="a")
-        assert new == "b"
-        assert coord.coordinator_of(0) == "b"
-
-    def test_elect_coordinator_without_candidates_raises(self):
-        coord = CoordinationService()
-        coord.register_ring(overlay(names=("a",)))
-        coord.report_failure("a")
-        with pytest.raises(RuntimeError):
-            coord.elect_coordinator(0, failed="a")
-
-
-class TestLiveness:
-    def test_register_and_report_failure(self):
-        coord = CoordinationService()
-        coord.register_process("x")
-        assert coord.is_alive("x")
-        coord.report_failure("x")
-        assert not coord.is_alive("x")
-
-    def test_unknown_process_is_not_alive(self):
-        assert not CoordinationService().is_alive("ghost")
-
-
-class TestDataAndWatches:
-    def test_put_get_exists_delete(self):
-        coord = CoordinationService()
-        coord.put("kvstore/partition-map", {"partitions": 3})
-        assert coord.exists("kvstore/partition-map")
-        assert coord.get("kvstore/partition-map") == {"partitions": 3}
-        coord.delete("kvstore/partition-map")
-        assert not coord.exists("kvstore/partition-map")
-        assert coord.get("missing", default="d") == "d"
-
-    def test_watch_fires_on_change(self):
-        coord = CoordinationService()
-        seen = []
-        coord.watch("config/x", lambda path, value: seen.append((path, value)))
-        coord.put("config/x", 1)
-        coord.put("config/x", 2)
-        coord.delete("config/x")
-        assert seen == [("config/x", 1), ("config/x", 2), ("config/x", None)]
-
-    def test_watch_on_ring_changes(self):
-        coord = CoordinationService()
-        seen = []
-        coord.watch("ring/0", lambda path, value: seen.append(value.coordinator))
-        coord.register_ring(overlay())
-        coord.register_ring(overlay(coordinator="b"))
-        assert seen == ["a", "b"]
+        coord.register_ring(overlay(names=("b", "c"), coordinator="b", epoch=1))
+        fetched = coord.ring(0)
+        assert [m.name for m in fetched.members] == ["b", "c"]
+        assert (fetched.coordinator, fetched.epoch) == ("b", 1)

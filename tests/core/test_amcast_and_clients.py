@@ -5,6 +5,7 @@ import pytest
 from repro.core import AtomicMulticast, MultiRingConfig
 from repro.core.client import ClosedLoopClient, Command, OpenLoopClient
 from repro.core.smr import ProposerFrontend, StateMachineReplica
+from repro.net.message import ClientRequest
 
 from tests.conftest import RecordingProcess
 
@@ -69,7 +70,6 @@ class TestAtomicMulticastFacade:
         p = RecordingProcess(system.env, "p0")
         system.create_ring(3, [(p.name, "pal")])
         assert system.ring(3).coordinator == "p0"
-        assert system.ring_config(3) is config
         assert p in system.processes()
         assert system.process("p0") is p
 
@@ -81,14 +81,83 @@ class TestAtomicMulticastFacade:
         system.start()
         system.run(until=0.5)
 
-    def test_crash_and_restart_process_updates_registry(self):
+    def test_crash_and_restart_process(self):
         system = AtomicMulticast(seed=1, config=MultiRingConfig(rate_interval=None))
         p = RecordingProcess(system.env, "p0")
         system.create_ring(0, [(p.name, "pal")])
         system.crash_process("p0")
-        assert not system.coordination.is_alive("p0")
+        assert not p.alive
+        assert "p0" in system.ring(0)  # the only acceptor is never evicted
         system.restart_process("p0")
-        assert system.coordination.is_alive("p0")
+        assert p.alive
+
+    @staticmethod
+    def _two_rings():
+        system = AtomicMulticast(seed=1, config=MultiRingConfig(rate_interval=None))
+        for name in ("a0", "a1", "a2", "l0"):
+            RecordingProcess(system.env, name)
+        system.create_ring(0, [("a0", "pal"), ("a1", "pal"), ("l0", "l")])
+        system.create_ring(1, [("a1", "pa"), ("a2", "pal"), ("l0", "l")])
+        return system
+
+    def test_crash_evicts_from_every_ring_and_restart_readmits_the_same_roles(self):
+        system = self._two_rings()
+        before = {r: system.ring(r).member("a1") for r in (0, 1)}
+        system.crash_process("a1")
+        for r in (0, 1):
+            assert "a1" not in system.ring(r)
+            assert system.ring(r).epoch == 1
+        system.restart_process("a1")
+        for r in (0, 1):
+            assert system.ring(r).member("a1") == before[r]
+            assert system.ring(r).epoch == 2
+        assert system.process("a1").alive
+
+    def test_a_crash_without_reconfiguration_keeps_every_ring(self):
+        system = self._two_rings()
+        system.crash_process("l0", reconfigure_rings=False)
+        assert not system.process("l0").alive
+        assert all("l0" in system.ring(r) and system.ring(r).epoch == 0 for r in (0, 1))
+
+    def test_a_crashed_coordinator_hands_its_ring_to_the_first_live_acceptor(self):
+        system = self._two_rings()
+        assert system.ring(0).coordinator == "a0"
+        system.crash_process("a0")
+        assert system.ring(0).coordinator == "a1"
+        assert system.ring(1).coordinator == "a1"  # untouched: a0 is not a member
+        assert system.ring(1).epoch == 0
+
+
+class TestProposerFrontend:
+    @staticmethod
+    def _two_groups():
+        config = MultiRingConfig(rate_interval=None, checkpoint_interval=None, trim_interval=None)
+        system = AtomicMulticast(seed=4, config=config)
+        frontend = ProposerFrontend(system.env, "fe", config=config)
+        learners = {g: RecordingProcess(system.env, f"g{g}") for g in (0, 1)}
+        for g, learner in learners.items():
+            system.create_ring(g, [("fe", "p"), (learner.name, "al")])
+        system.start()
+        return system, frontend, learners
+
+    def test_a_client_request_is_multicast_to_its_command_s_group(self):
+        system, frontend, learners = self._two_groups()
+        command = Command(op="add", args=(1,), group_id=1, size_bytes=300)
+        frontend.on_service_message("client", ClientRequest(client="client", command=command))
+        system.run(until=0.5)
+        assert learners[1].delivered_payloads() == [command]
+        assert learners[0].delivered_payloads() == []
+
+    @pytest.mark.parametrize("message", [
+        ClientRequest(client="client", command=None),
+        ClientRequest(client="client", command=("add", 1)),
+        Command(op="add", args=(1,), group_id=0),
+    ], ids=["no-command", "not-a-command", "not-a-request"])
+    def test_anything_but_a_request_carrying_a_command_is_dropped(self, message):
+        system, frontend, learners = self._two_groups()
+        frontend.on_service_message("client", message)
+        system.run(until=0.5)
+        assert all(learner.delivered_payloads() == [] for learner in learners.values())
 
 
 class TestStateMachineReplicaAndClients:
@@ -99,14 +168,13 @@ class TestStateMachineReplicaAndClients:
         assert client.completed > 10
         assert replicas[0].value == replicas[1].value
         assert replicas[0].value >= client.completed
-        assert frontends[0].forwarded >= client.completed
 
     def test_closed_loop_keeps_bounded_outstanding(self):
         system, frontends, replicas, client = build_counter_service(concurrency=3)
         system.start()
         system.run(until=1.0)
-        assert client.outstanding <= 3
-        assert client.issued == client.completed + client.outstanding
+        assert len(client._outstanding) <= 3
+        assert client._issued == client.completed + len(client._outstanding)
 
     def test_closed_loop_max_requests(self):
         system, frontends, replicas, client = build_counter_service(
@@ -114,7 +182,7 @@ class TestStateMachineReplicaAndClients:
         )
         system.start()
         system.run(until=2.0)
-        assert client.issued == 10
+        assert client._issued == 10
         assert client.completed == 10
 
     def test_open_loop_client_issues_at_fixed_rate(self):

@@ -3,23 +3,20 @@
 Covers the end-to-end batching fixes: the recursive unpacker in
 ``repro.core.packing`` that every delivery-path consumer routes through, the
 coordinator's size-or-timeout batch assembly, packed-value metadata
-preservation across mixed proposers, the O(1) ``CommandBatcher`` byte
-accounting, and ``StateMachineReplica`` handling ``PackedValues`` payloads —
+preservation across mixed proposers, and ``StateMachineReplica`` handling
+``PackedValues`` payloads —
 including a real kvstore PUT/GET round-trip with ``batching_enabled=True``.
 """
-
-import random
 
 import pytest
 
 from repro.core import AtomicMulticast, MultiRingConfig
-from repro.core.client import Command, CommandBatch, CommandBatcher
+from repro.core.client import Command
 from repro.core.packing import (
     PackedValues,
     iter_commands,
     iter_payloads,
     iter_values,
-    packed_proposal_ids,
 )
 from repro.kvstore import MRPStoreService
 from repro.kvstore.client import MRPStoreCommands
@@ -66,22 +63,14 @@ class TestSharedUnpacker:
         # iter_values keeps the skip leaf (learner accounting needs it)
         assert len(list(iter_values(packed))) == 2
 
-    def test_iter_commands_opens_command_batches(self):
+    def test_iter_commands_opens_packs_and_drops_the_rest(self):
         c1 = Command(op="put", args=("k1",))
         c2 = Command(op="put", args=("k2",))
         c3 = Command(op="get", args=("k1",))
-        batch = CommandBatch(group_id=0, commands=[c1, c2])
-        packed = _pack(_value(batch), _value(c3), _value(SKIP))
+        packed = _pack(_value(c1), _pack(_value(c2), _value("opaque")), _value(c3), _value(SKIP))
         assert list(iter_commands(packed.payload)) == [c1, c2, c3]
         assert list(iter_commands(c3)) == [c3]
         assert list(iter_commands("opaque")) == []
-
-    def test_packed_proposal_ids_lists_every_leaf(self):
-        a = _value("a", proposer="p0", proposal_id=7)
-        b = _value("b", proposer="p1", proposal_id=9)
-        packed = _pack(a, b)
-        assert packed_proposal_ids(packed) == [("p0", 7), ("p1", 9)]
-        assert packed_proposal_ids(a) == [("p0", 7)]
 
 
 class TestPackedMetadata:
@@ -103,8 +92,6 @@ class TestPackedMetadata:
         state.enqueue(v2)
         [(instance, packed)] = state.next_assignments()
         assert isinstance(packed.payload, PackedValues)
-        assert packed.payload.proposal_ids == (("p0", 11), ("p1", 22))
-        assert packed.payload.created_ats == (0.5, 0.3)
         # The wrapper mirrors the first constituent but the leaves are intact.
         assert packed.created_at == 0.3
         inner = list(iter_values(packed))
@@ -142,36 +129,6 @@ class TestDelayTriggerAssembly:
         state.enqueue(_value("big", size=512))
         [(instance, value)] = state.next_assignments(force=False)
         assert value.payload == "big"
-
-
-class TestCommandBatcherRunningTotal:
-    def test_behavior_identical_to_resummed_reference(self):
-        """Random add/flush program: O(1) totals match a re-sum reference."""
-        rng = random.Random(42)
-        batcher = CommandBatcher(max_bytes=2500)
-        reference = {g: [] for g in range(3)}  # group -> pending sizes
-        for i in range(500):
-            group = rng.randrange(3)
-            size = rng.choice([100, 700, 1300, 2600])
-            batch = batcher.add(
-                Command(op="op", args=(i,), group_id=group, size_bytes=size)
-            )
-            reference[group].append(size)
-            if sum(reference[group]) >= 2500:
-                assert batch is not None
-                assert [c.size_bytes for c in batch.commands] == reference[group]
-                reference[group] = []
-            else:
-                assert batch is None
-            assert batcher.pending_bytes(group) == sum(reference[group])
-            assert batcher.pending_count(group) == len(reference[group])
-        for group in range(3):
-            batch = batcher.flush_group(group)
-            sizes = reference[group]
-            assert (batch is None) == (not sizes)
-            if batch is not None:
-                assert [c.size_bytes for c in batch.commands] == sizes
-            assert batcher.pending_bytes(group) == 0
 
 
 class _ProbeClient(Actor):
@@ -246,9 +203,77 @@ class TestSMRPackedValues:
         replica = MRPStoreReplica(system.env, "r0", config=config)
         put = Command(op="insert", args=("k", "v", 100), size_bytes=100)
         get = Command(op="read", args=("k",), size_bytes=16)
-        batch = CommandBatch(group_id=0, commands=[put])
-        packed = _pack(_value(batch, size=100), _value(get, size=16), _value(SKIP))
+        packed = _pack(_value(put, size=100), _value(get, size=16), _value(SKIP))
         before = replica.commands_applied
         replica.on_deliver(0, 0, packed)
         assert replica.commands_applied == before + 2
         assert replica.store.read("k") is not None
+
+
+class _Inbox(Actor):
+    """Records every message it receives."""
+
+    def __init__(self, env, name):
+        super().__init__(env, name)
+        self.received = []
+
+    def on_message(self, sender, message):
+        self.received.append((sender, message))
+
+
+class TestSMRApplyPath:
+    """``StateMachineReplica.on_deliver``: commands, packs and opaque payloads."""
+
+    @staticmethod
+    def _replica(respond_to_clients=True):
+        from repro.kvstore import MRPStoreReplica
+
+        config = MultiRingConfig(rate_interval=None, checkpoint_interval=None,
+                                 trim_interval=None)
+        system = AtomicMulticast(seed=1, config=config)
+        replica = MRPStoreReplica(system.env, "r0", config=config,
+                                  respond_to_clients=respond_to_clients)
+        return system, replica, _Inbox(system.env, "inbox")
+
+    @staticmethod
+    def _command(op, *args):
+        return Command(op=op, args=args, client="inbox", size_bytes=64)
+
+    def test_a_delivered_command_is_applied_and_answered(self):
+        system, replica, inbox = self._replica()
+        insert = self._command("insert", "k", "v", 64)
+        replica.on_deliver(3, 0, _value(insert))
+        system.run(until=0.1)
+        assert replica.commands_applied == 1
+        [(sender, response)] = inbox.received
+        assert sender == "r0"
+        assert isinstance(response, ClientResponse)
+        assert response.request_id == insert.command_id
+        assert response.replica == "r0"
+        assert response.result["group_id"] == 3
+        assert response.result["value"]["inserted"]
+
+    def test_each_command_of_a_pack_is_answered_once_in_order(self):
+        system, replica, inbox = self._replica()
+        insert = self._command("insert", "k", "v", 64)
+        read = self._command("read", "k")
+        replica.on_deliver(0, 0, _pack(_value(insert), _value(SKIP), _pack(_value(read))))
+        system.run(until=0.1)
+        assert [m.request_id for _, m in inbox.received] == [insert.command_id, read.command_id]
+        assert inbox.received[1][1].result["value"]["found"]
+
+    def test_a_replica_that_does_not_respond_applies_silently(self):
+        system, replica, inbox = self._replica(respond_to_clients=False)
+        replica.on_deliver(0, 0, _value(self._command("insert", "k", "v", 64)))
+        system.run(until=0.1)
+        assert replica.commands_applied == 1
+        assert replica.store.read("k") is not None
+        assert inbox.received == []
+
+    @pytest.mark.parametrize("payload", ["opaque", 7, None])
+    def test_an_opaque_payload_counts_as_one_applied_command(self, payload):
+        system, replica, inbox = self._replica()
+        replica.on_deliver(0, 0, _value(payload))
+        system.run(until=0.1)
+        assert replica.commands_applied == 1
+        assert inbox.received == []

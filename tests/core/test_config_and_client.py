@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.core.client import Command, CommandBatch, CommandBatcher
-from repro.core.config import MultiRingConfig, global_config, local_config
+from repro.core.client import Command
+from repro.core.config import MultiRingConfig, global_config
 from repro.core.amcast import parse_roles
 from repro.sim.disk import StorageMode
 
 
 class TestMultiRingConfig:
     def test_paper_presets(self):
-        local = local_config()
+        local = MultiRingConfig()
         assert local.messages_per_round == 1
         assert local.rate_interval == pytest.approx(0.005)
         assert local.max_rate == 9000.0
@@ -49,42 +49,6 @@ class TestParseRoles:
     def test_unknown_letter_rejected(self):
         with pytest.raises(ValueError):
             parse_roles("n1", "px")
-
-
-class TestCommandBatcher:
-    def _command(self, group=0, size=1000):
-        return Command(op="update", args=("k", None, size), group_id=group, size_bytes=size)
-
-    def test_batches_by_group(self):
-        batcher = CommandBatcher(max_bytes=2500)
-        assert batcher.add(self._command(group=0)) is None
-        assert batcher.add(self._command(group=1)) is None
-        assert batcher.pending_count(0) == 1
-        full = batcher.add(self._command(group=0))
-        assert full is None
-        full = batcher.add(self._command(group=0))
-        assert isinstance(full, CommandBatch)
-        assert full.group_id == 0
-        assert len(full) == 3
-
-    def test_flush_group_and_all(self):
-        batcher = CommandBatcher(max_bytes=10_000)
-        batcher.add(self._command(group=0))
-        batcher.add(self._command(group=1))
-        batch = batcher.flush_group(0)
-        assert len(batch) == 1
-        assert batcher.flush_group(0) is None
-        rest = batcher.flush_all()
-        assert len(rest) == 1 and rest[0].group_id == 1
-
-    def test_batch_size_accounting(self):
-        batch = CommandBatch(group_id=0, commands=[self._command(size=100), self._command(size=200)])
-        assert batch.size_bytes == 300
-        assert len(list(iter(batch))) == 2
-
-    def test_invalid_budget(self):
-        with pytest.raises(ValueError):
-            CommandBatcher(max_bytes=0)
 
 
 class TestCommandDefaults:

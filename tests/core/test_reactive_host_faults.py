@@ -53,13 +53,13 @@ def test_partition_stall_then_heal_converges_to_offline_anchor(host):
         {0: streams[0][:1], 1: streams[1][:1]}, watermark=1.0, covered=[0, 1]
     )
     assert host.watermark == 1.0
-    assert not host.stalled
+    assert host._stall_open is None
     # Barriers 2 and 3: ring 1's producer is partitioned away — barriers
     # arrive covering ring 0 only.  The joint watermark must stall at the
     # last honest mark instead of over-promising freshness.
     host.ingest({0: streams[0][1:2]}, watermark=2.0, covered=[0])
     host.ingest({0: streams[0][2:3]}, watermark=3.0, covered=[0])
-    assert host.stalled
+    assert host._stall_open is not None
     assert host.watermark == 1.0
     # Ring 0 deliveries queue at the round-robin gate behind ring 1.
     applied_mid = host.commands_applied
@@ -68,7 +68,7 @@ def test_partition_stall_then_heal_converges_to_offline_anchor(host):
         {0: streams[0][3:], 1: streams[1][1:]}, watermark=4.0, covered=[0, 1]
     )
     assert applied > 0
-    assert not host.stalled
+    assert host._stall_open is None
     assert host.watermark == 4.0
     # The merged output is exactly the offline anchor.
     assert host.deliveries == replay_streams(streams)
@@ -113,7 +113,7 @@ def test_unfaulted_ingest_records_no_stall(host):
     host.ingest(streams, watermark=1.0)
     host.ingest({}, watermark=2.0)
     assert host.stall_windows == []
-    assert not host.stalled
+    assert host._stall_open is None
     stats = host.latency_stats()
     assert stats["stall_count"] == 0.0
     assert stats["mean_ms"] == pytest.approx(800.0)

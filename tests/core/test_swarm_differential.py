@@ -28,6 +28,10 @@ from repro.net.message import ClientRequest, ClientResponse
 from repro.workloads.arrival import constant
 from repro.workloads.ycsb import YCSB_WORKLOADS, YCSBWorkload, ycsb_keyspace
 
+# The multi-second comparisons are slow-marked: CI runs them in their own step
+# ("Swarm differential", ``-m slow``); the sub-second open-loop and wheel
+# cases stay in tier 1, so each test runs once per CI run.
+
 PARTITIONS = [0, 1]
 RECORDS = 200
 
@@ -89,8 +93,8 @@ def _latency_state(system):
     """All client-side latency recorders' raw sample lists, by name."""
     registry = system.env.metrics
     return {
-        name: registry.latency(name).samples
-        for name in registry.names()
+        name: list(recorder._samples)
+        for name, recorder in registry._latencies.items()
         if name.startswith("client.latency")
     }
 
@@ -110,7 +114,7 @@ def _run_actors(seed, batching, k, concurrency, until, jitter=0.05, workload="F"
     return {
         "log": log,
         "latencies": _latency_state(system),
-        "issued": [c.issued for c in clients],
+        "issued": [c._issued for c in clients],
         "completed": [c.completed for c in clients],
     }
 
@@ -137,8 +141,8 @@ def _run_swarm(seed, batching, k, concurrency, until, jitter=0.05,
     return {
         "log": log,
         "latencies": _latency_state(system),
-        "issued": [swarm.per_client_issued(i) for i in range(k)],
-        "completed": [swarm.per_client_completed(i) for i in range(k)],
+        "issued": [swarm._issued[i] for i in range(k)],
+        "completed": [swarm._completed[i] for i in range(k)],
         "trace": swarm.command_trace,
     }
 
@@ -158,7 +162,7 @@ def _run_open_actors(seed, k, rate_each, until, jitter=0.05):
     return {
         "log": log,
         "latencies": _latency_state(system),
-        "issued": [c.issued for c in clients],
+        "issued": [c._issued for c in clients],
         "completed": [c.completed for c in clients],
     }
 
@@ -188,10 +192,11 @@ def _run_open_swarm(seed, k, aggregate_rate, until, jitter=0.05, swarm_cls=Clien
     return {
         "log": log,
         "latencies": _latency_state(system),
-        "issued": [swarm.per_client_issued(i) for i in range(k)],
-        "completed": [swarm.per_client_completed(i) for i in range(k)],
+        "issued": [swarm._issued[i] for i in range(k)],
+        "completed": [swarm._completed[i] for i in range(k)],
         "trace": swarm.command_trace,
         "wheel": len(swarm._wheel),
+        "outstanding": swarm.outstanding,
     }
 
 
@@ -203,6 +208,7 @@ def _assert_identical(reference, swarm):
     assert sum(reference["completed"]) > 0  # the runs actually did work
 
 
+@pytest.mark.slow
 class TestClosedLoopDifferential:
     def test_bit_identical_batching_off(self):
         reference = _run_actors(seed=11, batching=False, k=4, concurrency=1, until=1.4)
@@ -238,6 +244,10 @@ class TestOpenLoopDifferential:
         swarm = _run_open_swarm(seed=21, k=3, aggregate_rate=240.0, until=1.2)
         _assert_identical(reference, swarm)
 
+    def test_outstanding_counts_the_requests_still_in_flight(self):
+        run = _run_open_swarm(seed=21, k=3, aggregate_rate=2400.0, until=0.31)
+        assert run["outstanding"] == sum(run["issued"]) - sum(run["completed"]) > 0
+
 
 class _MaterialisedWheel(ClientSwarm):
     """The wheel with one ``(time, index)`` tuple per client before the first
@@ -272,6 +282,7 @@ class TestWheelColdCursor:
                                swarm_cls=_MaterialisedWheel)["wheel"] == 50
 
 
+@pytest.mark.slow
 class TestAddressingModes:
     def test_shared_endpoint_matches_ports_trace(self):
         """Shared addressing must reproduce the ports-mode workload exactly.

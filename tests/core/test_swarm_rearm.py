@@ -3,7 +3,7 @@
 ``ClientSwarm`` merges three sorted sources — a cursor over clients that
 never fired, a FIFO of re-arms in two columns, and a heap for re-arms that
 arrive below the FIFO's last key (after the rate went up) and for churn
-reconnects.  Under a diurnal and a flash-crowd arrival curve plus churn,
+reconnects.  Under a flash crowd, a dip in the arrival rate and churn,
 both the FIFO and the heap take re-arms, and the issue order must equal the
 single heap of ``tests/reference/swarm.py``.  A frontend that swallows
 requests is enough: open-loop issue never waits for a response.
@@ -20,13 +20,13 @@ from repro.core import swarm as swarm_module
 from repro.core.client import Command
 from repro.core.swarm import ChurnSpec, ClientSwarm
 from repro.sim import Actor, Environment, Network, Topology
-from repro.workloads.arrival import constant, diurnal, flash_crowd
+from repro.workloads.arrival import constant, flash_crowd
 from tests.reference.swarm import HeapWheelSwarm
 
 CLIENTS = 300
 
 CURVES = {
-    "diurnal": diurnal(base=200.0, peak=2000.0, period=1.5),
+    "dip": flash_crowd(base=2000.0, peak=200.0, at=0.3, ramp=0.5, hold=0.4, decay=0.5),
     "flash-crowd": flash_crowd(base=200.0, peak=2000.0, at=0.6, ramp=0.3, hold=0.4, decay=0.3),
     "constant": constant(900.0),
 }

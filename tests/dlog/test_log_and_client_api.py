@@ -14,14 +14,13 @@ class TestSharedLog:
         positions = [log.append(1024) for _ in range(5)]
         assert positions == [0, 1, 2, 3, 4]
         assert log.next_position == 5
-        assert log.total_appended_bytes == 5 * 1024
+        assert log.cached_bytes == 5 * 1024
 
-    def test_read_returns_cached_entries(self):
+    def test_cache_holds_appended_entries(self):
         log = SharedLog(0)
         position = log.append(100, payload=b"data")
-        entry = log.read(position)
+        entry = log.snapshot()["cache"][position]
         assert entry.size_bytes == 100 and entry.payload == b"data"
-        assert log.read(99) is None
 
     def test_trim_creates_segment_and_hides_entries(self):
         log = SharedLog(0)
@@ -30,8 +29,7 @@ class TestSharedLog:
         segment = log.trim(4)
         assert segment.first_position == 0 and segment.last_position == 4
         assert segment.bytes == 500
-        assert log.read(3) is None
-        assert log.read(5) is not None
+        assert sorted(log.snapshot()["cache"]) == list(range(5, 10))
         assert log.trimmed_up_to == 4
         assert len(log.segments) == 1
 
@@ -42,8 +40,8 @@ class TestSharedLog:
         assert log.cached_bytes <= 1000
         assert log.cached_entries <= 10
         # the newest entries survive
-        assert log.read(19) is not None
-        assert log.read(0) is None
+        cached = log.snapshot()["cache"]
+        assert 19 in cached and 0 not in cached
 
     def test_snapshot_restore_roundtrip(self):
         log = SharedLog(0)
@@ -56,12 +54,6 @@ class TestSharedLog:
         assert other.next_position == 5
         assert other.trimmed_up_to == 1
         assert other.cached_entries == log.cached_entries
-
-    def test_clear(self):
-        log = SharedLog(0)
-        log.append(10)
-        log.clear()
-        assert log.next_position == 0 and log.cached_entries == 0
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -90,10 +82,8 @@ class TestTable2Commands:
         assert [c.group_id for c in multi] == [0, 2]
         assert all(c.op == "multi-append" for c in multi)
 
-    def test_read_and_trim(self):
+    def test_trim(self):
         commands = DLogCommands()
-        read = commands.read(1, position=7)
-        assert read.op == "read" and read.args == (7,)
         trim = commands.trim(1, position=7)
         assert trim.op == "trim" and trim.group_id == 1
 

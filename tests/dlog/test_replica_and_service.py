@@ -8,23 +8,26 @@ from repro.dlog import DLogReplica, DLogService
 from repro.sim.disk import StorageMode
 
 
-def make_replica(persist=False):
+def make_replica():
     config = MultiRingConfig(rate_interval=None, checkpoint_interval=None, trim_interval=None)
     system = AtomicMulticast(seed=1, config=config)
-    return system, DLogReplica(system.env, "d0", config=config, persist_appends=persist)
+    return system, DLogReplica(system.env, "d0", config=config)
+
+
+def total_appends(replica):
+    """Records appended across every log the replica hosts."""
+    return sum(log.next_position for log in replica.logs.values())
 
 
 class TestDLogReplica:
-    def test_append_read_trim(self):
+    def test_append_trim(self):
         system, replica = make_replica()
         result = replica.apply_command(0, Command(op="append", args=(1024,)))
         assert result == {"log": 0, "position": 0}
         replica.apply_command(0, Command(op="append", args=(1024,)))
-        read = replica.apply_command(0, Command(op="read", args=(1,)))
-        assert read["found"] and read["size"] == 1024
         trim = replica.apply_command(0, Command(op="trim", args=(0,)))
-        assert trim["trimmed_up_to"] == 0
-        assert not replica.apply_command(0, Command(op="read", args=(0,)))["found"]
+        assert trim["trimmed_up_to"] == 0 and trim["segment_bytes"] == 1024
+        assert replica.log_for(0).trimmed_up_to == 0
 
     def test_each_group_backs_its_own_log(self):
         system, replica = make_replica()
@@ -33,69 +36,59 @@ class TestDLogReplica:
         replica.apply_command(1, Command(op="append", args=(100,)))
         assert replica.log_for(0).next_position == 1
         assert replica.log_for(1).next_position == 2
-        assert replica.total_appends() == 3
+        assert total_appends(replica) == 3
 
     def test_multi_append_is_applied_per_delivering_group(self):
         system, replica = make_replica()
         result = replica.apply_command(2, Command(op="multi-append", args=(100,)))
         assert result["log"] == 2 and result["position"] == 0
 
-    def test_persisted_appends_touch_the_device(self):
-        system, replica = make_replica(persist=True)
-        replica.apply_command(0, Command(op="append", args=(4096,)))
-        assert replica._disk_for(0).write_count == 1
-
     def test_unknown_operation_rejected(self):
         system, replica = make_replica()
         with pytest.raises(ValueError):
             replica.apply_command(0, Command(op="compact"))
+
+    def test_read_is_not_an_ordered_dlog_operation(self):
+        """The workloads append and trim only; a read is refused by name, not ignored."""
+        system, replica = make_replica()
+        replica.apply_command(0, Command(op="append", args=(100,)))
+        with pytest.raises(ValueError, match="unknown dLog operation: read"):
+            replica.apply_command(0, Command(op="read", args=(0,)))
+        assert total_appends(replica) == 1
 
     def test_snapshot_roundtrip(self):
         system, replica = make_replica()
         replica.apply_command(0, Command(op="append", args=(100,)))
         state, size = replica.snapshot_state()
         replica.reset_state()
-        assert replica.total_appends() == 0
+        assert total_appends(replica) == 0
         replica.install_state_snapshot(state)
         assert replica.log_for(0).next_position == 1
 
-    def test_snapshot_roundtrip_with_persisted_appends(self):
-        """Full round trip under ``persist_appends=True``: a snapshot taken
-        from a replica that persists to its per-log devices restores every
-        log's contents, trim state and append positions on a fresh replica —
-        and the restored replica's subsequent appends continue seamlessly
-        (both in the log and on its own device)."""
-        system, replica = make_replica(persist=True)
+    def test_snapshot_roundtrip_across_logs(self):
+        """A snapshot restores every log's contents, trim state and append
+        positions on a fresh replica, and appends continue where it left off."""
+        system, replica = make_replica()
         for _ in range(3):
             replica.apply_command(0, Command(op="append", args=(512,)))
         for _ in range(2):
             replica.apply_command(1, Command(op="append", args=(256,)))
         replica.apply_command(0, Command(op="trim", args=(0,)))
-        assert replica._disk_for(0).write_count == 3
-        assert replica._disk_for(1).write_count == 2
 
         state, size = replica.snapshot_state()
         assert size >= 3 * 512 + 2 * 256 - 512  # trimmed segment excluded
 
-        restored = DLogReplica(
-            system.env, "d1", config=replica.config, persist_appends=True
-        )
+        restored = DLogReplica(system.env, "d1", config=replica.config)
         restored.install_state_snapshot(state)
         # Contents and positions survive the round trip exactly.
-        assert restored.total_appends() == replica.total_appends() == 5
+        assert total_appends(restored) == total_appends(replica) == 5
         assert restored.log_for(0).next_position == 3
         assert restored.log_for(1).next_position == 2
-        assert not restored.apply_command(0, Command(op="read", args=(0,)))["found"]
-        read = restored.apply_command(0, Command(op="read", args=(2,)))
-        assert read["found"] and read["size"] == 512
-        read = restored.apply_command(1, Command(op="read", args=(1,)))
-        assert read["found"] and read["size"] == 256
-        # Appends continue where the snapshot left off, hitting the restored
-        # replica's own device (persistence is per replica, not snapshot state).
+        assert restored.log_for(0).trimmed_up_to == 0
+        assert restored.log_for(0).snapshot()["cache"] == replica.log_for(0).snapshot()["cache"]
         result = restored.apply_command(0, Command(op="append", args=(512,)))
         assert result == {"log": 0, "position": 3}
-        assert restored._disk_for(0).write_count == 1
-        # The snapshot is a deep copy: the source's later appends do not leak.
+        # The snapshot is a deep copy: the restored replica's appends do not leak.
         assert replica.log_for(0).next_position == 3
 
     def test_snapshot_is_isolated_from_source_mutations(self):
@@ -108,7 +101,7 @@ class TestDLogReplica:
         restored = DLogReplica(system.env, "d2", config=replica.config)
         restored.install_state_snapshot(state)
         assert restored.log_for(0).next_position == 1
-        assert not restored.apply_command(0, Command(op="read", args=(1,)))["found"]
+        assert sorted(restored.log_for(0).snapshot()["cache"]) == [0]
 
 
 def build_dlog(logs=(0, 1), common_ring=None, seed=5, sync=False, replica_count=2):
@@ -140,8 +133,8 @@ class TestDLogService:
         system.run(until=2.0)
         assert client.completed > 20
         first, second = service.replicas
-        assert first.total_appends() == second.total_appends()
-        assert first.total_appends() >= client.completed
+        assert total_appends(first) == total_appends(second)
+        assert total_appends(first) >= client.completed
 
     def test_positions_are_identical_across_replicas(self):
         system, service = build_dlog()

@@ -6,9 +6,10 @@ import pytest
 
 from repro.core import AtomicMulticast, MultiRingConfig, global_config
 from repro.dlog import DLogService
-from repro.kvstore import MRPStoreService, RangePartitioner
+from repro.kvstore import MRPStoreService
 from repro.sim.topology import ec2_global
 from repro.workloads import preload_keys, update_only_workload
+from tests.conftest import store_client
 
 
 class TestGeoDistributedStore:
@@ -28,8 +29,8 @@ class TestGeoDistributedStore:
         )
         service.preload(preload_keys(100))
         rng = random.Random(17)
-        client = service.create_client(
-            "geo-client", update_only_workload(rng, key_count=100), concurrency=4,
+        client = store_client(
+            service, "geo-client", update_only_workload(rng, key_count=100), concurrency=4,
             site=regions[0],
         )
         system.start()
@@ -86,33 +87,11 @@ class TestMixedServiceDeployment:
                           config=config)
         store.preload(preload_keys(50))
         rng = random.Random(23)
-        kv_client = store.create_client("kv-client", update_only_workload(rng, key_count=50),
-                                        concurrency=2)
+        kv_client = store_client(store, "kv-client", update_only_workload(rng, key_count=50),
+                                 concurrency=2)
         log_client = log.create_append_client("log-client", concurrency=2)
         system.start()
         system.run(until=3.0)
         assert kv_client.completed > 20
         assert log_client.completed > 20
 
-
-class TestRangePartitionedStore:
-    def test_range_scans_touch_only_covering_partitions(self):
-        config = MultiRingConfig(rate_interval=0.005, max_rate=300.0,
-                                 checkpoint_interval=None, trim_interval=None)
-        system = AtomicMulticast(seed=29, config=config)
-        partitioner = RangePartitioner([0, 1], splits=["m"])
-        service = MRPStoreService(system, partition_groups=[0, 1], partitioner=partitioner,
-                                  replicas_per_partition=1, config=config)
-        service.preload({"apple": 64, "banana": 64, "melon": 64, "zebra": 64})
-
-        def scan_low_half(sequence):
-            return ("scan", "a", 0, "d")
-
-        client = service.create_client("scanner", scan_low_half, concurrency=1, max_requests=5)
-        system.start()
-        system.run(until=2.0)
-        assert client.completed == 5
-        low_replica = service.replicas[0][0]
-        high_replica = service.replicas[1][0]
-        assert low_replica.commands_applied >= 5
-        assert high_replica.commands_applied == 0

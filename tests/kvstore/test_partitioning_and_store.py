@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.kvstore.partitioning import HashPartitioner, RangePartitioner
+from repro.kvstore.partitioning import HashPartitioner, Partitioner
 from repro.kvstore.store import KeyValueStore
 
 
@@ -46,50 +46,28 @@ class TestHashPartitioner:
             assert partitioner.group_for_key(key) == groups[index]
 
 
-class TestRangePartitioner:
-    def test_routing_by_split_points(self):
-        partitioner = RangePartitioner([10, 11, 12], splits=["g", "p"])
-        assert partitioner.group_for_key("alpha") == 10
-        assert partitioner.group_for_key("g") == 11
-        assert partitioner.group_for_key("monkey") == 11
-        assert partitioner.group_for_key("zebra") == 12
-
-    def test_scan_only_touches_covering_partitions(self):
-        partitioner = RangePartitioner([10, 11, 12], splits=["g", "p"])
-        assert partitioner.groups_for_range("a", "c") == [10]
-        assert partitioner.groups_for_range("a", "h") == [10, 11]
-        assert partitioner.groups_for_range("h", "z") == [11, 12]
-        assert partitioner.groups_for_range("z", "h") == [11, 12]  # reversed bounds
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            RangePartitioner([], splits=[])
-        with pytest.raises(ValueError):
-            RangePartitioner([0, 1], splits=[])
-        with pytest.raises(ValueError):
-            RangePartitioner([0, 1, 2], splits=["p", "g"])
-
-    def test_partition_count(self):
-        assert RangePartitioner([1, 2], splits=["m"]).partition_count == 2
+class TestPartitionerInterface:
+    def test_the_base_class_routes_nothing(self):
+        base = Partitioner()
+        with pytest.raises(NotImplementedError):
+            base.group_for_key("k")
+        with pytest.raises(NotImplementedError):
+            base.groups_for_range("a", "z")
 
 
 class TestKeyValueStore:
-    def test_insert_read_update_delete(self):
+    def test_insert_read_update(self):
         store = KeyValueStore()
+        assert store.read("k1") is None
         assert store.insert("k1", "v1", 100)
         assert store.read("k1").value == "v1"
         assert store.update("k1", "v2", 150)
         assert store.read("k1").size_bytes == 150
-        assert store.delete("k1")
-        assert store.read("k1") is None
-        assert len(store) == 0
+        assert len(store) == 1
 
     def test_update_missing_key_fails(self):
         store = KeyValueStore()
         assert not store.update("missing", "v", 10)
-
-    def test_delete_missing_key_fails(self):
-        assert not KeyValueStore().delete("missing")
 
     def test_insert_is_upsert(self):
         store = KeyValueStore()
@@ -117,8 +95,7 @@ class TestKeyValueStore:
         store.insert("a", None, 100)
         store.insert("b", None, 200)
         store.update("a", None, 50)
-        store.delete("b")
-        assert store.size_bytes == 50
+        assert store.size_bytes == 250
 
     def test_snapshot_and_restore(self):
         store = KeyValueStore()
@@ -126,32 +103,23 @@ class TestKeyValueStore:
             store.insert(f"k{i}", i, 10)
         snapshot = store.snapshot()
         store.update("k0", 99, 10)
-        store.delete("k1")
         other = KeyValueStore()
         other.restore(snapshot)
         assert len(other) == 5
         assert other.read("k0").value == 0
-        assert list(other.keys()) == sorted(other.keys())
+        assert [k for k, _ in other.scan("k0", "k9")] == [f"k{i}" for i in range(5)]
 
-    def test_clear(self):
-        store = KeyValueStore()
-        store.insert("a", 1, 10)
-        store.clear()
-        assert len(store) == 0 and store.size_bytes == 0
-
-    @given(st.lists(st.tuples(st.sampled_from("abcdef"), st.integers(0, 3)), max_size=40))
+    @given(st.lists(st.tuples(st.sampled_from("abcdef"), st.integers(0, 2)), max_size=40))
     @settings(max_examples=40, deadline=None)
     def test_sorted_keys_invariant(self, operations):
-        """The sorted-key index always matches the dictionary contents."""
+        """A full scan always lists exactly the stored keys, in order."""
         store = KeyValueStore()
         for key, op in operations:
             if op == 0:
                 store.insert(key, None, 10)
             elif op == 1:
                 store.update(key, None, 20)
-            elif op == 2:
-                store.delete(key)
             else:
                 store.read(key)
-            assert sorted(store.keys()) == list(store.keys())
-            assert set(store.keys()) == {k for k in "abcdef" if k in store}
+            scanned = [k for k, _ in store.scan("a", "f")]
+            assert scanned == sorted({k for k in "abcdef" if store.read(k) is not None})

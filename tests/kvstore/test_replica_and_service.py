@@ -6,8 +6,9 @@ import pytest
 
 from repro.core import AtomicMulticast, MultiRingConfig
 from repro.core.client import Command
-from repro.kvstore import HashPartitioner, MRPStoreReplica, MRPStoreService, RangePartitioner
-from repro.workloads import preload_keys, read_mostly_workload, update_only_workload
+from repro.kvstore import HashPartitioner, MRPStoreReplica, MRPStoreService
+from repro.workloads import preload_keys, update_only_workload
+from tests.conftest import store_client
 
 
 def make_replica():
@@ -17,20 +18,27 @@ def make_replica():
 
 
 class TestReplicaStateMachine:
-    def test_apply_insert_read_update_delete_scan(self):
+    def test_apply_insert_read_update_scan(self):
         replica = make_replica()
         assert replica.apply_command(0, Command(op="insert", args=("k", "v", 100)))["inserted"]
         assert replica.apply_command(0, Command(op="read", args=("k",)))["found"]
         assert replica.apply_command(0, Command(op="update", args=("k", "v2", 150)))["updated"]
         scan = replica.apply_command(0, Command(op="scan", args=("a", "z", None)))
         assert scan["count"] == 1 and scan["bytes"] == 150
-        assert replica.apply_command(0, Command(op="delete", args=("k",)))["deleted"]
-        assert not replica.apply_command(0, Command(op="read", args=("k",)))["found"]
+        assert not replica.apply_command(0, Command(op="read", args=("missing",)))["found"]
 
     def test_unknown_operation_rejected(self):
         replica = make_replica()
         with pytest.raises(ValueError):
             replica.apply_command(0, Command(op="vacuum"))
+
+    def test_delete_is_not_a_table_1_operation(self):
+        """No workload deletes; a delete is refused by name, not ignored."""
+        replica = make_replica()
+        replica.apply_command(0, Command(op="insert", args=("k", "v", 100)))
+        with pytest.raises(ValueError, match="unknown MRP-Store operation: delete"):
+            replica.apply_command(0, Command(op="delete", args=("k",)))
+        assert replica.store.read("k") is not None
 
     def test_snapshot_roundtrip(self):
         replica = make_replica()
@@ -43,14 +51,13 @@ class TestReplicaStateMachine:
         assert replica.entry_count() == 1
 
 
-def build_store(partitions=2, global_ring=False, seed=3, partitioner=None):
+def build_store(partitions=2, global_ring=False, seed=3):
     config = MultiRingConfig(rate_interval=0.005, max_rate=500.0,
                              checkpoint_interval=None, trim_interval=None)
     system = AtomicMulticast(seed=seed, config=config)
     service = MRPStoreService(
         system,
         partition_groups=list(range(partitions)),
-        partitioner=partitioner,
         acceptors_per_partition=3,
         replicas_per_partition=2,
         global_ring_id=40 if global_ring else None,
@@ -60,23 +67,19 @@ def build_store(partitions=2, global_ring=False, seed=3, partitioner=None):
 
 
 class TestServiceDeployment:
-    def test_partition_map_is_published(self):
-        system, service = build_store()
-        assert system.coordination.get("kvstore/partition-map") is service.partitioner
-
     def test_preload_places_keys_on_the_owning_partition_only(self):
         system, service = build_store()
         service.preload(preload_keys(100))
         for group in service.groups:
             for replica in service.replicas[group]:
-                for key in replica.store.keys():
+                for key in replica.store.snapshot():
                     assert service.partitioner.group_for_key(key) == group
 
     def test_replicas_of_a_partition_converge(self):
         system, service = build_store()
         service.preload(preload_keys(100))
         rng = random.Random(7)
-        client = service.create_client("c", update_only_workload(rng, key_count=100), concurrency=4)
+        client = store_client(service, "c", update_only_workload(rng, key_count=100), concurrency=4)
         system.start()
         system.run(until=2.0)
         assert client.completed > 50
@@ -85,17 +88,19 @@ class TestServiceDeployment:
             assert first.commands_applied == second.commands_applied
 
     def test_reads_and_scans_complete(self):
-        partitioner = RangePartitioner([0, 1], splits=["m"])
-        system, service = build_store(partitioner=partitioner)
+        system, service = build_store()
         service.preload(preload_keys(50))
         rng = random.Random(9)
 
         def mixed(sequence):
             if sequence % 5 == 4:
                 return ("scan", "key0000000000", 0, "key0000000049")
-            return read_mostly_workload(rng, key_count=50)(sequence)
+            key = f"key{rng.randint(0, 49):010d}"
+            if rng.random() < 0.1:
+                return ("update", key, 1024, None)
+            return ("read", key, 0, None)
 
-        client = service.create_client("c", mixed, concurrency=2)
+        client = store_client(service, "c", mixed, concurrency=2)
         system.start()
         system.run(until=2.0)
         assert client.completed > 20
@@ -109,7 +114,7 @@ class TestServiceDeployment:
                 assert set(replica.subscribed_groups()) == {group, 40}
         service.preload(preload_keys(60))
         rng = random.Random(11)
-        client = service.create_client("c", update_only_workload(rng, key_count=60), concurrency=4)
+        client = store_client(service, "c", update_only_workload(rng, key_count=60), concurrency=4)
         system.start()
         system.run(until=2.0)
         assert client.completed > 20
@@ -195,8 +200,8 @@ class TestPreloadIsTheInitialDurableImage:
 
     def test_crash_before_any_checkpoint_then_restart_converges(self):
         system, service = self._build()
-        client = service.create_client(
-            "load", update_only_workload(random.Random(5), key_count=40, value_bytes=300),
+        client = store_client(
+            service, "load", update_only_workload(random.Random(5), key_count=40, value_bytes=300),
             concurrency=2, max_requests=300,
         )
         victim, survivor = service.replicas[0]
@@ -219,8 +224,7 @@ class TestPreloadIsTheInitialDurableImage:
         service.preload({"late-a": 7, "late-b": 9})  # a second preload adds to the image
         (replica, _) = service.replicas[0]
         replica.apply_command(0, Command(op="insert", args=("applied", None, 5)))
-        replica.apply_command(0, Command(op="delete", args=("late-a",)))
+        replica.apply_command(0, Command(op="update", args=("late-a", None, 70)))
         replica.reset_state()
-        assert replica.entry_count() == 42 and "applied" not in replica.store
+        assert replica.entry_count() == 42 and replica.store.read("applied") is None
         assert replica.store.read("late-a").size_bytes == 7
-        assert list(replica.store.keys()) == sorted(replica.store.snapshot())

@@ -63,7 +63,7 @@ class TestStaleWatermarkRejection:
         out = cursor.feed_segments({0: entries(0, 1, 1)}, watermark=2.0)
         assert [(g, i) for g, i, _ in out] == [(0, 1)]
         assert cursor.watermark == 2.0
-        assert cursor.last_barrier == 2.0
+        assert cursor._last_barrier == 2.0
 
     def test_per_ring_watermark_still_rejects_backwards(self):
         cursor = MergeCursor([0])
@@ -91,8 +91,8 @@ class TestIncarnationDedup:
             },
             watermark=2.0,
         )
-        assert cursor.duplicates_dropped == 5
-        assert cursor.incarnation(0) == 1
+        assert cursor._duplicates == 5
+        assert cursor._incarnations[0] == 1
         merged = [(g, i) for g, i, _ in cursor.merged]
         expected = replay_streams(
             {0: entries(0, 0, 6), 1: entries(1, 0, 6)}
@@ -131,7 +131,7 @@ class TestIncarnationDedup:
         stream = [(0, value("a")), (1, skip()), (2, value("b"))]
         cursor.feed(0, stream, incarnation=0, start=0)
         cursor.feed(0, stream, incarnation=1, start=0)
-        assert cursor.duplicates_dropped == 3
+        assert cursor._duplicates == 3
         assert [(g, i) for g, i, _ in cursor.merged] == [(0, 0), (0, 2)]
 
 
@@ -161,7 +161,7 @@ class TestRingSegmentBufferCrashBoundary:
         buffer.cut()
         buffer.mark_down([7])
         buffer.mark_restart([7])
-        assert buffer.incarnation(7) == 1
+        assert buffer._incarnations.get(7, 0) == 1
         # The recreated learner re-emits from instance 0.
         for instance, val in entries(7, 0, 4):
             buffer.append(7, instance, val)
@@ -200,7 +200,7 @@ class TestRingSegmentBufferCrashBoundary:
         ship()
         expected = replay_streams({0: entries(0, 0, 5)})
         assert cursor.merged == expected
-        assert cursor.duplicates_dropped == 3
+        assert cursor._duplicates == 3
 
     def test_idle_known_ring_yields_empty_covered_segment(self):
         buffer = RingSegmentBuffer()

@@ -60,7 +60,7 @@ class TestDeterministicMerger:
         merger.offer(0, 1, value("a1"))
         merger.offer(1, 1, skip())
         assert [p for _, p in out] == ["a0", "a1"]
-        assert merger.skipped_count == 2
+        assert merger._skipped == 2
         assert merger.delivered_count == 2
 
     def test_merge_order_iterates_groups_by_ascending_id(self):

@@ -36,7 +36,7 @@ class TestFastForward:
         merger.fast_forward({1: 2})
         # Instances 0-2 of ring 1 are covered by the checkpoint; only 3, 4
         # remain queued, and the merge restarts at a round boundary.
-        assert merger.pending(1) == 2
+        assert len(merger._queues[1]) == 2
         assert merger.is_round_boundary()
         merger.offer(0, 0, value("a0"))
         merger.offer(0, 1, value("a1"))
@@ -46,12 +46,12 @@ class TestFastForward:
         merger, out = make([0, 1])
         merger.offer(1, 7, value("b7"))
         merger.fast_forward({1: 3})
-        assert merger.pending(1) == 1
+        assert len(merger._queues[1]) == 1
 
     def test_unknown_group_positions_are_ignored(self):
         merger, _ = make([0])
         merger.fast_forward({5: 10})  # not subscribed — must not raise
-        assert merger.groups == [0]
+        assert merger._groups == [0]
 
     def test_resets_mid_round_pointer(self):
         merger, out = make([0, 1], m=2)
@@ -71,7 +71,7 @@ class TestMidStreamSubscribe:
         merger, out = make([0])
         merger.offer(0, 0, value("a0"))
         merger.subscribe(1)
-        assert merger.groups == [0, 1]
+        assert merger._groups == [0, 1]
         assert merger.is_round_boundary()
         # The new round starts at the lowest group id, and ring 1 now gates
         # the round-robin exactly like an original subscription.
@@ -106,7 +106,7 @@ class TestMidStreamSubscribe:
         merger.offer(1, 0, skip())
         merger.offer(0, 1, value("a1"))
         assert out == [(0, 0, "a0"), (0, 1, "a1")]
-        assert merger.skipped_count == 1
+        assert merger._skipped == 1
         assert merger.delivered_count == 2
 
 
@@ -161,7 +161,7 @@ class TestPackedFanOut:
             merger.offer(0, instance, packed)
         assert out == self.expected(0)
         assert merger.delivered_count == 7
-        assert merger.skipped_count == 3
+        assert merger._skipped == 3
 
     def test_queued_path(self):
         merger, out = make([0, 1], m=4)
@@ -172,7 +172,7 @@ class TestPackedFanOut:
             merger.offer(0, instance, skip())
         assert out == self.expected(1)
         assert merger.delivered_count == 7
-        assert merger.skipped_count == 3 + 4
+        assert merger._skipped == 3 + 4
 
 
 class TestMergeCursor:
@@ -196,7 +196,7 @@ class TestMergeCursor:
                                        watermark=1.0)
         assert [v.payload for _, _, v in drained] == ["a0"]
         assert out == [(0, 0, "a0")]
-        assert cursor.pending(0) == 1  # a1 waits for ring 1's first entry
+        assert len(cursor._merger._queues[0]) == 1  # a1 waits for ring 1's first entry
         # An explicitly empty segment for ring 1 changes nothing but the
         # watermark — still no emission past the empty ring.
         drained = cursor.feed_segments({1: []}, watermark=2.0)
@@ -216,8 +216,8 @@ class TestMergeCursor:
         cursor.feed(0, [(i, value(f"a{i}")) for i in range(3)], watermark=1.0)
         cursor.feed(99, [(i, skip()) for i in range(3)], watermark=1.0)
         assert out == [(0, 0, "a0"), (0, 1, "a1"), (0, 2, "a2")]
-        assert cursor.skipped_count == 3
-        assert cursor.delivered_count == 3
+        assert cursor._merger._skipped == 3
+        assert cursor._merger.delivered_count == 3
         assert cursor.watermark == 1.0
 
     # ------------------------------------- trailing SKIP runs and watermarks
@@ -239,13 +239,13 @@ class TestMergeCursor:
         drained = cursor.feed_segments({1: [(0, value("b0"))]}, watermark=2.0)
         assert [v.payload for _, _, v in drained] == ["b0"]
         assert cursor.watermark == 2.0
-        assert cursor.pending(0) > 0, "trailing skips must not all be consumed"
+        assert len(cursor._merger._queues[0]) > 0, "trailing skips must not all be consumed"
         # Once ring 1 ends too, the skip tail drains without emitting anything.
         before = len(out)
         cursor.feed_segments({1: [(i, skip()) for i in range(1, 6)]}, watermark=5.0)
         assert len(out) == before
         assert cursor.watermark == 5.0
-        assert cursor.pending(0) == 0
+        assert len(cursor._merger._queues[0]) == 0
 
     def test_watermark_none_until_every_ring_reports(self):
         cursor, _ = self._cursor([0, 1])
@@ -345,8 +345,8 @@ class TestSoleStreamPath:
     @staticmethod
     def _state(merger):
         return (
-            merger.delivered_count, merger.skipped_count, merger.current_group,
-            merger.is_round_boundary(), [merger.pending(g) for g in merger.groups],
+            merger.delivered_count, merger._skipped, merger._groups[merger._current_index],
+            merger.is_round_boundary(), [len(merger._queues[g]) for g in merger._groups],
         )
 
     @given(kinds)

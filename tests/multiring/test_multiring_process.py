@@ -34,11 +34,10 @@ class TestMultiRingDelivery:
             shared[0].multicast(0, payload=f"v{i}", size_bytes=64)
         system.run(until=2.0)
         assert len(shared[1].delivered_payloads(0)) == 10
-        skips = shared[0].node(1).coordinator.total_skipped if shared[0].node(1).coordinator else 0
         # Ring 1's coordinator (whoever holds it) proposed skip instances.
-        coordinator_name = system.ring(1).coordinator
-        coordinator = system.env.actor(coordinator_name)
-        assert coordinator.node(1).coordinator.total_skipped > 0
+        coordinator = system.env.actor(system.ring(1).coordinator)
+        decided = coordinator.node(1).acceptor.decided_from(0)
+        assert any(value.is_skip() for _instance, value in decided)
 
     def test_without_rate_leveling_an_idle_ring_stalls_delivery(self):
         config = MultiRingConfig(rate_interval=None, checkpoint_interval=None, trim_interval=None)
@@ -59,7 +58,7 @@ class TestMultiRingDelivery:
     def test_messages_per_round_parameter(self):
         system, shared, solo = build_two_ring_system(messages_per_round=2)
         for p in shared:
-            assert p.merger.groups == [0, 1]
+            assert p.merger._groups == [0, 1]
         for i in range(4):
             shared[0].multicast(0, payload=f"a{i}", size_bytes=64)
             shared[0].multicast(1, payload=f"b{i}", size_bytes=64)
@@ -92,3 +91,30 @@ class TestMultiRingDelivery:
         system.run(until=1.0)
         assert shared[0].delivered_position(0) >= 0
         assert shared[0].delivered_position(5) == -1
+
+
+class _CheckpointedAt(RecordingProcess):
+    """A learner that reports a fixed checkpointed instance to trim queries."""
+
+    SAFE = 5
+
+    def safe_instance_for(self, group_id):
+        return self.SAFE
+
+
+class TestTrimReports:
+    """What a learner answers the coordinator's periodic trim query."""
+
+    @pytest.mark.parametrize("learner_cls, trimmed", [(RecordingProcess, -1), (_CheckpointedAt, 5)])
+    def test_only_a_learner_that_checkpointed_lets_acceptors_trim(self, learner_cls, trimmed):
+        """A plain process reports nothing checkpointed (-1), which blocks trimming."""
+        config = MultiRingConfig(rate_interval=None, checkpoint_interval=None, trim_interval=0.2)
+        system = AtomicMulticast(seed=3, config=config)
+        processes = [learner_cls(system.env, f"n{i}") for i in range(3)]
+        system.create_ring(0, [(p.name, "pal") for p in processes])
+        system.start()
+        for i in range(20):
+            processes[0].multicast(0, payload=i, size_bytes=64)
+        system.run(until=1.0)
+        assert len(processes[2].delivered) == 20
+        assert {p.node(0).acceptor.trimmed_up_to for p in processes} == {trimmed}

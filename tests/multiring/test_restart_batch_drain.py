@@ -41,7 +41,7 @@ def test_restarted_learner_keeps_batch_drain_and_delivery_order():
 
     assert late.node(0).learner is not first_learner
     # Batches actually formed, and the crash landed mid-stream.
-    assert members[0].node(0).coordinator.total_proposed < 200
+    assert members[0].node(0).coordinator.ledger.next_instance < 200
     assert 0 < before_crash[0] < 200
     # The restarted learner re-learns the ring from instance 0 (gap repair):
     # what it delivers after the restart is the other learners' sequence.

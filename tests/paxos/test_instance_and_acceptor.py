@@ -1,6 +1,5 @@
 """Tests of the consensus core: instance rules, ledgers and acceptor state."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.paxos.acceptor import AcceptorState
@@ -64,8 +63,7 @@ class TestInstanceLedger:
         ledger = InstanceLedger()
         assert ledger.allocate() == 0
         assert ledger.allocate() == 1
-        assert ledger.allocate_many(3) == [2, 3, 4]
-        assert ledger.next_instance == 5
+        assert ledger.next_instance == 2
 
     def test_observe_instance_advances_allocation(self):
         ledger = InstanceLedger()
@@ -103,10 +101,6 @@ class TestInstanceLedger:
         assert learner.is_decided(1) and learner.highest_contiguous_decided == 3
         learner.observe_decision(4, value())
         assert emitted == [3, 4] and not learner.decided_map  # ... emitted ones dropped
-
-    def test_negative_allocation_rejected(self):
-        with pytest.raises(ValueError):
-            InstanceLedger().allocate_many(-1)
 
 
 class TestAcceptorState:

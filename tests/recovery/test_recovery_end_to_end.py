@@ -15,8 +15,10 @@ pytestmark = pytest.mark.slow
 
 from repro.core import AtomicMulticast, MultiRingConfig
 from repro.kvstore import MRPStoreService
+from repro.paxos.messages import CheckpointRequest
 from repro.recovery.recover import RecoveryPhase
 from repro.workloads import preload_keys, update_only_workload
+from tests.conftest import store_client
 
 
 def build_service(checkpoint_interval=1.0, trim_interval=2.0, replicas=3, seed=13):
@@ -32,9 +34,7 @@ def build_service(checkpoint_interval=1.0, trim_interval=2.0, replicas=3, seed=1
     )
     service.preload(preload_keys(200))
     rng = random.Random(seed)
-    client = service.create_client(
-        "load", update_only_workload(rng, key_count=200), concurrency=4
-    )
+    client = store_client(service, "load", update_only_workload(rng, key_count=200), concurrency=4)
     return system, service, client
 
 
@@ -93,10 +93,20 @@ class TestReplicaRecovery:
         system.run(until=3.0)
         system.crash_process(victim.name)
         system.run(until=8.0)
+        state_requests = []
+        send = victim.send
+
+        def recording_send(dest, message):
+            if isinstance(message, CheckpointRequest) and message.include_state:
+                state_requests.append(dest)
+            send(dest, message)
+
+        victim.send = recording_send
         system.restart_process(victim.name)
         system.run(until=12.0)
-        assert victim._recovery is not None
-        assert victim._recovery.chosen_peer in {r.name for r in service.replicas[0]} - {victim.name}
+        assert victim.recovery_phase is RecoveryPhase.DONE
+        peers = {r.name for r in service.replicas[0]} - {victim.name}
+        assert len(state_requests) == 1 and state_requests[0] in peers
 
     def test_recovery_without_any_checkpoint_uses_acceptor_logs_only(self):
         system, service, client = build_service(checkpoint_interval=None, trim_interval=None)

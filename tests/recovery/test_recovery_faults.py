@@ -20,8 +20,10 @@ import pytest
 
 from repro.core import AtomicMulticast, MultiRingConfig
 from repro.kvstore import MRPStoreService
+from repro.paxos.messages import CheckpointRequest
 from repro.recovery.recover import RecoveryManager, RecoveryPhase
 from repro.workloads import preload_keys, update_only_workload
+from tests.conftest import store_client
 
 
 def build_service(checkpoint_interval=0.5, seed=31):
@@ -36,8 +38,8 @@ def build_service(checkpoint_interval=0.5, seed=31):
         replicas_per_partition=3, config=config,
     )
     service.preload(preload_keys(60))
-    client = service.create_client(
-        "load", update_only_workload(random.Random(seed), key_count=60), concurrency=2
+    client = store_client(
+        service, "load", update_only_workload(random.Random(seed), key_count=60), concurrency=2
     )
     return system, service, client
 
@@ -58,10 +60,22 @@ class TestCheckpointSourceCrash:
         killed = {}
 
         def choose_and_kill(self):
-            original(self)
-            if self.host is victim and self.chosen_peer and not killed:
-                killed["peer"] = self.chosen_peer
-                system.crash_process(self.chosen_peer)
+            peers = []
+            send = self.host.send
+
+            def recording_send(dest, message):
+                if isinstance(message, CheckpointRequest) and message.include_state:
+                    peers.append(dest)
+                send(dest, message)
+
+            self.host.send = recording_send
+            try:
+                original(self)
+            finally:
+                del self.host.send
+            if self.host is victim and peers and not killed:
+                killed["peer"] = peers[0]
+                system.crash_process(peers[0])
 
         monkeypatch.setattr(RecoveryManager, "_choose_checkpoint", choose_and_kill)
         system.restart_process(victim.name)
@@ -139,8 +153,8 @@ class TestRecoveryQuorumEdge:
             replicas_per_partition=2, config=config,
         )
         service.preload(preload_keys(40))
-        client = service.create_client(
-            "load", update_only_workload(random.Random(7), key_count=40), concurrency=2
+        client = store_client(
+            service, "load", update_only_workload(random.Random(7), key_count=40), concurrency=2
         )
         victim = service.replicas[0][1]
         system.start()

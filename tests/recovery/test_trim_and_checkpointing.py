@@ -1,15 +1,20 @@
-"""Tests of the trim quorum computation, the predicates and the checkpointer."""
+"""Tests of the trim quorum computation, the live trim rule, the predicates and the checkpointer."""
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import AtomicMulticast, MultiRingConfig
 from repro.multiring.merge import DeterministicMerger
-from repro.paxos.messages import SKIP, ProposalValue
+from repro.paxos.messages import SKIP, ProposalValue, TrimReport
 from repro.recovery.checkpointing import ReplicaCheckpointer
-from repro.recovery.trim import compute_trim_point, predicates_hold, trim_quorum_size
+from repro.recovery.trim import compute_trim_point, trim_quorum_size
+from repro.ringpaxos import node as node_module
 from repro.ringpaxos.coordinator import PackedValues
 from repro.sim.actor import Environment
 from repro.storage.checkpoint import CheckpointStore
+from tests.conftest import RecordingProcess, mutate
 
 
 class TestTrimQuorum:
@@ -17,8 +22,9 @@ class TestTrimQuorum:
         assert trim_quorum_size(1) == 1
         assert trim_quorum_size(3) == 2
         assert trim_quorum_size(4) == 3
+        assert trim_quorum_size(0) == 1  # every learner evicted: one report still counts
         with pytest.raises(ValueError):
-            trim_quorum_size(0)
+            trim_quorum_size(-1)
 
     def test_trim_point_requires_quorum(self):
         assert compute_trim_point({"r1": 10}, quorum=2) is None
@@ -58,11 +64,90 @@ class TestTrimQuorum:
         majority = len(names) // 2 + 1
         trim_q = {n: reports[n] for n in data.draw(st.permutations(names))[:majority]}
         recovery_q = {n: reports[n] for n in data.draw(st.permutations(names))[:majority]}
-        assert predicates_hold(trim_q, recovery_q)
+        assert set(trim_q) & set(recovery_q)
+        trim_point = compute_trim_point(trim_q, quorum=majority)
+        assert trim_point is not None and trim_point <= max(recovery_q.values())
 
-    def test_non_intersecting_quorums_rejected(self):
-        with pytest.raises(ValueError):
-            predicates_hold({"a": 1}, {"b": 2})
+
+class TestLiveTrimRule:
+    """The coordinator trims with :func:`trim_quorum_size` and :func:`compute_trim_point`."""
+
+    EXPECTED = [-1, -1, 28, 28, 28]
+
+    @staticmethod
+    def _deployment():
+        """A five-process ring that decided 40 values; its coordinator's node."""
+        config = MultiRingConfig(rate_interval=None, checkpoint_interval=None, trim_interval=None)
+        system = AtomicMulticast(seed=1, config=config)
+        processes = [RecordingProcess(system.env, f"n{i}") for i in range(5)]
+        system.create_ring(0, [(p.name, "pal") for p in processes])
+        system.start()
+        for i in range(40):
+            processes[0].multicast(0, payload=i, size_bytes=64)
+        system.run(until=1.0)
+        return system, processes, system.process(system.ring(0).coordinator).node(0)
+
+    @classmethod
+    def _trim_points(cls, safe_instances=(30, 29, 28, 27, 26), trim_quorum=None):
+        """The coordinator's trim point after each learner reports.
+
+        By default the reports carry safe instances 30, 29, ..., 26 and no trim
+        quorum is configured, so a majority (three) of the five learners must
+        answer.
+        """
+        _system, processes, node = cls._deployment()
+        if trim_quorum is not None:
+            node.config = replace(node.config, trim_quorum=trim_quorum)
+        points = []
+        for process, safe in zip(processes, safe_instances):
+            report = TrimReport(ring_id=0, replica=process.name, safe_instance=safe)
+            node._handle_trim_report(process.name, report)
+            points.append(node.acceptor.trimmed_up_to)
+        return points
+
+    def test_live_trim_waits_for_a_majority_of_learners(self):
+        assert self._trim_points() == self.EXPECTED
+
+    @pytest.mark.parametrize("mutant", ["replica_count // 2", "replica_count // 2 + 2"])
+    def test_an_off_by_one_live_quorum_is_caught(self, monkeypatch, mutant):
+        wrong = mutate(trim_quorum_size, ("replica_count // 2 + 1", mutant))
+        monkeypatch.setattr(node_module, "trim_quorum_size", wrong)
+        assert self._trim_points() != self.EXPECTED
+
+    def test_a_configured_trim_quorum_overrides_the_majority(self):
+        # Two reports suffice; the reports start over after each trim.
+        assert self._trim_points(trim_quorum=2) == [-1, 29, 29, 29, 29]
+        assert self._trim_points((10, 20, 30, 40), trim_quorum=2) == [-1, 10, 10, 30]
+
+    def test_an_uncheckpointed_learner_blocks_the_live_trim(self):
+        assert self._trim_points((30, -1, 28, 27, 26)) == [-1] * 5
+
+    def test_reports_start_over_after_each_trim(self):
+        # Three reports trim to 10; the next two are below quorum on their own.
+        assert self._trim_points((10, 12, 14, 16, 18)) == [-1, -1, 10, 10, 10]
+
+    def test_the_other_acceptors_trim_on_the_coordinator_s_command(self):
+        system, processes, node = self._deployment()
+        for process, safe in zip(processes[:3], (30, 29, 28)):
+            node._handle_trim_report(
+                process.name, TrimReport(ring_id=0, replica=process.name, safe_instance=safe)
+            )
+        system.run(until=1.5)
+        trimmed = {p.name: p.node(0).acceptor.trimmed_up_to
+                   for p in processes if p.node(0).acceptor is not None}
+        assert len(trimmed) >= 2
+        assert set(trimmed.values()) == {28}
+
+    def test_a_node_that_does_not_coordinate_ignores_trim_reports(self):
+        _system, processes, node = self._deployment()
+        other = next(p.node(0) for p in processes
+                     if p.node(0) is not node and p.node(0).acceptor is not None)
+        for process in processes:
+            other._handle_trim_report(
+                process.name, TrimReport(ring_id=0, replica=process.name, safe_instance=30)
+            )
+        assert other.acceptor.trimmed_up_to == -1
+        assert node.acceptor.trimmed_up_to == -1
 
 
 class TestReplicaCheckpointer:
@@ -93,9 +178,12 @@ class TestReplicaCheckpointer:
         checkpointer.mark_delivered(0, 10)
         checkpointer.mark_delivered(1, 9)
         assert checkpointer.request_checkpoint()
-        latest = checkpointer.latest()
+        latest = checkpointer.store.latest()
         assert latest.checkpoint_id.as_dict() == {0: 10, 1: 9}
-        assert latest.checkpoint_id.satisfies_round_robin_order()
+        # Predicate 1: round-robin delivery consumed at least as many
+        # instances of a lower group as of a higher one.
+        instances = [i for _, i in latest.checkpoint_id.entries]
+        assert instances == sorted(instances, reverse=True)
         assert checkpointer.checkpoints_taken == 1
 
     def test_safe_instance_reflects_last_checkpoint_only(self):
@@ -121,29 +209,10 @@ class TestReplicaCheckpointer:
         env, checkpointer, state, _ = self._checkpointer()
         checkpointer.mark_delivered(0, 10)
         checkpointer.mark_delivered(0, 5)
-        assert checkpointer.delivered_positions() == {0: 10}
+        checkpointer.request_checkpoint()
+        assert checkpointer.store.latest().checkpoint_id.as_dict() == {0: 10}
         with pytest.raises(KeyError):
             checkpointer.mark_delivered(9, 1)
-
-    def test_install_adopts_remote_positions(self):
-        env, checkpointer, state, _ = self._checkpointer(groups=(0, 1))
-        checkpointer.mark_delivered(0, 3)
-        checkpointer.request_checkpoint()
-        remote_env, remote, _, _ = self._checkpointer(groups=(0, 1))
-        remote.mark_delivered(0, 20)
-        remote.mark_delivered(1, 20)
-        remote_checkpoint = remote.store.latest() or remote.request_checkpoint() or remote.store.latest()
-        remote.request_checkpoint()
-        checkpointer.install(remote.store.latest())
-        assert checkpointer.delivered_positions() == {0: 20, 1: 20}
-
-    def test_on_checkpoint_callback(self):
-        env, checkpointer, state, _ = self._checkpointer()
-        seen = []
-        checkpointer.on_checkpoint(lambda ckpt: seen.append(ckpt.checkpoint_id))
-        checkpointer.mark_delivered(0, 2)
-        checkpointer.request_checkpoint()
-        assert len(seen) == 1
 
 
 class TestDeferredCheckpointAndPackedInstances:
@@ -168,14 +237,21 @@ class TestDeferredCheckpointAndPackedInstances:
             checkpointer.mark_delivered(group, instance)
             checkpointer.maybe_take_deferred()
 
+        store = CheckpointStore(Environment())
+        save = store.save
+
+        def recording_save(*args):  # every checkpoint taken, in order
+            checkpoints.append(save(*args))
+            return checkpoints[-1]
+
+        store.save = recording_save
         merger = DeterministicMerger(list(groups), messages_per_round=1, on_deliver=on_deliver)
         checkpointer = ReplicaCheckpointer(
-            store=CheckpointStore(Environment()),
+            store=store,
             snapshot_fn=lambda: (list(applied), 100),
             group_ids=list(groups),
             at_round_boundary=merger.is_round_boundary,
         )
-        checkpointer.on_checkpoint(checkpoints.append)
         return merger, checkpointer, applied, checkpoints
 
     @staticmethod

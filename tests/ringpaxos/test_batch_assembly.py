@@ -132,7 +132,6 @@ def test_assembly_matches_pop_all_reference(enabled, program):
             assert _signature(got) == _signature(want)
         assert list(state._pending) == list(reference.pending)
         assert state.has_pending() == bool(reference.pending)
-        assert state.pending_count == len(reference.pending)
         assert state._pending_bytes == sum(v.size_bytes for v in state._pending)
     assert not state.has_pending()
-    assert state.total_proposed == reference.next_instance
+    assert state.ledger.next_instance == reference.next_instance

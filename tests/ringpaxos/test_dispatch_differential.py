@@ -279,8 +279,8 @@ class TestProcessDispatchAccounting:
     def test_cpu_seconds_events_and_deliveries_are_identical(self):
         shipped_system, shipped = self._run(_ShippedDispatchProcess)
         reference_system, reference = self._run(_ReferenceDispatchProcess)
-        assert shipped[3].delivered and shipped[0].cpu.busy_seconds > 0.0
-        assert [p.cpu.busy_seconds for p in shipped] == [p.cpu.busy_seconds for p in reference]
+        assert shipped[3].delivered and shipped[0].cpu._window_busy > 0.0
+        assert [p.cpu._window_busy for p in shipped] == [p.cpu._window_busy for p in reference]
         assert [p.cpu.utilization() for p in shipped] == [p.cpu.utilization() for p in reference]
         assert [p.delivered for p in shipped] == [p.delivered for p in reference]
         assert (
@@ -298,9 +298,9 @@ class TestProcessDispatchAccounting:
             sent = []
             learner.send = lambda dest, message: sent.append((dest, message))
             learner.on_service_message = lambda sender, message: sent.append(("service", message))
-            before = learner.cpu.busy_seconds
+            before = learner.cpu._window_busy
             learner.on_message(coordinator, query_cls(ring_id=0))
-            assert learner.cpu.busy_seconds == before
+            assert learner.cpu._window_busy == before
             assert [(dest, type(m)) for dest, m in sent] == [(coordinator, TrimReport)]
 
     def test_unconsumed_ring_message_is_charged_then_reaches_the_service_layer(self):
@@ -309,10 +309,10 @@ class TestProcessDispatchAccounting:
         seen = []
         learner.on_service_message = lambda sender, message: seen.append(message)
         reply = RetransmitReply(ring_id=0, decided=[], reason="recovery")
-        before = learner.cpu.busy_seconds
+        before = learner.cpu._window_busy
         learner.on_message("p0", reply)
         model = learner.node(0)._cpu_model
-        assert learner.cpu.busy_seconds == before + (
+        assert learner.cpu._window_busy == before + (
             model.per_message * 1 + model.per_byte * reply.size_bytes
         )
         assert seen == [reply]

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.multiring.ratelevel import GLOBAL_RATE_LEVELER, LOCAL_RATE_LEVELER, RateLeveler
 from repro.paxos.messages import ProposalValue, SKIP
 from repro.ringpaxos.coordinator import CoordinatorState, InstanceBatchPolicy, PackedValues
 from repro.ringpaxos.learner import RingLearner
@@ -95,7 +96,7 @@ class TestCoordinatorState:
             coordinator.enqueue(value(i))
         assignments = coordinator.next_assignments()
         assert [i for i, _ in assignments] == [0, 1, 2]
-        assert coordinator.total_proposed == 3
+        assert coordinator.ledger.next_instance == 3
 
     def test_batched_assignment_packs_values(self):
         policy = InstanceBatchPolicy(enabled=True, max_bytes=250)
@@ -110,10 +111,8 @@ class TestCoordinatorState:
         assert packed.size_bytes <= 300
 
     def test_rate_leveling_skips(self):
-        class Policy:
-            expected_per_interval = 10
-
-        coordinator = CoordinatorState(ring_id=0, rate_policy=Policy())
+        policy = RateLeveler(interval=0.010, max_rate=1000.0)  # 10 per interval
+        coordinator = CoordinatorState(ring_id=0, rate_policy=policy)
         coordinator.record_promise("a0", quorum=1)
         coordinator.enqueue(value("v"))
         coordinator.next_assignments()
@@ -121,9 +120,23 @@ class TestCoordinatorState:
         assert skips == 9
         first, last = coordinator.allocate_skips(skips)
         assert last - first + 1 == 9
-        assert coordinator.total_skipped == 9
         # a fresh interval with no proposals wants the full quota
         assert coordinator.skips_for_interval() == 10
+
+    @pytest.mark.parametrize("leveler, proposed, skips", [
+        (LOCAL_RATE_LEVELER, 0, 45), (LOCAL_RATE_LEVELER, 40, 5), (LOCAL_RATE_LEVELER, 60, 0),
+        (GLOBAL_RATE_LEVELER, 0, 40), (GLOBAL_RATE_LEVELER, 40, 0), (GLOBAL_RATE_LEVELER, 60, 0),
+    ], ids=["local-idle", "local-below", "local-above", "global-idle", "global-at", "global-above"])
+    def test_interval_skips_top_up_to_the_paper_s_quota(self, leveler, proposed, skips):
+        """λ·Δ = 9000/s · 5 ms = 45 instances (local), 2000/s · 20 ms = 40 (global)."""
+        coordinator = CoordinatorState(ring_id=0, rate_policy=leveler)
+        coordinator.record_promise("a0", quorum=1)
+        for i in range(proposed):
+            coordinator.enqueue(value(i))
+        assert len(coordinator.next_assignments()) == proposed
+        assert coordinator.skips_for_interval() == leveler.skips_needed(proposed) == skips
+        # the interval counter restarts: an idle interval wants the full quota
+        assert coordinator.skips_for_interval() == round(leveler.expected_per_interval)
 
     def test_no_rate_policy_means_no_skips(self):
         coordinator = CoordinatorState(ring_id=0)

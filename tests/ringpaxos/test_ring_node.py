@@ -114,13 +114,13 @@ class TestBatching:
         for i in range(30):
             procs_plain[0].multicast(0, payload=i, size_bytes=512)
         system_plain.run(until=1.0)
-        plain_instances = procs_plain[0].node(0).coordinator.total_proposed
+        plain_instances = procs_plain[0].node(0).coordinator.ledger.next_instance
 
         system_batch, procs_batch = build_ring(batching=True, seed=3)
         for i in range(30):
             procs_batch[0].multicast(0, payload=i, size_bytes=512)
         system_batch.run(until=1.0)
-        batch_instances = procs_batch[0].node(0).coordinator.total_proposed
+        batch_instances = procs_batch[0].node(0).coordinator.ledger.next_instance
 
         assert procs_batch[1].delivered_payloads(0).count(0) == 1
         assert len(procs_batch[1].delivered_payloads(0)) == 30
@@ -132,7 +132,7 @@ class TestReconfiguration:
         system, processes = build_ring()
         system.crash_process("n1")
         overlay = system.remove_from_ring(0, "n1")
-        assert "n1" not in overlay.member_names
+        assert "n1" not in overlay
         processes[0].multicast(0, payload="while-down", size_bytes=64)
         system.run(until=0.5)
         assert "while-down" in processes[2].delivered_payloads(0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.kernel import SimulationError, Simulator, ms, us
+from repro.sim.kernel import SimulationError, Simulator
 from tests.reference.kernel import ReferenceKernel
 
 
@@ -36,19 +36,6 @@ class TestScheduling:
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.schedule(-0.1, lambda: None)
-
-    def test_schedule_at_absolute_time(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_at(3.5, fired.append, "x")
-        sim.run()
-        assert fired == ["x"]
-        assert sim.now == 3.5
-
-    def test_schedule_at_past_time_rejected(self):
-        sim = Simulator(start_time=10.0)
-        with pytest.raises(SimulationError):
-            sim.schedule_at(5.0, lambda: None)
 
     def test_zero_delay_runs_after_current_event(self):
         sim = Simulator()
@@ -94,16 +81,6 @@ class TestRunControl:
         assert sim.now == 6.0
         assert sim.run(until=6.0) == 6.0  # the present is not the past
 
-    def test_stop_interrupts_the_loop(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, fired.append, "a")
-        sim.schedule(2.0, lambda: sim.stop())
-        sim.schedule(3.0, fired.append, "b")
-        sim.run()
-        assert fired == ["a"]
-        assert sim.pending_events == 1
-
     def test_max_events_limits_execution(self):
         sim = Simulator()
         fired = []
@@ -133,31 +110,13 @@ class TestCancellation:
         handle.cancel()
         sim.run()
         assert fired == []
-        assert handle.cancelled
+        assert sim.processed_events == 0
 
     def test_cancel_is_idempotent(self):
         sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        handle.cancel()
-        handle.cancel()
-        assert handle.cancelled
-
-    def test_drain_discards_pending_events(self):
-        sim = Simulator()
         fired = []
-        sim.schedule(1.0, fired.append, "x")
-        sim.drain(5.0)
+        handle = sim.schedule(1.0, fired.append, "x")
+        handle.cancel()
+        handle.cancel()
         sim.run()
-        assert fired == []
-        assert sim.now == 5.0
-
-    def test_drain_backwards_rejected(self):
-        sim = Simulator(start_time=3.0)
-        with pytest.raises(SimulationError):
-            sim.drain(1.0)
-
-
-class TestTimeHelpers:
-    def test_ms_and_us_conversions(self):
-        assert ms(5) == 0.005
-        assert us(250) == 0.00025
+        assert fired == [] and sim.processed_events == 0

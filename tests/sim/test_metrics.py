@@ -8,7 +8,6 @@ from repro.sim.metrics import (
     MetricRegistry,
     SloTracker,
     ThroughputTracker,
-    summarize_latencies,
 )
 
 
@@ -75,13 +74,6 @@ class TestLatencyRecorder:
         latencies = [l for l, _ in cdf]
         assert latencies == sorted(latencies)
 
-    def test_fraction_below(self):
-        recorder = LatencyRecorder("lat")
-        for value in (0.001, 0.005, 0.010, 0.050):
-            recorder.record(value)
-        assert recorder.fraction_below(0.010) == pytest.approx(0.5)
-        assert recorder.fraction_below(1.0) == pytest.approx(1.0)
-
     def test_reset_drops_samples(self):
         recorder = LatencyRecorder("lat")
         recorder.record(0.1)
@@ -96,7 +88,7 @@ class TestThroughputTracker:
         for t in range(10):
             clock["now"] = float(t)
             tracker.record(2.0)
-        assert tracker.total == 20.0
+        assert tracker.total_between(0.0, 10.0) == 20.0
         assert tracker.rate(0.0, 10.0) == pytest.approx(2.0)
         assert tracker.total_between(0.0, 5.0) == 10.0
 
@@ -152,11 +144,11 @@ class TestThroughputTracker:
         tracker = ThroughputTracker("tp", clock=lambda: clock["now"])
         tracker.record(3.0)
         tracker.reset()
-        assert tracker.total == 0.0
+        assert tracker.total_between(0.0, 1.0) == 0.0
         assert tracker.rate(0.0, 1.0) == 0.0
         assert tracker.name == "tp"
         tracker.record(1.0)
-        assert tracker.total == 1.0
+        assert tracker.total_between(0.0, 1.0) == 1.0
 
 
 class TestMetricRegistry:
@@ -166,6 +158,20 @@ class TestMetricRegistry:
         assert registry.latency("b") is registry.latency("b")
         assert registry.throughput("c") is registry.throughput("c")
 
+    def test_a_sketch_threshold_applies_on_first_creation_only(self):
+        registry = MetricRegistry(clock=lambda: 0.0)
+        sketched = registry.latency("sketched", sketch=4)
+        assert registry.latency("sketched") is sketched
+        exact = registry.latency("exact")
+        assert registry.latency("exact", sketch=4) is exact
+        for i in range(10):
+            sketched.record(0.001 * (i + 1))
+            exact.record(0.001 * (i + 1))
+        assert exact.percentile(50) == pytest.approx(0.005)  # an exact order statistic
+        assert sketched.count == exact.count == 10
+        assert sketched.percentile(50) == pytest.approx(0.005, rel=0.02)
+        assert sketched._buckets is not None and exact._buckets is None
+
     def test_reset_all(self):
         registry = MetricRegistry(clock=lambda: 0.0)
         registry.counter("a").increment(5)
@@ -174,13 +180,7 @@ class TestMetricRegistry:
         registry.reset_all()
         assert registry.counter("a").value == 0
         assert registry.latency("b").count == 0
-        assert registry.throughput("c").total == 0
-
-    def test_names_lists_all_instruments(self):
-        registry = MetricRegistry(clock=lambda: 0.0)
-        registry.counter("x")
-        registry.latency("y")
-        assert registry.names() == ["x", "y"]
+        assert registry.throughput("c").total_between(0.0, 1.0) == 0
 
 
 class TestSloTracker:
@@ -207,21 +207,16 @@ class TestSloTracker:
             for cls, latency in samples:
                 tracker.record(cls, latency)
                 self._by_name(by_name, cls, latency)
-            assert cached.names() == by_name.names()
+            assert sorted(cached._counters) == sorted(by_name._counters)
+            assert sorted(cached._latencies) == sorted(by_name._latencies)
             for cls in ("gold", "bulk", "untargeted"):
                 for kind in ("requests", "violations"):
                     name = f"slo.{cls}.{kind}"
                     assert cached.counter(name).value == by_name.counter(name).value
                 assert (cached.latency(f"slo.{cls}.latency").percentile(50)
                         == by_name.latency(f"slo.{cls}.latency").percentile(50))
-            assert tracker.summary()["gold"]["violations"] == 1
+            assert cached.counter("slo.gold.violations").value == 1
             if round_ == 0:  # reset_all keeps instrument objects: the cache stays valid
                 cached.reset_all()
                 by_name.reset_all()
 
-
-def test_summarize_latencies():
-    summary = summarize_latencies([0.001, 0.002, 0.003, 0.004])
-    assert summary["count"] == 4
-    assert summary["mean_ms"] == pytest.approx(2.5)
-    assert summary["p99_ms"] >= summary["p50_ms"]

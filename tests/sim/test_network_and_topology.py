@@ -28,7 +28,7 @@ def make_env(topology=None):
 class TestTopology:
     def test_single_datacenter_rtt(self):
         topo = single_datacenter(rtt=0.0001)
-        assert topo.rtt("dc1", "dc1") == pytest.approx(0.0001)
+        assert 2 * topo.latency("dc1", "dc1") == pytest.approx(0.0001)
 
     def test_ec2_global_has_all_regions_and_links(self):
         topo = ec2_global()
@@ -63,13 +63,11 @@ class TestTopology:
         with pytest.raises(ValueError):
             topo.add_site("a")
 
-    def test_regions_and_sites_in_region(self):
+    def test_sites_keep_their_region(self):
         topo = Topology()
         topo.add_site("a1", region="r1")
-        topo.add_site("a2", region="r1")
         topo.add_site("b1", region="r2")
-        assert topo.regions() == ["r1", "r2"]
-        assert [s.name for s in topo.sites_in_region("r1")] == ["a1", "a2"]
+        assert [(s.name, s.region) for s in topo.sites()] == [("a1", "r1"), ("b1", "r2")]
 
 
 class TestMessageSize:

@@ -215,7 +215,7 @@ class Talker(Actor):
             if at is None:
                 self._send(dst)
             else:
-                self.env.simulator.schedule_at(at, self._send, dst)
+                self.env.simulator.schedule(at, self._send, dst)  # on_start runs at t=0
 
     def _send(self, dst):
         self.send(dst, Probe(body={"from": self.name}))
@@ -280,6 +280,28 @@ def test_a_mirrored_name_is_local_to_each_shard(workers):
 # ---------------------------------------------------------------------------
 # Validation and plumbing
 # ---------------------------------------------------------------------------
+
+class ResultlessHarness(ShardHarness):
+    """Runs its actor but keeps :meth:`ShardHarness.finalize`'s default."""
+
+    def __init__(self, env, actor):
+        super().__init__(env)
+        self.actor = actor
+
+    def start(self):
+        self.actor.on_start()
+
+
+def build_resultless_shard(payload):
+    counting = build_counting_shard(payload)
+    return ResultlessHarness(counting.env, counting.actor)
+
+
+def test_a_harness_without_finalize_returns_none():
+    run = run_sharded([ShardSpec(i, build_resultless_shard, i) for i in range(2)], workers=1)
+    assert run.results == {0: None, 1: None}
+    assert run.total_events == 2 * 50
+
 
 def test_duplicate_shard_ids_rejected():
     with pytest.raises(ValueError, match="duplicate shard ids"):
@@ -358,7 +380,7 @@ class BurstActor(Actor):
             return
         for burst in range(BURST_COUNT):
             for index in range(BURST_SIZE):
-                self.env.simulator.schedule_at(
+                self.env.simulator.schedule(  # on_start runs at t=0
                     burst * BURST_GAP + index * BURST_SPACING,
                     self._fire, burst, index,
                 )

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.sim.random import (
     LatestGenerator,
     SeededStreams,
-    UniformIntGenerator,
     ZipfianGenerator,
     weighted_choice,
 )
@@ -27,24 +26,6 @@ class TestSeededStreams:
     def test_stream_identity_is_cached(self):
         streams = SeededStreams(1)
         assert streams.stream("x") is streams.stream("x")
-
-    def test_spawn_derives_child_seed(self):
-        parent = SeededStreams(3)
-        child1 = parent.spawn("site1")
-        child2 = parent.spawn("site2")
-        assert child1.seed != child2.seed
-        assert SeededStreams(3).spawn("site1").seed == child1.seed
-
-
-class TestUniformGenerator:
-    def test_values_in_range(self):
-        gen = UniformIntGenerator(5, 10, random.Random(1))
-        values = [gen.next() for _ in range(200)]
-        assert all(5 <= v <= 10 for v in values)
-
-    def test_invalid_range_rejected(self):
-        with pytest.raises(ValueError):
-            UniformIntGenerator(10, 5, random.Random(1))
 
 
 class TestZipfianGenerator:

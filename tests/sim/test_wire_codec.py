@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.parallel import run_fig6_sharded, run_fig7_sharded
-from repro.core.client import Command, CommandBatch
+from repro.core.client import Command
 from repro.multiring.merge import RingSegment
 from repro.net.message import ClientRequest, Message
 from repro.paxos.messages import SKIP, Decision, ProposalValue, RetransmitReply
@@ -229,7 +229,6 @@ def test_protocol_classes_ship_positionally_with_their_sizes():
     samples = [cls(payload_bytes=100) for cls in messages] + [
         value,
         Command(op="scan", args=(0, 9), size_bytes=80, command_id=5),
-        CommandBatch(group_id=1, commands=[Command(op="read", command_id=6)]),
         # PackedValues is sized by the ProposalValue carrying it.
         ProposalValue(PackedValues(values=[value, value]), 2 * 96, "coord", 0),
     ]

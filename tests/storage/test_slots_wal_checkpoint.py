@@ -1,7 +1,6 @@
 """Tests of the stable-storage substrate: slot buffer, WAL and checkpoints."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.paxos.messages import ProposalValue
 from repro.sim.actor import Environment
@@ -128,33 +127,12 @@ class TestWriteAheadLog:
 
 
 class TestCheckpointId:
-    def test_round_robin_predicate(self):
-        assert CheckpointId.from_mapping({0: 5, 1: 5}).satisfies_round_robin_order()
-        assert CheckpointId.from_mapping({0: 6, 1: 5}).satisfies_round_robin_order()
-        assert not CheckpointId.from_mapping({0: 4, 1: 5}).satisfies_round_robin_order()
-
-    def test_dominates_requires_same_partition(self):
-        a = CheckpointId.from_mapping({0: 5, 1: 4})
-        b = CheckpointId.from_mapping({0: 3, 1: 2})
-        assert a.dominates(b)
-        assert not b.dominates(a)
-        other_partition = CheckpointId.from_mapping({0: 5})
-        with pytest.raises(ValueError):
-            a.dominates(other_partition)
-
     def test_accessors(self):
         cid = CheckpointId.from_mapping({2: 7, 0: 9})
-        assert cid.groups() == [0, 2]
         assert cid.instance_for(2) == 7
         assert cid.instance_for(5) == -1
         assert cid.as_dict() == {0: 9, 2: 7}
-        assert "g0:9" in str(cid)
-
-    @given(st.dictionaries(st.integers(0, 5), st.integers(0, 100), min_size=1, max_size=5))
-    @settings(max_examples=50, deadline=None)
-    def test_dominates_is_reflexive(self, mapping):
-        cid = CheckpointId.from_mapping(mapping)
-        assert cid.dominates(cid)
+        assert cid.entries == ((0, 9), (2, 7))
 
 
 class TestCheckpointStore:
@@ -164,15 +142,14 @@ class TestCheckpointStore:
         first = store.save(CheckpointId.from_mapping({0: 1}), state={"a": 1}, size_bytes=100)
         second = store.save(CheckpointId.from_mapping({0: 2}), state={"a": 2}, size_bytes=100)
         assert store.latest() is second
-        assert len(store) == 2
+        assert store._checkpoints == [first, second]
 
     def test_keep_limit_discards_oldest(self):
         env = Environment()
         store = CheckpointStore(env, keep=2)
         for i in range(5):
             store.save(CheckpointId.from_mapping({0: i}), state=i, size_bytes=10)
-        assert len(store) == 2
-        assert store.all()[0].state == 3
+        assert [c.state for c in store._checkpoints] == [3, 4]
 
     def test_durable_callback_fires(self):
         env = Environment()

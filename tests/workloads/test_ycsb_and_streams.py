@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.workloads.kv import preload_keys, read_mostly_workload, update_only_workload
+from repro.workloads.kv import preload_keys, update_only_workload
 from repro.workloads.ycsb import (
     RECORD_BYTES,
     YCSB_WORKLOADS,
@@ -47,11 +47,10 @@ class TestYCSBGenerator:
 
     def test_workload_d_inserts_extend_the_keyspace(self):
         workload = self._workload("D", records=100)
-        before = workload.record_count
-        for _ in range(500):
-            workload.next_operation()
-        assert workload.record_count > before
-        assert workload.issued_counts().get("insert", 0) > 0
+        inserted = [key for op, key, _size, _end in (workload.next_operation() for _ in range(500))
+                    if op == "insert"]
+        assert inserted
+        assert inserted == [ycsb_key(100 + i) for i in range(len(inserted))]
 
     def test_workload_e_generates_bounded_scans(self):
         workload = self._workload("E")
@@ -69,7 +68,7 @@ class TestYCSBGenerator:
         workload = self._workload("A", records=50)
         for _ in range(500):
             op, key, _size, _end = workload.next_operation()
-            assert key in ycsb_keyspace(workload.record_count) or op == "insert"
+            assert key in ycsb_keyspace(50)
 
     def test_determinism_per_seed(self):
         first_gen = self._workload("A", seed=9)
@@ -81,6 +80,11 @@ class TestYCSBGenerator:
     def test_requires_records(self):
         with pytest.raises(ValueError):
             YCSBWorkload(YCSB_WORKLOADS["A"], record_count=0, rng=random.Random(1))
+
+    @pytest.mark.parametrize("distribution", ["uniform", "Zipfian"])
+    def test_an_unknown_distribution_is_refused(self, distribution):
+        with pytest.raises(ValueError, match="unknown request distribution"):
+            WorkloadSpec(name="X", read=1.0, distribution=distribution)
 
     def test_callable_interface(self):
         workload = self._workload("B")
@@ -94,15 +98,6 @@ class TestSimpleWorkloads:
         for i in range(20):
             op, key, size, end = workload(i)
             assert op == "update" and size == 256 and key.startswith("key")
-
-    def test_read_mostly_workload_fraction(self):
-        workload = read_mostly_workload(random.Random(2), key_count=10, update_fraction=0.2)
-        ops = [workload(i)[0] for i in range(500)]
-        assert 0.1 < ops.count("update") / len(ops) < 0.35
-
-    def test_read_mostly_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            read_mostly_workload(random.Random(1), update_fraction=1.5)
 
     def test_preload_keys_match_workload_prefix(self):
         keys = preload_keys(5, value_bytes=64)
