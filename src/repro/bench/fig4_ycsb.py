@@ -31,7 +31,7 @@ from ..kvstore.service import MRPStoreService
 from ..sim.disk import StorageMode
 from ..sim.topology import single_datacenter
 from ..workloads.arrival import ArrivalCurve, constant
-from ..workloads.ycsb import YCSB_WORKLOADS, YCSBWorkload, ycsb_keyspace
+from ..workloads.ycsb import YCSB_WORKLOADS, YCSBWorkload
 from .runner import ExperimentResult, Measurement, MeasurementWindow
 
 __all__ = ["run_fig4_point", "FIG4_SYSTEMS", "FIG4_WORKLOADS"]
@@ -100,7 +100,7 @@ def run_fig4_point(
         raise ValueError(f"unknown client engine {client_engine}")
 
     workload = _build_workload(workload_name, record_count, seed)
-    keyspace = ycsb_keyspace(record_count)
+    keyspace = workload.keyspace()
     config = MultiRingConfig(
         storage_mode=StorageMode.ASYNC_SSD,
         batching_enabled=True,

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Set, Tuple
 
 from ..net.message import ClientRequest, ClientResponse
 from ..sim.actor import Actor, Environment
+from ..sim.metrics import LatencyRecorder
 
 __all__ = [
     "Command",
@@ -35,9 +36,12 @@ __all__ = [
 _command_ids = itertools.count(1)
 
 
-@dataclass
+@dataclass(slots=True)
 class Command:
     """One service command ordered through atomic multicast.
+
+    Slotted: a run keeps one per ordered command, so it carries no instance
+    ``__dict__``.
 
     Attributes
     ----------
@@ -124,10 +128,13 @@ class ClosedLoopClient(Actor):
         self._max_requests = max_requests
         self._issued = 0
         self._completed = 0
-        #: per logical request: groups still to answer and submission time
-        self._outstanding: Dict[int, Dict[str, Any]] = {}
+        #: per logical request: ``(groups still to answer, submission time,
+        #: operation label)``
+        self._outstanding: Dict[int, Tuple[Set[int], float, str]] = {}
         self._latency = env.metrics.latency(f"{metric_prefix}.latency")
         self._throughput = env.metrics.throughput(f"{metric_prefix}.throughput")
+        #: per-operation latency recorders, resolved once per label
+        self._op_latency: Dict[str, LatencyRecorder] = {}
 
     # ----------------------------------------------------------------- start
     def on_start(self) -> None:
@@ -144,13 +151,12 @@ class ClosedLoopClient(Actor):
         self._issued += 1
         commands, await_groups = self._factory(sequence)
         request_key = sequence
-        op_label = "-".join(sorted({c.op for c in commands})) or "noop"
-        self._outstanding[request_key] = {
-            "pending_groups": set(await_groups),
-            "submitted_at": self.now,
-            "commands": len(commands),
-            "op": op_label,
-        }
+        # The sorted set of the request's operations; one command's is its op.
+        if len(commands) == 1:
+            label = commands[0].op
+        else:
+            label = "-".join(sorted({c.op for c in commands})) or "noop"
+        self._outstanding[request_key] = (set(await_groups), self.now, label)
         for command in commands:
             command.client = self.name
             command.created_at = self.now
@@ -174,18 +180,24 @@ class ClosedLoopClient(Actor):
         entry = self._outstanding.get(key)
         if entry is None:
             return  # duplicate response from another replica of the same group
+        pending, submitted_at, label = entry
         group_id = message.result.get("group_id") if isinstance(message.result, dict) else None
         if group_id is not None:
-            entry["pending_groups"].discard(group_id)
+            pending.discard(group_id)
         else:
-            entry["pending_groups"].clear()
-        if entry["pending_groups"]:
+            pending.clear()
+        if pending:
             return
         del self._outstanding[key]
         self._completed += 1
-        elapsed = self.now - entry["submitted_at"]
+        elapsed = self.now - submitted_at
         self._latency.record(elapsed)
-        self.env.metrics.latency(f"{self._metric_prefix}.latency.{entry['op']}").record(elapsed)
+        recorder = self._op_latency.get(label)
+        if recorder is None:
+            recorder = self._op_latency[label] = self.env.metrics.latency(
+                f"{self._metric_prefix}.latency.{label}"
+            )
+        recorder.record(elapsed)
         self._throughput.record(1.0)
         self._issue_next()
 
@@ -228,7 +240,8 @@ class OpenLoopClient(Actor):
         self._max_requests = max_requests
         self._issued = 0
         self._completed = 0
-        self._outstanding: Dict[int, Dict[str, Any]] = {}
+        #: per logical request: ``(groups still to answer, submission time)``
+        self._outstanding: Dict[int, Tuple[Set[int], float]] = {}
         self._latency = env.metrics.latency(f"{metric_prefix}.latency")
         self._throughput = env.metrics.throughput(f"{metric_prefix}.throughput")
 
@@ -241,10 +254,7 @@ class OpenLoopClient(Actor):
         sequence = self._issued
         self._issued += 1
         commands, await_groups = self._factory(sequence)
-        self._outstanding[sequence] = {
-            "pending_groups": set(await_groups),
-            "submitted_at": self.now,
-        }
+        self._outstanding[sequence] = (set(await_groups), self.now)
         for command in commands:
             command.client = self.name
             command.created_at = self.now
@@ -265,16 +275,17 @@ class OpenLoopClient(Actor):
         entry = self._outstanding.get(message.request_id)
         if entry is None:
             return
+        pending, submitted_at = entry
         group_id = message.result.get("group_id") if isinstance(message.result, dict) else None
         if group_id is not None:
-            entry["pending_groups"].discard(group_id)
+            pending.discard(group_id)
         else:
-            entry["pending_groups"].clear()
-        if entry["pending_groups"]:
+            pending.clear()
+        if pending:
             return
         del self._outstanding[message.request_id]
         self._completed += 1
-        self._latency.record(self.now - entry["submitted_at"])
+        self._latency.record(self.now - submitted_at)
         self._throughput.record(1.0)
 
     @property

@@ -50,7 +50,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..net.message import ClientRequest, ClientResponse
 from ..sim.actor import Actor, Environment
-from ..sim.metrics import SloTracker
+from ..sim.metrics import LatencyRecorder, SloTracker
 from ..workloads.arrival import ArrivalCurve, constant
 from .client import RequestFactory
 
@@ -283,6 +283,8 @@ class ClientSwarm(Actor):
         # ----------------------------------------------------------- metrics
         self._latency = env.metrics.latency(f"{metric_prefix}.latency", sketch=self._sketch)
         self._throughput = env.metrics.throughput(f"{metric_prefix}.throughput")
+        #: closed mode's per-operation latency recorders, resolved once per label
+        self._op_latency: Dict[str, LatencyRecorder] = {}
         self._slo: Optional[SloTracker] = None
         self._class_of: Optional[Callable[[int], str]] = None
         if slo:
@@ -335,12 +337,16 @@ class ClientSwarm(Actor):
         self._issued[index] = sequence + 1
         commands, await_groups = self._factory(index, sequence)
         key = sequence * self._n + index
-        # Only a closed loop reads the label (its per-operation recorders).
-        op_label = ""
+        # Only a closed loop reads the label (its per-operation recorders):
+        # the sorted set of the request's operations; one command's is its op.
+        label = ""
         if self._mode == "closed":
-            op_label = "-".join(sorted({c.op for c in commands})) or "noop"
+            if len(commands) == 1:
+                label = commands[0].op
+            else:
+                label = "-".join(sorted({c.op for c in commands})) or "noop"
         now = self.now
-        self._outstanding[key] = (set(await_groups), now, op_label)
+        self._outstanding[key] = (set(await_groups), now, label)
         if self._addressing == "ports":
             src = self._ports[index].name
             request_key = sequence  # the id an individual actor would use
@@ -546,7 +552,7 @@ class ClientSwarm(Actor):
         entry = self._outstanding.get(key)
         if entry is None:
             return  # duplicate, or the client churned away meanwhile
-        pending, submitted_at, op_label = entry
+        pending, submitted_at, label = entry
         group_id = message.result.get("group_id") if isinstance(message.result, dict) else None
         if group_id is not None:
             pending.discard(group_id)
@@ -559,9 +565,12 @@ class ClientSwarm(Actor):
         elapsed = self.now - submitted_at
         self._latency.record(elapsed)
         if self._mode == "closed":
-            self.env.metrics.latency(
-                f"{self._metric_prefix}.latency.{op_label}", sketch=self._sketch
-            ).record(elapsed)
+            recorder = self._op_latency.get(label)
+            if recorder is None:
+                recorder = self._op_latency[label] = self.env.metrics.latency(
+                    f"{self._metric_prefix}.latency.{label}", sketch=self._sketch
+                )
+            recorder.record(elapsed)
         self._throughput.record(1.0)
         if self._slo is not None and self._class_of is not None:
             self._slo.record(self._class_of(index), elapsed)

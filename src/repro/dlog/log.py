@@ -23,7 +23,7 @@ __all__ = ["LogEntry", "LogSegment", "SharedLog"]
 DEFAULT_CACHE_BYTES = 200 * 1024 * 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogEntry:
     """One appended record."""
 

@@ -14,7 +14,7 @@ factory consumed by :class:`~repro.core.client.ClosedLoopClient`.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.client import Command
 from .partitioning import Partitioner
@@ -30,34 +30,40 @@ class MRPStoreCommands:
 
     def __init__(self, partitioner: Partitioner) -> None:
         self.partitioner = partitioner
+        #: each distinct command size, built once: every command of a size
+        #: shares one int (sizes above 256 are not interpreter-cached)
+        self._sizes: Dict[int, int] = {}
 
     # ------------------------------------------------------------ single key
     def read(self, key: str, response_size: int = 1024) -> Command:
         """``read(k)`` — return the value of entry ``k``, if existent."""
+        size = _COMMAND_OVERHEAD + len(key)
         return Command(
             op="read",
             args=(key,),
             group_id=self.partitioner.group_for_key(key),
-            size_bytes=_COMMAND_OVERHEAD + len(key),
+            size_bytes=self._sizes.setdefault(size, size),
             response_size=response_size,
         )
 
     def update(self, key: str, value_size: int, value: object = None) -> Command:
         """``update(k, v)`` — update entry ``k`` with value ``v``, if existent."""
+        size = _COMMAND_OVERHEAD + len(key) + value_size
         return Command(
             op="update",
             args=(key, value, value_size),
             group_id=self.partitioner.group_for_key(key),
-            size_bytes=_COMMAND_OVERHEAD + len(key) + value_size,
+            size_bytes=self._sizes.setdefault(size, size),
         )
 
     def insert(self, key: str, value_size: int, value: object = None) -> Command:
         """``insert(k, v)`` — insert tuple ``(k, v)`` in the database."""
+        size = _COMMAND_OVERHEAD + len(key) + value_size
         return Command(
             op="insert",
             args=(key, value, value_size),
             group_id=self.partitioner.group_for_key(key),
-            size_bytes=_COMMAND_OVERHEAD + len(key) + value_size,
+            size_bytes=self._sizes.setdefault(size, size),
         )
 
     # ------------------------------------------------------------------ scan
@@ -67,6 +73,8 @@ class MRPStoreCommands:
         The client must wait for at least one response from every partition
         addressed (Section 7.2), which is why this returns a list.
         """
+        size = _COMMAND_OVERHEAD + len(start_key) + len(end_key)
+        size = self._sizes.setdefault(size, size)
         commands = []
         for group in self.partitioner.groups_for_range(start_key, end_key):
             commands.append(
@@ -74,7 +82,7 @@ class MRPStoreCommands:
                     op="scan",
                     args=(start_key, end_key, limit),
                     group_id=group,
-                    size_bytes=_COMMAND_OVERHEAD + len(start_key) + len(end_key),
+                    size_bytes=size,
                     response_size=4096,
                 )
             )

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 __all__ = ["KeyValueStore", "StoredValue"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StoredValue:
     """A stored entry: its (possibly synthetic) value and its size."""
 

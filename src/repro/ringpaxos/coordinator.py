@@ -33,7 +33,7 @@ from ..paxos.messages import SKIP, ProposalValue
 __all__ = ["CoordinatorState", "InstanceBatchPolicy", "PackedValues"]
 
 
-@dataclass
+@dataclass(slots=True)
 class PackedValues:
     """Payload wrapper used when several values share one consensus instance.
 
@@ -179,8 +179,10 @@ class CoordinatorState:
                 if len(group) == 1:
                     packed = group[0]
                 else:
+                    # The pack lives as long as its instance: give it an
+                    # exact-size copy of the append-grown group.
                     packed = ProposalValue(
-                        payload=PackedValues(values=group),
+                        payload=PackedValues(values=group[:]),
                         size_bytes=size,
                         proposer=group[0].proposer,
                         proposal_id=group[0].proposal_id,

@@ -9,7 +9,6 @@ from .ycsb import (
     WorkloadSpec,
     YCSBWorkload,
     ycsb_key,
-    ycsb_keyspace,
 )
 
 __all__ = [
@@ -26,5 +25,4 @@ __all__ = [
     "WorkloadSpec",
     "YCSBWorkload",
     "ycsb_key",
-    "ycsb_keyspace",
 ]

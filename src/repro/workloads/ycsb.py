@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..sim.random import LatestGenerator, ZipfianGenerator, weighted_choice
 
-__all__ = ["YCSB_WORKLOADS", "YCSBWorkload", "WorkloadSpec", "ycsb_keyspace"]
+__all__ = ["YCSB_WORKLOADS", "YCSBWorkload", "WorkloadSpec"]
 
 #: A generated operation: ``(op, key, value_size, end_key)``.
 Operation = Tuple[str, str, int, Optional[str]]
@@ -88,11 +88,6 @@ def ycsb_key(index: int) -> str:
     return f"user{index:012d}"
 
 
-def ycsb_keyspace(record_count: int, record_bytes: int = RECORD_BYTES) -> Dict[str, int]:
-    """The initial database: ``record_count`` records of ``record_bytes`` each."""
-    return {ycsb_key(i): record_bytes for i in range(record_count)}
-
-
 class YCSBWorkload:
     """A deterministic generator of YCSB operations.
 
@@ -124,7 +119,10 @@ class YCSBWorkload:
         self.record_bytes = record_bytes
         self.max_scan_length = max_scan_length
         self._rng = rng
-        self._insert_count = record_count
+        self._record_count = record_count
+        #: every record's key, formatted once: operations carry these strings
+        #: (inserts append theirs), so a run holds one string per record
+        self._keys = [ycsb_key(i) for i in range(record_count)]
         self._mix = spec.mix()
         if spec.distribution == "latest":
             self._latest = LatestGenerator(record_count, rng)
@@ -134,23 +132,32 @@ class YCSBWorkload:
             self._zipf = ZipfianGenerator(record_count, rng)
 
     # ------------------------------------------------------------------ keys
+    def keyspace(self) -> Dict[str, int]:
+        """The initial database: ``record_count`` records of ``record_bytes`` each.
+
+        Keyed by the generator's own strings, so a preloaded store and the
+        operations share one string per record.
+        """
+        return dict.fromkeys(self._keys[: self._record_count], self.record_bytes)
+
     def _next_key_index(self) -> int:
         if self._latest is not None:
-            return min(self._latest.next(), self._insert_count - 1)
+            return min(self._latest.next(), len(self._keys) - 1)
         assert self._zipf is not None
-        return min(self._zipf.next(), self._insert_count - 1)
+        return min(self._zipf.next(), len(self._keys) - 1)
 
     # ------------------------------------------------------------ operations
     def next_operation(self, sequence: int = 0) -> Operation:
         """Generate the next operation (deterministic given the stream state)."""
         op = weighted_choice(self._rng, self._mix)
+        keys = self._keys
         if op == "insert":
-            key = ycsb_key(self._insert_count)
-            self._insert_count += 1
+            key = ycsb_key(len(keys))
+            keys.append(key)
             if self._latest is not None:
                 self._latest.record_insert()
             return ("insert", key, self.record_bytes, None)
-        key = ycsb_key(self._next_key_index())
+        key = keys[self._next_key_index()]
         if op == "read":
             return ("read", key, 0, None)
         if op == "update":
@@ -160,8 +167,8 @@ class YCSBWorkload:
         if op == "scan":
             length = self._rng.randint(1, self.max_scan_length)
             start_index = self._next_key_index()
-            end_key = ycsb_key(min(start_index + length, self._insert_count - 1))
-            return ("scan", ycsb_key(start_index), 0, end_key)
+            end_key = keys[min(start_index + length, len(keys) - 1)]
+            return ("scan", keys[start_index], 0, end_key)
         raise ValueError(f"unknown operation in mix: {op}")
 
     def __call__(self, sequence: int) -> Operation:

@@ -9,19 +9,26 @@ and for 0.2 simulated seconds, the finished deployment is held, and the
 cancels the interpreter baseline and every fixed set-up cost, leaving what one
 more command costs for the rest of the run: the acceptors' per-instance state
 (``repro.storage.slab``), the learners' out-of-order window, the instruments'
-columns, the swarm's wheel.  Each run is held to a ceiling a few percent above
-what the code measured when the ceiling was set; the numbers before
-run-length throughput columns (one sample per simulated instant, constant
-proposer payloads, the swarm's re-arm FIFO) and before the columnar slab are
-recorded beside it.
+columns, the swarm's wheel, the commands themselves.  Each run is held to a
+ceiling a few percent above what the code measured when the ceiling was set;
+the numbers before slotted service commands (one key string per YCSB record,
+shared size ints, exact-size packs), before run-length throughput columns
+(one sample per simulated instant, constant proposer payloads, the swarm's
+re-arm FIFO) and before the columnar slab are recorded beside it.
 
 The second test is the slab's point stated directly: a finished unbatched
 deployment holds no per-instance ``AcceptorInstance`` / ``LogRecord`` /
-``SlotEntry`` object at all.
+``SlotEntry`` object at all.  The third states the service plane's: a finished
+``kv-global-open`` deployment keeps its commands, packs and stored values
+without an instance ``__dict__``, and one string per YCSB key however many
+commands carry it.
 
 Run as a script, it also prints each quotient by layer — the top-level
-``repro`` subpackage of the file that allocated the bytes — so a regression
-names the layer that keeps the object:
+``repro`` subpackage of the file that allocated the bytes — and the types
+that hold the most bytes per ordered command (shallow ``sys.getsizeof`` of
+everything the finished deployment reaches, an instance ``__dict__`` counted
+with its owner), so a regression names the layer and the class that keeps
+the object:
 
     PYTHONPATH=src python tests/bench/test_memory_budget.py
 """
@@ -29,19 +36,26 @@ names the layer that keeps the object:
 from __future__ import annotations
 
 import gc
+import inspect
+import sys
 import tracemalloc
 from collections import defaultdict
 from pathlib import Path
-from typing import Callable, Dict, List, Tuple
+from types import ModuleType
+from typing import Callable, Dict, Iterator, List, Tuple
 
 import pytest
 
 from repro.bench.fig3_baseline import run_fig3_point
 from repro.bench.fig4_ycsb import run_fig4_point
 from repro.core.amcast import AtomicMulticast
+from repro.core.client import Command
 from repro.core.packing import iter_values
 from repro.core.swarm import ClientSwarm
+from repro.dlog.log import LogEntry
+from repro.kvstore.store import StoredValue
 from repro.paxos.instance import AcceptorInstance
+from repro.ringpaxos.coordinator import PackedValues
 from repro.sim.disk import StorageMode
 from repro.storage.slab import LogRecord, SlotEntry
 from repro.workloads.arrival import constant
@@ -77,17 +91,18 @@ def swarm_completed(deployment: AtomicMulticast) -> int:
 
 
 #: ``name -> (pinned run, commands it ordered, ceiling, measured, bytes per command
-#: before run-length throughput columns, before the columnar slab)``
+#: before slotted service commands, before run-length throughput columns, before
+#: the columnar slab)``
 BUDGETS = {
     "unbatched": (
         fig3(threads_per_proposer=10, batching_enabled=False), ring_ordered,
-        280.0, 271.4, 325.9, 1289.1,
+        280.0, 271.4, 271.4, 325.9, 1289.1,
     ),
     "batched": (
         fig3(threads_per_proposer=40, batching_enabled=True), ring_ordered,
-        177.0, 171.9, 274.0, 354.1,
+        175.0, 169.3, 171.9, 274.0, 354.1,
     ),
-    "kv-global-open": (kv_global_open, swarm_completed, 685.0, 664.7, 825.6, None),
+    "kv-global-open": (kv_global_open, swarm_completed, 525.0, 509.8, 664.7, 825.6, None),
 }
 
 
@@ -118,6 +133,50 @@ def layer_of(filename: str) -> str:
     return below[0] if len(below) > 1 else below[0].removesuffix(".py")
 
 
+def reachable(root: object) -> Iterator[object]:
+    """Every object ``root`` reaches through ``gc.get_referents``, ``root`` included.
+
+    Classes, modules and module namespaces are not entered: they are the
+    interpreter's, not the run's.
+    """
+    namespaces = {id(vars(module)) for module in list(sys.modules.values())}
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        yield obj
+        for referent in gc.get_referents(obj):
+            if (
+                id(referent) not in seen
+                and id(referent) not in namespaces
+                and not isinstance(referent, (type, ModuleType))
+            ):
+                seen.add(id(referent))
+                stack.append(referent)
+
+
+def retained_by_type(run, ordered, duration: float) -> Tuple[Dict[str, int], int]:
+    """``({type: shallow bytes the deployment reaches}, commands ordered)`` after one run.
+
+    An instance ``__dict__`` is counted with its owner (3.11 keeps an
+    unmaterialised one out of ``sys.getsizeof`` and of the referents).
+    """
+    gc.collect()
+    deployment = finished_deployment(run, duration)
+    held: Dict[str, int] = defaultdict(int)
+    owned = set()
+    for obj in reachable(deployment):
+        if id(obj) in owned:
+            continue
+        size = sys.getsizeof(obj)
+        if type(obj).__dictoffset__ and not callable(obj):
+            instance_dict = object.__getattribute__(obj, "__dict__")
+            owned.add(id(instance_dict))
+            size += sys.getsizeof(instance_dict)
+        held[type(obj).__qualname__] += size
+    return held, ordered(deployment)
+
+
 def retained(run, ordered, duration: float) -> Tuple[Dict[str, int], int]:
     """``({layer: bytes still allocated}, commands ordered)`` after one pinned run.
 
@@ -138,11 +197,11 @@ def retained(run, ordered, duration: float) -> Tuple[Dict[str, int], int]:
     return held, ordered(deployment)
 
 
-def bytes_per_command(name: str) -> Dict[str, float]:
-    """Extra retained bytes per extra ordered command, by layer and in all."""
+def bytes_per_command(name: str, measure=retained) -> Dict[str, float]:
+    """Extra retained bytes per extra ordered command, by layer (or by type) and in all."""
     run, ordered = BUDGETS[name][:2]
-    short_bytes, short_commands = retained(run, ordered, 0.1)
-    long_bytes, long_commands = retained(run, ordered, 0.2)
+    short_bytes, short_commands = measure(run, ordered, 0.1)
+    long_bytes, long_commands = measure(run, ordered, 0.2)
     extra = long_commands - short_commands
     quotient = {
         layer: (long_bytes.get(layer, 0) - short_bytes.get(layer, 0)) / extra
@@ -154,7 +213,7 @@ def bytes_per_command(name: str) -> Dict[str, float]:
 
 @pytest.mark.parametrize("name", sorted(BUDGETS))
 def test_retained_bytes_per_ordered_command_stay_under_the_ceiling(name):
-    _run, _ordered, ceiling, measured, _parent, before_slab = BUDGETS[name]
+    _run, _ordered, ceiling, measured, _parent, _before_columns, before_slab = BUDGETS[name]
     cost = bytes_per_command(name)["total"]
     assert cost <= ceiling, (
         f"{name}: {cost:.0f} bytes retained per ordered command, ceiling {ceiling:.0f} "
@@ -176,12 +235,41 @@ def test_finished_deployment_holds_no_per_instance_object():
     assert per_instance_objects() <= before
 
 
+#: The YCSB records ``kv_global_open`` preloads.
+RECORDS = inspect.signature(run_fig4_point).parameters["record_count"].default
+
+
+def test_finished_kv_deployment_keeps_one_object_per_command():
+    deployment = finished_deployment(kv_global_open, 0.1)
+    kept: Dict[type, list] = defaultdict(list)
+    for obj in reachable(deployment):
+        if type(obj) in (Command, PackedValues, StoredValue, LogEntry):
+            kept[type(obj)].append(obj)
+    commands = kept[Command]
+    assert len(commands) >= swarm_completed(deployment) > 2_000
+    assert kept[PackedValues] and kept[StoredValue]
+    for cls, objects in kept.items():
+        assert not any(hasattr(obj, "__dict__") for obj in objects), (
+            f"a retained {cls.__name__} carries an instance __dict__"
+        )
+    keys = [arg for command in commands for arg in command.args if type(arg) is str]
+    inserts = sum(command.op == "insert" for command in commands)
+    assert len({id(key) for key in keys}) <= RECORDS + inserts
+    assert len({id(key) for key in keys}) == len(set(keys)), "a key string formatted per operation"
+
+
+def print_top(quotient: Dict[str, float], unit: str, top: int) -> None:
+    print(f"    ({unit}: {quotient.pop('total'):.1f} bytes per ordered command in all)")
+    for name, cost in sorted(quotient.items(), key=lambda item: -abs(item[1]))[:top]:
+        if abs(cost) >= 0.05:
+            print(f"    {name:<24} {cost:8.1f}")
+
+
 if __name__ == "__main__":
-    for name, (_run, _ordered, ceiling, measured, parent, _before_slab) in BUDGETS.items():
+    for name, (_run, _ordered, ceiling, measured, parent, _columns, _slab) in BUDGETS.items():
         quotient = bytes_per_command(name)
-        print(f"{name}: {quotient.pop('total'):.1f} bytes retained per ordered command "
+        print(f"{name}: {quotient['total']:.1f} bytes retained per ordered command "
               f"(ceiling {ceiling:.0f}, measured {measured:.1f}, "
-              f"before run-length columns {parent:.1f})")
-        for layer, cost in sorted(quotient.items(), key=lambda item: -abs(item[1])):
-            if abs(cost) >= 0.05:
-                print(f"    {layer:<18} {cost:8.1f}")
+              f"before slotted commands {parent:.1f})")
+        print_top(quotient, "by layer", len(quotient))
+        print_top(bytes_per_command(name, retained_by_type), "by type, shallow", 12)

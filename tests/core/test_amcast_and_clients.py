@@ -1,11 +1,15 @@
 """Tests of the deployment façade and the closed/open-loop clients."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core import AtomicMulticast, MultiRingConfig
 from repro.core.client import ClosedLoopClient, Command, OpenLoopClient
 from repro.core.smr import ProposerFrontend, StateMachineReplica
+from repro.core.swarm import ClientSwarm, shared_factory
 from repro.net.message import ClientRequest
+from repro.sim.metrics import MetricRegistry
 
 from tests.conftest import RecordingProcess
 
@@ -32,7 +36,14 @@ class CountingReplica(StateMachineReplica):
         self.value = 0
 
 
-def build_counter_service(seed=21, concurrency=2, client_cls=ClosedLoopClient, **client_kwargs):
+def add_one(sequence):
+    command = Command(op="add", args=(1,), group_id=0, size_bytes=64)
+    return [command], [0]
+
+
+def build_counter_service(
+    seed=21, concurrency=2, client_cls=ClosedLoopClient, factory=add_one, **client_kwargs
+):
     config = MultiRingConfig(rate_interval=None, checkpoint_interval=None, trim_interval=None)
     system = AtomicMulticast(seed=seed, config=config)
     frontends = [ProposerFrontend(system.env, f"fe{i}", config=config) for i in range(2)]
@@ -40,15 +51,17 @@ def build_counter_service(seed=21, concurrency=2, client_cls=ClosedLoopClient, *
     members = [(f.name, "pa") for f in frontends] + [(r.name, "l") for r in replicas]
     system.create_ring(0, members)
 
-    def factory(sequence):
-        command = Command(op="add", args=(1,), group_id=0, size_bytes=64)
-        return [command], [0]
-
     if client_cls is ClosedLoopClient:
         client = ClosedLoopClient(
             system.env, "client", frontends_by_group={0: "fe0"},
             request_factory=factory, concurrency=concurrency, metric_prefix="cnt",
             **client_kwargs,
+        )
+    elif client_cls is ClientSwarm:
+        client = ClientSwarm(
+            system.env, "client", frontends_by_group={0: "fe0"},
+            request_factory=shared_factory(factory), clients=concurrency, mode="closed",
+            metric_prefix="cnt", **client_kwargs,
         )
     else:
         client = OpenLoopClient(
@@ -202,6 +215,36 @@ class TestStateMachineReplicaAndClients:
         per_op = system.env.metrics.latency("cnt.latency.add")
         assert latencies.count == client.completed
         assert per_op.count == client.completed
+
+    @pytest.mark.parametrize("client_cls", [ClosedLoopClient, ClientSwarm])
+    def test_per_op_recorders_are_resolved_once_per_label(self, client_cls, monkeypatch):
+        resolved = Counter()
+        latency = MetricRegistry.latency
+
+        def counting(registry, name, *args, **kwargs):
+            resolved[name] += 1
+            return latency(registry, name, *args, **kwargs)
+
+        monkeypatch.setattr(MetricRegistry, "latency", counting)
+
+        def add_or_add_and_get(sequence):
+            add = Command(op="add", args=(1,), group_id=0, size_bytes=64)
+            if sequence % 2:
+                return [add], [0]
+            return [Command(op="get", group_id=0, size_bytes=64), add], [0]
+
+        system, _frontends, _replicas, client = build_counter_service(
+            client_cls=client_cls, factory=add_or_add_and_get
+        )
+        system.start()
+        system.run(until=1.0)
+        assert client.completed > 20
+        assert {name: n for name, n in resolved.items() if name.startswith("cnt.")} == {
+            "cnt.latency": 1, "cnt.latency.add": 1, "cnt.latency.add-get": 1,
+        }
+        metrics = system.env.metrics
+        per_op = metrics.latency("cnt.latency.add").count + metrics.latency("cnt.latency.add-get").count
+        assert per_op == client.completed
 
     def test_replica_counts_applied_commands(self):
         system, frontends, replicas, client = build_counter_service()

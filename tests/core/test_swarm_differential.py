@@ -26,7 +26,7 @@ from repro.kvstore.client import MRPStoreCommands, kv_request_factory
 from repro.kvstore.partitioning import HashPartitioner
 from repro.net.message import ClientRequest, ClientResponse
 from repro.workloads.arrival import constant
-from repro.workloads.ycsb import YCSB_WORKLOADS, YCSBWorkload, ycsb_keyspace
+from repro.workloads.ycsb import RECORD_BYTES, YCSB_WORKLOADS, YCSBWorkload, ycsb_key
 
 # The multi-second comparisons are slow-marked: CI runs them in their own step
 # ("Swarm differential", ``-m slow``); the sub-second open-loop and wheel
@@ -54,7 +54,7 @@ def _build_service(seed, batching, jitter=0.05):
         global_ring_id=None,
         config=config,
     )
-    service.preload(ycsb_keyspace(RECORDS))
+    service.preload({ycsb_key(i): RECORD_BYTES for i in range(RECORDS)})
     return system, service.frontend_map()
 
 

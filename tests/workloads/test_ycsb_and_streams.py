@@ -11,7 +11,6 @@ from repro.workloads.ycsb import (
     WorkloadSpec,
     YCSBWorkload,
     ycsb_key,
-    ycsb_keyspace,
 )
 
 
@@ -24,7 +23,8 @@ class TestYCSBDefinitions:
             assert sum(w for _, w in spec.mix()) == pytest.approx(1.0)
 
     def test_keyspace(self):
-        keyspace = ycsb_keyspace(10)
+        workload = YCSBWorkload(YCSB_WORKLOADS["A"], record_count=10, rng=random.Random(1))
+        keyspace = workload.keyspace()
         assert len(keyspace) == 10
         assert all(size == RECORD_BYTES for size in keyspace.values())
         assert ycsb_key(3) in keyspace
@@ -66,9 +66,10 @@ class TestYCSBGenerator:
 
     def test_keys_stay_in_range(self):
         workload = self._workload("A", records=50)
+        keyspace = workload.keyspace()
         for _ in range(500):
             op, key, _size, _end = workload.next_operation()
-            assert key in ycsb_keyspace(50)
+            assert key in keyspace
 
     def test_determinism_per_seed(self):
         first_gen = self._workload("A", seed=9)
