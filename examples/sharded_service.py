@@ -21,7 +21,11 @@ This example shows the **reactive merge stage** doing exactly that:
   freshness accounting.
 
 The reactively applied order is bit-identical to the offline
-``replay_streams`` of the same streams and to any other worker count.
+``replay_streams`` of the shipped streams (each ring's cuts concatenated,
+fed in one chunk) and to any other worker count.  Each shard's
+:class:`~repro.multiring.merge.RingSegmentBuffer` ships every decided
+instance once: were a learner to crash and restart, the buffer would drop
+its re-emission of the prefix already shipped.
 
 Run from the repository root with:
 

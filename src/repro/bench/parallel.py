@@ -48,9 +48,10 @@ offline :func:`~repro.multiring.merge.replay_streams` of the concatenated
 segments (``series['merged_deliveries_offline']``).  This holds under
 faults too: a fixed ``crash_schedule`` crashes and restarts the shared
 learner's in-shard mirrors at scheduled simulated instants, the restarted
-incarnations re-emit their stream prefixes, and the merge stage's
-incarnation-aware dedup reconstructs the same merged state whatever the
-worker count.  ``tests/bench/test_parallel_differential.py`` asserts all of
+learners re-emit their stream prefixes, and each shard's segment buffer
+drops what it already shipped, so the merge stage sees every decided
+instance once and reconstructs the same merged state whatever the worker
+count.  ``tests/bench/test_parallel_differential.py`` asserts all of
 this on full per-learner delivery sequences; the ledger's ``dlog-sharded-w2``
 workload (``benchmarks/ledger``) measures the shared Figure 6 point on two
 workers, with the merge/reactive stage (``sim.parallel.merge_stage_s``)
@@ -65,7 +66,6 @@ from ..core.amcast import AtomicMulticast
 from ..core.config import MultiRingConfig
 from ..core.swarm import ChurnSpec
 from ..core.smr import ProposerFrontend, ReactiveMergeStage, ReactiveReplicaHost
-from ..multiring.merge import effective_streams
 from ..multiring.process import MultiRingProcess
 from ..net.ring import RingMember
 from ..sim.actor import Environment
@@ -119,7 +119,7 @@ def _annotate(
     window (and therefore never extended the wall clock) is reported
     separately as ``merge_overlap_s`` / ``merge_overlap_fraction``.  A stage
     that collected the streams (``record_deliveries``) also reports the three
-    digests the differentials compare: the per-ring deduped streams, the
+    digests the differentials compare: the per-ring shipped streams, the
     live merged deliveries and their offline replay.
     """
     stats = stage.hosts[observed].latency_stats()
@@ -141,7 +141,7 @@ def _annotate(
     if stage.collect_streams:
         result.series["ring_streams"] = {
             ring: [(instance, stable_payload_key(value.payload)) for instance, value in stream]
-            for ring, stream in effective_streams(stage.streams).items()
+            for ring, stream in sorted(stage.streams.items())
         }
         result.series["merged_deliveries"] = {
             name: _delivery_digest_from(host.deliveries)
@@ -269,9 +269,9 @@ def run_fig6_sharded(
     simulated time ``at`` and restarts ``down_for`` seconds later, in every
     shard that hosts it.  The schedule is part of the deterministic event
     plan, so a faulted run is still bit-identical across worker counts; the
-    restarted learner's re-emitted stream prefix is deduped by the reactive
-    merge stage (incarnation tags), and the stall the crash opens shows up
-    in ``reactive_stall_count`` / ``reactive_stalled_ms``.
+    restarted learner's re-emitted stream prefix is dropped by the shard's
+    segment buffer before it is shipped, and the stall the crash opens shows
+    up in ``reactive_stall_count`` / ``reactive_stalled_ms``.
     """
     if ring_count < 1:
         raise ValueError("ring_count must be >= 1")

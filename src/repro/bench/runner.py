@@ -95,8 +95,9 @@ def schedule_crashes(system: AtomicMulticast, schedule: Any) -> None:
     crashes the whole logical process across shards at the same simulated
     instant — deterministically, whatever the worker count.  The crashed
     mirror's segment buffer marks its rings down (they vanish from the
-    barrier cuts until restart), and the restarted incarnation's gap repair
-    re-emits the decided prefix for the parent-side cursor to dedup.
+    barrier cuts until restart), and the restarted learner's gap repair
+    re-emits the decided prefix, which the buffer drops where it already
+    shipped it.
     """
     sim = system.env.simulator
     for at, name, down_for in schedule or ():
@@ -122,10 +123,10 @@ class Measurement(ShardHarness):
     A sharded figure builder may additionally make the harness a
     streaming-merge producer (:meth:`shard_options`): every barrier then
     ships ``(shard time, segments cut since the last barrier)`` to the
-    parent, where the segments are incarnation-tagged
-    :class:`~repro.multiring.merge.RingSegment` values — crash/restart of
-    the in-shard learner bumps the incarnation and the parent-side cursor
-    dedups the re-emitted stream prefix.  Rings whose learner is down are
+    parent as resume-position-tagged
+    :class:`~repro.multiring.merge.RingSegment` values — after a
+    crash/restart of the in-shard learner the buffer drops the re-emitted
+    stream prefix it already shipped.  Rings whose learner is down are
     omitted from the cut (uncovered), so the parent's joint watermark stalls
     honestly instead of over-promising freshness.
 

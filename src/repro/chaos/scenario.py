@@ -210,7 +210,8 @@ def _generate_amcast_spec(rng: random.Random, seed: int) -> Dict[str, Any]:
     # third seed-derived stream so every pre-existing draw — main and shared —
     # stays byte-for-byte identical.  They deliberately target the
     # shared-learner deployments: mid-run crash/restart of the shared learner
-    # itself (its re-emitted stream prefixes exercise the incarnation dedup),
+    # itself (its re-emitted stream prefixes exercise the segment buffer's
+    # restart dedup),
     # gray failures (the learner's disks turn slow-but-alive), and WAN
     # topologies with asymmetric link latency.
     fault_rng = random.Random(seed ^ 0xFA17B)

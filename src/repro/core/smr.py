@@ -40,7 +40,7 @@ from ..recovery.recover import RecoveryManager, RecoveryPhase
 from ..sim.actor import Environment
 from ..sim.disk import SSD_PROFILE
 from ..storage.checkpoint import CheckpointId, CheckpointStore
-from ..multiring.merge import MergeCursor, RingSegment, effective_streams, replay_streams
+from ..multiring.merge import MergeCursor, RingSegment, replay_streams
 from ..multiring.process import MultiRingProcess
 from .client import Command
 from .config import MultiRingConfig
@@ -420,10 +420,6 @@ class ReactiveReplicaHost:
             on_deliver=self._apply,
             retain_history=retain_history,
         )
-        #: wall-clock seconds spent inside :meth:`ingest` (cursor feed plus
-        #: replica application) — the per-host share of the merge stage, so
-        #: overlap accounting can attribute ingest cost to hosts
-        self.ingest_seconds = 0.0
         #: barriers fed through :meth:`ingest`
         self.barriers_ingested = 0
 
@@ -447,7 +443,6 @@ class ReactiveReplicaHost:
         to the replica before this returns.  Returns the number of
         deliveries applied.
         """
-        started = perf_counter()
         # Advance the covered marks (and settle the stall bookkeeping)
         # *before* feeding entries, so deliveries applied at the healing
         # barrier already see the closed stall window.
@@ -467,7 +462,6 @@ class ReactiveReplicaHost:
                 self._stall_open = None
         applied = len(self._cursor.feed_segments(segments))
         self.barriers_ingested += 1
-        self.ingest_seconds += perf_counter() - started
         return applied
 
     def _apply(self, group_id: int, instance: int, value: ProposalValue) -> None:
@@ -550,9 +544,11 @@ class ReactiveMergeStage:
     and the union of their disjoint rings, where a ring whose in-shard
     learner is down is absent and so stays uncovered — and hands every
     :class:`ReactiveReplicaHost` the rings it subscribes to.  With
-    ``collect_streams`` it also keeps each ring's incarnation runs
-    (:attr:`streams`), from which :meth:`offline_deliveries` replays the
-    offline anchor the hosts' live deliveries must equal.
+    ``collect_streams`` it also keeps each ring's shipped stream
+    (:attr:`streams`, one flat entry list per ring: the producers' buffers
+    already dropped restart re-emissions), and :meth:`offline_deliveries`
+    replays it in one chunk per ring — the offline anchor the hosts'
+    barrier-by-barrier deliveries must equal.
     """
 
     def __init__(
@@ -560,8 +556,8 @@ class ReactiveMergeStage:
     ) -> None:
         self.hosts = {host.replica.name: host for host in hosts}
         self.collect_streams = collect_streams
-        #: ring id → incarnation-tagged runs, in arrival order
-        self.streams: Dict[int, List[RingSegment]] = {}
+        #: ring id → every ``(instance, value)`` shipped, in arrival order
+        self.streams: Dict[int, List[Tuple[int, ProposalValue]]] = {}
         #: wall-clock seconds spent inside :meth:`sink`
         self.seconds = 0.0
 
@@ -577,7 +573,7 @@ class ReactiveMergeStage:
             merged.update(rings)
             if self.collect_streams:
                 for ring, segment in rings.items():
-                    self._record(ring, segment)
+                    self.streams.setdefault(ring, []).extend(segment.entries)
         covered = sorted(merged)
         for name in sorted(self.hosts):
             host = self.hosts[name]
@@ -589,25 +585,11 @@ class ReactiveMergeStage:
             )
         self.seconds += perf_counter() - started
 
-    def _record(self, ring: int, segment: RingSegment) -> None:
-        """Coalesce a segment into its ring's current incarnation run.
-
-        Segments of one incarnation are contiguous (the producer's resume
-        position advances by exactly the entries cut); a bumped incarnation
-        opens a new run, whose re-emitted prefix ``effective_streams`` dedups.
-        """
-        runs = self.streams.setdefault(ring, [])
-        if runs and runs[-1].incarnation == segment.incarnation:
-            runs[-1].entries.extend(segment.entries)
-        else:
-            runs.append(RingSegment(segment.incarnation, segment.start, list(segment.entries)))
-
     def offline_deliveries(self) -> Dict[str, List[Tuple[int, int, ProposalValue]]]:
         """Per-host offline replay of :attr:`streams` (needs ``collect_streams``)."""
-        flat = effective_streams(self.streams)
         return {
             name: replay_streams(
-                {ring: flat.get(ring, []) for ring in host.groups},
+                {ring: self.streams.get(ring, []) for ring in host.groups},
                 messages_per_round=host.messages_per_round,
             )
             for name, host in self.hosts.items()

@@ -38,7 +38,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import attrgetter, itemgetter
 from typing import (
+    Any,
     Callable,
     Deque,
     Dict,
@@ -79,7 +81,6 @@ __all__ = [
     "RingSegment",
     "RingSegmentBuffer",
     "StaleWatermarkError",
-    "effective_streams",
     "replay_streams",
 ]
 
@@ -101,39 +102,34 @@ class StaleWatermarkError(ValueError):
 
 
 class MergeDivergenceError(ValueError):
-    """Two feeds decided different values for the same ``(ring, instance)``.
+    """A ring's stream carried a different value for an instance already merged.
 
     A restarted learner legitimately re-emits a prefix of its ring's decided
-    stream; the cursor discards those duplicates after verifying the payload
-    matches what was merged the first time.  A mismatch means the streams
-    genuinely diverged — consensus safety is broken somewhere upstream — and
-    must surface as a hard error, not be papered over by the dedup.
+    stream; the shard's :class:`RingSegmentBuffer` drops each re-emitted
+    instance whose payload equals the one it shipped, and forwards one that
+    differs.  The cursor then meets an instance below the ring's next one and
+    raises this, naming the ring and the instance: consensus safety is broken
+    somewhere upstream, and the dedup must not paper over it.
     """
 
 
 @dataclass(slots=True)
 class RingSegment:
-    """One ring's decision-stream slice, tagged for crash-safe streaming.
+    """One ring's decision-stream slice, tagged for loss-safe streaming.
 
     Attributes
     ----------
-    incarnation:
-        The producing process's incarnation (crash/restart count) when the
-        entries were recorded.  A restarted learner re-emits its ring's
-        stream from instance 0 under a higher incarnation; consumers use the
-        bump to reset their resume-position check and dedup the re-emitted
-        prefix.
     start:
-        Resume position: how many entries of this incarnation's stream were
-        shipped before this segment.  Consumers verify contiguity so a
-        segment lost in transport is an error, not a silent gap.
+        Resume position: how many of the ring's instances were shipped
+        before this segment, which is the instance the consumer expects
+        next.  Consumers verify it so a segment lost in transport is an
+        error, not a silent gap.
     entries:
         The ordered ``(instance, value)`` pairs recorded since the previous
         cut (skips included).  May be empty — an empty segment still tells
         the consumer the ring was covered up to the barrier.
     """
 
-    incarnation: int = 0
     start: int = 0
     entries: List[Tuple[int, ProposalValue]] = field(default_factory=list)
 
@@ -160,13 +156,7 @@ class RingSegment:
             else:
                 packed.extend(values[idx:end])
             idx = end
-        return _segment_wire_build, (
-            self.incarnation,
-            self.start,
-            instances,
-            count,
-            tuple(packed),
-        )
+        return _segment_wire_build, (self.start, instances, count, tuple(packed))
 
 
 # Segments are the bulk of barrier traffic in streaming-merge runs, and their
@@ -186,7 +176,6 @@ _SEGMENT_RUN_MIN = 3
 
 
 def _segment_wire_build(
-    incarnation: int,
     start: int,
     instances: Union[int, Tuple[int, ...]],
     count: int,
@@ -212,64 +201,12 @@ def _segment_wire_build(
         entries = list(zip(instances, values))
     else:
         entries = list(zip(range(instances, instances + count), values))
-    return RingSegment(incarnation=incarnation, start=start, entries=entries)
+    return RingSegment(start, entries)
 
 
 #: What ``feed_segments`` accepts per ring: a tagged segment or a bare
-#: entry list (the pre-incarnation form, still used by offline replays).
+#: entry list (offline replays feed whole streams untagged).
 SegmentLike = Union["RingSegment", Iterable[Tuple[int, ProposalValue]]]
-
-
-def effective_streams(
-    history: Mapping[int, Sequence[RingSegment]],
-) -> Dict[int, List[Tuple[int, ProposalValue]]]:
-    """Collapse incarnation-segmented recordings into deduped whole streams.
-
-    ``history`` maps each ring to its recorded incarnation runs in
-    chronological order (see :attr:`repro.core.smr.ReactiveMergeStage.streams`).
-    Restarted learners re-emit stream prefixes; this helper drops the
-    duplicates — verifying each one decided the same value as the original
-    emission, raising :class:`MergeDivergenceError` otherwise — and returns
-    the plain per-ring streams :func:`replay_streams` consumes.  It is the
-    offline anchor builder for runs with crashes: feeding any chunking of
-    ``history`` through a :class:`MergeCursor` must match
-    ``replay_streams(effective_streams(history))`` exactly.  An entry that
-    breaks its ring's contiguous stream raises ``ValueError`` (see
-    :meth:`MergeCursor.feed`).
-    """
-    streams: Dict[int, List[Tuple[int, ProposalValue]]] = {}
-    for ring_id in sorted(history):
-        out: List[Tuple[int, ProposalValue]] = []
-        seen: Dict[int, ProposalValue] = {}
-        high = -1
-        for segment in history[ring_id]:
-            for instance, value in segment.entries:
-                if instance <= high:
-                    original = seen.get(instance)
-                    if original is None:
-                        raise _out_of_order(ring_id, instance, high)
-                    if original.payload != value.payload:
-                        raise MergeDivergenceError(
-                            f"ring {ring_id} instance {instance} re-emitted a "
-                            f"different value ({original.payload!r} vs "
-                            f"{value.payload!r})"
-                        )
-                    continue
-                if instance != high + 1:
-                    raise _out_of_order(ring_id, instance, high)
-                out.append((instance, value))
-                seen[instance] = value
-                high = instance
-        streams[ring_id] = out
-    return streams
-
-
-def _out_of_order(ring_id: int, instance: int, high: int) -> ValueError:
-    """The error for an entry that is neither the next instance nor a duplicate."""
-    return ValueError(
-        f"ring {ring_id} instance {instance} is out of order: expected instance "
-        f"{high + 1} (a reordered or lost segment entry)"
-    )
 
 
 def replay_streams(
@@ -303,6 +240,10 @@ def replay_streams(
     return cursor.merged
 
 
+_entry_value = itemgetter(1)
+_value_payload = attrgetter("payload")
+
+
 class RingSegmentBuffer:
     """Accumulates per-ring ordered instances between barrier cuts.
 
@@ -310,80 +251,84 @@ class RingSegmentBuffer:
     (:meth:`repro.multiring.process.MultiRingProcess.record_ring_segments`),
     it collects every ``(instance, value)`` a ring learner emits — skips
     included — and :meth:`cut` hands over everything recorded since the last
-    cut as one tagged :class:`RingSegment` per ring, ready to ship through a
+    cut as one :class:`RingSegment` per ring, ready to ship through a
     barrier.  Several processes may share one buffer (their rings are
     disjoint).
 
-    Crash safety: the buffer tracks each ring's incarnation and resume
-    position.  :meth:`mark_down` (the producer crashed) drops the entries
-    recorded since the last cut — the restarted learner re-emits them, and
-    shipping a pre-crash tail next to the incarnation-0 re-emission would
-    hand the consumer a non-contiguous mess — and keeps the ring out of cuts
-    until :meth:`mark_restart` announces the next incarnation.  Rings marked
-    down are *uncovered*: their absence from a cut tells the merge stage not
-    to advance their watermark past the barrier.
+    Crash safety lives here because the buffer outlives a crashed learner:
+    it sees both an instance's first emission and a restarted learner's
+    re-emission of it.  Per ring it keeps the payload of every instance it
+    shipped (a skip's is the shared ``SKIP`` sentinel, a pack's the object
+    the shard's acceptors already hold), so
+
+    * a segment's ``start`` is the number of instances shipped before it;
+    * :meth:`append` drops a re-emitted instance whose payload equals the
+      shipped one — the consumer sees each decided instance once — and
+      records one that differs, for the consumer's cursor to reject as
+      :class:`MergeDivergenceError`;
+    * :meth:`mark_down` (the producer crashed) drops the entries recorded
+      since the last cut — the restarted learner re-emits them — and keeps
+      the rings out of cuts until :meth:`mark_restart`.  Rings marked down
+      are *uncovered*: their absence from a cut tells the merge stage not to
+      advance their watermark past the barrier.
     """
 
-    __slots__ = ("_entries", "_incarnations", "_positions", "_down", "_known", "total_entries")
+    __slots__ = ("_shipped", "_entries", "_down")
 
     def __init__(self) -> None:
+        #: Every ring ever subscribed or recorded → the payload of each of
+        #: its shipped instances (index = instance).  Covered cuts include
+        #: every ring here, even idle ones, so the consumer can advance their
+        #: watermarks.
+        self._shipped: Dict[int, List[Any]] = {}
         self._entries: Dict[int, List[Tuple[int, ProposalValue]]] = {}
-        self._incarnations: Dict[int, int] = {}
-        #: Entries already cut in the ring's current incarnation.
-        self._positions: Dict[int, int] = {}
         #: Rings whose producer is crashed — excluded from cuts.
         self._down: Set[int] = set()
-        #: Every ring ever subscribed or recorded; covered cuts include them
-        #: even when idle, so the consumer can advance their watermarks.
-        self._known: Set[int] = set()
-        #: Entries recorded over the buffer's lifetime (cuts included).
-        self.total_entries = 0
 
     def subscribe(self, ring_ids: Iterable[int]) -> None:
         """Declare rings up-front so idle ones still appear in covered cuts."""
-        self._known.update(ring_ids)
+        for ring_id in ring_ids:
+            self._shipped.setdefault(ring_id, [])
 
     def append(self, ring_id: int, instance: int, value: ProposalValue) -> None:
-        """Record one ordered instance (the tap callback)."""
-        self._known.add(ring_id)
+        """Record one ordered instance (the tap callback).
+
+        An instance already shipped is a restarted learner's re-emission: it
+        is dropped when it decided the shipped payload and recorded when it
+        did not.
+        """
+        shipped = self._shipped.get(ring_id)
+        if shipped is None:
+            self._shipped[ring_id] = []
+        elif instance < len(shipped) and shipped[instance] == value.payload:
+            return
         self._entries.setdefault(ring_id, []).append((instance, value))
-        self.total_entries += 1
 
     def mark_down(self, ring_ids: Iterable[int]) -> None:
         """The producer of these rings crashed: drop its uncut tail.
 
         The dropped entries are not lost — the restarted learner re-emits
-        the whole prefix under its next incarnation — and until
-        :meth:`mark_restart` the rings are omitted from cuts, which is how
-        the consumer learns their streams are no longer complete up to the
-        barrier.
+        them after the shipped prefix — and until :meth:`mark_restart` the
+        rings are omitted from cuts, which is how the consumer learns their
+        streams are no longer complete up to the barrier.
         """
         for ring_id in ring_ids:
-            self._known.add(ring_id)
+            self._shipped.setdefault(ring_id, [])
             self._down.add(ring_id)
-            dropped = self._entries.pop(ring_id, None)
-            if dropped:
-                self.total_entries -= len(dropped)
-
-    def mark_restart(self, ring_ids: Iterable[int]) -> None:
-        """The producer restarted: open the rings' next incarnation.
-
-        Resume positions reset to 0 — the recreated learner re-emits its
-        ring's stream from the first instance — and the rings re-enter cuts
-        immediately (the re-emitted prefix is a valid, contiguous stream of
-        the new incarnation even while gap repair is still filling it).
-        """
-        for ring_id in ring_ids:
-            self._known.add(ring_id)
-            self._down.discard(ring_id)
-            self._incarnations[ring_id] = self._incarnations.get(ring_id, 0) + 1
-            self._positions[ring_id] = 0
-            # Anything recorded between crash and restart would be stale;
-            # mark_down already dropped it, but be safe against direct use.
             self._entries.pop(ring_id, None)
 
+    def mark_restart(self, ring_ids: Iterable[int]) -> None:
+        """The producer restarted: the rings re-enter cuts immediately.
+
+        The recreated learner re-emits its ring's stream from the first
+        instance; :meth:`append` drops the shipped prefix, so the next cut
+        resumes where the last covered one ended, even while gap repair is
+        still filling the prefix in.
+        """
+        self._down.difference_update(ring_ids)
+
     def cut(self) -> Dict[int, RingSegment]:
-        """Detach the segments recorded since the last cut, tagged.
+        """Detach the segments recorded since the last cut.
 
         Every known ring whose producer is up yields a segment — an empty
         one when the ring was idle, which still advances the consumer-side
@@ -392,20 +337,13 @@ class RingSegmentBuffer:
         segments: Dict[int, RingSegment] = {}
         entries = self._entries
         self._entries = {}
-        for ring_id in self._known:
-            if ring_id in self._down:
-                entries.pop(ring_id, None)
+        down = self._down
+        for ring_id, shipped in self._shipped.items():
+            if ring_id in down:
                 continue
-            recorded = entries.pop(ring_id, None) or []
-            start = self._positions.get(ring_id, 0)
-            segments[ring_id] = RingSegment(
-                incarnation=self._incarnations.get(ring_id, 0),
-                start=start,
-                entries=recorded,
-            )
-            self._positions[ring_id] = start + len(recorded)
-        # Entries for rings never subscribed nor marked cannot exist (append
-        # adds to _known), but drop any leftovers defensively.
+            recorded = entries.get(ring_id) or []
+            segments[ring_id] = RingSegment(len(shipped), recorded)
+            shipped.extend(map(_value_payload, map(_entry_value, recorded)))
         return segments
 
 
@@ -423,6 +361,11 @@ class MergeCursor:
     feeding every ring up to watermark ``W`` are final, and
     :attr:`watermark` (the joint minimum) tells consumers how fresh the
     merged state is.
+
+    Each ring's input is one contiguous stream from instance 0: the cursor
+    keeps the ring's next instance and checks every segment and entry
+    against it (see :meth:`feed`).  Restart re-emissions never reach it —
+    the producer's :class:`RingSegmentBuffer` drops them.
 
     Wraps a :class:`DeterministicMerger`, so the cumulative delivery sequence
     is bit-identical to the offline :func:`replay_streams` of the
@@ -453,14 +396,8 @@ class MergeCursor:
         self._watermarks: Dict[int, Optional[float]] = {g: None for g in groups}
         #: Last barrier watermark accepted by :meth:`feed_segments`.
         self._last_barrier: Optional[float] = None
-        #: Per-ring incarnation/resume-position tracking (crash-safe feeds).
-        self._incarnations: Dict[int, int] = {g: 0 for g in groups}
-        self._positions: Dict[int, int] = {g: 0 for g in groups}
-        #: Highest instance merged per ring, and what each instance decided —
-        #: the dedup floor and the divergence oracle for re-emitted prefixes.
-        self._high: Dict[int, int] = {g: -1 for g in groups}
-        self._seen: Dict[int, Dict[int, ProposalValue]] = {g: {} for g in groups}
-        self._duplicates = 0
+        #: The instance each ring's stream must continue with.
+        self._next: Dict[int, int] = {g: 0 for g in groups}
         self._merger = DeterministicMerger(
             group_ids, messages_per_round=messages_per_round, on_deliver=self._collect
         )
@@ -476,7 +413,6 @@ class MergeCursor:
         group_id: int,
         entries: Iterable[Tuple[int, ProposalValue]] = (),
         watermark: Optional[float] = None,
-        incarnation: Optional[int] = None,
         start: Optional[int] = None,
     ) -> None:
         """Feed one ring's next segment (possibly empty) into the merge.
@@ -486,17 +422,14 @@ class MergeCursor:
         time — an empty segment with a watermark is how an idle ring reports
         progress; feeding a watermark that moves backwards is an error.
 
-        ``incarnation``/``start`` are the crash-safety tags carried by
-        :class:`RingSegment`: a higher incarnation announces the producer
-        restarted (its re-emitted stream prefix is deduped against what was
-        already merged — a payload mismatch raises
-        :class:`MergeDivergenceError`), and ``start`` is verified against the
-        entries consumed so far in that incarnation so a segment lost in
-        transport surfaces as an error instead of a silent gap.  Within the
-        entries, each one must be the ring's next instance or re-emit one
-        already merged: an entry that skips ahead, or one below the ring's
-        high mark that was never merged (a reordered segment), raises
-        ``ValueError`` naming the ring, the instance and the expected one.
+        ``start`` is the resume position a :class:`RingSegment` carries: it
+        must equal the ring's next instance, so a segment lost in transport
+        surfaces as an error instead of a silent gap.  Each entry must be the
+        ring's next instance.  One below it raises
+        :class:`MergeDivergenceError` (the producer forwards a re-emitted
+        instance only when it decided a different value); one above it — an
+        entry reordered or lost — raises ``ValueError``.  Both name the
+        ring, the instance and the expected one.
         """
         if group_id not in self._watermarks:
             raise KeyError(f"not subscribed to group {group_id}")
@@ -508,51 +441,28 @@ class MergeCursor:
                     f"({previous} -> {watermark})"
                 )
             self._watermarks[group_id] = watermark
-        if incarnation is not None:
-            current = self._incarnations[group_id]
-            if incarnation < current:
-                raise ValueError(
-                    f"segment of group {group_id} carries stale incarnation "
-                    f"{incarnation} (current {current})"
-                )
-            if incarnation > current:
-                self._incarnations[group_id] = incarnation
-                self._positions[group_id] = 0
-            if start is not None and start != self._positions[group_id]:
-                raise ValueError(
-                    f"segment of group {group_id} incarnation {incarnation} "
-                    f"resumes at position {start}, expected "
-                    f"{self._positions[group_id]} — a segment was lost or "
-                    f"reordered in transport"
-                )
-        count = 0
-        high = self._high[group_id]
-        seen = self._seen[group_id]
+        expected = self._next[group_id]
+        if start is not None and start != expected:
+            raise ValueError(
+                f"segment of ring {group_id} resumes at instance {start}, expected "
+                f"{expected} — a segment was lost or reordered in transport"
+            )
         offer = self._merger.offer
         for instance, value in entries:
-            count += 1
-            if instance <= high:
-                # Re-emitted prefix of a restarted producer: drop it, but
-                # only after checking it decided the very same value.
-                original = seen.get(instance)
-                if original is None:
-                    raise _out_of_order(group_id, instance, high)
-                if original.payload != value.payload:
+            if instance != expected:
+                if instance < expected:
                     raise MergeDivergenceError(
-                        f"ring {group_id} instance {instance} re-emitted a "
-                        f"different value ({original.payload!r} vs "
-                        f"{value.payload!r})"
+                        f"ring {group_id} instance {instance} was re-emitted with a "
+                        f"different value ({value.payload!r}) after the merge "
+                        f"consumed it: expected instance {expected}"
                     )
-                self._duplicates += 1
-                continue
-            if instance != high + 1:
-                raise _out_of_order(group_id, instance, high)
-            seen[instance] = value
-            high = instance
+                raise ValueError(
+                    f"ring {group_id} instance {instance} is out of order: expected "
+                    f"instance {expected} (a reordered or lost segment entry)"
+                )
+            expected += 1
             offer(group_id, instance, value)
-        self._high[group_id] = high
-        if incarnation is not None:
-            self._positions[group_id] += count
+        self._next[group_id] = expected
 
     def feed_segments(
         self,
@@ -577,7 +487,7 @@ class MergeCursor:
         ignoring it used to wedge the joint watermark forever.
 
         Segment values may be tagged :class:`RingSegment` instances (their
-        incarnation/resume tags are enforced, see :meth:`feed`) or bare entry
+        resume position is enforced, see :meth:`feed`) or bare entry
         iterables.  Returns the deliveries newly emitted by this barrier
         (see :meth:`drain`).
         """
@@ -598,12 +508,7 @@ class MergeCursor:
         for group in sorted(segments):
             segment = segments[group]
             if isinstance(segment, RingSegment):
-                self.feed(
-                    group,
-                    segment.entries,
-                    incarnation=segment.incarnation,
-                    start=segment.start,
-                )
+                self.feed(group, segment.entries, start=segment.start)
             else:
                 self.feed(group, segment)
         return self.drain()

@@ -50,9 +50,6 @@ class MultiRingProcess(Actor):
         self._merger: Optional[DeterministicMerger] = None
         self._delivered_per_group: Dict[int, int] = {}
         self._ring_tap: Optional[Callable[[int, int, ProposalValue], None]] = None
-        #: Crash/restart count — segments recorded by this process carry it
-        #: so downstream merge cursors can dedup re-emitted stream prefixes.
-        self.incarnation = 0
         self._segment_buffers: List[RingSegmentBuffer] = []
 
     # ----------------------------------------------------------------- rings
@@ -150,7 +147,8 @@ class MultiRingProcess(Actor):
         at every barrier yields the decision-stream segments recorded since
         the last cut, ready to ship to a parent-side merge cursor.  The tap
         survives crash/restart: the buffer marks this process's rings down
-        and restarted, and the restarted learners keep feeding it.  ``into``
+        and restarted, and the restarted learners keep feeding it (it drops
+        what they re-emit of the prefix it already shipped).  ``into``
         lets several processes share one buffer (their rings must be
         disjoint).
         """
@@ -246,7 +244,6 @@ class MultiRingProcess(Actor):
 
     def on_restart(self) -> None:
         """Reset volatile ordering state; durable state is recovered elsewhere."""
-        self.incarnation += 1
         subscribed = self.subscribed_groups()
         for buffer in self._segment_buffers:
             buffer.mark_restart(subscribed)

@@ -47,11 +47,12 @@ parent's ``segment_sink`` feeds them into a
 :class:`~repro.multiring.merge.MergeCursor` (typically through a
 :class:`~repro.core.smr.ReactiveReplicaHost`, so live service replicas apply
 merged deliveries and answer clients *during* the run).  The shipped
-segments are incarnation- and resume-position-tagged
+segments are resume-position-tagged
 (:class:`~repro.multiring.merge.RingSegment`), which makes the stream
 fault-tolerant: a crashed in-shard learner's rings drop out of the cut (the
-consumer's joint watermark stalls honestly), and the restarted
-incarnation's re-emitted prefix is deduped by the cursor.  The callers plan
+consumer's joint watermark stalls honestly), and the shard's segment buffer
+drops the restarted learner's re-emission of what it already shipped, so
+the cursor sees each decided instance once.  The callers plan
 their own shards: the chaos planner splits a scenario into
 :func:`~repro.multiring.sharding.ring_components`
 (:func:`repro.chaos.scenario.shardable_components`), and
@@ -219,13 +220,12 @@ class ShardHarness:
         segments)`` — the shard's simulated time (everything at or before it
         has executed, so the shard's streams are complete up to it) plus the
         per-ring decision-stream segments recorded since the last barrier
-        (``ring_id → RingSegment``, each tagged with the producer's
-        incarnation and its resume position, possibly empty).  Rings whose
-        learner is crashed are *omitted* — absence means "not covered up to
-        this watermark", so the consumer's joint watermark stalls honestly;
-        after a restart the bumped incarnation tells the consumer to expect
-        a re-emitted prefix and dedup it.  Without a buffer it returns
-        ``None`` and ships nothing.
+        (``ring_id → RingSegment``, each tagged with its resume position,
+        possibly empty).  Rings whose learner is crashed are *omitted* —
+        absence means "not covered up to this watermark", so the consumer's
+        joint watermark stalls honestly; after a restart the buffer drops
+        the re-emitted prefix it already shipped.  Without a buffer it
+        returns ``None`` and ships nothing.
         """
         if self.segments is None:
             return None

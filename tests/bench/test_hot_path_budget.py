@@ -98,7 +98,7 @@ BUDGETS = {
         fig3(threads_per_proposer=40, batching_enabled=True), 640_000, 618_410, 856_055,
     ),
     "kv-global-open": (kv_global_open, 394_000, 382_795, 404_550),
-    "dlog-sharded": (dlog_sharded, 1_036_000, 1_005_624, 1_120_400),
+    "dlog-sharded": (dlog_sharded, 1_036_000, 1_005_621, 1_120_400),
 }
 
 
@@ -184,7 +184,7 @@ def _barrier_payload(entries):
         return ProposalValue(Command(op="append", args=(i, 1024), command_id=i), 1024, "p", i, 0.5)
 
     outbound = [(0.25 * i, "a", "b", Decision(ring_id=0, instance=i, value=value(i))) for i in range(entries)]
-    segment = RingSegment(0, 0, [(i, value(i)) for i in range(entries)])
+    segment = RingSegment(0, [(i, value(i)) for i in range(entries)])
     return ("out", {1: outbound}, {0: entries}, {0: 1.5}, {0: (1.0, {0: segment})})
 
 

@@ -21,7 +21,9 @@ deployment holds no per-instance ``AcceptorInstance`` / ``LogRecord`` /
 ``SlotEntry`` object at all.  The third states the service plane's: a finished
 ``kv-global-open`` deployment keeps its commands, packs and stored values
 without an instance ``__dict__``, and one string per YCSB key however many
-commands carry it.
+commands carry it.  The fourth states the merge stage's: a
+``MergeCursor`` whose output is drained keeps nothing per merged instance,
+so what it retains is flat in run length.
 
 Run as a script, it also prints each quotient by layer — the top-level
 ``repro`` subpackage of the file that allocated the bytes — and the types
@@ -54,7 +56,9 @@ from repro.core.packing import iter_values
 from repro.core.swarm import ClientSwarm
 from repro.dlog.log import LogEntry
 from repro.kvstore.store import StoredValue
+from repro.multiring.merge import MergeCursor, RingSegment
 from repro.paxos.instance import AcceptorInstance
+from repro.paxos.messages import SKIP, ProposalValue
 from repro.ringpaxos.coordinator import PackedValues
 from repro.sim.disk import StorageMode
 from repro.storage.slab import LogRecord, SlotEntry
@@ -258,6 +262,50 @@ def test_finished_kv_deployment_keeps_one_object_per_command():
     assert len({id(key) for key in keys}) == len(set(keys)), "a key string formatted per operation"
 
 
+#: Instances per ring in one barrier's segment, and how many bytes more a
+#: drained cursor may keep after four times the instances.
+BARRIER_INSTANCES = 500
+CURSOR_SLACK_BYTES = 4096
+
+
+def cursor_retained(instances_per_ring: int) -> int:
+    """Bytes a drained two-ring ``MergeCursor`` keeps after ``instances_per_ring``.
+
+    Segments arrive through ``feed_segments`` one barrier at a time, three
+    skips to one value, fresh objects per instance as the wire decodes them;
+    the cursor is built and fed under ``tracemalloc`` and held while the
+    snapshot is taken.
+    """
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cursor = MergeCursor([0, 1], retain_history=False)
+        for barrier, lo in enumerate(range(0, instances_per_ring, BARRIER_INSTANCES), start=1):
+            segments = {
+                ring: RingSegment(start=lo, entries=[
+                    (i, ProposalValue(SKIP if i % 4 else f"r{ring}i{i}", 8))
+                    for i in range(lo, lo + BARRIER_INSTANCES)
+                ])
+                for ring in (0, 1)
+            }
+            cursor.feed_segments(segments, watermark=float(barrier))
+        del segments
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert cursor.drain() == []
+    return held
+
+
+def test_drained_merge_cursor_keeps_nothing_per_instance():
+    short, long = cursor_retained(10_000), cursor_retained(40_000)
+    assert long - short <= CURSOR_SLACK_BYTES, (
+        f"a drained MergeCursor kept {long - short} more bytes after 40k than after 10k "
+        f"instances per ring: it keeps something per merged instance"
+    )
+
+
 def print_top(quotient: Dict[str, float], unit: str, top: int) -> None:
     print(f"    ({unit}: {quotient.pop('total'):.1f} bytes per ordered command in all)")
     for name, cost in sorted(quotient.items(), key=lambda item: -abs(item[1]))[:top]:
@@ -273,3 +321,6 @@ if __name__ == "__main__":
               f"before slotted commands {parent:.1f})")
         print_top(quotient, "by layer", len(quotient))
         print_top(bytes_per_command(name, retained_by_type), "by type, shallow", 12)
+    short, long = cursor_retained(10_000), cursor_retained(40_000)
+    print(f"merge cursor: {short} bytes kept after 10k instances per ring, {long} after 40k "
+          f"(slack {CURSOR_SLACK_BYTES})")

@@ -216,12 +216,13 @@ def test_fig6_faulted_crash_schedule_differential():
     """A fixed crash schedule leaves the faulted run bit-identical.
 
     The shared learner's in-shard mirrors crash at a scheduled simulated
-    instant and restart later; the restarted incarnations re-emit their
-    stream prefixes, the barrier cuts omit the down rings (the reactive
-    hosts' joint watermark stalls), and the incarnation-aware merge dedups
-    the re-emission.  The reactively merged state must still be
-    bit-identical between ``workers=1`` and ``workers=2``, and equal to the
-    offline ``effective_streams``/``replay_streams`` anchor.
+    instant and restart later; the restarted learners re-emit their stream
+    prefixes, the barrier cuts omit the down rings (the reactive hosts'
+    joint watermark stalls), and each shard's segment buffer drops the
+    re-emission of what it already shipped.  The reactively merged state
+    must still be bit-identical between ``workers=1`` and ``workers=2``,
+    and equal to the offline anchor: ``replay_streams`` of the shipped
+    streams, fed in one chunk.
     """
     kwargs = dict(
         warmup=0.3,

@@ -271,10 +271,10 @@ def test_shared_learner_merge_stage_identical_across_workers():
     """Shared-learner draws shard: merged digests match across worker counts.
 
     The shared learner is mirrored into every shard; the merge stage streams
-    the recorded incarnation-segmented per-ring streams into its
-    cross-component delivery digest, which must be byte-identical between
-    the in-process engine and two workers.  Since the merge became
-    incarnation-aware there is no fault-touched fallback: *every* shared
+    the shipped per-ring segments into its cross-component delivery digest,
+    which must be byte-identical between the in-process engine and two
+    workers.  Since restarts are deduped where they happen, in the shard's
+    segment buffer, there is no fault-touched fallback: *every* shared
     learner that recorded streams gets a merged digest, crashed/restarted or
     not.
     """
@@ -303,10 +303,10 @@ def test_fault_touched_shared_learner_still_gets_merged_digest():
     """A shared learner crashed/restarted mid-run must still merge.
 
     The generator's shared-learner fault family crashes the learner itself;
-    its restarted incarnation re-emits stream prefixes, and the merge stage
-    dedups them instead of bailing out to per-shard partial digests.  Scan
-    the seed range for such a draw and require the merged digest plus a
-    clean verdict at both worker counts.
+    its restarted learners re-emit stream prefixes, and the shards' segment
+    buffers drop them instead of bailing out to per-shard partial digests.
+    Scan the seed range for such a draw and require the merged digest plus
+    a clean verdict at both worker counts.
     """
     found = None
     for seed in SEED_RANGE:

@@ -62,13 +62,7 @@ def _segment_reduce(segment):
         else:
             packed.extend(entry[1] for entry in entries[idx:end])
         idx = end
-    return merge._segment_wire_build, (
-        segment.incarnation,
-        segment.start,
-        instances,
-        count,
-        tuple(packed),
-    )
+    return merge._segment_wire_build, (segment.start, instances, count, tuple(packed))
 
 
 class ReferencePickler(pickle.Pickler):
@@ -109,7 +103,7 @@ def _wire_build(cls, values):
     return obj
 
 
-def _segment_wire_build(incarnation, start, instances, count, packed):
+def _segment_wire_build(start, instances, count, packed):
     values = []
     for item in packed:
         if type(item) is tuple:
@@ -131,7 +125,7 @@ def _segment_wire_build(incarnation, start, instances, count, packed):
         entries = list(zip(instances, values))
     else:
         entries = list(zip(range(instances, instances + count), values))
-    return RingSegment(incarnation=incarnation, start=start, entries=entries)
+    return RingSegment(start=start, entries=entries)
 
 
 _BUILDERS = {
@@ -150,9 +144,8 @@ def reference_decode(frame):
 
 
 def _generic_segment_reduce(segment):
-    """``RingSegment`` by its three fields, the way pickle reduces any slotted dataclass."""
-    state = {"incarnation": segment.incarnation, "start": segment.start,
-             "entries": segment.entries}
+    """``RingSegment`` by its two fields, the way pickle reduces any slotted dataclass."""
+    state = {"start": segment.start, "entries": segment.entries}
     return copyreg.__newobj__, (RingSegment,), (None, state)
 
 

@@ -108,7 +108,6 @@ def _segments():
     entries = st.lists(st.tuples(_ints, st.one_of(_proposal_values(), _skip_values())))
     return st.builds(
         RingSegment,
-        incarnation=st.integers(min_value=0, max_value=3),
         start=_ints,
         entries=entries,
     )
@@ -150,7 +149,7 @@ def test_equal_instances_and_skip_runs_equal_the_reference_codec():
     skips = [(i, ProposalValue(SKIP, 0, "", 0, 0.0)) for i in range(40)]
     command = Command(op="append", args=(1,), command_id=7)
     busy = [(40 + i, ProposalValue(command, 64, "p", i // 2, 0.5)) for i in range(6)]
-    _assert_matches_reference({0: RingSegment(1, 5, skips + busy + skips[:2])})
+    _assert_matches_reference({0: RingSegment(5, skips + busy + skips[:2])})
     _assert_matches_reference([ProposalValue(Command(op="read", command_id=1), 8, "p", 1, 0.0)
                                for _ in range(5)])
 
@@ -307,7 +306,7 @@ def test_a_plain_subclass_of_a_dataclass_keeps_its_attributes():
 
 def test_a_dataclass_with_its_own_reduce_keeps_it():
     # (An empty segment: the values of a full one would ship positionally.)
-    for obj in (_SelfReduced(4), RingSegment(1, 5)):
+    for obj in (_SelfReduced(4), RingSegment(5)):
         frame = encode_wire(obj)
         assert frame == pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         assert decode_wire(frame) == obj

@@ -15,7 +15,6 @@ ALLOWLIST = {
     "repro.sim.parallel._PipeTransport._raise_dead": "fault-path",
     # A segment entry out of order; a pack nested in a pack (a re-proposed
     # repaired instance).
-    "repro.multiring.merge._out_of_order": "fault-path",
     "repro.multiring.merge._iter_leaf_values": "fault-path",
     # A bounded retransmission request (gap repair below the decided tail).
     "repro.paxos.acceptor.AcceptorState.decided_between": "fault-path",
