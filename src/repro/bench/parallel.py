@@ -115,8 +115,8 @@ def _annotate(
     ``observed`` names the host whose client-visible latency is reported.
     ``shard_wall_clock_s`` keeps its historical meaning — wall clock minus
     *total* merge-stage time — so the figure is comparable across rounds.
-    How much of the merge stage actually ran concurrently with the next
-    window (and therefore never extended the wall clock) is reported
+    How much of the merge stage actually ran while some worker was still
+    running ahead (and therefore never extended the wall clock) is reported
     separately as ``merge_overlap_s`` / ``merge_overlap_fraction``.  A stage
     that collected the streams (``record_deliveries``) also reports the three
     digests the differentials compare: the per-ring shipped streams, the

@@ -267,6 +267,15 @@ class AcceptorState:
         """Highest instance this acceptor saw a decision for (-1 when none)."""
         return self._slab.highest(DECIDED)
 
+    @property
+    def highest_voted(self) -> int:
+        """Highest instance this acceptor holds a vote for (-1 when none).
+
+        Unlike the log's highest instance this includes skip votes, which are
+        never logged.
+        """
+        return self._slab.highest(VOTED)
+
     # ------------------------------------------------------------------- trim
     def trim(self, up_to_instance: int) -> int:
         """Discard state for all instances up to ``up_to_instance``."""

@@ -473,6 +473,10 @@ class RingNode:
         self._takeover_repair_pending = False
         assert self.coordinator is not None and self.acceptor is not None
         start = self.acceptor.trimmed_up_to + 1
+        # This process's own votes may lie above everything its ledger saw: a
+        # skip range it voted for is never logged, and a value in it may be
+        # chosen already, so the scan must cover it.
+        self.coordinator.ledger.observe_instance(self.acceptor.highest_voted)
         next_instance = self.coordinator.ledger.next_instance
         # This process's own votes compete with the Phase 1B reports on equal
         # terms: the value chosen for an instance is the highest-ballot
@@ -511,18 +515,19 @@ class RingNode:
             # the previous hop dropped its reference when it forwarded, so
             # nothing aliases the message (the network never duplicates a
             # delivery — faults only drop).  This used to clone one message
-            # per hop per instance.
-            message.add_vote(self.host.name)
+            # per hop per instance.  Only an accepted vote counts, and adding
+            # it after the acceptor ruled is safe: ``on_durable`` is always
+            # deferred (a zero-delay post or a disk completion).
             if single:
-                self.acceptor.receive_phase2(
+                accepted = self.acceptor.receive_phase2(
                     message.instance,
                     message.ballot,
                     value,
                     self._after_own_vote_callback,
                     (message,),
-                )
+                ).accepted
             else:
-                self.acceptor.receive_phase2_range(
+                accepted = self.acceptor.receive_phase2_range(
                     message.instance,
                     message.last_instance,
                     message.ballot,
@@ -530,6 +535,8 @@ class RingNode:
                     on_durable=self._after_own_vote_callback,
                     on_durable_args=(message,),
                 )
+            if accepted:
+                message.add_vote(self.host.name)
         else:
             self._forward_phase2(message)
         return True

@@ -23,16 +23,15 @@ Correctness argument
   name that several shards host (a shared learner's mirrors) is local to each
   of them; a name that no shard hosts stays a counted drop.
 * Barriers exist only as a **segment-streaming cadence**
-  (``segment_interval=``).  A window ends at ``min(max(earliest pending
-  work, now) + interval, until)``, where the earliest pending work is the
-  minimum over every shard's :meth:`ShardHarness.next_event_time`: an idle
-  stretch costs one barrier.  Where a window ends never changes which events
-  run or when, so windowed execution runs the exact events of a single
-  window, and the barrier count (``ParallelRunResult.windows``) is the only
-  thing the placement moves.
+  (``segment_interval=``) on a fixed grid: cell ``k`` ends at
+  ``k * segment_interval`` (a product, never a running sum, so every process
+  computes the same floats), the last cell at ``until``.  Where a cell ends
+  never changes which events run or when, so the cells run the exact events
+  of a single window, and the barrier count (``ParallelRunResult.windows``,
+  the number of cells after the start cell) is the only thing the grid sets.
 
 Consequently ``run_sharded(specs, workers=k)`` produces bit-identical
-per-shard results for every ``k``; ``workers=1`` executes the same schedule
+per-shard results for every ``k``; ``workers=1`` walks the same cells
 sequentially in-process and is the reference "single-process engine" the
 differential tests compare against.  The result is also bit-identical to
 running the merged deployment on one shared simulator (see
@@ -40,14 +39,13 @@ running the merged deployment on one shared simulator (see
 disabled — jitter draws come from one shared stream in a merged run and
 would otherwise interleave across shards.
 
-The merge is *streaming*: at every barrier each shard ships the
-decision-stream **segments** recorded since the last barrier — via
-:meth:`ShardHarness.drain_segments`, alongside its event horizon — and the
-parent's ``segment_sink`` feeds them into a
-:class:`~repro.multiring.merge.MergeCursor` (typically through a
-:class:`~repro.core.smr.ReactiveReplicaHost`, so live service replicas apply
-merged deliveries and answer clients *during* the run).  The shipped
-segments are resume-position-tagged
+The merge is *streaming*: at the end of every cell each shard ships the
+decision-stream **segments** recorded since the last one — via
+:meth:`ShardHarness.drain_segments` — and the parent's ``segment_sink``
+feeds them into a :class:`~repro.multiring.merge.MergeCursor` (typically
+through a :class:`~repro.core.smr.ReactiveReplicaHost`, so live service
+replicas apply merged deliveries and answer clients *during* the run).  The
+shipped segments are resume-position-tagged
 (:class:`~repro.multiring.merge.RingSegment`), which makes the stream
 fault-tolerant: a crashed in-shard learner's rings drop out of the cut (the
 consumer's joint watermark stalls honestly), and the shard's segment buffer
@@ -58,33 +56,17 @@ their own shards: the chaos planner splits a scenario into
 (:func:`repro.chaos.scenario.shardable_components`), and
 :mod:`repro.bench.parallel` puts one ring or region per shard.
 
-Barrier-plane mechanics
------------------------
-The multiprocess transport keeps the synchronisation itself off the critical
-path without ever touching the event schedule:
-
-* **Compact wire framing** — each worker's barrier traffic is one
-  ``encode_wire`` frame per round (:func:`repro.sim.network.encode_wire`:
-  highest-protocol pickle with dataclasses in positional tuple form and
-  window-level payload interning via the pickle memo); a window command is
-  the two-tuple ``("window", end)``.  ``ParallelRunResult.ipc_bytes`` /
-  ``ipc_messages`` count both directions as framed on the pipes.
-* **Overlapped merge stage** — barrier segments are double-buffered: the
-  parent broadcasts window ``N+1`` *before* feeding window ``N``'s segments
-  to ``segment_sink``, so reactive ingest runs while the workers execute.
-  Segments are still applied strictly in barrier order, and the sink for
-  window ``N`` completes before any window-``N+1`` segment is even decoded —
-  consumer state (``MergeCursor``/``ReactiveReplicaHost``) sees the exact
-  sequence the serial engine produced.  ``merge_stage_s`` measures sink
-  time wherever it runs; ``merge_overlap_s`` is the (conservatively
-  credited) portion spent while at least one worker was still executing,
-  i.e. ingest time that no longer extends the wall clock.
-* **Out-of-order collection** — replies are absorbed as workers finish
-  (``multiprocessing.connection.wait``) instead of in fixed pipe order, so
-  decoding early finishers overlaps the stragglers, and a worker that dies
-  mid-window surfaces immediately as an error naming the worker and its
-  shards (its pipe hits EOF) rather than hanging the round.  Per-shard
-  replies are disjoint, so arrival order changes nothing downstream.
+Free-running workers
+--------------------
+Every worker gets the cell ends when it is forked.  After one name/refuse
+handshake it runs its shards cell by cell and writes one ``encode_wire``
+frame per cell, ``("cell", events, segments)``, then its ``finalize()``
+results: it never waits for the parent.  The parent absorbs frames as they
+arrive (``multiprocessing.connection.wait``: a dead worker's pipe hits EOF
+and surfaces at once, naming the worker and its shards) and feeds cell ``k``
+to ``segment_sink`` once every worker's cell-``k`` frame is in, so the sink
+sequence is the same for any worker count.  Both sides go through the
+frames in order, so pipe back-pressure cannot deadlock.
 
 Usage sketch::
 
@@ -99,7 +81,7 @@ Usage sketch::
 
 Builders run *inside* the worker process; payloads must be picklable, the
 simulated objects never cross process boundaries (only segments, event
-horizons and the ``finalize()`` summaries do).
+counts and the ``finalize()`` summaries do).
 """
 
 from __future__ import annotations
@@ -108,8 +90,9 @@ import multiprocessing
 import pickle
 import time
 from dataclasses import dataclass, field
+from itertools import count, takewhile
 from multiprocessing import connection as mp_connection
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .actor import Environment
 from .kernel import gc_paused
@@ -170,7 +153,7 @@ class ShardHarness:
     def run_window(self, end: Optional[float]) -> None:
         """Advance the shard to ``end`` (``None``: run the queue dry).
 
-        Called once per window (once in all without a segment interval).
+        Called once per cell (once in all without a segment interval).
         Phases due by ``end`` fire on the way, each right after the kernel
         has executed every event up to its time.
         """
@@ -192,30 +175,15 @@ class ShardHarness:
         """Run this harness alone, in this process: :meth:`start`, then one window.
 
         The in-process executor: the same phase script, and therefore the
-        same events, as :func:`run_sharded` executing it window by window.
+        same events, as :func:`run_sharded` executing it cell by cell.
         """
         self.start()
         self.run_window(until)
 
-    def next_event_time(self) -> Optional[float]:
-        """This shard's event horizon, reported at every barrier.
-
-        The earliest pending work in the shard: the kernel's next live event
-        or the next phase callback.  ``None`` means the shard is fully
-        drained.  The engine takes the minimum over all shards to place the
-        next window.
-        """
-        horizon = self.env.simulator.next_event_time()
-        if self._phases:
-            phase = self._phases[0][0]
-            if horizon is None or phase < horizon:
-                horizon = phase
-        return horizon
-
     def drain_segments(self) -> Optional[Any]:
         """Streaming payload to ship through this barrier.
 
-        Called at every barrier, right after the window ran.  A shard with a
+        Called at every barrier, right after the cell ran.  A shard with a
         segment buffer (:meth:`stream_segments`) returns ``(watermark,
         segments)`` — the shard's simulated time (everything at or before it
         has executed, so the shard's streams are complete up to it) plus the
@@ -269,9 +237,9 @@ class ParallelRunResult:
 
     #: per-shard ``finalize()`` results, keyed by shard id
     results: Dict[int, Any]
-    #: wall-clock seconds of the whole run (build + windows + finalize)
+    #: wall-clock seconds of the whole run (build + cells + finalize)
     wall_clock: float
-    #: number of barrier windows executed (the barrier count)
+    #: number of cells executed after the start cell (the barrier count)
     windows: int
     #: per-shard kernel event counts
     events: Dict[int, int] = field(default_factory=dict)
@@ -283,8 +251,8 @@ class ParallelRunResult:
     ipc_messages: int = 0
     #: seconds spent inside ``segment_sink`` (reactive merge ingest)
     merge_stage_s: float = 0.0
-    #: portion of :attr:`merge_stage_s` that ran while workers were still
-    #: executing the next window (overlapped, i.e. off the critical path)
+    #: portion of :attr:`merge_stage_s` spent while some worker was still
+    #: running ahead (overlapped, i.e. off the critical path)
     merge_overlap_s: float = 0.0
 
     @property
@@ -317,46 +285,41 @@ class _ShardSet:
             if network is not None:
                 network.refuse(names)
 
-    def start(self) -> Tuple[Dict[int, Optional[float]], Dict[int, Any]]:
-        """Start every shard; returns (horizons, segments)."""
-        horizons: Dict[int, Optional[float]] = {}
-        segments: Dict[int, Any] = {}
-        for sid in sorted(self.harnesses):
-            harness = self.harnesses[sid]
-            harness.start()
-            horizons[sid] = harness.next_event_time()
-            shipped = harness.drain_segments()
-            if shipped is not None:
-                segments[sid] = shipped
-        return horizons, segments
-
-    def run_window(self, end: Optional[float]) -> Tuple[
-        Dict[int, int],
-        Dict[int, Optional[float]],
-        Dict[int, Any],
+    def cells(self, ends: Sequence[Optional[float]]) -> Iterator[
+        Tuple[Dict[int, int], Dict[int, Any]]
     ]:
-        events: Dict[int, int] = {}
-        horizons: Dict[int, Optional[float]] = {}
-        segments: Dict[int, Any] = {}
-        for sid in sorted(self.harnesses):
-            harness = self.harnesses[sid]
-            harness.run_window(end)
-            events[sid] = harness.processed_events
-            horizons[sid] = harness.next_event_time()
-            shipped = harness.drain_segments()
-            if shipped is not None:
-                segments[sid] = shipped
-        return events, horizons, segments
+        """Start every shard, then run them cell by cell to each of ``ends``.
+
+        Yields ``(events, segments)`` per cell, the start cell first (no
+        events): per shard, the kernel's event count and whatever
+        :meth:`ShardHarness.drain_segments` shipped (shards that ship nothing
+        are absent).
+        """
+        harnesses = self.harnesses
+        for harness in harnesses.values():
+            harness.start()
+        yield {}, self._drain()
+        for end in ends:
+            for harness in harnesses.values():
+                harness.run_window(end)
+            yield {sid: h.processed_events for sid, h in harnesses.items()}, self._drain()
+
+    def _drain(self) -> Dict[int, Any]:
+        shipped = {sid: h.drain_segments() for sid, h in self.harnesses.items()}
+        return {sid: payload for sid, payload in shipped.items() if payload is not None}
 
     def finalize(self) -> Dict[int, Any]:
         return {sid: h.finalize() for sid, h in self.harnesses.items()}
 
 
-def _worker_main(conn, specs: Sequence[ShardSpec], parent_ends: Sequence[Any]) -> None:
-    """Entry point of one worker process: build shards, serve barrier rounds.
+def _worker_main(
+    conn, specs: Sequence[ShardSpec], ends: Sequence[Optional[float]], parent_ends: Sequence[Any]
+) -> None:
+    """Entry point of one worker process: build shards, stream every cell.
 
-    Frames every reply as one explicit ``encode_wire`` byte blob
-    (``send_bytes``) so the parent can count IPC volume exactly.
+    Frames every message as one explicit ``encode_wire`` byte blob
+    (``send_bytes``) so the parent can count IPC volume exactly.  The only
+    frame the worker reads is the parent's refuse list.
 
     ``parent_ends`` are the parent's ends of this worker's pipe and of every
     pipe created before it, which a forked worker inherits.  They are closed
@@ -369,24 +332,11 @@ def _worker_main(conn, specs: Sequence[ShardSpec], parent_ends: Sequence[Any]) -
     try:
         shard_set = _ShardSet(specs)
         conn.send_bytes(encode_wire(("ready", shard_set.actor_names())))
+        shard_set.refuse(pickle.loads(conn.recv_bytes()))
         with gc_paused():
-            while True:
-                command = pickle.loads(conn.recv_bytes())
-                op = command[0]
-                if op == "window":
-                    events, horizons, segments = shard_set.run_window(command[1])
-                    conn.send_bytes(encode_wire(("out", events, horizons, segments)))
-                elif op == "refuse":
-                    shard_set.refuse(command[1])
-                    conn.send_bytes(encode_wire(("ok",)))
-                elif op == "start":
-                    horizons, segments = shard_set.start()
-                    conn.send_bytes(encode_wire(("out", {}, horizons, segments)))
-                elif op == "finish":
-                    conn.send_bytes(encode_wire(("result", shard_set.finalize())))
-                    return
-                else:  # pragma: no cover - protocol bug
-                    raise RuntimeError(f"unknown command {op!r}")
+            for events, segments in shard_set.cells(ends):
+                conn.send_bytes(encode_wire(("cell", events, segments)))
+            conn.send_bytes(encode_wire(("result", shard_set.finalize())))
     except Exception as exc:  # surface worker crashes with their traceback
         import traceback
 
@@ -408,6 +358,24 @@ def _foreign_names(names_by_shard: Dict[int, Set[str]]) -> Dict[int, Set[str]]:
     """
     everywhere = set().union(*names_by_shard.values())
     return {sid: everywhere - names for sid, names in names_by_shard.items()}
+
+
+def _cell_ends(until: Optional[float], segment_interval: Optional[float]) -> List[Optional[float]]:
+    """The grid: ``k * segment_interval`` below ``until``, then ``until``."""
+    if segment_interval is None:
+        return [until]
+    return [*takewhile(lambda end: end < until, (k * segment_interval for k in count(1))), until]
+
+
+def _timed_sink(
+    segment_sink: Optional[Callable[[Dict[int, Any]], None]], segments: Dict[int, Any]
+) -> float:
+    """Feed one cell's segments to the sink; returns the seconds it took."""
+    if not segments or segment_sink is None:
+        return 0.0
+    begin = time.perf_counter()
+    segment_sink(segments)
+    return time.perf_counter() - begin
 
 
 def run_sharded(
@@ -436,24 +404,23 @@ def run_sharded(
         :attr:`ShardSpec.weight`, heaviest first to the least-loaded worker.
         Clamped to the shard count.
     segment_interval:
-        Streaming cadence in simulated seconds.  Barriers are run purely so
-        shards can ship their decision-stream segments: each window ends
-        ``segment_interval`` past the earliest pending work anywhere (or at
-        ``until``), so idle stretches cost one barrier.  Any interval is safe
-        — nothing is in flight to be late — and windowed execution runs the
-        exact same events as a single window.  Requires ``until``.  ``None``
-        runs a single window.
+        Streaming cadence in simulated seconds.  Cells exist purely so
+        shards can ship their decision-stream segments: cell ``k`` ends at
+        ``k * segment_interval``, the last one at ``until``.  Any interval
+        is safe — nothing is in flight to be late — and cells run the exact
+        same events as a single window.  Requires ``until``.  ``None`` runs
+        a single window.
     segment_sink:
-        Callback invoked in the parent at every barrier that shipped
-        segments, with ``{shard_id: payload}`` where ``payload`` is whatever
-        each shard's :meth:`ShardHarness.drain_segments` returned.  The sink
-        runs between windows — the place to feed a streaming merge cursor /
-        reactive service replicas.  The dict's iteration order follows the
-        workers' replies; a sink that iterates its keys sorted (as
+        Callback invoked in the parent once per cell that shipped segments
+        (the start cell first), with ``{shard_id: payload}`` where
+        ``payload`` is whatever each shard's
+        :meth:`ShardHarness.drain_segments` returned — the place to feed a
+        streaming merge cursor / reactive service replicas.  Cell ``k``'s
+        call comes once every worker has shipped cell ``k``, while the
+        workers run on; the dict's iteration order follows the workers'
+        frames, so a sink that iterates its keys sorted (as
         ``ReactiveMergeStage.sink`` does) sees a worker-count-independent
-        sequence.  The sink for one barrier's segments runs *while* the
-        workers execute the next window (the overlapped merge stage); the
-        segment application order is untouched.
+        sequence.
 
     Returns
     -------
@@ -478,124 +445,33 @@ def run_sharded(
                 f"shard {spec.shard_id} has non-positive weight {spec.weight!r}"
             )
     workers = max(1, min(int(workers), len(specs)))
+    ends = _cell_ends(until, segment_interval)
 
     start = time.perf_counter()
-    # The parent's barrier loop and reactive merge stage are run loops too.
+    # The parent's cell loop and reactive merge stage are run loops too.
     with gc_paused():
         if workers == 1:
-            results, windows, events, stats = _run_inprocess(
-                specs, until, segment_interval, segment_sink
-            )
+            results, events, stats = _run_inprocess(specs, ends, segment_sink)
         else:
-            results, windows, events, stats = _run_multiprocess(
-                specs, until, workers, segment_interval, segment_sink,
-            )
+            results, events, stats = _run_multiprocess(specs, ends, workers, segment_sink)
     wall = time.perf_counter() - start
     return ParallelRunResult(
         results=results,
         wall_clock=wall,
-        windows=windows,
+        windows=len(ends),
         events=events,
         workers=workers,
         **stats,
     )
 
 
-def _execute_rounds(
-    transport,
-    until: Optional[float],
-    segment_interval: Optional[float],
-    segment_sink: Optional[Callable[[Dict[int, Any]], None]],
-) -> Tuple[int, Dict[int, int], float]:
-    """Drive the barrier protocol over an abstract shard transport.
-
-    ``transport`` provides ``start() -> (horizons, segments)`` and
-    ``window(end, ship) -> (events, horizons, segments)``; the in-process
-    and multiprocessing engines differ only in how those rounds are
-    executed, so the barrier placement — and therefore the window schedule —
-    is shared verbatim between them (a prerequisite for worker-count
-    invariance).
-
-    Segments are double-buffered: the ones shipped at barrier ``N`` are held
-    in ``staged`` and handed to the transport as the ``ship`` thunk of
-    window ``N+1``, which every transport invokes exactly once — *after*
-    dispatching the window to the workers (pipe transport: ingest overlaps
-    worker execution) but before absorbing any window-``N+1`` reply.  The
-    in-process transport ships first and then runs the window, which is the
-    same sink-call sequence the serial engine produces (run ``N``, sink
-    ``N``, run ``N+1``, ...).  Either way the sink sees each barrier's
-    segments exactly once, in barrier order, one barrier behind the shards.
-    Returns ``(windows, events, merge_stage_s)``, the last being the
-    cumulative seconds spent inside the sink.
-    """
-    merge_s = 0.0
-    #: the previous barrier's shipped segments, awaiting the sink
-    staged: List[Optional[Dict[int, Any]]] = [None]
-
-    def ship() -> float:
-        """Feed the staged segments to the sink; returns seconds spent."""
-        nonlocal merge_s
-        segments = staged[0]
-        staged[0] = None
-        if not segments or segment_sink is None:
-            return 0.0
-        begin = time.perf_counter()
-        segment_sink(segments)
-        spent = time.perf_counter() - begin
-        merge_s += spent
-        return spent
-
-    horizons, staged[0] = transport.start()
-    if segment_interval is None:
-        # Single window (until may be None: every queue runs dry).
-        events, horizons, staged[0] = transport.window(until, ship)
-        ship()
-        return 1, events, merge_s
-
-    windows = 0
-    now = 0.0  # every shard's kernel starts at t=0 and lands exactly on `now`
-    while now < until:
-        pending = [t for t in horizons.values() if t is not None]
-        if pending:
-            end = min(max(min(pending), now) + segment_interval, until)
-        else:
-            # Nothing pending anywhere: land every clock on the horizon.
-            end = until
-        events, horizons, staged[0] = transport.window(end, ship)
-        windows += 1
-        now = end
-    # The final barrier's segments have no next window to overlap with.
-    ship()
-    return windows, events, merge_s
-
-
-class _InProcessTransport:
-    """Round executor running every shard sequentially in this process.
-
-    The ``ship`` thunk runs *before* the window here: with one process there
-    is nothing to overlap with, and shipping first reproduces the serial
-    engine's exact sink-call sequence (run ``N``, sink ``N``, run ``N+1``).
-    """
-
-    def __init__(self, shard_set: _ShardSet) -> None:
-        self._shards = shard_set
-
-    def start(self):
-        return self._shards.start()
-
-    def window(self, end, ship):
-        ship()
-        return self._shards.run_window(end)
-
-
-def _run_inprocess(specs, until, segment_interval, segment_sink):
+def _run_inprocess(specs, ends, segment_sink):
     shard_set = _ShardSet(specs)
     shard_set.refuse(_foreign_names(shard_set.actor_names()))
-    windows, events, merge_s = _execute_rounds(
-        _InProcessTransport(shard_set), until, segment_interval, segment_sink,
-    )
-    stats = {"merge_stage_s": merge_s}
-    return shard_set.finalize(), windows, events, stats
+    merge_s = 0.0
+    for events, segments in shard_set.cells(ends):
+        merge_s += _timed_sink(segment_sink, segments)
+    return shard_set.finalize(), events, {"merge_stage_s": merge_s}
 
 
 def _assign_shards(
@@ -621,40 +497,26 @@ def _assign_shards(
     return assignment
 
 
-class _PipeTransport:
-    """Round executor broadcasting barrier rounds to worker processes.
+class _Pipes:
+    """The parent's ends of the worker pipes, with frame accounting.
 
-    * frames every command/reply as one explicit ``encode_wire`` byte blob
-      per worker per round, counting ``ipc_bytes`` and ``ipc_messages`` in
-      both directions;
-    * broadcasts a window *before* running the staged merge sink, so
-      reactive ingest overlaps worker execution (``overlap_s`` credits sink
-      time only when at least one worker had not replied when the sink
-      finished — a conservative measure);
-    * absorbs replies in arrival order via ``connection.wait`` — a pipe that
-      hits EOF mid-round surfaces as an immediate error naming the dead
-      worker and its shards instead of blocking the round.
+    Counts ``ipc_bytes`` / ``ipc_messages`` in both directions, and turns a
+    pipe that breaks or hits EOF into an immediate error naming the dead
+    worker and its shards.
     """
 
-    def __init__(
-        self,
-        pipes: Sequence[Any],
-        procs: Sequence[Any],
-        worker_shards: Sequence[List[int]],
-    ) -> None:
-        self._pipes = list(pipes)
+    def __init__(self, conns: Sequence[Any], procs: Sequence[Any], worker_shards: Sequence[List[int]]) -> None:
+        self.conns = list(conns)
         self._procs = list(procs)
         #: worker index → the ids of the shards it runs
         self._worker_shards = list(worker_shards)
         self.ipc_bytes = 0
         self.ipc_messages = 0
-        self.overlap_s = 0.0
 
-    # ------------------------------------------------------------- plumbing
     def send(self, widx: int, payload: Any) -> None:
         frame = encode_wire(payload)
         try:
-            self._pipes[widx].send_bytes(frame)
+            self.conns[widx].send_bytes(frame)
         except (BrokenPipeError, OSError) as exc:
             self._raise_dead(widx, exc)
         self.ipc_bytes += len(frame)
@@ -662,7 +524,7 @@ class _PipeTransport:
 
     def recv(self, widx: int) -> Any:
         try:
-            frame = self._pipes[widx].recv_bytes()
+            frame = self.conns[widx].recv_bytes()
         except (EOFError, OSError) as exc:
             self._raise_dead(widx, exc)
         self.ipc_bytes += len(frame)
@@ -681,109 +543,86 @@ class _PipeTransport:
             f"(exit code {proc.exitcode}); its pipe reported {exc!r}"
         ) from exc
 
-    def _absorb(self, pending: Dict[Any, int]) -> Tuple[
-        Dict[int, int],
-        Dict[int, Optional[float]],
-        Dict[int, Any],
-    ]:
-        """Merge replies as workers finish (arrival order, not pipe order).
 
-        Determinism is unaffected: the per-shard dicts are disjoint across
-        workers and consumers iterate them by shard id.  A dead worker's
-        pipe becomes readable at EOF, so the failure surfaces here
-        immediately instead of wedging ``recv`` on an earlier pipe.
-        """
-        events: Dict[int, int] = {}
-        horizons: Dict[int, Optional[float]] = {}
-        segments: Dict[int, Any] = {}
-        while pending:
-            for conn in mp_connection.wait(list(pending)):
-                widx = pending.pop(conn)
-                _, worker_events, worker_horizons, worker_segments = self.recv(widx)
-                events.update(worker_events)
-                horizons.update(worker_horizons)
-                segments.update(worker_segments)
-        return events, horizons, segments
+def _stream_cells(pipes: _Pipes, cell_count: int, segment_sink) -> Tuple[Dict[int, int], float, float]:
+    """Absorb every worker's cell frames as they arrive; sink each complete cell.
 
-    # --------------------------------------------------------------- rounds
-    def start(self):
-        for widx in range(len(self._pipes)):
-            self.send(widx, ("start",))
-        _, horizons, segments = self._absorb(
-            {conn: widx for widx, conn in enumerate(self._pipes)}
-        )
-        return horizons, segments
-
-    def window(self, end, ship):
-        pending: Dict[Any, int] = {}
-        for widx, conn in enumerate(self._pipes):
-            self.send(widx, ("window", end))
-            pending[conn] = widx
-        # Overlapped merge stage: the workers are running the window we just
-        # broadcast while the parent ingests the *previous* barrier's
-        # segments.  Credit the sink time as overlapped only if at least one
-        # worker was still busy when the sink finished (conservative: a
-        # partially overlapped sink counts fully or not at all).
-        ship_s = ship()
-        if ship_s > 0.0:
-            ready = mp_connection.wait(list(pending), timeout=0)
-            if len(ready) < len(pending):
-                self.overlap_s += ship_s
-        return self._absorb(pending)
+    Cell ``k`` goes to the sink once every worker's cell-``k`` frame is in,
+    so the sink sees the in-process engine's sequence.  A sink call counts
+    as overlapped when, as it returns, some worker still has no frame ready:
+    that worker was running ahead meanwhile.  Returns ``(events,
+    merge_stage_s, merge_overlap_s)``.
+    """
+    streaming = {conn: widx for widx, conn in enumerate(pipes.conns)}
+    received = [0] * len(pipes.conns)
+    cells: Dict[int, Dict[int, Any]] = {}
+    events: Dict[int, int] = {}
+    merge_s = overlap_s = 0.0
+    applied = 0
+    while applied < cell_count:
+        for conn in mp_connection.wait(list(streaming)):
+            widx = streaming[conn]
+            _, worker_events, segments = pipes.recv(widx)
+            events.update(worker_events)
+            cells.setdefault(received[widx], {}).update(segments)
+            received[widx] += 1
+            if received[widx] == cell_count:
+                del streaming[conn]
+        while applied < min(received):
+            spent = _timed_sink(segment_sink, cells.pop(applied))
+            applied += 1
+            merge_s += spent
+            if spent and len(mp_connection.wait(list(streaming), timeout=0)) < len(streaming):
+                overlap_s += spent
+    return events, merge_s, overlap_s
 
 
-def _run_multiprocess(specs, until, workers, segment_interval, segment_sink):
+def _run_multiprocess(specs, ends, workers, segment_sink):
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
 
     assignment = _assign_shards(specs, workers)
 
-    pipes = []
+    conns = []
     procs = []
     try:
         for worker_specs in assignment:
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
-                target=_worker_main, args=(child_conn, worker_specs, pipes + [parent_conn])
+                target=_worker_main, args=(child_conn, worker_specs, ends, conns + [parent_conn])
             )
             proc.daemon = True
             proc.start()
             child_conn.close()
-            pipes.append(parent_conn)
+            conns.append(parent_conn)
             procs.append(proc)
 
         worker_shards = [[spec.shard_id for spec in worker_specs] for worker_specs in assignment]
-        transport = _PipeTransport(pipes, procs, worker_shards)
+        pipes = _Pipes(conns, procs, worker_shards)
 
         names: Dict[int, Set[str]] = {}
-        for widx in range(len(pipes)):
-            _, worker_names = transport.recv(widx)
+        for widx in range(workers):
+            _, worker_names = pipes.recv(widx)
             names.update(worker_names)
         foreign = _foreign_names(names)
         for widx, shard_ids in enumerate(worker_shards):
-            transport.send(widx, ("refuse", {sid: foreign[sid] for sid in shard_ids}))
-        for widx in range(len(pipes)):
-            transport.recv(widx)
+            pipes.send(widx, {sid: foreign[sid] for sid in shard_ids})
 
-        windows, events, merge_s = _execute_rounds(
-            transport, until, segment_interval, segment_sink,
-        )
+        events, merge_s, overlap_s = _stream_cells(pipes, len(ends) + 1, segment_sink)
 
         results: Dict[int, Any] = {}
-        for widx in range(len(pipes)):
-            transport.send(widx, ("finish",))
-        for widx in range(len(pipes)):
-            _, worker_results = transport.recv(widx)
+        for widx in range(workers):
+            _, worker_results = pipes.recv(widx)
             results.update(worker_results)
         stats = {
-            "ipc_bytes": transport.ipc_bytes,
-            "ipc_messages": transport.ipc_messages,
+            "ipc_bytes": pipes.ipc_bytes,
+            "ipc_messages": pipes.ipc_messages,
             "merge_stage_s": merge_s,
-            "merge_overlap_s": transport.overlap_s,
+            "merge_overlap_s": overlap_s,
         }
-        return results, windows, events, stats
+        return results, events, stats
     finally:
-        for conn in pipes:
+        for conn in conns:
             try:
                 conn.close()
             except OSError:  # pragma: no cover

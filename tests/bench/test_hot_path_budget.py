@@ -98,7 +98,7 @@ BUDGETS = {
         fig3(threads_per_proposer=40, batching_enabled=True), 640_000, 618_410, 856_055,
     ),
     "kv-global-open": (kv_global_open, 394_000, 382_795, 404_550),
-    "dlog-sharded": (dlog_sharded, 1_036_000, 1_005_621, 1_120_400),
+    "dlog-sharded": (dlog_sharded, 1_036_000, 1_005_612, 1_120_400),
 }
 
 

@@ -1,4 +1,4 @@
-"""The eight amcast seeds in 200–999 that the chaos oracle flags, not yet fixed.
+"""The two amcast seeds in 200–999 that the chaos oracle flags, not yet fixed.
 
 Each id holds its seed to the documented violation kind under
 ``xfail(strict=True)``: the test xfails only by raising ``KnownViolation``,
@@ -6,8 +6,8 @@ which it does when the seed's violations are exactly that kind.  A seed that
 turns green XPASSes, and a seed that violates anything else fails outright —
 either way the change has to update this table, EXPERIMENTS.md "Known red
 seeds" and the CI step that sweeps 200–999.  Replay one with
-``PYTHONPATH=src python -m repro.chaos --seed N``.  The eight calls take
-about 2.8 s together on a 2-core x86 host, so they run in tier 1.
+``PYTHONPATH=src python -m repro.chaos --seed N``.  The two calls take
+well under a second together on a 2-core x86 host, so they run in tier 1.
 """
 
 import pytest
@@ -17,13 +17,7 @@ from repro.chaos import run_scenario
 #: seed → the one oracle property it violates
 RED_SEEDS = {
     388: "validity",
-    424: "agreement",
-    565: "agreement",
-    773: "agreement",
-    886: "agreement",
-    914: "agreement",
     951: "validity",
-    964: "agreement",
 }
 
 

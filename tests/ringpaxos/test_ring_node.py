@@ -241,3 +241,72 @@ class TestTakeoverRepair:
         values = {i: v for i, v in emitted}
         assert hole in values
         assert values[hole].is_skip()
+
+
+class TestCoordinatorCrashSafety:
+    """Chaos seed 886's interleaving, replayed on one ring of three acceptors.
+
+    The coordinator emits a rate-leveling skip range at its ballot; it and
+    its successor vote for it — a majority, so the skip may be chosen — and
+    the coordinator crashes before anyone learns the decision.  The successor
+    takes over at a higher ballot.
+    """
+
+    @staticmethod
+    def crash_after_skip_range_votes():
+        from repro.ringpaxos.coordinator import CoordinatorState
+
+        system, processes = build_ring(members=3)
+        for i in range(5):
+            processes[i % 3].multicast(0, payload=f"m{i}", size_bytes=64)
+        system.run(until=0.05)
+        old = system.env.actor(system.ring(0).coordinator).node(0)
+        first = old.coordinator.ledger.next_instance
+        last = first + 9
+        skip = CoordinatorState.skip_value()
+        for name in (old.host.name, old.overlay.successor(old.host.name)):
+            system.env.actor(name).node(0).acceptor.receive_phase2_range(
+                first, last, old.coordinator.ballot, skip
+            )
+        system.crash_process(old.host.name)
+        survivors = [p for p in processes if p.name != old.host.name]
+        return system, survivors, first, last
+
+    def test_takeover_covers_its_own_skip_votes_above_its_ledger(self):
+        """Skip votes are never logged, so only the acceptor's highest *voted*
+        instance tells the new coordinator that the range is in use."""
+        system, survivors, first, last = self.crash_after_skip_range_votes()
+        for i in range(20):
+            survivors[i % 2].multicast(0, payload=f"n{i}", size_bytes=64)
+        system.run(until=0.5)
+        new = system.env.actor(system.ring(0).coordinator).node(0)
+        assert new.host.name in {p.name for p in survivors}
+        assert new.coordinator.ledger.next_instance > last
+        for process in survivors:
+            decided = process.node(0).acceptor.decided_between(first, last)
+            assert [i for i, _ in decided] == list(range(first, last + 1))
+            assert all(value.is_skip() for _, value in decided)
+            assert len(process.delivered) == 25
+
+    @pytest.mark.parametrize("span", [1, 10])
+    def test_a_refused_vote_is_not_counted(self, span):
+        """The third acceptor promised the new ballot before the old ballot's
+        Phase 2 reached it: it refuses, and the message leaves without its vote."""
+        from repro.paxos.messages import Phase2Ring
+        from repro.ringpaxos.coordinator import CoordinatorState
+
+        system, _ = build_ring(members=3)
+        system.run(until=0.05)
+        coordinator = system.env.actor(system.ring(0).coordinator).node(0)
+        successor = coordinator.overlay.successor(coordinator.host.name)
+        third = system.env.actor(coordinator.overlay.successor(successor)).node(0)
+        ballot = coordinator.coordinator.ballot
+        first = coordinator.coordinator.ledger.next_instance
+        assert third.acceptor.receive_phase1a(first, first + 2**20, ballot + 1)
+        message = Phase2Ring(
+            ring_id=0, instance=first, ballot=ballot, value=CoordinatorState.skip_value(),
+            votes=(coordinator.host.name, successor), origin=coordinator.host.name, span=span,
+        )
+        third._handle_phase2(successor, message)
+        assert message.votes == (coordinator.host.name, successor)
+        assert third.acceptor.accepted_value(first) is None

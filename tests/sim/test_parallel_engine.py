@@ -180,10 +180,8 @@ def test_independent_shards_equal_the_merged_run(workers, interval):
     assert run.workers == workers
     assert run.results == reference
     assert run.total_events == merged_events
-    if interval is None:
-        assert run.windows == 1
-    else:
-        assert 1 < run.windows < ceil(HORIZON / interval)
+    # One cell per grid interval: work or not, a cell ends at every multiple.
+    assert run.windows == (1 if interval is None else ceil(HORIZON / interval))
 
 
 def test_independent_shards_single_window():
@@ -355,7 +353,7 @@ def test_next_event_time_skips_cancelled():
 
 
 # ---------------------------------------------------------------------------
-# Bursty barrier count (event-horizon placement earns its keep)
+# Bursty shards on the grid: idle stretches cost cells, never events
 # ---------------------------------------------------------------------------
 
 BURST_INTERVAL = 0.010
@@ -401,23 +399,32 @@ def build_burst_shard(index):
     ])
 
 
+def burst_specs():
+    return [ShardSpec(i, build_burst_shard, i) for i in range(SHARDS)]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_local_bursts_hop_idle_stretches_in_one_barrier(workers):
-    """Event-horizon windows hop an idle stretch far longer than the interval
-    in one barrier.  A barrier per interval, work or not, is by definition
-    ``ceil(BURST_UNTIL / BURST_INTERVAL)`` of them."""
+def test_bursts_on_the_grid_equal_the_single_window_run(workers):
+    """Idle stretches 40x the interval still cost one cell per interval, and
+    the cells run exactly the events of one window to ``BURST_UNTIL``."""
+    single = run_sharded(burst_specs(), until=BURST_UNTIL, workers=1)
     run = run_sharded(
-        [ShardSpec(i, build_burst_shard, i) for i in range(SHARDS)],
-        until=BURST_UNTIL,
-        workers=workers,
-        segment_interval=BURST_INTERVAL,
+        burst_specs(), until=BURST_UNTIL, workers=workers, segment_interval=BURST_INTERVAL,
     )
     for index in range(SHARDS):
         assert len(run.results[index]["logs"][f"sink{index}"]) == BURST_COUNT * BURST_SIZE
-    # Per burst: one window in which the sends run, one in which the
-    # deliveries land; then the hop to the horizon.
-    assert run.windows == 2 * BURST_COUNT + 1
-    assert run.windows < ceil(BURST_UNTIL / BURST_INTERVAL)
+    assert run.results == single.results
+    assert run.events == single.events
+    assert run.windows == ceil(BURST_UNTIL / BURST_INTERVAL)
+
+
+@pytest.mark.parametrize("interval", [None, BURST_INTERVAL])
+def test_workers_stream_one_frame_per_cell_and_never_wait(interval):
+    """Per worker: the ready frame, the refuse list, the start cell, one frame
+    per cell and the result.  No per-cell command flows to a worker."""
+    run = run_sharded(burst_specs(), until=BURST_UNTIL, workers=2, segment_interval=interval)
+    assert run.workers == 2
+    assert run.ipc_messages == run.workers * (run.windows + 4)
 
 
 # ---------------------------------------------------------------------------

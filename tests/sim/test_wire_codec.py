@@ -340,9 +340,11 @@ def _run_with_checked_frames(monkeypatch, spool: Path, run):
     """
 
     def checked(payload):
-        # Barrier rounds carry value-comparable dataclasses only; the closing
-        # "result" frame ships identity-compared objects (metric registries).
-        _assert_matches_reference(payload, graph=payload[0] == "out")
+        # The handshake and the cell frames carry value-comparable objects
+        # only (the refuse list is a bare dict); the closing "result" frame
+        # ships identity-compared objects (metric registries).
+        result_frame = isinstance(payload, tuple) and payload[0] == "result"
+        _assert_matches_reference(payload, graph=not result_frame)
         frame = encode_wire(payload)
         with open(spool / str(os.getpid()), "a") as tally:
             tally.write(f"{len(frame)} {len(plain_pickle(payload))}\n")

@@ -12,7 +12,7 @@ ALLOWLIST = {
     "repro.chaos.oracle.Violation.__str__": "fault-path",
     "repro.chaos.scenario._dump_artifact": "fault-path",
     # A worker process that died.
-    "repro.sim.parallel._PipeTransport._raise_dead": "fault-path",
+    "repro.sim.parallel._Pipes._raise_dead": "fault-path",
     # A segment entry out of order; a pack nested in a pack (a re-proposed
     # repaired instance).
     "repro.multiring.merge._iter_leaf_values": "fault-path",
