@@ -16,13 +16,13 @@ comparison:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..core.client import Command
 from ..net.message import ClientRequest, ClientResponse, Message
 from ..sim.actor import Actor, Environment
 from ..sim.cpu import CpuCostModel
-from ..sim.disk import Disk, DiskProfile, HDD_PROFILE
+from ..sim.disk import Disk, HDD_PROFILE
 
 __all__ = ["SequencerLogLeader", "EnsembleStorageNode", "SequencerLogService", "BatchWrite", "BatchAck"]
 
@@ -45,17 +45,11 @@ class BatchAck(Message):
 
 
 class EnsembleStorageNode(Actor):
-    """A storage node writing batches synchronously to its local device."""
+    """A storage node writing batches synchronously to its local hard disk."""
 
-    def __init__(
-        self,
-        env: Environment,
-        name: str,
-        site: str = "dc1",
-        disk_profile: DiskProfile = HDD_PROFILE,
-    ) -> None:
+    def __init__(self, env: Environment, name: str, site: str = "dc1") -> None:
         super().__init__(env, name, site)
-        self.disk = Disk(env, disk_profile, name=f"{name}.disk")
+        self.disk = Disk(env, HDD_PROFILE, name=f"{name}.disk")
         self._cpu_model = CpuCostModel()
 
     def on_message(self, sender: str, message: Any) -> None:
@@ -70,7 +64,15 @@ class EnsembleStorageNode(Actor):
 
 
 class SequencerLogLeader(Actor):
-    """The sequencer: assigns positions, batches, replicates to the ensemble."""
+    """The sequencer: assigns positions, batches, replicates to the ensemble.
+
+    A batch is acknowledged once a majority of the ensemble wrote it.
+    """
+
+    #: Per-append sequencer work (offset allocation, ledger metadata, journal
+    #: bookkeeping), in seconds.  The central sequencer serialises this work,
+    #: which is what caps the comparator's throughput in Figure 5.
+    APPEND_SERVICE_TIME = 0.0012
 
     def __init__(
         self,
@@ -80,8 +82,6 @@ class SequencerLogLeader(Actor):
         site: str = "dc1",
         batch_bytes: int = 512 * 1024,
         batch_window: float = 0.020,
-        ack_quorum: Optional[int] = None,
-        append_service_time: float = 0.0012,
     ) -> None:
         super().__init__(env, name, site)
         if not storage_nodes:
@@ -89,11 +89,7 @@ class SequencerLogLeader(Actor):
         self.storage_nodes = list(storage_nodes)
         self.batch_bytes = batch_bytes
         self.batch_window = batch_window
-        self.ack_quorum = ack_quorum or (len(self.storage_nodes) // 2 + 1)
-        #: Per-append sequencer work (offset allocation, ledger metadata,
-        #: journal bookkeeping).  The central sequencer serialises this work,
-        #: which is what caps the comparator's throughput in Figure 5.
-        self.append_service_time = append_service_time
+        self.ack_quorum = len(self.storage_nodes) // 2 + 1
         self._sequencer_busy_until = 0.0
         self._next_position = 0
         self._next_batch_id = 0
@@ -118,7 +114,7 @@ class SequencerLogLeader(Actor):
         # The sequencer serialises per-append work before the append can join
         # a batch; queueing behind it is the central-component bottleneck.
         start = max(self.now, self._sequencer_busy_until)
-        self._sequencer_busy_until = start + self.append_service_time
+        self._sequencer_busy_until = start + self.APPEND_SERVICE_TIME
         self.env.simulator.schedule(
             self._sequencer_busy_until - self.now, self._enqueue_append, command
         )
@@ -174,11 +170,10 @@ class SequencerLogService:
         site: str = "dc1",
         batch_bytes: int = 512 * 1024,
         batch_window: float = 0.020,
-        disk_profile: DiskProfile = HDD_PROFILE,
     ) -> None:
         self.env = env
         self.storage_nodes = [
-            EnsembleStorageNode(env, f"bk-storage{i}", site=site, disk_profile=disk_profile)
+            EnsembleStorageNode(env, f"bk-storage{i}", site=site)
             for i in range(ensemble_size)
         ]
         self.leader = SequencerLogLeader(

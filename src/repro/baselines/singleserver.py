@@ -5,8 +5,8 @@ by construction because a single server serialises every request, but unable
 to scale horizontally.  The stand-in is one server actor that
 
 * applies every operation against one local :class:`~repro.kvstore.store.KeyValueStore`,
-* charges a per-operation service time (parsing/plan/buffer-pool work) plus a
-  device write for updates — the knobs that bound a single node's throughput,
+* charges a per-operation service time (parsing/plan/buffer-pool work) — the
+  cost that bounds a single node's throughput,
 * serialises execution: requests queue behind each other, so throughput
   plateaus at ``1 / service_time`` regardless of client count.
 
@@ -24,7 +24,6 @@ from ..kvstore.store import KeyValueStore
 from ..net.message import ClientRequest, ClientResponse
 from ..sim.actor import Actor, Environment
 from ..sim.cpu import CpuCostModel
-from ..sim.disk import Disk, SSD_PROFILE, DiskProfile
 
 __all__ = ["SingleServerStore"]
 
@@ -32,24 +31,14 @@ __all__ = ["SingleServerStore"]
 class SingleServerStore(Actor):
     """A strongly consistent, non-scalable single-node store."""
 
-    def __init__(
-        self,
-        env: Environment,
-        name: str = "sqlserver",
-        site: str = "dc1",
-        read_service_time: float = 0.00006,
-        write_service_time: float = 0.00012,
-        scan_service_time: float = 0.00030,
-        disk_profile: DiskProfile = SSD_PROFILE,
-        durable_writes: bool = False,
-    ) -> None:
+    #: Service time of one read, update/insert and scan (seconds).
+    READ_SERVICE_TIME = 0.00006
+    WRITE_SERVICE_TIME = 0.00012
+    SCAN_SERVICE_TIME = 0.00030
+
+    def __init__(self, env: Environment, name: str = "sqlserver", site: str = "dc1") -> None:
         super().__init__(env, name, site)
         self.store = KeyValueStore()
-        self._read_time = read_service_time
-        self._write_time = write_service_time
-        self._scan_time = scan_service_time
-        self._durable_writes = durable_writes
-        self._disk = Disk(env, disk_profile, name=f"{name}.disk")
         self._busy_until = 0.0
         self._cpu_model = CpuCostModel(per_message=5e-6, per_byte=1.5e-9)
 
@@ -67,15 +56,13 @@ class SingleServerStore(Actor):
 
     def _service_time(self, command: Command) -> float:
         if command.op == "read":
-            return self._read_time
+            return self.READ_SERVICE_TIME
         if command.op == "scan":
-            return self._scan_time
-        return self._write_time
+            return self.SCAN_SERVICE_TIME
+        return self.WRITE_SERVICE_TIME
 
     def _complete(self, command: Command) -> None:
         result = self._apply(command)
-        if command.op in ("update", "insert") and self._durable_writes:
-            self._disk.write(command.size_bytes)
         if command.client:
             self.send(
                 command.client,

@@ -88,8 +88,6 @@ def run_fig3_point(
     threads_per_proposer: int = 10,
     seed: int = 42,
     batching_enabled: bool = False,
-    batch_max_bytes: int = 32 * 1024,
-    batch_max_delay: float = 0.0005,
 ) -> ExperimentResult:
     """Run one (value size, storage mode) point of Figure 3.
 
@@ -101,8 +99,6 @@ def run_fig3_point(
     config = MultiRingConfig(
         storage_mode=storage_mode,
         batching_enabled=batching_enabled,
-        batch_max_bytes=batch_max_bytes,
-        batch_max_delay=batch_max_delay,
         rate_interval=None,      # single ring: no merge partner to level against
         checkpoint_interval=None,
         trim_interval=None,

@@ -79,7 +79,6 @@ def run_fig4_point(
     client_mode: str = "closed",
     arrival: Optional[ArrivalCurve] = None,
     slo: Optional[Dict[str, float]] = None,
-    sketch: object = "auto",
 ) -> ExperimentResult:
     """Run one (system, workload) bar of Figure 4.
 
@@ -89,8 +88,7 @@ def run_fig4_point(
     :class:`~repro.core.swarm.ClientSwarm` of ``simulated_users`` flyweight
     clients: closed-loop (one outstanding request per user) or, for very
     large user counts, open-loop following ``arrival``.  ``slo`` enables
-    per-class SLO accounting and ``sketch`` bounds recorder memory (see the
-    swarm docs).
+    per-class SLO accounting (see the swarm docs).
     """
     if system_name not in FIG4_SYSTEMS:
         raise ValueError(f"unknown system {system_name}")
@@ -144,7 +142,6 @@ def run_fig4_point(
             metric_prefix="ycsb",
             addressing="auto",
             slo=slo,
-            sketch=sketch,
         )
     else:
         client = ClosedLoopClient(

@@ -47,7 +47,6 @@ def run_fig5_point(
     config = MultiRingConfig(
         storage_mode=StorageMode.SYNC_HDD,
         batching_enabled=True,
-        batch_max_bytes=32 * 1024,
         rate_interval=0.005,
         max_rate=2000.0,
         checkpoint_interval=None,

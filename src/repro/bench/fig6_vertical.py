@@ -39,7 +39,7 @@ _APPEND_BYTES = 1024
 COMMON_RING_ID = 99
 
 
-def fig6_config(batching_enabled: bool = True, faulted: bool = False) -> MultiRingConfig:
+def fig6_config(faulted: bool = False) -> MultiRingConfig:
     """The Figure 6 configuration, single-process and sharded alike.
 
     ``faulted`` enables the learner gap-repair timer: a crash-schedule run
@@ -49,8 +49,7 @@ def fig6_config(batching_enabled: bool = True, faulted: bool = False) -> MultiRi
     """
     return MultiRingConfig(
         storage_mode=StorageMode.ASYNC_HDD,
-        batching_enabled=batching_enabled,
-        batch_max_bytes=32 * 1024,
+        batching_enabled=True,
         rate_interval=0.005,
         max_rate=4000.0,
         checkpoint_interval=None,
@@ -93,7 +92,7 @@ def build_fig6_shard(payload: Dict[str, Any]) -> Measurement:
         factory = append_request_factory(
             service.commands,
             log_chooser=single_log(log_id),
-            append_bytes=payload["append_bytes"],
+            append_bytes=_APPEND_BYTES,
         )
         ClosedLoopClient(
             system.env,
@@ -120,26 +119,22 @@ def run_fig6_point(
     warmup: float = 1.0,
     duration: float = 8.0,
     seed: int = 42,
-    batching_enabled: bool = True,
 ) -> ExperimentResult:
     """Run one ring-count point of Figure 6 on one event loop.
 
     The original deployment: ``ring_count`` log rings plus the common ring,
-    one learner subscribed to all of them.  (On several cores:
-    :func:`repro.bench.parallel.run_fig6_sharded`.)  ``batching_enabled``
-    controls coordinator value batching; the figure runs with it on (the
-    paper's prototype batches to 32 KB), turning it off gives the unbatched
-    reference point for the same deployment.
+    one learner subscribed to all of them, with coordinator value batching
+    on (the paper's prototype batches to 32 KB).  (On several cores:
+    :func:`repro.bench.parallel.run_fig6_sharded`.)
     """
     if ring_count < 1:
         raise ValueError("ring_count must be >= 1")
     harness = build_fig6_shard({
-        "config": fig6_config(batching_enabled),
+        "config": fig6_config(),
         "seed": seed,
         "log_ids": list(range(ring_count)),
         "common_ring_id": COMMON_RING_ID,
         "clients_per_ring": clients_per_ring,
-        "append_bytes": _APPEND_BYTES,
         "warmup": warmup,
         "duration": duration,
     })

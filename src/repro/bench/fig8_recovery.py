@@ -57,28 +57,33 @@ class RecoveryTimeline:
     events: List[Tuple[float, int]] = field(default_factory=list)
 
 
+#: The experiment's checkpoint and trim periods (seconds, before ``time_scale``).
+CHECKPOINT_INTERVAL = 60.0
+TRIM_INTERVAL = 100.0
+
+
 def run_fig8(
     duration: float = 300.0,
     crash_at: float = 20.0,
     restart_at: float = 240.0,
     load_ops_per_s: float = 6000.0,
-    checkpoint_interval: float = 60.0,
-    trim_interval: float = 100.0,
     key_count: int = 2000,
     time_scale: float = 1.0,
     seed: int = 42,
 ) -> ExperimentResult:
     """Run the recovery experiment and return its timeline.
 
-    ``time_scale`` multiplies every time constant (duration, crash/restart
-    times, checkpoint and trim intervals), allowing a faithful but shorter
-    rendition of the 300-second experiment.
+    Replicas checkpoint every :data:`CHECKPOINT_INTERVAL` and coordinators
+    trim every :data:`TRIM_INTERVAL` seconds.  ``time_scale`` multiplies
+    every time constant (duration, crash/restart times, checkpoint and trim
+    intervals), allowing a faithful but shorter rendition of the 300-second
+    experiment.
     """
     duration *= time_scale
     crash_at *= time_scale
     restart_at *= time_scale
-    checkpoint_interval *= time_scale
-    trim_interval *= time_scale
+    checkpoint_interval = CHECKPOINT_INTERVAL * time_scale
+    trim_interval = TRIM_INTERVAL * time_scale
     if not 0 < crash_at < restart_at < duration:
         raise ValueError("event times must satisfy 0 < crash_at < restart_at < duration")
 

@@ -27,7 +27,7 @@ configurations per figure:
   ``kv<g>-node0``, which couples the partition rings and the global ring by
   traffic so that they cannot be split.  The two runners measure different
   deployments.  The shared learner itself is **reactive**: the run executes
-  in barrier windows (``segment_interval``), every shard ships the
+  in barrier windows (:data:`SEGMENT_INTERVAL`), every shard ships the
   decision-stream segments it recorded since the last barrier (skips
   included, with its watermark), and
   a parent-hosted :class:`~repro.core.smr.ReactiveReplicaHost` — a *real*
@@ -64,14 +64,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.amcast import AtomicMulticast
 from ..core.config import MultiRingConfig
-from ..core.swarm import ChurnSpec
 from ..core.smr import ProposerFrontend, ReactiveMergeStage, ReactiveReplicaHost
 from ..multiring.process import MultiRingProcess
 from ..net.ring import RingMember
 from ..sim.actor import Environment
 from ..sim.parallel import ParallelRunResult, ShardSpec, run_sharded
 from ..sim.topology import EC2_REGIONS, ec2_global, single_datacenter
-from ..workloads.arrival import ArrivalCurve
 from .fig6_vertical import COMMON_RING_ID, build_fig6_shard, fig6_config
 from .fig7_horizontal import GLOBAL_RING_ID, OBSERVED_REGION, build_fig7_shard, fig7_config
 from .runner import (
@@ -84,9 +82,9 @@ from .runner import (
 
 __all__ = ["run_fig6_sharded", "run_fig7_sharded"]
 
-#: Default barrier cadence (simulated seconds) at which shared-configuration
-#: shards ship decision-stream segments to the reactive merge stage.
-DEFAULT_SEGMENT_INTERVAL = 0.25
+#: Barrier cadence (simulated seconds) at which shared-configuration shards
+#: ship decision-stream segments to the reactive merge stage.
+SEGMENT_INTERVAL = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +229,9 @@ def run_fig6_sharded(
     warmup: float = 1.0,
     duration: float = 8.0,
     seed: int = 42,
-    append_bytes: int = 1024,
     record_deliveries: bool = False,
     configuration: str = "independent",
-    segment_interval: float = DEFAULT_SEGMENT_INTERVAL,
     crash_schedule: Optional[Sequence[Tuple[float, str, float]]] = None,
-    batching_enabled: bool = True,
 ) -> ExperimentResult:
     """Figure 6 point with one shard per ring, spread over ``workers`` cores.
 
@@ -245,7 +240,7 @@ def run_fig6_sharded(
     *original* deployment shape — ``ring_count`` log rings plus the common
     ring, coupled only by the shared learner — with one shard per ring and a
     parent-hosted **reactive** merge stage: the run executes in barrier
-    windows of ``segment_interval`` simulated seconds, every shard ships the
+    windows of :data:`SEGMENT_INTERVAL` simulated seconds, every shard ships the
     decision-stream segments recorded since the last barrier, and a real
     dLog replica applies the merged round-robin deliveries as they stream
     in, with client-visible latency accounting (``reactive_latency_mean_ms``
@@ -282,14 +277,13 @@ def run_fig6_sharded(
     shared = configuration == "shared"
     if crash_schedule and not shared:
         raise ValueError("crash_schedule requires configuration='shared'")
-    config = fig6_config(batching_enabled, faulted=bool(crash_schedule))
+    config = fig6_config(faulted=bool(crash_schedule))
     payload_base = {
         "config": config,
         "clients_per_ring": clients_per_ring,
         "warmup": warmup,
         "duration": duration,
         "seed": seed,
-        "append_bytes": append_bytes,
         "record_deliveries": record_deliveries,
         "stream_segments": shared,
         "crash_schedule": [tuple(point) for point in crash_schedule or ()] or None,
@@ -335,7 +329,6 @@ def run_fig6_sharded(
         },
         latency_key=(0, "fig6.ring0.latency.mean_ms"),
         shared_shape=shared_shape,
-        segment_interval=segment_interval,
     )
 
 
@@ -385,35 +378,15 @@ def run_fig7_sharded(
     duration: float = 10.0,
     seed: int = 42,
     offered_rate_per_region: float = 400.0,
-    update_bytes: int = 1024,
     record_deliveries: bool = False,
     configuration: str = "independent",
-    segment_interval: float = DEFAULT_SEGMENT_INTERVAL,
     crash_schedule: Optional[Sequence[Tuple[float, str, float]]] = None,
-    batching_enabled: bool = True,
-    client_engine: str = "actors",
-    users_per_region: Optional[int] = None,
-    arrival: Optional[ArrivalCurve] = None,
-    churn: Optional[ChurnSpec] = None,
-    stagger: bool = False,
-    record_swarm_trace: bool = False,
 ) -> ExperimentResult:
     """Figure 7 point with one shard per region, spread over ``workers`` cores.
 
-    ``client_engine`` selects the workload driver per region shard:
-    ``"actors"`` (default) keeps the original actor clients — the historical
-    single :class:`~repro.core.client.OpenLoopClient` when
-    ``users_per_region`` is unset, or ``users_per_region`` individual actors
-    named ``fig7-client-<region>-<i>`` each offering ``1/users`` of the
-    region rate.  ``"swarm"`` drives the same load from one
-    :class:`~repro.core.swarm.ClientSwarm` of ``users_per_region`` flyweight
-    clients whose port names match the individual actors', optionally
-    following an :class:`~repro.workloads.arrival.ArrivalCurve` (``arrival``;
-    e.g. a flash crowd) and a :class:`~repro.core.swarm.ChurnSpec`
-    (``churn``).  ``record_swarm_trace=True`` ships every shard swarm's
-    issued-command trace home under ``series['swarm_traces']`` (keyed by
-    shard id) — the flash-crowd determinism differential compares these
-    across runs and worker counts.
+    Every region shard is driven by the figure's one open-loop client
+    (:class:`~repro.core.client.OpenLoopClient`, ``fig7-client-<region>``)
+    offering ``offered_rate_per_region``.
 
     ``configuration="shared"`` runs every region's partition ring plus a
     global ring all replicas subscribe to, with the global ring on dedicated
@@ -447,14 +420,8 @@ def run_fig7_sharded(
     shared = configuration == "shared"
     if crash_schedule and not shared:
         raise ValueError("crash_schedule requires configuration='shared'")
-    if client_engine not in ("actors", "swarm"):
-        raise ValueError(
-            f"client_engine must be 'actors' or 'swarm', not {client_engine!r}"
-        )
-    if client_engine == "swarm" and not users_per_region:
-        raise ValueError("client_engine='swarm' requires users_per_region")
     regions = list(EC2_REGIONS[:region_count])
-    config = fig7_config(batching_enabled, faulted=bool(crash_schedule))
+    config = fig7_config(faulted=bool(crash_schedule))
     payload_base = {
         "config": config,
         "key_count": key_count,
@@ -462,16 +429,9 @@ def run_fig7_sharded(
         "duration": duration,
         "seed": seed,
         "offered_rate": offered_rate_per_region,
-        "update_bytes": update_bytes,
         "record_deliveries": record_deliveries,
         "stream_segments": shared,
         "crash_schedule": [tuple(point) for point in crash_schedule or ()] or None,
-        "client_engine": client_engine,
-        "users": users_per_region,
-        "arrival": arrival,
-        "churn": churn,
-        "stagger": stagger,
-        "record_swarm_trace": record_swarm_trace,
     }
     specs = [
         ShardSpec(
@@ -480,9 +440,9 @@ def run_fig7_sharded(
             payload={
                 **payload_base, "placement": [(group, region)], "global_ring_id": None,
             },
-            # Load ∝ the region's driven clients (the traffic-less global
-            # ring keeps the default weight 1.0).
-            weight=2.0 + (users_per_region or 1),
+            # Load ∝ the region's ring members plus its client (the
+            # traffic-less global ring keeps the default weight 1.0).
+            weight=3.0,
         )
         for group, region in enumerate(regions)
     ]
@@ -510,8 +470,6 @@ def run_fig7_sharded(
             "workers": workers,
             "configuration": configuration,
             "faulted": bool(crash_schedule),
-            "client_engine": client_engine,
-            "users_per_region": users_per_region,
         },
         rate_keys={
             group: [f"fig7.{region}.throughput.rate"]
@@ -519,7 +477,6 @@ def run_fig7_sharded(
         },
         latency_key=(observed, f"fig7.{regions[observed]}.latency.mean_ms"),
         shared_shape=shared_shape,
-        segment_interval=segment_interval,
     )
 
 
@@ -535,7 +492,6 @@ def _run_point(
     rate_keys: Dict[int, List[str]],
     latency_key: Tuple[int, str],
     shared_shape: Optional[Tuple[Dict[str, Any], ReactiveMergeStage, str]],
-    segment_interval: float,
 ) -> ExperimentResult:
     """Run one figure point's shards until ``warmup + duration``; assemble its result.
 
@@ -544,7 +500,7 @@ def _run_point(
     description (see :func:`_build_idle_ring_shard`), the reactive merge
     stage and the name of the host whose latency the result reports: the
     idle ring joins as the last shard, the run executes in
-    ``segment_interval`` windows streaming every barrier's segments into the
+    :data:`SEGMENT_INTERVAL` windows streaming every barrier's segments into the
     stage, and :func:`_annotate` adds the stage's metrics.
     ``params["workers"]`` arrives as the requested count and leaves as the
     count the engine used.
@@ -565,7 +521,7 @@ def _run_point(
             specs,
             workers=params["workers"],
             until=until,
-            segment_interval=segment_interval,
+            segment_interval=SEGMENT_INTERVAL,
             segment_sink=stage.sink,
         )
         name += "-shared"
@@ -614,18 +570,4 @@ def _collect(
     )
     if deliveries:
         result.series["deliveries"] = deliveries
-    swarm_traces = {
-        shard_id: shard["swarm_trace"]
-        for shard_id, shard in run.results.items()
-        if "swarm_trace" in shard
-    }
-    if swarm_traces:
-        result.series["swarm_traces"] = swarm_traces
-    swarm_completed = [
-        shard["swarm_completed"]
-        for shard in run.results.values()
-        if "swarm_completed" in shard
-    ]
-    if swarm_completed:
-        result.metrics["swarm_completed"] = float(sum(swarm_completed))
     return result

@@ -139,7 +139,7 @@ class AtomicMulticast:
             process = self.env.actor(member.name)
             if isinstance(process, MultiRingProcess):
                 disk = disks.get(member.name) if disks else None
-                process.join_ring(overlay, config=ring_config.ring_node_config(), disk=disk)
+                process.join_ring(overlay, config=ring_config, disk=disk)
         return overlay
 
     def ring(self, ring_id: int) -> RingOverlay:
@@ -204,7 +204,7 @@ class AtomicMulticast:
         process = self.env.actor(new_member.name)
         if isinstance(process, MultiRingProcess) and ring_id not in process.ring_ids():
             config = self._ring_configs.get(ring_id, self.config)
-            process.join_ring(overlay, config=config.ring_node_config())
+            process.join_ring(overlay, config=config)
             if self._started and process.alive:
                 process.node(ring_id).start()
         return overlay

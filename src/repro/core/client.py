@@ -228,7 +228,6 @@ class OpenLoopClient(Actor):
         rate_per_second: float,
         site: str = "dc1",
         metric_prefix: str = "client",
-        max_requests: Optional[int] = None,
     ) -> None:
         super().__init__(env, name, site)
         if rate_per_second <= 0:
@@ -237,7 +236,6 @@ class OpenLoopClient(Actor):
         self._factory = request_factory
         self._interval = 1.0 / rate_per_second
         self._metric_prefix = metric_prefix
-        self._max_requests = max_requests
         self._issued = 0
         self._completed = 0
         #: per logical request: ``(groups still to answer, submission time)``
@@ -249,8 +247,6 @@ class OpenLoopClient(Actor):
         self.set_periodic_timer(self._interval, self._issue_next)
 
     def _issue_next(self) -> None:
-        if self._max_requests is not None and self._issued >= self._max_requests:
-            return
         sequence = self._issued
         self._issued += 1
         commands, await_groups = self._factory(sequence)

@@ -17,13 +17,9 @@ datacenters (``M=1``, ``Δ=20 ms``, ``λ=2000``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from ..multiring.ratelevel import RateLeveler
-from ..ringpaxos.coordinator import InstanceBatchPolicy
-from ..ringpaxos.node import RingNodeConfig
-from ..sim.cpu import CpuCostModel
 from ..sim.disk import StorageMode
 
 __all__ = ["MultiRingConfig", "global_config"]
@@ -88,35 +84,12 @@ class MultiRingConfig:
     #: (seconds); None disables gap repair (the default — it only matters when
     #: faults can drop circulating decisions, and the chaos harness enables it).
     gap_repair_interval: Optional[float] = None
-    #: CPU cost model charged per protocol message.
-    cpu_model: CpuCostModel = field(default_factory=CpuCostModel)
 
-    # ------------------------------------------------------------ derivation
-    def rate_leveler(self) -> Optional[RateLeveler]:
-        """The rate-leveling policy, or ``None`` when disabled."""
-        if self.rate_interval is None:
-            return None
-        return RateLeveler(interval=self.rate_interval, max_rate=self.max_rate)
-
-    def batch_policy(self) -> InstanceBatchPolicy:
-        """The coordinator batching policy derived from this configuration."""
-        return InstanceBatchPolicy(
-            enabled=self.batching_enabled,
-            max_bytes=self.batch_max_bytes,
-            max_delay=self.batch_max_delay,
-        )
-
-    def ring_node_config(self) -> RingNodeConfig:
-        """Materialise the per-ring node configuration."""
-        return RingNodeConfig(
-            storage_mode=self.storage_mode,
-            cpu_model=self.cpu_model,
-            batch_policy=self.batch_policy(),
-            rate_interval=self.rate_interval,
-            rate_policy=self.rate_leveler(),
-            trim_interval=self.trim_interval,
-            gap_repair_interval=self.gap_repair_interval,
-        )
+    def __post_init__(self) -> None:
+        if self.rate_interval is not None and self.rate_interval <= 0:
+            raise ValueError("rate_interval (Δ) must be positive")
+        if self.max_rate < 0:
+            raise ValueError("max_rate (λ) cannot be negative")
 
     def with_(self, **changes) -> "MultiRingConfig":
         """A copy of the configuration with the given fields replaced."""

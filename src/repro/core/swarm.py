@@ -176,10 +176,8 @@ class ClientSwarm(Actor):
         Optional :class:`ChurnSpec`.
     slo:
         Optional per-class latency objectives in seconds
-        (``{"gold": 0.050, ...}``) — enables ``slo.<class>.*`` accounting.
-    client_class:
-        Maps a client index to its SLO class; defaults to round-robin over
-        the sorted SLO classes.
+        (``{"gold": 0.050, ...}``) — enables ``slo.<class>.*`` accounting;
+        client ``i`` belongs to the ``i``-th sorted class, round-robin.
     sketch:
         Latency-recorder sketch threshold: an int, ``None`` (always exact)
         or ``"auto"`` (sketch at :data:`DEFAULT_SKETCH_THRESHOLD` samples
@@ -188,8 +186,6 @@ class ClientSwarm(Actor):
         Keep an in-memory trace of every issued command —
         ``(index, sequence, op, args, group_id, created_at)`` tuples — for
         determinism tests.
-    max_requests_per_client:
-        Optional per-client cap on issued logical requests.
     """
 
     def __init__(
@@ -209,10 +205,8 @@ class ClientSwarm(Actor):
         port_names: Optional[Sequence[str]] = None,
         churn: Optional[ChurnSpec] = None,
         slo: Optional[Dict[str, float]] = None,
-        client_class: Optional[Callable[[int], str]] = None,
         sketch: Any = "auto",
         record_trace: bool = False,
-        max_requests_per_client: Optional[int] = None,
     ) -> None:
         super().__init__(env, name, site)
         if clients < 1:
@@ -229,7 +223,6 @@ class ClientSwarm(Actor):
         self._arrival = arrival or constant(100.0)
         self._stagger = stagger
         self._metric_prefix = metric_prefix
-        self._max_requests = max_requests_per_client
         self._churn = churn
         self._record_trace = record_trace
 
@@ -289,10 +282,8 @@ class ClientSwarm(Actor):
         self._class_of: Optional[Callable[[int], str]] = None
         if slo:
             self._slo = SloTracker(env.metrics, slo, sketch=self._sketch)
-            if client_class is None:
-                classes = sorted(slo)
-                client_class = lambda i: classes[i % len(classes)]  # noqa: E731
-            self._class_of = client_class
+            classes = sorted(slo)
+            self._class_of = lambda i: classes[i % len(classes)]
         self._churn_counters = (
             env.metrics.counter(f"{metric_prefix}.churn.disconnects"),
             env.metrics.counter(f"{metric_prefix}.churn.reconnects"),
@@ -332,8 +323,6 @@ class ClientSwarm(Actor):
         if not self.alive:
             return
         sequence = self._issued[index]
-        if self._max_requests is not None and sequence >= self._max_requests:
-            return
         self._issued[index] = sequence + 1
         commands, await_groups = self._factory(index, sequence)
         key = sequence * self._n + index
@@ -472,8 +461,6 @@ class ClientSwarm(Actor):
                 cold = self._cold_head = self._cold_entry(index + 1)
             if not self._online[index]:
                 continue  # reconnection re-enters the wheel
-            if self._max_requests is not None and self._issued[index] >= self._max_requests:
-                continue  # done: drop out of the wheel
             self._issue(index)
             if interval is None:
                 interval = 1.0 / (self._arrival.rate_at(now) / self._n)

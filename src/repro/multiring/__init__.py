@@ -2,7 +2,6 @@
 
 from .merge import DeterministicMerger, MergeCursor, RingSegmentBuffer, replay_streams
 from .process import MultiRingProcess
-from .ratelevel import GLOBAL_RATE_LEVELER, LOCAL_RATE_LEVELER, RateLeveler
 from .sharding import ring_components
 
 __all__ = [
@@ -11,8 +10,5 @@ __all__ = [
     "RingSegmentBuffer",
     "replay_streams",
     "MultiRingProcess",
-    "GLOBAL_RATE_LEVELER",
-    "LOCAL_RATE_LEVELER",
-    "RateLeveler",
     "ring_components",
 ]

@@ -12,14 +12,17 @@ experiments, the MRP-Store replica, the dLog replica — override
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from ..net.ring import RingOverlay
 from ..paxos.messages import ProposalValue, TrimQuery, TrimReport
-from ..ringpaxos.node import RingNode, RingNodeConfig
+from ..ringpaxos.node import RingNode
 from ..sim.actor import Actor, Environment
 from ..sim.disk import Disk
 from .merge import DeterministicMerger, RingSegmentBuffer
+
+if TYPE_CHECKING:  # repro.core imports this module: no import at run time
+    from ..core.config import MultiRingConfig
 
 __all__ = ["MultiRingProcess"]
 
@@ -56,10 +59,14 @@ class MultiRingProcess(Actor):
     def join_ring(
         self,
         overlay: RingOverlay,
-        config: Optional[RingNodeConfig] = None,
+        config: MultiRingConfig,
         disk: Optional[Disk] = None,
     ) -> RingNode:
-        """Become a member of ``overlay`` with the roles it assigns to us."""
+        """Become a member of ``overlay`` with the roles it assigns to us.
+
+        ``config`` is the ring's deployment configuration (see
+        :class:`~repro.ringpaxos.node.RingNode`).
+        """
         if overlay.ring_id in self._nodes:
             raise ValueError(f"{self.name} already joined ring {overlay.ring_id}")
         node = RingNode(

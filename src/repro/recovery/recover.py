@@ -61,8 +61,6 @@ class RecoveryManager:
         Names of the replicas in the same partition.
     acceptors_by_group:
         For each group, the acceptor processes able to serve retransmissions.
-    recovery_quorum:
-        ``|Q_R|``; defaults to a majority of the partition (peers + self).
     install_state:
         Callback ``(state, checkpoint_id)`` installing a downloaded snapshot
         into the service and fast-forwarding the ordering layer.
@@ -82,7 +80,6 @@ class RecoveryManager:
         install_state: Callable[[Any, CheckpointId], None],
         inject_decided: Callable[[int, int, Any], None],
         on_complete: Optional[Callable[[], None]] = None,
-        recovery_quorum: Optional[int] = None,
     ) -> None:
         self.host = host
         self._groups = sorted(group_ids)
@@ -92,12 +89,13 @@ class RecoveryManager:
         self._inject_decided = inject_decided
         self._on_complete = on_complete or (lambda: None)
         partition_size = len(self._peers) + 1
-        # A majority of the partition (peers + self), capped at the number of
-        # peers that can actually answer: the recovering replica cannot reply
-        # to itself, so a two-replica partition must make progress on the
-        # single peer's answer instead of waiting forever for a second one.
+        # ``|Q_R|``: a majority of the partition (peers + self), capped at the
+        # number of peers that can actually answer: the recovering replica
+        # cannot reply to itself, so a two-replica partition must make
+        # progress on the single peer's answer instead of waiting forever for
+        # a second one.
         majority = partition_size // 2 + 1
-        self._quorum = recovery_quorum or max(1, min(majority, len(self._peers)))
+        self._quorum = max(1, min(majority, len(self._peers)))
         self.phase = RecoveryPhase.IDLE
         self._id_replies: Dict[str, Optional[CheckpointId]] = {}
         self._pending_groups: set = set()

@@ -1,14 +1,12 @@
 """Ring Paxos: atomic broadcast over a TCP ring overlay (one multicast group)."""
 
-from .coordinator import CoordinatorState, InstanceBatchPolicy, PackedValues
+from .coordinator import CoordinatorState, PackedValues
 from .learner import RingLearner
-from .node import RingNode, RingNodeConfig
+from .node import RingNode
 
 __all__ = [
     "CoordinatorState",
-    "InstanceBatchPolicy",
     "PackedValues",
     "RingLearner",
     "RingNode",
-    "RingNodeConfig",
 ]

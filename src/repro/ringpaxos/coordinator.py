@@ -25,12 +25,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Tuple
 
 from ..paxos.instance import InstanceLedger
 from ..paxos.messages import SKIP, ProposalValue
 
-__all__ = ["CoordinatorState", "InstanceBatchPolicy", "PackedValues"]
+if TYPE_CHECKING:  # repro.core imports the ring layer: no import at run time
+    from ..core.config import MultiRingConfig
+
+__all__ = ["CoordinatorState", "PackedValues"]
 
 
 @dataclass(slots=True)
@@ -47,32 +50,6 @@ class PackedValues:
     values: List[ProposalValue] = field(default_factory=list)
 
 
-@dataclass
-class InstanceBatchPolicy:
-    """Controls grouping of several proposed values into a single instance.
-
-    Attributes
-    ----------
-    enabled:
-        When ``False`` (the Figure 3 baseline configuration) every value gets
-        its own consensus instance.
-    max_bytes:
-        Maximum accumulated payload per instance (the prototype uses 32 KB
-        packets).
-    max_delay:
-        How long the coordinator may hold a value back waiting for more
-        values to share its instance (size-or-timeout assembly: a batch is
-        emitted as soon as it fills ``max_bytes``, and whatever is pending
-        when the delay expires is emitted regardless).  ``0`` disables the
-        hold — every flush drains the queue immediately, so only values that
-        happen to be co-queued share an instance.
-    """
-
-    enabled: bool = False
-    max_bytes: int = 32 * 1024
-    max_delay: float = 0.0005
-
-
 class CoordinatorState:
     """Per-ring coordinator bookkeeping.
 
@@ -82,12 +59,14 @@ class CoordinatorState:
         Ring this coordinator drives.
     ballot:
         The ballot it owns after Phase 1 pre-execution.
-    batch_policy:
-        Instance batching configuration.
-    rate_policy:
-        Optional :class:`~repro.multiring.ratelevel.RateLeveler` — its
-        ``skips_needed`` tops each Δ up with skips; wired in by the Multi-Ring
-        layer.
+    config:
+        The deployment's :class:`~repro.core.config.MultiRingConfig`.  Its
+        ``batching_enabled`` / ``batch_max_bytes`` decide how values share
+        instances; its ``rate_interval`` (Δ) and ``max_rate`` (λ) decide
+        rate leveling: at each Δ the ring is expected to have proposed
+        ``round(λ·Δ)`` instances (45 for ``MultiRingConfig()``, 40 for
+        :func:`~repro.core.config.global_config`), and the difference is
+        proposed as skips.  ``rate_interval=None`` proposes none.
     """
 
     #: Number of instances for which Phase 1 is pre-executed in one go.
@@ -96,14 +75,12 @@ class CoordinatorState:
     def __init__(
         self,
         ring_id: int,
-        ballot: int = 1,
-        batch_policy: Optional[InstanceBatchPolicy] = None,
-        rate_policy: Optional[Any] = None,
+        ballot: int,
+        config: MultiRingConfig,
     ) -> None:
         self.ring_id = ring_id
         self.ballot = ballot
-        self.batch_policy = batch_policy or InstanceBatchPolicy()
-        self.rate_policy = rate_policy
+        self.config = config
         self.ledger = InstanceLedger()
         self.phase1_ready = False
         self._phase1_promises: Dict[str, bool] = {}
@@ -140,7 +117,7 @@ class CoordinatorState:
         Returns ``(instance, value)`` pairs ready to be sent in Phase 2
         messages.  Without batching each pending value gets its own instance;
         with batching, values are packed into instances of up to
-        ``max_bytes`` payload.  A packed instance keeps every constituent
+        ``batch_max_bytes`` payload.  A packed instance keeps every constituent
         value intact inside :class:`PackedValues` — all ``(proposer,
         proposal_id, created_at)`` triples survive (the wrapping value's own
         header fields mirror the first constituent, but consumers must use
@@ -148,7 +125,7 @@ class CoordinatorState:
         the wrapper's header, to match acks).
 
         ``force=False`` implements the hold side of size-or-timeout assembly:
-        only batches that already fill ``max_bytes`` are emitted, and a
+        only batches that already fill ``batch_max_bytes`` are emitted, and a
         trailing partial batch stays queued for the caller's delay timer to
         flush later (with ``force=True``).  Without batching ``force`` is
         ignored — every value drains immediately.
@@ -157,12 +134,12 @@ class CoordinatorState:
             return []
         assignments: List[Tuple[int, ProposalValue]] = []
         pending = self._pending
-        if not self.batch_policy.enabled:
+        if not self.config.batching_enabled:
             while pending:
                 assignments.append((self.ledger.allocate(), pending.popleft()))
             self._pending_bytes = 0
         else:
-            max_bytes = self.batch_policy.max_bytes
+            max_bytes = self.config.batch_max_bytes
             # The next greedy group is partial (takes all that is queued yet
             # stays under ``max_bytes``) exactly when the running total is
             # below ``max_bytes``: hold it for the delay trigger in O(1).
@@ -200,12 +177,12 @@ class CoordinatorState:
         instances proposed during the interval against the maximum expected
         rate and top up with skips.  Resets the interval counter.
         """
-        if self.rate_policy is None:
-            self._proposed_in_interval = 0
-            return 0
-        skips = self.rate_policy.skips_needed(self._proposed_in_interval)
+        config = self.config
+        proposed = self._proposed_in_interval
         self._proposed_in_interval = 0
-        return skips
+        if config.rate_interval is None:
+            return 0
+        return max(0, int(round(config.max_rate * config.rate_interval)) - proposed)
 
     def allocate_skips(self, count: int) -> Tuple[int, int]:
         """Allocate ``count`` consecutive instances for a skip range.

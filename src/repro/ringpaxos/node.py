@@ -27,8 +27,7 @@ used by recovery (Section 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from ..net.ring import RingOverlay
 from ..paxos.acceptor import AcceptorState
@@ -48,72 +47,36 @@ from ..paxos.messages import (
 from ..recovery.trim import compute_trim_point, trim_quorum_size
 from ..sim.actor import Actor
 from ..sim.cpu import CpuCostModel
-from ..sim.disk import Disk, StorageMode
-from .coordinator import CoordinatorState, InstanceBatchPolicy
+from ..sim.disk import Disk
+from .coordinator import CoordinatorState
 from .learner import RingLearner
+
+if TYPE_CHECKING:  # repro.core imports the ring layer: no import at run time
+    from ..core.config import MultiRingConfig
 
 #: ``RetransmitRequest.reason`` used by the learner-side gap repair; replies
 #: with this reason are consumed by the ring node, not the recovery manager.
 GAP_REPAIR = "gap-repair"
 
-__all__ = ["RingNode", "RingNodeConfig"]
+#: CPU cost charged per ring message, the same for every node.
+CPU_MODEL = CpuCostModel()
 
-
-@dataclass
-class RingNodeConfig:
-    """Per-ring configuration shared by all members of the ring.
-
-    Attributes
-    ----------
-    storage_mode:
-        Acceptor stable-storage mode (Figure 3's five modes).
-    cpu_model:
-        CPU cost charged per message/byte handled.
-    batch_policy:
-        Coordinator instance batching.
-    rate_interval:
-        The Δ interval of rate leveling; ``None`` disables skip proposals.
-    rate_policy:
-        A :class:`repro.multiring.ratelevel.RateLeveler` (its
-        ``skips_needed`` decides each Δ's skips).
-    trim_interval:
-        Period of the coordinator's trim protocol; ``None`` disables trimming.
-    trim_quorum:
-        Number of replica answers the coordinator waits for before trimming
-        (the paper's quorum ``Q_T``); ``None`` means a majority of learners.
-    gap_repair_interval:
-        Period of the learner's gap-repair probe; ``None`` (the default)
-        disables it.  When enabled, a learner whose in-order delivery has not
-        advanced for a full interval asks an acceptor to retransmit decided
-        instances it is missing — this is how learners catch up after a
-        network partition dropped circulating decisions (the chaos harness
-        switches it on for every fault scenario).
-    """
-
-    storage_mode: StorageMode = StorageMode.IN_MEMORY
-    cpu_model: CpuCostModel = None  # type: ignore[assignment]
-    batch_policy: InstanceBatchPolicy = None  # type: ignore[assignment]
-    rate_interval: Optional[float] = None
-    rate_policy: Optional[Any] = None
-    trim_interval: Optional[float] = None
-    trim_quorum: Optional[int] = None
-    gap_repair_interval: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.cpu_model is None:
-            self.cpu_model = CpuCostModel()
-        if self.batch_policy is None:
-            self.batch_policy = InstanceBatchPolicy()
+__all__ = ["RingNode"]
 
 
 class RingNode:
-    """Protocol state of one process within one ring."""
+    """Protocol state of one process within one ring.
+
+    ``config`` is the deployment's :class:`~repro.core.config.MultiRingConfig`
+    (shared by every member of the ring): the node reads its storage mode,
+    batching, Δ/λ and timer intervals directly.
+    """
 
     def __init__(
         self,
         host: Actor,
         overlay: RingOverlay,
-        config: Optional[RingNodeConfig] = None,
+        config: MultiRingConfig,
         on_deliver: Optional[Callable[[int, int, ProposalValue], None]] = None,
         disk: Optional[Disk] = None,
     ) -> None:
@@ -121,8 +84,8 @@ class RingNode:
             raise ValueError(f"{host.name} is not a member of ring {overlay.ring_id}")
         self.host = host
         self.overlay = overlay
-        self.config = config or RingNodeConfig()
-        self._cpu_model = self.config.cpu_model
+        self.config = config
+        self._cpu_model = CPU_MODEL
         member = overlay.member(host.name)
         self.is_proposer = member.proposer
         self.is_acceptor = member.acceptor
@@ -135,7 +98,7 @@ class RingNode:
                 host.env,
                 host.name,
                 overlay.ring_id,
-                storage_mode=self.config.storage_mode,
+                storage_mode=config.storage_mode,
                 disk=disk,
             )
 
@@ -146,11 +109,7 @@ class RingNode:
         self.coordinator: Optional[CoordinatorState] = None
         self._trim_reports: Dict[str, int] = {}
         if self.is_coordinator:
-            self.coordinator = CoordinatorState(
-                overlay.ring_id,
-                batch_policy=self.config.batch_policy,
-                rate_policy=self.config.rate_policy,
-            )
+            self.coordinator = CoordinatorState(overlay.ring_id, 1, config)
 
         self._started = False
         self._proposal_seq = 0
@@ -216,16 +175,25 @@ class RingNode:
             return
         self._started = True
         if self.is_coordinator:
-            self._start_phase1()
-            if self.config.rate_interval is not None and self.config.rate_policy is not None:
-                self.host.set_periodic_timer(self.config.rate_interval, self._rate_level_tick)
-            if self.config.trim_interval is not None:
-                self.host.set_periodic_timer(self.config.trim_interval, self._trim_tick)
-            if self.config.gap_repair_interval is not None:
-                self.host.set_periodic_timer(self.config.gap_repair_interval, self._hole_repair_tick)
+            self._start_coordinating()
         if self.is_learner and self.config.gap_repair_interval is not None:
             self._gap_repair_last_emit = -1
             self.host.set_periodic_timer(self.config.gap_repair_interval, self._gap_repair_tick)
+
+    def _start_coordinating(self) -> None:
+        """Pre-execute Phase 1, then register the coordinator's timers.
+
+        Timer registration order is event order: rate leveling, trim, hole
+        repair.
+        """
+        self._start_phase1()
+        config = self.config
+        if config.rate_interval is not None:
+            self.host.set_periodic_timer(config.rate_interval, self._rate_level_tick)
+        if config.trim_interval is not None:
+            self.host.set_periodic_timer(config.trim_interval, self._trim_tick)
+        if config.gap_repair_interval is not None:
+            self.host.set_periodic_timer(config.gap_repair_interval, self._hole_repair_tick)
 
     def _start_phase1(self) -> None:
         assert self.coordinator is not None
@@ -343,9 +311,9 @@ class RingNode:
         before.
         """
         assert self.coordinator is not None
-        policy = self.config.batch_policy
+        config = self.config
         if force is None:
-            force = not (policy.enabled and policy.max_delay > 0.0)
+            force = not (config.batching_enabled and config.batch_max_delay > 0.0)
         for instance, value in self.coordinator.next_assignments(force=force):
             self._emit_phase2(instance, value, span=1)
         if (
@@ -356,7 +324,7 @@ class RingNode:
         ):
             self._batch_timer_armed = True
             self._batch_flush_handle = self.host.env.simulator.call_later(
-                policy.max_delay, self._batch_flush_tick
+                config.batch_max_delay, self._batch_flush_tick
             )
 
     def _batch_flush_tick(self) -> None:
@@ -633,8 +601,9 @@ class RingNode:
         if not self.is_coordinator:
             return True
         self._trim_reports[message.replica] = message.safe_instance
-        quorum = self.config.trim_quorum or trim_quorum_size(len(self.overlay.learners))
-        safe = compute_trim_point(self._trim_reports, quorum)
+        safe = compute_trim_point(
+            self._trim_reports, trim_quorum_size(len(self.overlay.learners))
+        )
         if safe is None:
             return True
         for acceptor in self.overlay.acceptors:
@@ -807,12 +776,7 @@ class RingNode:
 
     def _become_coordinator(self) -> None:
         assert self.is_acceptor, "only an acceptor can coordinate a ring"
-        self.coordinator = CoordinatorState(
-            self.ring_id,
-            ballot=self.overlay.epoch + 1,
-            batch_policy=self.config.batch_policy,
-            rate_policy=self.config.rate_policy,
-        )
+        self.coordinator = CoordinatorState(self.ring_id, self.overlay.epoch + 1, self.config)
         # Taking over mid-stream: repair unfinished instances of the previous
         # coordinator once the new Phase 1 reaches a quorum.
         self._takeover_accepted.clear()
@@ -824,11 +788,5 @@ class RingNode:
             self.coordinator.ledger.observe_instance(self.acceptor.highest_decided)
             self.coordinator.ledger.observe_instance(self.acceptor.log.highest_instance())
         if self._started:
-            self._start_phase1()
-            if self.config.rate_interval is not None and self.config.rate_policy is not None:
-                self.host.set_periodic_timer(self.config.rate_interval, self._rate_level_tick)
-            if self.config.trim_interval is not None:
-                self.host.set_periodic_timer(self.config.trim_interval, self._trim_tick)
-            if self.config.gap_repair_interval is not None:
-                self._hole_cursor_prev = -1
-                self.host.set_periodic_timer(self.config.gap_repair_interval, self._hole_repair_tick)
+            self._hole_cursor_prev = -1
+            self._start_coordinating()

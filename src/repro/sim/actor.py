@@ -31,18 +31,14 @@ class Environment:
 
     Parameters
     ----------
-    simulator:
-        The event kernel.  A fresh one is created when omitted.
     seed:
         Experiment seed used to derive every random stream.
+
+    Every environment owns a fresh event kernel (``simulator``).
     """
 
-    def __init__(
-        self,
-        simulator: Optional[Simulator] = None,
-        seed: int = 0,
-    ) -> None:
-        self.simulator = simulator or Simulator()
+    def __init__(self, seed: int = 0) -> None:
+        self.simulator = Simulator()
         self.streams = SeededStreams(seed)
         sim = self.simulator
         # Instruments read the clock on every sample; go straight to the

@@ -166,12 +166,7 @@ class EventHandle:
 
 
 class Simulator:
-    """Deterministic discrete-event simulator.
-
-    Parameters
-    ----------
-    start_time:
-        Initial value of the simulation clock (seconds).
+    """Deterministic discrete-event simulator; the clock starts at 0.
 
     Example
     -------
@@ -188,8 +183,8 @@ class Simulator:
     #: Minimum number of cancellations before a compaction is considered.
     COMPACT_MIN_CANCELLED = 64
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: List[_Entry] = []
         self._seq = 0
         self._cancelled = 0
@@ -230,9 +225,8 @@ class Simulator:
         delay: float,
         callback: Callable[..., None],
         *args: Any,
-        priority: int = 0,
     ) -> EventHandle:
-        """Fast-path :meth:`schedule`: positional arguments only.
+        """Fast-path :meth:`schedule`: positional arguments only, priority 0.
 
         Identical semantics to ``schedule(delay, callback, *args)`` but never
         allocates a keyword-argument dict; this is the entry point the
@@ -243,8 +237,8 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         time = self._now + delay
-        event = Event(time, priority, seq, callback, args)
-        heappush(self._queue, (time, priority, seq, event))
+        event = Event(time, 0, seq, callback, args)
+        heappush(self._queue, (time, 0, seq, event))
         return EventHandle(event, self)
 
     def schedule(

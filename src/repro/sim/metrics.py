@@ -243,12 +243,10 @@ class SloTracker:
         self,
         registry: "MetricRegistry",
         targets: Dict[str, float],
-        prefix: str = "slo",
         sketch: Optional[int] = None,
     ) -> None:
         self._registry = registry
         self._targets = dict(targets)
-        self._prefix = prefix
         self._sketch = sketch
         #: class -> (latency recorder, requests, violations, target), resolved
         #: once per class (``reset_all()`` keeps instrument objects)
@@ -257,7 +255,7 @@ class SloTracker:
             self._resolve(cls)
 
     def _resolve(self, cls: str) -> Tuple["LatencyRecorder", Counter, Counter, Optional[float]]:
-        prefix = f"{self._prefix}.{cls}"
+        prefix = f"slo.{cls}"
         entry = self._classes[cls] = (
             self._registry.latency(f"{prefix}.latency", sketch=self._sketch),
             self._registry.counter(f"{prefix}.requests"),
@@ -290,10 +288,12 @@ class ThroughputTracker:
     is the one a flat list of records would give, bit for bit.
     """
 
-    def __init__(self, name: str, clock: Callable[[], float], bucket_seconds: float = 1.0) -> None:
+    #: Width of one :meth:`timeline` bucket (seconds).
+    BUCKET_SECONDS = 1.0
+
+    def __init__(self, name: str, clock: Callable[[], float]) -> None:
         self.name = name
         self._clock = clock
-        self._bucket = bucket_seconds
         # Columns, not a tuple per record: every tuple would be one more
         # GC-tracked object.  A repeat count past 255 starts a new sample.
         self._times = array("d")
@@ -338,15 +338,16 @@ class ThroughputTracker:
         """
         if end <= start:
             return []
+        width = self.BUCKET_SECONDS
         buckets: Dict[int, float] = defaultdict(float)
         for t, u, k in zip(self._times, self._units, self._counts):
             if start <= t < end:
-                bucket = int((t - start) // self._bucket)
+                bucket = int((t - start) // width)
                 for _ in range(k):
                     buckets[bucket] += u
-        n_buckets = int(math.ceil((end - start) / self._bucket))
+        n_buckets = int(math.ceil((end - start) / width))
         return [
-            (start + i * self._bucket, buckets.get(i, 0.0) / self._bucket)
+            (start + i * width, buckets.get(i, 0.0) / width)
             for i in range(n_buckets)
         ]
 
@@ -387,10 +388,10 @@ class MetricRegistry:
             self._latencies[name] = LatencyRecorder(name, sketch=sketch)
         return self._latencies[name]
 
-    def throughput(self, name: str, bucket_seconds: float = 1.0) -> ThroughputTracker:
+    def throughput(self, name: str) -> ThroughputTracker:
         """Get or create the throughput tracker ``name``."""
         if name not in self._throughputs:
-            self._throughputs[name] = ThroughputTracker(name, self._clock, bucket_seconds)
+            self._throughputs[name] = ThroughputTracker(name, self._clock)
         return self._throughputs[name]
 
     def reset_all(self) -> None:

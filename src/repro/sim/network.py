@@ -70,12 +70,16 @@ __all__ = [
 
 # --------------------------------------------------------------- wire codec
 #
-# Barrier traffic (see :mod:`repro.sim.parallel`) is pickled once per worker
-# per barrier round.  Generic pickling of the protocol dataclasses is
-# wasteful: every slotted dataclass instance ships its class-resolution
-# machinery *and* a per-instance state dict (``{'field': value, ...}``) whose
-# key strings repeat for every message in the window.  The wire codec strips
-# that down to a positional tuple per dataclass instance:
+# Barrier traffic (see :mod:`repro.sim.parallel`) is one
+# ``("cell", events, segments)`` frame per worker per grid cell, carrying the
+# decision-stream segments its shards recorded in the cell, plus the
+# name/refuse handshake and each worker's ``finalize()`` results.  Shards
+# never exchange protocol messages, so no ring traffic crosses a pipe.
+# Generic pickling of the segments' dataclasses is wasteful: every slotted
+# dataclass instance ships its class-resolution machinery *and* a
+# per-instance state dict (``{'field': value, ...}``) whose key strings repeat
+# for every record in the frame.  The wire codec strips that down to a
+# positional tuple per dataclass instance:
 #
 #     (_wire_build, (cls, (value0, value1, ...)))
 #
@@ -101,10 +105,9 @@ __all__ = [
 # (:func:`_compile_wire_codec`).  Containers and scalars never leave the C
 # pickler.
 #
-# Payload interning falls out of the pickle memo: identical *objects* repeated
-# across messages of one window (ring forwarding re-ships the same ``Decision``
-# value to every successor) are encoded once and referenced thereafter,
-# because the whole window is one ``dumps`` call.  Beyond that, the reducers
+# Payload interning falls out of the pickle memo: an object repeated within
+# one frame is encoded once and referenced thereafter, because the whole frame
+# is one ``dumps`` call.  Beyond that, the reducers
 # intern the ``(cls, values)`` argument tuple of *equal* instances whose fields
 # are all hashable: the second equal instance encodes as a back-reference to
 # the first one's argument tuple (a few bytes) instead of repeating every
@@ -113,6 +116,12 @@ __all__ = [
 # Decoding still constructs a fresh instance per ``REDUCE``, so object
 # identity on the receiving side is exactly what legacy pickling produced (no
 # aliasing of mutable protocol messages).
+#
+# ``benchmarks/wire_replay.py`` (seed 42, the busiest worker of the ledger's
+# ``dlog-sharded-w2`` call; 2-core Xeon container) replays 12 frames: 1 815 686
+# bytes against 2 806 926 with plain pickle; encoding takes 0.208 s (the
+# reference codec of ``tests/reference/wire.py`` 0.464 s, plain pickle
+# 0.248 s) and decoding 0.071 s (reference 0.363 s).
 
 class _WireCodecs(dict):
     """Dataclasses → ``(reducer factory, builder)``, compiled on first use."""

@@ -113,17 +113,21 @@ class Topology:
         return self._bandwidth.get((a, b), 1e9)
 
 
-def single_datacenter(
-    name: str = "dc1",
-    rtt: float = 0.0001,
-    bandwidth_bps: float = 10e9,
-) -> Topology:
+#: Link bandwidth within the paper's local cluster (bits/second).
+LAN_BANDWIDTH_BPS = 10e9
+
+#: Bandwidth of inter-region links (bits/second): EC2 large instances of the
+#: era sustained well under 1 Gbps across regions.
+WAN_BANDWIDTH_BPS = 0.5e9
+
+
+def single_datacenter(name: str = "dc1", rtt: float = 0.0001) -> Topology:
     """The paper's local cluster: one site, 0.1 ms RTT, 10 Gbps links.
 
     All processes are placed on the single site; the RTT parameter controls
     the intra-site latency (one-way latency is ``rtt / 2``).
     """
-    topo = Topology(local_latency=rtt / 2.0, local_bandwidth_bps=bandwidth_bps)
+    topo = Topology(local_latency=rtt / 2.0, local_bandwidth_bps=LAN_BANDWIDTH_BPS)
     topo.add_site(name)
     return topo
 
@@ -142,19 +146,11 @@ _EC2_ONE_WAY = {
 }
 
 
-def ec2_global(
-    regions: Iterable[str] = EC2_REGIONS,
-    wan_bandwidth_bps: float = 0.5e9,
-) -> Topology:
+def ec2_global(regions: Iterable[str] = EC2_REGIONS) -> Topology:
     """The paper's global deployment: one site per EC2 region.
 
-    Parameters
-    ----------
-    regions:
-        Which regions to instantiate (defaults to the four used in §8.4.2).
-    wan_bandwidth_bps:
-        Bandwidth of inter-region links (EC2 large instances of the era
-        sustained well under 1 Gbps across regions).
+    ``regions`` are the regions to instantiate (defaults to the four used in
+    §8.4.2); inter-region links carry :data:`WAN_BANDWIDTH_BPS`.
     """
     regions = list(regions)
     unknown = [r for r in regions if r not in EC2_REGIONS]
@@ -166,5 +162,5 @@ def ec2_global(
     for i, a in enumerate(regions):
         for b in regions[i + 1:]:
             key = (a, b) if (a, b) in _EC2_ONE_WAY else (b, a)
-            topo.set_link(a, b, _EC2_ONE_WAY[key], wan_bandwidth_bps)
+            topo.set_link(a, b, _EC2_ONE_WAY[key], WAN_BANDWIDTH_BPS)
     return topo

@@ -101,8 +101,8 @@ class YCSBWorkload:
         Random stream (seeded by the experiment for reproducibility).
     record_bytes:
         Value size written by updates and inserts.
-    max_scan_length:
-        Upper bound of scan lengths (uniformly chosen per scan).
+
+    Scan lengths are uniform in ``1..MAX_SCAN_LENGTH``.
     """
 
     def __init__(
@@ -111,13 +111,11 @@ class YCSBWorkload:
         record_count: int,
         rng: random.Random,
         record_bytes: int = RECORD_BYTES,
-        max_scan_length: int = MAX_SCAN_LENGTH,
     ) -> None:
         if record_count <= 0:
             raise ValueError("record_count must be positive")
         self.spec = spec
         self.record_bytes = record_bytes
-        self.max_scan_length = max_scan_length
         self._rng = rng
         self._record_count = record_count
         #: every record's key, formatted once: operations carry these strings
@@ -165,7 +163,7 @@ class YCSBWorkload:
         if op == "read-modify-write":
             return ("read-modify-write", key, self.record_bytes, None)
         if op == "scan":
-            length = self._rng.randint(1, self.max_scan_length)
+            length = self._rng.randint(1, MAX_SCAN_LENGTH)
             start_index = self._next_key_index()
             end_key = keys[min(start_index + length, len(keys) - 1)]
             return ("scan", keys[start_index], 0, end_key)

@@ -103,7 +103,7 @@ class TestSingleServerStore:
     def test_throughput_plateaus_with_more_clients(self):
         def run(concurrency):
             env = make_env(seed=concurrency)
-            server = SingleServerStore(env, "sql", write_service_time=0.001)
+            server = SingleServerStore(env, "sql")
             factory, _ = kv_factory()
             client = ClosedLoopClient(env, "c", {g: "sql" for g in (0, 1, 2)}, factory,
                                       concurrency=concurrency, metric_prefix="sql")

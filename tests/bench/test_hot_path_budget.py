@@ -92,13 +92,13 @@ def dlog_sharded():
 #: from a table and the clients resolved per-operation recorders once.
 BUDGETS = {
     "unbatched": (
-        fig3(threads_per_proposer=10, batching_enabled=False), 1_505_000, 1_454_274, 2_361_179,
+        fig3(threads_per_proposer=10, batching_enabled=False), 1_505_000, 1_454_246, 2_361_179,
     ),
     "batched": (
-        fig3(threads_per_proposer=40, batching_enabled=True), 640_000, 618_410, 856_055,
+        fig3(threads_per_proposer=40, batching_enabled=True), 640_000, 618_382, 856_055,
     ),
-    "kv-global-open": (kv_global_open, 394_000, 382_795, 404_550),
-    "dlog-sharded": (dlog_sharded, 1_036_000, 1_005_612, 1_120_400),
+    "kv-global-open": (kv_global_open, 394_000, 382_375, 404_550),
+    "dlog-sharded": (dlog_sharded, 1_036_000, 1_004_827, 1_120_400),
 }
 
 

@@ -21,10 +21,9 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.parallel import run_fig6_sharded, run_fig7_sharded
-from repro.core import AtomicMulticast, ChurnSpec, MultiRingConfig
+from repro.core import AtomicMulticast, MultiRingConfig
 from repro.multiring import MultiRingProcess
 from repro.sim import ShardHarness, ShardSpec, Topology, run_sharded
-from repro.workloads.arrival import flash_crowd
 
 # The multi-second figure-6 comparisons are slow-marked: CI's docs job runs them
 # in its own step ("Reactive differential determinism", ``-m slow``); the
@@ -290,79 +289,3 @@ def test_fig7_original_configuration_sharded_differential():
         # Each replica's application deliveries come from its own partition
         # (the global ring carries rate-leveled skips only).
         assert {g for g, _, _ in sequence} == {group}
-
-
-def test_fig7_swarm_engine_matches_individual_actors():
-    """The sharded swarm engine == individual client actors, workers 1 and 2.
-
-    ``client_engine="swarm"`` with ``users_per_region=K`` must drive each
-    region shard exactly like ``K`` individual :class:`OpenLoopClient`
-    actors: identical per-replica delivery digests (which pin issuing client
-    names, operations, arguments and ``created_at`` timestamps) and identical
-    measured rates — and the swarm run itself must be worker-count invariant.
-    """
-    kwargs = dict(
-        warmup=0.3,
-        duration=0.7,
-        key_count=100,
-        offered_rate_per_region=120.0,
-        users_per_region=3,
-        record_deliveries=True,
-    )
-    actors = run_fig7_sharded(2, workers=1, client_engine="actors", **kwargs)
-    swarm = run_fig7_sharded(2, workers=1, client_engine="swarm", **kwargs)
-    assert swarm.series["deliveries"] == actors.series["deliveries"]
-    assert swarm.metrics["aggregate_ops"] == actors.metrics["aggregate_ops"]
-    assert swarm.metrics["swarm_completed"] > 0
-    deliveries = actors.series["deliveries"]
-    issuers = {
-        command[3]
-        for shard in deliveries.values()
-        for sequence in shard.values()
-        for (_, _, payload_key) in sequence
-        for command in (payload_key if isinstance(payload_key[0], tuple) else (payload_key,))
-    }
-    assert any(name.startswith("fig7-client-") and name.endswith("-0") for name in issuers)
-    sharded = run_fig7_sharded(2, workers=2, client_engine="swarm", **kwargs)
-    assert sharded.series["deliveries"] == swarm.series["deliveries"]
-    assert sharded.metrics["aggregate_ops"] == swarm.metrics["aggregate_ops"]
-    assert sharded.metrics["events_total"] == swarm.metrics["events_total"]
-
-
-def test_fig7_flash_crowd_swarm_trace_deterministic():
-    """Flash crowd + churn: the swarm's command trace is fully deterministic.
-
-    The same seed must yield a byte-identical issued-command trace —
-    ``(client, sequence, op, args, group, created_at)`` tuples — across
-    repeated runs *and* across worker counts, with the offered load following
-    a flash-crowd arrival curve and clients churning off and back on.
-    """
-    kwargs = dict(
-        warmup=0.2,
-        duration=1.0,
-        key_count=100,
-        offered_rate_per_region=60.0,
-        client_engine="swarm",
-        users_per_region=20,
-        arrival=flash_crowd(base=60.0, peak=600.0, at=0.5, ramp=0.2, hold=0.3, decay=0.2),
-        churn=ChurnSpec(rate=10.0, downtime=0.2),
-        stagger=True,
-        record_swarm_trace=True,
-    )
-    first = run_fig7_sharded(2, workers=1, **kwargs)
-    second = run_fig7_sharded(2, workers=1, **kwargs)
-    sharded = run_fig7_sharded(2, workers=2, **kwargs)
-    traces = first.series["swarm_traces"]
-    assert set(traces) == {0, 1}
-    assert all(trace for trace in traces.values()), "swarm issued nothing"
-    assert second.series["swarm_traces"] == traces
-    assert sharded.series["swarm_traces"] == traces
-    assert sharded.metrics["events_total"] == first.metrics["events_total"]
-    # The flash crowd actually ramped: the second half of the window issues
-    # far more than the first (peak is 10x base).
-    for trace in traces.values():
-        times = [entry[5] for entry in trace]
-        midpoint = 0.2 + 0.5  # warmup + flash onset
-        early = sum(1 for t in times if t < midpoint)
-        late = sum(1 for t in times if t >= midpoint)
-        assert late > early

@@ -23,7 +23,7 @@ from repro.kvstore.client import MRPStoreCommands
 from repro.kvstore.partitioning import HashPartitioner
 from repro.net.message import ClientRequest, ClientResponse
 from repro.paxos.messages import SKIP, ProposalValue
-from repro.ringpaxos.coordinator import CoordinatorState, InstanceBatchPolicy
+from repro.ringpaxos.coordinator import CoordinatorState
 from repro.sim.actor import Actor
 
 
@@ -74,12 +74,9 @@ class TestSharedUnpacker:
 
 
 class TestPackedMetadata:
-    def _coordinator(self, max_bytes=256, max_delay=0.0):
+    def _coordinator(self, max_bytes=256):
         state = CoordinatorState(
-            ring_id=0,
-            batch_policy=InstanceBatchPolicy(
-                enabled=True, max_bytes=max_bytes, max_delay=max_delay
-            ),
+            0, 1, MultiRingConfig(batching_enabled=True, batch_max_bytes=max_bytes)
         )
         state.record_promise("a0", quorum=1)
         return state

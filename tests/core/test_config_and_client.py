@@ -4,8 +4,10 @@ import pytest
 
 from repro.core.client import Command
 from repro.core.config import MultiRingConfig, global_config
-from repro.core.amcast import parse_roles
+from repro.core.amcast import AtomicMulticast, parse_roles
+from repro.paxos.messages import ProposalValue
 from repro.sim.disk import StorageMode
+from tests.conftest import RecordingProcess
 
 
 class TestMultiRingConfig:
@@ -18,17 +20,25 @@ class TestMultiRingConfig:
         assert remote.rate_interval == pytest.approx(0.020)
         assert remote.max_rate == 2000.0
 
-    def test_rate_leveler_derivation(self):
-        config = MultiRingConfig(rate_interval=0.01, max_rate=500)
-        leveler = config.rate_leveler()
-        assert leveler.expected_per_interval == pytest.approx(5.0)
-        assert MultiRingConfig(rate_interval=None).rate_leveler() is None
-
-    def test_ring_node_config_carries_storage_and_batching(self):
-        config = MultiRingConfig(storage_mode=StorageMode.SYNC_SSD, batching_enabled=True)
-        node_config = config.ring_node_config()
-        assert node_config.storage_mode is StorageMode.SYNC_SSD
-        assert node_config.batch_policy.enabled
+    @pytest.mark.parametrize("config, skips", [
+        (MultiRingConfig(storage_mode=StorageMode.SYNC_SSD, batching_enabled=True,
+                         rate_interval=0.01, max_rate=500), 5),
+        (MultiRingConfig(rate_interval=None), 0),
+    ], ids=["batched-levelled", "unlevelled"])
+    def test_a_coordinator_honours_its_deployment_s_batching_and_rate(self, config, skips):
+        system = AtomicMulticast(seed=1, config=config)
+        process = RecordingProcess(system.env, "p0")
+        system.create_ring(0, [(process.name, "pal")])
+        node = process.node(0)
+        assert node.config is config
+        assert node.acceptor.storage_mode is config.storage_mode
+        coordinator = node.coordinator
+        coordinator.record_promise("p0", quorum=1)
+        for size in (100, 100):
+            coordinator.enqueue(ProposalValue(payload=size, size_bytes=size))
+        # batching packs both values into one instance; λ·Δ tops it up
+        assert len(coordinator.next_assignments()) == (1 if config.batching_enabled else 2)
+        assert coordinator.skips_for_interval() == max(0, skips - 1)
 
     def test_with_copies(self):
         config = MultiRingConfig()

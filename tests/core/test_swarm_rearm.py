@@ -87,3 +87,15 @@ def test_clients_fired_together_rearm_in_index_order(monkeypatch):
     assert swarm.command_trace == reference.command_trace
     assert swarm.issued > 3 * CLIENTS
     assert not heap_pushes  # a steady rate re-arms in order: the FIFO takes every one
+
+
+def test_a_flash_crowd_with_churn_reruns_to_the_same_trace(monkeypatch):
+    """The same run issues the same trace, and the crowd raises the issue rate."""
+    first, _ = _run(monkeypatch, ClientSwarm, CURVES["flash-crowd"])
+    second, _ = _run(monkeypatch, ClientSwarm, CURVES["flash-crowd"])
+    assert first.command_trace == second.command_trace
+    onset = 0.6
+    times = [entry[5] for entry in first.command_trace]
+    before = sum(1 for t in times if t < onset)
+    after = sum(1 for t in times if onset <= t < 2 * onset)
+    assert after > before

@@ -1,10 +1,10 @@
-"""Tests of the deterministic merge and rate leveling."""
+"""Tests of the deterministic merge and the rate-leveling parameters."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.multiring.merge import DeterministicMerger, replay_streams
-from repro.multiring.ratelevel import GLOBAL_RATE_LEVELER, LOCAL_RATE_LEVELER, RateLeveler
+from repro.core.config import MultiRingConfig, global_config
 from repro.paxos.messages import ProposalValue, SKIP
 from repro.ringpaxos.coordinator import PackedValues
 
@@ -185,19 +185,20 @@ class TestReplayStreams:
         assert replayed == [(0, "a0"), (1, "b0"), (0, "a1")]
 
 
-class TestRateLeveler:
-    def test_expected_per_interval(self):
-        assert LOCAL_RATE_LEVELER.expected_per_interval == pytest.approx(45.0)
-        assert GLOBAL_RATE_LEVELER.expected_per_interval == pytest.approx(40.0)
+class TestRateLevelingParameters:
+    def test_paper_settings_expect_45_and_40_instances_per_interval(self):
+        for config, expected in ((MultiRingConfig(), 45.0), (global_config(), 40.0)):
+            assert config.max_rate * config.rate_interval == pytest.approx(expected)
 
-    def test_skips_needed(self):
-        leveler = RateLeveler(interval=0.010, max_rate=1000.0)
-        assert leveler.skips_needed(0) == 10
-        assert leveler.skips_needed(4) == 6
-        assert leveler.skips_needed(100) == 0
+    @pytest.mark.parametrize("changes", [
+        {"rate_interval": 0.0}, {"rate_interval": -0.005}, {"max_rate": -1.0},
+    ], ids=["zero-delta", "negative-delta", "negative-lambda"])
+    def test_invalid_parameters(self, changes):
+        with pytest.raises(ValueError):
+            MultiRingConfig(**changes)
+        with pytest.raises(ValueError):
+            MultiRingConfig().with_(**changes)
 
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            RateLeveler(interval=0.0)
-        with pytest.raises(ValueError):
-            RateLeveler(max_rate=-1.0)
+    def test_disabled_interval_and_zero_rate_are_valid(self):
+        assert MultiRingConfig(rate_interval=None).rate_interval is None
+        assert MultiRingConfig(max_rate=0.0).max_rate == 0.0

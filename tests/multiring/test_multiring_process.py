@@ -75,7 +75,7 @@ class TestMultiRingDelivery:
         p = RecordingProcess(system.env, "p0")
         ring = system.create_ring(0, [(p.name, "pal")])
         with pytest.raises(ValueError):
-            p.join_ring(ring)
+            p.join_ring(ring, config)
 
     def test_multicast_to_unknown_group_rejected(self):
         config = MultiRingConfig(rate_interval=None)

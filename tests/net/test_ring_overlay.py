@@ -1,5 +1,7 @@
 """Tests of the ring overlay (membership, successors, quorums)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -77,10 +79,9 @@ class TestTopology:
 
 
 class TestQuorums:
-    def test_majority(self):
-        assert make_ring(3).majority() == 2
-        assert make_ring(5).majority() == 3
-        assert make_ring(1).majority() == 1
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_majority_is_the_rule_spelled_both_ways(self, n):
+        assert make_ring(n).majority() == n // 2 + 1 == math.ceil((n + 1) / 2)
 
     def test_last_acceptor_excludes_coordinator_when_possible(self):
         overlay = make_ring(3, coordinator="p0")

@@ -1,7 +1,5 @@
 """Tests of the trim quorum computation, the live trim rule, the predicates and the checkpointer."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -88,16 +86,13 @@ class TestLiveTrimRule:
         return system, processes, system.process(system.ring(0).coordinator).node(0)
 
     @classmethod
-    def _trim_points(cls, safe_instances=(30, 29, 28, 27, 26), trim_quorum=None):
+    def _trim_points(cls, safe_instances=(30, 29, 28, 27, 26)):
         """The coordinator's trim point after each learner reports.
 
-        By default the reports carry safe instances 30, 29, ..., 26 and no trim
-        quorum is configured, so a majority (three) of the five learners must
-        answer.
+        By default the reports carry safe instances 30, 29, ..., 26; a
+        majority (three) of the five learners must answer.
         """
         _system, processes, node = cls._deployment()
-        if trim_quorum is not None:
-            node.config = replace(node.config, trim_quorum=trim_quorum)
         points = []
         for process, safe in zip(processes, safe_instances):
             report = TrimReport(ring_id=0, replica=process.name, safe_instance=safe)
@@ -113,11 +108,6 @@ class TestLiveTrimRule:
         wrong = mutate(trim_quorum_size, ("replica_count // 2 + 1", mutant))
         monkeypatch.setattr(node_module, "trim_quorum_size", wrong)
         assert self._trim_points() != self.EXPECTED
-
-    def test_a_configured_trim_quorum_overrides_the_majority(self):
-        # Two reports suffice; the reports start over after each trim.
-        assert self._trim_points(trim_quorum=2) == [-1, 29, 29, 29, 29]
-        assert self._trim_points((10, 20, 30, 40), trim_quorum=2) == [-1, 10, 10, 30]
 
     def test_an_uncheckpointed_learner_blocks_the_live_trim(self):
         assert self._trim_points((30, -1, 28, 27, 26)) == [-1] * 5

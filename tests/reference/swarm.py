@@ -46,8 +46,6 @@ class HeapWheelSwarm(ClientSwarm):
             _, index = heapq.heappop(heap)
             if not self._online[index]:
                 continue
-            if self._max_requests is not None and self._issued[index] >= self._max_requests:
-                continue
             self._issue(index)
             interval = 1.0 / (self._arrival.rate_at(now) / self._n)
             heapq.heappush(heap, (now + interval, index))

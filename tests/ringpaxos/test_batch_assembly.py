@@ -15,12 +15,9 @@ from collections import deque
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import MultiRingConfig
 from repro.paxos.messages import ProposalValue
-from repro.ringpaxos.coordinator import (
-    CoordinatorState,
-    InstanceBatchPolicy,
-    PackedValues,
-)
+from repro.ringpaxos.coordinator import CoordinatorState, PackedValues
 
 MAX_BYTES = 64
 
@@ -104,8 +101,7 @@ program_step = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_assembly_matches_pop_all_reference(enabled, program):
     state = CoordinatorState(
-        ring_id=0,
-        batch_policy=InstanceBatchPolicy(enabled=enabled, max_bytes=MAX_BYTES),
+        0, 1, MultiRingConfig(batching_enabled=enabled, batch_max_bytes=MAX_BYTES)
     )
     reference = _PopAllReference(enabled)
     proposal_id = 0

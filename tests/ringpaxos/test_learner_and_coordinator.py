@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.multiring.ratelevel import GLOBAL_RATE_LEVELER, LOCAL_RATE_LEVELER, RateLeveler
+from repro.core.config import MultiRingConfig, global_config
 from repro.paxos.messages import ProposalValue, SKIP
-from repro.ringpaxos.coordinator import CoordinatorState, InstanceBatchPolicy, PackedValues
+from repro.ringpaxos.coordinator import CoordinatorState, PackedValues
 from repro.ringpaxos.learner import RingLearner
 
 
@@ -80,7 +80,7 @@ class TestRingLearner:
 
 class TestCoordinatorState:
     def test_phase1_quorum_gate(self):
-        coordinator = CoordinatorState(ring_id=0)
+        coordinator = CoordinatorState(0, 1, MultiRingConfig())
         coordinator.enqueue(value("v"))
         assert coordinator.next_assignments() == []
         assert not coordinator.record_promise("a0", quorum=2)
@@ -90,7 +90,7 @@ class TestCoordinatorState:
         assert assignments[0][0] == 0
 
     def test_unbatched_assignment_is_one_instance_per_value(self):
-        coordinator = CoordinatorState(ring_id=0)
+        coordinator = CoordinatorState(0, 1, MultiRingConfig())
         coordinator.record_promise("a0", quorum=1)
         for i in range(3):
             coordinator.enqueue(value(i))
@@ -99,8 +99,8 @@ class TestCoordinatorState:
         assert coordinator.ledger.next_instance == 3
 
     def test_batched_assignment_packs_values(self):
-        policy = InstanceBatchPolicy(enabled=True, max_bytes=250)
-        coordinator = CoordinatorState(ring_id=0, batch_policy=policy)
+        config = MultiRingConfig(batching_enabled=True, batch_max_bytes=250)
+        coordinator = CoordinatorState(0, 1, config)
         coordinator.record_promise("a0", quorum=1)
         for i in range(5):
             coordinator.enqueue(value(i, size=100))
@@ -111,8 +111,8 @@ class TestCoordinatorState:
         assert packed.size_bytes <= 300
 
     def test_rate_leveling_skips(self):
-        policy = RateLeveler(interval=0.010, max_rate=1000.0)  # 10 per interval
-        coordinator = CoordinatorState(ring_id=0, rate_policy=policy)
+        config = MultiRingConfig(rate_interval=0.010, max_rate=1000.0)  # 10 per interval
+        coordinator = CoordinatorState(0, 1, config)
         coordinator.record_promise("a0", quorum=1)
         coordinator.enqueue(value("v"))
         coordinator.next_assignments()
@@ -123,27 +123,32 @@ class TestCoordinatorState:
         # a fresh interval with no proposals wants the full quota
         assert coordinator.skips_for_interval() == 10
 
-    @pytest.mark.parametrize("leveler, proposed, skips", [
-        (LOCAL_RATE_LEVELER, 0, 45), (LOCAL_RATE_LEVELER, 40, 5), (LOCAL_RATE_LEVELER, 60, 0),
-        (GLOBAL_RATE_LEVELER, 0, 40), (GLOBAL_RATE_LEVELER, 40, 0), (GLOBAL_RATE_LEVELER, 60, 0),
+    @pytest.mark.parametrize("config, proposed, skips, quota", [
+        (MultiRingConfig(), 0, 45, 45), (MultiRingConfig(), 40, 5, 45),
+        (MultiRingConfig(), 60, 0, 45),
+        (global_config(), 0, 40, 40), (global_config(), 40, 0, 40), (global_config(), 60, 0, 40),
     ], ids=["local-idle", "local-below", "local-above", "global-idle", "global-at", "global-above"])
-    def test_interval_skips_top_up_to_the_paper_s_quota(self, leveler, proposed, skips):
+    def test_interval_skips_top_up_to_the_paper_s_quota(self, config, proposed, skips, quota):
         """λ·Δ = 9000/s · 5 ms = 45 instances (local), 2000/s · 20 ms = 40 (global)."""
-        coordinator = CoordinatorState(ring_id=0, rate_policy=leveler)
+        coordinator = CoordinatorState(0, 1, config)
         coordinator.record_promise("a0", quorum=1)
         for i in range(proposed):
             coordinator.enqueue(value(i))
         assert len(coordinator.next_assignments()) == proposed
-        assert coordinator.skips_for_interval() == leveler.skips_needed(proposed) == skips
+        assert coordinator.skips_for_interval() == skips
         # the interval counter restarts: an idle interval wants the full quota
-        assert coordinator.skips_for_interval() == round(leveler.expected_per_interval)
+        assert coordinator.skips_for_interval() == quota
 
-    def test_no_rate_policy_means_no_skips(self):
-        coordinator = CoordinatorState(ring_id=0)
+    def test_no_rate_interval_means_no_skips(self):
+        coordinator = CoordinatorState(0, 1, MultiRingConfig(rate_interval=None))
+        coordinator.record_promise("a0", quorum=1)
+        coordinator.enqueue(value("v"))
+        coordinator.next_assignments()
+        assert coordinator.skips_for_interval() == 0
         assert coordinator.skips_for_interval() == 0
 
     def test_allocate_skips_requires_positive_count(self):
-        coordinator = CoordinatorState(ring_id=0)
+        coordinator = CoordinatorState(0, 1, MultiRingConfig())
         with pytest.raises(ValueError):
             coordinator.allocate_skips(0)
 

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core import AtomicMulticast, MultiRingConfig
+from repro.net.ring import RingOverlay
+from repro.ringpaxos.coordinator import CoordinatorState
 from repro.sim.disk import StorageMode
 
-from tests.conftest import RecordingProcess
+from tests.conftest import RecordingProcess, mutate
 
 
 def build_ring(storage_mode=StorageMode.IN_MEMORY, members=3, roles="pal", seed=1,
@@ -22,6 +24,30 @@ def build_ring(storage_mode=StorageMode.IN_MEMORY, members=3, roles="pal", seed=
     system.create_ring(0, [(p.name, roles) for p in processes])
     system.start()
     return system, processes
+
+
+class TestMajorityQuorum:
+    """A value only a minority of the acceptors voted for is never decided."""
+
+    @staticmethod
+    def _deliveries_of_a_coordinator_only_vote():
+        system, processes = build_ring()
+        system.run(until=0.05)  # Phase 1 completes under the real majority
+        # n1 and n2 promise a higher ballot, so they refuse the coordinator's
+        # next Phase 2: the last acceptor sees one vote of three.
+        for process in processes[1:]:
+            process.node(0).acceptor.receive_phase1a(0, CoordinatorState.PHASE1_WINDOW, 99)
+        processes[0].multicast(0, payload="minority", size_bytes=64)
+        system.run(until=0.5)
+        return [p.delivered_payloads(0) for p in processes]
+
+    def test_one_vote_of_three_decides_nothing(self):
+        assert self._deliveries_of_a_coordinator_only_vote() == [[], [], []]
+
+    def test_an_off_by_one_majority_is_caught(self, monkeypatch):
+        wrong = mutate(RingOverlay.__init__, ("len(acceptors) // 2 + 1", "len(acceptors) // 2"))
+        monkeypatch.setattr(RingOverlay, "__init__", wrong)
+        assert self._deliveries_of_a_coordinator_only_vote() != [[], [], []]
 
 
 class TestBasicOrdering:
@@ -207,7 +233,7 @@ class TestTakeoverRepair:
         node = [p for p in processes if p.name != coordinator][0].node(0)
         # make this node a takeover coordinator by hand
         node._become_coordinator = lambda: None  # keep overlay machinery out
-        node.coordinator = CoordinatorState(0, ballot=7)
+        node.coordinator = CoordinatorState(0, 7, node.config)
         node.coordinator.phase1_ready = True
         node._takeover_repair_pending = True
         stale = ProposalValue(payload="stale", size_bytes=8)
@@ -230,7 +256,7 @@ class TestTakeoverRepair:
         system, processes = self.build_four_ring()
         system.run(until=0.05)
         node = processes[1].node(0)
-        node.coordinator = CoordinatorState(0, ballot=9)
+        node.coordinator = CoordinatorState(0, 9, node.config)
         node.coordinator.phase1_ready = True
         node._takeover_repair_pending = True
         hole = 20_000

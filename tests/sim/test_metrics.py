@@ -94,7 +94,7 @@ class TestThroughputTracker:
 
     def test_timeline_includes_empty_buckets(self):
         clock = {"now": 0.0}
-        tracker = ThroughputTracker("tp", clock=lambda: clock["now"], bucket_seconds=1.0)
+        tracker = ThroughputTracker("tp", clock=lambda: clock["now"])
         clock["now"] = 0.5
         tracker.record(1.0)
         clock["now"] = 2.5
@@ -118,7 +118,7 @@ class TestThroughputTracker:
         at the window end is excluded entirely (the window is ``[start, end)``).
         """
         clock = {"now": 0.0}
-        tracker = ThroughputTracker("tp", clock=lambda: clock["now"], bucket_seconds=1.0)
+        tracker = ThroughputTracker("tp", clock=lambda: clock["now"])
         for t in (0.0, 1.0, 2.0):
             clock["now"] = t
             tracker.record(1.0)
@@ -132,7 +132,7 @@ class TestThroughputTracker:
         """A window that is not a whole number of buckets still covers it:
         the final (short) bucket exists and its rate is units / bucket."""
         clock = {"now": 2.25}
-        tracker = ThroughputTracker("tp", clock=lambda: clock["now"], bucket_seconds=1.0)
+        tracker = ThroughputTracker("tp", clock=lambda: clock["now"])
         tracker.record(4.0)
         timeline = tracker.timeline(0.0, 2.5)
         assert len(timeline) == 3

@@ -156,7 +156,8 @@ class TestColumnarThroughputTracker:
     @settings(max_examples=80, deadline=None)
     def test_matches_list_of_tuples_reference(self, stream, a, b, bucket, reset_at):
         now = [0.0]
-        tracker = ThroughputTracker("prop", lambda: now[0], bucket)
+        tracker = ThroughputTracker("prop", lambda: now[0])
+        tracker.BUCKET_SECONDS = bucket
         reference = TupleTracker(lambda: now[0], bucket)
         for index, (step, units) in enumerate(stream):
             if index == reset_at:
@@ -180,7 +181,8 @@ class TestColumnarThroughputTracker:
 def _replay(records, bucket=0.25):
     """Feed ``(time, units)`` records — or ``"reset"`` — to both trackers."""
     now = [0.0]
-    tracker = ThroughputTracker("case", lambda: now[0], bucket)
+    tracker = ThroughputTracker("case", lambda: now[0])
+    tracker.BUCKET_SECONDS = bucket
     reference = TupleTracker(lambda: now[0], bucket)
     for record in records:
         if record == "reset":
