@@ -5,8 +5,9 @@ Runs the ledger's ``dlog-sharded-w2`` call once with a tap on the workers'
 encoder, keeps every payload the busiest worker shipped, and then times, in
 this process and with no simulation running, encoding those payloads and
 decoding the resulting frames — with the shipped codec and with the
-one-hook-per-object codec of ``tests/reference/wire.py`` (what shipped until
-PR 23).  Frames must be byte-identical and decoded graphs equal::
+one-hook-per-object codec of ``tests/reference/wire.py``.  Frames must be
+byte-identical, and each decoded graph must equal its payload and share
+exactly the objects the payload shares (``tests.reference.wire.sharing``)::
 
     PYTHONPATH=src python3 benchmarks/wire_replay.py
     PYTHONPATH=src python3 benchmarks/wire_replay.py --seed 7 --repeats 7
@@ -40,7 +41,12 @@ from repro.bench.parallel import run_fig6_sharded  # noqa: E402
 from repro.core.smr import ReactiveMergeStage  # noqa: E402
 from repro.sim import parallel  # noqa: E402
 from repro.sim.network import decode_wire, encode_wire  # noqa: E402
-from tests.reference.wire import plain_pickle, reference_decode, reference_encode  # noqa: E402
+from tests.reference.wire import (  # noqa: E402
+    plain_pickle,
+    reference_decode,
+    reference_encode,
+    sharing,
+)
 
 
 def ledger_call(seed: int, duration: float) -> Any:
@@ -53,8 +59,9 @@ def capture(seed: int, duration: float) -> List[Any]:
     """The payloads the busiest worker encoded during one sharded fig6 run."""
     with tempfile.TemporaryDirectory() as spool:
         def tap(payload: Any) -> bytes:
-            # Spooled uncompressed: a segment's own pickle form would mint
-            # fresh skip values on reload, unsharing what the run shared.
+            # Spooled by generic pickling, which never runs the segment
+            # decoder under test: the replayed payloads share what the run's
+            # shared, whatever that decoder does.
             with open(os.path.join(spool, str(os.getpid())), "ab") as out:
                 out.write(plain_pickle(payload))
             return encode_wire(payload)
@@ -155,8 +162,11 @@ def main() -> int:
     for payload, frame in zip(payloads, frames):
         if frame != reference_encode(payload):
             raise SystemExit("wire_replay: frame differs from the reference codec's")
-        if decode_wire(frame) != reference_decode(frame) or decode_wire(frame) != payload:
+        decoded = decode_wire(frame)
+        if decoded != reference_decode(frame) or decoded != payload:
             raise SystemExit("wire_replay: decoded graph differs")
+        if sharing(decoded) != sharing(payload):
+            raise SystemExit("wire_replay: decoded graph shares other objects than the payload")
 
     gc.collect()
     gc.disable()

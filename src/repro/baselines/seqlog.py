@@ -74,21 +74,22 @@ class SequencerLogLeader(Actor):
     #: which is what caps the comparator's throughput in Figure 5.
     APPEND_SERVICE_TIME = 0.0012
 
+    #: A batch flushes once it holds this many bytes, or at the latest every
+    #: ``BATCH_WINDOW`` seconds.
+    BATCH_BYTES = 512 * 1024
+    BATCH_WINDOW = 0.020
+
     def __init__(
         self,
         env: Environment,
         name: str,
         storage_nodes: List[str],
         site: str = "dc1",
-        batch_bytes: int = 512 * 1024,
-        batch_window: float = 0.020,
     ) -> None:
         super().__init__(env, name, site)
         if not storage_nodes:
             raise ValueError("the ensemble needs at least one storage node")
         self.storage_nodes = list(storage_nodes)
-        self.batch_bytes = batch_bytes
-        self.batch_window = batch_window
         self.ack_quorum = len(self.storage_nodes) // 2 + 1
         self._sequencer_busy_until = 0.0
         self._next_position = 0
@@ -101,7 +102,7 @@ class SequencerLogLeader(Actor):
 
     # -------------------------------------------------------------- messages
     def on_start(self) -> None:
-        self._flush_timer = self.set_periodic_timer(self.batch_window, self._flush)
+        self._flush_timer = self.set_periodic_timer(self.BATCH_WINDOW, self._flush)
 
     def on_message(self, sender: str, message: Any) -> None:
         if isinstance(message, BatchAck):
@@ -124,7 +125,7 @@ class SequencerLogLeader(Actor):
         self._next_position += 1
         self._pending.append(command)
         self._pending_bytes += command.size_bytes
-        if self._pending_bytes >= self.batch_bytes:
+        if self._pending_bytes >= self.BATCH_BYTES:
             self._flush()
 
     # ---------------------------------------------------------------- batches
@@ -168,8 +169,6 @@ class SequencerLogService:
         env: Environment,
         ensemble_size: int = 3,
         site: str = "dc1",
-        batch_bytes: int = 512 * 1024,
-        batch_window: float = 0.020,
     ) -> None:
         self.env = env
         self.storage_nodes = [
@@ -181,8 +180,6 @@ class SequencerLogService:
             "bk-leader",
             storage_nodes=[n.name for n in self.storage_nodes],
             site=site,
-            batch_bytes=batch_bytes,
-            batch_window=batch_window,
         )
 
     def frontend_map(self, group_ids) -> Dict[int, str]:

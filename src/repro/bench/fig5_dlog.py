@@ -65,12 +65,7 @@ def run_fig5_point(
         )
         frontends = service.frontend_map()
     else:
-        ensemble = SequencerLogService(
-            system.env,
-            ensemble_size=3,
-            batch_bytes=512 * 1024,
-            batch_window=0.020,
-        )
+        ensemble = SequencerLogService(system.env, ensemble_size=3)
         frontends = ensemble.frontend_map(_DLOG_LOGS)
 
     commands = DLogCommands()

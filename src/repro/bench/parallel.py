@@ -293,10 +293,6 @@ def run_fig6_sharded(
             shard_id=ring,
             build=build_fig6_shard,
             payload={**payload_base, "log_ids": [ring], "common_ring_id": None},
-            # Load ∝ the shard's driven actors: ring members plus its
-            # closed-loop clients (the traffic-less common ring keeps the
-            # default weight 1.0).
-            weight=2.0 + clients_per_ring,
         )
         for ring in range(ring_count)
     ]
@@ -440,9 +436,6 @@ def run_fig7_sharded(
             payload={
                 **payload_base, "placement": [(group, region)], "global_ring_id": None,
             },
-            # Load ∝ the region's ring members plus its client (the
-            # traffic-less global ring keeps the default weight 1.0).
-            weight=3.0,
         )
         for group, region in enumerate(regions)
     ]

@@ -816,8 +816,6 @@ def _run_amcast_sharded(
             shard_id=index,
             build=_build_amcast,
             payload=_split_amcast_spec(spec, component, active_end, merge_learners),
-            # Balance workers by component size (rings per shard).
-            weight=float(len(component)),
         )
         for index, component in enumerate(components)
     ]

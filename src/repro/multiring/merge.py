@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import repeat
 from operator import attrgetter, itemgetter
 from typing import (
     Any,
@@ -56,7 +55,6 @@ from typing import (
 
 from ..paxos.messages import SKIP, ProposalValue
 from ..ringpaxos.coordinator import PackedValues
-from ..sim.network import _wire_build
 
 
 def _iter_leaf_values(value: ProposalValue):
@@ -134,73 +132,32 @@ class RingSegment:
     entries: List[Tuple[int, ProposalValue]] = field(default_factory=list)
 
     def __reduce__(self):
-        """Pickle form: columnar and skip-run-compressed (see below)."""
-        count = len(self.entries)
-        instances: Union[int, Tuple[int, ...]] = 0
-        values: Tuple[ProposalValue, ...] = ()
-        if count:
-            instances, values = zip(*self.entries)
-            first = instances[0]
-            if instances == tuple(range(first, first + count)):
-                instances = first
-        packed: List[Union[ProposalValue, Tuple[int, ProposalValue]]] = []
-        idx = 0
-        while idx < count:
-            value = values[idx]
-            end = idx + 1
-            if value.payload is SKIP:
-                while end < count and values[end] == value:
-                    end += 1
-            if end - idx >= _SEGMENT_RUN_MIN:
-                packed.append((end - idx, value))
-            else:
-                packed.extend(values[idx:end])
-            idx = end
-        return _segment_wire_build, (self.start, instances, count, tuple(packed))
+        """Pickle form: the instance column and the value column.
+
+        The instance column is one int, the first instance, when the entries
+        are consecutive (learners record every instance in order, so this is
+        the common case), and the tuple of instances otherwise.  The value
+        column is the tuple of values, so an object the entries share is
+        shared on the wire too, and decoded once.
+        """
+        if not self.entries:
+            return _segment_from_columns, (self.start, 0, ())
+        instances, values = zip(*self.entries)
+        first = instances[0]
+        if instances == tuple(range(first, first + len(values))):
+            instances = first
+        return _segment_from_columns, (self.start, instances, values)
 
 
-# Segments are the bulk of barrier traffic in streaming-merge runs, and their
-# entry lists are extremely regular: instances are consecutive (learners record
-# every instance in order) and rate-leveled skips arrive in bursts of
-# field-identical ``ProposalValue(SKIP, ...)`` records.  The pickle form
-# (``RingSegment.__reduce__``, which the barrier codec leaves to pickle)
-# exploits both: it splits ``entries`` into an instance column (a single start
-# instance when consecutive, the common case) and a value column, and
-# run-length encodes equal skip runs.  Decoding expands runs into *fresh*
-# ``ProposalValue`` instances, so receivers see the same no-aliasing object
-# graph generic pickling produced.
-
-#: Shortest equal-skip run worth a ``(count, value)`` marker.  Below this the
-#: per-run tuple overhead exceeds the interned-skip back-reference it replaces.
-_SEGMENT_RUN_MIN = 3
-
-
-def _segment_wire_build(
+def _segment_from_columns(
     start: int,
     instances: Union[int, Tuple[int, ...]],
-    count: int,
-    packed: Tuple[Union[ProposalValue, Tuple[int, ProposalValue]], ...],
+    values: Tuple[ProposalValue, ...],
 ) -> "RingSegment":
-    """Rebuild a :class:`RingSegment` from its compressed wire form."""
-    values: List[ProposalValue] = []
-    for item in packed:
-        if type(item) is tuple:
-            run, value = item
-            values.append(value)
-            fields = (
-                value.payload,
-                value.size_bytes,
-                value.proposer,
-                value.proposal_id,
-                value.created_at,
-            )
-            values.extend(map(_wire_build, repeat(ProposalValue, run - 1), repeat(fields)))
-        else:
-            values.append(item)
-    if type(instances) is tuple:
-        entries = list(zip(instances, values))
-    else:
-        entries = list(zip(range(instances, instances + count), values))
+    """Rebuild a :class:`RingSegment` from its two wire columns."""
+    if type(instances) is int:
+        instances = range(instances, instances + len(values))
+    entries = list(zip(instances, values))
     return RingSegment(start, entries)
 
 

@@ -93,38 +93,28 @@ __all__ = [
 # ``size_bytes`` are ``init=False`` fields and restored verbatim).
 #
 # Two kinds of class keep pickle's default path, which calls their
-# ``__reduce__``: a dataclass that defines its own (``RingSegment``'s columnar
-# form), and a plain subclass of a dataclass (its instance attributes are not
-# fields).  Everything that is not a dataclass takes that path too — ``SKIP``
-# pickles by reference there, keeping its identity.
+# ``__reduce__``: a dataclass that defines its own (``RingSegment``'s two
+# columns), and a plain subclass of a dataclass (its instance attributes are
+# not fields).  Everything that is not a dataclass takes that path too —
+# ``SKIP`` pickles by reference there, keeping its identity.
 #
 # Both directions run one small function per dataclass instance and nothing
-# else in Python: the encoder is the C pickler with a per-frame
+# else in Python: the encoder is the C pickler with one module-level
 # ``dispatch_table`` of per-class reducers, the decoder a per-class builder,
-# each compiled once from the field order on first use
+# each compiled once from the field order on first sight
 # (:func:`_compile_wire_codec`).  Containers and scalars never leave the C
-# pickler.
-#
-# Payload interning falls out of the pickle memo: an object repeated within
-# one frame is encoded once and referenced thereafter, because the whole frame
-# is one ``dumps`` call.  Beyond that, the reducers
-# intern the ``(cls, values)`` argument tuple of *equal* instances whose fields
-# are all hashable: the second equal instance encodes as a back-reference to
-# the first one's argument tuple (a few bytes) instead of repeating every
-# field.  Rate-leveled skip streams are the extreme case — thousands of
-# distinct-but-equal ``ProposalValue(SKIP, ...)`` records per segment.
-# Decoding still constructs a fresh instance per ``REDUCE``, so object
-# identity on the receiving side is exactly what legacy pickling produced (no
-# aliasing of mutable protocol messages).
+# pickler.  The whole frame is one ``dumps``, so the pickle memo turns an
+# object repeated within it into a back-reference, and the decoded graph
+# shares exactly what the sender's shared — no more (equal but distinct
+# instances stay distinct) and no less.
 #
 # ``benchmarks/wire_replay.py`` (seed 42, the busiest worker of the ledger's
-# ``dlog-sharded-w2`` call; 2-core Xeon container) replays 12 frames: 1 815 686
-# bytes against 2 806 926 with plain pickle; encoding takes 0.208 s (the
-# reference codec of ``tests/reference/wire.py`` 0.464 s, plain pickle
-# 0.248 s) and decoding 0.071 s (reference 0.363 s).
+# ``dlog-sharded-w2`` call; 2-core Xeon container) replays 12 frames:
+# 1 905 861 bytes against 2 806 926 with generic pickling; encoding takes
+# 0.07–0.12 s (generic pickling 0.18–0.26 s) and decoding 0.04–0.07 s.
 
 class _WireCodecs(dict):
-    """Dataclasses → ``(reducer factory, builder)``, compiled on first use."""
+    """Dataclasses → ``(reducer, builder)``, compiled on first use."""
 
     def __missing__(self, cls: type) -> Tuple[Any, Any]:
         codec = self[cls] = _compile_wire_codec(cls)
@@ -135,12 +125,11 @@ _WIRE_CODECS = _WireCodecs()
 
 
 def _compile_wire_codec(cls: type) -> Tuple[Any, Any]:
-    """``(reducer factory, builder)`` of dataclass ``cls``, specialised to its fields.
+    """``(reduce, build)`` of dataclass ``cls``, specialised to its fields.
 
-    ``bind(setdefault)`` returns the reducer one encode installs in its
-    dispatch table (``setdefault`` is that frame's interning dict's);
-    ``build(values)`` is the inverse.  A class that guards ``__setattr__``
-    (frozen dataclasses) is rebuilt through ``object.__setattr__``.
+    ``reduce(obj)`` is the encoder's dispatch-table entry; ``build(values)``
+    is its inverse.  A class that guards ``__setattr__`` (frozen dataclasses)
+    is rebuilt through ``object.__setattr__``.
     """
     names = [f.name for f in dataclass_fields(cls)]
     fields = "".join(f"obj.{name}, " for name in names)
@@ -152,14 +141,8 @@ def _compile_wire_codec(cls: type) -> Tuple[Any, Any]:
             for index, name in enumerate(names)
         )
     source = (
-        "def bind(setdefault):\n"
-        "    def reduce(obj):\n"
-        f"        key = (cls, ({fields}))\n"
-        "        try:\n"
-        "            return build_global, setdefault(key, key)\n"
-        "        except TypeError:  # unhashable field (lists, batches): no interning\n"
-        "            return build_global, key\n"
-        "    return reduce\n"
+        "def reduce(obj):\n"
+        f"    return build_global, (cls, ({fields}))\n"
         "def build(values):\n"
         "    obj = new(cls)\n"
         f"{assign}"
@@ -172,7 +155,7 @@ def _compile_wire_codec(cls: type) -> Tuple[Any, Any]:
         "build_global": _wire_build,
     }
     exec(source, namespace)
-    return namespace["bind"], namespace["build"]
+    return namespace["reduce"], namespace["build"]
 
 
 def _wire_build(cls: type, values: Tuple[Any, ...]) -> Any:
@@ -180,28 +163,27 @@ def _wire_build(cls: type, values: Tuple[Any, ...]) -> Any:
     return _WIRE_CODECS[cls][1](values)
 
 
-class _FrameReducers(dict):
-    """One frame's dispatch table; a dataclass gets its reducer on first sight."""
-
-    __slots__ = ("intern",)
+class _WireReducers(dict):
+    """The encoder's dispatch table; a dataclass gets its reducer on first sight."""
 
     def __missing__(self, cls: type) -> Any:
         # Only a class declared a dataclass itself, with no ``__reduce__`` of
-        # its own, ships positionally.
+        # its own, ships positionally; anything else takes copyreg's entry or
+        # (``KeyError``) the pickler's default path.
         if "__dataclass_fields__" not in cls.__dict__ or cls.__reduce__ is not object.__reduce__:
-            raise KeyError(cls)  # the pickler's default path
-        reducer = self[cls] = _WIRE_CODECS[cls][0](self.intern)
+            return copyreg.dispatch_table[cls]
+        reducer = self[cls] = _WIRE_CODECS[cls][0]
         return reducer
+
+
+_WIRE_REDUCERS = _WireReducers()
 
 
 def encode_wire(payload: Any) -> bytes:
     """Encode one barrier window's payload as a compact pickle-5 frame."""
     buffer = io.BytesIO()
     pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
-    # A private dispatch table replaces copyreg's, so start from that one.
-    table = _FrameReducers(copyreg.dispatch_table)
-    table.intern = {}.setdefault  # this frame's equal-instance interning
-    pickler.dispatch_table = table
+    pickler.dispatch_table = _WIRE_REDUCERS
     pickler.dump(payload)
     return buffer.getvalue()
 

@@ -217,18 +217,11 @@ class ShardSpec:
     ``build(payload)`` runs inside the worker process and returns the shard's
     :class:`ShardHarness`.  The builder must be a module-level callable so the
     spec can cross the ``multiprocessing`` boundary.
-
-    ``weight`` is the shard's expected relative load (e.g. its ring count, as
-    the chaos planner sets it, or its driven clients, as the sharded figure
-    runners do): the engine balances shards over workers by weight, heaviest
-    first, so one heavyweight shard does not share a worker with others while
-    a peer worker sits near idle.
     """
 
     shard_id: int
     build: Callable[[Any], ShardHarness]
     payload: Any = None
-    weight: float = 1.0
 
 
 @dataclass
@@ -400,9 +393,8 @@ def run_sharded(
     workers:
         Worker processes.  ``1`` runs every shard sequentially in-process —
         the *single-process reference engine* used by the differential tests;
-        higher counts fork workers and balance shards over them by
-        :attr:`ShardSpec.weight`, heaviest first to the least-loaded worker.
-        Clamped to the shard count.
+        higher counts fork workers and deal the shards out to them
+        round-robin in shard-id order.  Clamped to the shard count.
     segment_interval:
         Streaming cadence in simulated seconds.  Cells exist purely so
         shards can ship their decision-stream segments: cell ``k`` ends at
@@ -439,11 +431,6 @@ def run_sharded(
             raise ValueError("segment_interval must be positive")
         if until is None:
             raise ValueError("segment streaming needs an explicit horizon (until=...)")
-    for spec in specs:
-        if spec.weight <= 0:
-            raise ValueError(
-                f"shard {spec.shard_id} has non-positive weight {spec.weight!r}"
-            )
     workers = max(1, min(int(workers), len(specs)))
     ends = _cell_ends(until, segment_interval)
 
@@ -477,24 +464,14 @@ def _run_inprocess(specs, ends, segment_sink):
 def _assign_shards(
     specs: Sequence[ShardSpec], workers: int
 ) -> List[List[ShardSpec]]:
-    """Balance shards over workers by weight, heaviest first.
+    """Deal shards out to workers round-robin in shard-id order.
 
-    Greedy longest-processing-time assignment: shards sorted by
-    ``(-weight, shard_id)`` each go to the currently least-loaded worker
-    (ties broken by worker index), so the schedule is deterministic and a
-    heavyweight shard never shares a worker while a lighter-loaded worker
-    exists.  Each worker's shard list is returned in ascending shard-id
-    order (the execution order inside the worker).
+    Each worker's shard list is in ascending shard-id order (the execution
+    order inside the worker).  Results do not depend on the placement: the
+    differentials hold every worker count to the single-process run.
     """
-    assignment: List[List[ShardSpec]] = [[] for _ in range(workers)]
-    loads = [0.0] * workers
-    for spec in sorted(specs, key=lambda s: (-s.weight, s.shard_id)):
-        widx = min(range(workers), key=lambda w: (loads[w], w))
-        assignment[widx].append(spec)
-        loads[widx] += spec.weight
-    for worker_specs in assignment:
-        worker_specs.sort(key=lambda s: s.shard_id)
-    return assignment
+    ordered = sorted(specs, key=lambda s: s.shard_id)
+    return [ordered[widx::workers] for widx in range(workers)]
 
 
 class _Pipes:

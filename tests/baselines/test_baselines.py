@@ -119,7 +119,8 @@ class TestSingleServerStore:
 class TestSequencerLog:
     def test_appends_wait_for_batch_and_quorum(self):
         env = make_env()
-        service = SequencerLogService(env, ensemble_size=3, batch_window=0.010)
+        service = SequencerLogService(env, ensemble_size=3)
+        service.leader.BATCH_WINDOW = 0.010
 
         def factory(sequence):
             command = Command(op="append", args=(), group_id=0, size_bytes=1024 + 40)

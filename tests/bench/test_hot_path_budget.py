@@ -212,7 +212,7 @@ def _frames_to_encode(payload):
 def test_encoding_enters_python_once_per_registered_instance():
     # Per entry: a Decision, two ProposalValues and two Commands — and three
     # tuples plus one list slot that must cost nothing.  The difference of two
-    # sizes cancels the per-frame set-up (one reducer bound per class).
+    # sizes cancels the per-frame work (the segment's own ``__reduce__``).
     small, large = _barrier_payload(100), _barrier_payload(300)
     encode_wire(small)  # the first frame of a process compiles the reducers
     assert _frames_to_encode(large) - _frames_to_encode(small) == 200 * 5

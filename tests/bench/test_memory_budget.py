@@ -272,9 +272,10 @@ def cursor_retained(instances_per_ring: int) -> int:
     """Bytes a drained two-ring ``MergeCursor`` keeps after ``instances_per_ring``.
 
     Segments arrive through ``feed_segments`` one barrier at a time, three
-    skips to one value, fresh objects per instance as the wire decodes them;
-    the cursor is built and fed under ``tracemalloc`` and held while the
-    snapshot is taken.
+    skips to one value, a fresh object per instance (the most a decoded
+    frame can hold: the wire shares only what the sender shared); the cursor
+    is built and fed under ``tracemalloc`` and held while the snapshot is
+    taken.
     """
     gc.collect()
     tracemalloc.start()

@@ -362,7 +362,7 @@ def test_smoke_matrix_shared_learner_verdicts_match_single_process():
 def test_reordered_wire_segments_are_a_named_violation(monkeypatch, tmp_path):
     """Prover: a wire decoder that swaps two adjacent entries fails the oracle.
 
-    ``_segment_wire_build`` rebuilds every segment a worker ships to the
+    ``_segment_from_columns`` rebuilds every segment a worker ships to the
     merge stage; the mutant swaps the first two entries of each.  While the
     sharded oracle replayed re-chunked whole-run histories instead of the
     shipped segments, and the cursor dropped a displaced instance as a
@@ -371,8 +371,8 @@ def test_reordered_wire_segments_are_a_named_violation(monkeypatch, tmp_path):
     traceback.
     """
     seed = _eligible_seeds(1, require_merge_learners=True)[0]
-    monkeypatch.setattr(merge, "_segment_wire_build", mutate(
-        merge._segment_wire_build,
+    monkeypatch.setattr(merge, "_segment_from_columns", mutate(
+        merge._segment_from_columns,
         ("    return RingSegment(", "    entries[:2] = entries[1::-1]\n    return RingSegment("),
     ))
     result = run_scenario(seed, artifacts_dir=str(tmp_path), workers=2)

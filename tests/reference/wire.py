@@ -1,20 +1,22 @@
-"""The wire codec as it shipped until PR 23: one Python hook per object.
+"""A naive second implementation of the wire codec: one Python hook per object.
 
 Encoding is a ``pickle.Pickler`` subclass whose ``reducer_override`` applies
 the wire rule to every non-builtin object: a class declared a dataclass
 itself, with no ``__reduce__`` of its own, ships its ``dataclasses.fields``
-positionally; anything else takes pickle's default path.  Decoding rebuilds
-a dataclass instance with a ``zip`` + ``object.__setattr__`` loop and a skip
-run with one dataclass ``__init__`` per skip.
+positionally; a ``RingSegment`` ships as its instance column and its value
+column; anything else takes pickle's default path.  Decoding rebuilds a
+dataclass instance with a ``zip`` + ``object.__setattr__`` loop and a
+segment with one loop over its columns.
 ``repro.sim.network.encode_wire`` must produce the very same bytes, and
 ``pickle.loads`` of a frame the very same object graph, as this pair does.
 
 The frames name their builders by import path, so the reference encoder
-emits the shipped ``_wire_build`` / ``_segment_wire_build`` globals and the
-reference decoder maps those two names back to the loops below.
+emits the shipped ``_wire_build`` / ``_segment_from_columns`` globals and
+the reference decoder maps those two names back to the loops below.
 
 :func:`plain_pickle` is the yardstick both codecs' compression is measured
-against: generic pickling, with no segment compression.
+against: generic pickling, ``RingSegment`` included.  :func:`sharing` is the
+object-identity structure a decoded graph must keep.
 """
 
 from __future__ import annotations
@@ -26,10 +28,7 @@ import pickle
 
 from repro.multiring import merge
 from repro.multiring.merge import RingSegment
-from repro.paxos.messages import ProposalValue
 from repro.sim import network
-
-_SEGMENT_RUN_MIN = 3
 
 
 def _positional_fields(cls):
@@ -40,37 +39,19 @@ def _positional_fields(cls):
 
 
 def _segment_reduce(segment):
-    entries = segment.entries
-    count = len(entries)
-    instances = 0
-    if count:
-        first = entries[0][0]
-        if all(inst == first + idx for idx, (inst, _) in enumerate(entries)):
-            instances = first
-        else:
-            instances = tuple(inst for inst, _ in entries)
-    packed = []
-    idx = 0
-    while idx < count:
-        value = entries[idx][1]
-        end = idx + 1
-        if value.is_skip():
-            while end < count and entries[end][1] == value:
-                end += 1
-        if end - idx >= _SEGMENT_RUN_MIN:
-            packed.append((end - idx, value))
-        else:
-            packed.extend(entry[1] for entry in entries[idx:end])
-        idx = end
-    return merge._segment_wire_build, (segment.start, instances, count, tuple(packed))
+    instances = tuple(inst for inst, _ in segment.entries)
+    values = tuple(value for _, value in segment.entries)
+    if not instances:
+        column = 0
+    elif all(inst == instances[0] + idx for idx, inst in enumerate(instances)):
+        column = instances[0]
+    else:
+        column = instances
+    return merge._segment_from_columns, (segment.start, column, values)
 
 
 class ReferencePickler(pickle.Pickler):
-    """Dataclasses to ``(_wire_build, (cls, values))``, equal ones interned."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._interned = {}
+    """Dataclasses to ``(_wire_build, (cls, values))``, segments to two columns."""
 
     def reducer_override(self, obj):
         cls = obj.__class__
@@ -79,15 +60,7 @@ class ReferencePickler(pickle.Pickler):
         names = _positional_fields(cls)
         if names is None:
             return NotImplemented
-        values = tuple(getattr(obj, name) for name in names)
-        try:
-            key = (cls, values)
-            args = self._interned.get(key)
-            if args is None:
-                self._interned[key] = args = key
-        except TypeError:  # unhashable field: no interning
-            args = (cls, values)
-        return network._wire_build, args
+        return network._wire_build, (cls, tuple(getattr(obj, name) for name in names))
 
 
 def reference_encode(payload):
@@ -103,34 +76,18 @@ def _wire_build(cls, values):
     return obj
 
 
-def _segment_wire_build(start, instances, count, packed):
-    values = []
-    for item in packed:
-        if type(item) is tuple:
-            run, value = item
-            values.append(value)
-            for _ in range(run - 1):
-                values.append(
-                    ProposalValue(
-                        value.payload,
-                        value.size_bytes,
-                        value.proposer,
-                        value.proposal_id,
-                        value.created_at,
-                    )
-                )
-        else:
-            values.append(item)
-    if type(instances) is tuple:
-        entries = list(zip(instances, values))
-    else:
-        entries = list(zip(range(instances, instances + count), values))
+def _segment_from_columns(start, instances, values):
+    if type(instances) is int:
+        instances = range(instances, instances + len(values))
+    entries = []
+    for instance, value in zip(instances, values):
+        entries.append((instance, value))
     return RingSegment(start=start, entries=entries)
 
 
 _BUILDERS = {
     ("repro.sim.network", "_wire_build"): _wire_build,
-    ("repro.multiring.merge", "_segment_wire_build"): _segment_wire_build,
+    ("repro.multiring.merge", "_segment_from_columns"): _segment_from_columns,
 }
 
 
@@ -156,3 +113,46 @@ def plain_pickle(payload):
     pickler.dispatch_table = {**copyreg.dispatch_table, RingSegment: _generic_segment_reduce}
     pickler.dump(payload)
     return buffer.getvalue()
+
+
+_ATOMS = (type(None), bool, int, float, str, bytes, type)
+
+
+def sharing(graph):
+    """The object-identity structure of ``graph``, comparable across copies.
+
+    A depth-first walk that numbers every object which can carry identity
+    (lists, dicts, dataclass instances, other objects) on first sight and
+    records a back-reference on every later sight.  Two graphs with equal
+    structures share exactly the same objects.  Scalars, strings and classes
+    are compared by value elsewhere; tuples are immutable, so only their
+    elements count.
+    """
+    seen = {}
+    out = []
+
+    def walk(obj):
+        if isinstance(obj, _ATOMS):
+            return
+        if type(obj) is tuple:
+            for item in obj:
+                walk(item)
+            return
+        if id(obj) in seen:
+            out.append(("ref", seen[id(obj)]))
+            return
+        seen[id(obj)] = len(seen)
+        out.append(("new", type(obj).__qualname__))
+        if isinstance(obj, list):
+            children = obj
+        elif isinstance(obj, dict):
+            children = [item for pair in obj.items() for item in pair]
+        elif dataclasses.is_dataclass(obj):
+            children = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+        else:
+            children = list(getattr(obj, "__dict__", {}).values())
+        for child in children:
+            walk(child)
+
+    walk(graph)
+    return out

@@ -587,41 +587,36 @@ def test_segment_interval_requires_horizon():
         )
 
 
+@pytest.mark.parametrize("interval", [0.0, -0.01])
+def test_nonpositive_segment_interval_rejected(interval):
+    with pytest.raises(ValueError, match="segment_interval must be positive"):
+        run_sharded(
+            [ShardSpec(i, build_segment_shard, i) for i in range(2)],
+            until=0.06,
+            workers=1,
+            segment_interval=interval,
+        )
+
+
+def test_empty_shard_list_rejected():
+    with pytest.raises(ValueError, match="at least one shard"):
+        run_sharded([], workers=1)
+
+
 # ---------------------------------------------------------------------------
-# Weighted placement and failure identity
+# Placement and failure identity
 # ---------------------------------------------------------------------------
 
 from repro.sim.parallel import _assign_shards  # noqa: E402
 
 
-def test_weighted_assignment_heaviest_first():
-    """LPT placement: heaviest shards spread first, ties broken by shard id.
-
-    Round-robin by list position — the old rule — would put shards [0, 2, 4]
-    and [1, 3] together regardless of weight, loading one worker with 8 and
-    the other with 4.  The weighted schedule is pinned exactly so a future
-    tweak cannot silently regress placement determinism.
-    """
-    weights = {0: 5.0, 1: 1.0, 2: 1.0, 3: 3.0, 4: 2.0}
-    specs = [
-        ShardSpec(sid, build_counting_shard, sid, weight=weight)
-        for sid, weight in weights.items()
-    ]
-    assignment = _assign_shards(specs, workers=2)
-    placed = [[spec.shard_id for spec in worker] for worker in assignment]
-    assert placed == [[0, 1], [2, 3, 4]]
-    loads = [sum(weights[sid] for sid in worker) for worker in placed]
-    assert loads == [6.0, 6.0]
-    # Deterministic: a permuted input yields the identical schedule.
-    assignment2 = _assign_shards(list(reversed(specs)), workers=2)
-    assert [[s.shard_id for s in worker] for worker in assignment2] == placed
-
-
-def test_nonpositive_shard_weight_rejected():
-    with pytest.raises(ValueError, match="weight"):
-        run_sharded(
-            [ShardSpec(0, build_counting_shard, 0, weight=0.0)], workers=1
-        )
+def test_shards_are_dealt_round_robin_in_shard_id_order():
+    """Worker ``w`` runs shards ``w, w + workers, ...``, whatever the input order."""
+    specs = [ShardSpec(sid, build_counting_shard, sid) for sid in (3, 0, 4, 1, 2)]
+    for workers, placed in ((1, [[0, 1, 2, 3, 4]]), (2, [[0, 2, 4], [1, 3]]),
+                            (3, [[0, 3], [1, 4], [2]])):
+        assignment = _assign_shards(specs, workers)
+        assert [[spec.shard_id for spec in worker] for worker in assignment] == placed
 
 
 class DyingActor(Actor):

@@ -2,11 +2,11 @@
 
 The codec's contract: ``decode_wire(encode_wire(x)) == x`` for every payload
 the barrier plane ships — dataclasses in positional tuple form, the
-``RingSegment`` columnar/run-length form of its own ``__reduce__``, and every
-other object via pickle's default path — while never aliasing distinct
-mutable instances on the receiving side and always preserving the ``SKIP``
-sentinel's identity.  Nothing registers: the dataclass declaration is the
-layout.
+``RingSegment`` two-column form of its own ``__reduce__``, and every other
+object via pickle's default path — with the decoded graph sharing exactly
+the objects the sender's shares (equal but distinct instances stay distinct)
+and the ``SKIP`` sentinel keeping its identity.  Nothing registers: the
+dataclass declaration is the layout.
 
 The shipped codec compiles one reducer and one builder per class; the
 one-hook-per-object codec it replaced lives on in ``tests/reference/wire.py``
@@ -35,7 +35,7 @@ from repro.sim import network, parallel
 from repro.sim.network import decode_wire, encode_wire
 from tests import golden
 from tests.conftest import mutate
-from tests.reference.wire import plain_pickle, reference_decode, reference_encode
+from tests.reference.wire import plain_pickle, reference_decode, reference_encode, sharing
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +136,9 @@ def _assert_matches_reference(payload, graph=True):
     frame = encode_wire(payload)
     assert frame == reference_encode(payload)
     if graph:
-        assert decode_wire(frame) == reference_decode(frame) == payload
+        decoded = decode_wire(frame)
+        assert decoded == reference_decode(frame) == payload
+        assert sharing(decoded) == sharing(payload)
 
 
 @settings(max_examples=150, deadline=None)
@@ -159,10 +161,22 @@ def test_equal_instances_and_skip_runs_equal_the_reference_codec():
 def test_segment_wire_form_roundtrip(segment):
     decoded = decode_wire(encode_wire(segment))
     assert decoded == segment
-    # Run-length expansion must never alias: distinct entries stay distinct
-    # objects, safe for consumers that mutate delivered values in place.
-    ids = {id(value) for _, value in decoded.entries}
-    assert len(ids) == len(decoded.entries)
+    # Distinct entries stay distinct objects, safe for consumers that mutate
+    # delivered values in place.
+    assert sharing(decoded) == sharing(segment)
+
+
+def test_a_shared_skip_value_decodes_shared_and_distinct_values_stay_distinct():
+    skip = ProposalValue(SKIP, 0, "", 0, 0.0)
+    entries = [(i, skip) for i in range(10)]
+    entries += [(10 + i, ProposalValue(SKIP, 0, "", 0, 0.0)) for i in range(3)]
+    segment = RingSegment(4, entries)
+    decoded = decode_wire(encode_wire(segment))
+    assert decoded == segment
+    values = [value for _, value in decoded.entries]
+    assert len({id(value) for value in values[:10]}) == 1
+    assert len({id(value) for value in values}) == 4
+    assert sharing(decoded) == sharing(segment)
 
 
 def test_skip_identity_survives_the_wire():
@@ -174,34 +188,25 @@ def test_skip_identity_survives_the_wire():
     assert all(value.is_skip() for _, value in decoded.entries)
 
 
-def test_equal_instances_intern_without_aliasing():
-    # Distinct-but-equal hashable-field instances (the rate-leveled skip
-    # stream shape) must encode compactly — interned argument tuples — yet
-    # decode to fresh objects.
-    values = [ProposalValue(SKIP, 0, "", 0, 0.0) for _ in range(500)]
-    wire = encode_wire(values)
-    legacy = pickle.dumps(values)
-    assert len(wire) < len(legacy) / 2
-    decoded = decode_wire(wire)
-    assert decoded == values
-    assert len({id(v) for v in decoded}) == len(values)
-
-
 def test_identical_objects_stay_interned():
     shared = ProposalValue(Command(op="append", args=(1,)), 64, "p", 9, 1.5)
     wire = encode_wire([shared] * 100)
     assert len(wire) < len(encode_wire([shared])) + 400  # memo back-references
 
 
-def test_segment_consecutive_instances_compress():
+def test_a_consecutive_instance_column_ships_as_one_int():
     dense = RingSegment(
-        entries=[(i, ProposalValue(SKIP, 0, "", 0, 0.0)) for i in range(1000)]
+        entries=[(i, ProposalValue(SKIP, 0, "", 0, 0.0)) for i in range(7, 1007)]
     )
-    assert len(encode_wire(dense)) < len(plain_pickle(dense)) / 10
-    # Non-consecutive numbering still round-trips exactly.
+    _, instances, values = dense.__reduce__()[1]
+    assert instances == 7 and len(values) == 1000
+    # Beyond its values, the segment costs its builder's name and two ints.
+    assert len(encode_wire(dense)) < len(encode_wire([value for _, value in dense.entries])) + 64
+    # Non-consecutive numbering ships the whole column and round-trips exactly.
     sparse = RingSegment(
         entries=[(i * 3 + 1, ProposalValue(SKIP, 0, "", 0, 0.0)) for i in range(10)]
     )
+    assert sparse.__reduce__()[1][1] == tuple(range(1, 30, 3))
     assert decode_wire(encode_wire(sparse)) == sparse
 
 
@@ -290,6 +295,7 @@ def test_a_dataclass_codec_is_compiled_once(monkeypatch):
         return compile_codec(cls)
 
     monkeypatch.setattr(network, "_WIRE_CODECS", network._WireCodecs())
+    monkeypatch.setattr(network, "_WIRE_REDUCERS", network._WireReducers())
     monkeypatch.setattr(network, "_compile_wire_codec", counting)
     for _ in range(3):
         frame = encode_wire([_Counted(1), _Counted(2)])
@@ -404,6 +410,7 @@ def _recompiled(monkeypatch, *replacements):
         network, "_compile_wire_codec", mutate(network._compile_wire_codec, *replacements)
     )
     monkeypatch.setattr(network, "_WIRE_CODECS", network._WireCodecs())
+    monkeypatch.setattr(network, "_WIRE_REDUCERS", network._WireReducers())
 
 
 def test_reference_differential_catches_a_builder_swapping_two_fields(monkeypatch):
@@ -416,11 +423,11 @@ def test_reference_differential_catches_a_builder_swapping_two_fields(monkeypatc
         _assert_matches_reference(_SAMPLE)
 
 
-def test_reference_differential_catches_an_encoder_that_skips_interning(monkeypatch):
+def test_reference_differential_catches_an_encoder_reversing_the_fields(monkeypatch):
     _assert_matches_reference(_SAMPLE)
-    _recompiled(monkeypatch, ("setdefault(key, key)", "key"))
+    _recompiled(monkeypatch, ("(cls, ({fields}))", "(cls, ({fields})[::-1])"))
     frame = encode_wire(_SAMPLE)
-    assert decode_wire(frame) == _SAMPLE  # still a valid frame, only a longer one
-    assert len(frame) > len(reference_encode(_SAMPLE))
+    assert frame != reference_encode(_SAMPLE)
+    assert decode_wire(frame) != _SAMPLE
     with pytest.raises(AssertionError):
         _assert_matches_reference(_SAMPLE)
