@@ -32,7 +32,6 @@ def main() -> None:
         acceptors_per_log=3,
         replica_count=2,
         dedicated_disks=True,
-        config=config,
     )
 
     writer_a = service.create_append_client("writer-a", concurrency=4, append_bytes=1024,

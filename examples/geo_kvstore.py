@@ -37,7 +37,6 @@ def main() -> None:
         replicas_per_partition=1,
         site_for_partition={g: REGIONS[g] for g in range(len(REGIONS))},
         global_ring_id=GLOBAL_RING,
-        config=config,
     )
     service.preload(preload_keys(1000))
 

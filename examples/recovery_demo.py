@@ -32,7 +32,6 @@ def main() -> None:
     system = AtomicMulticast(seed=99, config=config)
     service = MRPStoreService(
         system, partition_groups=[0], acceptors_per_partition=3, replicas_per_partition=3,
-        config=config,
     )
     service.preload(preload_keys(500))
 

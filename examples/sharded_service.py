@@ -97,7 +97,6 @@ def build_partition_shard(group: int) -> Measurement:
         partition_groups=[group],
         acceptors_per_partition=2,
         replicas_per_partition=1,
-        config=config,
     )
 
     commands = MRPStoreCommands(HashPartitioner([group]))

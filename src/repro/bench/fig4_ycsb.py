@@ -55,14 +55,13 @@ def _build_workload(workload: str, record_count: int, seed: int) -> YCSBWorkload
     )
 
 
-def _build_mrp(system: AtomicMulticast, global_ring: bool, config: MultiRingConfig) -> MRPStoreService:
+def _build_mrp(system: AtomicMulticast, global_ring: bool) -> MRPStoreService:
     return MRPStoreService(
         system,
         partition_groups=list(_PARTITIONS),
         acceptors_per_partition=3,
         replicas_per_partition=_REPLICATION,
         global_ring_id=9 if global_ring else None,
-        config=config,
     )
 
 
@@ -113,7 +112,7 @@ def run_fig4_point(
     factory = kv_request_factory(commands, workload)
 
     if system_name in ("mrp-store", "mrp-store-indep"):
-        service = _build_mrp(system, global_ring=(system_name == "mrp-store"), config=config)
+        service = _build_mrp(system, global_ring=(system_name == "mrp-store"))
         service.preload(keyspace)
         frontends = service.frontend_map()
     elif system_name == "cassandra":

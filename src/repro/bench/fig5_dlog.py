@@ -61,7 +61,6 @@ def run_fig5_point(
             acceptors_per_log=3,
             replica_count=2,
             dedicated_disks=True,
-            config=config,
         )
         frontends = service.frontend_map()
     else:

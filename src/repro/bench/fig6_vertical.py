@@ -86,7 +86,6 @@ def build_fig6_shard(payload: Dict[str, Any]) -> Measurement:
         replica_count=1,
         common_ring_id=payload["common_ring_id"],
         dedicated_disks=True,
-        config=config,
     )
     for log_id in log_ids:
         factory = append_request_factory(

@@ -121,7 +121,6 @@ def build_fig7_shard(payload: Dict[str, Any]) -> Measurement:
         replicas_per_partition=1,
         site_for_partition=dict(placement),
         global_ring_id=payload["global_ring_id"],
-        config=config,
     )
     service.preload(preload_keys(payload["key_count"]))
     for group, region in placement:

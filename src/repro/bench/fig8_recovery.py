@@ -100,7 +100,6 @@ def run_fig8(
         partition_groups=[0],
         acceptors_per_partition=3,
         replicas_per_partition=3,
-        config=config,
     )
     service.preload(preload_keys(key_count))
 

@@ -183,7 +183,7 @@ def _build_idle_ring_shard(payload: Dict[str, Any]) -> Measurement:
         RingMember(name=f.name, proposer=True, acceptor=True, learner=False)
         for f in frontends
     ] + [RingMember(name=learner.name, proposer=False, acceptor=False, learner=True)]
-    system.create_ring(idle["ring_id"], members, config=config)
+    system.create_ring(idle["ring_id"], members)
     schedule_crashes(system, payload.get("crash_schedule"))
 
     harness = Measurement(

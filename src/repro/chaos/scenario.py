@@ -1048,7 +1048,6 @@ def _build_kvstore(spec: Dict[str, Any]) -> _ChaosRun:
         partition_groups=groups,
         acceptors_per_partition=3,
         replicas_per_partition=spec["replicas"],
-        config=config,
     )
     recorder = TraceRecorder()
     for replica in service.all_replicas():
@@ -1154,7 +1153,6 @@ def _build_dlog(spec: Dict[str, Any]) -> _ChaosRun:
         log_ids=log_ids,
         acceptors_per_log=3,
         replica_count=spec["replicas"],
-        config=config,
     )
     recorder = TraceRecorder()
     for replica in service.replicas:

@@ -1,9 +1,9 @@
 """Deployment façade: build and run a Multi-Ring Paxos system.
 
 :class:`AtomicMulticast` wires together everything a deployment needs — the
-simulation environment, the network and topology, the coordination service,
-the ring overlays and the processes — and exposes the handful of operations
-services and benchmarks use:
+simulation environment, the network and topology, the ring overlays and the
+processes — and exposes the handful of operations services and benchmarks
+use:
 
 * :meth:`create_ring` — declare a ring (one multicast group) and enrol its
   member processes with their roles;
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..coord.registry import CoordinationService
 from ..multiring.process import MultiRingProcess
 from ..net.ring import RingMember, RingOverlay
 from ..sim.actor import Actor, Environment
@@ -88,8 +87,11 @@ class AtomicMulticast:
         self.env = Environment(seed=seed)
         self.topology = topology or single_datacenter()
         self.network = Network(self.env, self.topology, jitter_fraction=jitter_fraction)
-        self.coordination = CoordinationService()
-        self._ring_configs: Dict[int, MultiRingConfig] = {}
+        #: current overlay of every ring.  This is the paper's Zookeeper
+        #: registry: it is off the ordering path and every process reads it
+        #: locally, so it is a plain dict.  Overlays are never mutated; a
+        #: reconfiguration stores a new one.
+        self._rings: Dict[int, RingOverlay] = {}
         self._evicted_members: Dict[str, Dict[int, RingMember]] = {}
         self._started = False
 
@@ -108,7 +110,6 @@ class AtomicMulticast:
         ring_id: int,
         members: Sequence[MemberSpec],
         coordinator: Optional[str] = None,
-        config: Optional[MultiRingConfig] = None,
         disks: Optional[Dict[str, Disk]] = None,
     ) -> RingOverlay:
         """Declare a ring and enrol every member process.
@@ -121,8 +122,6 @@ class AtomicMulticast:
             Member specifications in ring order (see :data:`MemberSpec`).
         coordinator:
             Coordinator name; defaults to the first acceptor.
-        config:
-            Ring-specific configuration; defaults to the deployment config.
         disks:
             Optional per-process device to which that process's acceptor log
             for this ring is pinned (used by the vertical-scalability bench
@@ -132,19 +131,23 @@ class AtomicMulticast:
             m if isinstance(m, RingMember) else parse_roles(m[0], m[1]) for m in members
         ]
         overlay = RingOverlay(ring_id, ring_members, coordinator=coordinator)
-        ring_config = config or self.config
-        self._ring_configs[ring_id] = ring_config
-        self.coordination.register_ring(overlay)
+        self._rings[ring_id] = overlay
         for member in ring_members:
             process = self.env.actor(member.name)
             if isinstance(process, MultiRingProcess):
                 disk = disks.get(member.name) if disks else None
-                process.join_ring(overlay, config=ring_config, disk=disk)
+                process.join_ring(overlay, config=self.config, disk=disk)
         return overlay
 
     def ring(self, ring_id: int) -> RingOverlay:
-        """Current overlay of ``ring_id`` as stored in the coordination service."""
-        return self.coordination.ring(ring_id)
+        """Current overlay of ``ring_id``."""
+        if ring_id not in self._rings:
+            raise KeyError(f"unknown ring: {ring_id}")
+        return self._rings[ring_id]
+
+    def ring_ids(self) -> List[int]:
+        """Every ring's id, sorted."""
+        return sorted(self._rings)
 
     # ---------------------------------------------------------------- running
     def start(self) -> None:
@@ -169,7 +172,7 @@ class AtomicMulticast:
         The remaining members install the new overlay immediately; the failed
         process keeps its old view and is ignored until re-added.
         """
-        current = self.coordination.ring(ring_id)
+        current = self.ring(ring_id)
         remaining = [m for m in current.members if m.name != name]
         coordinator = current.coordinator
         if coordinator == name:
@@ -178,7 +181,7 @@ class AtomicMulticast:
                 raise RuntimeError(f"removing {name} leaves ring {ring_id} without acceptors")
             coordinator = live_acceptors[0]
         overlay = RingOverlay(ring_id, remaining, coordinator=coordinator, epoch=current.epoch + 1)
-        self.coordination.register_ring(overlay)
+        self._rings[ring_id] = overlay
         self._install_overlay(overlay)
         return overlay
 
@@ -190,7 +193,7 @@ class AtomicMulticast:
     ) -> RingOverlay:
         """Re-admit a process into a ring after it recovered."""
         new_member = member if isinstance(member, RingMember) else parse_roles(member[0], member[1])
-        current = self.coordination.ring(ring_id)
+        current = self.ring(ring_id)
         members = [m for m in current.members if m.name != new_member.name]
         if position is None:
             members.append(new_member)
@@ -199,12 +202,11 @@ class AtomicMulticast:
         overlay = RingOverlay(
             ring_id, members, coordinator=current.coordinator, epoch=current.epoch + 1
         )
-        self.coordination.register_ring(overlay)
+        self._rings[ring_id] = overlay
         self._install_overlay(overlay)
         process = self.env.actor(new_member.name)
         if isinstance(process, MultiRingProcess) and ring_id not in process.ring_ids():
-            config = self._ring_configs.get(ring_id, self.config)
-            process.join_ring(overlay, config=config)
+            process.join_ring(overlay, config=self.config)
             if self._started and process.alive:
                 process.node(ring_id).start()
         return overlay
@@ -230,8 +232,8 @@ class AtomicMulticast:
         self.env.actor(name).crash()
         if not reconfigure_rings:
             return
-        for ring_id in self.coordination.ring_ids():
-            overlay = self.coordination.ring(ring_id)
+        for ring_id in self.ring_ids():
+            overlay = self._rings[ring_id]
             if name not in overlay:
                 continue
             member = overlay.member(name)

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core.amcast import AtomicMulticast
 from ..core.client import ClosedLoopClient
-from ..core.config import MultiRingConfig
 from ..core.smr import ProposerFrontend
 from ..net.ring import RingMember
 from ..sim.disk import Disk, DiskProfile, HDD_PROFILE, profile_for_mode
@@ -36,7 +35,6 @@ class DLogService:
         common_ring_id: Optional[int] = None,
         dedicated_disks: bool = False,
         disk_profile: DiskProfile = HDD_PROFILE,
-        config: Optional[MultiRingConfig] = None,
         site: str = "dc1",
     ) -> None:
         if not log_ids:
@@ -44,7 +42,7 @@ class DLogService:
         self.system = system
         self.log_ids = list(log_ids)
         self.common_ring_id = common_ring_id
-        self.config = config or system.config
+        self.config = system.config
         self.commands = DLogCommands()
         self.frontends: Dict[int, List[ProposerFrontend]] = {}
         self.replicas: List[DLogReplica] = []
@@ -88,7 +86,7 @@ class DLogService:
                 f.name: Disk(self.system.env, profile, name=f"ring{log_id}.disk")
                 for f in frontends
             }
-        self.system.create_ring(log_id, members, config=self.config, disks=disks)
+        self.system.create_ring(log_id, members, disks=disks)
         self.frontends[log_id] = frontends
 
     def _build_common_ring(self, ring_id: int, acceptors: int) -> None:
@@ -103,7 +101,7 @@ class DLogService:
             RingMember(name=r.name, proposer=False, acceptor=False, learner=True)
             for r in self.replicas
         ]
-        self.system.create_ring(ring_id, members, config=self.config)
+        self.system.create_ring(ring_id, members)
         self.frontends[ring_id] = frontends
 
     # -------------------------------------------------------------- accessors

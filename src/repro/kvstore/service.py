@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..core.amcast import AtomicMulticast
-from ..core.config import MultiRingConfig
 from ..core.smr import ProposerFrontend
 from ..net.ring import RingMember
 from .client import MRPStoreCommands
@@ -45,14 +44,13 @@ class MRPStoreService:
         replicas_per_partition: int = 2,
         site_for_partition: Optional[Dict[int, str]] = None,
         global_ring_id: Optional[int] = None,
-        config: Optional[MultiRingConfig] = None,
     ) -> None:
         if not partition_groups:
             raise ValueError("need at least one partition")
         self.system = system
         self.groups = list(partition_groups)
         self.partitioner = partitioner or HashPartitioner(self.groups)
-        self.config = config or system.config
+        self.config = system.config
         self.global_ring_id = global_ring_id
         self.commands = MRPStoreCommands(self.partitioner)
         self.frontends: Dict[int, List[ProposerFrontend]] = {}
@@ -84,7 +82,7 @@ class MRPStoreService:
             RingMember(name=r.name, proposer=False, acceptor=False, learner=True)
             for r in partition_replicas
         ]
-        self.system.create_ring(group, members, config=self.config)
+        self.system.create_ring(group, members)
         self.frontends[group] = frontends
         self.replicas[group] = partition_replicas
 
@@ -103,7 +101,7 @@ class MRPStoreService:
             members.append(RingMember(name=frontend.name, proposer=True, acceptor=True, learner=False))
             for replica in self.replicas[group]:
                 members.append(RingMember(name=replica.name, proposer=False, acceptor=False, learner=True))
-        self.system.create_ring(ring_id, members, config=self.config)
+        self.system.create_ring(ring_id, members)
 
     # -------------------------------------------------------------- accessors
     def all_replicas(self) -> List[MRPStoreReplica]:

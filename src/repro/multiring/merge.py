@@ -554,7 +554,6 @@ class DeterministicMerger:
         #: a packed instance still has leaves to deliver (no round boundary)
         self._mid_instance = False
         self._delivered = 0
-        self._skipped = 0
 
     # ---------------------------------------------------------------- inputs
     def offer(self, group_id: int, instance: int, value: ProposalValue) -> None:
@@ -569,7 +568,7 @@ class DeterministicMerger:
             # emit is inlined; skips and packed values take the shared helper.
             payload = value.payload
             if payload is SKIP:
-                self._skipped += 1
+                pass  # a skip only moves the round
             elif isinstance(payload, PackedValues):
                 self._emit(group_id, instance, value)
             else:
@@ -616,7 +615,6 @@ class DeterministicMerger:
         # instead of going through ``is_skip()``.
         payload = value.payload
         if payload is SKIP:
-            self._skipped += 1
             return
         on_deliver = self._on_deliver
         if isinstance(payload, PackedValues):
@@ -631,8 +629,8 @@ class DeterministicMerger:
             for packed in values:
                 inner = packed.payload
                 if inner is SKIP:
-                    self._skipped += 1
-                elif isinstance(inner, PackedValues):
+                    continue
+                if isinstance(inner, PackedValues):
                     for leaf in _iter_leaf_values(packed):
                         self._emit(group, instance, leaf)
                 else:

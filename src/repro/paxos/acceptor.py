@@ -7,14 +7,13 @@ requests from recovering replicas.  :class:`AcceptorState` bundles:
 * the per-instance Paxos state — promised ballot, accepted ballot, accepted
   value — as columns of one :class:`~repro.storage.slab.InstanceSlab`,
 * the write-ahead log charging the configured storage mode,
-* the bounded in-memory slot buffer of decided values used to serve
-  retransmissions quickly,
+* the decided values used to serve retransmissions,
 * trimming, driven by the coordinator's :class:`~repro.paxos.messages.TrimCommand`.
 
-Log, slot buffer and decisions are views of the same slab: a steady-state hop
-appends one entry to each column and sets flags, and trimming deletes one
-prefix.  :class:`~repro.paxos.instance.AcceptorInstance` objects exist only
-while a vote that is not the steady-state case runs the plain acceptor rules.
+Log and decisions are views of the same slab: a steady-state hop appends one
+entry to each column and sets flags, and trimming deletes one prefix.
+:class:`~repro.paxos.instance.AcceptorInstance` objects exist only while a vote
+that is not the steady-state case runs the plain acceptor rules.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from typing import Callable, List, Optional, Tuple
 from ..sim.actor import Environment
 from ..sim.disk import Disk, StorageMode
 from ..storage.slab import DECIDED, VOTED
-from ..storage.slots import SlotBuffer
 from ..storage.wal import WriteAheadLog
 from .instance import Accepted, AcceptorInstance
 from .messages import SKIP, ProposalValue
@@ -41,7 +39,6 @@ class AcceptorState:
         name: str,
         ring_id: int,
         storage_mode: StorageMode = StorageMode.IN_MEMORY,
-        slot_count: int = SlotBuffer.DEFAULT_SLOTS,
         disk: Optional[Disk] = None,
     ) -> None:
         self.env = env
@@ -51,9 +48,8 @@ class AcceptorState:
         self.log = WriteAheadLog(
             env, mode=storage_mode, name=f"{name}.r{ring_id}.wal", disk=disk
         )
-        self.slots = SlotBuffer(slot_count=slot_count)
-        #: one slab under the votes, the log and the slots
-        self._slab = self.slots.slab = self.log.slab
+        #: one slab under the votes, the log and the decisions
+        self._slab = self.log.slab
         #: ballot promised for every instance not yet individually touched —
         #: this is how Phase 1 pre-execution over a huge window (2^20
         #: instances, Section 4) is represented without materialising
@@ -234,12 +230,6 @@ class AcceptorState:
                 slab.decisions.pop(instance, None)
         else:
             slab.attach(instance, DECIDED, value, shared=False)
-        if value.payload is not SKIP:
-            # A full buffer is the steady state of an untrimmed run, so ask
-            # rather than catch: the value then stays only in the WAL (or is
-            # lost for in-memory mode) and retransmission falls back to the
-            # log, mirroring the real system's back-pressure behaviour.
-            self.slots.offer(instance, value, value.size_bytes)
 
     def is_decided(self, instance: int) -> bool:
         """Whether this acceptor knows the decision of ``instance``."""
@@ -292,7 +282,6 @@ class AcceptorState:
     def crash(self) -> None:
         """Lose volatile state; the WAL keeps whatever its mode guarantees."""
         self.log.crash()
-        self.slots.clear()
         self._slab.forget_votes_and_decisions()
 
     def recover_from_log(self) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from ..paxos.messages import SKIP, ProposalValue
+from ..paxos.messages import ProposalValue
 
 __all__ = ["RingLearner"]
 
@@ -51,8 +51,6 @@ class RingLearner:
         self._pending_values: Dict[int, ProposalValue] = {}
         self._undeliv: set = set()
         self._next_to_emit = 0
-        self._emitted = 0
-        self._skipped = 0
 
     # --------------------------------------------------------------- inputs
     def observe_value(self, instance: int, value: ProposalValue) -> None:
@@ -91,9 +89,6 @@ class RingLearner:
         # ever being stored.  ``highest_contiguous_decided`` is what marks it
         # decided while its callback runs.
         self.highest_contiguous_decided = instance
-        self._emitted += 1
-        if resolved.payload is SKIP:
-            self._skipped += 1
         self._on_ordered(self.ring_id, instance, resolved)
         self._pending_values.pop(instance, None)
         if self._next_to_emit == instance:  # unless the callback fast-forwarded
@@ -151,9 +146,6 @@ class RingLearner:
             value = pop(nxt, None)
             if value is None:
                 return
-            self._emitted += 1
-            if value.payload is SKIP:
-                self._skipped += 1
             on_ordered(ring_id, nxt, value)
             pending.pop(nxt, None)
             if self._next_to_emit == nxt:
@@ -164,16 +156,6 @@ class RingLearner:
     def next_to_emit(self) -> int:
         """The next instance number that will be emitted."""
         return self._next_to_emit
-
-    @property
-    def emitted_count(self) -> int:
-        """Total instances emitted (including skips)."""
-        return self._emitted
-
-    @property
-    def skipped_count(self) -> int:
-        """How many of the emitted instances were skips."""
-        return self._skipped
 
     def is_decided(self, instance: int) -> bool:
         """Whether the decision of ``instance`` is known (delivered or waiting)."""

@@ -110,25 +110,19 @@ class Event:
     """A single scheduled callback.
 
     Events are ordered by the ``(time, priority, seq)`` prefix of the heap
-    tuple they ride in; the callback and its arguments do not participate in
-    ordering.  ``kwargs`` is ``None`` (not an empty dict) for events scheduled
-    through the fast path.
+    tuple they ride in, which is the only place those three are kept; the
+    callback and its arguments do not participate in ordering.  ``kwargs`` is
+    ``None`` (not an empty dict) for events scheduled through the fast path.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "args", "kwargs", "cancelled", "fired")
+    __slots__ = ("callback", "args", "kwargs", "cancelled", "fired")
 
     def __init__(
         self,
-        time: float,
-        priority: int,
-        seq: int,
         callback: Callable[..., None],
         args: tuple = (),
         kwargs: Optional[dict] = None,
     ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.kwargs = kwargs
@@ -237,7 +231,7 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         time = self._now + delay
-        event = Event(time, 0, seq, callback, args)
+        event = Event(callback, args)
         heappush(self._queue, (time, 0, seq, event))
         return EventHandle(event, self)
 
@@ -260,7 +254,7 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         time = self._now + delay
-        event = Event(time, priority, seq, callback, args, kwargs or None)
+        event = Event(callback, args, kwargs or None)
         heappush(self._queue, (time, priority, seq, event))
         return EventHandle(event, self)
 

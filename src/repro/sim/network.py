@@ -18,7 +18,7 @@ failure-injection tests.
 Wire size: a message's size is its ``size_bytes`` (see
 :mod:`repro.net.message`), charged with ``HEADER_BYTES`` on top.  There is no
 default: an object without ``size_bytes`` raises ``AttributeError`` naming its
-class, before it moves a channel, the jitter stream or the stats.
+class, before it moves a channel or the jitter stream.
 
 Sharded execution: the shards of a parallel run (see
 :mod:`repro.sim.parallel`) exchange no messages.  The engine tells each
@@ -195,10 +195,8 @@ def decode_wire(frame: bytes) -> Any:
 
 @dataclass
 class MessageStats:
-    """Aggregate statistics of everything the network carried."""
+    """How many messages the network dropped."""
 
-    messages: int = 0
-    bytes: int = 0
     dropped: int = 0
 
     def record_drop(self) -> None:
@@ -338,9 +336,6 @@ class Network:
         if delivery_at < conn.last_delivery_at:
             delivery_at = conn.last_delivery_at
         conn.last_delivery_at = delivery_at
-        stats = self.stats
-        stats.messages += 1
-        stats.bytes += size
         # Inlined Simulator._post (one event per message): same entry layout
         # and the same ``now + delay`` arithmetic, one call less per send.
         # The callback is the connection's precomputed delivery closure, so

@@ -1,16 +1,12 @@
-"""Stable-storage substrate: slot buffers, write-ahead logs and checkpoints."""
+"""Stable-storage substrate: the instance slab, write-ahead logs and checkpoints."""
 
 from .checkpoint import Checkpoint, CheckpointId, CheckpointStore
-from .slots import SlotBuffer, SlotEntry, SlotFullError
 from .wal import LogRecord, WriteAheadLog
 
 __all__ = [
     "Checkpoint",
     "CheckpointId",
     "CheckpointStore",
-    "SlotBuffer",
-    "SlotEntry",
-    "SlotFullError",
     "LogRecord",
     "WriteAheadLog",
 ]

@@ -6,20 +6,18 @@ the Java heap* so that per-instance state never costs the collector anything
 simulated equivalent is :class:`InstanceSlab`: dense **columns** indexed by
 ``instance - base`` — accepted value, ballot, one flag byte, 17 bytes per
 instance — instead of a dict of objects per holder.  One slab per acceptor
-per ring serves four views of an instance: the **vote** (promised ballot,
+per ring serves three views of an instance: the **vote** (promised ballot,
 accepted ballot, accepted value — :class:`~repro.paxos.acceptor.AcceptorState`)
-owns the columns; the **log record** (:class:`~repro.storage.wal.WriteAheadLog`),
-the **decision** (``AcceptorState.record_decision``) and the **slot entry**
-(:class:`~repro.storage.slots.SlotBuffer`) are one flag bit each.
+owns the columns; the **log record** (:class:`~repro.storage.wal.WriteAheadLog`)
+and the **decision** (``AcceptorState.record_decision``) are one flag bit each.
 
-In a steady run all three are *the vote*: the record logs the ballot and
-value just voted, the decision is the voted value, the slot holds the decided
-value.  A view whose content is not the vote in the columns — a decision for
-a value this acceptor did not vote for, a record surviving the crash that
-wiped the votes, whatever a log or slot buffer on a slab of its own is handed
-— keeps an object of its own in that view's side dict.  Readers get
-:class:`LogRecord` / :class:`SlotEntry` objects built on demand.  Holes are
-padded: a skipped instance costs what every peer acceptor pays for it.
+In a steady run both are *the vote*: the record logs the ballot and value
+just voted, the decision is the voted value.  A view whose content is not the
+vote in the columns — a decision for a value this acceptor did not vote for,
+a record surviving the crash that wiped the votes, whatever a log on a slab
+of its own is handed — keeps an object of its own in that view's side dict.
+Readers get :class:`LogRecord` objects built on demand.  Holes are padded: a
+skipped instance costs what every peer acceptor pays for it.
 
 Invariants (docs/ARCHITECTURE.md, "the columnar instance slab"): ``base`` is
 one past the highest trimmed instance; the columns have equal length and
@@ -34,7 +32,7 @@ from dataclasses import dataclass
 from itertools import compress, count
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["InstanceSlab", "LogRecord", "SlotEntry", "VOTED", "DECIDED", "LOGGED", "IN_SLOT"]
+__all__ = ["InstanceSlab", "LogRecord", "VOTED", "DECIDED", "LOGGED"]
 
 #: the acceptor holds state of its own for the instance: a vote, or the
 #: promise a first vote was refused under (accepted ballot -1)
@@ -43,11 +41,9 @@ VOTED = 0x01
 DECIDED = 0x02
 #: the write-ahead log holds a record
 LOGGED = 0x04
-#: the decided value occupies one of the bounded slots
-IN_SLOT = 0x08
 
 #: ``bytes.translate`` tables: 1 where the flag is set / the flag cleared.
-_FLAGS = (VOTED, DECIDED, LOGGED, IN_SLOT)
+_FLAGS = (VOTED, DECIDED, LOGGED)
 _HAS = {flag: bytes(1 if byte & flag else 0 for byte in range(256)) for flag in _FLAGS}
 _CLEAR = {flag: bytes(byte & ~flag for byte in range(256)) for flag in (*_FLAGS, VOTED | DECIDED)}
 
@@ -62,21 +58,11 @@ class LogRecord:
     size_bytes: int
 
 
-@dataclass(slots=True)
-class SlotEntry:
-    """One stored consensus instance value."""
-
-    instance: int
-    value: Any
-    size_bytes: int
-
-
 class InstanceSlab:
-    """Dense per-instance columns shared by an acceptor, its log and its slots."""
+    """Dense per-instance columns shared by an acceptor and its log."""
 
     __slots__ = (
-        "base", "values", "ballots", "flags", "decisions", "records", "entries", "sides",
-        "next", "unlogged", "slots_used", "slot_bytes", "slot_top",
+        "base", "values", "ballots", "flags", "decisions", "records", "sides", "next", "unlogged",
     )
 
     def __init__(self) -> None:
@@ -92,18 +78,13 @@ class InstanceSlab:
         #: per view, ``instance -> content`` that is not the vote in the columns
         self.decisions: Dict[int, Any] = {}
         self.records: Dict[int, LogRecord] = {}
-        self.entries: Dict[int, SlotEntry] = {}
-        self.sides = {DECIDED: self.decisions, LOGGED: self.records, IN_SLOT: self.entries}
+        self.sides = {DECIDED: self.decisions, LOGGED: self.records}
         #: ``base + len(flags)``: where a steady-state vote appends
         self.next = 0
         #: the instance whose vote the acceptor has just appended and is about
         #: to log — lets ``WriteAheadLog.append`` set its flag without
         #: re-deriving that the record is that vote; -1 at any other time
         self.unlogged = -1
-        #: slots in use / bytes in them / no slot is held above this instance
-        self.slots_used = 0
-        self.slot_bytes = 0
-        self.slot_top = -1
 
     # --------------------------------------------------------------- columns
     def _reach(self, instance: int) -> int:
@@ -177,9 +158,8 @@ class InstanceSlab:
     def forget_votes_and_decisions(self) -> None:
         """An acceptor crash: votes and decisions go, log records stay."""
         flags = self.flags
-        for flag in (LOGGED, IN_SLOT):  # what survives stops reading the votes
-            for instance in self.instances(flag):
-                self.sides[flag].setdefault(instance, self.get(instance, flag))
+        for instance in self.instances(LOGGED):  # what survives stops reading the votes
+            self.records.setdefault(instance, self.get(instance, LOGGED))
         flags[:] = flags.translate(_CLEAR[VOTED | DECIDED])
         del flags[len(flags.rstrip(b"\0")):]
         self.values[:] = [None] * len(flags)
@@ -187,7 +167,7 @@ class InstanceSlab:
         self.decisions.clear()
         self.next = self.base + len(flags)
 
-    # ------------------------------------------------- decision / log / slot
+    # ------------------------------------------------------- decision / log
     def has(self, instance: int, flag: int) -> bool:
         """Whether the view ``flag`` holds ``instance``."""
         index = self._index(instance)
@@ -203,8 +183,6 @@ class InstanceSlab:
         _promised, accepted, value = self.vote(instance)
         if flag == LOGGED:
             return LogRecord(instance, accepted, value, value.size_bytes)
-        if flag == IN_SLOT:
-            return SlotEntry(instance, value, value.size_bytes)
         return value
 
     def is_vote(self, instance: int, value: Any, ballot: Optional[int] = None) -> bool:
@@ -267,14 +245,7 @@ class InstanceSlab:
         """Remove one view's entries up to ``up_to_instance``; returns how many."""
         flags = self.flags
         size = max(min(up_to_instance + 1 - self.base, len(flags)), 0)
-        held = flags[:size].translate(_HAS[flag])
-        removed = sum(held)
-        if flag == IN_SLOT:
-            self.slots_used -= removed
-            for instance in compress(count(self.base), held):
-                self.slot_bytes -= self.get(instance, IN_SLOT).size_bytes
-            if not self.slots_used:
-                self.slot_top = -1
+        removed = sum(flags[:size].translate(_HAS[flag]))
         flags[:size] = flags[:size].translate(_CLEAR[flag])
         side = self.sides.get(flag)
         if side:
@@ -287,7 +258,6 @@ class InstanceSlab:
 
         Returns the number of votes, log records and decisions removed.
         """
-        self.drop(IN_SLOT, up_to_instance)  # first: its byte count reads the values
         removed = sum(self.drop(flag, up_to_instance) for flag in (LOGGED, DECIDED, VOTED))
         self._release(min(up_to_instance + 1 - self.base, len(self.flags)))
         if not self.flags:

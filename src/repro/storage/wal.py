@@ -67,7 +67,7 @@ class WriteAheadLog:
         self.disk: Optional[Disk] = None
         if profile is not None:
             self.disk = disk or Disk(env, profile, name=f"{name}.disk")
-        #: the records' store; an acceptor shares this one with its slots
+        #: the records' store; an acceptor keeps its votes and decisions on it
         self.slab = InstanceSlab()
         #: instances appended since the last flush, and their device bytes
         self._pending = array("q")
@@ -77,7 +77,6 @@ class WriteAheadLog:
         # Mode flags resolved once: append() runs per vote on the ring path.
         self._memory_mode = mode is StorageMode.IN_MEMORY or self.disk is None
         self._synchronous = mode.synchronous
-        self._lost_on_crash = 0
 
     # ------------------------------------------------------------------ write
     def append(
@@ -164,35 +163,20 @@ class WriteAheadLog:
         """Highest instance recorded, or -1 when the log is empty."""
         return self.slab.highest(LOGGED)
 
-    # ------------------------------------------------------------------- trim
-    def trim(self, up_to_instance: int) -> int:
-        """Delete records for every instance ``<= up_to_instance``.
-
-        Mirrors the coordinator-driven log trimming of Section 5; returns the
-        number of records removed.
-        """
-        return self.slab.drop(LOGGED, up_to_instance)
-
     # ------------------------------------------------------------------ crash
     def crash(self) -> None:
         """Simulate a process crash.
 
         In-memory logs lose everything.  Persistent logs keep every record
         already flushed; asynchronous logs lose the records still sitting in
-        the flush buffer (recorded in :attr:`lost_on_crash`).
+        the flush buffer.
         """
         slab = self.slab
         if self.mode is StorageMode.IN_MEMORY:
-            self._lost_on_crash += slab.drop(LOGGED, sys.maxsize)
+            slab.drop(LOGGED, sys.maxsize)
             return
         if not self.mode.synchronous and self._pending:
             for instance in self._pending:
                 slab.detach(instance, LOGGED)
-            self._lost_on_crash += len(self._pending)
             del self._pending[:]
             self._pending_bytes = 0
-
-    @property
-    def lost_on_crash(self) -> int:
-        """Total records lost across all crashes of this log."""
-        return self._lost_on_crash

@@ -17,8 +17,8 @@ shared size ints, exact-size packs), before run-length throughput columns
 re-arm FIFO) and before the columnar slab are recorded beside it.
 
 The second test is the slab's point stated directly: a finished unbatched
-deployment holds no per-instance ``AcceptorInstance`` / ``LogRecord`` /
-``SlotEntry`` object at all.  The third states the service plane's: a finished
+deployment holds no per-instance ``AcceptorInstance`` / ``LogRecord``
+object at all.  The third states the service plane's: a finished
 ``kv-global-open`` deployment keeps its commands, packs and stored values
 without an instance ``__dict__``, and one string per YCSB key however many
 commands carry it.  The fourth states the merge stage's: a
@@ -61,7 +61,7 @@ from repro.paxos.instance import AcceptorInstance
 from repro.paxos.messages import SKIP, ProposalValue
 from repro.ringpaxos.coordinator import PackedValues
 from repro.sim.disk import StorageMode
-from repro.storage.slab import LogRecord, SlotEntry
+from repro.storage.slab import LogRecord
 from repro.workloads.arrival import constant
 
 
@@ -229,7 +229,7 @@ def test_retained_bytes_per_ordered_command_stay_under_the_ceiling(name):
 
 def per_instance_objects() -> int:
     gc.collect()
-    return sum(type(o) in (AcceptorInstance, LogRecord, SlotEntry) for o in gc.get_objects())
+    return sum(type(o) in (AcceptorInstance, LogRecord) for o in gc.get_objects())
 
 
 def test_finished_deployment_holds_no_per_instance_object():

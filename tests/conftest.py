@@ -70,6 +70,34 @@ class RecordingProcess(MultiRingProcess):
         return [p for g, _, p in self.delivered if g == group_id]
 
 
+class SendTap:
+    """What one network carried, counted from outside it.
+
+    Replaces ``network.send`` on the instance.  A call counts as carried when
+    the network's drop count did not move during it; ``bytes`` adds up what
+    the carried messages occupy on the wire (``size_bytes`` + header).
+    Actors keep the bound ``send`` they resolve on their first send, so the
+    tap goes in before anything is sent.
+    """
+
+    def __init__(self, network) -> None:
+        assert all(
+            getattr(actor, "_network_send", None) is None for actor in network.env.actors()
+        ), "install the tap before the first send"
+        self.messages = 0
+        self.bytes = 0
+        stats, send, header = network.stats, network.send, network.HEADER_BYTES
+
+        def counted(src, dst, message):
+            dropped = stats.dropped
+            send(src, dst, message)
+            if stats.dropped == dropped:
+                self.messages += 1
+                self.bytes += message.size_bytes + header
+
+        network.send = counted
+
+
 @pytest.fixture
 def quiet_config() -> MultiRingConfig:
     """A configuration with background machinery (skips, checkpoints, trims) off."""

@@ -86,6 +86,40 @@ class TestAtomicMulticastFacade:
         assert p in system.processes()
         assert system.process("p0") is p
 
+    def test_an_unknown_ring_raises(self):
+        with pytest.raises(KeyError, match="unknown ring: 9"):
+            AtomicMulticast(seed=1).ring(9)
+
+    def test_a_created_ring_is_returned_by_its_id(self):
+        system = AtomicMulticast(seed=1, config=MultiRingConfig(rate_interval=None))
+        p = RecordingProcess(system.env, "p0")
+        overlay = system.create_ring(2, [(p.name, "pal")])
+        assert system.ring(2) is overlay and overlay.ring_id == 2
+        assert [m.name for m in overlay.members] == ["p0"]
+
+    def test_every_ring_node_reads_the_deployment_s_config(self):
+        system = self._two_rings()
+        for name, rings in (("a0", [0]), ("a1", [0, 1]), ("a2", [1]), ("l0", [0, 1])):
+            process = system.process(name)
+            assert all(process.node(r).config is system.config for r in rings)
+
+    def test_ring_ids_come_back_sorted(self):
+        system = AtomicMulticast(seed=1, config=MultiRingConfig(rate_interval=None))
+        p = RecordingProcess(system.env, "p0")
+        system.create_ring(5, [(p.name, "pal")])
+        system.create_ring(1, [(p.name, "pal")])
+        assert system.ring_ids() == [1, 5]
+
+    def test_a_reconfiguration_replaces_the_ring_s_overlay(self):
+        system = self._two_rings()
+        first = system.ring(0)
+        assert system.ring(0) is first  # read, not rebuilt
+        overlay = system.remove_from_ring(0, "a0")
+        assert system.ring(0) is overlay is not first
+        assert [m.name for m in overlay.members] == ["a1", "l0"]
+        assert (overlay.coordinator, overlay.epoch) == ("a1", 1)
+        assert [m.name for m in first.members] == ["a0", "a1", "l0"]  # never mutated
+
     def test_start_is_idempotent(self):
         system = AtomicMulticast(seed=1, config=MultiRingConfig(rate_interval=None))
         p = RecordingProcess(system.env, "p0")

@@ -177,7 +177,6 @@ class TestSMRPackedValues:
             acceptors_per_partition=3,
             replicas_per_partition=2,
             global_ring_id=None,
-            config=config,
         )
         commands = MRPStoreCommands(HashPartitioner([0]))
         frontend = service.frontend_map()[0]

@@ -52,7 +52,6 @@ def _build_service(seed, batching, jitter=0.05):
         acceptors_per_partition=3,
         replicas_per_partition=2,
         global_ring_id=None,
-        config=config,
     )
     service.preload({ycsb_key(i): RECORD_BYTES for i in range(RECORDS)})
     return system, service.frontend_map()

@@ -120,7 +120,6 @@ def build_dlog(logs=(0, 1), common_ring=None, seed=5, sync=False, replica_count=
         replica_count=replica_count,
         common_ring_id=common_ring,
         dedicated_disks=sync,
-        config=config,
     )
     return system, service
 
@@ -169,6 +168,14 @@ class TestDLogService:
         system.start()
         system.run(until=2.0)
         assert client.completed > 10
+
+    def test_every_member_reads_the_deployment_s_config(self):
+        system, service = build_dlog(common_ring=9)
+        assert service.config is system.config
+        members = service.replicas + [f for fs in service.frontends.values() for f in fs]
+        assert all(member.config is system.config for member in members)
+        for member in members:
+            assert all(member.node(r).config is system.config for r in member.ring_ids())
 
     def test_requires_logs(self):
         system = AtomicMulticast(seed=1)

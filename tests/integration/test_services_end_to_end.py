@@ -25,7 +25,6 @@ class TestGeoDistributedStore:
             replicas_per_partition=1,
             site_for_partition={0: regions[0], 1: regions[1]},
             global_ring_id=50,
-            config=config,
         )
         service.preload(preload_keys(100))
         rng = random.Random(17)
@@ -51,7 +50,6 @@ class TestGeoDistributedStore:
             replicas_per_partition=1,
             site_for_partition={0: regions[0], 1: regions[1]},
             global_ring_id=50,
-            config=config,
         )
         rng = random.Random(19)
         from repro.core.client import ClosedLoopClient
@@ -81,10 +79,8 @@ class TestMixedServiceDeployment:
         config = MultiRingConfig(rate_interval=0.005, max_rate=500.0,
                                  checkpoint_interval=None, trim_interval=None)
         system = AtomicMulticast(seed=23, config=config)
-        store = MRPStoreService(system, partition_groups=[0], replicas_per_partition=2,
-                                config=config)
-        log = DLogService(system, log_ids=[10], acceptors_per_log=2, replica_count=2,
-                          config=config)
+        store = MRPStoreService(system, partition_groups=[0], replicas_per_partition=2)
+        log = DLogService(system, log_ids=[10], acceptors_per_log=2, replica_count=2)
         store.preload(preload_keys(50))
         rng = random.Random(23)
         kv_client = store_client(store, "kv-client", update_only_workload(rng, key_count=50),

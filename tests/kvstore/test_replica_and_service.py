@@ -61,7 +61,6 @@ def build_store(partitions=2, global_ring=False, seed=3):
         acceptors_per_partition=3,
         replicas_per_partition=2,
         global_ring_id=40 if global_ring else None,
-        config=config,
     )
     return system, service
 
@@ -126,6 +125,15 @@ class TestServiceDeployment:
         for group, name in mapping.items():
             assert name.startswith(f"kv{group}-node")
 
+    def test_every_member_reads_the_deployment_s_config(self):
+        system, service = build_store(global_ring=True)
+        assert service.config is system.config
+        for group in service.groups:
+            members = service.replicas[group] + service.frontends[group]
+            assert all(member.config is system.config for member in members)
+            for member in members:
+                assert all(member.node(r).config is system.config for r in member.ring_ids())
+
     def test_requires_at_least_one_partition(self):
         system = AtomicMulticast(seed=1)
         with pytest.raises(ValueError):
@@ -148,7 +156,6 @@ class TestPartitionPeers:
             partition_groups=[0, 1],
             replicas_per_partition=2,
             global_ring_id=9,
-            config=config,
         )
         return system, service
 
@@ -193,7 +200,7 @@ class TestPreloadIsTheInitialDurableImage:
         system = AtomicMulticast(seed=13, config=config)
         service = MRPStoreService(
             system, partition_groups=[0], acceptors_per_partition=3,
-            replicas_per_partition=2, config=config,
+            replicas_per_partition=2,
         )
         service.preload(preload_keys(40))
         return system, service

@@ -60,8 +60,10 @@ class TestDeterministicMerger:
         merger.offer(0, 1, value("a1"))
         merger.offer(1, 1, skip())
         assert [p for _, p in out] == ["a0", "a1"]
-        assert merger._skipped == 2
         assert merger.delivered_count == 2
+        # Both skips were consumed: ring 0 has the turn, nothing waits.
+        assert merger._groups[merger._current_index] == 0
+        assert not any(merger._queues.values())
 
     def test_merge_order_iterates_groups_by_ascending_id(self):
         merger, out = self._merger([7, 3])

@@ -106,8 +106,10 @@ class TestMidStreamSubscribe:
         merger.offer(1, 0, skip())
         merger.offer(0, 1, value("a1"))
         assert out == [(0, 0, "a0"), (0, 1, "a1")]
-        assert merger._skipped == 1
         assert merger.delivered_count == 2
+        # The skip took ring 1's turn: a1 was consumed and the turn is ring 1's again.
+        assert merger._groups[merger._current_index] == 1
+        assert not any(merger._queues.values())
 
 
 class TestOfferFastPathEquivalence:
@@ -161,7 +163,6 @@ class TestPackedFanOut:
             merger.offer(0, instance, packed)
         assert out == self.expected(0)
         assert merger.delivered_count == 7
-        assert merger._skipped == 3
 
     def test_queued_path(self):
         merger, out = make([0, 1], m=4)
@@ -172,7 +173,9 @@ class TestPackedFanOut:
             merger.offer(0, instance, skip())
         assert out == self.expected(1)
         assert merger.delivered_count == 7
-        assert merger._skipped == 3 + 4
+        # Ring 1's four instances made one round: the turn is back at ring 0.
+        assert merger._groups[merger._current_index] == 0
+        assert not any(merger._queues.values())
 
 
 class TestMergeCursor:
@@ -216,8 +219,11 @@ class TestMergeCursor:
         cursor.feed(0, [(i, value(f"a{i}")) for i in range(3)], watermark=1.0)
         cursor.feed(99, [(i, skip()) for i in range(3)], watermark=1.0)
         assert out == [(0, 0, "a0"), (0, 1, "a1"), (0, 2, "a2")]
-        assert cursor._merger._skipped == 3
-        assert cursor._merger.delivered_count == 3
+        merger = cursor._merger
+        assert merger.delivered_count == 3
+        # All three skips were consumed: the turn is back at ring 0.
+        assert merger._groups[merger._current_index] == 0
+        assert not any(merger._queues.values())
         assert cursor.watermark == 1.0
 
     # ------------------------------------- trailing SKIP runs and watermarks
@@ -345,7 +351,7 @@ class TestSoleStreamPath:
     @staticmethod
     def _state(merger):
         return (
-            merger.delivered_count, merger._skipped, merger._groups[merger._current_index],
+            merger.delivered_count, merger._groups[merger._current_index],
             merger.is_round_boundary(), [len(merger._queues[g]) for g in merger._groups],
         )
 

@@ -2,7 +2,7 @@
 
 ``Network.send`` charges ``size_bytes + HEADER_BYTES`` and has no default
 size.  An object without ``size_bytes`` raises ``AttributeError`` naming its
-class and leaves the stats, the channel's occupancy and the jitter stream
+class and leaves the drop count, the channel's occupancy and the jitter stream
 exactly as they were, so the sends after it are charged as if it had never
 been tried.  A destination that only another shard hosts (``Network.refuse``)
 raises ``SimulationError`` naming both actors, before the fault check and the
@@ -19,6 +19,7 @@ from repro.sim.actor import Actor, Environment
 from repro.sim.kernel import SimulationError
 from repro.sim.network import MessageStats, Network
 from repro.sim.topology import Topology
+from tests.conftest import SendTap
 
 
 class _Recorder(Actor):
@@ -98,10 +99,15 @@ def test_unsized_send_to_an_unknown_destination_is_a_drop():
 
 def test_declared_size_is_charged_with_the_header():
     _env, network, _receiver = _network()
+    tap = SendTap(network)
     network.send("a", "b", _SelfSized())
     network.send("a", "b", Message(payload_bytes=100))
-    expected = (500 + Network.HEADER_BYTES) + (100 + Message.OVERHEAD_BYTES + Network.HEADER_BYTES)
-    assert network.stats == MessageStats(messages=2, bytes=expected)
+    first = 500 + Network.HEADER_BYTES
+    second = 100 + Message.OVERHEAD_BYTES + Network.HEADER_BYTES
+    assert (tap.messages, tap.bytes) == (2, first + second)
+    # The channel is occupied for exactly those bytes, back to back.
+    assert network._channels[("s0", "s1")].free_at == (first * 8.0) / 1e6 + (second * 8.0) / 1e6
+    assert network.stats == MessageStats()
 
 
 @pytest.mark.parametrize("case", ["sized", "unsized", "partitioned"])
@@ -121,12 +127,13 @@ def test_a_refused_destination_raises_before_anything_moves(case):
 
 def test_refuse_leaves_hosted_and_unknown_names_alone():
     env, network, receiver = _network()
+    tap = SendTap(network)
     network.refuse({"b"})  # hosted here: still delivered
     network.send("a", "b", Message(payload_bytes=100))
     network.send("a", "nobody", Message(payload_bytes=100))
     env.run()
     assert len(receiver.received) == 1
-    assert network.stats.messages == 1 and network.stats.dropped == 1
+    assert tap.messages == 1 and network.stats.dropped == 1
 
 
 def test_delivery_time_keeps_the_float_association():

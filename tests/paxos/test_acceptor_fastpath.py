@@ -1,7 +1,6 @@
 """Differential: the columnar acceptor against the four-dict reference model.
 
-``AcceptorState``, its ``WriteAheadLog`` and its ``SlotBuffer`` store through
-one :class:`~repro.storage.slab.InstanceSlab`: a steady-state hop appends to
+``AcceptorState`` and its ``WriteAheadLog`` store through one :class:`~repro.storage.slab.InstanceSlab`: a steady-state hop appends to
 the columns and sets flags, everything else (a hole, a repeat vote, a decision
 for another value, a crash) takes the general path.
 ``tests/reference/acceptor.py`` is the same acceptor as one dict of objects
@@ -10,7 +9,7 @@ per kind of state.
 Hypothesis drives both with one operation stream — promises below / at /
 above the ballot, votes out of order (holes, filled later), repeat votes,
 skips, ranges, decisions of the voted value, of another value and without a
-vote, decisions past the slot bound, trims in the middle of a voted run,
+vote, trims in the middle of a voted run,
 votes at or below the trimmed point, crash + recovery in every storage mode —
 and every result, every public accessor and the order of durability callbacks
 must match.  Seeded mutants show the differential catches a broken slab.
@@ -25,16 +24,13 @@ from repro.paxos.acceptor import AcceptorState
 from repro.paxos.messages import SKIP, ProposalValue
 from repro.sim.actor import Environment
 from repro.sim.disk import StorageMode
-from repro.storage import slots as slots_module
 from repro.storage.slab import InstanceSlab
-from repro.storage.slots import SlotBuffer, SlotFullError
 from repro.storage.wal import WriteAheadLog
 from tests.conftest import mutate
 from tests.reference.acceptor import ReferenceAcceptor
 from tests.storage.test_slab import assert_well_formed
 
 INSTANCES = 10
-SLOTS = 3
 MODES = list(StorageMode)
 
 
@@ -66,9 +62,8 @@ operations = st.lists(
 def observe(acceptor):
     """Everything the public accessors say about an acceptor."""
     span = range(INSTANCES + 2)
-    log, slots = acceptor.log, acceptor.slots
+    log = acceptor.log
     records = [log.get(i) for i in span]
-    entries = [slots.get(i) for i in span]
     return (
         acceptor.accepted_in_range(0, INSTANCES + 1),
         acceptor.accepted_in_range(2, 5),
@@ -76,20 +71,16 @@ def observe(acceptor):
         [acceptor.accepted_value(i) for i in span],
         [r and (r.instance, r.ballot, r.value, r.size_bytes) for r in records],
         [i in log for i in span], log.instances(), log.highest_instance(), len(log),
-        log.lost_on_crash,
-        [e and (e.instance, e.value, e.size_bytes) for e in entries],
-        [i in slots for i in span], sorted(slots.instances()), len(slots),
-        slots.occupancy, slots.bytes_used,
         acceptor.decided_from(0), acceptor.decided_from(4), acceptor.decided_between(1, 6),
         [acceptor.is_decided(i) for i in span], acceptor.highest_decided,
         acceptor.trimmed_up_to,
     )
 
 
-def run(acceptor_cls, ops, mode=StorageMode.IN_MEMORY, slot_count=SLOTS, check=None):
+def run(acceptor_cls, ops, mode=StorageMode.IN_MEMORY, check=None):
     """Drive one acceptor; returns every result and the state after every step."""
     env = Environment()
-    acceptor = acceptor_cls(env, "a0", ring_id=0, storage_mode=mode, slot_count=slot_count)
+    acceptor = acceptor_cls(env, "a0", ring_id=0, storage_mode=mode)
     durable = []
     trace = []
     for serial, (op, instance, ballot) in enumerate(ops):
@@ -182,8 +173,8 @@ def test_steady_state_votes_share_one_result_per_ballot():
 
 
 def test_a_steady_run_keeps_every_side_dict_empty():
-    # The point of the slab: vote, log record, decision and slot entry of an
-    # in-order run are four appends and three flag writes, no object each.
+    # The point of the slab: vote, log record and decision of an in-order
+    # run are three appends and two flag writes, no object each.
     acceptor = AcceptorState(Environment(), "a0", ring_id=0, storage_mode=StorageMode.ASYNC_SSD)
     for instance in range(50):
         value = value_of(instance, 1, instance)
@@ -196,45 +187,13 @@ def test_a_steady_run_keeps_every_side_dict_empty():
     assert slab.base == acceptor.trimmed_up_to + 1 == 20 and len(slab.flags) == 30
 
 
-def test_the_acceptor_its_log_and_its_slots_share_one_slab():
+def test_the_acceptor_and_its_log_share_one_slab():
     acceptor = AcceptorState(Environment(), "a0", ring_id=0)
-    assert acceptor.log.slab is acceptor.slots.slab is acceptor._slab
+    assert acceptor.log.slab is acceptor._slab
     assert isinstance(WriteAheadLog(Environment()).slab, InstanceSlab)  # alone: its own
-    assert isinstance(SlotBuffer().slab, InstanceSlab)
-    for gone in ("_instances", "_decided"):
+    for gone in ("_instances", "_decided", "slots"):
         assert not hasattr(acceptor, gone)
-    assert not hasattr(acceptor.log, "_records") and not hasattr(acceptor.slots, "_slots")
-
-
-def test_a_run_past_the_slot_bound_raises_nothing(monkeypatch):
-    raised = []
-
-    class Counting(SlotFullError):
-        def __init__(self, *args):
-            raised.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(slots_module, "SlotFullError", Counting)
-    ops = [("decide", i, 0) for i in range(INSTANCES)]
-    shipped = run(AcceptorState, ops)
-    assert raised == []
-    reference = run(ReferenceAcceptor, ops)
-    non_skips = sum(1 for i in range(INSTANCES) if i % 4 != 3)
-    assert len(raised) == non_skips - SLOTS  # the try/except version pays per decision
-    assert shipped == reference
-    assert len(shipped[2][12]) == SLOTS
-
-
-def test_offer_reports_what_put_raises():
-    buffer = SlotBuffer(slot_count=2)
-    assert buffer.offer(0, "a", 1) and buffer.offer(1, "b", 1)
-    assert not buffer.offer(2, "c", 1) and 2 not in buffer
-    assert buffer.offer(1, "b2", 3) and buffer.get(1).value == "b2"  # present: overwrite
-    assert (len(buffer), buffer.bytes_used) == (2, 4)
-    with pytest.raises(SlotFullError):
-        buffer.put(2, "c", 1)
-    with pytest.raises(ValueError):
-        buffer.offer(0, "huge", buffer.slot_size_bytes + 1)
+    assert not hasattr(acceptor.log, "_records")
 
 
 # ------------------------------------------------------------------ mutants
@@ -250,23 +209,6 @@ def test_mutant_vote_accepted_below_the_promise_is_caught():
     ops = [("promise", INSTANCES - 1, 3), ("vote", 0, 2)]
     assert run(AcceptorState, ops) == run(ReferenceAcceptor, ops)
     assert run(AcceptsBelowPromise, ops) != run(ReferenceAcceptor, ops)
-
-
-def test_mutant_slot_overwritten_when_full_is_caught(monkeypatch):
-    reference = run(ReferenceAcceptor, STEADY)
-    assert run(AcceptorState, STEADY) == reference
-    monkeypatch.setattr(SlotBuffer, "offer", mutate(
-        SlotBuffer.offer, ("slab.slots_used >= self.slot_count and (", "False and (")
-    ))
-    assert run(AcceptorState, STEADY) != reference
-
-
-def test_mutant_in_slot_flag_set_past_the_slot_count_is_caught(monkeypatch):
-    reference = run(ReferenceAcceptor, STEADY)
-    monkeypatch.setattr(SlotBuffer, "offer", mutate(
-        SlotBuffer.offer, ("slab.slots_used >= self.slot_count", "slab.slots_used > self.slot_count")
-    ))
-    assert run(AcceptorState, STEADY) != reference
 
 
 def test_mutant_trim_that_does_not_move_base_is_caught(monkeypatch):

@@ -180,10 +180,65 @@ class TestAcceptorState:
         acceptor.crash()
         assert acceptor.recover_from_log() == 0
 
-    def test_slot_overflow_falls_back_to_log_only(self):
+    def test_every_decision_is_retransmittable(self):
         env = Environment()
-        acceptor = AcceptorState(env, "a0", ring_id=0, slot_count=2)
+        acceptor = AcceptorState(env, "a0", ring_id=0)
         for i in range(5):
             acceptor.record_decision(i, value())
-        # decisions beyond the slot capacity are still retransmittable
         assert len(acceptor.decided_from(0)) == 5
+
+    def test_a_decision_for_a_value_not_voted_for_is_the_one_served(self):
+        env, acceptor = self._acceptor()
+        voted, decided = value(b"voted"), value(b"decided")
+        acceptor.receive_phase2(0, 1, voted)
+        acceptor.record_decision(0, decided)
+        assert acceptor.decided_between(0, 0) == [(0, decided)]
+        assert acceptor.accepted_value(0) is voted
+
+    def test_a_decision_below_the_trimmed_point_is_ignored(self):
+        env, acceptor = self._acceptor()
+        acceptor.trim(5)
+        acceptor.record_decision(3, value())
+        assert not acceptor.is_decided(3)
+        assert acceptor.decided_from(0) == [] and acceptor.highest_decided == -1
+
+    def test_a_range_reaching_below_the_trimmed_point_is_not_all_accepted(self):
+        env, acceptor = self._acceptor()
+        acceptor.trim(5)
+        assert not acceptor.receive_phase2_range(3, 8, 1, value())
+        assert acceptor.accepted_value(3) is None and acceptor.trimmed_up_to == 5
+        assert acceptor.receive_phase2_range(9, 12, 1, value())
+
+    def test_highest_voted_counts_skip_votes_the_log_does_not_hold(self):
+        env, acceptor = self._acceptor()
+        acceptor.receive_phase2(0, 1, value())
+        acceptor.receive_phase2_range(1, 9, 1, ProposalValue(payload=SKIP, size_bytes=0))
+        assert acceptor.highest_voted == 9
+        assert acceptor.log.highest_instance() == 0 and acceptor.log.instances() == [0]
+        assert [i for i, _, _ in acceptor.accepted_in_range(0, 99)] == list(range(10))
+
+    def test_no_value_is_held_outside_the_columns(self):
+        env, acceptor = self._acceptor()
+        for i in range(3, 6):
+            acceptor.receive_phase2(i, 1, value())
+        acceptor.trim(3)
+        assert [acceptor.accepted_value(i) is None for i in (2, 3, 4, 5, 6)] == [
+            True, True, False, False, True,
+        ]
+
+    def test_a_stale_vote_on_a_fresh_instance_is_refused_and_not_logged(self):
+        env, acceptor = self._acceptor()
+        acceptor.receive_phase1a(0, 100, ballot=5)
+        assert not acceptor.receive_phase2(0, 3, value()).accepted
+        assert 0 not in acceptor.log and acceptor.promised_ballot(0) == 5
+
+    def test_a_vote_at_a_higher_ballot_replaces_the_value_and_its_record(self):
+        env, acceptor = self._acceptor()
+        old, new = value(b"old"), value(b"new")
+        acceptor.receive_phase2(0, 1, old)
+        acceptor.receive_phase1a(0, 100, ballot=5)
+        assert acceptor.receive_phase2(0, 5, new).accepted
+        assert acceptor.accepted_value(0) is new
+        record = acceptor.log.get(0)
+        assert (record.ballot, record.value) == (5, new)
+        assert acceptor.accepted_in_range(0, 0) == [(0, 5, new)]

@@ -30,7 +30,6 @@ def build_service(checkpoint_interval=1.0, trim_interval=2.0, replicas=3, seed=1
     system = AtomicMulticast(seed=seed, config=config)
     service = MRPStoreService(
         system, partition_groups=[0], acceptors_per_partition=3, replicas_per_partition=replicas,
-        config=config,
     )
     service.preload(preload_keys(200))
     rng = random.Random(seed)

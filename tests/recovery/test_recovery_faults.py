@@ -35,7 +35,7 @@ def build_service(checkpoint_interval=0.5, seed=31):
     system = AtomicMulticast(seed=seed, config=config)
     service = MRPStoreService(
         system, partition_groups=[0], acceptors_per_partition=3,
-        replicas_per_partition=3, config=config,
+        replicas_per_partition=3,
     )
     service.preload(preload_keys(60))
     client = store_client(
@@ -150,7 +150,7 @@ class TestRecoveryQuorumEdge:
         system = AtomicMulticast(seed=7, config=config)
         service = MRPStoreService(
             system, partition_groups=[0], acceptors_per_partition=3,
-            replicas_per_partition=2, config=config,
+            replicas_per_partition=2,
         )
         service.preload(preload_keys(40))
         client = store_client(

@@ -1,8 +1,7 @@
-"""The acceptor as four dicts: ``rnd / v_rnd / v_val`` per instance, a log,
-a decision map and a bounded slot map.
+"""The acceptor as three dicts: ``rnd / v_rnd / v_val`` per instance, a log
+and a decision map.
 
-This is what ``AcceptorState`` + ``WriteAheadLog`` + ``SlotBuffer`` stored
-before the columnar :class:`~repro.storage.slab.InstanceSlab`; it owns all of
+This is what ``AcceptorState`` + ``WriteAheadLog`` stored before the columnar :class:`~repro.storage.slab.InstanceSlab`; it owns all of
 its state and shares only the device model, the message types and the plain
 per-instance rules (:class:`~repro.paxos.instance.AcceptorInstance`) with the
 shipped code.
@@ -15,8 +14,7 @@ from typing import Dict, List
 from repro.paxos.instance import Accepted, AcceptorInstance
 from repro.paxos.messages import SKIP
 from repro.sim.disk import Disk, StorageMode, profile_for_mode
-from repro.storage import slots as slots_module
-from repro.storage.slab import LogRecord, SlotEntry
+from repro.storage.slab import LogRecord
 
 RECORD_OVERHEAD = 64
 
@@ -33,7 +31,6 @@ class ReferenceLog:
         self.pending: List[LogRecord] = []
         self.flush_interval = flush_interval
         self.flush_scheduled = False
-        self.lost_on_crash = 0
 
     def append(self, instance, ballot, value, size_bytes, on_durable=None, on_durable_args=()):
         record = LogRecord(instance, ballot, value, size_bytes)
@@ -79,67 +76,19 @@ class ReferenceLog:
 
     def crash(self):
         if self.mode is StorageMode.IN_MEMORY:
-            self.lost_on_crash += len(self.records)
             self.records.clear()
         elif not self.mode.synchronous:
             for record in self.pending:
                 self.records.pop(record.instance, None)
-            self.lost_on_crash += len(self.pending)
             self.pending.clear()
-
-
-class ReferenceSlots:
-    """``instance -> SlotEntry``, first come first served up to ``slot_count``."""
-
-    def __init__(self, slot_count, slot_size_bytes=32 * 1024):
-        self.slot_count = slot_count
-        self.slot_size_bytes = slot_size_bytes
-        self.entries: Dict[int, SlotEntry] = {}
-
-    def put(self, instance, value, size_bytes):
-        if size_bytes > self.slot_size_bytes:
-            raise ValueError("value exceeds the slot size")
-        if len(self.entries) >= self.slot_count and instance not in self.entries:
-            raise slots_module.SlotFullError(f"buffer full ({self.slot_count} slots)")
-        self.entries[instance] = SlotEntry(instance, value, size_bytes)
-
-    def get(self, instance):
-        return self.entries.get(instance)
-
-    def __contains__(self, instance):
-        return instance in self.entries
-
-    def __len__(self):
-        return len(self.entries)
-
-    def instances(self):
-        return iter(sorted(self.entries))
-
-    @property
-    def occupancy(self):
-        return len(self.entries) / self.slot_count
-
-    @property
-    def bytes_used(self):
-        return sum(entry.size_bytes for entry in self.entries.values())
-
-    def trim(self, up_to_instance):
-        stale = [i for i in self.entries if i <= up_to_instance]
-        for i in stale:
-            del self.entries[i]
-        return len(stale)
-
-    def clear(self):
-        self.entries.clear()
 
 
 class ReferenceAcceptor:
     """All consensus state of one acceptor for one ring, one dict per kind."""
 
-    def __init__(self, env, name, ring_id, storage_mode=StorageMode.IN_MEMORY, slot_count=15_000):
+    def __init__(self, env, name, ring_id, storage_mode=StorageMode.IN_MEMORY):
         self.env = env
         self.log = ReferenceLog(env, storage_mode, f"{name}.r{ring_id}.wal")
-        self.slots = ReferenceSlots(slot_count)
         self.instances: Dict[int, AcceptorInstance] = {}
         self.decided: Dict[int, object] = {}
         self.trimmed_up_to = -1
@@ -205,11 +154,6 @@ class ReferenceAcceptor:
         if instance <= self.trimmed_up_to:
             return
         self.decided[instance] = value
-        if value.payload is not SKIP:
-            try:
-                self.slots.put(instance, value, value.size_bytes)
-            except slots_module.SlotFullError:
-                pass  # the value stays retransmittable from ``decided`` only
 
     def is_decided(self, instance):
         return instance in self.decided
@@ -229,7 +173,6 @@ class ReferenceAcceptor:
         if up_to_instance <= self.trimmed_up_to:
             return 0
         removed = self.log.trim(up_to_instance)
-        self.slots.trim(up_to_instance)
         for container in (self.decided, self.instances):
             stale = [i for i in container if i <= up_to_instance]
             for i in stale:
@@ -240,7 +183,6 @@ class ReferenceAcceptor:
 
     def crash(self):
         self.log.crash()
-        self.slots.clear()
         self.instances.clear()
         self.decided.clear()
 

@@ -8,8 +8,6 @@ has not emitted.
 
 from __future__ import annotations
 
-from repro.paxos.messages import SKIP
-
 
 class ReferenceLearner:
     """Orders decided instances of one ring and emits them contiguously."""
@@ -24,8 +22,6 @@ class ReferenceLearner:
         self.undeliv = set()
         self.next_to_emit = 0
         self.next_instance = 0
-        self.emitted_count = 0
-        self.skipped_count = 0
 
     # --------------------------------------------------------------- inputs
     def _observe_instance(self, instance):
@@ -70,8 +66,6 @@ class ReferenceLearner:
         while self.next_to_emit in self.waiting:
             instance = self.next_to_emit
             value = self.waiting.pop(instance)
-            self.emitted_count += 1
-            self.skipped_count += value.payload is SKIP
             self.on_ordered(self.ring_id, instance, value)  # sees next_to_emit == instance
             self.pending_values.pop(instance, None)
             if self.next_to_emit == instance:  # unless the callback fast-forwarded

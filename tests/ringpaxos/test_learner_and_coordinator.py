@@ -47,12 +47,11 @@ class TestRingLearner:
         learner.observe_decision(0, value("a"))
         assert len(out) == 1
 
-    def test_skip_counting(self):
+    def test_skips_are_emitted_in_order(self):
         learner, out = self._learner()
         learner.observe_decision(0, ProposalValue(payload=SKIP, size_bytes=0))
         learner.observe_decision(1, value("real"))
-        assert learner.emitted_count == 2
-        assert learner.skipped_count == 1
+        assert out == [(0, SKIP), (1, "real")]
 
     def test_fast_forward_skips_old_instances(self):
         learner, out = self._learner()

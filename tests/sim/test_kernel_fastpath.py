@@ -19,7 +19,7 @@ from repro.sim.disk import StorageMode
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 from tests import golden
-from tests.conftest import mutate
+from tests.conftest import SendTap, mutate
 from tests.reference.kernel import ReferenceKernel
 
 
@@ -260,6 +260,7 @@ def _run_faulted_stack(seed: int):
         process.site = site
     system.create_ring(0, [(p.name, "pal") for p in processes])
     network = system.network
+    tap = SendTap(network)
     sim = system.env.simulator
     sim.call_later(0.011, network.partition, "a", "b")
     sim.call_later(0.016, network.heal, "a", "b")
@@ -280,7 +281,7 @@ def _run_faulted_stack(seed: int):
     system.run(until=0.5)
     return (
         [p.delivered for p in processes],
-        (system.network.stats.messages, system.network.stats.dropped),
+        (tap.messages, network.stats.dropped),
     )
 
 

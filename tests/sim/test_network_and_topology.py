@@ -6,6 +6,7 @@ from repro.net.message import Message
 from repro.sim.actor import Actor, Environment
 from repro.sim.network import Network
 from repro.sim.topology import EC2_REGIONS, Topology, ec2_global, single_datacenter
+from tests.conftest import SendTap
 
 
 class Sink(Actor):
@@ -75,16 +76,18 @@ class TestMessageSize:
         env = make_env()
         a = Sink(env, "a")
         Sink(env, "b")
+        tap = SendTap(env.network)
         a.send("b", Message(payload_bytes=100))
-        assert env.network.stats.bytes == 148 + Network.HEADER_BYTES
+        assert tap.bytes == 148 + Network.HEADER_BYTES
 
     def test_unsized_object_is_refused(self):
         env = make_env()
         a = Sink(env, "a")
         Sink(env, "b")
+        tap = SendTap(env.network)
         with pytest.raises(AttributeError, match="'object' object has no attribute 'size_bytes'"):
             a.send("b", object())
-        assert env.network.stats.messages == 0
+        assert tap.messages == 0
 
 
 class TestNetworkDelivery:
@@ -146,10 +149,12 @@ class TestNetworkDelivery:
         env = make_env()
         a = Sink(env, "a")
         b = Sink(env, "b")
+        tap = SendTap(env.network)
         a.send("b", Message(payload_bytes=1000))
         env.run()
-        assert env.network.stats.messages == 1
-        assert env.network.stats.bytes > 1000
+        assert tap.messages == 1
+        assert tap.bytes > 1000
+        assert env.network.stats.dropped == 0
 
 
 class TestFaultInjection:

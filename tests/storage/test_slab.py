@@ -4,8 +4,8 @@ Equivalence with the dict layout is ``tests/paxos/test_acceptor_fastpath.py``'s
 job (one operation stream, every public accessor); these tests pin the slab's
 own shape — equal-length columns, ``base == trimmed_up_to + 1``, empty side
 dicts in a steady run — and the accessors that used to walk or sort every
-retained instance: ``highest_decided`` and ``SlotBuffer.bytes_used`` are
-counters, ``trim`` is one prefix delete, ``receive_phase1a`` touches only the
+retained instance: ``highest_decided`` is one scan of the flag column,
+``trim`` is one prefix delete, ``receive_phase1a`` touches only the
 window, ``decided_from`` is a slice.
 """
 
@@ -17,8 +17,7 @@ from repro.paxos.acceptor import AcceptorState
 from repro.paxos.messages import SKIP, ProposalValue
 from repro.sim.actor import Environment
 from repro.sim.disk import StorageMode
-from repro.storage.slab import IN_SLOT, LOGGED, VOTED, InstanceSlab
-from repro.storage.slots import SlotBuffer
+from repro.storage.slab import DECIDED, LOGGED, VOTED, InstanceSlab
 from repro.storage.wal import WriteAheadLog
 
 
@@ -27,10 +26,9 @@ def value(instance: int) -> ProposalValue:
     return ProposalValue(payload=payload, size_bytes=100 + instance, proposal_id=instance)
 
 
-def steady(count: int, mode=StorageMode.IN_MEMORY, slot_count=15_000) -> AcceptorState:
+def steady(count: int, mode=StorageMode.IN_MEMORY) -> AcceptorState:
     """An acceptor after ``count`` in-order votes and decisions."""
-    acceptor = AcceptorState(Environment(), "a0", ring_id=0, storage_mode=mode,
-                             slot_count=slot_count)
+    acceptor = AcceptorState(Environment(), "a0", ring_id=0, storage_mode=mode)
     for instance in range(count):
         acceptor.receive_phase2(instance, 1, value(instance))
         acceptor.record_decision(instance, acceptor.accepted_value(instance))
@@ -50,32 +48,26 @@ def assert_well_formed(slab: InstanceSlab) -> None:
                 assert flag & VOTED  # a bare flag means "it is the vote"
             if instance in side:
                 assert flag & view
-    assert slab.slots_used == len(slab.instances(IN_SLOT))
-    assert slab.slot_bytes == sum(slab.get(i, IN_SLOT).size_bytes for i in slab.instances(IN_SLOT))
-    assert slab.slot_top >= slab.highest(IN_SLOT)
 
 
 def test_a_steady_run_is_columns_and_flags_only():
-    acceptor = steady(200, slot_count=50)
+    acceptor = steady(200)
     slab = acceptor._slab
     assert_well_formed(slab)
     assert not any(slab.sides.values())
     assert len(slab.flags) == 200 and slab.base == 0
     non_skips = [i for i in range(200) if i % 5 != 4]
     assert slab.instances(LOGGED) == non_skips
-    assert slab.instances(IN_SLOT) == non_skips[:50]  # first come, first served
-    assert acceptor.slots.bytes_used == sum(100 + i for i in non_skips[:50])
     assert acceptor.highest_decided == 199
 
 
 def test_trim_is_one_prefix_delete_and_moves_base():
-    acceptor = steady(200, slot_count=50)
+    acceptor = steady(200)
     slab = acceptor._slab
     removed = acceptor.trim(99)
     assert removed == 100 + 100 + 80  # votes + decisions + records (20 skips are not logged)
     assert slab.base == acceptor.trimmed_up_to + 1 == 100 and len(slab.flags) == 100
     assert len(acceptor.log) == 80 and acceptor.log.instances()[0] == 100
-    assert len(acceptor.slots) == 0 and acceptor.slots.bytes_used == 0  # all 50 were below
     assert acceptor.highest_decided == 199
     assert acceptor.decided_from(0)[0][0] == 100
     assert_well_formed(slab)
@@ -124,7 +116,7 @@ def test_highest_decided_is_read_off_the_flag_column():
 
 
 def test_a_hole_is_padded_and_filled_later():
-    acceptor = AcceptorState(Environment(), "a0", ring_id=0, slot_count=4)
+    acceptor = AcceptorState(Environment(), "a0", ring_id=0)
     slab = acceptor._slab
     ahead = value(8)
     assert acceptor.receive_phase2(8, 1, ahead).accepted
@@ -152,22 +144,46 @@ def test_a_crash_keeps_what_the_storage_mode_keeps():
         assert_well_formed(slab)
         assert len(acceptor.log) == kept + (mode is StorageMode.SYNC_SSD)
         assert acceptor.accepted_in_range(0, 99) == [] and acceptor.decided_from(0) == []
-        assert len(acceptor.slots) == 0
         assert acceptor.recover_from_log() == len(acceptor.log)
         assert [i for i, _, _ in acceptor.accepted_in_range(0, 99)] == acceptor.log.instances()
         assert_well_formed(slab)
 
 
-def test_a_log_or_slot_buffer_alone_sits_on_a_slab_of_its_own():
+def test_a_log_alone_sits_on_a_slab_of_its_own():
     log = WriteAheadLog(Environment())
     for instance in (3, 1, 2):
         log.append(instance, 1, value(instance), 10)  # size differs from the value's
-    assert log.instances() == [1, 2, 3] and log.get(1).size_bytes == 10
-    assert log.trim(2) == 2 and log.instances() == [3] and len(log) == 1
+    assert log.instances() == [1, 2, 3] and log.get(1).size_bytes == 10 and len(log) == 3
     assert_well_formed(log.slab)
-    buffer = SlotBuffer(slot_count=2)
-    buffer.put(5, "plain", 7)
-    buffer.put(6, value(6), 106)
-    assert sorted(buffer.instances()) == [5, 6] and buffer.bytes_used == 113
-    assert buffer.trim(5) == 1 and buffer.bytes_used == 106
-    assert_well_formed(buffer.slab)
+
+
+def test_a_changed_vote_leaves_each_view_the_content_it_had():
+    slab = InstanceSlab()
+    old, new = value(0), value(1)
+    slab.set_vote(0, 1, 1, old)
+    slab.attach(0, LOGGED, None, shared=True)
+    slab.attach(0, DECIDED, None, shared=True)
+    assert not any(slab.sides.values())
+    slab.set_vote(0, 5, 5, new)
+    record = slab.get(0, LOGGED)
+    assert (record.ballot, record.value, record.size_bytes) == (1, old, old.size_bytes)
+    assert slab.get(0, DECIDED) is old and slab.vote(0) == (5, 5, new)
+    assert_well_formed(slab)
+
+
+def test_drop_clears_one_view_and_counts_what_it_held():
+    acceptor = steady(20)
+    slab = acceptor._slab
+    assert slab.drop(LOGGED, 9) == 8  # instances 4 and 9 are skips, never logged
+    assert acceptor.log.instances()[0] == 10 and acceptor.highest_decided == 19
+    assert [i for i, _ in acceptor.decided_from(0)] == list(range(20))
+    assert slab.base == 0 and slab.drop(LOGGED, 9) == 0
+    assert_well_formed(slab)
+
+
+def test_phase1b_reports_the_accepted_ballot_under_a_raised_promise():
+    acceptor = steady(5)
+    acceptor.receive_phase1a(0, 100, ballot=7)
+    assert acceptor.promised_ballot(2) == 7
+    assert [(i, b) for i, b, _ in acceptor.accepted_in_range(0, 99)] == [(i, 1) for i in range(5)]
+    assert_well_formed(acceptor._slab)

@@ -1,4 +1,4 @@
-"""Tests of the stable-storage substrate: slot buffer, WAL and checkpoints."""
+"""Tests of the stable-storage substrate: WAL and checkpoints."""
 
 import pytest
 
@@ -6,55 +6,7 @@ from repro.paxos.messages import ProposalValue
 from repro.sim.actor import Environment
 from repro.sim.disk import StorageMode
 from repro.storage.checkpoint import CheckpointId, CheckpointStore
-from repro.storage.slots import SlotBuffer, SlotFullError
 from repro.storage.wal import WriteAheadLog
-
-
-class TestSlotBuffer:
-    def test_put_get_and_occupancy(self):
-        buffer = SlotBuffer(slot_count=10, slot_size_bytes=1024)
-        buffer.put(0, "v0", 100)
-        buffer.put(1, "v1", 200)
-        assert buffer.get(0).value == "v0"
-        assert 1 in buffer
-        assert len(buffer) == 2
-        assert buffer.occupancy == pytest.approx(0.2)
-        assert buffer.bytes_used == 300
-
-    def test_oversized_value_rejected(self):
-        buffer = SlotBuffer(slot_count=10, slot_size_bytes=100)
-        with pytest.raises(ValueError):
-            buffer.put(0, "v", 200)
-
-    def test_full_buffer_raises(self):
-        buffer = SlotBuffer(slot_count=2, slot_size_bytes=100)
-        buffer.put(0, "a", 1)
-        buffer.put(1, "b", 1)
-        with pytest.raises(SlotFullError):
-            buffer.put(2, "c", 1)
-        # overwriting an existing slot is allowed even when full
-        buffer.put(1, "b2", 1)
-
-    def test_trim_frees_slots(self):
-        buffer = SlotBuffer(slot_count=5)
-        for i in range(5):
-            buffer.put(i, f"v{i}", 10)
-        removed = buffer.trim(2)
-        assert removed == 3
-        assert 3 in buffer and 0 not in buffer
-        buffer.put(10, "new", 10)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            SlotBuffer(slot_count=0)
-        with pytest.raises(ValueError):
-            SlotBuffer(slot_size_bytes=0)
-
-    def test_clear(self):
-        buffer = SlotBuffer()
-        buffer.put(0, "v", 10)
-        buffer.clear()
-        assert len(buffer) == 0
 
 
 def _value(size=100):
@@ -89,23 +41,12 @@ class TestWriteAheadLog:
         assert log.disk.write_count >= 1
         assert len(log) == 10
 
-    def test_trim_removes_records(self):
-        env = Environment()
-        log = WriteAheadLog(env, mode=StorageMode.IN_MEMORY)
-        for i in range(10):
-            log.append(i, 1, _value(), 10)
-        removed = log.trim(4)
-        assert removed == 5
-        assert log.instances() == [5, 6, 7, 8, 9]
-        assert log.highest_instance() == 9
-
     def test_crash_in_memory_loses_everything(self):
         env = Environment()
         log = WriteAheadLog(env, mode=StorageMode.IN_MEMORY)
         log.append(0, 1, _value(), 10)
         log.crash()
         assert len(log) == 0
-        assert log.lost_on_crash == 1
 
     def test_crash_async_loses_unflushed_tail_only(self):
         env = Environment()
@@ -124,6 +65,38 @@ class TestWriteAheadLog:
         env.simulator.run()
         log.crash()
         assert 0 in log
+
+    def test_a_record_is_read_back_with_its_ballot_and_size(self):
+        env = Environment()
+        log = WriteAheadLog(env)
+        assert log.highest_instance() == -1 and log.get(0) is None
+        value = _value(100)
+        log.append(4, 3, value, 40)
+        log.append(2, 1, _value(), 100)
+        record = log.get(4)
+        assert (record.instance, record.ballot, record.value, record.size_bytes) == (4, 3, value, 40)
+        assert log.get(3) is None and 3 not in log
+        assert log.instances() == [2, 4] and log.highest_instance() == 4
+
+    def test_sync_mode_writes_each_record_with_its_framing(self):
+        env = Environment()
+        log = WriteAheadLog(env, mode=StorageMode.SYNC_SSD)
+        for i in range(3):
+            log.append(i, 1, _value(), 100)
+        env.simulator.run()
+        assert log.disk.write_count == 3
+        assert log.disk.bytes_written == 3 * (100 + 64)
+
+    def test_an_async_crash_drops_the_buffered_bytes_with_the_records(self):
+        env = Environment()
+        log = WriteAheadLog(env, mode=StorageMode.ASYNC_SSD, flush_interval=0.01)
+        log.append(0, 1, _value(), 500)
+        log.append(1, 1, _value(), 500)
+        log.crash()  # before the first flush
+        log.append(2, 1, _value(), 10)
+        env.simulator.run(until=0.1)
+        assert log.instances() == [2]
+        assert log.disk.write_count == 1 and log.disk.bytes_written == 10 + 64
 
 
 class TestCheckpointId:

@@ -35,28 +35,15 @@ ALLOWLIST = {
 
     # test-reference: a differential test's reference or anchor calls it.
     # The acceptor differential (tests/paxos/test_acceptor_fastpath.py against
-    # tests/reference/acceptor.py) observes the shipped acceptor, log and slot
-    # buffer through these; put/trim are the storage layer's own surface.
-    # Item 11 decides them.
+    # tests/reference/acceptor.py) observes the shipped acceptor and its log
+    # through these.  Item 11 decides them.
     "repro.paxos.acceptor.AcceptorState.promised_ballot": "test-reference",
     "repro.paxos.instance.AcceptorInstance.has_accepted": "test-reference",
-    "repro.storage.slots.SlotBuffer.put": "test-reference",
-    "repro.storage.slots.SlotBuffer.get": "test-reference",
-    "repro.storage.slots.SlotBuffer.trim": "test-reference",
-    "repro.storage.slots.SlotBuffer.__contains__": "test-reference",
-    "repro.storage.slots.SlotBuffer.__len__": "test-reference",
-    "repro.storage.slots.SlotBuffer.instances": "test-reference",
-    "repro.storage.slots.SlotBuffer.occupancy": "test-reference",
-    "repro.storage.slots.SlotBuffer.bytes_used": "test-reference",
-    "repro.storage.wal.WriteAheadLog.trim": "test-reference",
     "repro.storage.wal.WriteAheadLog.__contains__": "test-reference",
     "repro.storage.wal.WriteAheadLog.__len__": "test-reference",
-    "repro.storage.wal.WriteAheadLog.lost_on_crash": "test-reference",
     # The learner differential (tests/ringpaxos/test_learner_fastpath.py
     # against tests/reference/learner.py) drives and observes through these.
     "repro.ringpaxos.learner.RingLearner.supply_missing_value": "test-reference",
-    "repro.ringpaxos.learner.RingLearner.emitted_count": "test-reference",
-    "repro.ringpaxos.learner.RingLearner.skipped_count": "test-reference",
     "repro.ringpaxos.learner.RingLearner.is_decided": "test-reference",
     "repro.ringpaxos.learner.RingLearner.gaps": "test-reference",
     # The dispatch differential's _ReferenceDispatchProcess
