@@ -7,7 +7,9 @@ alternating which goes first, the change winning at least nine tenths of
 them, and the medians apart by more than the distance between the parent's
 own quartiles.  This script runs the pairs and prints that verdict, plus what
 a pure speed-up must leave alone: every simulated metric exactly equal, no
-more failed operations::
+more failed operations.  After the pairs it takes one traced run
+(``--trace 1``) per side and prints every layer's ``self_s`` side by side,
+so the verdict names the layer that moved::
 
     python3 benchmarks/ab_pairs.py --parent ../parent-checkout --workload ring-unbatched
     python3 benchmarks/ab_pairs.py --parent-ref HEAD~1 --workload kv-global-open --seed 7 --pairs 3
@@ -47,11 +49,16 @@ def unpack_ref(ref: str, into: Path) -> Path:
     return into
 
 
-def ledger_run(checkout: Path, workload: str, seed: int, seconds: float) -> Dict[str, Any]:
-    """One untraced ledger run in ``checkout``; its closing JSON line."""
+def ledger_run(checkout: Path, workload: str, seed: int, seconds: float, out: Path,
+               trace: str = "0") -> Dict[str, Any]:
+    """One ledger run in ``checkout`` (untraced unless ``trace="1"``); its closing JSON line.
+
+    Its files (Chrome traces, the ledger record) go to ``out``, never into
+    the checkout's ``benchmarks/ledger/``.
+    """
     done = subprocess.run(
         [sys.executable, "benchmarks/ledger/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", trace, "--out", str(out)],
         cwd=checkout, stdout=subprocess.PIPE, text=True,
     )
     lines = done.stdout.strip().splitlines()
@@ -119,6 +126,31 @@ def bound_report(runs: Dict[str, List[Dict[str, Any]]], contract: Dict[str, Any]
     return lines
 
 
+def layer_report(parent: Dict[str, Any], change: Dict[str, Any]) -> List[str]:
+    """Each layer's ``self_s`` in one traced run per side, and the layer that moved most.
+
+    Self times of all layers sum to the traced slice, so a speed-up shows
+    as the layers whose own code got cheaper; one traced run per side is a
+    pointer to where the gain came from, not a second measurement of it.
+    """
+    suffix = ".self_s"
+    layers = [name[: -len(suffix)] for name in parent["metrics"] if name.endswith(suffix)]
+    lines = [f"  {'layer':20s} {'parent self_s':>14s} {'change self_s':>14s} {'change':>8s}"]
+    moved: Optional[str] = None
+    largest = 0.0
+    for layer in layers:
+        p = parent["metrics"][layer + suffix]
+        c = change["metrics"].get(layer + suffix, 0.0)
+        relative = f"{(c - p) / p:+.1%}" if p else "-"
+        lines.append(f"  {layer:20s} {p:14.4f} {c:14.4f} {relative:>8s}")
+        if abs(c - p) > largest:
+            moved, largest = layer, abs(c - p)
+    if moved is not None:
+        delta = change["metrics"].get(moved + suffix, 0.0) - parent["metrics"][moved + suffix]
+        lines.append(f"  layer that moved most: {moved} ({delta:+.4f} s self time)")
+    return lines
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     side = parser.add_mutually_exclusive_group(required=True)
@@ -139,17 +171,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     entry = next(e for e in contract["end_to_end"] if e["name"] == metric)
     seconds = float(contract["run_seconds"])
 
-    with tempfile.TemporaryDirectory(prefix="ab-parent-") as scratch:
+    with tempfile.TemporaryDirectory(prefix="ab-parent-") as scratch, \
+            tempfile.TemporaryDirectory(prefix="ab-out-") as out:
         parent = args.parent or unpack_ref(args.parent_ref, Path(scratch))
         sides = {"parent": parent.resolve(), "change": args.change.resolve()}
         runs: Dict[str, List[Dict[str, Any]]] = {"parent": [], "change": []}
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for name in order:
-                runs[name].append(ledger_run(sides[name], args.workload, args.seed, seconds))
+                runs[name].append(
+                    ledger_run(sides[name], args.workload, args.seed, seconds, Path(out))
+                )
             p, c = (runs[name][-1]["metrics"][metric] for name in ("parent", "change"))
             print(f"pair {pair + 1:2d} ({order[0]} first): parent {p:.6g}  change {c:.6g}  "
                   f"ratio {c / p:.3f}", flush=True)
+        traced = {
+            name: ledger_run(sides[name], args.workload, args.seed, seconds, Path(out), trace="1")
+            for name in ("parent", "change")
+        }
 
     values = {name: [run["metrics"][metric] for run in runs[name]] for name in runs}
     result = verdict(values["parent"], values["change"], entry["better"])
@@ -169,9 +208,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print("\n".join(bound_report(runs, contract)))
     print("  simulated metrics identical on all runs, nothing failed: "
           + ("yes" if not problems else "NO - " + "; ".join(problems)))
+    print("\nper-layer self time, one --trace 1 run per side [s]")
+    print("\n".join(layer_report(traced["parent"], traced["change"])))
     if args.record:
         args.record.write_text(json.dumps({"args": vars(args), "verdict": result,
-                                           "problems": problems, "runs": runs},
+                                           "problems": problems, "runs": runs,
+                                           "traced": traced},
                                           default=str, indent=1))
     return 0 if not problems else 1
 

@@ -62,10 +62,7 @@ class EventualStoreReplica(Actor):
         self.send(
             message.client,
             ClientResponse(
-                payload_bytes=command.response_size,
-                request_id=command.command_id,
-                result={"group_id": command.group_id, "value": result},
-                replica=self.name,
+                command.response_size, command.command_id, command.group_id, result, self.name
             ),
         )
         if command.op in ("update", "insert"):

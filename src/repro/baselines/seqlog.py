@@ -153,10 +153,11 @@ class SequencerLogLeader(Actor):
                 self.send(
                     command.client,
                     ClientResponse(
-                        payload_bytes=command.response_size,
-                        request_id=command.command_id,
-                        result={"group_id": command.group_id, "position": command.args[0]},
-                        replica=self.name,
+                        command.response_size,
+                        command.command_id,
+                        command.group_id,
+                        command.args[0],
+                        self.name,
                     ),
                 )
 

@@ -67,10 +67,7 @@ class SingleServerStore(Actor):
             self.send(
                 command.client,
                 ClientResponse(
-                    payload_bytes=command.response_size,
-                    request_id=command.command_id,
-                    result={"group_id": command.group_id, "value": result},
-                    replica=self.name,
+                    command.response_size, command.command_id, command.group_id, result, self.name
                 ),
             )
 

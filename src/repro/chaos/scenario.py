@@ -1012,7 +1012,7 @@ class _RywClient(Actor):
         self._outstanding[seq] = (command.op, key, size)
         self.send(
             self._frontends[command.group_id],
-            ClientRequest(payload_bytes=command.size_bytes, client=self.name, command=command),
+            ClientRequest(command.size_bytes, self.name, command),
         )
 
     def on_message(self, sender: str, message) -> None:
@@ -1022,7 +1022,7 @@ class _RywClient(Actor):
         if entry is None:
             return  # duplicate response from another replica
         op, key, size = entry
-        value = message.result.get("value") if isinstance(message.result, dict) else None
+        value = message.result
         if op in ("update", "insert"):
             self._acked_size[key] = size
         elif op == "read" and key in self._acked_size:

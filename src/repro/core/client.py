@@ -66,7 +66,7 @@ class Command:
     group_id: int = 0
     size_bytes: int = 64
     client: str = ""
-    command_id: int = field(default_factory=lambda: next(_command_ids))
+    command_id: int = field(default_factory=_command_ids.__next__)
     created_at: float = 0.0
     response_size: int = 32
 
@@ -156,20 +156,16 @@ class ClosedLoopClient(Actor):
             label = commands[0].op
         else:
             label = "-".join(sorted({c.op for c in commands})) or "noop"
-        self._outstanding[request_key] = (set(await_groups), self.now, label)
+        now = self.env.simulator._now
+        name = self.name
+        self._outstanding[request_key] = (set(await_groups), now, label)
         for command in commands:
-            command.client = self.name
-            command.created_at = self.now
+            command.client = name
+            command.created_at = now
             command.command_id = request_key
-            frontend = self._frontends[command.group_id]
             self.send(
-                frontend,
-                ClientRequest(
-                    payload_bytes=command.size_bytes,
-                    client=self.name,
-                    command=command,
-                    created_at=self.now,
-                ),
+                self._frontends[command.group_id],
+                ClientRequest(command.size_bytes, name, command, now),
             )
 
     # --------------------------------------------------------- response side
@@ -181,7 +177,7 @@ class ClosedLoopClient(Actor):
         if entry is None:
             return  # duplicate response from another replica of the same group
         pending, submitted_at, label = entry
-        group_id = message.result.get("group_id") if isinstance(message.result, dict) else None
+        group_id = message.group_id
         if group_id is not None:
             pending.discard(group_id)
         else:
@@ -190,7 +186,7 @@ class ClosedLoopClient(Actor):
             return
         del self._outstanding[key]
         self._completed += 1
-        elapsed = self.now - submitted_at
+        elapsed = self.env.simulator._now - submitted_at
         self._latency.record(elapsed)
         recorder = self._op_latency.get(label)
         if recorder is None:
@@ -250,19 +246,16 @@ class OpenLoopClient(Actor):
         sequence = self._issued
         self._issued += 1
         commands, await_groups = self._factory(sequence)
-        self._outstanding[sequence] = (set(await_groups), self.now)
+        now = self.now
+        name = self.name
+        self._outstanding[sequence] = (set(await_groups), now)
         for command in commands:
-            command.client = self.name
-            command.created_at = self.now
+            command.client = name
+            command.created_at = now
             command.command_id = sequence
             self.send(
                 self._frontends[command.group_id],
-                ClientRequest(
-                    payload_bytes=command.size_bytes,
-                    client=self.name,
-                    command=command,
-                    created_at=self.now,
-                ),
+                ClientRequest(command.size_bytes, name, command, now),
             )
 
     def on_message(self, sender: str, message: Any) -> None:
@@ -272,7 +265,7 @@ class OpenLoopClient(Actor):
         if entry is None:
             return
         pending, submitted_at = entry
-        group_id = message.result.get("group_id") if isinstance(message.result, dict) else None
+        group_id = message.group_id
         if group_id is not None:
             pending.discard(group_id)
         else:

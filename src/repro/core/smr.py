@@ -78,7 +78,6 @@ class StateMachineReplica(MultiRingProcess):
         self._checkpointer: Optional[ReplicaCheckpointer] = None
         self._recovery: Optional[RecoveryManager] = None
         self._commands_applied = 0
-        self._ops_tracker = None  # service.<name>.ops, resolved on first apply
         self._recovering = False
         # type(message) -> bound handler; same pattern as RingNode.HANDLERS.
         self._service_handlers = {
@@ -130,40 +129,43 @@ class StateMachineReplica(MultiRingProcess):
     def on_deliver(self, group_id: int, instance: int, value: ProposalValue) -> None:
         payload = value.payload
         if isinstance(payload, Command):
-            self._apply_and_respond(group_id, payload)
+            commands: Sequence[Command] = (payload,)
         elif isinstance(payload, PackedValues):
             # A coordinator-packed instance.  The merger normally unpacks
             # these before delivery, but paths that bypass it — recovery
             # retransmission injection, tests driving a replica directly —
             # must not silently count a whole pack as one opaque command.
+            commands = []
             for leaf in iter_payloads(payload):
                 if isinstance(leaf, Command):
-                    self._apply_and_respond(group_id, leaf)
+                    commands.append(leaf)
                 else:
                     self._commands_applied += 1
         else:
             # Opaque payload (e.g. the dummy service of the baseline bench).
+            commands = ()
             self._commands_applied += 1
-        if self._checkpointer is not None:
-            self._checkpointer.mark_delivered(group_id, instance)
-            self._checkpointer.maybe_take_deferred()
-
-    def _apply_and_respond(self, group_id: int, command: Command) -> None:
-        result = self.apply_command(group_id, command)
-        self._commands_applied += 1
-        if self._ops_tracker is None:  # reset_all() keeps instrument objects
-            self._ops_tracker = self.env.metrics.throughput(f"service.{self.name}.ops")
-        self._ops_tracker.record(1.0)
-        if self.respond_to_clients and command.client:
-            self.send(
-                command.client,
-                ClientResponse(
-                    payload_bytes=command.response_size,
-                    request_id=command.command_id,
-                    result={"group_id": group_id, "value": result},
-                    replica=self.name,
-                ),
-            )
+        # Apply, and answer the client with the apply result and the group.
+        for command in commands:
+            result = self.apply_command(group_id, command)
+            self._commands_applied += 1
+            if self.respond_to_clients and command.client:
+                self.send(
+                    command.client,
+                    ClientResponse(
+                        command.response_size, command.command_id, group_id, result, self.name
+                    ),
+                )
+        checkpointer = self._checkpointer
+        if checkpointer is not None:
+            # ``mark_delivered``, inlined: a delivery costs a compare, and a
+            # checkpoint call only while a deferred one waits for a round
+            # boundary.
+            delivered = checkpointer.delivered
+            if instance > delivered[group_id]:
+                delivered[group_id] = instance
+            if checkpointer.pending_request:
+                checkpointer.request_checkpoint()
 
     @property
     def commands_applied(self) -> int:

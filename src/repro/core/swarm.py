@@ -257,6 +257,9 @@ class ClientSwarm(Actor):
         self._cold_head: Optional[Tuple[float, int]] = None
         self._cold_origin = 0.0
         self._cold_step = 0.0
+        #: open mode under a constant curve: every client's interval, computed
+        #: once (the curve's rate does not depend on time)
+        self._constant_interval: Optional[float] = None
         self._armed_for: Optional[float] = None
         self._trace: List[Tuple[int, int, str, Tuple, int, float]] = []
 
@@ -279,11 +282,11 @@ class ClientSwarm(Actor):
         #: closed mode's per-operation latency recorders, resolved once per label
         self._op_latency: Dict[str, LatencyRecorder] = {}
         self._slo: Optional[SloTracker] = None
-        self._class_of: Optional[Callable[[int], str]] = None
+        #: SLO classes, sorted: client ``i`` is in ``classes[i % len(classes)]``
+        self._slo_classes: Tuple[str, ...] = ()
         if slo:
             self._slo = SloTracker(env.metrics, slo, sketch=self._sketch)
-            classes = sorted(slo)
-            self._class_of = lambda i: classes[i % len(classes)]
+            self._slo_classes = tuple(sorted(slo))
         self._churn_counters = (
             env.metrics.counter(f"{metric_prefix}.churn.disconnects"),
             env.metrics.counter(f"{metric_prefix}.churn.reconnects"),
@@ -304,6 +307,8 @@ class ClientSwarm(Actor):
             # individual OpenLoopClient uses for its interval, so the fire
             # times agree bit-for-bit in the differential.
             interval = 1.0 / (self._arrival.rate_at(now) / self._n)
+            if self._arrival.kind == "constant":
+                self._constant_interval = interval
             if self._stagger:
                 self._cold_origin = now
                 self._cold_step = interval / self._n
@@ -334,7 +339,7 @@ class ClientSwarm(Actor):
                 label = commands[0].op
             else:
                 label = "-".join(sorted({c.op for c in commands})) or "noop"
-        now = self.now
+        now = self.env.simulator._now
         self._outstanding[key] = (set(await_groups), now, label)
         if self._addressing == "ports":
             src = self._ports[index].name
@@ -355,12 +360,7 @@ class ClientSwarm(Actor):
             send(
                 src,
                 self._frontends[command.group_id],
-                ClientRequest(
-                    payload_bytes=command.size_bytes,
-                    client=src,
-                    command=command,
-                    created_at=now,
-                ),
+                ClientRequest(command.size_bytes, src, command, now),
             )
             if self._record_trace:
                 self._trace.append(
@@ -424,7 +424,9 @@ class ClientSwarm(Actor):
         if not self.alive:
             return
         self._armed_for = None
-        now = self.now
+        sim = self.env.simulator
+        now = sim._now
+        n = self._n
         wheel = self._heap
         cold = self._cold_head
         times = self._fifo_times
@@ -436,7 +438,7 @@ class ClientSwarm(Actor):
         if head < tail:
             fifo = (times[head], indices[head])
             last = (times[-1], indices[-1])
-        interval = None
+        interval = self._constant_interval
         while True:
             # Pop order is one heap's over all three sources: the smallest
             # (time, index) of their heads (equal keys are the same client at
@@ -458,12 +460,19 @@ class ClientSwarm(Actor):
             elif source == 2:
                 heapq.heappop(wheel)
             else:
-                cold = self._cold_head = self._cold_entry(index + 1)
+                # The next cold client's first fire (``_cold_entry``, inlined).
+                following = index + 1
+                if following >= n:
+                    cold = None
+                elif self._cold_step:
+                    cold = (self._cold_origin + (following + 1) * self._cold_step, following)
+                else:
+                    cold = (self._cold_origin, following)
             if not self._online[index]:
                 continue  # reconnection re-enters the wheel
             self._issue(index)
             if interval is None:
-                interval = 1.0 / (self._arrival.rate_at(now) / self._n)
+                interval = 1.0 / (self._arrival.rate_at(now) / n)
             entry = (now + interval, index)
             if fifo is None or entry >= last:
                 times.append(entry[0])
@@ -479,8 +488,17 @@ class ClientSwarm(Actor):
             del indices[:head]
             head = 0
         self._fifo_head = head
-        # The loop stopped at the smallest pending key: the next fire.
-        self._arm_at(None if key is None else key[0])
+        self._cold_head = cold
+        if key is None:
+            return
+        # The loop stopped at the smallest pending key, later than now: arm
+        # the next fire there (``_arm_at``, inlined — no timer is armed, the
+        # tick cleared ``_armed_for``).
+        fire = key[0]
+        self._armed_for = fire
+        seq = sim._seq
+        sim._seq = seq + 1
+        heapq.heappush(sim._queue, (fire, 0, seq, self._wheel_tick, ()))
 
     # ------------------------------------------------------------------ churn
     def _schedule_churn(self) -> None:
@@ -540,7 +558,7 @@ class ClientSwarm(Actor):
         if entry is None:
             return  # duplicate, or the client churned away meanwhile
         pending, submitted_at, label = entry
-        group_id = message.result.get("group_id") if isinstance(message.result, dict) else None
+        group_id = message.group_id
         if group_id is not None:
             pending.discard(group_id)
         else:
@@ -549,7 +567,7 @@ class ClientSwarm(Actor):
             return
         del self._outstanding[key]
         self._completed[index] += 1
-        elapsed = self.now - submitted_at
+        elapsed = self.env.simulator._now - submitted_at
         self._latency.record(elapsed)
         if self._mode == "closed":
             recorder = self._op_latency.get(label)
@@ -559,8 +577,9 @@ class ClientSwarm(Actor):
                 )
             recorder.record(elapsed)
         self._throughput.record(1.0)
-        if self._slo is not None and self._class_of is not None:
-            self._slo.record(self._class_of(index), elapsed)
+        if self._slo is not None:
+            classes = self._slo_classes
+            self._slo.record(classes[index % len(classes)], elapsed)
         if self._mode == "closed" and self._online[index]:
             self._issue(index)
 

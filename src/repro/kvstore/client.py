@@ -39,10 +39,10 @@ class MRPStoreCommands:
         """``read(k)`` — return the value of entry ``k``, if existent."""
         size = _COMMAND_OVERHEAD + len(key)
         return Command(
-            op="read",
-            args=(key,),
-            group_id=self.partitioner.group_for_key(key),
-            size_bytes=self._sizes.setdefault(size, size),
+            "read",
+            (key,),
+            self.partitioner.group_for_key(key),
+            self._sizes.setdefault(size, size),
             response_size=response_size,
         )
 
@@ -50,20 +50,20 @@ class MRPStoreCommands:
         """``update(k, v)`` — update entry ``k`` with value ``v``, if existent."""
         size = _COMMAND_OVERHEAD + len(key) + value_size
         return Command(
-            op="update",
-            args=(key, value, value_size),
-            group_id=self.partitioner.group_for_key(key),
-            size_bytes=self._sizes.setdefault(size, size),
+            "update",
+            (key, value, value_size),
+            self.partitioner.group_for_key(key),
+            self._sizes.setdefault(size, size),
         )
 
     def insert(self, key: str, value_size: int, value: object = None) -> Command:
         """``insert(k, v)`` — insert tuple ``(k, v)`` in the database."""
         size = _COMMAND_OVERHEAD + len(key) + value_size
         return Command(
-            op="insert",
-            args=(key, value, value_size),
-            group_id=self.partitioner.group_for_key(key),
-            size_bytes=self._sizes.setdefault(size, size),
+            "insert",
+            (key, value, value_size),
+            self.partitioner.group_for_key(key),
+            self._sizes.setdefault(size, size),
         )
 
     # ------------------------------------------------------------------ scan
@@ -78,13 +78,7 @@ class MRPStoreCommands:
         commands = []
         for group in self.partitioner.groups_for_range(start_key, end_key):
             commands.append(
-                Command(
-                    op="scan",
-                    args=(start_key, end_key, limit),
-                    group_id=group,
-                    size_bytes=size,
-                    response_size=4096,
-                )
+                Command("scan", (start_key, end_key, limit), group, size, response_size=4096)
             )
         return commands
 

@@ -42,8 +42,7 @@ class MRPStoreReplica(StateMachineReplica):
         """Execute one Table 1 operation against the in-memory store."""
         op = command.op
         if op == "read":
-            (key,) = command.args[:1]
-            entry = self.store.read(key)
+            entry = self.store.read(command.args[0])
             return {"found": entry is not None, "size": entry.size_bytes if entry else 0}
         if op == "scan":
             start_key, end_key, limit = command.args

@@ -51,11 +51,20 @@ class KeyValueStore:
         return [(k, self._data[k]) for k in keys]
 
     def update(self, key: str, value: object, size_bytes: int) -> bool:
-        """Update an existing entry; returns ``False`` when the key is absent."""
-        if key not in self._data:
+        """Update an existing entry; returns ``False`` when the key is absent.
+
+        An update writing the very value object and the size the entry
+        already holds keeps the entry (it is frozen, so a snapshot sharing
+        it cannot tell); a YCSB update writes ``(None, record size)`` over
+        the same pair every time.
+        """
+        entry = self._data.get(key)
+        if entry is None:
             return False
-        self._bytes += size_bytes - self._data[key].size_bytes
-        self._data[key] = StoredValue(value=value, size_bytes=size_bytes)
+        if entry.value is value and entry.size_bytes == size_bytes:
+            return True
+        self._bytes += size_bytes - entry.size_bytes
+        self._data[key] = StoredValue(value, size_bytes)
         return True
 
     def insert(self, key: str, value: object, size_bytes: int) -> bool:
@@ -65,7 +74,7 @@ class KeyValueStore:
         else:
             bisect.insort(self._sorted_keys, key)
             self._bytes += size_bytes
-        self._data[key] = StoredValue(value=value, size_bytes=size_bytes)
+        self._data[key] = StoredValue(value, size_bytes)
         return True
 
     # ------------------------------------------------------------ inspection

@@ -1,13 +1,12 @@
 """Networking primitives: message base types and the ring overlay."""
 
-from .message import ClientRequest, ClientResponse, Message, next_message_id
+from .message import ClientRequest, ClientResponse, Message
 from .ring import RingMember, RingOverlay
 
 __all__ = [
     "ClientRequest",
     "ClientResponse",
     "Message",
-    "next_message_id",
     "RingMember",
     "RingOverlay",
 ]

@@ -12,7 +12,10 @@ All message classes are ``slots=True`` dataclasses and ``size_bytes`` is a
 plain attribute cached at construction (``payload_bytes + OVERHEAD_BYTES``)
 rather than a property: the network reads it once per send.  Subclasses that
 override ``__post_init__`` must re-derive ``payload_bytes`` first and finish
-with ``self.size_bytes = self.payload_bytes + self.OVERHEAD_BYTES``.
+with ``self.size_bytes = self.payload_bytes + self.OVERHEAD_BYTES``.  The two
+client messages, built once per request and once per replica reply, write
+their own positional ``__init__`` that sets ``size_bytes`` directly (no
+generated ``__init__`` plus ``__post_init__``).
 
 The dataclass declaration is also the barrier wire form: a message crossing
 shards ships its fields positionally, in declaration order (see the codec in
@@ -21,18 +24,10 @@ shards ships its fields positionally, in declaration order (see the codec in
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Any, ClassVar
+from typing import Any, ClassVar, Optional
 
-__all__ = ["Message", "ClientRequest", "ClientResponse", "next_message_id"]
-
-_message_ids = itertools.count(1)
-
-
-def next_message_id() -> int:
-    """Globally unique message identifier (monotonic within one process)."""
-    return next(_message_ids)
+__all__ = ["Message", "ClientRequest", "ClientResponse"]
 
 
 @dataclass(slots=True)
@@ -61,18 +56,53 @@ class Message:
 
 @dataclass(slots=True)
 class ClientRequest(Message):
-    """A request submitted by a client to a service front-end."""
+    """A request submitted by a client to a service front-end.
 
-    request_id: int = field(default_factory=next_message_id)
+    The command carries its own request identity (``command_id``); the
+    request is only its envelope.
+    """
+
     client: str = ""
     command: Any = None
     created_at: float = 0.0
 
+    def __init__(
+        self, payload_bytes: int = 0, client: str = "", command: Any = None, created_at: float = 0.0
+    ) -> None:
+        self.payload_bytes = payload_bytes
+        self.size_bytes = payload_bytes + self.OVERHEAD_BYTES
+        self.client = client
+        self.command = command
+        self.created_at = created_at
+
 
 @dataclass(slots=True)
 class ClientResponse(Message):
-    """A response sent back to a client (the paper uses UDP for these)."""
+    """A replica's answer to one command (the paper uses UDP for these).
+
+    ``request_id`` is the answered command's ``command_id``; ``group_id`` the
+    group (partition) whose replica answered — a client waiting on several
+    partitions (a scan) completes once each of them answered, and a response
+    without a group completes its request outright; ``result`` is what the
+    replica's ``apply_command`` returned.
+    """
 
     request_id: int = 0
+    group_id: Optional[int] = None
     result: Any = None
     replica: str = ""
+
+    def __init__(
+        self,
+        payload_bytes: int = 0,
+        request_id: int = 0,
+        group_id: Optional[int] = None,
+        result: Any = None,
+        replica: str = "",
+    ) -> None:
+        self.payload_bytes = payload_bytes
+        self.size_bytes = payload_bytes + self.OVERHEAD_BYTES
+        self.request_id = request_id
+        self.group_id = group_id
+        self.result = result
+        self.replica = replica

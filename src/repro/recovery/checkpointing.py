@@ -58,40 +58,39 @@ class ReplicaCheckpointer:
         self._snapshot_fn = snapshot_fn
         self._groups = sorted(group_ids)
         self._at_round_boundary = at_round_boundary or (lambda: True)
-        self._delivered: Dict[int, int] = {g: -1 for g in self._groups}
-        self._pending_request = False
+        #: group -> highest instance applied (the replica's delivery path
+        #: updates it in place, as :meth:`mark_delivered` does)
+        self.delivered: Dict[int, int] = {g: -1 for g in self._groups}
+        #: a checkpoint was requested mid-round and waits for a boundary
+        self.pending_request = False
         self._checkpoints_taken = 0
 
     # -------------------------------------------------------------- tracking
     def mark_delivered(self, group_id: int, instance: int) -> None:
         """Record that the replica applied ``instance`` of ``group_id``."""
-        if group_id not in self._delivered:
+        if group_id not in self.delivered:
             raise KeyError(f"unknown group {group_id}")
-        if instance > self._delivered[group_id]:
-            self._delivered[group_id] = instance
+        if instance > self.delivered[group_id]:
+            self.delivered[group_id] = instance
 
     # ----------------------------------------------------------- checkpointing
     def request_checkpoint(self) -> bool:
         """Ask for a checkpoint; taken now if at a round boundary, else deferred.
 
-        Returns ``True`` if the checkpoint was taken immediately.
+        A deferred request stays :attr:`pending_request` until a request
+        finds the merge at a boundary — the replica asks again after every
+        delivery while one is pending — and a checkpoint taken satisfies it.
+        Returns ``True`` if the checkpoint was taken now.
         """
         if self._at_round_boundary():
+            self.pending_request = False
             self._take_checkpoint()
             return True
-        self._pending_request = True
-        return False
-
-    def maybe_take_deferred(self) -> bool:
-        """Take a previously deferred checkpoint if now at a round boundary."""
-        if self._pending_request and self._at_round_boundary():
-            self._pending_request = False
-            self._take_checkpoint()
-            return True
+        self.pending_request = True
         return False
 
     def _take_checkpoint(self) -> Checkpoint:
-        checkpoint_id = CheckpointId.from_mapping(self._delivered)
+        checkpoint_id = CheckpointId.from_mapping(self.delivered)
         state, size = self._snapshot_fn()
         checkpoint = self.store.save(checkpoint_id, state, size)
         self._checkpoints_taken += 1

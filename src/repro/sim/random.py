@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Sequence, TypeVar
+from typing import Dict
 
 __all__ = ["SeededStreams", "ZipfianGenerator", "LatestGenerator"]
-
-T = TypeVar("T")
 
 
 class SeededStreams:
@@ -112,16 +110,3 @@ class LatestGenerator:
             self._zipf_items = self._count
             self._zipf = ZipfianGenerator(self._count, self._rng, self._theta)
 
-
-def weighted_choice(rng: random.Random, weighted: Sequence[tuple]) -> T:
-    """Pick one item from ``[(item, weight), ...]`` proportionally to weight."""
-    total = sum(w for _, w in weighted)
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    point = rng.random() * total
-    acc = 0.0
-    for item, weight in weighted:
-        acc += weight
-        if point <= acc:
-            return item
-    return weighted[-1][0]

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..sim.random import LatestGenerator, ZipfianGenerator, weighted_choice
+from ..sim.random import LatestGenerator, ZipfianGenerator
 
 __all__ = ["YCSB_WORKLOADS", "YCSBWorkload", "WorkloadSpec"]
 
@@ -102,7 +102,10 @@ class YCSBWorkload:
     record_bytes:
         Value size written by updates and inserts.
 
-    Scan lengths are uniform in ``1..MAX_SCAN_LENGTH``.
+    Scan lengths are uniform in ``1..MAX_SCAN_LENGTH``.  An operation is
+    drawn with one ``rng.random()`` scaled by the mix's total weight and
+    matched against the mix's cumulative weights, both summed once here (the
+    same left-to-right float sums a per-draw re-sum would make).
     """
 
     def __init__(
@@ -121,13 +124,23 @@ class YCSBWorkload:
         #: every record's key, formatted once: operations carry these strings
         #: (inserts append theirs), so a run holds one string per record
         self._keys = [ycsb_key(i) for i in range(record_count)]
-        self._mix = spec.mix()
+        mix = spec.mix()
+        self._mix_total = sum(weight for _, weight in mix)
+        if self._mix_total <= 0:
+            raise ValueError("the operation mix needs a positive weight")
+        #: ``(cumulative weight, operation)`` in mix order
+        self._mix_bounds: List[Tuple[float, str]] = []
+        bound = 0.0
+        for op, weight in mix:
+            bound += weight
+            self._mix_bounds.append((bound, op))
+        self._latest: Optional[LatestGenerator] = None
+        #: draws the next record index (it may pass the last key: clamp it)
         if spec.distribution == "latest":
             self._latest = LatestGenerator(record_count, rng)
-            self._zipf = None
+            self._draw_index = self._latest.next
         else:
-            self._latest = None
-            self._zipf = ZipfianGenerator(record_count, rng)
+            self._draw_index = ZipfianGenerator(record_count, rng).next
 
     # ------------------------------------------------------------------ keys
     def keyspace(self) -> Dict[str, int]:
@@ -138,16 +151,14 @@ class YCSBWorkload:
         """
         return dict.fromkeys(self._keys[: self._record_count], self.record_bytes)
 
-    def _next_key_index(self) -> int:
-        if self._latest is not None:
-            return min(self._latest.next(), len(self._keys) - 1)
-        assert self._zipf is not None
-        return min(self._zipf.next(), len(self._keys) - 1)
-
     # ------------------------------------------------------------ operations
     def next_operation(self, sequence: int = 0) -> Operation:
         """Generate the next operation (deterministic given the stream state)."""
-        op = weighted_choice(self._rng, self._mix)
+        point = self._rng.random() * self._mix_total
+        for bound, op in self._mix_bounds:
+            if point <= bound:
+                break
+        # (past every bound by rounding, ``op`` is the mix's last operation)
         keys = self._keys
         if op == "insert":
             key = ycsb_key(len(keys))
@@ -155,7 +166,7 @@ class YCSBWorkload:
             if self._latest is not None:
                 self._latest.record_insert()
             return ("insert", key, self.record_bytes, None)
-        key = keys[self._next_key_index()]
+        key = keys[min(self._draw_index(), len(keys) - 1)]
         if op == "read":
             return ("read", key, 0, None)
         if op == "update":
@@ -164,10 +175,10 @@ class YCSBWorkload:
             return ("read-modify-write", key, self.record_bytes, None)
         if op == "scan":
             length = self._rng.randint(1, MAX_SCAN_LENGTH)
-            start_index = self._next_key_index()
+            start_index = min(self._draw_index(), len(keys) - 1)
             end_key = keys[min(start_index + length, len(keys) - 1)]
             return ("scan", keys[start_index], 0, end_key)
         raise ValueError(f"unknown operation in mix: {op}")
 
-    def __call__(self, sequence: int) -> Operation:
-        return self.next_operation(sequence)
+    #: the workload is its own request stream (``workload(sequence)``)
+    __call__ = next_operation

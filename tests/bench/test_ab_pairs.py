@@ -52,3 +52,17 @@ def test_bound_report_flags_a_host_metric_past_its_bound():
         {"parent": [run(100), run(100)], "change": [run(70), run(72)]}, CONTRACT
     )
     assert "WORSE" in report[0] and "ok" in report[1] and "ok" in report[2]
+
+
+def test_layer_report_puts_the_sides_next_to_each_other_and_names_the_layer_that_moved():
+    def traced(**self_s):
+        return {"metrics": {f"{layer.replace('_', '.')}.self_s": seconds
+                            for layer, seconds in self_s.items()} | {"core.swarm.calls": 9}}
+
+    report = ab_pairs.layer_report(
+        traced(sim_kernel=2.0, core_swarm=1.0, kvstore=0.2),
+        traced(sim_kernel=2.05, core_swarm=0.6, kvstore=0.1),
+    )
+    assert [line.split()[0] for line in report[1:4]] == ["sim.kernel", "core.swarm", "kvstore"]
+    assert report[2].split()[1:] == ["1.0000", "0.6000", "-40.0%"]
+    assert report[-1] == "  layer that moved most: core.swarm (-0.4000 s self time)"

@@ -17,7 +17,11 @@ site here and turns this red on any machine.
 The same runs carry the exact perf guard: ``events_processed`` and every
 simulated metric they report are compared, bit for bit, with
 ``tests/golden/exact.json`` (``pinned_runs``) — an extra event per command or
-a moved latency turns this red with no new run.
+a moved latency turns this red with no new run.  The ``kv-global-open`` run
+also pins the state it ends in: the swarm's issued / completed requests, each
+replica's applied commands and a SHA-256 of each replica's sorted store, so a
+change on the apply or reply path is held to what the replicas stored, not
+only to latency.
 
 The wire codec only runs between processes, so it has its own count: encoding
 a barrier-shaped payload enters Python once per dataclass instance and not
@@ -42,12 +46,15 @@ from repro.bench.fig3_baseline import run_fig3_point
 from repro.bench.fig4_ycsb import run_fig4_point
 from repro.bench.parallel import run_fig6_sharded
 from repro.core.client import Command
+from repro.core.swarm import ClientSwarm
+from repro.kvstore.replica import MRPStoreReplica
 from repro.multiring.merge import RingSegment
 from repro.paxos.acceptor import AcceptorState
 from repro.paxos.messages import Decision, ProposalValue
 from repro.sim.disk import StorageMode
 from repro.sim.kernel import Simulator
 from repro.sim.network import encode_wire
+from repro.sim.parallel import ShardHarness
 from repro.workloads.arrival import constant
 from tests import golden
 from tests.conftest import mutate
@@ -92,7 +99,11 @@ def dlog_sharded():
 #: from a table and the clients resolved per-operation recorders once.  All
 #: four were lowered from 1 505 000 / 640 000 / 394 000 / 1 036 000 (measured
 #: 1 454 246 / 618 382 / 382 375 / 1 004 827) when the acceptor's slot buffer
-#: and the learner's skip counters went.
+#: and the learner's skip counters went.  ``kv-global-open`` and
+#: ``dlog-sharded`` were lowered from 392 000 / 1 032 000 (measured 380 558 /
+#: 1 001 471) when replies carried their group as a field, the replica's
+#: apply path lost its ops tracker and checkpointer calls, and the swarm
+#: wheel and the YCSB draw lost their per-request helpers.
 BUDGETS = {
     "unbatched": (
         fig3(threads_per_proposer=10, batching_enabled=False), 1_452_000, 1_403_068, 2_361_179,
@@ -100,25 +111,49 @@ BUDGETS = {
     "batched": (
         fig3(threads_per_proposer=40, batching_enabled=True), 636_000, 614_518, 856_055,
     ),
-    "kv-global-open": (kv_global_open, 392_000, 380_558, 404_550),
-    "dlog-sharded": (dlog_sharded, 1_032_000, 1_001_471, 1_120_400),
+    "kv-global-open": (kv_global_open, 280_000, 272_294, 404_550),
+    "dlog-sharded": (dlog_sharded, 757_000, 735_047, 1_120_400),
 }
 
 
+def kv_state(env):
+    """What a ``kv-global-open`` deployment ends with: requests and stores."""
+    (swarm,) = [a for a in env.actors() if isinstance(a, ClientSwarm)]
+    replicas = [a for a in env.actors() if isinstance(a, MRPStoreReplica)]
+    return {
+        "swarm_issued": swarm.issued,
+        "swarm_completed": swarm.completed,
+        "commands_applied": {r.name: r.commands_applied for r in replicas},
+        "store_sha256": {
+            r.name: golden.digest(
+                sorted((key, entry.value, entry.size_bytes) for key, entry in r.store.snapshot().items())
+            )
+            for r in replicas
+        },
+    }
+
+
+#: ``name -> state(env)`` read off the finished deployment of a pinned run.
+END_STATE = {"kv-global-open": kv_state}
+
+
 _KERNEL_RUN = Simulator.run.__code__
+_RUN_TO_END = ShardHarness.run_to_end.__code__
 
 
 def measure(pinned_run):
-    """``(Python-level calls, exact simulated values)`` of one pinned run.
+    """``(Python-level calls, exact simulated values, environment)`` of one pinned run.
 
     The fig3 runs report ``events_processed`` among their metrics.
     ``run_fig4_point`` does not (adding the metric moves a golden: a later
     PR), so for it the kernel is read off the first ``Simulator.run`` frame
     the profiler sees, which adds no frame to the count; from then on the
-    profiler only counts.
+    profiler only counts.  The environment (``None`` for a sharded run) is
+    read the same way off the first ``ShardHarness.run_to_end`` frame.
     """
     calls = 0
     kernel = None
+    env = None
 
     def counting(frame, event, arg):
         nonlocal calls
@@ -126,10 +161,12 @@ def measure(pinned_run):
             calls += 1
 
     def finding_the_kernel(frame, event, arg):
-        nonlocal calls, kernel
+        nonlocal calls, kernel, env
         if event == "call":
             calls += 1
-            if frame.f_code is _KERNEL_RUN:
+            if frame.f_code is _RUN_TO_END and env is None:
+                env = frame.f_locals["self"].env
+            elif frame.f_code is _KERNEL_RUN:
                 kernel = frame.f_locals["self"]
                 sys.setprofile(counting)
 
@@ -142,13 +179,16 @@ def measure(pinned_run):
     exact = {"metrics": golden.exact_metrics(result.metrics)}
     if "events_processed" not in result.metrics:
         exact["events_processed"] = kernel.processed_events
-    return calls, exact
+    return calls, exact, env
 
 
 @functools.cache
 def measured(name):
     """One run per pinned point, shared by the frame ceiling and the golden check."""
-    return measure(BUDGETS[name][0])
+    calls, exact, env = measure(BUDGETS[name][0])
+    if name in END_STATE:
+        exact["end_state"] = END_STATE[name](env)
+    return calls, exact
 
 
 @pytest.mark.parametrize("name", sorted(BUDGETS))

@@ -184,8 +184,8 @@ class TestSMRPackedValues:
         system.start()
         system.run(until=3.0)
         assert len(client.responses) == 2
-        assert client.responses[0]["value"]["inserted"]
-        assert client.responses[1]["value"]["found"]
+        assert client.responses[0]["inserted"]
+        assert client.responses[1]["found"]
         for replica in service.replicas[0]:
             assert replica.store.read("probe-key") is not None
 
@@ -246,8 +246,8 @@ class TestSMRApplyPath:
         assert isinstance(response, ClientResponse)
         assert response.request_id == insert.command_id
         assert response.replica == "r0"
-        assert response.result["group_id"] == 3
-        assert response.result["value"]["inserted"]
+        assert response.group_id == 3
+        assert response.result["inserted"]
 
     def test_each_command_of_a_pack_is_answered_once_in_order(self):
         system, replica, inbox = self._replica()
@@ -256,7 +256,7 @@ class TestSMRApplyPath:
         replica.on_deliver(0, 0, _pack(_value(insert), _value(SKIP), _pack(_value(read))))
         system.run(until=0.1)
         assert [m.request_id for _, m in inbox.received] == [insert.command_id, read.command_id]
-        assert inbox.received[1][1].result["value"]["found"]
+        assert inbox.received[1][1].result["found"]
 
     def test_a_replica_that_does_not_respond_applies_silently(self):
         system, replica, inbox = self._replica(respond_to_clients=False)

@@ -80,8 +80,7 @@ def _tap_network(system):
                  c.command_id, c.created_at, message.created_at)
             )
         elif isinstance(message, ClientResponse):
-            group = message.result.get("group_id") if isinstance(message.result, dict) else None
-            log.append(("RESP", src, dst, message.request_id, group))
+            log.append(("RESP", src, dst, message.request_id, message.group_id))
         original(src, dst, message)
 
     system.network.send = wrapped

@@ -109,6 +109,27 @@ class TestKeyValueStore:
         assert other.read("k0").value == 0
         assert [k for k, _ in other.scan("k0", "k9")] == [f"k{i}" for i in range(5)]
 
+    def test_a_snapshot_keeps_its_entries_across_later_updates(self):
+        store = KeyValueStore()
+        for key in ("resized", "rewritten", "same"):
+            store.insert(key, None, 100)
+        snapshot = store.snapshot()
+        taken = dict(snapshot)
+        assert store.update("resized", None, 150)
+        assert store.update("rewritten", "new", 100)
+        # The very value object and the size the entry holds: the entry is
+        # kept, not rebuilt (frozen, so sharing it with the snapshot is safe).
+        assert store.update("same", None, 100)
+        assert store.read("same") is taken["same"]
+        assert snapshot == taken
+        assert all(snapshot[key] is taken[key] for key in taken)
+        assert (snapshot["resized"].size_bytes, snapshot["rewritten"].value) == (100, None)
+        assert (store.read("resized").size_bytes, store.read("rewritten").value) == (150, "new")
+        assert store.size_bytes == 350
+        restored = KeyValueStore()
+        restored.restore(snapshot)
+        assert restored.read("resized").size_bytes == 100 and restored.size_bytes == 300
+
     @given(st.lists(st.tuples(st.sampled_from("abcdef"), st.integers(0, 2)), max_size=40))
     @settings(max_examples=40, deadline=None)
     def test_sorted_keys_invariant(self, operations):

@@ -1,6 +1,6 @@
 """Tests of message size accounting."""
 
-from repro.net.message import ClientRequest, ClientResponse, Message, next_message_id
+from repro.net.message import ClientRequest, ClientResponse, Message
 from repro.paxos.messages import Decision, Phase2Ring, ProposalValue, RetransmitReply, SKIP
 
 
@@ -11,12 +11,21 @@ class TestMessageSizes:
 
     def test_client_request_and_response(self):
         request = ClientRequest(payload_bytes=512, client="c1", command="x")
-        assert request.size_bytes > 512
-        response = ClientResponse(payload_bytes=32, request_id=request.request_id)
-        assert response.size_bytes > 32
+        assert request.size_bytes == 512 + Message.OVERHEAD_BYTES
+        response = ClientResponse(payload_bytes=32, request_id=7)
+        assert response.size_bytes == 32 + Message.OVERHEAD_BYTES
 
-    def test_message_ids_are_unique(self):
-        assert next_message_id() != next_message_id()
+    def test_client_messages_build_positionally_in_declaration_order(self):
+        # The hand-written ``__init__``s take the dataclass fields in order,
+        # so the generated ``__eq__`` / ``__repr__`` and the barrier wire
+        # (positional by declaration) agree with construction.
+        request = ClientRequest(64, "c1", "cmd", 0.5)
+        assert request == ClientRequest(payload_bytes=64, client="c1", command="cmd", created_at=0.5)
+        response = ClientResponse(32, 7, 2, {"found": True}, "r0")
+        assert (response.request_id, response.group_id, response.result, response.replica) == (
+            7, 2, {"found": True}, "r0")
+        assert response.size_bytes == 32 + Message.OVERHEAD_BYTES
+        assert ClientResponse().group_id is None
 
 
 class TestPaxosMessageSizes:

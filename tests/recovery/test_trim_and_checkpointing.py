@@ -189,11 +189,11 @@ class TestReplicaCheckpointer:
         boundary["at_boundary"] = False
         assert not checkpointer.request_checkpoint()
         assert checkpointer.checkpoints_taken == 0
+        assert checkpointer.pending_request
         boundary["at_boundary"] = True
-        assert checkpointer.maybe_take_deferred()
+        assert checkpointer.request_checkpoint()  # what the next delivery asks
         assert checkpointer.checkpoints_taken == 1
-        # no pending request left
-        assert not checkpointer.maybe_take_deferred()
+        assert not checkpointer.pending_request  # the checkpoint taken satisfied it
 
     def test_mark_delivered_ignores_regressions_and_unknown_groups(self):
         env, checkpointer, state, _ = self._checkpointer()
@@ -209,8 +209,8 @@ class TestDeferredCheckpointAndPackedInstances:
     """A deferred checkpoint is cut between instances, never inside a packed one.
 
     The replica polls the checkpointer from every *leaf* delivery
-    (``StateMachineReplica.on_deliver``: ``mark_delivered`` +
-    ``maybe_take_deferred``) and the merger's round-boundary predicate still
+    (``StateMachineReplica.on_deliver``: ``mark_delivered``, then
+    ``request_checkpoint`` while one is pending) and the merger's round-boundary predicate still
     holds while the first instance of a round is being emitted — so a
     checkpoint used to be cut after the first leaf of a packed instance, with
     a tuple that covers the whole instance: a replica recovering from it would
@@ -225,7 +225,8 @@ class TestDeferredCheckpointAndPackedInstances:
         def on_deliver(group, instance, value):  # what StateMachineReplica.on_deliver does
             applied.append((group, instance, value.payload))
             checkpointer.mark_delivered(group, instance)
-            checkpointer.maybe_take_deferred()
+            if checkpointer.pending_request:
+                checkpointer.request_checkpoint()
 
         store = CheckpointStore(Environment())
         save = store.save

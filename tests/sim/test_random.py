@@ -9,7 +9,6 @@ from repro.sim.random import (
     LatestGenerator,
     SeededStreams,
     ZipfianGenerator,
-    weighted_choice,
 )
 
 
@@ -116,14 +115,3 @@ class TestLatestGenerator:
         values = [gen.next() for _ in range(500)]
         assert max(values) > 10
         assert all(v >= 0 for v in values)
-
-
-class TestWeightedChoice:
-    def test_respects_weights(self):
-        rng = random.Random(6)
-        picks = [weighted_choice(rng, [("a", 0.9), ("b", 0.1)]) for _ in range(1000)]
-        assert picks.count("a") > 700
-
-    def test_zero_total_weight_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_choice(random.Random(1), [("a", 0.0)])

@@ -1,5 +1,6 @@
 """Tests of the YCSB generator and the simpler workload streams."""
 
+import math
 import random
 
 import pytest
@@ -12,6 +13,21 @@ from repro.workloads.ycsb import (
     YCSBWorkload,
     ycsb_key,
 )
+from tests.reference.ycsb import weighted_choice
+
+
+class _ConstantRng(random.Random):
+    """Every ``random()`` draw is ``point`` (the operation's and the keys')."""
+
+    def __init__(self, point):
+        super().__init__(0)
+        self.point = point
+
+    def random(self):
+        return self.point
+
+    def getrandbits(self, k):  # keeps randint (scan lengths) off random()
+        return super().getrandbits(k)
 
 
 class TestYCSBDefinitions:
@@ -77,6 +93,22 @@ class TestYCSBGenerator:
         second_gen = self._workload("A", seed=9)
         second = [second_gen.next_operation() for _ in range(50)]
         assert first == second
+
+    @pytest.mark.parametrize("name", sorted(YCSB_WORKLOADS))
+    @pytest.mark.parametrize("point", [
+        0.0, 0.05, math.nextafter(0.05, 1.0), 0.5, math.nextafter(0.5, 1.0),
+        0.95, math.nextafter(0.95, 0.0), math.nextafter(1.0, 0.0),
+    ])
+    def test_the_draw_matches_a_per_draw_resum_of_the_mix(self, name, point):
+        # The cumulative weights are summed once; at every boundary the draw
+        # must pick what re-summing the mix for each draw picks.
+        spec = YCSB_WORKLOADS[name]
+        workload = YCSBWorkload(spec, record_count=50, rng=_ConstantRng(point))
+        assert workload.next_operation()[0] == weighted_choice(_ConstantRng(point), spec.mix())
+
+    def test_an_empty_mix_is_refused(self):
+        with pytest.raises(ValueError, match="positive weight"):
+            YCSBWorkload(WorkloadSpec(name="X"), record_count=10, rng=random.Random(1))
 
     def test_requires_records(self):
         with pytest.raises(ValueError):
