@@ -34,17 +34,13 @@ def test_fig6_point(benchmark, rings: int, windows):
     assert result.metrics["aggregate_ops"] > 0
 
 
-@pytest.mark.parametrize("configuration", ["independent", "shared"])
 @pytest.mark.parametrize("rings", _RING_COUNTS)
-def test_fig6_point_sharded(benchmark, rings: int, windows, workers, configuration):
+def test_fig6_point_sharded(benchmark, rings: int, windows, workers):
     """One ring-count point on the sharded engine (``--workers N``).
 
-    Each ring runs as its own shard spread over ``N`` worker processes.
-    ``independent`` gives every shard its own replica; ``shared`` is the
-    figure's *original* deployment — shared learner plus the common ring,
-    reconstructed by the merge stage.  Compare ``aggregate_ops`` and the
-    recorded wall clock against the single-loop points above to see the
-    multi-core scaling curve.
+    The figure's original deployment — shared learner plus the common ring —
+    with each ring as its own shard spread over ``N`` worker processes and
+    the shared learner rebuilt by the parent-hosted reactive replica.
     """
     if workers is None:
         pytest.skip("pass --workers N to run the sharded figure points")
@@ -57,7 +53,6 @@ def test_fig6_point_sharded(benchmark, rings: int, windows, workers, configurati
             clients_per_ring=_CLIENTS_PER_RING,
             warmup=warmup,
             duration=duration,
-            configuration=configuration,
         )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)

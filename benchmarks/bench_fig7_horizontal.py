@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import print_results, relative_increments, run_fig7_point, run_fig7_sharded
+from repro.bench import print_results, relative_increments, run_fig7_point
 
 _RESULTS = []
 
@@ -30,37 +30,6 @@ def test_fig7_point(benchmark, regions: int, windows):
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     _RESULTS.append(result)
-    benchmark.extra_info.update(result.metrics)
-    assert result.metrics["aggregate_ops"] > 0
-
-
-@pytest.mark.parametrize("regions", _REGION_COUNTS)
-@pytest.mark.parametrize("configuration", ["independent", "shared"])
-def test_fig7_point_sharded(benchmark, regions: int, windows, workers, configuration):
-    """One region-count point on the sharded engine (``--workers N``).
-
-    One shard per region, spread over ``N`` worker processes — the
-    multi-core re-measurement of horizontal scalability.  ``independent``
-    drops the global ring; ``shared`` keeps the figure's *original* globally
-    ordered deployment — every replica subscribes to its partition ring plus
-    the global ring, which runs in its own shard with the replicas' merge
-    order reconstructed by the merge stage.
-    """
-    if workers is None:
-        pytest.skip("pass --workers N to run the sharded figure points")
-    warmup, duration = windows
-    duration = max(duration, 3.0)
-
-    def run():
-        return run_fig7_sharded(
-            regions,
-            workers=workers,
-            warmup=warmup,
-            duration=duration,
-            configuration=configuration,
-        )
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info.update(result.metrics)
     assert result.metrics["aggregate_ops"] > 0
 

@@ -23,9 +23,8 @@ def pytest_addoption(parser):
         type=int,
         default=None,
         help=(
-            "re-measure the scalability figures (6/7) on the sharded engine "
-            "with this many worker processes (both the independent-rings and "
-            "the original shared-learner configurations)"
+            "run Figure 6's original shared-learner deployment on the sharded "
+            "engine with this many worker processes"
         ),
     )
 

@@ -38,7 +38,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT))  # tests.reference
 
 from repro.bench.parallel import run_fig6_sharded  # noqa: E402
-from repro.core.smr import ReactiveMergeStage  # noqa: E402
+from repro.core.smr import ReactiveReplicaHost  # noqa: E402
 from repro.sim import parallel  # noqa: E402
 from repro.sim.network import decode_wire, encode_wire  # noqa: E402
 from tests.reference.wire import (  # noqa: E402
@@ -52,7 +52,7 @@ from tests.reference.wire import (  # noqa: E402
 def ledger_call(seed: int, duration: float) -> Any:
     """The ``dlog-sharded-w2`` call of ``benchmarks/ledger`` (one slice)."""
     return run_fig6_sharded(2, workers=2, clients_per_ring=8, warmup=0.25,
-                            duration=duration, seed=seed, configuration="shared")
+                            duration=duration, seed=seed)
 
 
 def capture(seed: int, duration: float) -> List[Any]:
@@ -104,17 +104,17 @@ def cpu_split(seed: int, duration: float) -> Dict[str, float]:
                 out.write(f"{process_time() - started}\n")
             return frame
 
-        sink = ReactiveMergeStage.sink
+        sink = ReactiveReplicaHost.sink
         shim = types.SimpleNamespace(**vars(pickle))
         shim.loads = clocked("decode", pickle.loads)
         parallel.encode_wire, parallel.pickle = tap, shim
-        ReactiveMergeStage.sink = clocked("merge_stage", sink)
+        ReactiveReplicaHost.sink = clocked("merge_stage", sink)
         before = os.times()
         try:
             ledger_call(seed, duration)
         finally:
             parallel.encode_wire, parallel.pickle = encode_wire, pickle
-            ReactiveMergeStage.sink = sink
+            ReactiveReplicaHost.sink = sink
         after = os.times()
         parent = str(os.getpid())
         encode = sum(float(line) for p in Path(spool).iterdir() if p.name != parent

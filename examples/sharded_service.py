@@ -15,7 +15,7 @@ This example shows the **reactive merge stage** doing exactly that:
   decided since the last barrier (skips included, with a watermark);
 * a **real** :class:`~repro.kvstore.replica.MRPStoreReplica` hosted in the
   parent process — driven by :class:`~repro.core.smr.ReactiveReplicaHost`,
-  which :class:`~repro.core.smr.ReactiveMergeStage` feeds — applies the
+  the run's segment sink — applies the
   merged round-robin deliveries barrier by barrier, so this script can read
   merged cross-partition state *while the shards run*, with client-visible
   freshness accounting.
@@ -45,12 +45,7 @@ import sys
 # the package lives in <repo>/src.
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.core import (
-    AtomicMulticast,
-    MultiRingConfig,
-    ReactiveMergeStage,
-    ReactiveReplicaHost,
-)
+from repro.core import AtomicMulticast, MultiRingConfig, ReactiveReplicaHost
 from repro.core.client import Command
 from repro.kvstore.replica import MRPStoreReplica
 from repro.multiring import RingSegmentBuffer
@@ -137,18 +132,17 @@ def main() -> int:
     merged_replica = MRPStoreReplica(
         parent_env, "merged-replica", config=config, respond_to_clients=False
     )
+    # The host combines every barrier's shard payloads (minimum watermark,
+    # covered rings) and applies what merges; it also keeps the streams for
+    # the offline-replay anchor.
     host = ReactiveReplicaHost(
         merged_replica, group_ids=list(range(PARTITIONS)),
         messages_per_round=config.messages_per_round,
     )
-    # The merge stage combines every barrier's shard payloads (minimum
-    # watermark, covered rings) and feeds the host; it also keeps the
-    # streams for the offline-replay anchor.
-    stage = ReactiveMergeStage([host], collect_streams=True)
     progress = []
 
     def sink(segments_by_shard):
-        stage.sink(segments_by_shard)
+        host.sink(segments_by_shard)
         # Merged state is live: a client could be answered right here.
         progress.append((host.watermark, host.commands_applied,
                          merged_replica.entry_count()))
@@ -189,7 +183,7 @@ def main() -> int:
           f"p95 {stats['p95_ms']:.1f} ms over {int(stats['count'])} commands")
 
     # The streaming merge is anchored to the offline replay: bit-identical.
-    offline = stage.offline_deliveries()[merged_replica.name]
+    offline = host.offline_deliveries()
     reactive_matches_offline = host.deliveries == offline
     both_partitions_present = all(count > 0 for count in per_partition)
     print(f"reactive merge matches offline replay: {reactive_matches_offline}")

@@ -116,7 +116,7 @@ class SequencerLogLeader(Actor):
         # a batch; queueing behind it is the central-component bottleneck.
         start = max(self.now, self._sequencer_busy_until)
         self._sequencer_busy_until = start + self.APPEND_SERVICE_TIME
-        self.env.simulator.schedule(
+        self.env.simulator.call_later(
             self._sequencer_busy_until - self.now, self._enqueue_append, command
         )
 

@@ -52,7 +52,7 @@ class SingleServerStore(Actor):
         start = max(self.now, self._busy_until)
         finish = start + service_time
         self._busy_until = finish
-        self.env.simulator.schedule(finish - self.now, self._complete, command)
+        self.env.simulator.call_later(finish - self.now, self._complete, command)
 
     def _service_time(self, command: Command) -> float:
         if command.op == "read":

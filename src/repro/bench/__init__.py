@@ -6,7 +6,7 @@ from .fig5_dlog import FIG5_SYSTEMS, run_fig5_point
 from .fig6_vertical import run_fig6_point
 from .fig7_horizontal import run_fig7_point
 from .fig8_recovery import FIG8_EVENTS, RecoveryTimeline, run_fig8
-from .parallel import run_fig6_sharded, run_fig7_sharded
+from .parallel import run_fig6_sharded
 from .reporting import format_results, format_table, print_results, relative_increments
 from .runner import ExperimentResult, Measurement, MeasurementWindow
 
@@ -32,5 +32,4 @@ __all__ = [
     "Measurement",
     "MeasurementWindow",
     "run_fig6_sharded",
-    "run_fig7_sharded",
 ]

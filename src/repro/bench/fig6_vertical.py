@@ -68,11 +68,9 @@ def build_fig6_shard(payload: Dict[str, Any]) -> Measurement:
     ``payload["common_ring_id"]`` is set, the common ring of the original
     deployment.  :func:`run_fig6_point` builds all rings with the common ring
     and runs the result in-process; :func:`repro.bench.parallel.run_fig6_sharded`
-    ships one ring per payload to its workers (no common ring: in the
-    independent configuration the shard's replica *is* the deployment's
-    learner, in the shared one it stands in for the shared learner's
-    per-ring half and streams its segments, see
-    :meth:`~repro.bench.runner.Measurement.shard_options`).
+    ships one ring per payload to its workers (no common ring: the shard's
+    replica stands in for the shared learner's per-ring half and streams its
+    segments, see :meth:`~repro.bench.runner.Measurement.shard_options`).
     """
     config = payload["config"]
     system = AtomicMulticast(

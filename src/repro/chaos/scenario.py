@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..core.amcast import AtomicMulticast
 from ..core.client import Command
 from ..core.config import MultiRingConfig
-from ..core.smr import ReactiveMergeStage, ReactiveReplicaHost
+from ..core.smr import ReactiveReplicaHost
 from ..multiring.process import MultiRingProcess
 from ..multiring.sharding import ring_components
 from ..net.message import ClientRequest, ClientResponse
@@ -447,7 +447,7 @@ def run_scenario(
     :func:`shardable_components`).  A learner-only subscriber may span
     components: it is mirrored into every shard hosting one of its rings,
     the mirrors stream their per-ring decision segments at every barrier,
-    and the parent's :class:`~repro.core.smr.ReactiveMergeStage` merges
+    and the parent's :class:`~repro.core.smr.ReactiveReplicaHost` merges
     them into its cross-component delivery order (see
     :func:`_run_amcast_sharded`).  The verdict is identical either way; the
     oracle runs per shard, and cross-shard acyclicity through a shared
@@ -800,7 +800,7 @@ def _run_amcast_sharded(
     keyed ``name@shard<id>``, and each mirror ships its per-ring decision
     segments at every barrier — through the wire codec, with real crash and
     restart marks — into a parent-side
-    :class:`~repro.core.smr.ReactiveMergeStage` driving a live replica.  The
+    :class:`~repro.core.smr.ReactiveReplicaHost` driving a live replica.  The
     learner's cross-component delivery digest is recorded under its plain
     name, and :func:`_merge_violations` checks it.
     """
@@ -819,7 +819,7 @@ def _run_amcast_sharded(
         )
         for index, component in enumerate(components)
     ]
-    stage = sink = None
+    host = sink = None
     failures: List[str] = []
     learner = merge_learners[0] if merge_learners else None
     if learner is not None:
@@ -831,14 +831,13 @@ def _run_amcast_sharded(
         )
         replica = MRPStoreReplica(Environment(), f"{learner}-reactive", respond_to_clients=False)
         host = ReactiveReplicaHost(replica, groups, spec.get("messages_per_round", 1))
-        stage = ReactiveMergeStage([host], collect_streams=True)
 
         def sink(segments_by_shard: Dict[int, Any]) -> None:
-            # The first malformed barrier ends the stage: what it merged so
+            # The first malformed barrier ends the merge: what it merged so
             # far is still checked, nothing after it is fed.
             if not failures:
                 try:
-                    stage.sink(segments_by_shard)
+                    host.sink(segments_by_shard)
                 except ValueError as exc:
                     failures.append(f"{learner}: {exc}")
 
@@ -886,15 +885,14 @@ def _run_amcast_sharded(
         "shards": [list(component) for component in components],
         "wall_clock_s": round(run.wall_clock, 4),
     }
-    if stage is not None:
-        (host,) = stage.hosts.values()
+    if host is not None:
         in_shard = [
             digest for key, digest in digests.items() if key.startswith(f"{learner}@shard")
         ]
         digests[learner] = [
             (group, instance, value.payload) for group, instance, value in host.deliveries
         ]
-        violations.extend(_merge_violations(learner, stage, failures, in_shard))
+        violations.extend(_merge_violations(learner, host, failures, in_shard))
         stats["sharded"]["merge_learners"] = merge_learners
         stats["sharded"]["reactive_merge"] = {learner: {
             "barriers": host.barriers_ingested,
@@ -908,13 +906,13 @@ def _run_amcast_sharded(
 
 def _merge_violations(
     name: str,
-    stage: ReactiveMergeStage,
+    host: ReactiveReplicaHost,
     failures: List[str],
     in_shard: List[List[Tuple[int, int, Any]]],
 ) -> List[Violation]:
     """The shared learner's merge-stage invariants.
 
-    * **merge-stream-divergence** — the stage rejected a barrier (a
+    * **merge-stream-divergence** — the host rejected a barrier (a
       re-emitted instance deciding a different value, an entry out of its
       ring's order, a segment out of place), or the live merged order
       differs from the offline replay of the streamed segments;
@@ -926,11 +924,10 @@ def _merge_violations(
     * **reactive-store-convergence** — the hosted replica applied exactly
       one command per merged delivery.
     """
-    (host,) = stage.hosts.values()
     merged = [(group, instance, value.payload) for group, instance, value in host.deliveries]
     violations = [Violation("merge-stream-divergence", detail) for detail in failures]
     if not failures:
-        offline = stage.offline_deliveries()[host.replica.name]
+        offline = host.offline_deliveries()
         if merged != [(group, instance, value.payload) for group, instance, value in offline]:
             violations.append(Violation(
                 "merge-stream-divergence",
@@ -1191,7 +1188,8 @@ def _trace_tails(recorder: TraceRecorder, violations: Sequence[Violation]) -> Di
     A delivery of a payload some violation names is kept however early it
     came: the last 50 alone can hide the one that matters.
     """
-    named = {payload for violation in violations for payload in violation.payloads}
+    # Matched by equality, never hashed: a traced ``Command`` is unhashable.
+    named = [payload for violation in violations for payload in violation.payloads]
     tails = {}
     for name, trace in recorder.traces.items():
         earlier = [record for record in trace.records[:-50] if record.payload in named]

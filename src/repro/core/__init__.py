@@ -4,7 +4,7 @@ from .amcast import AtomicMulticast, parse_roles
 from .client import ClosedLoopClient, Command, OpenLoopClient
 from .config import MultiRingConfig, global_config
 from .packing import PackedValues, iter_commands, iter_payloads, iter_values
-from .smr import ProposerFrontend, ReactiveMergeStage, ReactiveReplicaHost, StateMachineReplica
+from .smr import ProposerFrontend, ReactiveReplicaHost, StateMachineReplica
 from .swarm import ChurnSpec, ClientSwarm, shared_factory
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "iter_payloads",
     "iter_values",
     "ProposerFrontend",
-    "ReactiveMergeStage",
     "ReactiveReplicaHost",
     "StateMachineReplica",
     "ChurnSpec",

@@ -20,12 +20,10 @@ client requests (possibly batched) and multicasts them to the requested
 group.
 
 :class:`ReactiveReplicaHost` is the service half of the sharded engine's
-streaming merge stage: it hosts a *real* replica in the parent process and
-applies merged cross-ring deliveries to it barrier by barrier, so clients can
-read merged shared-learner state — with latency accounting — while the shards
-are still running.  :class:`ReactiveMergeStage` is the engine's
-``segment_sink`` that combines every barrier's shard payloads and feeds the
-hosts.
+streaming merge stage: it hosts a *real* replica in the parent process and,
+as the engine's ``segment_sink``, applies every barrier's merged cross-ring
+deliveries to it, so clients can read merged shared-learner state — with
+latency accounting — while the shards are still running.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ __all__ = [
     "StateMachineReplica",
     "ProposerFrontend",
     "ReactiveReplicaHost",
-    "ReactiveMergeStage",
 ]
 
 
@@ -363,6 +360,14 @@ class ReactiveReplicaHost:
     :func:`~repro.multiring.merge.replay_streams` over the concatenated
     segments (and hence to the single-process merger).
 
+    :meth:`sink` is the ``segment_sink`` of
+    :func:`~repro.sim.parallel.run_sharded`: at every barrier it takes the
+    shards' ``(watermark, segments)`` payloads — the minimum watermark and
+    the union of their disjoint rings, where a ring whose in-shard learner
+    is down is absent and so stays uncovered — and feeds them to
+    :meth:`ingest`.  A shard shipping a ring the replica does not subscribe
+    to is an error (the cursor's ``KeyError`` names the ring).
+
     Latency accounting: every applied :class:`~repro.core.client.Command`
     records ``joint watermark − command.created_at`` — the client-visible
     freshness of the merged state at the barrier that made the command
@@ -394,9 +399,10 @@ class ReactiveReplicaHost:
     messages_per_round:
         The deterministic-merge parameter ``M``.
     retain_history:
-        Keep the full applied-delivery sequence for :attr:`deliveries` (the
-        differential digests need it).  Pass ``False`` when only the live
-        replica state matters — the host then holds no more than one
+        Keep the full applied-delivery sequence for :attr:`deliveries` and
+        every shipped entry for :attr:`streams` (the differential digests and
+        :meth:`offline_deliveries` need them).  Pass ``False`` when only the
+        live replica state matters — the host then holds no more than one
         barrier's deliveries in memory.
     """
 
@@ -422,10 +428,33 @@ class ReactiveReplicaHost:
             on_deliver=self._apply,
             retain_history=retain_history,
         )
+        self._retain = retain_history
+        #: ring id → every ``(instance, value)`` :meth:`sink` took, in arrival
+        #: order (kept with ``retain_history``; the producers' buffers
+        #: already dropped restart re-emissions)
+        self.streams: Dict[int, List[Tuple[int, ProposalValue]]] = {}
+        #: wall-clock seconds spent inside :meth:`sink`
+        self.seconds = 0.0
         #: barriers fed through :meth:`ingest`
         self.barriers_ingested = 0
 
     # ----------------------------------------------------------------- input
+    def sink(self, segments_by_shard: Dict[int, Any]) -> None:
+        """Ingest one barrier's ``{shard_id: (watermark, segments)}``."""
+        started = perf_counter()
+        watermark: Optional[float] = None
+        merged: Dict[int, RingSegment] = {}
+        for shard_id in sorted(segments_by_shard):
+            shard_watermark, rings = segments_by_shard[shard_id]
+            if watermark is None or shard_watermark < watermark:
+                watermark = shard_watermark
+            merged.update(rings)
+            if self._retain:
+                for ring, segment in rings.items():
+                    self.streams.setdefault(ring, []).extend(segment.entries)
+        self.ingest(merged, watermark=watermark, covered=sorted(merged))
+        self.seconds += perf_counter() - started
+
     def ingest(
         self,
         segments: Dict[int, Any],
@@ -510,6 +539,17 @@ class ReactiveReplicaHost:
         """
         return self._cursor.merged
 
+    def offline_deliveries(self) -> List[Tuple[int, int, ProposalValue]]:
+        """The offline replay of :attr:`streams`, one chunk per ring.
+
+        The anchor the barrier-by-barrier :attr:`deliveries` must equal
+        (needs ``retain_history``).
+        """
+        return replay_streams(
+            {ring: self.streams.get(ring, []) for ring in self.groups},
+            messages_per_round=self.messages_per_round,
+        )
+
     @property
     def commands_applied(self) -> int:
         """Commands the hosted replica executed."""
@@ -534,65 +574,4 @@ class ReactiveReplicaHost:
             "p99_ms": recorder.percentile(99) * 1e3,
             "stall_count": float(len(self._stall_windows)),
             "stalled_ms": sum(e - s for s, e in self._stall_windows) * 1e3,
-        }
-
-
-class ReactiveMergeStage:
-    """The parent-side merge stage of a shared-learner sharded run.
-
-    :meth:`sink` is the ``segment_sink`` of
-    :func:`~repro.sim.parallel.run_sharded`.  At every barrier it combines
-    the shards' ``(watermark, segments)`` payloads — the minimum watermark
-    and the union of their disjoint rings, where a ring whose in-shard
-    learner is down is absent and so stays uncovered — and hands every
-    :class:`ReactiveReplicaHost` the rings it subscribes to.  With
-    ``collect_streams`` it also keeps each ring's shipped stream
-    (:attr:`streams`, one flat entry list per ring: the producers' buffers
-    already dropped restart re-emissions), and :meth:`offline_deliveries`
-    replays it in one chunk per ring — the offline anchor the hosts'
-    barrier-by-barrier deliveries must equal.
-    """
-
-    def __init__(
-        self, hosts: Sequence[ReactiveReplicaHost], collect_streams: bool = False
-    ) -> None:
-        self.hosts = {host.replica.name: host for host in hosts}
-        self.collect_streams = collect_streams
-        #: ring id → every ``(instance, value)`` shipped, in arrival order
-        self.streams: Dict[int, List[Tuple[int, ProposalValue]]] = {}
-        #: wall-clock seconds spent inside :meth:`sink`
-        self.seconds = 0.0
-
-    def sink(self, segments_by_shard: Dict[int, Any]) -> None:
-        """Ingest one barrier's ``{shard_id: (watermark, segments)}``."""
-        started = perf_counter()
-        watermark: Optional[float] = None
-        merged: Dict[int, RingSegment] = {}
-        for shard_id in sorted(segments_by_shard):
-            shard_watermark, rings = segments_by_shard[shard_id]
-            if watermark is None or shard_watermark < watermark:
-                watermark = shard_watermark
-            merged.update(rings)
-            if self.collect_streams:
-                for ring, segment in rings.items():
-                    self.streams.setdefault(ring, []).extend(segment.entries)
-        covered = sorted(merged)
-        for name in sorted(self.hosts):
-            host = self.hosts[name]
-            subscribed = set(host.groups)
-            host.ingest(
-                {ring: segment for ring, segment in merged.items() if ring in subscribed},
-                watermark=watermark,
-                covered=[ring for ring in covered if ring in subscribed],
-            )
-        self.seconds += perf_counter() - started
-
-    def offline_deliveries(self) -> Dict[str, List[Tuple[int, int, ProposalValue]]]:
-        """Per-host offline replay of :attr:`streams` (needs ``collect_streams``)."""
-        return {
-            name: replay_streams(
-                {ring: self.streams.get(ring, []) for ring in host.groups},
-                messages_per_round=host.messages_per_round,
-            )
-            for name, host in self.hosts.items()
         }

@@ -182,10 +182,6 @@ class ClientSwarm(Actor):
         Latency-recorder sketch threshold: an int, ``None`` (always exact)
         or ``"auto"`` (sketch at :data:`DEFAULT_SKETCH_THRESHOLD` samples
         once the swarm has at least :data:`SKETCH_AUTO_CLIENTS` clients).
-    record_trace:
-        Keep an in-memory trace of every issued command —
-        ``(index, sequence, op, args, group_id, created_at)`` tuples — for
-        determinism tests.
     """
 
     def __init__(
@@ -206,7 +202,6 @@ class ClientSwarm(Actor):
         churn: Optional[ChurnSpec] = None,
         slo: Optional[Dict[str, float]] = None,
         sketch: Any = "auto",
-        record_trace: bool = False,
     ) -> None:
         super().__init__(env, name, site)
         if clients < 1:
@@ -224,7 +219,6 @@ class ClientSwarm(Actor):
         self._stagger = stagger
         self._metric_prefix = metric_prefix
         self._churn = churn
-        self._record_trace = record_trace
 
         if addressing == "auto":
             addressing = "ports" if clients <= PORT_ADDRESSING_LIMIT else "shared"
@@ -261,7 +255,6 @@ class ClientSwarm(Actor):
         #: once (the curve's rate does not depend on time)
         self._constant_interval: Optional[float] = None
         self._armed_for: Optional[float] = None
-        self._trace: List[Tuple[int, int, str, Tuple, int, float]] = []
 
         # -------------------------------------------------------- addressing
         self._ports: List[_SwarmPort] = []
@@ -362,10 +355,6 @@ class ClientSwarm(Actor):
                 self._frontends[command.group_id],
                 ClientRequest(command.size_bytes, src, command, now),
             )
-            if self._record_trace:
-                self._trace.append(
-                    (index, sequence, command.op, tuple(command.args), command.group_id, now)
-                )
 
     # -------------------------------------------------------- event-time wheel
     @property
@@ -418,7 +407,7 @@ class ClientSwarm(Actor):
             raise RuntimeError(f"wheel head {head} is in the past (now={sim._now})")
         seq = sim._seq
         sim._seq = seq + 1
-        heapq.heappush(sim._queue, (head, 0, seq, self._wheel_tick, ()))
+        heapq.heappush(sim._queue, (head, seq, self._wheel_tick, ()))
 
     def _wheel_tick(self) -> None:
         if not self.alive:
@@ -498,7 +487,7 @@ class ClientSwarm(Actor):
         self._armed_for = fire
         seq = sim._seq
         sim._seq = seq + 1
-        heapq.heappush(sim._queue, (fire, 0, seq, self._wheel_tick, ()))
+        heapq.heappush(sim._queue, (fire, seq, self._wheel_tick, ()))
 
     # ------------------------------------------------------------------ churn
     def _schedule_churn(self) -> None:
@@ -608,8 +597,3 @@ class ClientSwarm(Actor):
     def online(self) -> int:
         """Clients currently connected."""
         return sum(self._online)
-
-    @property
-    def command_trace(self) -> List[Tuple[int, int, str, Tuple, int, float]]:
-        """Issued-command trace (requires ``record_trace=True``)."""
-        return list(self._trace)

@@ -459,7 +459,9 @@ class MergeCursor:
             self._last_barrier = watermark
             covered = self._watermarks if groups is None else groups
             for group in covered:
-                current = self._watermarks[group]
+                # A ring outside the subscription reads as unmarked, so
+                # ``feed`` raises the ``KeyError`` naming it.
+                current = self._watermarks.get(group)
                 if current is None or watermark > current:
                     self.feed(group, (), watermark)
         for group in sorted(segments):

@@ -16,7 +16,7 @@ Schedule and run events on the deterministic kernel::
     >>> from repro.sim import Simulator
     >>> sim = Simulator()
     >>> fired = []
-    >>> _ = sim.schedule(0.5, fired.append, "hello")
+    >>> _ = sim.call_later(0.5, fired.append, "hello")
     >>> sim.run()
     0.5
     >>> fired

@@ -8,7 +8,7 @@ event.
 
 Design notes
 ------------
-* Events are kept in a binary heap of plain ``(time, priority, seq)`` keyed
+* Events are kept in a binary heap of plain ``(time, seq)`` keyed
   tuples.  The monotonically increasing ``seq`` makes the ordering of
   simultaneous events deterministic, which in turn makes every experiment
   reproducible from its seed.
@@ -24,14 +24,13 @@ events/second of this module caps the throughput of the whole reproduction
 therefore avoids the conveniences the original implementation used:
 
 * :class:`Event` is a ``__slots__`` class, not an ``order=True`` dataclass;
-  heap entries are ``(time, priority, seq, event)`` tuples so heap sifting
-  compares C-level tuples instead of calling a generated ``__lt__``.
-* :meth:`Simulator.call_later` is the keyword-free fast path used by timers:
-  it never allocates a per-call ``kwargs`` dict.  The internal
+  heap entries are ``(time, seq, event)`` tuples so heap sifting compares
+  C-level tuples instead of calling a generated ``__lt__``.
+* :meth:`Simulator.call_later` is the one cancellable scheduler: positional
+  arguments only, never a per-call ``kwargs`` dict.  The internal
   :meth:`Simulator._post` goes further for fire-and-forget work (message
   delivery, durability callbacks): its heap entries are plain
-  ``(time, priority, seq, callback, args)`` tuples with no Event or handle
-  at all.
+  ``(time, seq, callback, args)`` tuples with no Event or handle at all.
 * There is one run loop.  It peeks/pops inline with hoisted locals and
   carries no branch for event caps; ``run(max_events=...)`` takes a short
   stepped path (``next_event_time`` + ``step``) that executes the same
@@ -41,7 +40,7 @@ therefore avoids the conveniences the original implementation used:
   not degrade.
 
 Observable semantics are anchored twice: the firing order of a random
-schedule / cancel / priority program is held to the plain ``heapq`` of
+schedule / cancel program is held to the plain ``heapq`` of
 ``tests/reference/kernel.py``, and the delivery logs of whole deployments to
 the exact values committed in ``tests/golden/exact.json`` (a PR that moves a
 golden says which modelled behaviour changed).
@@ -109,33 +108,26 @@ class gc_paused:
 class Event:
     """A single scheduled callback.
 
-    Events are ordered by the ``(time, priority, seq)`` prefix of the heap
-    tuple they ride in, which is the only place those three are kept; the
-    callback and its arguments do not participate in ordering.  ``kwargs`` is
-    ``None`` (not an empty dict) for events scheduled through the fast path.
+    Events are ordered by the ``(time, seq)`` prefix of the heap tuple they
+    ride in, which is the only place those two are kept; the callback and its
+    arguments do not participate in ordering.
     """
 
-    __slots__ = ("callback", "args", "kwargs", "cancelled", "fired")
+    __slots__ = ("callback", "args", "cancelled", "fired")
 
-    def __init__(
-        self,
-        callback: Callable[..., None],
-        args: tuple = (),
-        kwargs: Optional[dict] = None,
-    ) -> None:
+    def __init__(self, callback: Callable[..., None], args: tuple = ()) -> None:
         self.callback = callback
         self.args = args
-        self.kwargs = kwargs
         self.cancelled = False
         self.fired = False
 
 
-#: Heap entry type: ``(time, priority, seq, event)``.
-_Entry = Tuple[float, int, int, Event]
+#: Heap entry type: ``(time, seq, event)``.
+_Entry = Tuple[float, int, Event]
 
 
 class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule` allowing cancellation."""
+    """Handle returned by :meth:`Simulator.call_later` allowing cancellation."""
 
     __slots__ = ("_event", "_sim")
 
@@ -166,12 +158,11 @@ class Simulator:
     -------
     >>> sim = Simulator()
     >>> fired = []
-    >>> _ = sim.schedule(1.5, fired.append, "hello")
+    >>> _ = sim.call_later(1.5, fired.append, "hello")
     >>> sim.run()
+    1.5
     >>> fired
     ['hello']
-    >>> sim.now
-    1.5
     """
 
     #: Minimum number of cancellations before a compaction is considered.
@@ -201,10 +192,10 @@ class Simulator:
 
         Used by fire-and-forget hot paths (message delivery, durability
         callbacks) that never cancel: the heap entry is a plain
-        ``(time, 0, seq, callback, args)`` tuple, skipping the ``*args``
+        ``(time, seq, callback, args)`` tuple, skipping the ``*args``
         re-pack, the :class:`Event` and the :class:`EventHandle` of
         :meth:`call_later`.  Ordering is identical — the heap only ever
-        compares the unique ``(time, priority, seq)`` prefix.  Negative delays
+        compares the unique ``(time, seq)`` prefix.  Negative delays
         are a caller bug on these internal paths, but are still rejected to
         keep the kernel invariant.
         """
@@ -212,7 +203,7 @@ class Simulator:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._queue, (self._now + delay, 0, seq, callback, args))
+        heappush(self._queue, (self._now + delay, seq, callback, args))
 
     def call_later(
         self,
@@ -220,42 +211,20 @@ class Simulator:
         callback: Callable[..., None],
         *args: Any,
     ) -> EventHandle:
-        """Fast-path :meth:`schedule`: positional arguments only, priority 0.
-
-        Identical semantics to ``schedule(delay, callback, *args)`` but never
-        allocates a keyword-argument dict; this is the entry point the
-        network, disk and timer layers use for every simulated message.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
-        seq = self._seq
-        self._seq = seq + 1
-        time = self._now + delay
-        event = Event(callback, args)
-        heappush(self._queue, (time, 0, seq, event))
-        return EventHandle(event, self)
-
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[..., None],
-        *args: Any,
-        priority: int = 0,
-        **kwargs: Any,
-    ) -> EventHandle:
-        """Schedule ``callback(*args, **kwargs)`` to run ``delay`` seconds from now.
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
         A negative delay raises :class:`SimulationError`; a zero delay runs the
         callback at the current time but strictly after the currently running
-        event (events never preempt each other).
+        event (events never preempt each other).  Events at one time fire in
+        the order they were scheduled.  This is the entry point the network,
+        disk and timer layers use for every cancellable event.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
         seq = self._seq
         self._seq = seq + 1
-        time = self._now + delay
-        event = Event(callback, args, kwargs or None)
-        heappush(self._queue, (time, priority, seq, event))
+        event = Event(callback, args)
+        heappush(self._queue, (self._now + delay, seq, event))
         return EventHandle(event, self)
 
     # ---------------------------------------------------------------- running
@@ -268,19 +237,19 @@ class Simulator:
         queue = self._queue
         while queue:
             entry = heappop(queue)
-            head = entry[3]
+            head = entry[2]
             if head.__class__ is Event:
                 if head.cancelled:
                     if self._cancelled:
                         self._cancelled -= 1
                     continue
                 head.fired = True
-                callback, args, kwargs = head.callback, head.args, head.kwargs or {}
+                callback, args = head.callback, head.args
             else:
-                callback, args, kwargs = head, entry[4], {}
+                callback, args = head, entry[3]
             self._now = entry[0]
             self._processed += 1
-            callback(*args, **kwargs)
+            callback(*args)
             return True
         return False
 
@@ -322,10 +291,10 @@ class Simulator:
         limit = inf if until is None else until
         while queue:
             entry = queue[0]
-            head = entry[3]
-            # Two heap-entry layouts: (time, prio, seq, Event) from the
-            # public schedulers, (time, prio, seq, callback, args) from
-            # the fire-and-forget _post path.
+            head = entry[2]
+            # Two heap-entry layouts: (time, seq, Event) from call_later,
+            # (time, seq, callback, args) from the fire-and-forget _post
+            # path.
             if head.__class__ is Event:
                 if head.cancelled:
                     pop(queue)
@@ -340,11 +309,7 @@ class Simulator:
                 self._now = time
                 self._processed += 1
                 head.fired = True
-                kwargs = head.kwargs
-                if kwargs is None:
-                    head.callback(*head.args)
-                else:
-                    head.callback(*head.args, **kwargs)
+                head.callback(*head.args)
             else:
                 time = entry[0]
                 if time > limit:
@@ -353,7 +318,7 @@ class Simulator:
                 pop(queue)
                 self._now = time
                 self._processed += 1
-                head(*entry[4])
+                head(*entry[3])
         else:
             if until is not None and self._now < until:
                 self._now = until
@@ -392,7 +357,7 @@ class Simulator:
         queue = self._queue
         while queue:
             entry = queue[0]
-            head = entry[3]
+            head = entry[2]
             if head.__class__ is Event and head.cancelled:
                 heappop(queue)
                 if self._cancelled:
@@ -448,7 +413,7 @@ class Simulator:
         live = [
             entry
             for entry in queue
-            if entry[3].__class__ is not Event or not entry[3].cancelled
+            if entry[2].__class__ is not Event or not entry[2].cancelled
         ]
         if len(live) != len(queue):
             queue[:] = live

@@ -345,7 +345,7 @@ class Network:
         sim._seq = seq + 1
         heappush(
             sim._queue,
-            (now + (delivery_at - now), 0, seq, conn.deliver, (src, message)),
+            (now + (delivery_at - now), seq, conn.deliver, (src, message)),
         )
 
     def _resolve(self, src: str, dst: str) -> Optional[_Connection]:

@@ -407,11 +407,11 @@ def run_sharded(
         (the start cell first), with ``{shard_id: payload}`` where
         ``payload`` is whatever each shard's
         :meth:`ShardHarness.drain_segments` returned — the place to feed a
-        streaming merge cursor / reactive service replicas.  Cell ``k``'s
+        streaming merge cursor / reactive service replica.  Cell ``k``'s
         call comes once every worker has shipped cell ``k``, while the
         workers run on; the dict's iteration order follows the workers'
         frames, so a sink that iterates its keys sorted (as
-        ``ReactiveMergeStage.sink`` does) sees a worker-count-independent
+        ``ReactiveReplicaHost.sink`` does) sees a worker-count-independent
         sequence.
 
     Returns

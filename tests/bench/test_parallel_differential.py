@@ -10,25 +10,25 @@ Two comparisons, from strongest to broadest:
   bit-identical.  This pins the conservative-window engine to the semantics
   of the original kernel.
 * **worker-count invariance** — the full Figure 6 sharded deployment (real
-  service stack: dLog replicas, batching coordinators, dedicated disks) run
-  with ``workers=1`` (the in-process single-process engine) and ``workers=2``
-  (two forked workers); every replica's full delivery sequence and every
-  measured rate must match.
+  service stack: dLog replicas, batching coordinators, dedicated disks, the
+  shared learner rebuilt by a parent-hosted reactive replica) run with
+  ``workers=1`` (the in-process single-process engine) and ``workers=2``
+  (two forked workers); every replica's full delivery sequence, the merged
+  order and every measured rate must match.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.parallel import run_fig6_sharded, run_fig7_sharded
+from repro.bench.parallel import run_fig6_sharded
 from repro.core import AtomicMulticast, MultiRingConfig
 from repro.multiring import MultiRingProcess
 from repro.sim import ShardHarness, ShardSpec, Topology, run_sharded
 
 # The multi-second figure-6 comparisons are slow-marked: CI's docs job runs them
 # in its own step ("Reactive differential determinism", ``-m slow``); the
-# sub-second ring and figure-7 cases stay in tier 1, so each test runs once per
-# CI run.
+# sub-second ring cases stay in tier 1, so each test runs once per CI run.
 
 RING_PROCESSES = 3
 MESSAGES_PER_RING = 12
@@ -136,25 +136,6 @@ def test_sharded_workers_match_merged_single_simulator():
 
 
 @pytest.mark.slow
-def test_fig6_sharded_seed_differential():
-    """Figure 6 sharded point: workers=2 == the single-process engine.
-
-    Full service stack (dLog replicas, batching coordinators, dedicated
-    disks, closed-loop clients); the comparison covers every replica's entire
-    delivery sequence and every measured rate.
-    """
-    kwargs = dict(warmup=0.2, duration=0.6, record_deliveries=True)
-    single = run_fig6_sharded(2, workers=1, **kwargs)
-    sharded = run_fig6_sharded(2, workers=2, **kwargs)
-    assert single.series["deliveries"] == sharded.series["deliveries"]
-    assert single.metrics["aggregate_ops"] == sharded.metrics["aggregate_ops"]
-    assert single.metrics["events_total"] == sharded.metrics["events_total"]
-    deliveries = single.series["deliveries"]
-    assert set(deliveries) == {0, 1}
-    assert all(sequences["dlog-replica0"] for sequences in deliveries.values())
-
-
-@pytest.mark.slow
 def test_fig6_original_configuration_sharded_differential():
     """Figure 6's *original* deployment (shared learner + common ring) shards.
 
@@ -166,9 +147,7 @@ def test_fig6_original_configuration_sharded_differential():
     single-process reference engine) and ``workers=2`` — and the reactive
     order must equal the offline ``replay_streams`` of the same streams.
     """
-    kwargs = dict(
-        warmup=0.2, duration=0.6, record_deliveries=True, configuration="shared"
-    )
+    kwargs = dict(warmup=0.2, duration=0.6, record_deliveries=True)
     single = run_fig6_sharded(2, workers=1, **kwargs)
     sharded = run_fig6_sharded(2, workers=2, **kwargs)
     assert single.series["merged_deliveries"] == sharded.series["merged_deliveries"]
@@ -227,7 +206,6 @@ def test_fig6_faulted_crash_schedule_differential():
         warmup=0.3,
         duration=1.2,
         record_deliveries=True,
-        configuration="shared",
         crash_schedule=[(0.7, "dlog-replica0", 0.4)],
     )
     single = run_fig6_sharded(2, workers=1, **kwargs)
@@ -254,38 +232,6 @@ def test_fig6_faulted_crash_schedule_differential():
     assert {group for group, _, _ in merged} == {0, 1}
 
 
-def test_fig7_original_configuration_sharded_differential():
-    """Figure 7's *original* deployment (partition rings + global ring) shards.
-
-    One shard per region plus the global-ring shard (dedicated global
-    acceptors, so the rings share learners only); the merge stage
-    reconstructs each replica's round-robin order over its partition ring
-    and the global ring.  Bit-identical between ``workers=1`` and
-    ``workers=2`` on the complete merged sequences and streams.
-    """
-    kwargs = dict(
-        warmup=0.3, duration=0.7, record_deliveries=True, configuration="shared"
-    )
-    single = run_fig7_sharded(2, workers=1, **kwargs)
-    sharded = run_fig7_sharded(2, workers=2, **kwargs)
-    assert single.series["merged_deliveries"] == sharded.series["merged_deliveries"]
-    assert single.series["ring_streams"] == sharded.series["ring_streams"]
-    assert single.series["deliveries"] == sharded.series["deliveries"]
-    assert single.metrics["aggregate_ops"] == sharded.metrics["aggregate_ops"]
-    assert single.metrics["events_total"] == sharded.metrics["events_total"]
-    for result in (single, sharded):
-        assert (
-            result.series["merged_deliveries"]
-            == result.series["merged_deliveries_offline"]
-        ), "reactive merge diverged from the offline replay"
-        assert result.metrics["barrier_count"] > 1
-        assert result.metrics["reactive_latency_count"] > 0
-    assert set(single.series["ring_streams"]) == {0, 1, 50}
-    assert single.series["ring_streams"][50], "global ring recorded no stream"
-    merged = single.series["merged_deliveries"]
-    assert set(merged) == {"kv0-replica0", "kv1-replica0"}
-    for group, sequence in enumerate([merged["kv0-replica0"], merged["kv1-replica0"]]):
-        assert sequence, "merge stage delivered nothing"
-        # Each replica's application deliveries come from its own partition
-        # (the global ring carries rate-leveled skips only).
-        assert {g for g, _, _ in sequence} == {group}
+def test_fig6_sharded_runs_only_the_shared_deployment():
+    with pytest.raises(ValueError, match="'shared'"):
+        run_fig6_sharded(2, configuration="global")

@@ -5,12 +5,15 @@ the merge/learner path of one learner — the exact component the paper's order
 property depends on — and assert the oracle catches it.
 """
 
+import os
+
 import pytest
 
 from repro.chaos.oracle import check_delivery_properties
 from repro.chaos.trace import TraceRecorder
 from repro.core import AtomicMulticast, MultiRingConfig
 from repro.multiring import MultiRingProcess
+from tests.conftest import mutate
 
 
 def build_two_ring_deployment(seed=5):
@@ -159,3 +162,20 @@ class TestArtifactDump:
         assert str(seed) in artifact["replay"]
         assert artifact["violations"]
         assert artifact["spec"]["schedule"] == scenario_mod.generate_spec(seed)["schedule"]
+
+    def test_a_kvstore_violation_writes_its_artifact(self, tmp_path, monkeypatch):
+        """A kvstore trace holds unhashable commands; the artifact is still written."""
+        from repro.chaos import scenario as scenario_mod
+
+        # A read that sees exactly the acknowledged write now counts as stale.
+        monkeypatch.setattr(scenario_mod._RywClient, "on_message", mutate(
+            scenario_mod._RywClient.on_message,
+            ("observed < self._acked_size[key]", "observed <= self._acked_size[key]"),
+        ))
+        seed = next(
+            s for s in range(100) if scenario_mod.generate_spec(s)["family"] == "kvstore"
+        )
+        result = scenario_mod.run_scenario(seed, artifacts_dir=str(tmp_path))
+        assert "read-your-writes" in {violation.prop for violation in result.violations}
+        assert result.artifact_path is not None
+        assert os.path.exists(result.artifact_path)

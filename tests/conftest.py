@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import AtomicMulticast, MultiRingConfig
 from repro.multiring import MultiRingProcess
+from repro.net.message import ClientRequest
 from repro.paxos.messages import ProposalValue
 
 
@@ -96,6 +97,36 @@ class SendTap:
                 self.bytes += message.size_bytes + header
 
         network.send = counted
+
+
+class IssueTap:
+    """The commands one ``ClientSwarm`` issued, read off ``network.send``.
+
+    ``trace`` holds one ``(index, sequence, op, args, group_id, created_at)``
+    tuple per issued command, in issue order.  Under port addressing the
+    client index is the sending port's and the sequence is the command id;
+    under shared addressing the command id is ``sequence * clients + index``.
+    Like :class:`SendTap` it goes in before the swarm's first send.
+    """
+
+    def __init__(self, network, swarm) -> None:
+        assert swarm._raw_send is None, "install the tap before the first send"
+        self.trace: List[tuple] = []
+        ports = {port.name: index for index, port in enumerate(swarm._ports)}
+        clients, send = swarm._n, network.send
+
+        def tapped(src, dst, message):
+            if isinstance(message, ClientRequest) and (src in ports or src == swarm.name):
+                command = message.command
+                if src in ports:
+                    index, sequence = ports[src], command.command_id
+                else:
+                    sequence, index = divmod(command.command_id, clients)
+                self.trace.append((index, sequence, command.op, tuple(command.args),
+                                   command.group_id, command.created_at))
+            send(src, dst, message)
+
+        network.send = tapped
 
 
 @pytest.fixture

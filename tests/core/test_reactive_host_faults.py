@@ -22,7 +22,7 @@ from repro.bench import parallel as bench_parallel
 from repro.core.client import Command
 from repro.core.smr import ReactiveReplicaHost
 from repro.kvstore.replica import MRPStoreReplica
-from repro.multiring.merge import MergeCursor, replay_streams
+from repro.multiring.merge import MergeCursor, RingSegment, replay_streams
 from repro.paxos.messages import ProposalValue
 from repro.sim.actor import Environment
 from tests import golden
@@ -145,6 +145,14 @@ def test_no_stall_window_means_no_overlap_loop(host):
     assert host._latency.count == 2
 
 
+def test_a_segment_of_an_unsubscribed_ring_raises_naming_the_ring(host):
+    """A shard shipping a ring the replica does not subscribe to is refused."""
+    barrier = {0: (1.0, {0: RingSegment(0, [(0, insert(0, "a0", 0.5))])}),
+               1: (1.0, {7: RingSegment(0, [(0, insert(7, "c0", 0.5))])})}
+    with pytest.raises(KeyError, match="group 7"):
+        host.sink(barrier)
+
+
 def stalled_fig6_latency():
     """Exact latency samples of a short shared Figure 6 run with one crash stall.
 
@@ -161,7 +169,7 @@ def stalled_fig6_latency():
 
     with mock.patch.object(bench_parallel, "ReactiveReplicaHost", Recorded):
         bench_parallel.run_fig6_sharded(
-            2, workers=1, warmup=0.3, duration=1.2, seed=42, configuration="shared",
+            2, workers=1, warmup=0.3, duration=1.2, seed=42,
             crash_schedule=[(0.7, "dlog-replica0", 0.4)],
         )
     (host,) = hosts

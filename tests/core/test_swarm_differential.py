@@ -27,6 +27,7 @@ from repro.kvstore.partitioning import HashPartitioner
 from repro.net.message import ClientRequest, ClientResponse
 from repro.workloads.arrival import constant
 from repro.workloads.ycsb import RECORD_BYTES, YCSB_WORKLOADS, YCSBWorkload, ycsb_key
+from tests.conftest import IssueTap
 
 # The multi-second comparisons are slow-marked: CI runs them in their own step
 # ("Swarm differential", ``-m slow``); the sub-second open-loop and wheel
@@ -131,8 +132,8 @@ def _run_swarm(seed, batching, k, concurrency, until, jitter=0.05,
         addressing=addressing,
         port_names=[f"cl{i}" for i in range(k)] if addressing == "ports" else None,
         sketch=None,
-        record_trace=True,
     )
+    issues = IssueTap(system.network, swarm)
     log = _tap_network(system)
     system.start()
     system.run(until=until)
@@ -141,7 +142,7 @@ def _run_swarm(seed, batching, k, concurrency, until, jitter=0.05,
         "latencies": _latency_state(system),
         "issued": [swarm._issued[i] for i in range(k)],
         "completed": [swarm._completed[i] for i in range(k)],
-        "trace": swarm.command_trace,
+        "trace": issues.trace,
     }
 
 
@@ -182,8 +183,8 @@ def _run_open_swarm(seed, k, aggregate_rate, until, jitter=0.05, swarm_cls=Clien
         port_names=[f"cl{i}" for i in range(k)],
         churn=churn,
         sketch=None,
-        record_trace=True,
     )
+    issues = IssueTap(system.network, swarm)
     log = _tap_network(system)
     system.start()
     system.run(until=until)
@@ -192,7 +193,7 @@ def _run_open_swarm(seed, k, aggregate_rate, until, jitter=0.05, swarm_cls=Clien
         "latencies": _latency_state(system),
         "issued": [swarm._issued[i] for i in range(k)],
         "completed": [swarm._completed[i] for i in range(k)],
-        "trace": swarm.command_trace,
+        "trace": issues.trace,
         "wheel": len(swarm._wheel),
         "outstanding": swarm.outstanding,
     }

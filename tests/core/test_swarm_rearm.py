@@ -21,6 +21,7 @@ from repro.core.client import Command
 from repro.core.swarm import ChurnSpec, ClientSwarm
 from repro.sim import Actor, Environment, Network, Topology
 from repro.workloads.arrival import constant, flash_crowd
+from tests.conftest import IssueTap
 from tests.reference.swarm import HeapWheelSwarm
 
 CLIENTS = 300
@@ -42,16 +43,18 @@ def _request(index, sequence):
 
 
 def _run(monkeypatch, swarm_cls, arrival, stagger=True, churn=ChurnSpec(rate=60.0, downtime=0.1)):
-    """Run ``swarm_cls`` for 3 s; return it and the entries it pushed on its heap."""
+    """Run ``swarm_cls`` for 3 s; return it, the entries it pushed on its heap
+    and its issue trace."""
     env = Environment(seed=5)
     topology = Topology()
     topology.add_site("dc1")
-    Network(env, topology, jitter_fraction=0.0)
+    network = Network(env, topology, jitter_fraction=0.0)
     _Sink(env, "frontend")
     swarm = swarm_cls(
         env, "swarm", {0: "frontend"}, _request, clients=CLIENTS, mode="open",
-        arrival=arrival, stagger=stagger, churn=churn, sketch=None, record_trace=True,
+        arrival=arrival, stagger=stagger, churn=churn, sketch=None,
     )
+    tap = IssueTap(network, swarm)
     heap_pushes = []
     heappush = heapq.heappush
 
@@ -64,14 +67,14 @@ def _run(monkeypatch, swarm_cls, arrival, stagger=True, churn=ChurnSpec(rate=60.
         heappush=counting_heappush, heappop=heapq.heappop))
     swarm.on_start()
     env.run(until=3.0)
-    return swarm, heap_pushes
+    return swarm, heap_pushes, tap.trace
 
 
 @pytest.mark.parametrize("curve", sorted(CURVES))
 def test_fifo_and_heap_pop_in_the_reference_heap_order(curve, monkeypatch):
-    swarm, heap_pushes = _run(monkeypatch, ClientSwarm, CURVES[curve])
-    reference, _ = _run(monkeypatch, HeapWheelSwarm, CURVES[curve])
-    assert swarm.command_trace == reference.command_trace
+    swarm, heap_pushes, trace = _run(monkeypatch, ClientSwarm, CURVES[curve])
+    _, _, reference = _run(monkeypatch, HeapWheelSwarm, CURVES[curve])
+    assert trace == reference
     assert swarm.issued > 3 * CLIENTS  # clients fired, re-armed and fired again
     assert swarm._fifo_head < len(swarm._fifo_times)  # the FIFO holds re-arms
     assert heap_pushes  # churn reconnects use the heap, and so do rate rises
@@ -82,20 +85,21 @@ def test_fifo_and_heap_pop_in_the_reference_heap_order(curve, monkeypatch):
 
 
 def test_clients_fired_together_rearm_in_index_order(monkeypatch):
-    swarm, heap_pushes = _run(monkeypatch, ClientSwarm, constant(600.0), stagger=False, churn=None)
-    reference, _ = _run(monkeypatch, HeapWheelSwarm, constant(600.0), stagger=False, churn=None)
-    assert swarm.command_trace == reference.command_trace
+    swarm, heap_pushes, trace = _run(
+        monkeypatch, ClientSwarm, constant(600.0), stagger=False, churn=None)
+    _, _, reference = _run(monkeypatch, HeapWheelSwarm, constant(600.0), stagger=False, churn=None)
+    assert trace == reference
     assert swarm.issued > 3 * CLIENTS
     assert not heap_pushes  # a steady rate re-arms in order: the FIFO takes every one
 
 
 def test_a_flash_crowd_with_churn_reruns_to_the_same_trace(monkeypatch):
     """The same run issues the same trace, and the crowd raises the issue rate."""
-    first, _ = _run(monkeypatch, ClientSwarm, CURVES["flash-crowd"])
-    second, _ = _run(monkeypatch, ClientSwarm, CURVES["flash-crowd"])
-    assert first.command_trace == second.command_trace
+    _, _, first = _run(monkeypatch, ClientSwarm, CURVES["flash-crowd"])
+    _, _, second = _run(monkeypatch, ClientSwarm, CURVES["flash-crowd"])
+    assert first == second
     onset = 0.6
-    times = [entry[5] for entry in first.command_trace]
+    times = [entry[5] for entry in first]
     before = sum(1 for t in times if t < onset)
     after = sum(1 for t in times if onset <= t < 2 * onset)
     assert after > before

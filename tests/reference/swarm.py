@@ -34,7 +34,7 @@ class HeapWheelSwarm(ClientSwarm):
         sim = self.env.simulator
         seq = sim._seq
         sim._seq = seq + 1
-        heapq.heappush(sim._queue, (head, 0, seq, self._wheel_tick, ()))
+        heapq.heappush(sim._queue, (head, seq, self._wheel_tick, ()))
 
     def _wheel_tick(self):
         if not self.alive:

@@ -10,8 +10,8 @@ class TestScheduling:
     def test_run_executes_callbacks_in_time_order(self):
         sim = Simulator()
         fired = []
-        sim.schedule(2.0, fired.append, "late")
-        sim.schedule(1.0, fired.append, "early")
+        sim.call_later(2.0, fired.append, "late")
+        sim.call_later(1.0, fired.append, "early")
         sim.run()
         assert fired == ["early", "late"]
         assert sim.now == 2.0
@@ -20,22 +20,14 @@ class TestScheduling:
         sim = Simulator()
         fired = []
         for i in range(5):
-            sim.schedule(1.0, fired.append, i)
+            sim.call_later(1.0, fired.append, i)
         sim.run()
         assert fired == [0, 1, 2, 3, 4]
-
-    def test_priority_breaks_ties_before_sequence(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, fired.append, "low", priority=1)
-        sim.schedule(1.0, fired.append, "high", priority=0)
-        sim.run()
-        assert fired == ["high", "low"]
 
     def test_negative_delay_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
-            sim.schedule(-0.1, lambda: None)
+            sim.call_later(-0.1, lambda: None)
 
     def test_zero_delay_runs_after_current_event(self):
         sim = Simulator()
@@ -43,10 +35,10 @@ class TestScheduling:
 
         def first():
             order.append("first")
-            sim.schedule(0.0, lambda: order.append("nested"))
+            sim.call_later(0.0, lambda: order.append("nested"))
             order.append("still-first")
 
-        sim.schedule(1.0, first)
+        sim.call_later(1.0, first)
         sim.run()
         assert order == ["first", "still-first", "nested"]
 
@@ -55,8 +47,8 @@ class TestRunControl:
     def test_run_until_stops_the_clock_at_the_horizon(self):
         sim = Simulator()
         fired = []
-        sim.schedule(1.0, fired.append, "a")
-        sim.schedule(5.0, fired.append, "b")
+        sim.call_later(1.0, fired.append, "a")
+        sim.call_later(5.0, fired.append, "b")
         sim.run(until=2.0)
         assert fired == ["a"]
         assert sim.now == 2.0
@@ -74,7 +66,7 @@ class TestRunControl:
         # horizon" branch lands the clock on ``until`` — which must not be
         # behind it.
         sim = kernel()
-        sim.schedule(9.0, lambda: None)
+        sim.call_later(9.0, lambda: None)
         sim.run(until=6.0)
         with pytest.raises(SimulationError):
             sim.run(until=1.0)
@@ -85,7 +77,7 @@ class TestRunControl:
         sim = Simulator()
         fired = []
         for i in range(10):
-            sim.schedule(i + 1.0, fired.append, i)
+            sim.call_later(i + 1.0, fired.append, i)
         sim.run(max_events=3)
         assert fired == [0, 1, 2]
         assert sim.now == 3.0  # a capped run stops at its last event, not at a horizon
@@ -97,7 +89,7 @@ class TestRunControl:
     def test_processed_events_counter(self):
         sim = Simulator()
         for i in range(4):
-            sim.schedule(float(i), lambda: None)
+            sim.call_later(float(i), lambda: None)
         sim.run()
         assert sim.processed_events == 4
 
@@ -106,7 +98,7 @@ class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
         sim = Simulator()
         fired = []
-        handle = sim.schedule(1.0, fired.append, "x")
+        handle = sim.call_later(1.0, fired.append, "x")
         handle.cancel()
         sim.run()
         assert fired == []
@@ -115,7 +107,7 @@ class TestCancellation:
     def test_cancel_is_idempotent(self):
         sim = Simulator()
         fired = []
-        handle = sim.schedule(1.0, fired.append, "x")
+        handle = sim.call_later(1.0, fired.append, "x")
         handle.cancel()
         handle.cancel()
         sim.run()

@@ -1,8 +1,8 @@
 """Fast-path kernel tests: determinism against two anchors, and compaction.
 
 The kernel (tuple heap entries, handle-free ``_post`` events, lazy
-cancellation with compaction) fires a seeded random schedule / cancel /
-priority program exactly like the plain-rules ``tests/reference/kernel.py``.
+cancellation with compaction) fires a seeded random schedule / cancel
+program exactly like the plain-rules ``tests/reference/kernel.py``.
 Whole deployments (kernel + network + protocol stack) reproduce the delivery
 logs — order *and* timestamps — whose digests are committed in
 ``tests/golden/exact.json``; a PR that moves one says which modelled
@@ -27,7 +27,7 @@ def _random_kernel_trace(sim, seed: int, operations: int = 400, grid: bool = Tru
     """Drive a seeded random schedule/cancel program; return the firing log.
 
     With ``grid`` the delays sit on a 0.1 s grid, so many events share a
-    timestamp and the priority and ``seq`` tie-breaks decide the order;
+    timestamp and the ``seq`` tie-break decides the order;
     without it they are continuous, so the heap orders arbitrary floats.
     """
     rng = random.Random(seed)
@@ -40,14 +40,12 @@ def _random_kernel_trace(sim, seed: int, operations: int = 400, grid: bool = Tru
     def fire(tag):
         log.append((sim.now, tag))
         if rng.random() < 0.4:
-            handles.append(sim.schedule(delay_below(2), fire, f"{tag}.n"))
+            handles.append(sim.call_later(delay_below(2), fire, f"{tag}.n"))
         if handles and rng.random() < 0.3:
             handles[rng.randrange(len(handles))].cancel()
 
     for i in range(operations):
-        delay = delay_below(5)
-        priority = rng.choice([0, 0, 0, 1])
-        handles.append(sim.schedule(delay, fire, str(i), priority=priority))
+        handles.append(sim.call_later(delay_below(5), fire, str(i)))
     sim.run(until=10.0)
     return log
 
@@ -61,9 +59,8 @@ def _post_heavy_trace(sim, seed: int, operations: int = 300):
     """A workload dominated by ``_post`` entries sharing one callback.
 
     Mimics the network's delivery pattern — one callback, the destination in
-    the first argument — interleaved with ``schedule`` and ``call_later``
-    events on the same 0.1 s grid, so the two heap-entry layouts meet at
-    equal timestamps.
+    the first argument — interleaved with ``call_later`` events on the same
+    0.1 s grid, so the two heap-entry layouts meet at equal timestamps.
     """
     rng = random.Random(seed)
     log = []
@@ -82,8 +79,6 @@ def _post_heavy_trace(sim, seed: int, operations: int = 300):
         delay = rng.randrange(20) / 10
         if roll < 0.7:
             sim._post(delay, deliver, (rng.choice(targets), str(i)))
-        elif roll < 0.85:
-            sim.schedule(delay, fire, str(i))
         else:
             sim.call_later(delay, fire, str(i))
     sim.run(until=5.0)
@@ -107,15 +102,15 @@ class TestReferenceKernelDifferential:
     def test_mutant_without_the_seq_tie_break_is_caught(self, monkeypatch):
         """Entries of one timestamp then order by their arguments, silently."""
         monkeypatch.setattr(
-            Simulator, "_post", mutate(Simulator._post, ("delay, 0, seq,", "delay, 0, 0,"))
+            Simulator, "_post", mutate(Simulator._post, ("delay, seq,", "delay, 0,"))
         )
         assert _post_heavy_trace(Simulator(), 7) != _post_heavy_trace(ReferenceKernel(), 7)
 
     def test_post_orders_like_schedule(self):
-        """_post entries interleave with schedule/call_later in seq order."""
+        """_post entries interleave with call_later entries in seq order."""
         sim = Simulator()
         fired = []
-        sim.schedule(1.0, fired.append, "a")
+        sim.call_later(1.0, fired.append, "a")
         sim._post(1.0, fired.append, ("b",))
         sim.call_later(1.0, fired.append, "c")
         sim._post(0.5, fired.append, ("early",))
@@ -192,9 +187,9 @@ class TestGoldenStack:
 class TestCancellationCompaction:
     def test_cancelled_events_are_compacted_out_of_the_heap(self):
         sim = Simulator()
-        handles = [sim.schedule(10.0 + i, lambda: None) for i in range(1000)]
+        handles = [sim.call_later(10.0 + i, lambda: None) for i in range(1000)]
         survivor_fired = []
-        sim.schedule(5.0, survivor_fired.append, "ok")
+        sim.call_later(5.0, survivor_fired.append, "ok")
         for h in handles:
             h.cancel()
         # Compaction keeps the heap bounded by the trigger threshold instead
@@ -209,7 +204,7 @@ class TestCancellationCompaction:
         fired = []
         keep = []
         for i in range(500):
-            h = sim.schedule(float(i), fired.append, i)
+            h = sim.call_later(float(i), fired.append, i)
             if i % 10 == 0:
                 keep.append(i)
             else:
@@ -220,14 +215,14 @@ class TestCancellationCompaction:
     def test_cancel_after_fire_does_not_corrupt_counter(self):
         sim = Simulator()
         fired = []
-        handles = [sim.schedule(float(i), fired.append, i) for i in range(100)]
+        handles = [sim.call_later(float(i), fired.append, i) for i in range(100)]
         sim.run()
         for h in handles:
             h.cancel()  # cancelling after the fact is a no-op on the queue
         assert fired == list(range(100))
         # Fired events must not count toward the compaction trigger.
         assert sim._cancelled == 0
-        later = sim.schedule(1.0, fired.append, "later")
+        later = sim.call_later(1.0, fired.append, "later")
         sim.run()
         assert fired[-1] == "later"
 

@@ -213,7 +213,7 @@ class Talker(Actor):
             if at is None:
                 self._send(dst)
             else:
-                self.env.simulator.schedule(at, self._send, dst)  # on_start runs at t=0
+                self.env.simulator.call_later(at, self._send, dst)  # on_start runs at t=0
 
     def _send(self, dst):
         self.send(dst, Probe(body={"from": self.name}))
@@ -378,7 +378,7 @@ class BurstActor(Actor):
             return
         for burst in range(BURST_COUNT):
             for index in range(BURST_SIZE):
-                self.env.simulator.schedule(  # on_start runs at t=0
+                self.env.simulator.call_later(  # on_start runs at t=0
                     burst * BURST_GAP + index * BURST_SPACING,
                     self._fire, burst, index,
                 )

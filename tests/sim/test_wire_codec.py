@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.parallel import run_fig6_sharded, run_fig7_sharded
+from repro.bench.parallel import run_fig6_sharded
 from repro.core.client import Command
 from repro.multiring.merge import RingSegment
 from repro.net.message import ClientRequest, Message
@@ -377,8 +377,7 @@ def _run_with_checked_frames(monkeypatch, spool: Path, run):
 
 def fig6_shared_point():
     return run_fig6_sharded(
-        2, workers=2, clients_per_ring=8, warmup=0.2, duration=0.6, seed=42,
-        configuration="shared")
+        2, workers=2, clients_per_ring=8, warmup=0.2, duration=0.6, seed=42)
 
 
 def wire_counts(result) -> dict:
@@ -390,11 +389,6 @@ def wire_counts(result) -> dict:
 def test_fig6_shared_worker_frames_equal_the_reference_codec(monkeypatch, tmp_path):
     result = _run_with_checked_frames(monkeypatch, tmp_path, fig6_shared_point)
     assert wire_counts(result) == golden.load()["wire_fig6_shared"]
-
-
-def test_fig7_shared_worker_frames_equal_the_reference_codec(monkeypatch, tmp_path):
-    _run_with_checked_frames(monkeypatch, tmp_path, lambda: run_fig7_sharded(
-        2, workers=2, warmup=0.3, duration=0.7, seed=42, configuration="shared"))
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,8 @@ ALLOWLIST = {
     # (tests/ringpaxos/test_dispatch_differential.py) dispatches through these.
     "repro.ringpaxos.node.RingNode.handle": "test-reference",
     "repro.ringpaxos.node.RingNode._resolve_handler": "test-reference",
-    # The swarm differentials (tests/core/test_swarm_differential.py,
-    # tests/core/test_swarm_rearm.py) compare issue traces and the wheel.
-    "repro.core.swarm.ClientSwarm.command_trace": "test-reference",
+    # The swarm differential (tests/core/test_swarm_differential.py)
+    # inspects the wheel.
     "repro.core.swarm.ClientSwarm._wheel": "test-reference",
 
     # interface: a base-class method every runner's subclass overrides.

@@ -10,9 +10,9 @@ The census runs the repository's real entry points in this process under
 * the five examples, as ``python examples/<name>.py`` runs them;
 * the ledger workloads at ``--smoke`` size: each slice, its reading, the
   traced form (``workers=1``) and the workload's differential check;
-* every figure-point runner at short windows, the sharded ones in both
-  configurations at two workers (one with a crash schedule), ``run_fig8``,
-  and the figure reports the benchmark files print;
+* every figure-point runner at short windows, the sharded Figure 6 one at
+  two workers (once with a crash schedule), ``run_fig8``, and the figure
+  reports the benchmark files print;
 * the documented wire replay (``benchmarks/wire_replay.py``);
 * chaos seeds through ``repro.chaos.scenario.main``, single-process and at
   ``--workers 2``.
@@ -316,22 +316,17 @@ def _fig6() -> None:
     results = [run_fig6_point(rings, clients_per_ring=8, warmup=warmup, duration=duration)
                for rings in (1, 3)]
     _report(results, "rings", "aggregate_ops")
-    for configuration in ("independent", "shared"):
-        run_fig6_sharded(2, workers=2, clients_per_ring=8, warmup=warmup, duration=duration,
-                         configuration=configuration)
+    run_fig6_sharded(2, workers=2, clients_per_ring=8, warmup=warmup, duration=duration)
     run_fig6_sharded(2, workers=2, clients_per_ring=8, warmup=warmup, duration=duration,
-                     configuration="shared", crash_schedule=[(0.15, "dlog-replica0", 0.1)])
+                     crash_schedule=[(0.15, "dlog-replica0", 0.1)])
 
 
 def _fig7() -> None:
-    from repro.bench import run_fig7_point, run_fig7_sharded
+    from repro.bench import run_fig7_point
 
     warmup, duration = WINDOWS
     for regions in (1, 3):
         run_fig7_point(regions, key_count=200, warmup=warmup, duration=duration)
-    for configuration in ("independent", "shared"):
-        run_fig7_sharded(2, workers=2, key_count=200, warmup=warmup, duration=duration,
-                         configuration=configuration)
 
 
 def _fig8() -> None:
@@ -360,7 +355,7 @@ ENTRY_POINTS: List[Tuple[str, Callable[[], object]]] = [
     ("fig4 points", _fig4),
     ("fig5 points", _fig5),
     ("fig6 points + sharded", _fig6),
-    ("fig7 points + sharded", _fig7),
+    ("fig7 points", _fig7),
     ("fig8 timeline", _fig8),
     ("benchmarks/wire_replay.py", _script("benchmarks/wire_replay.py",
                                           "--duration", "0.5", "--repeats", "1")),
