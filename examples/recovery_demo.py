@@ -16,10 +16,10 @@ from __future__ import annotations
 import random
 
 from repro.core import AtomicMulticast, MultiRingConfig
-from repro.core.client import OpenLoopClient
+from repro.core.swarm import ClientSwarm, shared_factory
 from repro.kvstore import MRPStoreService
 from repro.kvstore.client import kv_request_factory
-from repro.workloads import preload_keys, update_only_workload
+from repro.workloads import constant, preload_keys, update_only_workload
 
 
 def main() -> None:
@@ -36,11 +36,14 @@ def main() -> None:
     service.preload(preload_keys(500))
 
     rng = random.Random(99)
-    client = OpenLoopClient(
+    client = ClientSwarm(
         system.env, "load",
         frontends_by_group=service.frontend_map(),
-        request_factory=kv_request_factory(service.commands, update_only_workload(rng, key_count=500)),
-        rate_per_second=2000.0,
+        request_factory=shared_factory(
+            kv_request_factory(service.commands, update_only_workload(rng, key_count=500))
+        ),
+        clients=1,
+        arrival=constant(2000.0),
         metric_prefix="load",
     )
 

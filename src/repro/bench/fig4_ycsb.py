@@ -75,7 +75,7 @@ def run_fig4_point(
     seed: int = 42,
     client_engine: str = "actors",
     simulated_users: Optional[int] = None,
-    client_mode: str = "closed",
+    client_mode: str = "open",
     arrival: Optional[ArrivalCurve] = None,
     slo: Optional[Dict[str, float]] = None,
 ) -> ExperimentResult:
@@ -84,10 +84,9 @@ def run_fig4_point(
     ``client_engine="actors"`` (default) drives the system with one
     :class:`ClosedLoopClient` holding ``client_threads`` outstanding requests
     — the paper's setup.  ``client_engine="swarm"`` replaces it with a
-    :class:`~repro.core.swarm.ClientSwarm` of ``simulated_users`` flyweight
-    clients: closed-loop (one outstanding request per user) or, for very
-    large user counts, open-loop following ``arrival``.  ``slo`` enables
-    per-class SLO accounting (see the swarm docs).
+    :class:`~repro.core.swarm.ClientSwarm` of ``simulated_users`` open-loop
+    clients offering ``arrival``.  ``slo`` enables per-class SLO accounting
+    (see the swarm docs).  ``client_mode`` accepts ``"open"`` only.
     """
     if system_name not in FIG4_SYSTEMS:
         raise ValueError(f"unknown system {system_name}")
@@ -95,6 +94,8 @@ def run_fig4_point(
         raise ValueError(f"unknown workload {workload_name}")
     if client_engine not in ("actors", "swarm"):
         raise ValueError(f"unknown client engine {client_engine}")
+    if client_mode != "open":
+        raise ValueError(f"the swarm runs open loop only, not {client_mode!r}")
 
     workload = _build_workload(workload_name, record_count, seed)
     keyspace = workload.keyspace()
@@ -135,11 +136,8 @@ def run_fig4_point(
             frontends_by_group=frontends,
             request_factory=shared_factory(factory),
             clients=users,
-            mode=client_mode,
-            concurrency=1,
             arrival=arrival or constant(float(client_threads) * 25.0),
             metric_prefix="ycsb",
-            addressing="auto",
             slo=slo,
         )
     else:
@@ -187,5 +185,4 @@ def run_fig4_point(
     if client_engine == "swarm":
         params["engine"] = "swarm"
         params["users"] = simulated_users or client_threads
-        params["mode"] = client_mode
     return ExperimentResult(name="fig4", params=params, metrics=metrics)

@@ -20,13 +20,13 @@ from __future__ import annotations
 import random
 
 from ..core.amcast import AtomicMulticast
-from ..core.client import OpenLoopClient
 from ..core.config import MultiRingConfig, global_config
+from ..core.swarm import ClientSwarm, shared_factory
 from ..kvstore.client import MRPStoreCommands, kv_request_factory
 from ..kvstore.partitioning import HashPartitioner
 from ..kvstore.service import MRPStoreService
-from ..sim.disk import StorageMode
 from ..sim.topology import EC2_REGIONS, ec2_global
+from ..workloads.arrival import constant
 from ..workloads.kv import preload_keys, update_only_workload
 from .runner import ExperimentResult, Measurement, MeasurementWindow
 
@@ -44,7 +44,7 @@ _UPDATE_BYTES = 1024
 
 def fig7_config() -> MultiRingConfig:
     """The Figure 7 configuration: cross-datacenter parameters, batching on."""
-    return global_config(storage_mode=StorageMode.ASYNC_SSD).with_(
+    return global_config().with_(
         batching_enabled=True,
         checkpoint_interval=None,
         trim_interval=None,
@@ -99,12 +99,13 @@ def run_fig7_point(
             value_bytes=_UPDATE_BYTES,
             key_prefix=f"r{group}-key",
         )
-        OpenLoopClient(
+        ClientSwarm(
             system.env,
             f"fig7-client-{region}",
             frontends_by_group=frontends,
-            request_factory=kv_request_factory(commands, workload),
-            rate_per_second=offered_rate_per_region,
+            request_factory=shared_factory(kv_request_factory(commands, workload)),
+            clients=1,
+            arrival=constant(offered_rate_per_region),
             site=region,
             metric_prefix=f"fig7.{region}",
         )

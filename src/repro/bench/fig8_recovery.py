@@ -26,13 +26,14 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from ..core.amcast import AtomicMulticast
-from ..core.client import OpenLoopClient
 from ..core.config import MultiRingConfig
+from ..core.swarm import ClientSwarm, shared_factory
 from ..kvstore.client import kv_request_factory
 from ..kvstore.service import MRPStoreService
 from ..sim.disk import StorageMode
 from ..sim.parallel import ShardHarness
 from ..sim.topology import single_datacenter
+from ..workloads.arrival import constant
 from ..workloads.kv import preload_keys, update_only_workload
 from .runner import ExperimentResult
 
@@ -106,12 +107,13 @@ def run_fig8(
     rng = random.Random(seed)
     workload = update_only_workload(rng, key_count=key_count, value_bytes=1024)
     factory = kv_request_factory(service.commands, workload)
-    client = OpenLoopClient(
+    ClientSwarm(
         system.env,
         "fig8-client",
         frontends_by_group=service.frontend_map(),
-        request_factory=factory,
-        rate_per_second=load_ops_per_s,
+        request_factory=shared_factory(factory),
+        clients=1,
+        arrival=constant(load_ops_per_s),
         metric_prefix="fig8",
     )
 

@@ -1090,7 +1090,6 @@ def _build_kvstore(spec: Dict[str, Any]) -> _ChaosRun:
                 kv_request_factory(MRPStoreCommands(service.partitioner), workload)
             ),
             clients=swarm_spec["users"],
-            mode="open",
             arrival=flash_crowd(
                 base=swarm_spec["base_rate"],
                 peak=swarm_spec["base_rate"] * swarm_spec["peak_factor"],

@@ -1,7 +1,7 @@
 """Public library API: deployment façade, configuration, SMR and clients."""
 
 from .amcast import AtomicMulticast, parse_roles
-from .client import ClosedLoopClient, Command, OpenLoopClient
+from .client import ClosedLoopClient, Command
 from .config import MultiRingConfig, global_config
 from .packing import PackedValues, iter_commands, iter_payloads, iter_values
 from .smr import ProposerFrontend, ReactiveReplicaHost, StateMachineReplica
@@ -11,7 +11,6 @@ __all__ = [
     "AtomicMulticast",
     "parse_roles",
     "ClosedLoopClient",
-    "OpenLoopClient",
     "Command",
     "MultiRingConfig",
     "global_config",

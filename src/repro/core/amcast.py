@@ -220,18 +220,16 @@ class AtomicMulticast:
                 process.node(overlay.ring_id).update_overlay(overlay)
 
     # ------------------------------------------------------- fault injection
-    def crash_process(self, name: str, reconfigure_rings: bool = True) -> None:
+    def crash_process(self, name: str) -> None:
         """Crash a process.
 
-        By default the failed process is also removed from every ring it was
-        a member of — that is what Zookeeper's ephemeral-node expiry does in
+        The failed process is also removed from every ring it was a member
+        of — that is what Zookeeper's ephemeral-node expiry does in
         the prototype, and it keeps the ring circulation intact for the
         remaining members.  The original membership is remembered so
         :meth:`restart_process` can re-admit the process with the same roles.
         """
         self.env.actor(name).crash()
-        if not reconfigure_rings:
-            return
         for ring_id in self.ring_ids():
             overlay = self._rings[ring_id]
             if name not in overlay:

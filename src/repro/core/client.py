@@ -1,19 +1,22 @@
-"""Client-side building blocks: commands, batching and closed-loop clients.
+"""Client-side building blocks: commands and the closed-loop client.
 
 The services of the paper share a client structure (Sections 7.2-7.3):
 
 * a client addresses the proposer of the ring responsible for the data it
   touches;
-* small commands going to the same partition are *batched* into packets of
-  up to 32 KB by the ring's coordinator (:mod:`repro.ringpaxos.coordinator`);
 * replicas execute delivered commands and answer the client directly (UDP in
   the prototype); for single-partition commands the client waits for the
   first response, for multi-partition commands (scans, multi-appends) it
   waits for at least one response from every partition involved.
 
+Packing small commands into 32 KB instances is the ring coordinator's job
+(:mod:`repro.ringpaxos.coordinator`), not the client's.
+
 :class:`Command` is the unit of work ordered by atomic multicast.
 :class:`ClosedLoopClient` drives a fixed number of outstanding requests (the
 paper's "client threads") and records per-command latency and throughput.
+The open-loop client — a constant offered load, from one fixed-rate client
+to a million users — is :class:`~repro.core.swarm.ClientSwarm`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from ..sim.metrics import LatencyRecorder
 __all__ = [
     "Command",
     "ClosedLoopClient",
-    "OpenLoopClient",
     "RequestFactory",
 ]
 
@@ -198,89 +200,6 @@ class ClosedLoopClient(Actor):
         self._issue_next()
 
     # ------------------------------------------------------------ inspection
-
-    @property
-    def completed(self) -> int:
-        """Logical requests completed so far."""
-        return self._completed
-
-
-class OpenLoopClient(Actor):
-    """A client issuing requests at a fixed rate, independent of responses.
-
-    The recovery experiment (Figure 8) operates the system "at 75 % of its
-    peak load": the offered load must stay constant while replicas fail and
-    recover, which a closed-loop client cannot do (its rate collapses with the
-    system's).  The open-loop client issues one logical request every
-    ``1 / rate`` seconds and records the latency of whatever completes.
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        name: str,
-        frontends_by_group: Dict[int, str],
-        request_factory: RequestFactory,
-        rate_per_second: float,
-        site: str = "dc1",
-        metric_prefix: str = "client",
-    ) -> None:
-        super().__init__(env, name, site)
-        if rate_per_second <= 0:
-            raise ValueError("rate_per_second must be positive")
-        self._frontends = dict(frontends_by_group)
-        self._factory = request_factory
-        self._interval = 1.0 / rate_per_second
-        self._metric_prefix = metric_prefix
-        self._issued = 0
-        self._completed = 0
-        #: per logical request: ``(groups still to answer, submission time)``
-        self._outstanding: Dict[int, Tuple[Set[int], float]] = {}
-        self._latency = env.metrics.latency(f"{metric_prefix}.latency")
-        self._throughput = env.metrics.throughput(f"{metric_prefix}.throughput")
-
-    def on_start(self) -> None:
-        self.set_periodic_timer(self._interval, self._issue_next)
-
-    def _issue_next(self) -> None:
-        sequence = self._issued
-        self._issued += 1
-        commands, await_groups = self._factory(sequence)
-        now = self.now
-        name = self.name
-        self._outstanding[sequence] = (set(await_groups), now)
-        for command in commands:
-            command.client = name
-            command.created_at = now
-            command.command_id = sequence
-            self.send(
-                self._frontends[command.group_id],
-                ClientRequest(command.size_bytes, name, command, now),
-            )
-
-    def on_message(self, sender: str, message: Any) -> None:
-        if not isinstance(message, ClientResponse):
-            return
-        entry = self._outstanding.get(message.request_id)
-        if entry is None:
-            return
-        pending, submitted_at = entry
-        group_id = message.group_id
-        if group_id is not None:
-            pending.discard(group_id)
-        else:
-            pending.clear()
-        if pending:
-            return
-        del self._outstanding[message.request_id]
-        self._completed += 1
-        self._latency.record(self.now - submitted_at)
-        self._throughput.record(1.0)
-
-    @property
-    def issued(self) -> int:
-        """Logical requests issued so far."""
-        return self._issued
 
     @property
     def completed(self) -> int:

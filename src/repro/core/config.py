@@ -7,7 +7,7 @@
 * ``Δ`` (``rate_interval``) and ``λ`` (``max_rate``) — the rate-leveling
   parameters;
 * the acceptor storage mode (Figure 3's five modes);
-* client/coordinator batching;
+* coordinator batching on or off;
 * checkpoint and trim periods used by the recovery protocol.
 
 The defaults are Section 8.2's setting within a datacenter (``M=1``,
@@ -23,9 +23,6 @@ from typing import Optional
 from ..sim.disk import StorageMode
 
 __all__ = ["MultiRingConfig", "global_config"]
-
-#: Maximum client batch size (Sections 7.2 and 7.3).
-CLIENT_BATCH_BYTES = 32 * 1024
 
 
 @dataclass
@@ -70,8 +67,6 @@ class MultiRingConfig:
     storage_mode: StorageMode = StorageMode.IN_MEMORY
     #: Coordinator instance batching (disabled for the Figure 3 baseline).
     batching_enabled: bool = False
-    #: Maximum bytes of payload packed into one instance when batching.
-    batch_max_bytes: int = CLIENT_BATCH_BYTES
     #: Size-or-timeout assembly: how long the coordinator may hold a partial
     #: batch waiting for more values (seconds).  ``0`` disables the hold —
     #: only co-queued values share an instance, as before the delay trigger.
@@ -96,11 +91,11 @@ class MultiRingConfig:
         return replace(self, **changes)
 
 
-def global_config(storage_mode: StorageMode = StorageMode.ASYNC_SSD) -> MultiRingConfig:
-    """The paper's cross-datacenter configuration (M=1, Δ=20 ms, λ=2000)."""
+def global_config() -> MultiRingConfig:
+    """The paper's cross-datacenter configuration (M=1, Δ=20 ms, λ=2000, async SSD)."""
     return MultiRingConfig(
         messages_per_round=1,
         rate_interval=0.020,
         max_rate=2000.0,
-        storage_mode=storage_mode,
+        storage_mode=StorageMode.ASYNC_SSD,
     )

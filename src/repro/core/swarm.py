@@ -2,17 +2,17 @@
 
 The paper's evaluation drives the services with tens of client *actors*; the
 north star ("heavy traffic from millions of users") needs orders of magnitude
-more clients than the actor machinery can afford — a million
-:class:`~repro.core.client.ClosedLoopClient` instances would mean a million
-Python objects, timers and metric recorders.  :class:`ClientSwarm` simulates
-``n`` open- or closed-loop clients inside ONE actor:
+more clients than the actor machinery can afford — a million client actors
+would mean a million Python objects, timers and metric recorders.
+:class:`ClientSwarm` is the open-loop client: ``n`` clients (one for a
+figure's fixed-rate client) inside ONE actor:
 
 * per-client state lives in flat arrays (issued/completed counts, online
   flags) plus one dict of in-flight logical requests;
-* open-loop pacing runs on a shared event-time wheel of
-  ``(next_fire_time, client_index)`` keys drained by a single kernel timer,
-  so ``n`` clients cost one outstanding simulator event, not ``n`` — and,
-  at a steady rate, two array slots each rather than a heap tuple;
+* pacing runs on a shared event-time wheel of ``(next_fire_time,
+  client_index)`` keys drained by a single kernel timer, so ``n`` clients
+  cost one outstanding simulator event, not ``n`` — and, at a steady rate,
+  two array slots each rather than a heap tuple;
 * the offered load follows an :class:`~repro.workloads.arrival.ArrivalCurve`
   (constant or flash crowd);
 * connection churn (clients going away and coming back) and per-class SLO
@@ -21,24 +21,25 @@ Python objects, timers and metric recorders.  :class:`ClientSwarm` simulates
 Differential correctness
 ------------------------
 The swarm is proven behaviorally identical to the actors it replaces
-(``tests/core/test_swarm_differential.py``): with *port* addressing it emits
-a command stream bit-identical — same seeds, same ``created_at``s, same
-delivery order through a real service — to ``n`` individual client actors.
+(``tests/core/test_swarm_differential.py``): with *port* addressing and
+:attr:`ClientSwarm.STAGGER` off it emits a command stream bit-identical —
+same seeds, same ``created_at``s, same delivery order through a real
+service — to ``n`` individual fixed-rate client actors
+(``tests/reference/open_loop.py``).
 
-Port addressing registers one flyweight :class:`_SwarmPort` per client: a
-``__slots__`` stand-in carrying only a name and a site, so each simulated
-client keeps its own network identity (its own FIFO connections, its own
-response routing) while every behavior lives in the swarm.  This is what
-makes bit-identity possible: the network's jitter stream is drawn in global
-send order, and channel/connection state is keyed by endpoint *names*, so
-issuing client ``i``'s request under the name an individual actor would have
-used reproduces the exact event timeline.
+Port addressing registers one flyweight :class:`_SwarmPort` per client,
+named ``"{swarm}.{index}"``: a ``__slots__`` stand-in carrying only a name
+and a site, so each simulated client keeps its own network identity (its own
+FIFO connections, its own response routing) while every behavior lives in
+the swarm.  This is what makes bit-identity possible: the network's jitter
+stream is drawn in global send order, and channel/connection state is keyed
+by endpoint *names*, so issuing client ``i``'s request under the name an
+individual actor would have used reproduces the exact event timeline.
 
-Above ``PORT_ADDRESSING_LIMIT`` clients (or with ``addressing="shared"``)
-the swarm switches to a single shared endpoint: commands carry the swarm's
-own name and a globally unique command id (``seq * n + index``) so responses
-demultiplex without per-client connections — the memory-scaling mode for
-10⁵–10⁶ users.
+Above :attr:`ClientSwarm.PORT_ADDRESSING_LIMIT` clients the swarm uses a
+single shared endpoint: commands carry the swarm's own name and a globally
+unique command id (``seq * n + index``) so responses demultiplex without
+per-client connections — the memory-scaling mode for 10⁵–10⁶ users.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..net.message import ClientRequest, ClientResponse
 from ..sim.actor import Actor, Environment
-from ..sim.metrics import LatencyRecorder, SloTracker
-from ..workloads.arrival import ArrivalCurve, constant
+from ..sim.metrics import SloTracker
+from ..workloads.arrival import ArrivalCurve
 from .client import RequestFactory
 
 __all__ = [
@@ -59,17 +60,11 @@ __all__ = [
     "ClientSwarm",
     "SwarmRequestFactory",
     "shared_factory",
-    "PORT_ADDRESSING_LIMIT",
     "DEFAULT_SKETCH_THRESHOLD",
 ]
 
-#: ``addressing="auto"`` uses per-client ports up to this many clients and
-#: the shared endpoint beyond it (per-client connections are O(clients) in
-#: the network's connection cache).
-PORT_ADDRESSING_LIMIT = 4096
-
-#: ``sketch="auto"`` enables the latency sketch at this sample threshold for
-#: swarms of at least :data:`SKETCH_AUTO_CLIENTS` clients.
+#: Swarms of at least :data:`SKETCH_AUTO_CLIENTS` clients keep their latency
+#: recorders exact up to this many samples and sketch beyond it.
 DEFAULT_SKETCH_THRESHOLD = 65536
 SKETCH_AUTO_CLIENTS = 10_000
 
@@ -99,15 +94,15 @@ class ChurnSpec:
 
     ``rate`` is the aggregate disconnect rate (events/second, exponential
     interarrival); a disconnected client stays away for ``downtime`` seconds
-    (scaled by a uniform factor in ``[1-jitter, 1+jitter]``) and then
-    reconnects — closed-loop clients re-issue their window, open-loop clients
-    rejoin the wheel.  Draws come from the swarm's own ``churn`` stream, so
-    enabling churn never perturbs any other seeded stream.
+    (scaled by a uniform factor in ``[1-JITTER, 1+JITTER]``) and then rejoins
+    the wheel.  Draws come from the swarm's own ``churn`` stream, so enabling
+    churn never perturbs any other seeded stream.
     """
 
     rate: float
     downtime: float = 0.5
-    jitter: float = 0.5
+
+    JITTER = 0.5
 
 
 class _SwarmPort:
@@ -135,7 +130,7 @@ class _SwarmPort:
 
 
 class ClientSwarm(Actor):
-    """One actor simulating ``clients`` open- or closed-loop clients.
+    """One actor simulating ``clients`` open-loop clients.
 
     Parameters
     ----------
@@ -150,39 +145,26 @@ class ClientSwarm(Actor):
         plain per-client factory.
     clients:
         Number of simulated clients (1 to ~10⁶).
-    mode:
-        ``"closed"`` — every client keeps ``concurrency`` logical requests
-        outstanding; ``"open"`` — clients issue on the shared event-time
-        wheel following ``arrival``.
-    concurrency:
-        Outstanding requests per closed-loop client.
     arrival:
-        The aggregate offered-load curve for open mode (default: constant
-        100 req/s across the whole swarm).  Each client contributes
+        The aggregate offered-load curve; each client contributes
         ``rate_at(t) / clients``.
-    stagger:
-        Open mode: spread first arrivals one aggregate interarrival apart
-        (smooth offered load).  ``False`` replicates individual
-        ``OpenLoopClient`` actors, whose first requests all fire one
-        per-client interval after start — required for the differential.
-    addressing:
-        ``"ports"``, ``"shared"`` or ``"auto"`` (ports up to
-        :data:`PORT_ADDRESSING_LIMIT` clients).
-    port_names:
-        Optional explicit per-client port names (ports mode); defaults to
-        ``"{name}.{index}"``.  The differential suite passes the names the
-        individual actors would have used.
     churn:
         Optional :class:`ChurnSpec`.
     slo:
         Optional per-class latency objectives in seconds
         (``{"gold": 0.050, ...}``) — enables ``slo.<class>.*`` accounting;
         client ``i`` belongs to the ``i``-th sorted class, round-robin.
-    sketch:
-        Latency-recorder sketch threshold: an int, ``None`` (always exact)
-        or ``"auto"`` (sketch at :data:`DEFAULT_SKETCH_THRESHOLD` samples
-        once the swarm has at least :data:`SKETCH_AUTO_CLIENTS` clients).
     """
+
+    #: Per-client ports (one network identity each) up to this many clients,
+    #: the shared endpoint beyond it: per-client connections are O(clients)
+    #: in the network's connection cache.
+    PORT_ADDRESSING_LIMIT = 4096
+    #: Spread first arrivals one aggregate interarrival apart (smooth offered
+    #: load).  Off, every client's first request fires one per-client
+    #: interval after start — when individual fixed-rate client actors would
+    #: first fire their periodic timers; with one client the two agree.
+    STAGGER = True
 
     def __init__(
         self,
@@ -191,59 +173,36 @@ class ClientSwarm(Actor):
         frontends_by_group: Dict[int, str],
         request_factory: SwarmRequestFactory,
         clients: int,
-        mode: str = "closed",
-        concurrency: int = 1,
-        arrival: Optional[ArrivalCurve] = None,
-        stagger: bool = True,
+        arrival: ArrivalCurve,
         site: str = "dc1",
         metric_prefix: str = "client",
-        addressing: str = "auto",
-        port_names: Optional[Sequence[str]] = None,
         churn: Optional[ChurnSpec] = None,
         slo: Optional[Dict[str, float]] = None,
-        sketch: Any = "auto",
     ) -> None:
         super().__init__(env, name, site)
         if clients < 1:
             raise ValueError("clients must be at least 1")
-        if mode not in ("closed", "open"):
-            raise ValueError(f"unknown swarm mode: {mode!r}")
-        if concurrency < 1:
-            raise ValueError("concurrency must be at least 1")
         self._frontends = dict(frontends_by_group)
         self._factory = request_factory
         self._n = clients
-        self._mode = mode
-        self._concurrency = concurrency
-        self._arrival = arrival or constant(100.0)
-        self._stagger = stagger
-        self._metric_prefix = metric_prefix
+        self._arrival = arrival
         self._churn = churn
-
-        if addressing == "auto":
-            addressing = "ports" if clients <= PORT_ADDRESSING_LIMIT else "shared"
-        if addressing not in ("ports", "shared"):
-            raise ValueError(f"unknown addressing mode: {addressing!r}")
-        self._addressing = addressing
-
-        if sketch == "auto":
-            sketch = DEFAULT_SKETCH_THRESHOLD if clients >= SKETCH_AUTO_CLIENTS else None
-        self._sketch = sketch
+        sketch = DEFAULT_SKETCH_THRESHOLD if clients >= SKETCH_AUTO_CLIENTS else None
 
         # ------------------------------------------------- per-client state
         self._issued = array("q", bytes(8 * clients))
         self._completed = array("q", bytes(8 * clients))
         self._online = bytearray([1]) * clients
-        #: in-flight logical requests keyed by ``sequence * n + index``
-        self._outstanding: Dict[int, Tuple[set, float, str]] = {}
-        #: open mode: shared event-time wheel of (next_fire, client_index),
-        #: merged from three sorted sources.  A cursor over the clients that
-        #: have not fired yet (their first fire times are an arithmetic
-        #: sequence, one tuple at a time is enough); a FIFO of re-arms in two
-        #: columns, taking every fired client's re-arm not below the last one
-        #: it took (at a steady rate all of them: the clock only moves
-        #: forward); and a heap for the rest (after the rate went up) and for
-        #: reconnects
+        #: in-flight logical requests keyed by ``sequence * n + index``:
+        #: ``(groups still to answer, submission time)``
+        self._outstanding: Dict[int, Tuple[set, float]] = {}
+        #: the shared event-time wheel of (next_fire, client_index), merged
+        #: from three sorted sources.  A cursor over the clients that have
+        #: not fired yet (their first fire times are an arithmetic sequence,
+        #: one tuple at a time is enough); a FIFO of re-arms in two columns,
+        #: taking every fired client's re-arm not below the last one it took
+        #: (at a steady rate all of them: the clock only moves forward); and a
+        #: heap for the rest (after the rate went up) and for reconnects
         self._heap: List[Tuple[float, int]] = []
         self._fifo_times = array("d")
         self._fifo_indices = array("q")
@@ -251,34 +210,28 @@ class ClientSwarm(Actor):
         self._cold_head: Optional[Tuple[float, int]] = None
         self._cold_origin = 0.0
         self._cold_step = 0.0
-        #: open mode under a constant curve: every client's interval, computed
-        #: once (the curve's rate does not depend on time)
+        #: under a constant curve: every client's interval, computed once
+        #: (the curve's rate does not depend on time)
         self._constant_interval: Optional[float] = None
         self._armed_for: Optional[float] = None
 
         # -------------------------------------------------------- addressing
+        #: one port per client, or none (the shared endpoint)
         self._ports: List[_SwarmPort] = []
-        if addressing == "ports":
-            if port_names is not None and len(port_names) != clients:
-                raise ValueError("port_names must name every client")
-            names = list(port_names) if port_names is not None else [
-                f"{name}.{i}" for i in range(clients)
-            ]
-            for i, port_name in enumerate(names):
-                port = _SwarmPort(port_name, site, self, i)
+        if clients <= self.PORT_ADDRESSING_LIMIT:
+            for i in range(clients):
+                port = _SwarmPort(f"{name}.{i}", site, self, i)
                 env.register(port)  # type: ignore[arg-type]
                 self._ports.append(port)
 
         # ----------------------------------------------------------- metrics
-        self._latency = env.metrics.latency(f"{metric_prefix}.latency", sketch=self._sketch)
+        self._latency = env.metrics.latency(f"{metric_prefix}.latency", sketch=sketch)
         self._throughput = env.metrics.throughput(f"{metric_prefix}.throughput")
-        #: closed mode's per-operation latency recorders, resolved once per label
-        self._op_latency: Dict[str, LatencyRecorder] = {}
         self._slo: Optional[SloTracker] = None
         #: SLO classes, sorted: client ``i`` is in ``classes[i % len(classes)]``
         self._slo_classes: Tuple[str, ...] = ()
         if slo:
-            self._slo = SloTracker(env.metrics, slo, sketch=self._sketch)
+            self._slo = SloTracker(env.metrics, slo, sketch=sketch)
             self._slo_classes = tuple(sorted(slo))
         self._churn_counters = (
             env.metrics.counter(f"{metric_prefix}.churn.disconnects"),
@@ -290,29 +243,21 @@ class ClientSwarm(Actor):
 
     # ------------------------------------------------------------------ start
     def on_start(self) -> None:
-        if self._mode == "closed":
-            for index in range(self._n):
-                for _ in range(self._concurrency):
-                    self._issue(index)
+        now = self.now
+        # Computed as 1 / per-client-rate — the exact expression an
+        # individual fixed-rate client uses for its interval, so the fire
+        # times agree bit-for-bit in the differential.
+        interval = 1.0 / (self._arrival.rate_at(now) / self._n)
+        if self._arrival.kind == "constant":
+            self._constant_interval = interval
+        if self.STAGGER:
+            self._cold_origin = now
+            self._cold_step = interval / self._n
         else:
-            now = self.now
-            # Computed as 1 / per-client-rate — the exact expression an
-            # individual OpenLoopClient uses for its interval, so the fire
-            # times agree bit-for-bit in the differential.
-            interval = 1.0 / (self._arrival.rate_at(now) / self._n)
-            if self._arrival.kind == "constant":
-                self._constant_interval = interval
-            if self._stagger:
-                self._cold_origin = now
-                self._cold_step = interval / self._n
-            else:
-                # Every client's first request one per-client interval after
-                # start — exactly when n individual OpenLoopClients would
-                # first fire their periodic timers.
-                self._cold_origin = now + interval
-                self._cold_step = 0.0
-            self._cold_head = self._cold_entry(0)
-            self._arm_wheel()
+            self._cold_origin = now + interval
+            self._cold_step = 0.0
+        self._cold_head = self._cold_entry(0)
+        self._arm_wheel()
         if self._churn is not None:
             self._schedule_churn()
 
@@ -324,17 +269,9 @@ class ClientSwarm(Actor):
         self._issued[index] = sequence + 1
         commands, await_groups = self._factory(index, sequence)
         key = sequence * self._n + index
-        # Only a closed loop reads the label (its per-operation recorders):
-        # the sorted set of the request's operations; one command's is its op.
-        label = ""
-        if self._mode == "closed":
-            if len(commands) == 1:
-                label = commands[0].op
-            else:
-                label = "-".join(sorted({c.op for c in commands})) or "noop"
         now = self.env.simulator._now
-        self._outstanding[key] = (set(await_groups), now, label)
-        if self._addressing == "ports":
+        self._outstanding[key] = (set(await_groups), now)
+        if self._ports:
             src = self._ports[index].name
             request_key = sequence  # the id an individual actor would use
         else:
@@ -510,7 +447,7 @@ class ClientSwarm(Actor):
             for k in stale:
                 del self._outstanding[k]
             spec = self._churn
-            factor = 1.0 + spec.jitter * (2.0 * rng.random() - 1.0)
+            factor = 1.0 + spec.JITTER * (2.0 * rng.random() - 1.0)
             self.set_timer(max(1e-6, spec.downtime * factor), lambda: self._reconnect(victim))
         self._schedule_churn()
 
@@ -519,13 +456,9 @@ class ClientSwarm(Actor):
             return
         self._online[index] = 1
         self._churn_counters[1].increment()
-        if self._mode == "closed":
-            for _ in range(self._concurrency):
-                self._issue(index)
-        else:
-            interval = 1.0 / (self._arrival.rate_at(self.now) / self._n)
-            heapq.heappush(self._heap, (self.now + interval, index))
-            self._arm_wheel()
+        interval = 1.0 / (self._arrival.rate_at(self.now) / self._n)
+        heapq.heappush(self._heap, (self.now + interval, index))
+        self._arm_wheel()
 
     # ---------------------------------------------------------- response side
     def _on_port_message(self, index: int, sender: str, message: Any) -> None:
@@ -546,7 +479,7 @@ class ClientSwarm(Actor):
         entry = self._outstanding.get(key)
         if entry is None:
             return  # duplicate, or the client churned away meanwhile
-        pending, submitted_at, label = entry
+        pending, submitted_at = entry
         group_id = message.group_id
         if group_id is not None:
             pending.discard(group_id)
@@ -558,19 +491,10 @@ class ClientSwarm(Actor):
         self._completed[index] += 1
         elapsed = self.env.simulator._now - submitted_at
         self._latency.record(elapsed)
-        if self._mode == "closed":
-            recorder = self._op_latency.get(label)
-            if recorder is None:
-                recorder = self._op_latency[label] = self.env.metrics.latency(
-                    f"{self._metric_prefix}.latency.{label}", sketch=self._sketch
-                )
-            recorder.record(elapsed)
         self._throughput.record(1.0)
         if self._slo is not None:
             classes = self._slo_classes
             self._slo.record(classes[index % len(classes)], elapsed)
-        if self._mode == "closed" and self._online[index]:
-            self._issue(index)
 
     # -------------------------------------------------------------- inspection
     @property

@@ -19,9 +19,6 @@ from typing import Dict, List
 
 __all__ = ["LogEntry", "LogSegment", "SharedLog"]
 
-#: Default in-memory cache size (Section 7.3).
-DEFAULT_CACHE_BYTES = 200 * 1024 * 1024
-
 
 @dataclass(frozen=True, slots=True)
 class LogEntry:
@@ -44,11 +41,11 @@ class LogSegment:
 class SharedLog:
     """Append-only log with a bounded in-memory cache and trim support."""
 
-    def __init__(self, log_id: int, cache_bytes: int = DEFAULT_CACHE_BYTES) -> None:
-        if cache_bytes <= 0:
-            raise ValueError("cache_bytes must be positive")
+    #: In-memory cache size (Section 7.3).
+    CACHE_BYTES = 200 * 1024 * 1024
+
+    def __init__(self, log_id: int) -> None:
         self.log_id = log_id
-        self.cache_bytes = cache_bytes
         self._next_position = 0
         self._cache: "OrderedDict[int, LogEntry]" = OrderedDict()
         self._cache_size = 0
@@ -69,7 +66,7 @@ class SharedLog:
         return position
 
     def _evict_if_needed(self) -> None:
-        while self._cache_size > self.cache_bytes and self._cache:
+        while self._cache_size > self.CACHE_BYTES and self._cache:
             _, evicted = self._cache.popitem(last=False)
             self._cache_size -= evicted.size_bytes
 

@@ -169,7 +169,6 @@ SegmentLike = Union["RingSegment", Iterable[Tuple[int, ProposalValue]]]
 def replay_streams(
     streams: Mapping[int, RingStream],
     messages_per_round: int = 1,
-    on_deliver: Optional[DeliverCallback] = None,
 ) -> List[Tuple[int, int, ProposalValue]]:
     """Replay recorded per-ring decision streams through the deterministic merge.
 
@@ -184,14 +183,11 @@ def replay_streams(
 
     Returns the merged deliveries as ``(group, instance, value)`` triples
     (skips consumed silently, batches unpacked — the same output an online
-    merger hands to the application).  ``on_deliver`` is additionally invoked
-    per delivery when given.
+    merger hands to the application).
     """
     if not streams:
         raise ValueError("replay needs at least one group stream")
-    cursor = MergeCursor(
-        sorted(streams), messages_per_round=messages_per_round, on_deliver=on_deliver
-    )
+    cursor = MergeCursor(sorted(streams), messages_per_round=messages_per_round)
     for group in sorted(streams):
         cursor.feed(group, streams[group])
     return cursor.merged

@@ -61,16 +61,20 @@ class CoordinatorState:
         The ballot it owns after Phase 1 pre-execution.
     config:
         The deployment's :class:`~repro.core.config.MultiRingConfig`.  Its
-        ``batching_enabled`` / ``batch_max_bytes`` decide how values share
-        instances; its ``rate_interval`` (Δ) and ``max_rate`` (λ) decide
-        rate leveling: at each Δ the ring is expected to have proposed
-        ``round(λ·Δ)`` instances (45 for ``MultiRingConfig()``, 40 for
+        ``batching_enabled`` decides whether values share instances (of up
+        to :attr:`BATCH_MAX_BYTES` payload); its ``rate_interval`` (Δ) and
+        ``max_rate`` (λ) decide rate leveling: at each Δ the ring is
+        expected to have proposed ``round(λ·Δ)`` instances (45 for
+        ``MultiRingConfig()``, 40 for
         :func:`~repro.core.config.global_config`), and the difference is
         proposed as skips.  ``rate_interval=None`` proposes none.
     """
 
     #: Number of instances for which Phase 1 is pre-executed in one go.
     PHASE1_WINDOW = 1 << 20
+    #: Maximum bytes of payload packed into one instance when batching: the
+    #: prototype's 32 KB client batches (Sections 7.2 and 7.3).
+    BATCH_MAX_BYTES = 32 * 1024
 
     def __init__(
         self,
@@ -117,18 +121,19 @@ class CoordinatorState:
         Returns ``(instance, value)`` pairs ready to be sent in Phase 2
         messages.  Without batching each pending value gets its own instance;
         with batching, values are packed into instances of up to
-        ``batch_max_bytes`` payload.  A packed instance keeps every constituent
-        value intact inside :class:`PackedValues` — all ``(proposer,
-        proposal_id, created_at)`` triples survive (the wrapping value's own
-        header fields mirror the first constituent, but consumers must use
-        the shared unpacker (:func:`repro.core.packing.iter_values`), never
-        the wrapper's header, to match acks).
+        :attr:`BATCH_MAX_BYTES` payload.  A packed instance keeps every
+        constituent value intact inside :class:`PackedValues` — all
+        ``(proposer, proposal_id, created_at)`` triples survive (the wrapping
+        value's own header fields mirror the first constituent, but
+        consumers must use the shared unpacker
+        (:func:`repro.core.packing.iter_values`), never the wrapper's header,
+        to match acks).
 
         ``force=False`` implements the hold side of size-or-timeout assembly:
-        only batches that already fill ``batch_max_bytes`` are emitted, and a
-        trailing partial batch stays queued for the caller's delay timer to
-        flush later (with ``force=True``).  Without batching ``force`` is
-        ignored — every value drains immediately.
+        only batches that already fill :attr:`BATCH_MAX_BYTES` are emitted,
+        and a trailing partial batch stays queued for the caller's delay
+        timer to flush later (with ``force=True``).  Without batching
+        ``force`` is ignored — every value drains immediately.
         """
         if not self.phase1_ready:
             return []
@@ -139,7 +144,7 @@ class CoordinatorState:
                 assignments.append((self.ledger.allocate(), pending.popleft()))
             self._pending_bytes = 0
         else:
-            max_bytes = self.config.batch_max_bytes
+            max_bytes = self.BATCH_MAX_BYTES
             # The next greedy group is partial (takes all that is queued yet
             # stays under ``max_bytes``) exactly when the running total is
             # below ``max_bytes``: hold it for the delay trigger in O(1).

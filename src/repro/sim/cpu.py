@@ -49,15 +49,14 @@ class CpuAccount:
         self._window_start = 0.0
         self._window_busy = 0.0
 
-    def charge_message(self, model: CpuCostModel, size_bytes: int, count: int = 1) -> None:
-        """Charge the cost of processing ``count`` messages totalling ``size_bytes``.
+    def charge_message(self, model: CpuCostModel, size_bytes: int) -> None:
+        """Charge the cost of processing one message of ``size_bytes``.
 
         Runs once per protocol message; both operands are non-negative by
         construction.  The ring hop (``MultiRingProcess.on_message``) repeats
-        these two lines in its own frame for ``count == 1``; keep the two in
-        step.
+        these two lines in its own frame; keep the two in step.
         """
-        cost = model.per_message * count + model.per_byte * size_bytes
+        cost = model.per_message + model.per_byte * size_bytes
         self._window_busy += cost
 
     def reset_window(self) -> None:

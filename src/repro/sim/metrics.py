@@ -67,11 +67,9 @@ class Counter:
         """Current count."""
         return self._value
 
-    def increment(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be non-negative) to the counter."""
-        if amount < 0:
-            raise ValueError("counters only increase")
-        self._value += amount
+    def increment(self) -> None:
+        """Add one to the counter."""
+        self._value += 1.0
 
     def reset(self) -> None:
         """Reset the counter to zero (start of a measurement window)."""

@@ -1,4 +1,4 @@
-"""Deployment topologies: sites, regions and inter-site latencies.
+"""Deployment topologies: sites and inter-site latencies.
 
 The paper evaluates in two environments:
 
@@ -18,7 +18,7 @@ to the US west coast).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 __all__ = ["Site", "Topology", "single_datacenter", "ec2_global", "EC2_REGIONS"]
 
@@ -34,13 +34,9 @@ class Site:
     ----------
     name:
         Unique site name (e.g. ``"dc1"`` or ``"eu-west-1"``).
-    region:
-        Region label used to group sites; for a single datacenter the region
-        and the site coincide.
     """
 
     name: str
-    region: str
 
 
 class Topology:
@@ -63,11 +59,11 @@ class Topology:
         self.local_bandwidth_bps = local_bandwidth_bps
 
     # ----------------------------------------------------------------- sites
-    def add_site(self, name: str, region: Optional[str] = None) -> Site:
-        """Add a site; the region defaults to the site name."""
+    def add_site(self, name: str) -> Site:
+        """Add a site."""
         if name in self._sites:
             raise ValueError(f"site already exists: {name}")
-        site = Site(name=name, region=region or name)
+        site = Site(name=name)
         self._sites[name] = site
         return site
 
@@ -121,13 +117,17 @@ LAN_BANDWIDTH_BPS = 10e9
 WAN_BANDWIDTH_BPS = 0.5e9
 
 
-def single_datacenter(name: str = "dc1", rtt: float = 0.0001) -> Topology:
+#: Round-trip time within the paper's local cluster (seconds).
+LAN_RTT = 0.0001
+
+
+def single_datacenter(name: str = "dc1") -> Topology:
     """The paper's local cluster: one site, 0.1 ms RTT, 10 Gbps links.
 
-    All processes are placed on the single site; the RTT parameter controls
-    the intra-site latency (one-way latency is ``rtt / 2``).
+    All processes are placed on the single site; the intra-site one-way
+    latency is ``LAN_RTT / 2``.
     """
-    topo = Topology(local_latency=rtt / 2.0, local_bandwidth_bps=LAN_BANDWIDTH_BPS)
+    topo = Topology(local_latency=LAN_RTT / 2.0, local_bandwidth_bps=LAN_BANDWIDTH_BPS)
     topo.add_site(name)
     return topo
 

@@ -63,24 +63,21 @@ class CheckpointStore:
     profile:
         Device profile used for checkpoint writes (defaults to SSD since the
         paper's replicas write checkpoints to local SSDs).
-    keep:
-        Number of checkpoints retained; older ones are discarded, modelling
-        bounded local storage.
     """
+
+    #: Number of checkpoints retained; older ones are discarded, modelling
+    #: bounded local storage.
+    KEEP = 3
 
     def __init__(
         self,
         env: Environment,
         profile: DiskProfile = SSD_PROFILE,
         name: str = "ckpt",
-        keep: int = 3,
         disk: Optional[Disk] = None,
     ) -> None:
-        if keep < 1:
-            raise ValueError("must keep at least one checkpoint")
         self.env = env
         self.disk = disk or Disk(env, profile, name=f"{name}.disk")
-        self._keep = keep
         self._checkpoints: List[Checkpoint] = []
 
     # ------------------------------------------------------------------ write
@@ -104,8 +101,8 @@ class CheckpointStore:
             taken_at=self.env.simulator.now,
         )
         self._checkpoints.append(checkpoint)
-        if len(self._checkpoints) > self._keep:
-            self._checkpoints = self._checkpoints[-self._keep:]
+        if len(self._checkpoints) > self.KEEP:
+            self._checkpoints = self._checkpoints[-self.KEEP:]
         self.disk.write(size_bytes, on_complete=on_durable)
         return checkpoint
 

@@ -41,8 +41,6 @@ class WriteAheadLog:
     mode:
         Storage mode; :data:`~repro.sim.disk.StorageMode.IN_MEMORY` keeps
         records only in memory (no durability, no device charge).
-    flush_interval:
-        Background flush period for asynchronous modes.
     name:
         Label used for the device (useful when each ring has its own disk, as
         in the vertical-scalability experiment of Figure 6).
@@ -51,11 +49,13 @@ class WriteAheadLog:
         disk or an experiment to pin each ring to a dedicated disk.
     """
 
+    #: Background flush period for asynchronous modes (seconds).
+    FLUSH_INTERVAL = 0.005
+
     def __init__(
         self,
         env: Environment,
         mode: StorageMode = StorageMode.IN_MEMORY,
-        flush_interval: float = 0.005,
         name: str = "wal",
         disk: Optional[Disk] = None,
     ) -> None:
@@ -72,7 +72,6 @@ class WriteAheadLog:
         #: instances appended since the last flush, and their device bytes
         self._pending = array("q")
         self._pending_bytes = 0
-        self._flush_interval = flush_interval
         self._flush_scheduled = False
         # Mode flags resolved once: append() runs per vote on the ring path.
         self._memory_mode = mode is StorageMode.IN_MEMORY or self.disk is None
@@ -133,7 +132,7 @@ class WriteAheadLog:
         if self._flush_scheduled:
             return
         self._flush_scheduled = True
-        self._simulator._post(self._flush_interval, self._flush)
+        self._simulator._post(self.FLUSH_INTERVAL, self._flush)
 
     def _flush(self) -> None:
         self._flush_scheduled = False

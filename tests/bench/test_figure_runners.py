@@ -58,6 +58,11 @@ def test_figure_point_reproduces_the_golden_values(name):
     )
 
 
+def test_fig4_s_swarm_runs_open_loop_only():
+    with pytest.raises(ValueError, match="open loop only"):
+        run_fig4_point("mrp-store", "A", client_engine="swarm", client_mode="closed")
+
+
 class TestReporting:
     def test_format_table_aligns_columns(self):
         table = format_table(["a", "metric"], [["x", 1.5], ["longer", 12345.0]])

@@ -69,7 +69,7 @@ def fig3(**runner_arguments):
 def kv_global_open():
     return run_fig4_point(
         "mrp-store", "A", warmup=0.02, duration=0.1, seed=42, client_engine="swarm",
-        simulated_users=100_000, client_mode="open", arrival=constant(24_000.0),
+        simulated_users=100_000, arrival=constant(24_000.0),
         slo={"gold": 0.020},
     )
 

@@ -76,7 +76,7 @@ def kv_global_open(duration: float):
     """The ledger's MRP-Store swarm workload (100k users, 24k ops/s), shortened."""
     return run_fig4_point(
         "mrp-store", "A", warmup=0.02, duration=duration, seed=42, client_engine="swarm",
-        simulated_users=100_000, client_mode="open", arrival=constant(24_000.0),
+        simulated_users=100_000, arrival=constant(24_000.0),
         slo={"gold": 0.020},
     )
 

@@ -1,15 +1,16 @@
-"""Tests of the deployment façade and the closed/open-loop clients."""
+"""Tests of the deployment façade, the closed-loop client and the open-loop swarm."""
 
 from collections import Counter
 
 import pytest
 
 from repro.core import AtomicMulticast, MultiRingConfig
-from repro.core.client import ClosedLoopClient, Command, OpenLoopClient
+from repro.core.client import ClosedLoopClient, Command
 from repro.core.smr import ProposerFrontend, StateMachineReplica
 from repro.core.swarm import ClientSwarm, shared_factory
 from repro.net.message import ClientRequest
 from repro.sim.metrics import MetricRegistry
+from repro.workloads.arrival import constant
 
 from tests.conftest import RecordingProcess
 
@@ -57,16 +58,11 @@ def build_counter_service(
             request_factory=factory, concurrency=concurrency, metric_prefix="cnt",
             **client_kwargs,
         )
-    elif client_cls is ClientSwarm:
+    else:
         client = ClientSwarm(
             system.env, "client", frontends_by_group={0: "fe0"},
-            request_factory=shared_factory(factory), clients=concurrency, mode="closed",
+            request_factory=shared_factory(factory), clients=concurrency,
             metric_prefix="cnt", **client_kwargs,
-        )
-    else:
-        client = OpenLoopClient(
-            system.env, "client", frontends_by_group={0: "fe0"},
-            request_factory=factory, metric_prefix="cnt", **client_kwargs,
         )
     return system, frontends, replicas, client
 
@@ -160,12 +156,6 @@ class TestAtomicMulticastFacade:
             assert system.ring(r).epoch == 2
         assert system.process("a1").alive
 
-    def test_a_crash_without_reconfiguration_keeps_every_ring(self):
-        system = self._two_rings()
-        system.crash_process("l0", reconfigure_rings=False)
-        assert not system.process("l0").alive
-        assert all("l0" in system.ring(r) and system.ring(r).epoch == 0 for r in (0, 1))
-
     def test_a_crashed_coordinator_hands_its_ring_to_the_first_live_acceptor(self):
         system = self._two_rings()
         assert system.ring(0).coordinator == "a0"
@@ -234,7 +224,7 @@ class TestStateMachineReplicaAndClients:
 
     def test_open_loop_client_issues_at_fixed_rate(self):
         system, frontends, replicas, client = build_counter_service(
-            client_cls=OpenLoopClient, rate_per_second=100.0
+            concurrency=1, client_cls=ClientSwarm, arrival=constant(100.0)
         )
         system.start()
         system.run(until=2.0)
@@ -250,8 +240,7 @@ class TestStateMachineReplicaAndClients:
         assert latencies.count == client.completed
         assert per_op.count == client.completed
 
-    @pytest.mark.parametrize("client_cls", [ClosedLoopClient, ClientSwarm])
-    def test_per_op_recorders_are_resolved_once_per_label(self, client_cls, monkeypatch):
+    def test_per_op_recorders_are_resolved_once_per_label(self, monkeypatch):
         resolved = Counter()
         latency = MetricRegistry.latency
 
@@ -268,7 +257,7 @@ class TestStateMachineReplicaAndClients:
             return [Command(op="get", group_id=0, size_bytes=64), add], [0]
 
         system, _frontends, _replicas, client = build_counter_service(
-            client_cls=client_cls, factory=add_or_add_and_get
+            factory=add_or_add_and_get
         )
         system.start()
         system.run(until=1.0)

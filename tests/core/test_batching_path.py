@@ -75,9 +75,8 @@ class TestSharedUnpacker:
 
 class TestPackedMetadata:
     def _coordinator(self, max_bytes=256):
-        state = CoordinatorState(
-            0, 1, MultiRingConfig(batching_enabled=True, batch_max_bytes=max_bytes)
-        )
+        state = CoordinatorState(0, 1, MultiRingConfig(batching_enabled=True))
+        state.BATCH_MAX_BYTES = max_bytes
         state.record_promise("a0", quorum=1)
         return state
 
@@ -166,7 +165,6 @@ class TestSMRPackedValues:
         """A PUT/GET round-trips through a real replica with batching on."""
         config = MultiRingConfig(
             batching_enabled=True,
-            batch_max_bytes=4096,
             batch_max_delay=0.0005,
             rate_interval=None, checkpoint_interval=None, trim_interval=None,
         )

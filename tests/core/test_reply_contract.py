@@ -4,8 +4,8 @@ A replica answers a command with the group (partition) it replicates.  A
 request addressed to several partitions — a scan — completes once each of
 them answered; a second replica of a partition that already answered counts
 for nothing; a response without a group completes its request outright.  The
-closed-loop client, the open-loop client and the swarm (per-client ports and
-the shared endpoint) all complete requests by this one rule.
+closed-loop client and the open-loop swarm (per-client ports and the shared
+endpoint) complete requests by this one rule.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core import AtomicMulticast
-from repro.core.client import ClosedLoopClient, Command, OpenLoopClient
+from repro.core.client import ClosedLoopClient, Command
 from repro.core.swarm import ClientSwarm, shared_factory
 from repro.net.message import ClientRequest, ClientResponse
 from repro.sim.actor import Actor
+from repro.workloads.arrival import constant
 
 GROUPS = (0, 1, 2)
 
@@ -38,18 +39,21 @@ def scan_every_partition(sequence):
     return commands, list(GROUPS)
 
 
+class _SharedEndpointSwarm(ClientSwarm):
+    PORT_ADDRESSING_LIMIT = 0
+
+
 def _client(kind, env, frontends):
     if kind == "closed-loop":
         return ClosedLoopClient(env, "client", frontends, scan_every_partition)
-    if kind == "open-loop":
-        return OpenLoopClient(env, "client", frontends, scan_every_partition, rate_per_second=10.0)
-    return ClientSwarm(
+    swarm_cls = ClientSwarm if kind == "swarm-ports" else _SharedEndpointSwarm
+    return swarm_cls(
         env, "client", frontends, shared_factory(scan_every_partition), clients=1,
-        addressing=kind.split("-")[1],
+        arrival=constant(10.0),
     )
 
 
-@pytest.mark.parametrize("kind", ["closed-loop", "open-loop", "swarm-ports", "swarm-shared"])
+@pytest.mark.parametrize("kind", ["closed-loop", "swarm-ports", "swarm-shared"])
 def test_a_scan_completes_once_every_partition_answered(kind):
     system = AtomicMulticast(seed=3)
     env = system.env
@@ -67,7 +71,7 @@ def test_a_scan_completes_once_every_partition_answered(kind):
         system.run(until=env.now + 0.005)
         return client.completed
 
-    system.run(until=0.101)  # the open-loop client issues at 0.1 s
+    system.run(until=0.101)  # the swarm issues at 0.1 s
     assert [len(frontend.requests) for frontend in frontends] == [1, 1, 1]
     assert answer(0, 0) == 0
     assert answer(0, 0) == 0  # another replica of partition 0

@@ -1,11 +1,13 @@
 """Differential proof: a ClientSwarm is bit-identical to individual clients.
 
 The keystone suite of the flyweight workload engine: ``ClientSwarm(n=K)``
-with port addressing must emit a command stream bit-identical to ``K``
-individual client actors — same seeds, same ``created_at``s, same delivery
-order through a real MRP-Store service — with batching off and on, for
-closed- and open-loop clients, and the shared-endpoint addressing mode must
-produce the same workload trace as the ports mode.
+with port addressing and ``STAGGER`` off must emit a command stream
+bit-identical to ``K`` individual fixed-rate client actors
+(``tests/reference/open_loop.py``) — same seeds, same ``created_at``s, same
+delivery order through a real MRP-Store service — with batching off and on,
+with multi-partition scans, and for one client on a remote site (Figure 7's
+shape); and the shared-endpoint addressing mode must produce the same
+workload trace as the ports mode.
 
 Methodology: every ``network.send`` is tapped (requests *and* replica
 responses), so the comparison covers the full externally visible timeline —
@@ -19,15 +21,16 @@ import random
 import pytest
 
 from repro.core import AtomicMulticast, MultiRingConfig
-from repro.core.client import ClosedLoopClient, OpenLoopClient
 from repro.core.swarm import ChurnSpec, ClientSwarm
 from repro.kvstore import MRPStoreService
 from repro.kvstore.client import MRPStoreCommands, kv_request_factory
 from repro.kvstore.partitioning import HashPartitioner
 from repro.net.message import ClientRequest, ClientResponse
+from repro.sim.topology import ec2_global
 from repro.workloads.arrival import constant
 from repro.workloads.ycsb import RECORD_BYTES, YCSB_WORKLOADS, YCSBWorkload, ycsb_key
 from tests.conftest import IssueTap
+from tests.reference.open_loop import OpenLoopClient
 
 # The multi-second comparisons are slow-marked: CI runs them in their own step
 # ("Swarm differential", ``-m slow``); the sub-second open-loop and wheel
@@ -35,18 +38,21 @@ from tests.conftest import IssueTap
 
 PARTITIONS = [0, 1]
 RECORDS = 200
+#: The service's site and the remote client site of Figure 7's shape.
+SERVICE_SITE, REMOTE_SITE = "us-west-2", "eu-west-1"
 
 
-def _build_service(seed, batching, jitter=0.05):
+def _build_service(seed, batching, jitter=0.05, remote=False):
     config = MultiRingConfig(
         batching_enabled=batching,
-        batch_max_bytes=2048,
         batch_max_delay=0.0005,
         rate_interval=None,
         checkpoint_interval=None,
         trim_interval=None,
     )
-    system = AtomicMulticast(seed=seed, config=config, jitter_fraction=jitter)
+    topology = ec2_global([SERVICE_SITE, REMOTE_SITE]) if remote else None
+    system = AtomicMulticast(seed=seed, config=config, jitter_fraction=jitter,
+                             topology=topology)
     service = MRPStoreService(
         system,
         partition_groups=PARTITIONS,
@@ -98,60 +104,13 @@ def _latency_state(system):
     }
 
 
-def _run_actors(seed, batching, k, concurrency, until, jitter=0.05, workload="F"):
-    system, frontends = _build_service(seed, batching, jitter)
-    clients = [
-        ClosedLoopClient(
-            system.env, f"cl{i}", frontends, _factory_for(seed, i, workload),
-            concurrency=concurrency,
-        )
-        for i in range(k)
-    ]
-    log = _tap_network(system)
-    system.start()
-    system.run(until=until)
-    return {
-        "log": log,
-        "latencies": _latency_state(system),
-        "issued": [c._issued for c in clients],
-        "completed": [c.completed for c in clients],
-    }
-
-
-def _run_swarm(seed, batching, k, concurrency, until, jitter=0.05,
-               addressing="ports", workload="F"):
-    system, frontends = _build_service(seed, batching, jitter)
-    factories = [_factory_for(seed, i, workload) for i in range(k)]
-    swarm = ClientSwarm(
-        system.env,
-        "swarm",
-        frontends,
-        lambda index, sequence: factories[index](sequence),
-        clients=k,
-        concurrency=concurrency,
-        addressing=addressing,
-        port_names=[f"cl{i}" for i in range(k)] if addressing == "ports" else None,
-        sketch=None,
-    )
-    issues = IssueTap(system.network, swarm)
-    log = _tap_network(system)
-    system.start()
-    system.run(until=until)
-    return {
-        "log": log,
-        "latencies": _latency_state(system),
-        "issued": [swarm._issued[i] for i in range(k)],
-        "completed": [swarm._completed[i] for i in range(k)],
-        "trace": issues.trace,
-    }
-
-
-def _run_open_actors(seed, k, rate_each, until, jitter=0.05):
-    system, frontends = _build_service(seed, batching=False, jitter=jitter)
+def _run_open_actors(seed, k, rate_each, until, jitter=0.05, batching=False,
+                     workload="F", remote=False):
+    system, frontends = _build_service(seed, batching, jitter, remote)
     clients = [
         OpenLoopClient(
-            system.env, f"cl{i}", frontends, _factory_for(seed, i),
-            rate_per_second=rate_each,
+            system.env, f"swarm.{i}", frontends, _factory_for(seed, i, workload),
+            rate_per_second=rate_each, site=REMOTE_SITE if remote else "dc1",
         )
         for i in range(k)
     ]
@@ -167,22 +126,23 @@ def _run_open_actors(seed, k, rate_each, until, jitter=0.05):
 
 
 def _run_open_swarm(seed, k, aggregate_rate, until, jitter=0.05, swarm_cls=ClientSwarm,
-                    stagger=False, churn=None):
-    system, frontends = _build_service(seed, batching=False, jitter=jitter)
-    factories = [_factory_for(seed, i) for i in range(k)]
-    swarm = swarm_cls(
+                    stagger=False, churn=None, batching=False, workload="F",
+                    remote=False, shared=False):
+    system, frontends = _build_service(seed, batching, jitter, remote)
+    factories = [_factory_for(seed, i, workload) for i in range(k)]
+    # A test sets the class constants on a subclass of its own.
+    constants = {"STAGGER": stagger}
+    if shared:
+        constants["PORT_ADDRESSING_LIMIT"] = 0
+    swarm = type(swarm_cls.__name__, (swarm_cls,), constants)(
         system.env,
         "swarm",
         frontends,
         lambda index, sequence: factories[index](sequence),
         clients=k,
-        mode="open",
         arrival=constant(aggregate_rate),
-        stagger=stagger,
-        addressing="ports",
-        port_names=[f"cl{i}" for i in range(k)],
+        site=REMOTE_SITE if remote else "dc1",
         churn=churn,
-        sketch=None,
     )
     issues = IssueTap(system.network, swarm)
     log = _tap_network(system)
@@ -207,40 +167,38 @@ def _assert_identical(reference, swarm):
     assert sum(reference["completed"]) > 0  # the runs actually did work
 
 
-@pytest.mark.slow
-class TestClosedLoopDifferential:
-    def test_bit_identical_batching_off(self):
-        reference = _run_actors(seed=11, batching=False, k=4, concurrency=1, until=1.4)
-        swarm = _run_swarm(seed=11, batching=False, k=4, concurrency=1, until=1.4)
-        _assert_identical(reference, swarm)
-
-    def test_bit_identical_batching_on(self):
-        reference = _run_actors(seed=12, batching=True, k=4, concurrency=1, until=1.4)
-        swarm = _run_swarm(seed=12, batching=True, k=4, concurrency=1, until=1.4)
-        _assert_identical(reference, swarm)
-
-    def test_bit_identical_multiple_outstanding_per_client(self):
-        reference = _run_actors(seed=13, batching=False, k=3, concurrency=2, until=1.2)
-        swarm = _run_swarm(seed=13, batching=False, k=3, concurrency=2, until=1.2)
-        _assert_identical(reference, swarm)
-
-    def test_bit_identical_with_multi_group_scans(self):
-        """Workload E: scans await responses from several partitions."""
-        reference = _run_actors(
-            seed=14, batching=False, k=3, concurrency=1, until=1.2, workload="E"
-        )
-        swarm = _run_swarm(
-            seed=14, batching=False, k=3, concurrency=1, until=1.2, workload="E"
-        )
-        _assert_identical(reference, swarm)
-
-
 class TestOpenLoopDifferential:
     def test_bit_identical_open_loop(self):
         # Aggregate 240 req/s over 3 clients == 80 req/s each; stagger off
         # replicates the simultaneous first fires of individual actors.
         reference = _run_open_actors(seed=21, k=3, rate_each=240.0 / 3, until=1.2)
         swarm = _run_open_swarm(seed=21, k=3, aggregate_rate=240.0, until=1.2)
+        _assert_identical(reference, swarm)
+
+    @pytest.mark.slow
+    def test_bit_identical_batching_on(self):
+        reference = _run_open_actors(seed=12, k=4, rate_each=100.0, until=1.4, batching=True)
+        swarm = _run_open_swarm(seed=12, k=4, aggregate_rate=400.0, until=1.4, batching=True)
+        _assert_identical(reference, swarm)
+
+    @pytest.mark.slow
+    def test_bit_identical_with_multi_group_scans(self):
+        """Workload E: scans await responses from several partitions."""
+        reference = _run_open_actors(seed=14, k=3, rate_each=80.0, until=1.2, workload="E")
+        swarm = _run_open_swarm(seed=14, k=3, aggregate_rate=240.0, until=1.2, workload="E")
+        _assert_identical(reference, swarm)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("stagger", [False, True])
+    def test_one_remote_client_is_the_fixed_rate_actor(self, stagger):
+        """Figure 7's shape: one client on another site than the service.
+
+        With one client the first fire is one interval after start whether
+        or not the swarm staggers, so both forms match the actor.
+        """
+        reference = _run_open_actors(seed=15, k=1, rate_each=80.0, until=1.2, remote=True)
+        swarm = _run_open_swarm(seed=15, k=1, aggregate_rate=80.0, until=1.2, remote=True,
+                                stagger=stagger)
         _assert_identical(reference, swarm)
 
     def test_outstanding_counts_the_requests_still_in_flight(self):
@@ -289,14 +247,9 @@ class TestAddressingModes:
         Jitter is disabled: the shared endpoint funnels every client through
         one connection whose FIFO clamp would interleave jitter differently.
         """
-        ports = _run_swarm(
-            seed=31, batching=False, k=4, concurrency=1, until=1.2,
-            jitter=0.0, addressing="ports",
-        )
-        shared = _run_swarm(
-            seed=31, batching=False, k=4, concurrency=1, until=1.2,
-            jitter=0.0, addressing="shared",
-        )
+        arguments = dict(seed=31, k=4, aggregate_rate=320.0, until=1.2, jitter=0.0)
+        ports = _run_open_swarm(**arguments)
+        shared = _run_open_swarm(shared=True, **arguments)
         # The trace captures (index, sequence, op, args, group, created_at):
         # everything but the addressing-dependent identity.
         assert ports["trace"] == shared["trace"]
@@ -306,8 +259,8 @@ class TestAddressingModes:
         assert sum(ports["completed"]) > 0
 
     def test_swarm_rerun_is_deterministic(self):
-        first = _run_swarm(seed=32, batching=False, k=3, concurrency=1, until=1.0)
-        second = _run_swarm(seed=32, batching=False, k=3, concurrency=1, until=1.0)
+        first = _run_open_swarm(seed=32, k=3, aggregate_rate=240.0, until=1.0)
+        second = _run_open_swarm(seed=32, k=3, aggregate_rate=240.0, until=1.0)
         assert first["log"] == second["log"]
         assert first["trace"] == second["trace"]
         assert first["latencies"] == second["latencies"]

@@ -50,9 +50,9 @@ def _run(monkeypatch, swarm_cls, arrival, stagger=True, churn=ChurnSpec(rate=60.
     topology.add_site("dc1")
     network = Network(env, topology, jitter_fraction=0.0)
     _Sink(env, "frontend")
+    monkeypatch.setattr(ClientSwarm, "STAGGER", stagger)
     swarm = swarm_cls(
-        env, "swarm", {0: "frontend"}, _request, clients=CLIENTS, mode="open",
-        arrival=arrival, stagger=stagger, churn=churn, sketch=None,
+        env, "swarm", {0: "frontend"}, _request, clients=CLIENTS, arrival=arrival, churn=churn,
     )
     tap = IssueTap(network, swarm)
     heap_pushes = []

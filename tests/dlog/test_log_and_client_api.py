@@ -34,7 +34,8 @@ class TestSharedLog:
         assert len(log.segments) == 1
 
     def test_cache_eviction_respects_budget(self):
-        log = SharedLog(0, cache_bytes=1000)
+        log = SharedLog(0)
+        log.CACHE_BYTES = 1000
         for _ in range(20):
             log.append(100)
         assert log.cached_bytes <= 1000
@@ -55,9 +56,7 @@ class TestSharedLog:
         assert other.trimmed_up_to == 1
         assert other.cached_entries == log.cached_entries
 
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            SharedLog(0, cache_bytes=0)
+    def test_a_negative_size_is_rejected(self):
         with pytest.raises(ValueError):
             SharedLog(0).append(-1)
 

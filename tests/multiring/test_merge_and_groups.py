@@ -167,14 +167,6 @@ class TestReplayStreams:
         replayed = [(g, v.payload) for g, _, v in replay_streams(streams)]
         assert replayed == [(1, "x"), (1, "y"), (5, "z")]
 
-    def test_replay_callback_fires_per_delivery(self):
-        seen = []
-        replay_streams(
-            {0: [(0, value("m"))]},
-            on_deliver=lambda g, i, v: seen.append((g, i, v.payload)),
-        )
-        assert seen == [(0, 0, "m")]
-
     def test_replay_requires_a_stream(self):
         with pytest.raises(ValueError):
             replay_streams({})

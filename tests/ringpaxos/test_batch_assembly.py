@@ -100,9 +100,8 @@ program_step = st.one_of(
 @given(st.booleans(), st.lists(program_step, max_size=80))
 @settings(max_examples=300, deadline=None)
 def test_assembly_matches_pop_all_reference(enabled, program):
-    state = CoordinatorState(
-        0, 1, MultiRingConfig(batching_enabled=enabled, batch_max_bytes=MAX_BYTES)
-    )
+    state = CoordinatorState(0, 1, MultiRingConfig(batching_enabled=enabled))
+    state.BATCH_MAX_BYTES = MAX_BYTES
     reference = _PopAllReference(enabled)
     proposal_id = 0
     # Phase 1 may complete anywhere in the program; force it at the end so

@@ -98,8 +98,8 @@ class TestCoordinatorState:
         assert coordinator.ledger.next_instance == 3
 
     def test_batched_assignment_packs_values(self):
-        config = MultiRingConfig(batching_enabled=True, batch_max_bytes=250)
-        coordinator = CoordinatorState(0, 1, config)
+        coordinator = CoordinatorState(0, 1, MultiRingConfig(batching_enabled=True))
+        coordinator.BATCH_MAX_BYTES = 250
         coordinator.record_promise("a0", quorum=1)
         for i in range(5):
             coordinator.enqueue(value(i, size=100))

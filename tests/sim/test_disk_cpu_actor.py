@@ -93,7 +93,8 @@ class TestCpuAccounting:
         model = CpuCostModel(per_message=1e-6, per_byte=1e-9)
         clock = {"now": 0.0}
         account = CpuAccount(clock=lambda: clock["now"])
-        account.charge_message(model, size_bytes=1000, count=2)
+        account.charge_message(model, size_bytes=500)
+        account.charge_message(model, size_bytes=500)
         clock["now"] = 1.0
         assert account.utilization() == pytest.approx(2e-6 + 1e-6)
 

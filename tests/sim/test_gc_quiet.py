@@ -182,7 +182,7 @@ def _fig3_batched_smoke():
 def _fig4_store_swarm_smoke():
     return run_fig4_point(
         "mrp-store", "A", warmup=0.02, duration=0.1, record_count=500,
-        client_engine="swarm", simulated_users=2000, client_mode="open",
+        client_engine="swarm", simulated_users=2000,
         arrival=constant(5000.0), slo={"gold": 0.02},
     )
 

@@ -34,7 +34,7 @@ class TestWriteAheadLog:
 
     def test_async_mode_flushes_in_background(self):
         env = Environment()
-        log = WriteAheadLog(env, mode=StorageMode.ASYNC_SSD, flush_interval=0.01)
+        log = WriteAheadLog(env, mode=StorageMode.ASYNC_SSD)
         for i in range(10):
             log.append(i, 1, _value(), 100)
         env.simulator.run(until=0.1)
@@ -50,7 +50,7 @@ class TestWriteAheadLog:
 
     def test_crash_async_loses_unflushed_tail_only(self):
         env = Environment()
-        log = WriteAheadLog(env, mode=StorageMode.ASYNC_HDD, flush_interval=0.01)
+        log = WriteAheadLog(env, mode=StorageMode.ASYNC_HDD)
         log.append(0, 1, _value(), 10)
         env.simulator.run(until=0.1)  # flushed
         log.append(1, 1, _value(), 10)  # still buffered
@@ -89,7 +89,7 @@ class TestWriteAheadLog:
 
     def test_an_async_crash_drops_the_buffered_bytes_with_the_records(self):
         env = Environment()
-        log = WriteAheadLog(env, mode=StorageMode.ASYNC_SSD, flush_interval=0.01)
+        log = WriteAheadLog(env, mode=StorageMode.ASYNC_SSD)
         log.append(0, 1, _value(), 500)
         log.append(1, 1, _value(), 500)
         log.crash()  # before the first flush
@@ -111,7 +111,8 @@ class TestCheckpointId:
 class TestCheckpointStore:
     def test_save_and_latest(self):
         env = Environment()
-        store = CheckpointStore(env, keep=2)
+        store = CheckpointStore(env)
+        store.KEEP = 2
         first = store.save(CheckpointId.from_mapping({0: 1}), state={"a": 1}, size_bytes=100)
         second = store.save(CheckpointId.from_mapping({0: 2}), state={"a": 2}, size_bytes=100)
         assert store.latest() is second
@@ -119,7 +120,8 @@ class TestCheckpointStore:
 
     def test_keep_limit_discards_oldest(self):
         env = Environment()
-        store = CheckpointStore(env, keep=2)
+        store = CheckpointStore(env)
+        store.KEEP = 2
         for i in range(5):
             store.save(CheckpointId.from_mapping({0: i}), state=i, size_bytes=10)
         assert [c.state for c in store._checkpoints] == [3, 4]
@@ -132,10 +134,6 @@ class TestCheckpointStore:
                    on_durable=lambda: fired.append(env.simulator.now))
         env.simulator.run()
         assert fired and fired[0] > 0
-
-    def test_keep_must_be_positive(self):
-        with pytest.raises(ValueError):
-            CheckpointStore(Environment(), keep=0)
 
     def test_empty_store_has_no_latest(self):
         assert CheckpointStore(Environment()).latest() is None
