@@ -156,6 +156,19 @@ class TestAtomicMulticastFacade:
             assert system.ring(r).epoch == 2
         assert system.process("a1").alive
 
+    def test_a_crashed_learner_leaves_every_ring_and_restart_rejoins_them(self):
+        system = self._two_rings()
+        system.crash_process("l0")
+        assert not system.process("l0").alive
+        for r in (0, 1):
+            assert "l0" not in system.ring(r)
+            assert system.ring(r).epoch == 1
+        system.restart_process("l0")
+        for r in (0, 1):
+            assert system.ring(r).member("l0").learner
+            assert not system.ring(r).member("l0").acceptor
+        assert system.process("l0").alive
+
     def test_a_crashed_coordinator_hands_its_ring_to_the_first_live_acceptor(self):
         system = self._two_rings()
         assert system.ring(0).coordinator == "a0"

@@ -5,7 +5,8 @@ request addressed to several partitions — a scan — completes once each of
 them answered; a second replica of a partition that already answered counts
 for nothing; a response without a group completes its request outright.  The
 closed-loop client and the open-loop swarm (per-client ports and the shared
-endpoint) complete requests by this one rule.
+endpoint) complete requests by this one rule, and so does the fixed-rate
+client the open-loop differential takes as its reference.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from repro.core.swarm import ClientSwarm, shared_factory
 from repro.net.message import ClientRequest, ClientResponse
 from repro.sim.actor import Actor
 from repro.workloads.arrival import constant
+
+from tests.reference.open_loop import OpenLoopClient
 
 GROUPS = (0, 1, 2)
 
@@ -46,6 +49,8 @@ class _SharedEndpointSwarm(ClientSwarm):
 def _client(kind, env, frontends):
     if kind == "closed-loop":
         return ClosedLoopClient(env, "client", frontends, scan_every_partition)
+    if kind == "open-loop":
+        return OpenLoopClient(env, "client", frontends, scan_every_partition, rate_per_second=10.0)
     swarm_cls = ClientSwarm if kind == "swarm-ports" else _SharedEndpointSwarm
     return swarm_cls(
         env, "client", frontends, shared_factory(scan_every_partition), clients=1,
@@ -53,7 +58,7 @@ def _client(kind, env, frontends):
     )
 
 
-@pytest.mark.parametrize("kind", ["closed-loop", "swarm-ports", "swarm-shared"])
+@pytest.mark.parametrize("kind", ["closed-loop", "open-loop", "swarm-ports", "swarm-shared"])
 def test_a_scan_completes_once_every_partition_answered(kind):
     system = AtomicMulticast(seed=3)
     env = system.env
@@ -71,7 +76,7 @@ def test_a_scan_completes_once_every_partition_answered(kind):
         system.run(until=env.now + 0.005)
         return client.completed
 
-    system.run(until=0.101)  # the swarm issues at 0.1 s
+    system.run(until=0.101)  # the open-loop clients issue at 0.1 s
     assert [len(frontend.requests) for frontend in frontends] == [1, 1, 1]
     assert answer(0, 0) == 0
     assert answer(0, 0) == 0  # another replica of partition 0

@@ -44,6 +44,15 @@ class TestSharedLog:
         cached = log.snapshot()["cache"]
         assert 19 in cached and 0 not in cached
 
+    def test_the_default_cache_holds_200_mb(self):
+        log = SharedLog(0)
+        megabytes = 1024 * 1024
+        log.append(100 * megabytes)
+        log.append(100 * megabytes)
+        assert log.cached_entries == 2 and log.cached_bytes == 200 * megabytes
+        log.append(1)
+        assert sorted(log.snapshot()["cache"]) == [1, 2]
+
     def test_snapshot_restore_roundtrip(self):
         log = SharedLog(0)
         for _ in range(5):

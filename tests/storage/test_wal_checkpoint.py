@@ -41,6 +41,19 @@ class TestWriteAheadLog:
         assert log.disk.write_count >= 1
         assert len(log) == 10
 
+    def test_an_async_log_writes_its_buffer_once_per_flush_interval(self):
+        env = Environment()
+        log = WriteAheadLog(env, mode=StorageMode.ASYNC_SSD)
+        log.append(0, 1, _value(), 100)
+        log.append(1, 1, _value(), 100)
+        env.simulator.run(until=WriteAheadLog.FLUSH_INTERVAL / 2)
+        assert log.disk.write_count == 0
+        env.simulator.run(until=WriteAheadLog.FLUSH_INTERVAL * 1.5)
+        assert log.disk.write_count == 1
+        log.append(2, 1, _value(), 100)
+        env.simulator.run(until=WriteAheadLog.FLUSH_INTERVAL * 3)
+        assert log.disk.write_count == 2
+
     def test_crash_in_memory_loses_everything(self):
         env = Environment()
         log = WriteAheadLog(env, mode=StorageMode.IN_MEMORY)
@@ -134,6 +147,14 @@ class TestCheckpointStore:
                    on_durable=lambda: fired.append(env.simulator.now))
         env.simulator.run()
         assert fired and fired[0] > 0
+
+    def test_a_store_keeps_its_newest_keep_checkpoints(self):
+        env = Environment()
+        store = CheckpointStore(env)
+        for i in range(CheckpointStore.KEEP + 2):
+            store.save(CheckpointId.from_mapping({0: i}), state=i, size_bytes=10)
+        assert [c.state for c in store._checkpoints] == [2, 3, 4]
+        assert store.latest().state == 4
 
     def test_empty_store_has_no_latest(self):
         assert CheckpointStore(Environment()).latest() is None
