@@ -129,9 +129,7 @@ def main() -> int:
     # both partition rings, fed at every barrier.
     config = _config()
     parent_env = Environment()
-    merged_replica = MRPStoreReplica(
-        parent_env, "merged-replica", config=config, respond_to_clients=False
-    )
+    merged_replica = MRPStoreReplica(parent_env, "merged-replica", respond_to_clients=False)
     # The host combines every barrier's shard payloads (minimum watermark,
     # covered rings) and applies what merges; it also keeps the streams for
     # the offline-replay anchor.

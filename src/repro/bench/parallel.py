@@ -94,13 +94,10 @@ def _build_common_ring_shard(payload: Dict[str, Any]) -> Measurement:
     site = topology.sites()[0].name
     system = AtomicMulticast(topology=topology, config=config, seed=payload["seed"])
     frontends = [
-        ProposerFrontend(system.env, f"dlogc-node{i}", site=site, config=config)
+        ProposerFrontend(system.env, f"dlogc-node{i}", site=site)
         for i in range(2)
     ]
-    learner = MultiRingProcess(
-        system.env, SHARED_LEARNER, site=site,
-        messages_per_round=config.messages_per_round,
-    )
+    learner = MultiRingProcess(system.env, SHARED_LEARNER, site=site)
     members: List[RingMember] = [
         RingMember(name=f.name, proposer=True, acceptor=True, learner=False)
         for f in frontends
@@ -186,9 +183,7 @@ def run_fig6_sharded(
 
     from ..dlog.replica import DLogReplica
 
-    replica = DLogReplica(
-        Environment(), SHARED_LEARNER, config=config, respond_to_clients=False
-    )
+    replica = DLogReplica(Environment(), SHARED_LEARNER, respond_to_clients=False)
     host = ReactiveReplicaHost(
         replica,
         list(range(ring_count)) + [COMMON_RING_ID],

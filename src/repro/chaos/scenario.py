@@ -605,10 +605,7 @@ def _build_amcast(spec: Dict[str, Any]) -> _ChaosRun:
     config = _chaos_config(spec)
     system = AtomicMulticast(topology=topology, config=config, seed=spec["seed"])
     processes = {
-        name: MultiRingProcess(
-            system.env, name, site=site,
-            messages_per_round=config.messages_per_round,
-        )
+        name: MultiRingProcess(system.env, name, site=site)
         for name, site in sorted(spec["processes"].items())
     }
     for ring_id, members in sorted(spec["rings"].items()):

@@ -41,7 +41,6 @@ from ..storage.checkpoint import CheckpointId, CheckpointStore
 from ..multiring.merge import MergeCursor, RingSegment, replay_streams
 from ..multiring.process import MultiRingProcess
 from .client import Command
-from .config import MultiRingConfig
 from .packing import PackedValues, iter_commands, iter_payloads
 
 __all__ = [
@@ -64,21 +63,26 @@ class StateMachineReplica(MultiRingProcess):
         env: Environment,
         name: str,
         site: str = "dc1",
-        config: Optional[MultiRingConfig] = None,
         respond_to_clients: bool = True,
     ) -> None:
-        config = config or MultiRingConfig()
-        super().__init__(env, name, site, messages_per_round=config.messages_per_round)
-        self.config = config
+        super().__init__(env, name, site)
         self.respond_to_clients = respond_to_clients
         self.checkpoint_store = CheckpointStore(env, profile=SSD_PROFILE, name=f"{name}.ckpt")
         self._checkpointer: Optional[ReplicaCheckpointer] = None
-        self._recovery: Optional[RecoveryManager] = None
+        self._recovery = RecoveryManager(
+            host=self,
+            install_state=self._install_checkpoint,
+            inject_decided=self._inject_recovered,
+            on_complete=self._recovery_complete,
+        )
         self._commands_applied = 0
         self._recovering = False
-        # type(message) -> bound handler; same pattern as RingNode.HANDLERS.
+        #: service-plane dispatch: exact message class -> the bound method that
+        #: does the work.  Anything not in the table is client traffic.
         self._service_handlers = {
-            cls: getattr(self, name) for cls, name in self.SERVICE_HANDLERS.items()
+            CheckpointRequest: self._serve_checkpoint_request,
+            CheckpointReply: self._recovery.handle_checkpoint_reply,
+            RetransmitReply: self._recovery.handle_retransmit_reply,
         }
 
     # ----------------------------------------------------------- service API
@@ -102,8 +106,12 @@ class StateMachineReplica(MultiRingProcess):
     def on_start(self) -> None:
         super().on_start()
         self._ensure_checkpointer()
-        if self.config.checkpoint_interval is not None:
-            self.set_periodic_timer(self.config.checkpoint_interval, self._checkpoint_tick)
+        self._start_checkpoint_timer()
+
+    def _start_checkpoint_timer(self) -> None:
+        config = self.config
+        if config is not None and config.checkpoint_interval is not None:
+            self.set_periodic_timer(config.checkpoint_interval, self._checkpoint_tick)
 
     def _ensure_checkpointer(self) -> None:
         groups = self.subscribed_groups()
@@ -176,33 +184,12 @@ class StateMachineReplica(MultiRingProcess):
         return self._checkpointer.safe_instance(group_id)
 
     # ------------------------------------------------------ recovery serving
-    #: Service-plane dispatch table (class attribute so subclasses can extend
-    #: it): exact message class -> handler method name, resolved to bound
-    #: methods once at construction.  Anything not in the table is client
-    #: traffic.
-    SERVICE_HANDLERS: Dict[type, str] = {
-        CheckpointRequest: "_handle_checkpoint_request",
-        CheckpointReply: "_handle_checkpoint_reply",
-        RetransmitReply: "_handle_retransmit_reply",
-    }
-
     def on_service_message(self, sender: str, message: Any) -> None:
         handler = self._service_handlers.get(message.__class__)
         if handler is not None:
             handler(sender, message)
         else:
             self.on_client_message(sender, message)
-
-    def _handle_checkpoint_request(self, sender: str, message: CheckpointRequest) -> None:
-        self._serve_checkpoint_request(sender, message)
-
-    def _handle_checkpoint_reply(self, sender: str, message: CheckpointReply) -> None:
-        if self._recovery is not None:
-            self._recovery.handle_checkpoint_reply(message)
-
-    def _handle_retransmit_reply(self, sender: str, message: RetransmitReply) -> None:
-        if self._recovery is not None:
-            self._recovery.handle_retransmit_reply(message)
 
     def on_client_message(self, sender: str, message: Any) -> None:
         """Hook for service-specific client traffic (override as needed)."""
@@ -235,13 +222,12 @@ class StateMachineReplica(MultiRingProcess):
         self.reset_state()
         self._commands_applied = 0
         self._checkpointer = None
-        self._recovery = None
+        self._recovery.stop()
 
     def on_restart(self) -> None:
         super().on_restart()
         self._ensure_checkpointer()
-        if self.config.checkpoint_interval is not None:
-            self.set_periodic_timer(self.config.checkpoint_interval, self._checkpoint_tick)
+        self._start_checkpoint_timer()
         self.start_recovery()
 
     def start_recovery(self, partition_peers: Optional[List[str]] = None) -> None:
@@ -255,16 +241,7 @@ class StateMachineReplica(MultiRingProcess):
             for g in groups
         }
         self._recovering = True
-        self._recovery = RecoveryManager(
-            host=self,
-            group_ids=groups,
-            partition_peers=peers,
-            acceptors_by_group=acceptors_by_group,
-            install_state=self._install_checkpoint,
-            inject_decided=self._inject_recovered,
-            on_complete=self._recovery_complete,
-        )
-        self._recovery.start()
+        self._recovery.start(groups, peers, acceptors_by_group)
 
     def _default_partition_peers(self) -> List[str]:
         """Learners of my rings having the same subscription set as me."""
@@ -306,8 +283,6 @@ class StateMachineReplica(MultiRingProcess):
     @property
     def recovery_phase(self) -> RecoveryPhase:
         """Where the replica currently stands in its recovery (IDLE when none)."""
-        if self._recovery is None:
-            return RecoveryPhase.IDLE
         return self._recovery.phase
 
     @property
@@ -323,17 +298,6 @@ class ProposerFrontend(MultiRingProcess):
     prototype); the proposer multicasts the command to the ring of the
     partition it addresses, whose coordinator packs values into instances.
     """
-
-    def __init__(
-        self,
-        env: Environment,
-        name: str,
-        site: str = "dc1",
-        config: Optional[MultiRingConfig] = None,
-    ) -> None:
-        config = config or MultiRingConfig()
-        super().__init__(env, name, site, messages_per_round=config.messages_per_round)
-        self.config = config
 
     def on_service_message(self, sender: str, message: Any) -> None:
         if not isinstance(message, ClientRequest):

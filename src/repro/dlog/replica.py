@@ -12,10 +12,9 @@ Table 2's ``read``, so it is not modelled.)
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from ..core.client import Command
-from ..core.config import MultiRingConfig
 from ..core.smr import StateMachineReplica
 from ..sim.actor import Environment
 from .log import SharedLog
@@ -31,10 +30,9 @@ class DLogReplica(StateMachineReplica):
         env: Environment,
         name: str,
         site: str = "dc1",
-        config: Optional[MultiRingConfig] = None,
         respond_to_clients: bool = True,
     ) -> None:
-        super().__init__(env, name, site, config=config, respond_to_clients=respond_to_clients)
+        super().__init__(env, name, site, respond_to_clients=respond_to_clients)
         self.logs: Dict[int, SharedLog] = {}
 
     # ---------------------------------------------------------------- helpers

@@ -49,7 +49,7 @@ class DLogService:
         self._site = site if system.topology.has_site(site) else system.topology.sites()[0].name
 
         self.replicas = [
-            DLogReplica(system.env, f"dlog-replica{i}", site=self._site, config=self.config)
+            DLogReplica(system.env, f"dlog-replica{i}", site=self._site)
             for i in range(replica_count)
         ]
 
@@ -67,7 +67,7 @@ class DLogService:
         disk_profile: DiskProfile,
     ) -> None:
         frontends = [
-            ProposerFrontend(self.system.env, f"dlog{log_id}-node{i}", site=self._site, config=self.config)
+            ProposerFrontend(self.system.env, f"dlog{log_id}-node{i}", site=self._site)
             for i in range(acceptors)
         ]
         members: List[RingMember] = [
@@ -91,7 +91,7 @@ class DLogService:
 
     def _build_common_ring(self, ring_id: int, acceptors: int) -> None:
         frontends = [
-            ProposerFrontend(self.system.env, f"dlogc-node{i}", site=self._site, config=self.config)
+            ProposerFrontend(self.system.env, f"dlogc-node{i}", site=self._site)
             for i in range(acceptors)
         ]
         members: List[RingMember] = [

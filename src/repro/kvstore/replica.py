@@ -10,10 +10,9 @@ multi-partition operations (Section 6.1).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from ..core.client import Command
-from ..core.config import MultiRingConfig
 from ..core.smr import StateMachineReplica
 from ..sim.actor import Environment
 from .store import KeyValueStore, StoredValue
@@ -29,10 +28,9 @@ class MRPStoreReplica(StateMachineReplica):
         env: Environment,
         name: str,
         site: str = "dc1",
-        config: Optional[MultiRingConfig] = None,
         respond_to_clients: bool = True,
     ) -> None:
-        super().__init__(env, name, site, config=config, respond_to_clients=respond_to_clients)
+        super().__init__(env, name, site, respond_to_clients=respond_to_clients)
         self.store = KeyValueStore()
         #: the database as initialised on stable storage before the run
         self._initial: Dict[str, StoredValue] = {}

@@ -68,11 +68,11 @@ class MRPStoreService:
         if not self.system.topology.has_site(site):
             site = self.system.topology.sites()[0].name
         frontends = [
-            ProposerFrontend(self.system.env, f"kv{group}-node{i}", site=site, config=self.config)
+            ProposerFrontend(self.system.env, f"kv{group}-node{i}", site=site)
             for i in range(acceptors)
         ]
         partition_replicas = [
-            MRPStoreReplica(self.system.env, f"kv{group}-replica{i}", site=site, config=self.config)
+            MRPStoreReplica(self.system.env, f"kv{group}-replica{i}", site=site)
             for i in range(replicas)
         ]
         members: List[RingMember] = [

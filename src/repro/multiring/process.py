@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from ..net.ring import RingOverlay
-from ..paxos.messages import ProposalValue, TrimQuery, TrimReport
+from ..paxos.messages import ProposalValue
 from ..ringpaxos.node import RingNode
 from ..sim.actor import Actor, Environment
 from ..sim.disk import Disk
@@ -30,26 +30,16 @@ __all__ = ["MultiRingProcess"]
 class MultiRingProcess(Actor):
     """Actor hosting one :class:`~repro.ringpaxos.node.RingNode` per ring.
 
-    Parameters
-    ----------
-    env, name, site:
-        Standard actor arguments.
-    messages_per_round:
-        The deterministic-merge parameter ``M`` used when this process
-        subscribes (as learner) to more than zero rings.
+    The process takes its deployment from the rings it joins: :attr:`config`
+    is the configuration its first :meth:`join_ring` hands it, and the
+    merger's ``M`` is that configuration's ``messages_per_round``.
     """
 
-    def __init__(
-        self,
-        env: Environment,
-        name: str,
-        site: str = "dc1",
-        messages_per_round: int = 1,
-    ) -> None:
+    def __init__(self, env: Environment, name: str, site: str = "dc1") -> None:
         super().__init__(env, name, site)
-        self._messages_per_round = messages_per_round
+        #: the deployment's configuration (``None`` until the first ring)
+        self.config: Optional[MultiRingConfig] = None
         self._nodes: Dict[int, RingNode] = {}
-        self._node_disks: Dict[int, Optional[Disk]] = {}
         self._merger: Optional[DeterministicMerger] = None
         self._delivered_per_group: Dict[int, int] = {}
         self._ring_tap: Optional[Callable[[int, int, ProposalValue], None]] = None
@@ -65,10 +55,13 @@ class MultiRingProcess(Actor):
         """Become a member of ``overlay`` with the roles it assigns to us.
 
         ``config`` is the ring's deployment configuration (see
-        :class:`~repro.ringpaxos.node.RingNode`).
+        :class:`~repro.ringpaxos.node.RingNode`); the first ring's becomes
+        :attr:`config`.
         """
         if overlay.ring_id in self._nodes:
             raise ValueError(f"{self.name} already joined ring {overlay.ring_id}")
+        if self.config is None:
+            self.config = config
         node = RingNode(
             host=self,
             overlay=overlay,
@@ -77,12 +70,11 @@ class MultiRingProcess(Actor):
             disk=disk,
         )
         self._nodes[overlay.ring_id] = node
-        self._node_disks[overlay.ring_id] = disk
         if node.is_learner:
             if self._merger is None:
                 self._merger = DeterministicMerger(
                     [overlay.ring_id],
-                    messages_per_round=self._messages_per_round,
+                    messages_per_round=self.config.messages_per_round,
                     on_deliver=self._deliver,
                 )
             else:
@@ -188,50 +180,30 @@ class MultiRingProcess(Actor):
 
     # -------------------------------------------------------------- messages
     def on_message(self, sender: str, message: Any) -> None:
-        # Hot path: a ring message resolves to its bound handler in two dict
-        # hits (ring id -> node, message class -> handler).  This inlines
-        # RingNode.handle — which stays the entry point for external callers
-        # and for classes missing from the table (subclasses, unknowns).
+        # The one selector of ring messages, in two dict hits: ring id ->
+        # node, exact message class -> bound handler.  A message without a
+        # ring, or for a ring this process is not in, is service traffic.
         ring_id = getattr(message, "ring_id", None)
         if ring_id is not None:
             node = self._nodes.get(ring_id)
             if node is not None:
                 handler = node._handlers.get(message.__class__)
-                if handler is None:
-                    if isinstance(message, TrimQuery):
-                        self._answer_trim_query(sender, message)
-                        return
-                    if node.handle(sender, message):
-                        return
-                else:
+                if handler is not None:
                     # CpuAccount.charge_message(model, size) for one message,
                     # in this frame: priced on arrival (handlers re-size
                     # messages in place), booked after the handler — the same
                     # terms in the same order, no handler charges its own host.
                     model = node._cpu_model
                     cost = model.per_message + model.per_byte * message.size_bytes
-                    consumed = handler(sender, message)
-                    if not consumed and isinstance(message, TrimQuery):
-                        # The table's entry for TrimQuery is a no-op: this
-                        # layer answers it, and was never charged CPU for it.
-                        self._answer_trim_query(sender, message)
-                        return
+                    handler(sender, message)
                     self.cpu._window_busy += cost
-                    if consumed:
-                        return
+                    return
         self.on_service_message(sender, message)
 
     def on_service_message(self, sender: str, message: Any) -> None:
         """Hook for non-ring messages (client requests, recovery traffic)."""
 
     # ------------------------------------------------------------------ trim
-    def _answer_trim_query(self, sender: str, message: TrimQuery) -> None:
-        safe = self.safe_instance_for(message.ring_id)
-        self.send(
-            sender,
-            TrimReport(ring_id=message.ring_id, replica=self.name, safe_instance=safe),
-        )
-
     def safe_instance_for(self, group_id: int) -> int:
         """Highest instance of ``group_id`` whose effects are checkpointed.
 
@@ -259,7 +231,7 @@ class MultiRingProcess(Actor):
         if learner_rings:
             self._merger = DeterministicMerger(
                 learner_rings,
-                messages_per_round=self._messages_per_round,
+                messages_per_round=self.config.messages_per_round,
                 on_deliver=self._deliver,
             )
         for node in self._nodes.values():

@@ -49,18 +49,17 @@ class RecoveryPhase(Enum):
 
 
 class RecoveryManager:
-    """Orchestrates one replica's recovery exchange.
+    """Orchestrates one replica's recovery exchanges.
+
+    A replica owns one manager for its lifetime: :meth:`start` begins an
+    exchange, :meth:`stop` abandons it on a crash, and the two ``handle_*``
+    methods are the replica's service-plane handlers for the replies (a
+    manager that is not waiting for a reply ignores it).
 
     Parameters
     ----------
     host:
         The replica actor (used to send messages and read the clock).
-    group_ids:
-        Groups the replica subscribes to.
-    partition_peers:
-        Names of the replicas in the same partition.
-    acceptors_by_group:
-        For each group, the acceptor processes able to serve retransmissions.
     install_state:
         Callback ``(state, checkpoint_id)`` installing a downloaded snapshot
         into the service and fast-forwarding the ordering layer.
@@ -68,26 +67,44 @@ class RecoveryManager:
         Callback ``(group_id, instance, value)`` feeding a retransmitted
         decision back into the ordering layer.
     on_complete:
-        Called once recovery finished.
+        Called each time an exchange finished.
     """
 
     def __init__(
         self,
         host: Actor,
+        install_state: Callable[[Any, CheckpointId], None],
+        inject_decided: Callable[[int, int, Any], None],
+        on_complete: Callable[[], None],
+    ) -> None:
+        self.host = host
+        self._install_state = install_state
+        self._inject_decided = inject_decided
+        self._on_complete = on_complete
+        self.phase = RecoveryPhase.IDLE
+        self._groups: List[int] = []
+        self._peers: List[str] = []
+        self._acceptors_by_group: Dict[int, List[str]] = {}
+        self._quorum = 1
+        self._id_replies: Dict[str, Optional[CheckpointId]] = {}
+        self._pending_groups: set = set()
+
+    # ------------------------------------------------------------------ start
+    def start(
+        self,
         group_ids: List[int],
         partition_peers: List[str],
         acceptors_by_group: Dict[int, List[str]],
-        install_state: Callable[[Any, CheckpointId], None],
-        inject_decided: Callable[[int, int, Any], None],
-        on_complete: Optional[Callable[[], None]] = None,
     ) -> None:
-        self.host = host
+        """Begin recovery by polling partition peers for their checkpoints.
+
+        ``group_ids`` are the replica's subscriptions, ``partition_peers`` the
+        replicas of its partition, ``acceptors_by_group`` the acceptors able
+        to retransmit each group's decisions.
+        """
         self._groups = sorted(group_ids)
         self._peers = list(partition_peers)
         self._acceptors_by_group = {g: list(a) for g, a in acceptors_by_group.items()}
-        self._install_state = install_state
-        self._inject_decided = inject_decided
-        self._on_complete = on_complete or (lambda: None)
         partition_size = len(self._peers) + 1
         # ``|Q_R|``: a majority of the partition (peers + self), capped at the
         # number of peers that can actually answer: the recovering replica
@@ -96,13 +113,6 @@ class RecoveryManager:
         # a second one.
         majority = partition_size // 2 + 1
         self._quorum = max(1, min(majority, len(self._peers)))
-        self.phase = RecoveryPhase.IDLE
-        self._id_replies: Dict[str, Optional[CheckpointId]] = {}
-        self._pending_groups: set = set()
-
-    # ------------------------------------------------------------------ start
-    def start(self) -> None:
-        """Begin recovery by polling partition peers for their checkpoints."""
         self._id_replies.clear()
         self.phase = RecoveryPhase.COLLECTING_IDS
         if not self._peers:
@@ -112,8 +122,12 @@ class RecoveryManager:
         for peer in self._peers:
             self.host.send(peer, CheckpointRequest(requester=self.host.name))
 
+    def stop(self) -> None:
+        """Abandon the running exchange (the replica crashed)."""
+        self.phase = RecoveryPhase.IDLE
+
     # -------------------------------------------------------------- messages
-    def handle_checkpoint_reply(self, reply: CheckpointReply) -> None:
+    def handle_checkpoint_reply(self, sender: str, reply: CheckpointReply) -> None:
         """Process a peer's answer (either an id or the full state)."""
         if self.phase is RecoveryPhase.COLLECTING_IDS and not reply.includes_state:
             self._id_replies[reply.replica] = reply.checkpoint_id
@@ -122,7 +136,7 @@ class RecoveryManager:
         elif self.phase is RecoveryPhase.FETCHING_STATE and reply.includes_state:
             self._install(reply)
 
-    def handle_retransmit_reply(self, reply: RetransmitReply) -> None:
+    def handle_retransmit_reply(self, sender: str, reply: RetransmitReply) -> None:
         """Apply a batch of retransmitted decisions from an acceptor."""
         if self.phase is not RecoveryPhase.RETRANSMITTING:
             return

@@ -45,14 +45,14 @@ from ..paxos.messages import (
     ValueForward,
 )
 from ..recovery.trim import compute_trim_point, trim_quorum_size
-from ..sim.actor import Actor
 from ..sim.cpu import CpuCostModel
 from ..sim.disk import Disk
 from .coordinator import CoordinatorState
 from .learner import RingLearner
 
-if TYPE_CHECKING:  # repro.core imports the ring layer: no import at run time
+if TYPE_CHECKING:  # the process and core layers import this one: no import at run time
     from ..core.config import MultiRingConfig
+    from ..multiring.process import MultiRingProcess
 
 #: ``RetransmitRequest.reason`` used by the learner-side gap repair; replies
 #: with this reason are consumed by the ring node, not the recovery manager.
@@ -74,7 +74,7 @@ class RingNode:
 
     def __init__(
         self,
-        host: Actor,
+        host: MultiRingProcess,
         overlay: RingOverlay,
         config: MultiRingConfig,
         on_deliver: Optional[Callable[[int, int, ProposalValue], None]] = None,
@@ -135,10 +135,9 @@ class RingNode:
         #: :meth:`_flush_assignments`)
         self._batch_timer_armed = False
         self._batch_flush_handle = None
-        #: per-class dispatch table: ``type(message) -> bound handler``.  Built
-        #: once per node from :data:`HANDLERS`; message subclasses and unknown
-        #: types are resolved lazily (and cached) by :meth:`_resolve_handler`.
-        self._handlers: Dict[type, Optional[Callable[[str, Any], bool]]] = {
+        #: per-class dispatch table: ``type(message) -> bound handler``, built
+        #: once per node from :data:`HANDLERS`.
+        self._handlers: Dict[type, Callable[[str, Any], None]] = {
             cls: getattr(self, name) for cls, name in self.HANDLERS.items()
         }
 
@@ -243,12 +242,15 @@ class RingNode:
         return value
 
     # ------------------------------------------------------------- dispatch
-    #: Message class → handler method name.  Every handler has the uniform
-    #: signature ``(sender, message) -> bool`` (``False`` means "not consumed
-    #: here — fall through to the service layer").  The table replaces the old
-    #: hottest-first isinstance chain: one dict lookup per message instead of
-    #: up to ten type checks (the exhaustiveness differential in
-    #: ``tests/ringpaxos/test_dispatch_table.py`` pins the two to each other).
+    #: Message class → handler method name, one entry per ring message of
+    #: :mod:`repro.paxos.messages` (``tests/ringpaxos/test_dispatch.py`` finds
+    #: those classes by their ``ring_id`` field and fails on a missing entry).
+    #: :meth:`MultiRingProcess.on_message
+    #: <repro.multiring.process.MultiRingProcess.on_message>` is the one
+    #: selector: it looks up the exact class in the node's bound table and
+    #: charges the message's CPU.  Every handler takes ``(sender, message)``
+    #: and returns nothing; a message it does not own (a recovery
+    #: retransmission) it hands to the host's service layer itself.
     HANDLERS: Dict[type, str] = {
         Phase2Ring: "_handle_phase2",
         Decision: "_handle_decision",
@@ -262,42 +264,14 @@ class RingNode:
         TrimCommand: "_handle_trim_command",
     }
 
-    def handle(self, sender: str, message: Any) -> bool:
-        """Process a ring message; returns ``False`` if the type is unknown."""
-        # CPU accounting, inlined (one call per ring message): forwarding and
-        # voting both cost per-message and per-byte CPU on the hosting actor.
-        self.host.cpu.charge_message(self._cpu_model, getattr(message, "size_bytes", 0))
-        try:
-            handler = self._handlers[message.__class__]
-        except KeyError:
-            handler = self._resolve_handler(message.__class__)
-        if handler is None:
-            return False
-        return handler(sender, message)
-
-    def _resolve_handler(self, cls: type) -> Optional[Callable[[str, Any], bool]]:
-        """Resolve (and cache) the handler for a subclass or unknown type."""
-        handler = None
-        for base in cls.__mro__:
-            name = self.HANDLERS.get(base)
-            if name is not None:
-                handler = getattr(self, name)
-                break
-        self._handlers[cls] = handler
-        return handler
-
-    def _handle_trim_query(self, sender: str, message: TrimQuery) -> bool:
-        return False  # answered by the replica layer, not the ring node
-
     # ------------------------------------------------------- value forwarding
-    def _handle_value_forward(self, sender: str, message: ValueForward) -> bool:
+    def _handle_value_forward(self, sender: str, message: ValueForward) -> None:
         if self._is_coordinator:
             assert message.value is not None
             self.coordinator.enqueue(message.value)
             self._flush_assignments()
         else:
             self.host.send(self._successor, message)
-        return True
 
     def _flush_assignments(self, force: Optional[bool] = None) -> None:
         """Assign instances to pending values and emit their Phase 2 messages.
@@ -386,14 +360,14 @@ class RingNode:
                 self.host.send(successor, message)
 
     # ----------------------------------------------------------------- phase 1
-    def _handle_phase1a(self, sender: str, message: Phase1A) -> bool:
+    def _handle_phase1a(self, sender: str, message: Phase1A) -> None:
         if not self.is_acceptor or self.acceptor is None:
-            return True
+            return
         granted = self.acceptor.receive_phase1a(
             message.from_instance, message.to_instance, message.ballot
         )
         if not granted:
-            return True
+            return
         self.host.send(
             sender,
             Phase1B(
@@ -407,11 +381,10 @@ class RingNode:
                 ),
             ),
         )
-        return True
 
-    def _handle_phase1b(self, sender: str, message: Phase1B) -> bool:
+    def _handle_phase1b(self, sender: str, message: Phase1B) -> None:
         if not self.is_coordinator or self.coordinator is None:
-            return True
+            return
         # A new coordinator must not reuse instance numbers that already hold
         # accepted values from a previous coordinator's reign.
         for instance, ballot, value in message.accepted:
@@ -425,7 +398,6 @@ class RingNode:
             self._takeover_repair()
         if ready and self.coordinator.has_pending():
             self._flush_assignments()
-        return True
 
     def _takeover_repair(self) -> None:
         """Finish instances the failed coordinator left behind (classic Paxos).
@@ -468,7 +440,7 @@ class RingNode:
         self._takeover_accepted.clear()
 
     # ----------------------------------------------------------------- phase 2
-    def _handle_phase2(self, sender: str, message: Phase2Ring) -> bool:
+    def _handle_phase2(self, sender: str, message: Phase2Ring) -> None:
         value = message.value
         single = message.span == 1  # almost every message covers one instance
         if self.is_learner and self.learner is not None and value is not None:
@@ -507,7 +479,6 @@ class RingNode:
                 message.add_vote(self.host.name)
         else:
             self._forward_phase2(message)
-        return True
 
     def _forward_phase2(self, message: Phase2Ring) -> None:
         successor = self._successor
@@ -530,7 +501,7 @@ class RingNode:
             ),
         )
 
-    def _handle_decision(self, sender: str, message: Decision) -> bool:
+    def _handle_decision(self, sender: str, message: Decision) -> None:
         """Learn the decision, then keep it circulating."""
         if message.span == 1:
             # Nearly every decision covers one instance: the body of
@@ -558,7 +529,6 @@ class RingNode:
                 # handled the message, so no live reference sees the old size.
                 message.strip_value()
             self.host.send(successor, message)
-        return True
 
     def _learn_decision(self, message: Decision) -> None:
         acceptor = self.acceptor if self.is_acceptor else None
@@ -597,32 +567,42 @@ class RingNode:
                 continue
             self.host.send(learner, TrimQuery(ring_id=self.ring_id))
 
-    def _handle_trim_report(self, sender: str, message: TrimReport) -> bool:
+    def _handle_trim_query(self, sender: str, message: TrimQuery) -> None:
+        """Report how far the host's checkpoints cover this ring."""
+        host = self.host
+        host.send(
+            sender,
+            TrimReport(
+                ring_id=message.ring_id,
+                replica=host.name,
+                safe_instance=host.safe_instance_for(message.ring_id),
+            ),
+        )
+
+    def _handle_trim_report(self, sender: str, message: TrimReport) -> None:
         if not self.is_coordinator:
-            return True
+            return
         self._trim_reports[message.replica] = message.safe_instance
         safe = compute_trim_point(
             self._trim_reports, trim_quorum_size(len(self.overlay.learners))
         )
         if safe is None:
-            return True
+            return
         for acceptor in self.overlay.acceptors:
             if acceptor == self.host.name and self.acceptor is not None:
                 self.acceptor.trim(safe)
                 continue
             self.host.send(acceptor, TrimCommand(ring_id=self.ring_id, up_to_instance=safe))
         self._trim_reports.clear()
-        return True
 
-    def _handle_trim_command(self, sender: str, message: TrimCommand) -> bool:
+    def _handle_trim_command(self, sender: str, message: TrimCommand) -> None:
         if self.is_acceptor and self.acceptor is not None:
             self.acceptor.trim(message.up_to_instance)
-        return True
 
     # ---------------------------------------------------------- retransmission
-    def _handle_retransmit_request(self, sender: str, message: RetransmitRequest) -> bool:
+    def _handle_retransmit_request(self, sender: str, message: RetransmitRequest) -> None:
         if not self.is_acceptor or self.acceptor is None:
-            return True
+            return
         if message.to_instance < 0:
             decided = self.acceptor.decided_from(message.from_instance)
         else:
@@ -636,7 +616,6 @@ class RingNode:
                 reason=message.reason,
             ),
         )
-        return True
 
     # ------------------------------------------------------------- gap repair
     def _gap_repair_tick(self) -> None:
@@ -726,20 +705,19 @@ class RingNode:
             if repaired >= 512:
                 break  # bound the burst; the next tick continues
 
-    def _handle_retransmit_reply(self, sender: str, message: RetransmitReply) -> bool:
+    def _handle_retransmit_reply(self, sender: str, message: RetransmitReply) -> None:
         """Feed gap-repair retransmissions to the learner.
 
-        Recovery-reason replies are left to the hosting replica's
-        RecoveryManager (the dispatcher falls through to the service layer
-        when this returns ``False``).
+        Recovery-reason replies belong to the hosting replica's
+        RecoveryManager: they go on to the host's service layer.
         """
         if message.reason != GAP_REPAIR:
-            return False
+            self.host.on_service_message(sender, message)
+            return
         if self.learner is not None:
             for instance, value in message.decided:
                 if value is not None:
                     self.learner.inject_decided(instance, value)
-        return True
 
     # ------------------------------------------------------------------ crash
     def crash(self) -> None:

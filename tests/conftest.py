@@ -56,8 +56,8 @@ def store_client(service, name, workload, concurrency=1, max_requests=None, site
 class RecordingProcess(MultiRingProcess):
     """A process that records everything it delivers (for assertions)."""
 
-    def __init__(self, env, name, site="dc1", messages_per_round=1):
-        super().__init__(env, name, site, messages_per_round=messages_per_round)
+    def __init__(self, env, name, site="dc1"):
+        super().__init__(env, name, site)
         self.delivered: List[Tuple[int, int, object]] = []
         self.delivery_times: List[float] = []
 
@@ -151,14 +151,11 @@ def simple_ring(quiet_config):
 
 def build_two_ring_system(seed: int = 5, messages_per_round: int = 1):
     """Two rings, three shared learner/acceptor processes, one learner of ring 1 only."""
-    config = MultiRingConfig(rate_interval=0.005, max_rate=500.0,
-                             checkpoint_interval=None, trim_interval=None)
+    config = MultiRingConfig(messages_per_round=messages_per_round, rate_interval=0.005,
+                             max_rate=500.0, checkpoint_interval=None, trim_interval=None)
     system = AtomicMulticast(seed=seed, config=config)
-    shared = [
-        RecordingProcess(system.env, f"s{i}", messages_per_round=messages_per_round)
-        for i in range(3)
-    ]
-    solo = RecordingProcess(system.env, "solo", messages_per_round=messages_per_round)
+    shared = [RecordingProcess(system.env, f"s{i}") for i in range(3)]
+    solo = RecordingProcess(system.env, "solo")
     system.create_ring(0, [(p.name, "pal") for p in shared])
     system.create_ring(1, [(p.name, "pal") for p in shared] + [(solo.name, "l")])
     system.start()

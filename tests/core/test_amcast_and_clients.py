@@ -18,8 +18,8 @@ from tests.conftest import RecordingProcess
 class CountingReplica(StateMachineReplica):
     """A replica applying counter commands (used to exercise the SMR base)."""
 
-    def __init__(self, env, name, site="dc1", config=None):
-        super().__init__(env, name, site, config=config)
+    def __init__(self, env, name, site="dc1"):
+        super().__init__(env, name, site)
         self.value = 0
 
     def apply_command(self, group_id, command):
@@ -47,8 +47,8 @@ def build_counter_service(
 ):
     config = MultiRingConfig(rate_interval=None, checkpoint_interval=None, trim_interval=None)
     system = AtomicMulticast(seed=seed, config=config)
-    frontends = [ProposerFrontend(system.env, f"fe{i}", config=config) for i in range(2)]
-    replicas = [CountingReplica(system.env, f"rep{i}", config=config) for i in range(2)]
+    frontends = [ProposerFrontend(system.env, f"fe{i}") for i in range(2)]
+    replicas = [CountingReplica(system.env, f"rep{i}") for i in range(2)]
     members = [(f.name, "pa") for f in frontends] + [(r.name, "l") for r in replicas]
     system.create_ring(0, members)
 
@@ -183,7 +183,7 @@ class TestProposerFrontend:
     def _two_groups():
         config = MultiRingConfig(rate_interval=None, checkpoint_interval=None, trim_interval=None)
         system = AtomicMulticast(seed=4, config=config)
-        frontend = ProposerFrontend(system.env, "fe", config=config)
+        frontend = ProposerFrontend(system.env, "fe")
         learners = {g: RecordingProcess(system.env, f"g{g}") for g in (0, 1)}
         for g, learner in learners.items():
             system.create_ring(g, [("fe", "p"), (learner.name, "al")])
@@ -288,10 +288,14 @@ class TestStateMachineReplicaAndClients:
         system.run(until=1.0)
         assert replicas[0].commands_applied == replicas[0].value
 
+    def test_a_replica_and_a_frontend_take_the_config_of_their_ring(self):
+        system, frontends, replicas, client = build_counter_service()
+        assert all(p.config is system.config for p in frontends + replicas)
+
     def test_smr_base_requires_subclass_hooks(self):
         config = MultiRingConfig(rate_interval=None)
         system = AtomicMulticast(seed=2, config=config)
-        replica = StateMachineReplica(system.env, "bare", config=config)
+        replica = StateMachineReplica(system.env, "bare")
         with pytest.raises(NotImplementedError):
             replica.apply_command(0, Command(op="x"))
         with pytest.raises(NotImplementedError):

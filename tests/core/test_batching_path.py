@@ -194,7 +194,7 @@ class TestSMRPackedValues:
         config = MultiRingConfig(rate_interval=None, checkpoint_interval=None,
                                  trim_interval=None)
         system = AtomicMulticast(seed=1, config=config)
-        replica = MRPStoreReplica(system.env, "r0", config=config)
+        replica = MRPStoreReplica(system.env, "r0")
         put = Command(op="insert", args=("k", "v", 100), size_bytes=100)
         get = Command(op="read", args=("k",), size_bytes=16)
         packed = _pack(_value(put, size=100), _value(get, size=16), _value(SKIP))
@@ -225,7 +225,7 @@ class TestSMRApplyPath:
         config = MultiRingConfig(rate_interval=None, checkpoint_interval=None,
                                  trim_interval=None)
         system = AtomicMulticast(seed=1, config=config)
-        replica = MRPStoreReplica(system.env, "r0", config=config,
+        replica = MRPStoreReplica(system.env, "r0",
                                   respond_to_clients=respond_to_clients)
         return system, replica, _Inbox(system.env, "inbox")
 

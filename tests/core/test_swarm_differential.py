@@ -32,9 +32,8 @@ from repro.workloads.ycsb import RECORD_BYTES, YCSB_WORKLOADS, YCSBWorkload, ycs
 from tests.conftest import IssueTap
 from tests.reference.open_loop import OpenLoopClient
 
-# The multi-second comparisons are slow-marked: CI runs them in their own step
-# ("Swarm differential", ``-m slow``); the sub-second open-loop and wheel
-# cases stay in tier 1, so each test runs once per CI run.
+# Every comparison is sub-second (the whole module takes about a second), so
+# all of them run in tier 1.
 
 PARTITIONS = [0, 1]
 RECORDS = 200
@@ -175,20 +174,17 @@ class TestOpenLoopDifferential:
         swarm = _run_open_swarm(seed=21, k=3, aggregate_rate=240.0, until=1.2)
         _assert_identical(reference, swarm)
 
-    @pytest.mark.slow
     def test_bit_identical_batching_on(self):
         reference = _run_open_actors(seed=12, k=4, rate_each=100.0, until=1.4, batching=True)
         swarm = _run_open_swarm(seed=12, k=4, aggregate_rate=400.0, until=1.4, batching=True)
         _assert_identical(reference, swarm)
 
-    @pytest.mark.slow
     def test_bit_identical_with_multi_group_scans(self):
         """Workload E: scans await responses from several partitions."""
         reference = _run_open_actors(seed=14, k=3, rate_each=80.0, until=1.2, workload="E")
         swarm = _run_open_swarm(seed=14, k=3, aggregate_rate=240.0, until=1.2, workload="E")
         _assert_identical(reference, swarm)
 
-    @pytest.mark.slow
     @pytest.mark.parametrize("stagger", [False, True])
     def test_one_remote_client_is_the_fixed_rate_actor(self, stagger):
         """Figure 7's shape: one client on another site than the service.
@@ -239,7 +235,6 @@ class TestWheelColdCursor:
                                swarm_cls=_MaterialisedWheel)["wheel"] == 50
 
 
-@pytest.mark.slow
 class TestAddressingModes:
     def test_shared_endpoint_matches_ports_trace(self):
         """Shared addressing must reproduce the ports-mode workload exactly.

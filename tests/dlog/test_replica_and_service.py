@@ -11,7 +11,7 @@ from repro.sim.disk import StorageMode
 def make_replica():
     config = MultiRingConfig(rate_interval=None, checkpoint_interval=None, trim_interval=None)
     system = AtomicMulticast(seed=1, config=config)
-    return system, DLogReplica(system.env, "d0", config=config)
+    return system, DLogReplica(system.env, "d0")
 
 
 def total_appends(replica):
@@ -78,7 +78,7 @@ class TestDLogReplica:
         state, size = replica.snapshot_state()
         assert size >= 3 * 512 + 2 * 256 - 512  # trimmed segment excluded
 
-        restored = DLogReplica(system.env, "d1", config=replica.config)
+        restored = DLogReplica(system.env, "d1")
         restored.install_state_snapshot(state)
         # Contents and positions survive the round trip exactly.
         assert total_appends(restored) == total_appends(replica) == 5
@@ -98,7 +98,7 @@ class TestDLogReplica:
         replica.apply_command(0, Command(op="append", args=(100,)))
         state, _ = replica.snapshot_state()
         replica.apply_command(0, Command(op="append", args=(100,)))
-        restored = DLogReplica(system.env, "d2", config=replica.config)
+        restored = DLogReplica(system.env, "d2")
         restored.install_state_snapshot(state)
         assert restored.log_for(0).next_position == 1
         assert sorted(restored.log_for(0).snapshot()["cache"]) == [0]

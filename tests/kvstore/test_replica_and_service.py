@@ -14,7 +14,7 @@ from tests.conftest import store_client
 def make_replica():
     config = MultiRingConfig(rate_interval=None, checkpoint_interval=None, trim_interval=None)
     system = AtomicMulticast(seed=1, config=config)
-    return MRPStoreReplica(system.env, "r0", config=config)
+    return MRPStoreReplica(system.env, "r0")
 
 
 class TestReplicaStateMachine:
@@ -170,7 +170,7 @@ class TestPartitionPeers:
 
     def test_learner_of_a_subset_of_the_groups_is_not_a_peer(self):
         system, service = self.fig4_store()
-        observer = MRPStoreReplica(system.env, "kv0-observer", config=service.config)
+        observer = MRPStoreReplica(system.env, "kv0-observer")
         system.add_to_ring(0, ("kv0-observer", "l"))
         assert observer.subscribed_groups() == [0]
         assert service.replicas[0][0]._default_partition_peers() == ["kv0-replica1"]
@@ -180,7 +180,7 @@ class TestPartitionPeers:
         system, service = self.fig4_store()
         # A late joiner with the partition's exact subscriptions is a peer; it
         # comes last in ring order but first by name.
-        backup = MRPStoreReplica(system.env, "kv0-backup", config=service.config)
+        backup = MRPStoreReplica(system.env, "kv0-backup")
         system.add_to_ring(0, ("kv0-backup", "l"))
         system.add_to_ring(9, ("kv0-backup", "l"))
         assert service.replicas[0][0]._default_partition_peers() == ["kv0-backup", "kv0-replica1"]

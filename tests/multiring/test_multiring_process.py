@@ -69,6 +69,20 @@ class TestMultiRingDelivery:
         first_four = delivered[:4]
         assert first_four[0].startswith("a") and first_four[1].startswith("a")
 
+    def test_a_process_takes_its_config_from_the_first_ring_it_joins(self):
+        config = MultiRingConfig(messages_per_round=3, rate_interval=None)
+        system = AtomicMulticast(seed=1, config=config)
+        p = RecordingProcess(system.env, "p0")
+        assert p.config is None
+        system.create_ring(0, [(p.name, "pal")])
+        system.create_ring(1, [(p.name, "pal")])
+        assert p.config is config
+        assert p.merger._m == 3
+        system.start()
+        p.crash()
+        p.restart()
+        assert p.merger._m == 3  # the restarted merger keeps the deployment's M
+
     def test_cannot_join_same_ring_twice(self):
         config = MultiRingConfig(rate_interval=None)
         system = AtomicMulticast(seed=1, config=config)

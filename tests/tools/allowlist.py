@@ -46,10 +46,6 @@ ALLOWLIST = {
     "repro.ringpaxos.learner.RingLearner.supply_missing_value": "test-reference",
     "repro.ringpaxos.learner.RingLearner.is_decided": "test-reference",
     "repro.ringpaxos.learner.RingLearner.gaps": "test-reference",
-    # The dispatch differential's _ReferenceDispatchProcess
-    # (tests/ringpaxos/test_dispatch_differential.py) dispatches through these.
-    "repro.ringpaxos.node.RingNode.handle": "test-reference",
-    "repro.ringpaxos.node.RingNode._resolve_handler": "test-reference",
     # The swarm differential (tests/core/test_swarm_differential.py)
     # inspects the wheel.
     "repro.core.swarm.ClientSwarm._wheel": "test-reference",
